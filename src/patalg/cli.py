@@ -7,25 +7,18 @@ found, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Optional
 
 from . import semantics, wellformed
-from .compiler import Leaf, compile as compile_matrix, embed_case
-from .exhaustiveness import (
-    PatternMatrix,
-    SignatureError,
-    non_exhaustiveness_witness,
-)
+from .compiler import CompileError, Leaf, MatrixRow, compile_case
+from .exhaustiveness import SignatureError, non_exhaustiveness_witness
 from .normalize import dnf, nnf, to_ndnf
 from .parser import (
-    Call,
     ParseError,
     Program,
     UnfoldLimit,
-    contains_call,
     inline_calls,
     parse,
     parse_pattern,
@@ -40,7 +33,7 @@ from .pretty import (
     format_value,
     tree_to_obj,
 )
-from .semantics import ECase, ECtor, EVar, Stepped
+from .semantics import ECase
 from .suites import run_suites
 from .typecheck import Ill, type_expr
 
@@ -115,7 +108,7 @@ def cmd_check(args) -> int:
 def _report_exhaustiveness(path, def_name, where, case: ECase, prog: Program) -> None:
     from .oracle import infer_scrutinee_type
 
-    matrix = PatternMatrix(tuple((to_ndnf(c.pattern),) for c in case.clauses))
+    matrix = tuple(MatrixRow((to_ndnf(c.pattern),)) for c in case.clauses)
     try:
         col_types = (infer_scrutinee_type(case, prog.decls),)
     except ValueError:
@@ -167,20 +160,15 @@ def cmd_compile(args) -> int:
         return 2
     trees = []
     for d in prog.defs:
-        body = d.body
-        if isinstance(body, ECase):
-            report = wellformed.wf_expr(body)
-            if not report.ok:
-                print(
-                    f"{args.file}: def {d.name}: cannot compile, not wellformed:\n"
-                    f"{report.describe()}",
-                    file=sys.stderr,
-                )
-                return 1
-            tree = compile_matrix(embed_case(body))
-        else:
-            tree = Leaf(body)
-        trees.append((d.name, tree))
+        if not isinstance(d.body, ECase):
+            trees.append((d.name, Leaf(d.body)))
+            continue
+        try:
+            trees.append((d.name, compile_case(d.body)))
+        except CompileError as err:
+            why = f"not wellformed:\n{err.report.describe()}" if err.report else err
+            print(f"{args.file}: def {d.name}: cannot compile, {why}", file=sys.stderr)
+            return 1
     if args.format == "json":
         obj = {"definitions": [{"name": n, "tree": tree_to_obj(t)} for n, t in trees]}
         text = json.dumps(obj, indent=2)
@@ -199,59 +187,6 @@ def cmd_compile(args) -> int:
 
 
 # --- eval -----------------------------------------------------------------------
-
-
-def step_with_defs(e, prog: Program):
-    """Single step extended with definition unfolding (call by value)."""
-    if semantics.is_value(e):
-        return semantics.IsValue()
-    if isinstance(e, EVar):
-        return semantics.Stuck()
-    if isinstance(e, (ECtor, Call)):
-        for i, a in enumerate(e.args):
-            if semantics.is_value(a):
-                continue
-            r = step_with_defs(a, prog)
-            if isinstance(r, Stepped):
-                rebuilt = tuple(
-                    dataclasses.replace(e, args=e.args[:i] + (s,) + e.args[i + 1 :])
-                    for s in r.successors
-                )
-                return Stepped(rebuilt)
-            return r
-        if isinstance(e, Call):
-            d = prog.lookup(e.name)
-            if d is None or len(d.params) != len(e.args):
-                return semantics.Stuck()
-            body = semantics.substitute(
-                d.body, {name: a for (name, _), a in zip(d.params, e.args)}
-            )
-            return Stepped((body,))
-        raise AssertionError("unreachable")
-    if isinstance(e, ECase):
-        if not semantics.is_value(e.scrutinee):
-            r = step_with_defs(e.scrutinee, prog)
-            if isinstance(r, Stepped):
-                return Stepped(
-                    tuple(ECase(s, e.clauses, e.default_rhs) for s in r.successors)
-                )
-            return r
-        return Stepped(semantics.case_successors(e))
-    return semantics.Stuck()
-
-
-def eval_with_defs(e, prog: Program, fuel: int):
-    cur = e
-    for _ in range(fuel):
-        r = step_with_defs(cur, prog)
-        if isinstance(r, semantics.IsValue):
-            return semantics.Evaluated(semantics.expr_to_value(cur))
-        if isinstance(r, semantics.Stuck):
-            return semantics.Stuck()
-        if len(r.successors) > 1:
-            return semantics.Nondeterministic()
-        cur = r.successors[0]
-    return semantics.Diverged()
 
 
 def _split_args(text: str):
@@ -302,10 +237,7 @@ def cmd_eval(args) -> int:
         return 2
     env = {name: semantics.value_to_expr(v) for (name, _), v in zip(params, values)}
     body = semantics.substitute(body, env)
-    if contains_call(body):
-        result = eval_with_defs(body, prog, args.fuel)
-    else:
-        result = semantics.eval(body, args.fuel)
+    result = semantics.eval(body, args.fuel, prog.table())
     if isinstance(result, semantics.Evaluated):
         print(format_value(result.value))
         return 0

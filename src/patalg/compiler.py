@@ -4,7 +4,9 @@ A matrix pairs a vector of scrutinees (variables or values) with rows of
 normalized patterns.  Compilation repeatedly branches on a column with head
 constructors, building constructor-specific subproblems (specialization)
 and a subproblem for scrutinees matching none of the heads (default), until
-a row of bare variable cells or the lone default clause remains.
+a row of bare variable cells or the lone default clause remains.  The
+row-level steps (`specialize_rows`, `default_rows`, `column_heads`) are the
+matrix core that usefulness checking in `exhaustiveness` shares.
 
 `step_matrix` implements the multi-column single-step relation directly on
 top of the matching judgments; it is the independent oracle against which
@@ -30,7 +32,7 @@ from .normalize import (
     to_ndnf,
 )
 from .semantics import ECase, EVar, Stepped, Stuck, substitute, value_to_expr
-from .syntax import CtorName, match_pos, subst_to_dict
+from .syntax import CtorName, fv_even, match_pos, subst_to_dict
 
 FRESH_PREFIX = "$k"
 
@@ -49,10 +51,75 @@ class FreshSupply:
         return names
 
 
+# --- the matrix core ------------------------------------------------------------
+# Specialization, default and column heads over rows of normalized cells, for
+# any column.  Compilation and usefulness checking (`exhaustiveness`) share
+# them; a row's right-hand side is carried along untouched.
+
+
 @dataclass(frozen=True)
 class MatrixRow:
-    cells: tuple  # of Ndnf, one per scrutinee
-    rhs: "semantics.Expression"
+    cells: tuple  # of Ndnf, one per column
+    rhs: object = None  # the right-hand side; None in usefulness matrices
+
+
+def column_heads(column) -> tuple:
+    """Constructors a column can be tested against, as two sets: the heads
+    of positive conjuncts and the ban sets of negative conjuncts."""
+    pos: set = set()
+    neg: set = set()
+    for cell in column:
+        for k in cell.conjuncts:
+            if isinstance(k, PosConj):
+                pos.add(k.ctor)
+            elif isinstance(k, NegConj):
+                neg.update(k.banned)
+    return frozenset(pos), frozenset(neg)
+
+
+def head_ctors(column) -> frozenset:
+    pos, neg = column_heads(column)
+    return pos | neg
+
+
+def specialize_rows(rows, i: int, ctor: CtorName) -> list:
+    """Rows for values whose column-i head is `ctor`.  Each disjunct of a
+    column-i cell yields its own row: a positive conjunct with that head
+    puts its argument cells in front, a negative conjunct not banning it
+    puts wildcards there, and other conjuncts yield nothing.  Returns
+    (row, vars) pairs, vars being what the consumed conjunct bound."""
+    out = []
+    for row in rows:
+        rest = row.cells[:i] + row.cells[i + 1 :]
+        for k in row.cells[i].conjuncts:
+            if isinstance(k, PosConj) and k.ctor == ctor:
+                front = tuple(Ndnf((a,)) for a in k.args)
+            elif isinstance(k, NegConj) and ctor not in k.banned:
+                front = tuple(ndnf_wildcard() for _ in range(ctor.arity))
+            else:
+                continue
+            out.append((MatrixRow(front + rest, row.rhs), k.vars))
+    return out
+
+
+def default_rows(rows, i: int) -> list:
+    """Rows for values whose column-i head is none of the column's heads:
+    column i disappears and only negative conjuncts survive, since their
+    ban sets are among the heads.  Pairs as in `specialize_rows`."""
+    out = []
+    for row in rows:
+        rest = row.cells[:i] + row.cells[i + 1 :]
+        for k in row.cells[i].conjuncts:
+            if isinstance(k, NegConj):
+                out.append((MatrixRow(rest, row.rhs), k.vars))
+    return out
+
+
+def _dedup_rows(rows) -> tuple:
+    return tuple(dict.fromkeys(rows))
+
+
+# --- clause matrices -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -98,26 +165,19 @@ def _scrutable(e) -> bool:
 
 def embed_case(e: ECase) -> ClauseMatrix:
     """Embed an ordinary case expression as a one-column matrix, running
-    every clause pattern through normalization."""
+    every clause pattern through normalization.  Pattern variables named
+    like the scrutinee are renamed apart first, as `wf_matrix` requires."""
     if not _scrutable(e.scrutinee):
-        raise ValueError("case scrutinee must be a variable or a value")
-    rows = tuple(
-        MatrixRow((to_ndnf(c.pattern),), c.rhs) for c in e.clauses
-    )
+        raise CompileError("case scrutinee must be a variable or a value")
+    clauses = [_unshadow(c, e.scrutinee) for c in e.clauses]
+    rows = tuple(MatrixRow((to_ndnf(c.pattern),), c.rhs) for c in clauses)
     return ClauseMatrix((e.scrutinee,), rows, e.default_rhs)
 
 
-def head_ctors(column) -> frozenset:
-    """Constructors a column can be tested against: positive conjuncts
-    contribute their head, negative conjuncts their ban set."""
-    heads: set = set()
-    for cell in column:
-        for k in cell.conjuncts:
-            if isinstance(k, PosConj):
-                heads.add(k.ctor)
-            elif isinstance(k, NegConj):
-                heads.update(k.banned)
-    return frozenset(heads)
+def _unshadow(c, scrutinee):
+    if isinstance(scrutinee, EVar) and scrutinee.name in fv_even(c.pattern):
+        return semantics.rename_clause(c, {scrutinee.name}, {scrutinee.name})
+    return c
 
 
 def _subst_rhs(rhs, var_set, target):
@@ -127,10 +187,12 @@ def _subst_rhs(rhs, var_set, target):
     return substitute(rhs, {x: target for x in var_set})
 
 
-def _split_conjuncts(row: MatrixRow, i: int):
-    """One pseudo-row per conjunct of the cell in column i."""
-    for k in row.cells[i].conjuncts:
-        yield k, row
+def _subproblem(m: ClauseMatrix, i: int, pairs, scrutinees) -> ClauseMatrix:
+    """Clause matrix from the core's (row, vars) pairs: the variables a
+    consumed conjunct bound now name scrutinee i."""
+    old = m.scrutinees[i]
+    rows = (MatrixRow(r.cells, _subst_rhs(r.rhs, xs, old)) for r, xs in pairs)
+    return ClauseMatrix(scrutinees, _dedup_rows(rows), m.default_rhs)
 
 
 def specialize(i: int, ctor_pattern, m: ClauseMatrix) -> ClauseMatrix:
@@ -139,41 +201,19 @@ def specialize(i: int, ctor_pattern, m: ClauseMatrix) -> ClauseMatrix:
     ctor, binders = ctor_pattern
     if len(binders) != ctor.arity:
         raise ValueError("binder count must equal constructor arity")
-    old = m.scrutinees[i]
-    new_scrutinees = (
+    scrutinees = (
         tuple(EVar(b) for b in binders)
         + m.scrutinees[:i]
         + m.scrutinees[i + 1 :]
     )
-    new_rows = []
-    for k, row in (pair for row in m.rows for pair in _split_conjuncts(row, i)):
-        rest = row.cells[:i] + row.cells[i + 1 :]
-        if isinstance(k, PosConj) and k.ctor == ctor:
-            cells = tuple(Ndnf((a,)) for a in k.args) + rest
-            new_rows.append(MatrixRow(cells, _subst_rhs(row.rhs, k.vars, old)))
-        elif isinstance(k, NegConj) and ctor not in k.banned:
-            cells = tuple(ndnf_wildcard() for _ in binders) + rest
-            new_rows.append(MatrixRow(cells, _subst_rhs(row.rhs, k.vars, old)))
-    return ClauseMatrix(new_scrutinees, _dedup_rows(new_rows), m.default_rhs)
+    return _subproblem(m, i, specialize_rows(m.rows, i, ctor), scrutinees)
 
 
 def default_matrix(i: int, heads, m: ClauseMatrix) -> ClauseMatrix:
     """Subproblem assuming scrutinee i matched none of the head
     constructors; the column disappears."""
-    new_scrutinees = m.scrutinees[:i] + m.scrutinees[i + 1 :]
-    old = m.scrutinees[i]
-    new_rows = []
-    for k, row in (pair for row in m.rows for pair in _split_conjuncts(row, i)):
-        rest = row.cells[:i] + row.cells[i + 1 :]
-        if isinstance(k, NegConj):
-            # The ban set is a subset of the heads, all of which the
-            # scrutinee is known to differ from.
-            new_rows.append(MatrixRow(rest, _subst_rhs(row.rhs, k.vars, old)))
-    return ClauseMatrix(new_scrutinees, _dedup_rows(new_rows), m.default_rhs)
-
-
-def _dedup_rows(rows) -> tuple:
-    return tuple(dict.fromkeys(rows))
+    scrutinees = m.scrutinees[:i] + m.scrutinees[i + 1 :]
+    return _subproblem(m, i, default_rows(m.rows, i), scrutinees)
 
 
 def _canon_cell(cell: Ndnf) -> Ndnf:
@@ -193,17 +233,29 @@ def _clean(m: ClauseMatrix) -> ClauseMatrix:
 
 
 class CompileError(ValueError):
-    pass
+    def __init__(self, message: str, report: Optional[wellformed.WfReport] = None):
+        super().__init__(message)
+        self.report = report  # the failed wellformedness report, if any
 
 
 def compile(m: ClauseMatrix, fresh: Optional[FreshSupply] = None) -> DecisionTree:
     """Compile a wellformed clause matrix to a decision tree."""
     report = wellformed.wf_matrix(m)
     if not report.ok:
-        raise CompileError(f"matrix is not wellformed:\n{report.describe()}")
+        raise CompileError(f"matrix is not wellformed:\n{report.describe()}", report)
     if fresh is None:
         fresh = FreshSupply()
     return _compile(_clean(m), fresh, depth=0)
+
+
+def compile_case(e: ECase) -> DecisionTree:
+    """Compile a case expression that passes the wellformedness check of
+    `patc check` (`wf_expr`).  That check runs once, on the source
+    patterns; the embedded matrix is not checked again."""
+    report = wellformed.wf_expr(e)
+    if not report.ok:
+        raise CompileError(f"case is not wellformed:\n{report.describe()}", report)
+    return _compile(_clean(embed_case(e)), FreshSupply(), depth=0)
 
 
 def _compile(m: ClauseMatrix, fresh: FreshSupply, depth: int) -> DecisionTree:

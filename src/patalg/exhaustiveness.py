@@ -1,11 +1,12 @@
 """Usefulness and exhaustiveness checking over normalized pattern matrices.
 
-A pattern vector is useful for a matrix when some value vector matches the
+A pattern matrix is a tuple of `MatrixRow`s (right-hand sides unused).  A
+pattern vector is useful for a matrix when some value vector matches the
 vector but no row of the matrix; a matrix is exhaustive when the
-all-wildcard vector is not useful.  The recursion mirrors compilation:
-specialized and default matrices are built from the first column, with
-negative conjuncts requiring their banned constructors to be examined
-explicitly.
+all-wildcard vector is not useful.  The recursion is compilation's: it
+specializes and defaults the first column with the matrix core of
+`compiler`, and negative conjuncts require their banned constructors to be
+examined explicitly.
 
 Whenever usefulness holds, a concrete witness vector is reconstructed along
 the recursion and checked against the definition.
@@ -13,18 +14,11 @@ the recursion and checked against the definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .normalize import (
-    Ndnf,
-    NegConj,
-    PosConj,
-    UnsatConj,
-    embed_ndnf,
-    ndnf_wildcard,
-)
-from .syntax import CtorName, Value, match_pos
+from .compiler import column_heads, default_rows, specialize_rows
+from .normalize import Ndnf, PosConj, UnsatConj, embed_ndnf, ndnf_wildcard
+from .syntax import CtorName, SoundnessError, Value, match_pos
 from .typecheck import DataDecls, DeclError, Named, Type, signature_of
 
 # Head for witness positions no constructor evidence constrains; it stands
@@ -33,63 +27,17 @@ from .typecheck import DataDecls, DeclError, Named, Type, signature_of
 ANY_CTOR = CtorName("$any", 0)
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
-    rows: tuple  # of tuple[Ndnf], rectangular
-
-    def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise ValueError(f"matrix is not rectangular: widths {sorted(widths)}")
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
 class SignatureError(ValueError):
     """Raised when a completeness check needs a type signature but the
     constructors at hand span no single declared type."""
 
 
-def table_b1_specialize(P: PatternMatrix, ctor: CtorName) -> PatternMatrix:
-    """Constructor specialization of a pattern matrix by first-column shape:
-    positive conjuncts with the same head expand their arguments, negative
-    conjuncts not banning the constructor contribute wildcards, disjunctions
-    split row-wise and unsatisfiable conjuncts vanish."""
-    rows = []
-    for row in P.rows:
-        rest = row[1:]
-        for k in row[0].conjuncts:
-            if isinstance(k, PosConj) and k.ctor == ctor:
-                rows.append(tuple(Ndnf((a,)) for a in k.args) + rest)
-            elif isinstance(k, NegConj) and ctor not in k.banned:
-                rows.append(tuple(ndnf_wildcard() for _ in range(ctor.arity)) + rest)
-    return PatternMatrix(tuple(rows))
+def _specialize(P, ctor: CtorName) -> tuple:
+    return tuple(row for row, _ in specialize_rows(P, 0, ctor))
 
 
-def table_b1_default(P: PatternMatrix) -> PatternMatrix:
-    """Default matrix: the first column disappears; only rows whose
-    first-column conjunct is negative survive."""
-    rows = []
-    for row in P.rows:
-        rest = row[1:]
-        for k in row[0].conjuncts:
-            if isinstance(k, NegConj):
-                rows.append(rest)
-    return PatternMatrix(tuple(rows))
-
-
-def _column_heads(P: PatternMatrix):
-    pos: set = set()
-    neg: set = set()
-    for row in P.rows:
-        for k in row[0].conjuncts:
-            if isinstance(k, PosConj):
-                pos.add(k.ctor)
-            elif isinstance(k, NegConj):
-                neg.update(k.banned)
-    return frozenset(pos), frozenset(neg)
+def _default(P) -> tuple:
+    return tuple(row for row, _ in default_rows(P, 0))
 
 
 def _sorted(ctors):
@@ -146,41 +94,40 @@ def _missing_value(decls, tau: Optional[Type], excluded) -> Value:
     raise AssertionError("no missing constructor despite incomplete signature")
 
 
-def useful_witness(
-    P: PatternMatrix, pvec, decls: DataDecls, col_types=None
-) -> Optional[tuple]:
-    """A value vector matching `pvec` but no row of `P`, or None."""
+def useful_witness(P, pvec, decls: DataDecls, col_types=None) -> Optional[tuple]:
+    """A value vector matching `pvec` but no row of `P`, or None.  The
+    witness is checked against both conditions; a failure raises
+    SoundnessError."""
     pvec = tuple(pvec)
-    if any(len(row) != len(pvec) for row in P.rows):
+    if any(len(row.cells) != len(pvec) for row in P):
         raise ValueError("pattern vector width differs from matrix width")
     witness = _useful(P, pvec, decls, tuple(col_types) if col_types else None)
     if witness is not None:
-        assert _matches_vector(pvec, witness), "witness fails the pattern vector"
-        assert not _matrix_matches(P, witness), "witness is covered by a row"
+        if not _matches_vector(pvec, witness):
+            raise SoundnessError("usefulness witness fails the pattern vector")
+        if _matrix_matches(P, witness):
+            raise SoundnessError("usefulness witness is covered by a row")
     return witness
 
 
-def useful(P: PatternMatrix, pvec, decls: DataDecls, col_types=None) -> bool:
+def useful(P, pvec, decls: DataDecls, col_types=None) -> bool:
     """Is some value vector matched by `pvec` but by no row of `P`?"""
     return useful_witness(P, pvec, decls, col_types) is not None
 
 
-def exhaustive(P: PatternMatrix, decls: DataDecls, col_types=None) -> bool:
+def exhaustive(P, decls: DataDecls, col_types=None) -> bool:
     """A matrix is exhaustive when the all-wildcard vector is not useful."""
-    wild = tuple(ndnf_wildcard() for _ in range(P.ncols))
-    return useful_witness(P, wild, decls, col_types) is None
+    return non_exhaustiveness_witness(P, decls, col_types) is None
 
 
-def non_exhaustiveness_witness(
-    P: PatternMatrix, decls: DataDecls, col_types=None
-) -> Optional[tuple]:
-    wild = tuple(ndnf_wildcard() for _ in range(P.ncols))
+def non_exhaustiveness_witness(P, decls: DataDecls, col_types=None) -> Optional[tuple]:
+    wild = tuple(ndnf_wildcard() for _ in range(len(P[0].cells) if P else 0))
     return useful_witness(P, wild, decls, col_types)
 
 
-def _useful(P: PatternMatrix, pvec, decls, col_types) -> Optional[tuple]:
+def _useful(P, pvec, decls, col_types) -> Optional[tuple]:
     if not pvec:
-        return () if not P.rows else None
+        return () if not P else None
     first = pvec[0]
     rest = pvec[1:]
     rest_types = col_types[1:] if col_types else None
@@ -200,7 +147,7 @@ def _useful(P: PatternMatrix, pvec, decls, col_types) -> Optional[tuple]:
             arg_types = _arg_types_for(decls, col_types[0], k.ctor)
         sub_types = (arg_types + rest_types) if arg_types is not None else None
         sub = _useful(
-            table_b1_specialize(P, k.ctor),
+            _specialize(P, k.ctor),
             tuple(Ndnf((a,)) for a in k.args) + rest,
             decls,
             sub_types,
@@ -210,7 +157,7 @@ def _useful(P: PatternMatrix, pvec, decls, col_types) -> Optional[tuple]:
         n = k.ctor.arity
         return (Value(k.ctor, sub[:n]),) + sub[n:]
     # Negative conjunct, which includes the plain wildcard.
-    pos_heads, neg_heads = _column_heads(P)
+    pos_heads, neg_heads = column_heads([row.cells[0] for row in P])
     mentioned = pos_heads | neg_heads | k.banned
     tau: Optional[Type] = col_types[0] if col_types else None
     if tau is None and mentioned:
@@ -234,12 +181,12 @@ def _useful(P: PatternMatrix, pvec, decls, col_types) -> Optional[tuple]:
             _arg_types_for(decls, tau, ctor) if (col_types and tau) else None
         )
         sub_types = (arg_types + rest_types) if arg_types is not None else None
-        sub = _useful(table_b1_specialize(P, ctor), sub_pvec, decls, sub_types)
+        sub = _useful(_specialize(P, ctor), sub_pvec, decls, sub_types)
         if sub is not None:
             n = ctor.arity
             return (Value(ctor, sub[:n]),) + sub[n:]
     if missing_exists:
-        sub = _useful(table_b1_default(P), rest, decls, rest_types)
+        sub = _useful(_default(P), rest, decls, rest_types)
         if sub is not None:
             return (_missing_value(decls, tau, mentioned),) + sub
     return None
@@ -261,8 +208,5 @@ def _matches_vector(pvec, values) -> bool:
     )
 
 
-def _matrix_matches(P: PatternMatrix, values) -> bool:
-    return any(
-        all(bool(match_pos(embed_ndnf(cell), v)) for cell, v in zip(row, values))
-        for row in P.rows
-    )
+def _matrix_matches(P, values) -> bool:
+    return any(_matches_vector(row.cells, values) for row in P)

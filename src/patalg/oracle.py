@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import semantics, wellformed
-from .compiler import compile as compile_matrix
-from .compiler import DecisionTree, embed_case, eval_tree
+from .compiler import DecisionTree, compile_case, eval_tree
 from .semantics import Clause, ECase, ECtor, EVar, Evaluated
 from .syntax import (
     Absurd,
@@ -308,5 +307,5 @@ def differential_compile_check(
 ) -> Union[Agree, Disagree]:
     """Compile the case expression and compare the tree against direct
     evaluation for every scrutinee value up to the depth bound."""
-    tree = compile_matrix(embed_case(e))
+    tree = compile_case(e)
     return differential_check_tree(e, tree, decls, depth, tau, fuel)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .semantics import Clause, ECase, ECtor, EVar, substitute
+from .semantics import Call, Clause, ECase, ECtor, EVar, substitute
 from .syntax import (
     Absurd,
     And,
@@ -46,15 +46,6 @@ class ParseError(Exception):
 
 
 @dataclass(frozen=True)
-class Call:
-    """Application of a top-level definition; not part of the core
-    expression language, unfolded before or during evaluation."""
-
-    name: str
-    args: tuple
-
-
-@dataclass(frozen=True)
 class Def:
     name: str
     params: tuple  # of (name, Optional[Type])
@@ -72,6 +63,15 @@ class Program:
             if d.name == name:
                 return d
         return None
+
+    def table(self) -> dict:
+        """The definition table `semantics.step` unfolds calls with: name to
+        parameter names and body, the first definition of a name winning
+        as in `lookup`."""
+        out: dict = {}
+        for d in self.defs:
+            out.setdefault(d.name, (tuple(p for p, _ in d.params), d.body))
+        return out
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -455,20 +455,6 @@ def undeclared_ctors(prog: Program):
 
 class UnfoldLimit(RuntimeError):
     pass
-
-
-def contains_call(e) -> bool:
-    if isinstance(e, Call):
-        return True
-    if isinstance(e, ECase):
-        return (
-            contains_call(e.scrutinee)
-            or any(contains_call(c.rhs) for c in e.clauses)
-            or contains_call(e.default_rhs)
-        )
-    if hasattr(e, "args"):
-        return any(contains_call(a) for a in e.args)
-    return False
 
 
 def inline_calls(e, prog: Program, budget: int = 1000):

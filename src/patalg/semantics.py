@@ -4,7 +4,9 @@ small-step semantics.
 `step` returns the set of all expressions reachable in one step: a case
 over a value has one successor per matching clause and derivable
 substitution, or steps to its default right-hand side when every clause
-fails.  Congruence descends into the leftmost non-value position.
+fails.  Congruence descends into the leftmost non-value position.  Given
+a definition table, a call whose arguments are values unfolds to the
+definition's body (call by value).
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ from .syntax import (
     CtorName,
     Pattern,
     Value,
+    Var,
     fv_even,
+    fv_odd,
     is_proper,
+    map_vars,
     match_pos,
     subst_to_dict,
 )
@@ -57,7 +62,16 @@ class ECase:
     default_rhs: "Expression"
 
 
-Expression = Union[EVar, ECtor, ECase]
+@dataclass(frozen=True)
+class Call:
+    """Application of a top-level definition; `step` unfolds it when given
+    the definition table."""
+
+    name: str
+    args: tuple  # of Expression
+
+
+Expression = Union[EVar, ECtor, ECase, Call]
 
 
 # --- values as expressions -----------------------------------------------------
@@ -88,31 +102,9 @@ def expr_free_vars(e) -> frozenset:
         for c in e.clauses:
             out |= expr_free_vars(c.rhs) - fv_even(c.pattern)
         return out
-    if hasattr(e, "args"):
+    if isinstance(e, (ECtor, Call)):
         return frozenset().union(*(expr_free_vars(a) for a in e.args)) if e.args else frozenset()
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _rename_pattern_vars(p: Pattern, renaming: dict) -> Pattern:
-    from .syntax import Absurd, And, Ctor, Neg, Or, Var, Wild
-
-    if isinstance(p, Var):
-        return Var(renaming.get(p.name, p.name))
-    if isinstance(p, (Wild, Absurd)):
-        return p
-    if isinstance(p, Neg):
-        return Neg(_rename_pattern_vars(p.sub, renaming))
-    if isinstance(p, And):
-        return And(
-            _rename_pattern_vars(p.left, renaming),
-            _rename_pattern_vars(p.right, renaming),
-        )
-    if isinstance(p, Or):
-        return Or(
-            _rename_pattern_vars(p.left, renaming),
-            _rename_pattern_vars(p.right, renaming),
-        )
-    return Ctor(p.ctor, tuple(_rename_pattern_vars(a, renaming) for a in p.args))
 
 
 def substitute(e, mapping: dict):
@@ -135,28 +127,24 @@ def substitute(e, mapping: dict):
                 )
                 clash = bound & payload
                 if clash:
-                    c = _rename_clause(c, clash, payload | set(inner))
+                    c = rename_clause(c, clash, payload | set(inner))
             new_clauses.append(Clause(c.pattern, substitute(c.rhs, inner)))
         return ECase(
             substitute(e.scrutinee, mapping),
             tuple(new_clauses),
             substitute(e.default_rhs, mapping),
         )
-    if hasattr(e, "args"):
-        # Constructor applications, and any extension node carrying an
-        # `args` tuple (the surface language adds definition calls).
+    if isinstance(e, (ECtor, Call)):
         return dataclasses.replace(
             e, args=tuple(substitute(a, mapping) for a in e.args)
         )
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _rename_clause(c: Clause, clash, avoid) -> Clause:
+def rename_clause(c: Clause, clash, avoid) -> Clause:
     """Alpha-rename the clashing pattern binders of a clause.  Fresh names
     carry the reserved $ marker, so they cannot collide with program
     identifiers."""
-    from .syntax import fv_odd
-
     used = set(avoid) | set(fv_even(c.pattern)) | set(fv_odd(c.pattern))
     used |= set(expr_free_vars(c.rhs))
     renaming = {}
@@ -168,7 +156,7 @@ def _rename_clause(c: Clause, clash, avoid) -> Clause:
         used.add(fresh)
         renaming[x] = fresh
     return Clause(
-        _rename_pattern_vars(c.pattern, renaming),
+        map_vars(c.pattern, lambda x: Var(renaming.get(x.name, x.name))),
         substitute(c.rhs, {x: EVar(y) for x, y in renaming.items()}),
     )
 
@@ -223,29 +211,32 @@ def case_successors(e: ECase) -> tuple:
     return tuple(dict.fromkeys(succ))
 
 
-def step(e) -> StepResult:
-    """All expressions reachable from e in one step."""
+def step(e, defs=None) -> StepResult:
+    """All expressions reachable from e in one step.  `defs` maps the name
+    of each definition to its parameter names and body; without it, or for
+    an unknown name or a wrong argument count, a call is stuck."""
     if is_value(e):
         return IsValue()
-    if isinstance(e, EVar):
-        return Stuck()
-    if isinstance(e, ECtor):
+    if isinstance(e, (ECtor, Call)):
         for i, a in enumerate(e.args):
             if is_value(a):
                 continue
-            r = step(a)
+            r = step(a, defs)
             if isinstance(r, Stepped):
                 return Stepped(
-                    tuple(
-                        ECtor(e.ctor, e.args[:i] + (s,) + e.args[i + 1 :])
-                        for s in r.successors
-                    )
+                    tuple(_with_arg(e, i, s) for s in r.successors)
                 )
             return r
-        raise AssertionError("unreachable: non-value ctor with value args")
+        if isinstance(e, ECtor):
+            raise AssertionError("unreachable: non-value ctor with value args")
+        d = defs.get(e.name) if defs else None
+        if d is None or len(d[0]) != len(e.args):
+            return Stuck()
+        params, body = d
+        return Stepped((substitute(body, dict(zip(params, e.args))),))
     if isinstance(e, ECase):
         if not is_value(e.scrutinee):
-            r = step(e.scrutinee)
+            r = step(e.scrutinee, defs)
             if isinstance(r, Stepped):
                 return Stepped(
                     tuple(
@@ -256,6 +247,11 @@ def step(e) -> StepResult:
             return r
         return Stepped(case_successors(e))
     return Stuck()
+
+
+def _with_arg(e, i: int, a):
+    args = e.args[:i] + (a,) + e.args[i + 1 :]
+    return ECtor(e.ctor, args) if isinstance(e, ECtor) else Call(e.name, args)
 
 
 @dataclass(frozen=True)
@@ -278,13 +274,14 @@ EvalResult = Union[Evaluated, Diverged, Stuck, Nondeterministic]
 DEFAULT_FUEL = 10_000
 
 
-def eval(e, fuel: int = DEFAULT_FUEL) -> EvalResult:
-    """Iterate single steps.  Reports Nondeterministic as soon as a step
-    offers more than one distinct successor (only possible for inputs that
-    are not wellformed) and Diverged when the fuel runs out."""
+def eval(e, fuel: int = DEFAULT_FUEL, defs=None) -> EvalResult:
+    """Iterate single steps, unfolding calls through `defs` (see `step`).
+    Reports Nondeterministic as soon as a step offers more than one distinct
+    successor (only possible for inputs that are not wellformed) and
+    Diverged when the fuel runs out."""
     cur = e
     for _ in range(fuel):
-        r = step(cur)
+        r = step(cur, defs)
         if isinstance(r, IsValue):
             return Evaluated(expr_to_value(cur))
         if isinstance(r, Stuck):

@@ -26,7 +26,7 @@ from .compiler import (
     step_matrix,
     tree_invariants_ok,
 )
-from .exhaustiveness import PatternMatrix, exhaustive, non_exhaustiveness_witness
+from .exhaustiveness import exhaustive, non_exhaustiveness_witness
 from .normalize import embed_ndnf, to_ndnf
 from .oracle import (
     Disagree,
@@ -52,6 +52,7 @@ from .syntax import (
     fv_even,
     fv_odd,
     is_proper,
+    map_vars,
     match_neg,
     match_pos,
     pattern_equiv_bounded,
@@ -102,17 +103,7 @@ def _universe(tau, depth):
 
 def _strip_vars(p: Pattern) -> Pattern:
     """Variable-free patterns are always linear on both sides."""
-    if isinstance(p, Var):
-        return Wild()
-    if isinstance(p, (Wild, Absurd)):
-        return p
-    if isinstance(p, Neg):
-        return Neg(_strip_vars(p.sub))
-    if isinstance(p, And):
-        return And(_strip_vars(p.left), _strip_vars(p.right))
-    if isinstance(p, Or):
-        return Or(_strip_vars(p.left), _strip_vars(p.right))
-    return Ctor(p.ctor, tuple(_strip_vars(a) for a in p.args))
+    return map_vars(p, lambda x: Wild())
 
 
 def _linear_both(p: Pattern) -> bool:
@@ -556,7 +547,7 @@ def _gen_matrix(rng, taus, depth, disjoint_disjuncts=True):
             rhs_vars = []
             for c, tau in enumerate(taus):
                 p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
-                p = _rename_vars(p, f"_{c}")
+                p = map_vars(p, lambda x: Var(f"{x.name}_{c}"))
                 if not (wellformed.linear_pos(p) and wellformed.deterministic(p)):
                     ok = False
                     break
@@ -579,20 +570,6 @@ def _gen_matrix(rng, taus, depth, disjoint_disjuncts=True):
         if wellformed.wf_matrix(m).ok:
             return m
     return None
-
-
-def _rename_vars(p: Pattern, suffix: str) -> Pattern:
-    if isinstance(p, Var):
-        return Var(p.name + suffix)
-    if isinstance(p, (Wild, Absurd)):
-        return p
-    if isinstance(p, Neg):
-        return Neg(_rename_vars(p.sub, suffix))
-    if isinstance(p, And):
-        return And(_rename_vars(p.left, suffix), _rename_vars(p.right, suffix))
-    if isinstance(p, Or):
-        return Or(_rename_vars(p.left, suffix), _rename_vars(p.right, suffix))
-    return Ctor(p.ctor, tuple(_rename_vars(a, suffix) for a in p.args))
 
 
 def _has_overlapping_disjuncts(d) -> bool:
@@ -705,12 +682,12 @@ def prop_default_clause_not_wildcard() -> PropertyResult:
 # --- exhaustiveness -----------------------------------------------------------------
 
 
-def _brute_force_exhaustive(P: PatternMatrix, taus, depth) -> bool:
+def _brute_force_exhaustive(P, taus, depth) -> bool:
     pools = [_universe(t, depth) for t in taus]
     for combo in itertools.product(*pools):
         if not any(
-            all(match_pos(embed_ndnf(c), v) for c, v in zip(row, combo))
-            for row in P.rows
+            all(match_pos(embed_ndnf(c), v) for c, v in zip(row.cells, combo))
+            for row in P
         ):
             return False
     return True
@@ -733,8 +710,8 @@ def prop_exhaustiveness_oracle(seed, depth, cases) -> PropertyResult:
             for tau in taus:
                 p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
                 row.append(to_ndnf(p))
-            rows.append(tuple(row))
-        P = PatternMatrix(tuple(rows))
+            rows.append(MatrixRow(tuple(row)))
+        P = tuple(rows)
         res.cases += 1
         # Depth 2 closes every value of these non-recursive types.
         full_depth = 2
@@ -744,8 +721,8 @@ def prop_exhaustiveness_oracle(seed, depth, cases) -> PropertyResult:
             res.fail(
                 f"exhaustive={claimed} but brute force says {brute} for "
                 + " | ".join(
-                    "; ".join(format_pattern(embed_ndnf(c)) for c in row)
-                    for row in P.rows
+                    "; ".join(format_pattern(embed_ndnf(c)) for c in row.cells)
+                    for row in P
                 )
             )
     return res
@@ -760,14 +737,14 @@ def prop_witness_soundness(seed, depth, cases) -> PropertyResult:
         rows = []
         for _ in range(rng.randint(1, 3)):
             p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
-            rows.append((to_ndnf(p),))
-        P = PatternMatrix(tuple(rows))
+            rows.append(MatrixRow((to_ndnf(p),)))
+        P = tuple(rows)
         res.cases += 1
         witness = non_exhaustiveness_witness(P, STANDARD_DECLS, col_types=(tau,))
         if witness is None:
             continue
         v = witness[0]
-        if any(match_pos(embed_ndnf(row[0]), v) for row in P.rows):
+        if any(match_pos(embed_ndnf(row.cells[0]), v) for row in P):
             res.fail(f"witness {format_value(v)} is covered by a row")
     return res
 

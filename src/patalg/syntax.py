@@ -177,7 +177,29 @@ def fv_odd(p: Pattern) -> frozenset:
     raise TypeError(f"not a pattern: {p!r}")
 
 
+def map_vars(p: Pattern, f) -> Pattern:
+    """The pattern with every variable occurrence `Var` replaced by the
+    pattern `f(Var)`."""
+    if isinstance(p, Var):
+        return f(p)
+    if isinstance(p, (Wild, Absurd)):
+        return p
+    if isinstance(p, Neg):
+        return Neg(map_vars(p.sub, f))
+    if isinstance(p, (And, Or)):
+        return type(p)(map_vars(p.left, f), map_vars(p.right, f))
+    if isinstance(p, Ctor):
+        return Ctor(p.ctor, tuple(map_vars(a, f) for a in p.args))
+    raise TypeError(f"not a pattern: {p!r}")
+
+
 # --- matching ----------------------------------------------------------------
+
+
+class SoundnessError(RuntimeError):
+    """A result failed the check that proves it sound.  The checks are
+    explicit raises, so they also run under `python -O`."""
+
 
 _match_cache: dict = {}
 
@@ -201,7 +223,7 @@ def match_both(p: Pattern, v: Value):
     """All derivations of the positive and the negative matching judgment.
 
     Exactly one of the two returned sets is nonempty for every input: the
-    rules are sound and complete, which is asserted in debug builds.
+    rules are sound and complete, which is checked on every result.
     """
     key = (p, v)
     hit = _match_cache.get(key)
@@ -242,8 +264,10 @@ def match_both(p: Pattern, v: Value):
         raise TypeError(f"not a pattern: {p!r}")
 
     result = (_canon_set(pos), _canon_set(neg))
-    assert not (result[0] and result[1]), f"matching unsound for {p!r} vs {v!r}"
-    assert result[0] or result[1], f"matching incomplete for {p!r} vs {v!r}"
+    if result[0] and result[1]:
+        raise SoundnessError(f"matching unsound for {p!r} vs {v!r}")
+    if not (result[0] or result[1]):
+        raise SoundnessError(f"matching incomplete for {p!r} vs {v!r}")
     _match_cache[key] = result
     return result
 

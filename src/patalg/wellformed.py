@@ -201,8 +201,12 @@ def _wf_expr(e, path, decls, out) -> None:
 def wf_matrix(m: "ClauseMatrix", decls=None) -> WfReport:
     """Wellformedness of a clause matrix: per-cell determinism and positive
     linearity, pairwise row disjointness in at least one column, and
-    disjoint bindable variables across the columns of each row."""
+    disjoint bindable variables across the columns of each row, none of
+    them named like a scrutinee variable (compilation substitutes the
+    scrutinee for bound variables step by step, and a later step would
+    capture it)."""
     out: list = []
+    scrutinee_vars = {s.name for s in m.scrutinees if isinstance(s, semantics.EVar)}
     for r, row in enumerate(m.rows):
         fvs = []
         for c, cell in enumerate(row.cells):
@@ -232,6 +236,15 @@ def wf_matrix(m: "ClauseMatrix", decls=None) -> WfReport:
                     )
                 )
             seen |= fv
+        if seen & scrutinee_vars:
+            out.append(
+                Violation(
+                    "shadows-scrutinee",
+                    (r,),
+                    f"variables {sorted(seen & scrutinee_vars)} bound under "
+                    f"the name of a scrutinee",
+                )
+            )
     for i in range(len(m.rows)):
         for j in range(i + 1, len(m.rows)):
             disjoint_somewhere = any(

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+from patalg.compiler import MatrixRow
 from patalg.syntax import Ctor, CtorName, Value, Var
 from patalg.typecheck import DataDecls, Named
 
@@ -20,6 +21,11 @@ def v(name, *args):
 
 def var(name):
     return Var(name)
+
+
+def pattern_matrix(rows):
+    """Usefulness matrix from tuples of cells: rows without right-hand sides."""
+    return tuple(MatrixRow(tuple(r)) for r in rows)
 
 
 COLOR = DataDecls(

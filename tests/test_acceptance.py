@@ -12,7 +12,7 @@ the repository README.
 
 import pytest
 
-from helpers import BOOL_LIST, COLOR, DAYS, c, cn, v, var
+from helpers import BOOL_LIST, COLOR, DAYS, c, cn, pattern_matrix, v, var
 
 from patalg.compiler import (
     Arm,
@@ -26,7 +26,6 @@ from patalg.compiler import (
     specialize,
 )
 from patalg.exhaustiveness import (
-    PatternMatrix,
     exhaustive,
     non_exhaustiveness_witness,
 )
@@ -198,7 +197,7 @@ def test_criterion_3_compilation_golden():
 
 
 def _weekend_pattern_matrix():
-    return PatternMatrix(
+    return pattern_matrix(
         (
             (to_ndnf(And(var("y"), Or(c("Sa"), c("Su")))),),
             (to_ndnf(And(var("y"), Neg(Or(c("Fr"), Or(c("Sa"), c("Su")))))),),
@@ -219,13 +218,13 @@ def test_criterion_4a_exhaustiveness_golden():
     uncovered = [
         day
         for day in enumerate_values(DAYS, Named("Day"), 1)
-        if not any(match_pos(embed_ndnf(row[0]), day) for row in P.rows)
+        if not any(match_pos(embed_ndnf(row.cells[0]), day) for row in P)
     ]
     assert list(witness) == [v("Fr")] and uncovered == [v("Fr")]
-    is_red = PatternMatrix(((to_ndnf(c("Red")),), (to_ndnf(Neg(c("Red"))),)))
+    is_red = pattern_matrix(((to_ndnf(c("Red")),), (to_ndnf(Neg(c("Red"))),)))
     assert exhaustive(is_red, COLOR)
     for color in enumerate_values(COLOR, Named("Color"), 1):
-        assert any(match_pos(embed_ndnf(row[0]), color) for row in is_red.rows)
+        assert any(match_pos(embed_ndnf(row.cells[0]), color) for row in is_red)
     report("4a", "exhaustiveness goldens with a sound witness")
 
 

@@ -13,11 +13,14 @@ from patalg.compiler import (
     MatrixRow,
     Switch,
     compile as compile_matrix,
+    compile_case,
     default_matrix,
     embed_case,
     eval_tree,
     head_ctors,
+    default_rows,
     specialize,
+    specialize_rows,
     step_matrix,
     tree_invariants_ok,
 )
@@ -163,6 +166,24 @@ def test_specialize_default_only_matrix():
     assert d.rows == () and d.scrutinees == ()
 
 
+def test_core_works_on_any_column_and_reports_bindings():
+    # The same rows, specialized and defaulted on column 1 instead of 0;
+    # the payload rides along untouched and the consumed conjunct's
+    # variables are reported, not substituted.
+    cons = cn("Cons", 2)
+    first = to_ndnf(var("r"))
+    rows = (
+        MatrixRow((first, to_ndnf(And(var("y"), c("Cons", Wild(), Wild())))), E1),
+        MatrixRow((first, to_ndnf(And(var("y"), Neg(c("Nil"))))), E2),
+    )
+    wild = ndnf_wildcard()
+    assert specialize_rows(rows, 1, cons) == [
+        (MatrixRow((wild, wild, first), E1), frozenset({"y"})),
+        (MatrixRow((wild, wild, first), E2), frozenset({"y"})),
+    ]
+    assert default_rows(rows, 1) == [(MatrixRow((first,), E2), frozenset({"y"}))]
+
+
 # --- compilation ---
 
 
@@ -205,6 +226,25 @@ def test_compile_rejects_non_wellformed():
     )
     with pytest.raises(CompileError):
         compile_matrix(m)
+
+
+def test_compile_case_checks_wellformedness_once(monkeypatch):
+    from patalg import wellformed
+
+    golden = compile_matrix(weekend_matrix())
+
+    def no_recheck(*args):
+        raise AssertionError("the embedded matrix was checked again")
+
+    monkeypatch.setattr(wellformed, "wf_matrix", no_recheck)
+    assert compile_case(weekend_case()) == golden
+
+
+def test_compile_case_rejects_with_report():
+    case = ECase(EVar("s"), (Clause(c("Red"), E1), Clause(Wild(), E2)), D)
+    with pytest.raises(CompileError) as err:
+        compile_case(case)
+    assert [v.rule for v in err.value.report.violations] == ["overlap"]
 
 
 def test_compile_nested_patterns_switches_subscrutinees():

@@ -1,16 +1,18 @@
 """Usefulness, exhaustiveness and witness construction."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from helpers import BOOL_LIST, COLOR, DAYS, c, cn, v, var
+from helpers import BOOL_LIST, COLOR, DAYS, c, cn, pattern_matrix, v, var
 
+from patalg.compiler import MatrixRow, default_rows, specialize_rows
 from patalg.exhaustiveness import (
-    PatternMatrix,
     SignatureError,
     exhaustive,
     non_exhaustiveness_witness,
-    table_b1_default,
-    table_b1_specialize,
     useful,
     useful_witness,
 )
@@ -30,7 +32,7 @@ from patalg.typecheck import Named
 def weekend_rows():
     row1 = to_ndnf(And(var("y"), Or(c("Sa"), c("Su"))))
     row2 = to_ndnf(And(var("y"), Neg(Or(c("Fr"), Or(c("Sa"), c("Su"))))))
-    return PatternMatrix(((row1,), (row2,)))
+    return pattern_matrix(((row1,), (row2,)))
 
 
 def test_weekend_matrix_not_exhaustive_with_fr_witness():
@@ -46,48 +48,48 @@ def test_weekend_witness_is_the_only_one():
     uncovered = [
         day
         for day in enumerate_values(DAYS, Named("Day"), 1)
-        if not any(match_pos(embed_ndnf(row[0]), day) for row in P.rows)
+        if not any(match_pos(embed_ndnf(row.cells[0]), day) for row in P)
     ]
     assert uncovered == [v("Fr")]
 
 
 def test_zero_column_bases():
-    assert not useful(PatternMatrix(((),)), (), DAYS)
-    assert useful(PatternMatrix(()), (), DAYS)
+    assert not useful(pattern_matrix(((),)), (), DAYS)
+    assert useful(pattern_matrix(()), (), DAYS)
 
 
 def test_is_red_matrix_exhaustive():
-    P = PatternMatrix(
+    P = pattern_matrix(
         ((to_ndnf(c("Red")),), (to_ndnf(Neg(c("Red"))),))
     )
     assert exhaustive(P, COLOR)
     # Oracle confirmation: every color matches some row.
     for color in enumerate_values(COLOR, Named("Color"), 1):
-        assert any(match_pos(embed_ndnf(row[0]), color) for row in P.rows)
+        assert any(match_pos(embed_ndnf(row.cells[0]), color) for row in P)
 
 
 def test_single_wildcard_row_exhaustive():
-    P = PatternMatrix(((ndnf_wildcard(),),))
+    P = pattern_matrix(((ndnf_wildcard(),),))
     assert exhaustive(P, DAYS)
 
 
 def test_useful_vector_with_banned_head():
     # The vector bans Red; usefulness must find a non-Red witness not
     # covered by the matrix.
-    P = PatternMatrix(((to_ndnf(c("Green")),),))
+    P = pattern_matrix(((to_ndnf(c("Green")),),))
     w = useful_witness(P, (to_ndnf(Neg(c("Red"))),), COLOR)
     assert w == (v("Blue"),)
 
 
 def test_unsatisfiable_vector_never_useful():
-    P = PatternMatrix(())
+    P = pattern_matrix(())
     assert not useful(P, (to_ndnf(Neg(var("x"))),), COLOR)
 
 
 def test_multi_column_default_branch_needed():
     # Witnesses here are headed by constructors outside both the positive
     # and the banned head sets; the default step must find them.
-    P = PatternMatrix(
+    P = pattern_matrix(
         (
             (to_ndnf(Neg(c("Fr"))), to_ndnf(c("Sa"))),
             (to_ndnf(c("Fr")), ndnf_wildcard()),
@@ -98,13 +100,13 @@ def test_multi_column_default_branch_needed():
     assert witness is not None
     # Verified against the rows directly.
     assert not any(
-        all(match_pos(embed_ndnf(cell), val) for cell, val in zip(row, witness))
-        for row in P.rows
+        all(match_pos(embed_ndnf(cell), val) for cell, val in zip(row.cells, witness))
+        for row in P
     )
 
 
 def test_exhaustive_multi_column():
-    P = PatternMatrix(
+    P = pattern_matrix(
         (
             (to_ndnf(c("Red")), ndnf_wildcard()),
             (to_ndnf(Neg(c("Red"))), ndnf_wildcard()),
@@ -115,7 +117,7 @@ def test_exhaustive_multi_column():
 
 def test_nested_constructor_witness():
     lst = Named("List")
-    P = PatternMatrix(
+    P = pattern_matrix(
         (
             (to_ndnf(c("Nil")),),
             (to_ndnf(c("Cons", c("True"), Wild())),),
@@ -127,7 +129,7 @@ def test_nested_constructor_witness():
 
 
 def test_signature_error_for_mixed_types():
-    P = PatternMatrix(
+    P = pattern_matrix(
         ((to_ndnf(c("Red")),), (to_ndnf(c("Sa")),))
     )
     both = DAYS.types | COLOR.types
@@ -138,40 +140,65 @@ def test_signature_error_for_mixed_types():
         exhaustive(P, merged)
 
 
-# --- the first-column matrix transforms ---
+# --- the matrix core on the first column ---
 
 
 def test_specialize_positive_row_expands_arguments():
     inner = to_ndnf(c("True"))
-    P = PatternMatrix(((to_ndnf(c("Cons", c("True"), var("t"))),),))
-    S = table_b1_specialize(P, cn("Cons", 2))
-    assert S.rows == (
-        (inner, Ndnf((NegConj(frozenset({"t"}), frozenset()),))),
-    )
+    P = pattern_matrix(((to_ndnf(c("Cons", c("True"), var("t"))),),))
+    S = specialize_rows(P, 0, cn("Cons", 2))
+    tail = Ndnf((NegConj(frozenset({"t"}), frozenset()),))
+    assert S == [(MatrixRow((inner, tail)), frozenset())]
 
 
 def test_specialize_drops_unsat_and_banned_rows():
-    P = PatternMatrix(
+    P = pattern_matrix(
         (
             (Ndnf((UnsatConj(frozenset()),)),),
             (to_ndnf(Neg(c("Red"))),),
         )
     )
-    S = table_b1_specialize(P, cn("Red"))
-    assert S.rows == ()
-    D = table_b1_default(P)
-    assert D.rows == ((),)
+    S = specialize_rows(P, 0, cn("Red"))
+    assert S == []
+    D = default_rows(P, 0)
+    assert D == [(MatrixRow(()), frozenset())]
 
 
 def test_specialize_negative_row_contributes_wildcards():
-    P = PatternMatrix(((to_ndnf(Neg(c("Nil"))),),))
-    S = table_b1_specialize(P, cn("Cons", 2))
-    assert S.rows == ((ndnf_wildcard(), ndnf_wildcard()),)
+    P = pattern_matrix(((to_ndnf(Neg(c("Nil"))),),))
+    S = specialize_rows(P, 0, cn("Cons", 2))
+    assert S == [(MatrixRow((ndnf_wildcard(), ndnf_wildcard())), frozenset())]
 
 
 def test_disjunction_rows_split():
-    P = PatternMatrix(((to_ndnf(Or(c("Red"), c("Green"))),),))
-    S = table_b1_specialize(P, cn("Red"))
-    assert len(S.rows) == 1
-    D = table_b1_default(P)
-    assert D.rows == ()
+    P = pattern_matrix(((to_ndnf(Or(c("Red"), c("Green"))),),))
+    S = specialize_rows(P, 0, cn("Red"))
+    assert len(S) == 1
+    D = default_rows(P, 0)
+    assert D == []
+
+
+def test_witness_check_survives_python_O():
+    # Force the covered-by-a-row check to fire; it must raise even when
+    # `python -O` strips assertions.
+    script = (
+        "from patalg import exhaustiveness as ex\n"
+        "from patalg.compiler import MatrixRow\n"
+        "from patalg.normalize import to_ndnf\n"
+        "from patalg.syntax import Ctor, CtorName, SoundnessError\n"
+        "from patalg.typecheck import DataDecls\n"
+        "red, green = CtorName('Red', 0), CtorName('Green', 0)\n"
+        "decls = DataDecls({'Color': ((red, ()), (green, ()))})\n"
+        "ex._matrix_matches = lambda P, values: True\n"
+        "try:\n"
+        "    ex.exhaustive((MatrixRow((to_ndnf(Ctor(red, ())),)),), decls)\n"
+        "except SoundnessError as err:\n"
+        "    print(err)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "usefulness witness is covered by a row"

@@ -7,6 +7,8 @@ import pytest
 from helpers import c, v, var
 
 from patalg.cli import main
+from patalg.compiler import compile_case
+from patalg.oracle import Agree, differential_check_tree
 from patalg.parser import (
     ParseError,
     inline_calls,
@@ -232,6 +234,68 @@ def test_cli_compile_json(weekend_file, capsys):
     assert tree["default"] == {"leaf": "NotWeekend(x)"}
 
 
+REDUNDANT_OR = """\
+data Day = Mo | Tu | We;
+def f(s: Day) := case s of { (Tu | _) & z => z, default => Mo };
+"""
+
+
+def test_check_and_compile_agree_on_redundant_or(tmp_path, capsys):
+    # Both disjuncts of (Tu | _) bind z to the same value, so the pattern
+    # is deterministic; compile must accept what check accepts.
+    path = tmp_path / "redundant.pat"
+    path.write_text(REDUNDANT_OR)
+    assert main(["check", str(path)]) == 0
+    assert main(["compile", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    prog = parse(REDUNDANT_OR)
+    body = prog.defs[0].body
+    assert differential_check_tree(body, compile_case(body), prog.decls, 1) == Agree(3)
+
+
+SHADOWED_SCRUTINEE = """\
+data L = Cons(L, L) | Nil;
+data P = Pair(L, L);
+def f(s) := case s of { Cons(s, y) & z => Pair(z, s), default => Pair(Nil, Nil) };
+"""
+
+
+def test_compile_pattern_variable_named_like_scrutinee(tmp_path, capsys):
+    # z names the whole scrutinee and s its head; binding z to s must not
+    # let the later binding of the pattern variable s rewrite it.
+    path = tmp_path / "shadow.pat"
+    path.write_text(SHADOWED_SCRUTINEE)
+    assert main(["compile", str(path)]) == 0
+    assert "leaf Pair(s, $k0)" in capsys.readouterr().out
+    prog = parse(SHADOWED_SCRUTINEE)
+    body = prog.defs[0].body
+    assert differential_check_tree(body, compile_case(body), prog.decls, 3) == Agree(5)
+
+
+def test_cli_compile_reports_not_wellformed(tmp_path, capsys):
+    path = tmp_path / "bad.pat"
+    path.write_text(
+        "data Color = Red | Green | Blue;\n"
+        "def f(x) := case x of { Red => Red, _ => Green, default => Blue };\n"
+    )
+    assert main(["compile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot compile, not wellformed" in err and "[overlap]" in err
+    assert "Traceback" not in err
+
+
+def test_cli_compile_call_scrutinee_is_clean_error(tmp_path, capsys):
+    path = tmp_path / "call.pat"
+    path.write_text(
+        "data B = T | F;\n"
+        "def id(x) := x;\n"
+        "def f(x) := case id(x) of { T => F, default => T };\n"
+    )
+    assert main(["compile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "def f: cannot compile, case scrutinee must be a variable or a value" in err
+
+
 def test_cli_compile_output_file(weekend_file, tmp_path):
     out_path = tmp_path / "tree.json"
     assert main(["compile", weekend_file, "--format", "json", "-o", str(out_path)]) == 0
@@ -274,6 +338,13 @@ def test_cli_norm_stages(capsys):
     assert capsys.readouterr().out.strip() == "||{ x & (!Sa & !Su) }"
     assert main(["norm", "--pattern", "x & !(Sa|Su)"]) == 0
     assert capsys.readouterr().out.strip() == "||{ {x} & !{Sa, Su} }"
+
+
+def test_cli_fuzz_compile_seed_2(capsys):
+    # At this seed the suite generates cases that `check` accepts but whose
+    # embedded matrices `wf_matrix` would reject; compile must accept them.
+    assert main(["fuzz", "--suite", "compile", "--seed", "2", "--depth", "4", "--cases", "400"]) == 0
+    capsys.readouterr()
 
 
 def test_cli_fuzz_smoke(capsys):

@@ -5,6 +5,7 @@ import pytest
 from helpers import c, cn, v, var
 
 from patalg.semantics import (
+    Call,
     Clause,
     Diverged,
     ECase,
@@ -186,3 +187,20 @@ def test_substitute_variable_avoids_capture():
     assert eval_expr(substitute(out, {"x": value_to_expr(v("Sa"))})) == Evaluated(
         v("Pair2", v("Su"), v("Sa"))
     )
+
+
+def test_call_unfolds_through_definition_table():
+    # not(x) := case x of { True => False, default => True }
+    body = _case(EVar("x"), [Clause(c("True"), FALSE)], TRUE)
+    defs = {"not": (("x",), body)}
+    call = ECtor(cn("Wrap", 1), (Call("not", (Call("not", (TRUE,)),)),))
+    assert eval_expr(call, defs=defs) == Evaluated(v("Wrap", v("True")))
+    # The argument is evaluated first (call by value).
+    unfolded = _case(TRUE, [Clause(c("True"), FALSE)], TRUE)
+    assert step(call, defs) == Stepped((ECtor(cn("Wrap", 1), (Call("not", (unfolded,)),)),))
+
+
+def test_call_without_matching_definition_is_stuck():
+    assert eval_expr(Call("not", (TRUE,))) == Stuck()
+    assert eval_expr(Call("not", (TRUE,)), defs={"not": (("x", "y"), TRUE)}) == Stuck()
+    assert eval_expr(Call("nope", (TRUE,)), defs={"not": (("x",), TRUE)}) == Stuck()

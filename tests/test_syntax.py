@@ -14,7 +14,9 @@ from patalg.syntax import (
     Wild,
     fv_even,
     fv_odd,
+    Var,
     is_proper,
+    map_vars,
     match_neg,
     match_pos,
     pattern_equiv_bounded,
@@ -151,3 +153,12 @@ def test_absurd_vs_negated_variable():
 def test_equivalence_reflexive():
     p = Or(c("True"), Neg(var("x")))
     assert pattern_equiv_bounded(p, p, _universe())
+
+
+def test_map_vars_reaches_every_variable():
+    p = Or(And(var("x"), Neg(c("Cons", var("y"), Wild()))), Absurd())
+    renamed = map_vars(p, lambda x: Var(x.name + "1"))
+    assert renamed == Or(And(var("x1"), Neg(c("Cons", var("y1"), Wild()))), Absurd())
+    assert map_vars(p, lambda x: Wild()) == Or(
+        And(Wild(), Neg(c("Cons", Wild(), Wild()))), Absurd()
+    )

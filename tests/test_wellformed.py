@@ -147,3 +147,9 @@ def test_row_sharing_variable_across_columns_rejected():
     report = wf_matrix(m)
     assert not report.ok
     assert any(viol.rule == "shared-variables" for viol in report.violations)
+
+
+def test_row_binding_a_scrutinee_name_rejected():
+    m = _matrix([[c("Cons", var("s"), Wild())]])
+    report = wf_matrix(m)
+    assert [viol.rule for viol in report.violations] == ["shadows-scrutinee"]
