@@ -9,7 +9,9 @@ compilation to decision trees (`compiler`), exhaustiveness checking
 (`exhaustiveness`), and brute-force oracles with property suites
 (`oracle`, `suites`).  Compilation and exhaustiveness share one matrix
 core: `specialize_rows`, `default_rows` and `column_heads` over
-`MatrixRow`s.  The `patc` command line fronts it.
+`MatrixRow`s.  Values are expressions: `Value` is the one node for ground
+data, matched by patterns and produced by evaluation.  The `patc` command
+line fronts it.
 """
 
 from .syntax import (

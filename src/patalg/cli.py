@@ -33,7 +33,7 @@ from .pretty import (
     format_value,
     tree_to_obj,
 )
-from .semantics import ECase
+from .semantics import Call, ECase, ECtor
 from .suites import run_suites
 from .typecheck import Ill, type_expr
 
@@ -69,7 +69,7 @@ def _case_sites(e, path=""):
         for i, c in enumerate(e.clauses):
             yield from _case_sites(c.rhs, f"{path}/clause{i}")
         yield from _case_sites(e.default_rhs, path + "/default")
-    elif hasattr(e, "args"):
+    elif isinstance(e, (ECtor, Call)):
         for i, a in enumerate(e.args):
             yield from _case_sites(a, f"{path}/{i}")
 
@@ -235,8 +235,7 @@ def cmd_eval(args) -> int:
     except ParseError as err:
         print(f"error: bad argument value: {err.message}", file=sys.stderr)
         return 2
-    env = {name: semantics.value_to_expr(v) for (name, _), v in zip(params, values)}
-    body = semantics.substitute(body, env)
+    body = semantics.substitute(body, {name: v for (name, _), v in zip(params, values)})
     result = semantics.eval(body, args.fuel, prog.table())
     if isinstance(result, semantics.Evaluated):
         print(format_value(result.value))

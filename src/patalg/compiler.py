@@ -31,8 +31,8 @@ from .normalize import (
     ndnf_wildcard,
     to_ndnf,
 )
-from .semantics import ECase, EVar, Stepped, Stuck, substitute, value_to_expr
-from .syntax import CtorName, fv_even, match_pos, subst_to_dict
+from .semantics import ECase, EVar, Stepped, Stuck, substitute
+from .syntax import CtorName, Value, fv_even, match_pos, subst_to_dict
 
 FRESH_PREFIX = "$k"
 
@@ -159,15 +159,11 @@ class Switch:
 DecisionTree = Union[Leaf, Switch]
 
 
-def _scrutable(e) -> bool:
-    return isinstance(e, EVar) or semantics.is_value(e)
-
-
 def embed_case(e: ECase) -> ClauseMatrix:
     """Embed an ordinary case expression as a one-column matrix, running
     every clause pattern through normalization.  Pattern variables named
     like the scrutinee are renamed apart first, as `wf_matrix` requires."""
-    if not _scrutable(e.scrutinee):
+    if not isinstance(e.scrutinee, (EVar, Value)):
         raise CompileError("case scrutinee must be a variable or a value")
     clauses = [_unshadow(c, e.scrutinee) for c in e.clauses]
     rows = tuple(MatrixRow((to_ndnf(c.pattern),), c.rhs) for c in clauses)
@@ -297,7 +293,7 @@ def _compile(m: ClauseMatrix, fresh: FreshSupply, depth: int) -> DecisionTree:
 def eval_tree(t: DecisionTree, env, fuel: int = semantics.DEFAULT_FUEL):
     """Run a decision tree under an environment binding the scrutinee
     variables to values, then evaluate the reached leaf."""
-    bindings = dict(subst_to_dict(env))
+    bindings = subst_to_dict(env)
     node = t
     while isinstance(node, Switch):
         s = node.scrutinee
@@ -305,8 +301,8 @@ def eval_tree(t: DecisionTree, env, fuel: int = semantics.DEFAULT_FUEL):
             if s.name not in bindings:
                 return Stuck()
             v = bindings[s.name]
-        elif semantics.is_value(s):
-            v = semantics.expr_to_value(s)
+        elif isinstance(s, Value):
+            v = s
         else:
             return Stuck()
         for arm in node.arms:
@@ -316,10 +312,7 @@ def eval_tree(t: DecisionTree, env, fuel: int = semantics.DEFAULT_FUEL):
                 break
         else:
             node = node.default_arm
-    rhs = substitute(
-        node.rhs, {x: value_to_expr(v) for x, v in bindings.items()}
-    )
-    return semantics.eval(rhs, fuel)
+    return semantics.eval(substitute(node.rhs, bindings), fuel)
 
 
 # --- multi-column single step (the compilation oracle) ----------------------------
@@ -329,11 +322,9 @@ def step_matrix(m: ClauseMatrix):
     """All expressions a multi-column case over value scrutinees can step
     to: one per matching row and substitution choice, or the default
     right-hand side when no row matches."""
-    values = []
-    for s in m.scrutinees:
-        if not semantics.is_value(s):
-            raise ValueError("step_matrix requires value scrutinees")
-        values.append(semantics.expr_to_value(s))
+    values = m.scrutinees
+    if not all(isinstance(s, Value) for s in values):
+        raise ValueError("step_matrix requires value scrutinees")
     successors = []
     any_match = False
     for row in m.rows:

@@ -9,7 +9,8 @@ specializes and defaults the first column with the matrix core of
 examined explicitly.
 
 Whenever usefulness holds, a concrete witness vector is reconstructed along
-the recursion and checked against the definition.
+the recursion and checked against the definition, by matching it against
+the normalized cells directly (`normalize.ndnf_matches`).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .compiler import column_heads, default_rows, specialize_rows
-from .normalize import Ndnf, PosConj, UnsatConj, embed_ndnf, ndnf_wildcard
-from .syntax import CtorName, SoundnessError, Value, match_pos
+from .normalize import Ndnf, PosConj, UnsatConj, ndnf_matches, ndnf_wildcard
+from .syntax import CtorName, SoundnessError, Value
 from .typecheck import DataDecls, DeclError, Named, Type, signature_of
 
 # Head for witness positions no constructor evidence constrains; it stands
@@ -203,9 +204,7 @@ def _arg_types_for(decls, tau, ctor):
 
 
 def _matches_vector(pvec, values) -> bool:
-    return all(
-        bool(match_pos(embed_ndnf(cell), v)) for cell, v in zip(pvec, values)
-    )
+    return all(ndnf_matches(cell, v) for cell, v in zip(pvec, values))
 
 
 def _matrix_matches(P, values) -> bool:

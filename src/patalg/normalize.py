@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .syntax import Absurd, And, Ctor, CtorName, Neg, Or, Pattern, Var, Wild
+from .syntax import Absurd, And, Ctor, CtorName, Neg, Or, Pattern, Value, Var, Wild
 
 # Negation normal forms and elementary conjuncts, as pattern subsets.
 Nnf = Pattern
@@ -295,3 +295,22 @@ def conjunct_is_variable(k: NConjunct) -> bool:
 def cell_is_void(d: Ndnf) -> bool:
     """True when no conjunct of the disjunction can ever match."""
     return all(isinstance(k, UnsatConj) for k in d.conjuncts)
+
+
+# --- matching normal forms ------------------------------------------------------
+
+
+def ndnf_matches(d: Ndnf, v: Value) -> bool:
+    """Does some disjunct match the value?  Agrees with
+    `bool(match_pos(embed_ndnf(d), v))` in one walk over the normal form."""
+    return any(_conj_matches(k, v) for k in d.conjuncts)
+
+
+def _conj_matches(k: NConjunct, v: Value) -> bool:
+    if isinstance(k, PosConj):
+        return k.ctor == v.ctor and all(
+            _conj_matches(a, w) for a, w in zip(k.args, v.args)
+        )
+    if isinstance(k, NegConj):
+        return v.ctor not in k.banned
+    return False

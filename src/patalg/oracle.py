@@ -276,9 +276,7 @@ def differential_check_tree(
         tau = infer_scrutinee_type(e, decls)
     n = 0
     for v in enumerate_values(decls, tau, depth):
-        direct = semantics.eval(
-            ECase(semantics.value_to_expr(v), e.clauses, e.default_rhs), fuel
-        )
+        direct = semantics.eval(ECase(v, e.clauses, e.default_rhs), fuel)
         via_tree = eval_tree(tree, (Mapping(e.scrutinee.name, v),), fuel)
         if direct != via_tree:
             return Disagree(

@@ -398,13 +398,9 @@ def parse_expr(source: str):
 
 def parse_value(source: str) -> Value:
     e = parse_expr(source)
-    return _expr_value(e)
-
-
-def _expr_value(e) -> Value:
-    if isinstance(e, ECtor):
-        return Value(e.ctor, tuple(_expr_value(a) for a in e.args))
-    raise ParseError(1, 1, "expected a ground constructor value")
+    if not isinstance(e, Value):
+        raise ParseError(1, 1, "expected a ground constructor value")
+    return e
 
 
 # --- reference validation ------------------------------------------------------------
@@ -428,7 +424,7 @@ def undeclared_ctors(prog: Program):
             walk_pattern(p.sub)
 
     def walk_expr(e):
-        if isinstance(e, ECtor):
+        if isinstance(e, (ECtor, Value)):
             if prog.decls.owner(e.ctor) is None:
                 missing.append(e.ctor)
             for a in e.args:
@@ -463,7 +459,7 @@ def inline_calls(e, prog: Program, budget: int = 1000):
     remaining = [budget]
 
     def go(e):
-        if isinstance(e, EVar):
+        if isinstance(e, (EVar, Value)):
             return e
         if isinstance(e, Call):
             d = prog.lookup(e.name)

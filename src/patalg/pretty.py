@@ -47,9 +47,24 @@ def format_pattern(p: Pattern, _level: int = _OR) -> str:
 
 
 def format_value(v: Value) -> str:
-    if v.args:
-        return f"{v.ctor.name}({', '.join(format_value(a) for a in v.args)})"
-    return v.ctor.name
+    """`C(a1, ..., an)`, or `C` for a nullary constructor.  Runs on an
+    explicit stack of values and literal text, so deep values print
+    without recursion."""
+    out = []
+    todo = [v]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif not item.args:
+            out.append(item.ctor.name)
+        else:
+            out.append(f"{item.ctor.name}(")
+            todo.append(")")
+            for i in range(len(item.args) - 1, 0, -1):
+                todo += (item.args[i], ", ")
+            todo.append(item.args[0])
+    return "".join(out)
 
 
 def format_subst(s) -> str:
@@ -59,10 +74,10 @@ def format_subst(s) -> str:
 def format_expr(e) -> str:
     if isinstance(e, EVar):
         return e.name
+    if isinstance(e, Value):
+        return format_value(e)
     if isinstance(e, ECtor):
-        if e.args:
-            return f"{e.ctor.name}({', '.join(format_expr(a) for a in e.args)})"
-        return e.ctor.name
+        return f"{e.ctor.name}({', '.join(format_expr(a) for a in e.args)})"
     if isinstance(e, ECase):
         clauses = "".join(
             f"{format_pattern(c.pattern)} => {format_expr(c.rhs)}, "

@@ -7,6 +7,10 @@ substitution, or steps to its default right-hand side when every clause
 fails.  Congruence descends into the leftmost non-value position.  Given
 a definition table, a call whose arguments are values unfolds to the
 definition's body (call by value).
+
+Values are expressions: ground data is the one `syntax.Value` node, which
+`ECtor` yields when applied to values only, so telling a value from other
+expressions is a type test and never walks the tree.
 """
 
 from __future__ import annotations
@@ -36,8 +40,17 @@ class EVar:
 
 @dataclass(frozen=True)
 class ECtor:
+    """Constructor application with at least one argument that is not a
+    value.  Applied to values only, the constructor yields the `Value`
+    itself, so every ground expression is a `Value`."""
+
     ctor: CtorName
     args: tuple  # of Expression
+
+    def __new__(cls, ctor, args):
+        if all(isinstance(a, Value) for a in args):
+            return Value(ctor, tuple(args))
+        return super().__new__(cls)
 
     def __post_init__(self):
         if len(self.args) != self.ctor.arity:
@@ -71,30 +84,19 @@ class Call:
     args: tuple  # of Expression
 
 
-Expression = Union[EVar, ECtor, ECase, Call]
-
-
-# --- values as expressions -----------------------------------------------------
+Expression = Union[Value, EVar, ECtor, ECase, Call]
 
 
 def is_value(e) -> bool:
-    return isinstance(e, ECtor) and all(is_value(a) for a in e.args)
-
-
-def value_to_expr(v: Value) -> ECtor:
-    return ECtor(v.ctor, tuple(value_to_expr(a) for a in v.args))
-
-
-def expr_to_value(e) -> Value:
-    if not isinstance(e, ECtor):
-        raise ValueError(f"not a value: {e!r}")
-    return Value(e.ctor, tuple(expr_to_value(a) for a in e.args))
+    return isinstance(e, Value)
 
 
 # --- substitution ----------------------------------------------------------------
 
 
 def expr_free_vars(e) -> frozenset:
+    if isinstance(e, Value):
+        return frozenset()
     if isinstance(e, EVar):
         return frozenset({e.name})
     if isinstance(e, ECase):
@@ -112,7 +114,7 @@ def substitute(e, mapping: dict):
     expressions.  Clause right-hand sides shadow the variables their
     pattern binds; binders that would capture a substituted variable are
     alpha-renamed first (ground values can never be captured)."""
-    if not mapping:
+    if not mapping or isinstance(e, Value):
         return e
     if isinstance(e, EVar):
         return mapping.get(e.name, e)
@@ -165,13 +167,13 @@ def apply_subst(e, s):
     """Apply a proper substitution to an expression."""
     if not is_proper(s):
         raise ValueError(f"improper substitution: {s!r}")
-    return substitute(e, {m.var: value_to_expr(m.value) for m in s})
+    return substitute(e, {m.var: m.value for m in s})
 
 
 def _apply_loose(e, s):
     # Nonlinear patterns can bind one variable to several values; during
     # stepping the first binding (in canonical order) wins.
-    return substitute(e, {x: value_to_expr(v) for x, v in subst_to_dict(s).items()})
+    return substitute(e, subst_to_dict(s))
 
 
 # --- single and multi step -----------------------------------------------------
@@ -199,7 +201,7 @@ def case_successors(e: ECase) -> tuple:
     """Successors of a case whose scrutinee is a value: one per matching
     clause and derivable substitution, or the default right-hand side when
     all clauses fail."""
-    v = expr_to_value(e.scrutinee)
+    v = e.scrutinee
     succ = []
     any_match = False
     for c in e.clauses:
@@ -218,6 +220,8 @@ def step(e, defs=None) -> StepResult:
     if is_value(e):
         return IsValue()
     if isinstance(e, (ECtor, Call)):
+        # An ECtor has an argument that is not a value, so only a call
+        # whose arguments are all values gets past this loop.
         for i, a in enumerate(e.args):
             if is_value(a):
                 continue
@@ -227,8 +231,6 @@ def step(e, defs=None) -> StepResult:
                     tuple(_with_arg(e, i, s) for s in r.successors)
                 )
             return r
-        if isinstance(e, ECtor):
-            raise AssertionError("unreachable: non-value ctor with value args")
         d = defs.get(e.name) if defs else None
         if d is None or len(d[0]) != len(e.args):
             return Stuck()
@@ -283,7 +285,7 @@ def eval(e, fuel: int = DEFAULT_FUEL, defs=None) -> EvalResult:
     for _ in range(fuel):
         r = step(cur, defs)
         if isinstance(r, IsValue):
-            return Evaluated(expr_to_value(cur))
+            return Evaluated(cur)
         if isinstance(r, Stuck):
             return Stuck()
         if len(r.successors) > 1:

@@ -487,7 +487,7 @@ def prop_wellformed_deterministic_eval(seed, depth, cases) -> PropertyResult:
         e = gen_case(STANDARD_DECLS, tau, rng.randrange(1 << 30))
         res.cases += 1
         for v in _universe(tau, depth):
-            cur = ECase(semantics.value_to_expr(v), e.clauses, e.default_rhs)
+            cur = ECase(v, e.clauses, e.default_rhs)
             for _ in range(200):
                 r = semantics.step(cur)
                 if not isinstance(r, Stepped):
@@ -513,8 +513,8 @@ def prop_clause_permutation(seed, depth, cases) -> PropertyResult:
         shuffled = ECase(e.scrutinee, tuple(perm), e.default_rhs)
         res.cases += 1
         for v in _universe(tau, depth):
-            a = ECase(semantics.value_to_expr(v), e.clauses, e.default_rhs)
-            b = ECase(semantics.value_to_expr(v), shuffled.clauses, shuffled.default_rhs)
+            a = ECase(v, e.clauses, e.default_rhs)
+            b = ECase(v, shuffled.clauses, shuffled.default_rhs)
             if not semantics.expr_equiv_bounded(a, b, 500):
                 res.fail(f"permutation changed the result at {format_value(v)}")
                 break
@@ -562,10 +562,7 @@ def _gen_matrix(rng, taus, depth, disjoint_disjuncts=True):
             rows.append(MatrixRow(tuple(cells), _gen_rhs(rng, STANDARD_DECLS, rhs_vars)))
         if not ok:
             continue
-        scruts = tuple(
-            semantics.value_to_expr(gen_value(rng, STANDARD_DECLS, tau, depth))
-            for tau in taus
-        )
+        scruts = tuple(gen_value(rng, STANDARD_DECLS, tau, depth) for tau in taus)
         m = ClauseMatrix(scruts, tuple(rows), _gen_rhs(rng, STANDARD_DECLS, []))
         if wellformed.wf_matrix(m).ok:
             return m
@@ -599,7 +596,7 @@ def prop_matrix_subproblem_stepping(seed, depth, cases) -> PropertyResult:
         fresh = FreshSupply()
         for col in range(len(m.scrutinees)):
             heads = head_ctors([row.cells[col] for row in m.rows])
-            v = semantics.expr_to_value(m.scrutinees[col])
+            v = m.scrutinees[col]
             if v.ctor in heads:
                 binders = fresh.fresh_names(v.ctor.arity)
                 spec = specialize(col, (v.ctor, binders), m)
@@ -607,8 +604,7 @@ def prop_matrix_subproblem_stepping(seed, depth, cases) -> PropertyResult:
                     res.fail(f"specialization broke wellformedness at column {col}")
                     continue
                 inst = ClauseMatrix(
-                    tuple(semantics.value_to_expr(w) for w in v.args)
-                    + spec.scrutinees[v.ctor.arity :],
+                    v.args + spec.scrutinees[v.ctor.arity :],
                     spec.rows,
                     spec.default_rhs,
                 )

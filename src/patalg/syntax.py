@@ -9,7 +9,7 @@ completeness and determinism properties directly testable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 
@@ -79,10 +79,15 @@ Pattern = Union[Var, Ctor, And, Or, Wild, Absurd, Neg]
 # --- values and substitutions ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
+    """Ground data, and the expression node for it: `semantics.ECtor` over
+    values constructs a `Value`.  The hash is computed once, from the
+    children's stored hashes, so hashing never walks the value."""
+
     ctor: CtorName
     args: tuple  # of Value
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.args) != self.ctor.arity:
@@ -90,6 +95,10 @@ class Value:
                 f"value constructor {self.ctor.name}/{self.ctor.arity} "
                 f"applied to {len(self.args)} arguments"
             )
+        object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class Mapping(NamedTuple):
@@ -113,8 +122,12 @@ def _mapping_key(m: Mapping):
 
 def canon_subst(s) -> Subst:
     """Sort mappings by variable then value; duplicated identical mappings
-    collapse (set reading of substitution equivalence)."""
-    return tuple(sorted(set(s), key=_mapping_key))
+    collapse (set reading of substitution equivalence).  The sort key walks
+    whole values, so a single mapping is not sorted."""
+    items = set(s)
+    if len(items) < 2:
+        return tuple(items)
+    return tuple(sorted(items, key=_mapping_key))
 
 
 def _canon_set(substs) -> SubstSet:
@@ -122,6 +135,8 @@ def _canon_set(substs) -> SubstSet:
     for s in substs:
         c = canon_subst(s)
         seen.setdefault(c, None)
+    if len(seen) < 2:
+        return tuple(seen)
     return tuple(sorted(seen, key=lambda s: tuple(_mapping_key(m) for m in s)))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .semantics import ECase, ECtor, EVar
-from .syntax import Absurd, And, Ctor, CtorName, Neg, Or, Pattern, Var, Wild
+from .syntax import Absurd, And, Ctor, CtorName, Neg, Or, Pattern, Value, Var, Wild
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def type_expr(ctx, e, decls: Optional[DataDecls] = None):
             if name == e.name:
                 return Ok(tau)
         return Ill(f"unbound variable {e.name}")
-    if isinstance(e, ECtor):
+    if isinstance(e, (ECtor, Value)):
         # Declared constructors take precedence over the built-in ones, so
         # programs may declare their own True and False.
         if decls is not None and decls.owner(e.ctor) is not None:

@@ -22,6 +22,7 @@ from .syntax import (
     Neg,
     Or,
     Pattern,
+    Value,
     Var,
     Wild,
     fv_even,
@@ -150,7 +151,7 @@ def wf_expr(e, decls=None) -> WfReport:
 def _wf_expr(e, path, decls, out) -> None:
     from .pretty import format_pattern
 
-    if isinstance(e, semantics.EVar):
+    if isinstance(e, (semantics.EVar, Value)):
         return
     if isinstance(e, semantics.ECase):
         _wf_expr(e.scrutinee, path + (0,), decls, out)

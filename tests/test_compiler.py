@@ -31,7 +31,6 @@ from patalg.semantics import (
     ECtor,
     EVar,
     Evaluated,
-    value_to_expr,
 )
 from patalg.syntax import Absurd, And, Mapping, Neg, Or, Wild
 
@@ -296,19 +295,19 @@ def test_eval_tree_leaf_ignores_env_shape():
 
 def test_step_matrix_weekend_on_sa():
     src = weekend_case()
-    m = embed_case(ECase(value_to_expr(v("Sa")), src.clauses, src.default_rhs))
+    m = embed_case(ECase(v("Sa"), src.clauses, src.default_rhs))
     r = step_matrix(m)
-    assert r.successors == (ECtor(cn("E1", 1), (value_to_expr(v("Sa")),)),)
+    assert r.successors == (ECtor(cn("E1", 1), (v("Sa"),)),)
 
 
 def test_step_matrix_default_when_all_rows_fail():
     src = weekend_case()
-    m = embed_case(ECase(value_to_expr(v("Fr")), src.clauses, src.default_rhs))
+    m = embed_case(ECase(v("Fr"), src.clauses, src.default_rhs))
     assert step_matrix(m).successors == (D,)
 
 
 def test_step_matrix_duplicate_rows_nondeterministic():
     row = MatrixRow((to_ndnf(c("Red")),), ECtor(cn("A0"), ()))
     row2 = MatrixRow((to_ndnf(Wild()),), ECtor(cn("B0"), ()))
-    m = ClauseMatrix((value_to_expr(v("Red")),), (row, row2), D)
+    m = ClauseMatrix((v("Red"),), (row, row2), D)
     assert len(step_matrix(m).successors) == 2

@@ -14,6 +14,7 @@ from patalg.normalize import (
     embed_ndnf,
     is_conjunct,
     is_nnf,
+    ndnf_matches,
     nnf,
     normalize_conjunct,
     to_ndnf,
@@ -220,3 +221,16 @@ def test_double_negation_normalizes_equivalently():
         a = embed_ndnf(to_ndnf(Neg(Neg(p))))
         b = embed_ndnf(to_ndnf(p))
         assert pattern_equiv_bounded(a, b, uni)
+
+
+def test_ndnf_matches_agrees_with_matching_the_pattern():
+    # Negated variables and nonlinear patterns included: whether some
+    # derivation exists survives normalization even where bindings do not.
+    rng = random.Random(14)
+    for tau in ("List", "B"):
+        uni = _universe(tau)
+        for _ in range(300):
+            p = _gen_pattern(rng, BOOL_LIST, Named(tau), rng.randint(0, 5))
+            d = to_ndnf(p)
+            for value in uni:
+                assert ndnf_matches(d, value) == bool(match_pos(p, value)), (p, value)

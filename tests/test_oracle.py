@@ -142,10 +142,10 @@ def test_inline_calls_avoids_capture(tmp_path):
         "def h(x) := g(x);\n"
     )
     body = inline_calls(prog.lookup("h").body, prog)
-    from patalg.semantics import substitute, value_to_expr
+    from patalg.semantics import substitute
     from patalg.syntax import Value
 
-    applied = substitute(body, {"x": value_to_expr(Value(cn("Sa"), ()))})
+    applied = substitute(body, {"x": Value(cn("Sa"), ())})
     assert eval_expr(applied) == Evaluated(Value(cn("MkP", 2), (Value(cn("Su"), ()), Value(cn("Sa"), ()))))
 
 

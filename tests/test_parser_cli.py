@@ -1,6 +1,10 @@
 """Surface syntax, program round-trips and the patc subcommands."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +21,7 @@ from patalg.parser import (
     parse_value,
     undeclared_ctors,
 )
-from patalg.pretty import format_expr, format_pattern
+from patalg.pretty import format_expr, format_pattern, format_value
 from patalg.semantics import ECase
 from patalg.syntax import Absurd, And, Ctor, CtorName, Neg, Or, Wild
 
@@ -54,6 +58,12 @@ def test_wildcard_and_absurd():
 def test_numeral_constructors():
     assert parse_pattern("Cons(2, Nil)") == c("Cons", c("2"), c("Nil"))
     assert parse_value("Cons(2, Nil)") == v("Cons", v("2"), v("Nil"))
+
+
+def test_format_value_reads_back():
+    text = "Pair(A, Cons(2, Cons(B, Nil)), Triple(X, Y, Z))"
+    assert format_value(parse_value(text)) == text
+    assert format_value(v("Nil")) == "Nil"
 
 
 def test_unbalanced_paren_is_error():
@@ -322,6 +332,61 @@ def test_cli_eval_recursive_definition(tmp_path, capsys):
     )
     assert main(["eval", str(path), "--entry", "last", "--args", "Cons(T, Cons(F, Cons(T, Nil)))"]) == 0
     assert capsys.readouterr().out.strip() == "T"
+
+
+def test_cli_eval_deep_list(tmp_path):
+    # A 400-element list: stepping, substitution and printing of S^400(Z)
+    # must not recurse per element.  A subprocess gives the CLI's own stack
+    # depth.
+    path = tmp_path / "walk.pat"
+    path.write_text(
+        "data N = Z | S(N);\n"
+        "data B = T | F;\n"
+        "data List = Nil | Cons(B, List);\n"
+        "def len(xs) := case xs of { Nil => Z, Cons(_, t) => S(len(t)), default => Z };\n"
+        "def last(xs) := case xs of {\n"
+        "  Cons(x, Nil) => x,\n"
+        "  Cons(_, t & Cons(_, _)) => last(t),\n"
+        "  default => F\n"
+        "};\n"
+    )
+    n = 400
+    xs = "Nil"
+    for i in range(n):
+        xs = f"Cons({'TF'[i % 2]}, {xs})"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for entry, want in (("len", "S(" * n + "Z" + ")" * n), ("last", "T")):
+        out = subprocess.run(
+            [sys.executable, "-m", "patalg.cli", "eval", str(path), "--entry", entry, "--args", xs],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr[-500:]
+        assert out.stderr == ""
+        assert out.stdout.strip() == want
+
+
+def test_cli_check_or_product_witness(tmp_path, capsys):
+    # T(A|B, ..., A|B) has a 512-conjunct normal form; the witness check
+    # matches it without embedding it back into a 512-deep or-chain.
+    n = 9
+    path = tmp_path / "orprod.pat"
+    path.write_text(
+        "data AB = A | B | C;\n"
+        f"data T = T({', '.join(['AB'] * n)});\n"
+        "def f(x: T) := case x of {\n"
+        f"  T({', '.join(['A | B'] * n)}) => A,\n"
+        f"  T({', '.join(['C'] + ['_'] * (n - 1))}) => B,\n"
+        "  default => C\n"
+        "};\n"
+    )
+    assert main(["check", "--typed", str(path)]) == 0
+    out = capsys.readouterr().out
+    witness = re.search(r"handles e\.g\. T\((.*)\)$", out, re.M).group(1).split(", ")
+    assert len(witness) == n
+    assert witness[0] in ("A", "B") and "C" in witness[1:]
 
 
 def test_cli_eval_fuel_limit(tmp_path, capsys):

@@ -18,10 +18,12 @@ from patalg.semantics import (
     apply_subst,
     eval as eval_expr,
     expr_equiv_bounded,
+    is_value,
     step,
-    value_to_expr,
+    substitute,
 )
-from patalg.syntax import Mapping, Neg, Or, Wild
+from patalg.parser import parse_expr
+from patalg.syntax import Mapping, Neg, Or, Value, Wild
 
 
 TRUE = ECtor(cn("True"), ())
@@ -65,7 +67,7 @@ def test_eval_value_is_value():
 
 def test_eval_weekend_branch():
     e = _case(
-        value_to_expr(v("Sa")),
+        v("Sa"),
         [
             Clause(Or(c("Sa"), c("Su")), TRUE),
             Clause(Neg(Or(c("Sa"), c("Su"))), FALSE),
@@ -117,10 +119,8 @@ def test_clause_permutation_preserves_meaning():
 
 def test_equivalent_pattern_substitution_preserves_meaning():
     for scrut in (v("Red"), v("Green")):
-        a = _case(value_to_expr(scrut), [Clause(c("Red"), TRUE)], FALSE)
-        b = _case(
-            value_to_expr(scrut), [Clause(Neg(Neg(c("Red"))), TRUE)], FALSE
-        )
+        a = _case(scrut, [Clause(c("Red"), TRUE)], FALSE)
+        b = _case(scrut, [Clause(Neg(Neg(c("Red"))), TRUE)], FALSE)
         assert expr_equiv_bounded(a, b)
 
 
@@ -134,7 +134,7 @@ def test_apply_subst_variable():
 def test_apply_subst_under_constructor():
     e = ECtor(cn("Pair", 2), (EVar("x"), EVar("y")))
     out = apply_subst(e, (Mapping("x", v("A")), Mapping("y", v("B"))))
-    assert out == ECtor(cn("Pair", 2), (value_to_expr(v("A")), value_to_expr(v("B"))))
+    assert out == ECtor(cn("Pair", 2), (v("A"), v("B")))
 
 
 def test_apply_subst_rejects_improper():
@@ -149,14 +149,14 @@ def test_apply_subst_respects_shadowing():
     out = apply_subst(inner, (Mapping("x", v("A")),))
     assert out.clauses[0].rhs == EVar("x")
     # Unshadowed positions are substituted: the default is one.
-    assert out.default_rhs == value_to_expr(v("A"))
+    assert out.default_rhs == v("A")
 
 
 def test_shadowing_two_level_nest():
     # Oracle check: evaluating after substitution equals substituting the
     # value for the free occurrences only.
     outer = _case(
-        value_to_expr(v("Red")),
+        v("Red"),
         [Clause(var("x"), EVar("x"))],  # binds x to Red
         EVar("x"),
     )
@@ -184,7 +184,7 @@ def test_substitute_variable_avoids_capture():
     bound = clause.pattern.name
     assert bound != "x"
     assert clause.rhs == ECtor(cn("Pair2", 2), (EVar(bound), EVar("x")))
-    assert eval_expr(substitute(out, {"x": value_to_expr(v("Sa"))})) == Evaluated(
+    assert eval_expr(substitute(out, {"x": v("Sa")})) == Evaluated(
         v("Pair2", v("Su"), v("Sa"))
     )
 
@@ -204,3 +204,28 @@ def test_call_without_matching_definition_is_stuck():
     assert eval_expr(Call("not", (TRUE,))) == Stuck()
     assert eval_expr(Call("not", (TRUE,)), defs={"not": (("x", "y"), TRUE)}) == Stuck()
     assert eval_expr(Call("nope", (TRUE,)), defs={"not": (("x",), TRUE)}) == Stuck()
+
+
+# --- values are expressions ---
+
+
+def test_ctor_over_values_is_a_value():
+    z = ECtor(cn("Z"), ())
+    assert isinstance(z, Value) and z == v("Z")
+    assert ECtor(cn("S", 1), (z,)) == Value(cn("S", 1), (v("Z"),))
+    assert isinstance(parse_expr("Cons(T, Nil)"), Value)
+    assert substitute(ECtor(cn("S", 1), (EVar("x"),)), {"x": v("Z")}) == Value(
+        cn("S", 1), (v("Z"),)
+    )
+    open_ctor = ECtor(cn("S", 1), (EVar("x"),))
+    assert isinstance(open_ctor, ECtor) and not is_value(open_ctor)
+
+
+def test_value_hash_is_stored_and_structural():
+    deep = v("Z")
+    for _ in range(5000):
+        deep = v("S", deep)
+    # Hashing reads the stored hash; a recursive hash would overflow the
+    # stack at this depth.
+    assert hash(deep) == hash(Value(cn("S", 1), deep.args))
+    assert {v("S", v("Z")): 1}[ECtor(cn("S", 1), (v("Z"),))] == 1
