@@ -2,8 +2,9 @@
 
 The package covers the full pipeline: matching as complete derivation sets
 (`syntax`), linearity/determinism and wellformedness (`wellformed`), a small
-term language with default clauses and definition calls and its one
-interpreter (`semantics`), optional typing (`typecheck`), normalization to
+term language with default clauses and definition calls, with one
+reduction rule that the step relation and the evaluation machine share
+(`semantics`), optional typing (`typecheck`), normalization to
 a normalized disjunctive form (`normalize`), overlap deciding (`overlap`),
 compilation to decision trees (`compiler`), exhaustiveness checking
 (`exhaustiveness`), and brute-force oracles with property suites
@@ -46,6 +47,7 @@ from .semantics import (
     ECtor,
     EVar,
     apply_subst,
+    contract,
     eval,
     expr_equiv_bounded,
     step,

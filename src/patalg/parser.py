@@ -265,35 +265,39 @@ class _Parser:
     # --- expressions ---
 
     def parse_expr(self):
-        t = self.peek()
-        if t.text == "case":
-            return self.parse_case()
-        if t.kind == "ctor":
-            self.next()
-            args: list = []
-            if self.at("("):
+        # Constructor and call arguments nest as deep as the data they
+        # spell, so open argument lists live on an explicit stack of
+        # (head token, arguments so far); case expressions recurse, as
+        # their depth is program structure.
+        stack: list = []
+        while True:
+            t = self.peek()
+            if t.text == "case":
+                e = self.parse_case()
+            elif t.kind == "ctor" or (t.kind == "ident" and t.text not in KEYWORDS):
                 self.next()
-                if not self.at(")"):
-                    args.append(self.parse_expr())
-                    while self.at(","):
-                        self.next()
-                        args.append(self.parse_expr())
+                if self.at("("):
+                    self.next()
+                    if not self.at(")"):
+                        stack.append((t, []))
+                        continue
+                    self.next()
+                    e = _apply(t, [])
+                else:
+                    e = _apply(t, []) if t.kind == "ctor" else EVar(t.text)
+            else:
+                raise self.error(f"expected an expression, found {t.text!r}", t)
+            while stack:
+                head, args = stack[-1]
+                args.append(e)
+                if self.at(","):
+                    self.next()
+                    break
                 self.expect(")")
-            return ECtor(CtorName(t.text, len(args)), tuple(args))
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            self.next()
-            if self.at("("):
-                self.next()
-                args = []
-                if not self.at(")"):
-                    args.append(self.parse_expr())
-                    while self.at(","):
-                        self.next()
-                        args.append(self.parse_expr())
-                self.expect(")")
-                return Call(t.text, tuple(args))
-            return EVar(t.text)
-        raise self.error(f"expected an expression, found {t.text!r}", t)
+                stack.pop()
+                e = _apply(head, args)
+            else:
+                return e
 
     def parse_case(self):
         self.expect("case")
@@ -371,6 +375,13 @@ class _Parser:
             self.next()
             return Var(t.text)
         raise self.error(f"expected a pattern, found {t.text!r}", t)
+
+
+def _apply(head: Token, args: list):
+    """The constructor application or call that `head` starts."""
+    if head.kind == "ctor":
+        return ECtor(CtorName(head.text, len(args)), tuple(args))
+    return Call(head.text, tuple(args))
 
 
 # --- entry points ----------------------------------------------------------------

@@ -1,12 +1,21 @@
-"""Expressions with case/default clauses and their order-independent
-small-step semantics.
+"""Expressions with case/default clauses, their order-independent
+small-step semantics, and the machine that evaluates them.
 
-`step` returns the set of all expressions reachable in one step: a case
-over a value has one successor per matching clause and derivable
-substitution, or steps to its default right-hand side when every clause
-fails.  Congruence descends into the leftmost non-value position.  Given
-a definition table, a call whose arguments are values unfolds to the
-definition's body (call by value).
+`contract` is the one reduction rule: a case over a value has one
+successor per matching clause and derivable substitution, or steps to its
+default right-hand side when every clause fails; given a definition table,
+a call whose arguments are values unfolds to the definition's body (call
+by value); anything else is stuck.  Evaluation contexts descend into the
+leftmost position that is not a value.
+
+`step` is the reference relation: it decomposes an expression into a
+context and a redex, contracts the redex and plugs every contractum back.
+`eval` is the refocused machine derived from it (Danvy & Nielsen,
+"Refocusing in Reduction Semantics", 2004): it keeps the context on an
+explicit stack and moves from one redex to the next without re-descending
+from the root, so evaluation is linear in the number of contractions and
+never recurses on the depth of the data.  Both count one contraction per
+step and reach the same outcomes.
 
 Values are expressions: ground data is the one `syntax.Value` node, which
 `ECtor` yields when applied to values only, so telling a value from other
@@ -213,47 +222,79 @@ def case_successors(e: ECase) -> tuple:
     return tuple(dict.fromkeys(succ))
 
 
-def step(e, defs=None) -> StepResult:
-    """All expressions reachable from e in one step.  `defs` maps the name
-    of each definition to its parameter names and body; without it, or for
-    an unknown name or a wrong argument count, a call is stuck."""
-    if is_value(e):
-        return IsValue()
-    if isinstance(e, (ECtor, Call)):
-        # An ECtor has an argument that is not a value, so only a call
-        # whose arguments are all values gets past this loop.
-        for i, a in enumerate(e.args):
-            if is_value(a):
-                continue
-            r = step(a, defs)
-            if isinstance(r, Stepped):
-                return Stepped(
-                    tuple(_with_arg(e, i, s) for s in r.successors)
-                )
-            return r
+def contract(e, defs=None) -> Union[Stepped, Stuck]:
+    """The successors of a redex: a case over a value goes through
+    `case_successors`, a call whose arguments are values unfolds to the
+    body of its definition in `defs` (call by value), and anything else,
+    a free variable, an unknown definition or a wrong argument count
+    included, is stuck."""
+    if isinstance(e, ECase):
+        return Stepped(case_successors(e))
+    if isinstance(e, Call):
         d = defs.get(e.name) if defs else None
         if d is None or len(d[0]) != len(e.args):
             return Stuck()
         params, body = d
         return Stepped((substitute(body, dict(zip(params, e.args))),))
-    if isinstance(e, ECase):
-        if not is_value(e.scrutinee):
-            r = step(e.scrutinee, defs)
-            if isinstance(r, Stepped):
-                return Stepped(
-                    tuple(
-                        ECase(s, e.clauses, e.default_rhs)
-                        for s in r.successors
-                    )
-                )
-            return r
-        return Stepped(case_successors(e))
     return Stuck()
 
 
-def _with_arg(e, i: int, a):
-    args = e.args[:i] + (a,) + e.args[i + 1 :]
-    return ECtor(e.ctor, args) if isinstance(e, ECtor) else Call(e.name, args)
+# An evaluation context is a stack of frames, innermost last.  A frame
+# `(node, i)` is `node` with a hole at argument i of an `ECtor` or `Call`,
+# whose arguments left of i are values; `(node, -1)` is the scrutinee of
+# the case `node`.
+
+
+def _refocus(t, stack: list):
+    """Move the focus from t, which sits in the hole of `stack`, to the
+    next redex: descend to the leftmost position that is not a value, and
+    plug values into the frame on top of the stack.  Returns the redex, or
+    the final value once the stack is empty; `stack` is updated in place."""
+    while True:
+        if isinstance(t, Value):
+            if not stack:
+                return t
+            t = _plug(stack.pop(), t)
+        elif isinstance(t, (ECtor, Call)):
+            for i, a in enumerate(t.args):
+                if not isinstance(a, Value):
+                    stack.append((t, i))
+                    t = a
+                    break
+            else:
+                return t  # a call over values
+        elif isinstance(t, ECase) and not isinstance(t.scrutinee, Value):
+            stack.append((t, -1))
+            t = t.scrutinee
+        else:
+            return t
+
+
+def _plug(frame, t):
+    node, i = frame
+    if i < 0:
+        return ECase(t, node.clauses, node.default_rhs)
+    args = node.args[:i] + (t,) + node.args[i + 1 :]
+    return ECtor(node.ctor, args) if isinstance(node, ECtor) else Call(node.name, args)
+
+
+def step(e, defs=None) -> StepResult:
+    """All expressions reachable from e in one step: decompose e into a
+    context and a redex, `contract` the redex, and plug each contractum
+    back.  `defs` maps the name of each definition to its parameter names
+    and body.  This is the reference relation `eval` follows."""
+    if is_value(e):
+        return IsValue()
+    stack: list = []
+    r = contract(_refocus(e, stack), defs)
+    if isinstance(r, Stuck):
+        return r
+    out = []
+    for s in r.successors:
+        for frame in reversed(stack):
+            s = _plug(frame, s)
+        out.append(s)
+    return Stepped(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -277,20 +318,26 @@ DEFAULT_FUEL = 10_000
 
 
 def eval(e, fuel: int = DEFAULT_FUEL, defs=None) -> EvalResult:
-    """Iterate single steps, unfolding calls through `defs` (see `step`).
-    Reports Nondeterministic as soon as a step offers more than one distinct
-    successor (only possible for inputs that are not wellformed) and
-    Diverged when the fuel runs out."""
-    cur = e
+    """Evaluate e by refocusing: a machine that keeps the redex in focus
+    and the pending context on an explicit stack, so it never re-descends
+    from the root and never recurses on the depth of the data.  Its
+    outcomes are those of iterating `step`: one unit of fuel per
+    contraction, Nondeterministic as soon as a redex has more than one
+    distinct contractum (only possible for inputs that are not
+    wellformed), Stuck where `contract` is stuck, and Diverged when the
+    fuel runs out."""
+    stack: list = []
+    t = e
     for _ in range(fuel):
-        r = step(cur, defs)
-        if isinstance(r, IsValue):
-            return Evaluated(cur)
+        t = _refocus(t, stack)
+        if isinstance(t, Value):
+            return Evaluated(t)
+        r = contract(t, defs)
         if isinstance(r, Stuck):
-            return Stuck()
+            return r
         if len(r.successors) > 1:
             return Nondeterministic()
-        cur = r.successors[0]
+        t = r.successors[0]
     return Diverged()
 
 

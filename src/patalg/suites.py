@@ -8,6 +8,7 @@ the acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -97,7 +98,11 @@ class PropertyResult:
             self.counterexamples.append(detail)
 
 
+@functools.cache
 def _universe(tau, depth):
+    # Enumerated once per process: every case then matches the same value
+    # objects, so lookups in the match cache succeed on identity instead
+    # of walking equal values built apart.
     return enumerate_values(STANDARD_DECLS, tau, depth)
 
 

@@ -79,11 +79,13 @@ Pattern = Union[Var, Ctor, And, Or, Wild, Absurd, Neg]
 # --- values and substitutions ------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Value:
     """Ground data, and the expression node for it: `semantics.ECtor` over
     values constructs a `Value`.  The hash is computed once, from the
-    children's stored hashes, so hashing never walks the value."""
+    children's stored hashes, so hashing never walks the value; equality
+    compares the stored hashes first and then walks with an explicit
+    stack, so neither recurses on the depth of the value."""
 
     ctor: CtorName
     args: tuple  # of Value
@@ -99,6 +101,21 @@ class Value:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Value):
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or (a.ctor is not b.ctor and a.ctor != b.ctor):
+                return False
+            pending.extend(zip(a.args, b.args))
+        return True
 
 
 class Mapping(NamedTuple):

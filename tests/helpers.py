@@ -1,6 +1,15 @@
 """Shared builders for the test suite."""
 
 from patalg.compiler import MatrixRow
+from patalg.semantics import (
+    DEFAULT_FUEL,
+    Diverged,
+    Evaluated,
+    IsValue,
+    Nondeterministic,
+    Stuck,
+    step,
+)
 from patalg.syntax import Ctor, CtorName, Value, Var
 from patalg.typecheck import DataDecls, Named
 
@@ -26,6 +35,22 @@ def var(name):
 def pattern_matrix(rows):
     """Usefulness matrix from tuples of cells: rows without right-hand sides."""
     return tuple(MatrixRow(tuple(r)) for r in rows)
+
+
+def eval_by_steps(e, fuel=DEFAULT_FUEL, defs=None):
+    """Reference evaluator: iterate `step` from the root, one unit of fuel
+    per step.  `semantics.eval` must give the same outcome."""
+    cur = e
+    for _ in range(fuel):
+        r = step(cur, defs)
+        if isinstance(r, IsValue):
+            return Evaluated(cur)
+        if isinstance(r, Stuck):
+            return Stuck()
+        if len(r.successors) > 1:
+            return Nondeterministic()
+        cur = r.successors[0]
+    return Diverged()
 
 
 COLOR = DataDecls(

@@ -1,0 +1,202 @@
+"""The refocused machine (`semantics.eval`) against the step relation.
+
+`helpers.eval_by_steps` iterates `semantics.step` from the root; the
+machine must reach the same outcome for every expression, fuel and
+definition table, the exact fuel boundary included.
+"""
+
+import os
+import subprocess
+import sys
+
+from helpers import BOOL_LIST, c, cn, eval_by_steps, v
+
+from patalg.oracle import enumerate_values, gen_case
+from patalg.parser import parse
+from patalg.semantics import (
+    Call,
+    Clause,
+    Diverged,
+    ECase,
+    ECtor,
+    EVar,
+    Evaluated,
+    Nondeterministic,
+    Stuck,
+    eval as eval_expr,
+)
+from patalg.syntax import Var, Wild
+from patalg.typecheck import Named
+
+WALK = (
+    "data N = Z | S(N);\n"
+    "data B = T | F;\n"
+    "data List = Nil | Cons(B, List);\n"
+    "def len(xs) := case xs of { Nil => Z, Cons(_, t) => S(len(t)), default => Z };\n"
+    "def last(xs) := case xs of {\n"
+    "  Cons(x, Nil) => x,\n"
+    "  Cons(_, t & Cons(_, _)) => last(t),\n"
+    "  default => F\n"
+    "};\n"
+    "def loop(x) := loop(x);\n"
+)
+
+PAIR = cn("Pair", 2)
+
+
+def _list(n):
+    xs = v("Nil")
+    for i in range(n):
+        xs = v("Cons", v("TF"[i % 2]), xs)
+    return xs
+
+
+def _agree(e, fuels, defs=None):
+    """The machine and the step loop agree at every fuel; returns the
+    outcomes by fuel."""
+    out = []
+    for fuel in fuels:
+        want = eval_by_steps(e, fuel, defs)
+        got = eval_expr(e, fuel, defs)
+        assert got == want, (e, fuel)
+        out.append(got)
+    return out
+
+
+def test_machine_matches_steps_on_recursive_programs():
+    defs = parse(WALK).table()
+    xs, nat = v("Nil"), v("Z")
+    for n in range(25):
+        if n:
+            xs, nat = v("Cons", v("TF"[(n - 1) % 2]), xs), v("S", nat)
+        fuels = range(3 * n + 9)
+        outcomes = _agree(Call("len", (xs,)), fuels, defs)
+        # len unfolds n + 1 calls and reduces n + 1 cases; the fuel must
+        # cover every contraction and one more look at the value.
+        assert outcomes[2 * n + 2] == Diverged()
+        assert outcomes[2 * n + 3] == Evaluated(nat)
+        outcomes = _agree(Call("last", (xs,)), fuels, defs)
+        assert outcomes[-1] == Evaluated(v("F" if n == 0 else "T"))
+
+
+def test_machine_matches_steps_on_generated_cases_in_contexts():
+    tau = Named("List")
+    scrutinees = enumerate_values(BOOL_LIST, tau, 3)
+    fuels = range(8)
+    checked = 0
+    for seed in range(40):
+        inner = gen_case(BOOL_LIST, tau, seed)
+        outer = gen_case(BOOL_LIST, tau, seed + 1000)
+        for s in scrutinees[:: max(1, len(scrutinees) // 6)]:
+            here = ECase(s, inner.clauses, inner.default_rhs)
+            there = ECase(scrutinees[seed % len(scrutinees)], outer.clauses, outer.default_rhs)
+            for e in (
+                here,
+                ECase(here, outer.clauses, outer.default_rhs),
+                ECtor(PAIR, (here, there)),
+                ECtor(PAIR, (v("Nil"), ECtor(PAIR, (there, here)))),
+                ECase(ECtor(PAIR, (here, there)), outer.clauses, outer.default_rhs),
+            ):
+                _agree(e, fuels)
+                checked += 1
+    assert checked >= 40 * 5
+
+
+def test_machine_matches_steps_when_stuck():
+    defs = parse(WALK).table()
+    xs = _list(3)
+    fuels = range(12)
+    for e, table in (
+        (EVar("x"), None),
+        (ECtor(PAIR, (v("T"), EVar("x"))), None),
+        (ECase(EVar("x"), (Clause(Wild(), v("T")),), v("F")), None),
+        (Call("len", (xs,)), None),
+        (Call("nope", (xs,)), defs),
+        (Call("len", (xs, xs)), defs),
+        (ECtor(PAIR, (Call("len", (xs,)), Call("len", (EVar("y"),)))), defs),
+        (Call("len", (ECtor(cn("Cons", 2), (v("T"), EVar("z"))),)), defs),
+    ):
+        outcomes = _agree(e, fuels, table)
+        assert outcomes[0] == Diverged()
+        assert outcomes[-1] == Stuck()
+
+
+def test_machine_matches_steps_when_nondeterministic():
+    overlap = ECase(v("T"), (Clause(c("T"), v("T")), Clause(Wild(), v("F"))), v("F"))
+    same = ECase(v("T"), (Clause(c("T"), v("T")), Clause(Var("y"), v("T"))), v("F"))
+    defs = parse(WALK).table()
+    fuels = range(12)
+    for e in (
+        overlap,
+        ECtor(PAIR, (same, overlap)),
+        ECase(Call("last", (_list(2),)), (Clause(Var("r"), overlap),), v("F")),
+    ):
+        assert _agree(e, fuels, defs)[-1] == Nondeterministic()
+    # Two clauses with one contractum are a single step.
+    assert _agree(same, fuels)[-1] == Evaluated(v("T"))
+
+
+def test_machine_matches_steps_when_diverging():
+    defs = parse(WALK).table()
+    for e in (Call("loop", (v("T"),)), ECtor(PAIR, (v("F"), Call("loop", (_list(2),))))):
+        assert set(_agree(e, range(30), defs)) == {Diverged()}
+
+
+def test_value_equality_does_not_trust_the_hash_alone():
+    a, b = _list(50), _list(50)
+    assert a is not b and a == b
+    different = v("Cons", v("T"), a.args[1])
+    object.__setattr__(different, "_hash", hash(a))
+    assert hash(different) == hash(a) and different != a
+    assert v("T") != "T" and v("T") != ECtor(PAIR, (v("T"), EVar("x")))
+
+
+def test_deep_inputs_run_without_python_recursion(tmp_path):
+    # 10,000-element lists through `patc eval` (parser, machine, printer),
+    # and the machine and value equality under a recursion limit far below
+    # the depth of the data.
+    path = tmp_path / "walk.pat"
+    path.write_text(WALK)
+    n = 10_000
+    xs = "Nil"
+    for i in range(n):
+        xs = f"Cons({'TF'[i % 2]}, {xs})"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for entry, want in (("len", "S(" * n + "Z" + ")" * n), ("last", "T")):
+        out = subprocess.run(
+            [sys.executable, "-m", "patalg.cli", "eval", str(path), "--entry", entry,
+             "--fuel", "30000", "--args", xs],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in out.stderr, out.stderr[-500:]
+        assert out.returncode == 0, out.stderr[-500:]
+        assert out.stdout.strip() == want
+    script = (
+        "import sys\n"
+        "from patalg.parser import parse\n"
+        "from patalg.semantics import Call, Evaluated, eval\n"
+        "from patalg.syntax import CtorName, Value\n"
+        "defs = parse(open(sys.argv[1]).read()).table()\n"
+        "S, Z, O = CtorName('S', 1), Value(CtorName('Z', 0), ()), Value(CtorName('O', 0), ())\n"
+        "def nat(n, leaf):\n"
+        "    out = leaf\n"
+        "    for _ in range(n):\n"
+        "        out = Value(S, (out,))\n"
+        "    return out\n"
+        "cons, t, nil = CtorName('Cons', 2), Value(CtorName('T', 0), ()), Value(CtorName('Nil', 0), ())\n"
+        "xs = nil\n"
+        "for _ in range(2000):\n"
+        "    xs = Value(cons, (t, xs))\n"
+        "a, b, c = nat(10000, Z), nat(10000, Z), nat(10000, O)\n"
+        "want = Evaluated(nat(2000, Z))\n"
+        "sys.setrecursionlimit(200)\n"
+        "print(a == b, a != c, eval(Call('len', (xs,)), 5000, defs) == want)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr[-500:]
+    assert out.stdout.split() == ["True", "True", "True"]
