@@ -9,10 +9,14 @@ a normalized disjunctive form (`normalize`), overlap deciding (`overlap`),
 compilation to decision trees (`compiler`), exhaustiveness checking
 (`exhaustiveness`), and brute-force oracles with property suites
 (`oracle`, `suites`).  Compilation and exhaustiveness share one matrix
-core: `specialize_rows`, `default_rows` and `column_heads` over
-`MatrixRow`s.  Values are expressions: `Value` is the one node for ground
-data, matched by patterns and produced by evaluation.  The `patc` command
-line fronts it.
+core: `specialize_rows` (and `specialize_each`, every constructor of a
+column in one pass), `default_rows` and `column_heads` over `MatrixRow`s.
+The overlap check of a case decides only the clause pairs that an index
+on head constructors leaves (`candidate_pairs`), and one pass over a
+pattern gives its linearity and determinism facts (`pattern_facts`).
+Values are expressions: `Value` is the one node for ground data, matched
+by patterns and produced by evaluation.  The `patc` command line fronts
+it.
 """
 
 from .syntax import (
@@ -38,8 +42,17 @@ from .syntax import (
     subst_equiv,
 )
 from .normalize import Ndnf, NegConj, PosConj, UnsatConj, dnf, nnf, to_ndnf
-from .overlap import decide, disjoint
-from .wellformed import WfReport, deterministic, linear_neg, linear_pos, wf_expr, wf_matrix
+from .overlap import candidate_pairs, decide, disjoint
+from .wellformed import (
+    PatternFacts,
+    WfReport,
+    deterministic,
+    linear_neg,
+    linear_pos,
+    pattern_facts,
+    wf_expr,
+    wf_matrix,
+)
 from .semantics import (
     Call,
     Clause,
@@ -70,6 +83,7 @@ from .compiler import (
     eval_tree,
     head_ctors,
     specialize,
+    specialize_each,
     specialize_rows,
     step_matrix,
 )

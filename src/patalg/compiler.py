@@ -5,8 +5,10 @@ normalized patterns.  Compilation repeatedly branches on a column with head
 constructors, building constructor-specific subproblems (specialization)
 and a subproblem for scrutinees matching none of the heads (default), until
 a row of bare variable cells or the lone default clause remains.  The
-row-level steps (`specialize_rows`, `default_rows`, `column_heads`) are the
-matrix core that usefulness checking in `exhaustiveness` shares.
+row-level steps (`specialize_rows`, `specialize_each`, `default_rows`,
+`column_heads`) are the matrix core that usefulness checking in
+`exhaustiveness` shares; branching specializes every head of a column in
+one pass over the rows (`specialize_each`).
 
 `step_matrix` implements the multi-column single-step relation directly on
 top of the matching judgments; it is the independent oracle against which
@@ -99,6 +101,29 @@ def specialize_rows(rows, i: int, ctor: CtorName) -> list:
             else:
                 continue
             out.append((MatrixRow(front + rest, row.rhs), k.vars))
+    return out
+
+
+def specialize_each(rows, i: int, ctors) -> dict:
+    """`specialize_rows(rows, i, c)` for every constructor c of `ctors`,
+    in one pass over the rows: each list holds the same pairs in the same
+    order.  A positive conjunct goes to the list of its head alone, so a
+    column with one row per constructor costs one pass, not one per
+    head."""
+    out = {c: [] for c in ctors}
+    for row in rows:
+        rest = row.cells[:i] + row.cells[i + 1 :]
+        for k in row.cells[i].conjuncts:
+            if isinstance(k, PosConj):
+                pairs = out.get(k.ctor)
+                if pairs is not None:
+                    front = tuple(Ndnf((a,)) for a in k.args)
+                    pairs.append((MatrixRow(front + rest, row.rhs), k.vars))
+            elif isinstance(k, NegConj):
+                for ctor, pairs in out.items():
+                    if ctor not in k.banned:
+                        front = tuple(ndnf_wildcard() for _ in range(ctor.arity))
+                        pairs.append((MatrixRow(front + rest, row.rhs), k.vars))
     return out
 
 
@@ -197,12 +222,17 @@ def specialize(i: int, ctor_pattern, m: ClauseMatrix) -> ClauseMatrix:
     ctor, binders = ctor_pattern
     if len(binders) != ctor.arity:
         raise ValueError("binder count must equal constructor arity")
+    return _specialized(m, i, binders, specialize_rows(m.rows, i, ctor))
+
+
+def _specialized(m: ClauseMatrix, i: int, binders, pairs) -> ClauseMatrix:
+    """`specialize` from the core's pairs for one constructor."""
     scrutinees = (
         tuple(EVar(b) for b in binders)
         + m.scrutinees[:i]
         + m.scrutinees[i + 1 :]
     )
-    return _subproblem(m, i, specialize_rows(m.rows, i, ctor), scrutinees)
+    return _subproblem(m, i, pairs, scrutinees)
 
 
 def default_matrix(i: int, heads, m: ClauseMatrix) -> ClauseMatrix:
@@ -279,10 +309,13 @@ def _compile(m: ClauseMatrix, fresh: FreshSupply, depth: int) -> DecisionTree:
     else:
         raise CompileError("no column with head constructors in a non-simple matrix")
     arms = []
-    for ctor in sorted(heads, key=lambda c: (c.name, c.arity)):
+    ctors = sorted(heads, key=lambda c: (c.name, c.arity))
+    groups = specialize_each(m.rows, i, ctors)
+    for ctor in ctors:
         binders = fresh.fresh_names(ctor.arity)
-        sub = _compile(_clean(specialize(i, (ctor, binders), m)), fresh, depth + 1)
-        arms.append(Arm(ctor, binders, sub))
+        # Popped, so that each subproblem's rows are freed once compiled.
+        sub = _specialized(m, i, binders, groups.pop(ctor))
+        arms.append(Arm(ctor, binders, _compile(_clean(sub), fresh, depth + 1)))
     dflt = _compile(_clean(default_matrix(i, heads, m)), fresh, depth + 1)
     return Switch(m.scrutinees[i], tuple(arms), dflt)
 

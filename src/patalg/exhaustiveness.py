@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .compiler import column_heads, default_rows, specialize_rows
+from .compiler import column_heads, default_rows, specialize_each, specialize_rows
 from .normalize import Ndnf, PosConj, UnsatConj, ndnf_matches, ndnf_wildcard
 from .syntax import CtorName, SoundnessError, Value
 from .typecheck import DataDecls, DeclError, Named, Type, signature_of
@@ -176,13 +176,15 @@ def _useful(P, pvec, decls, col_types) -> Optional[tuple]:
         # be examined one by one; everything else is covered by a single
         # default step on some head absent from the whole column.
         candidates = [c for c in _sorted(neg_heads) if c not in k.banned]
+    groups = specialize_each(P, 0, candidates)
     for ctor in candidates:
         sub_pvec = tuple(ndnf_wildcard() for _ in range(ctor.arity)) + rest
         arg_types = (
             _arg_types_for(decls, tau, ctor) if (col_types and tau) else None
         )
         sub_types = (arg_types + rest_types) if arg_types is not None else None
-        sub = _useful(_specialize(P, ctor), sub_pvec, decls, sub_types)
+        sub_P = tuple(row for row, _ in groups.pop(ctor))
+        sub = _useful(sub_P, sub_pvec, decls, sub_types)
         if sub is not None:
             n = ctor.arity
             return (Value(ctor, sub[:n]),) + sub[n:]
@@ -194,12 +196,15 @@ def _useful(P, pvec, decls, col_types) -> Optional[tuple]:
 
 
 def _arg_types_for(decls, tau, ctor):
-    try:
-        for c, arg_types in signature_of(tau, decls):
-            if c == ctor:
-                return tuple(arg_types)
-    except DeclError:
-        return None
+    """The argument types of `ctor` as a constructor of `tau`, or None."""
+    if isinstance(tau, Named):
+        if decls is None or decls.owner(ctor) != tau.name:
+            return None
+        return tuple(decls.arg_types(ctor))
+    # A built-in type: at most two constructors.
+    for c, arg_types in signature_of(tau, decls):
+        if c == ctor:
+            return tuple(arg_types)
     return None
 
 

@@ -27,7 +27,6 @@ from .syntax import (
     Value,
     Var,
     Wild,
-    fv_even,
 )
 from .typecheck import DataDecls, Named, Type, signature_of
 
@@ -76,11 +75,12 @@ def gen_pattern(
     rng = random.Random(seed)
     for _ in range(_MAX_RETRIES):
         p = _gen_pattern(rng, decls, tau, size)
+        facts = wellformed.pattern_facts(p) if constraints else None
         if constraints.get("require_linear") and not (
-            wellformed.linear_pos(p) and wellformed.linear_neg(p)
+            facts.linear_pos and facts.linear_neg
         ):
             continue
-        if constraints.get("require_det") and not wellformed.deterministic(p):
+        if constraints.get("require_det") and not facts.deterministic():
             continue
         return p
     raise GenerationError(
@@ -150,14 +150,12 @@ def gen_case(
         while len(clauses) < want and tries < 50:
             tries += 1
             p = _gen_pattern(rng, decls, tau, rng.randint(0, pattern_size))
-            if not (
-                wellformed.linear_pos(p)
-                and wellformed.deterministic(p)
-            ):
+            facts = wellformed.pattern_facts(p)
+            if not (facts.linear_pos and facts.deterministic()):
                 continue
             if any(not overlap.disjoint(p, q) for q, _ in clauses):
                 continue
-            rhs = _gen_rhs(rng, decls, sorted(fv_even(p)))
+            rhs = _gen_rhs(rng, decls, sorted(facts.fv_even))
             clauses.append((p, rhs))
         if not clauses:
             continue

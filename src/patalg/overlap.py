@@ -8,7 +8,7 @@ case when the combined ban sets cover a whole constructor signature.
 
 from __future__ import annotations
 
-from .normalize import Ndnf, NegConj, UnsatConj, WILDCARD_CONJ, to_ndnf
+from .normalize import Ndnf, NegConj, PosConj, UnsatConj, WILDCARD_CONJ, to_ndnf
 from .syntax import Pattern
 
 
@@ -75,6 +75,42 @@ def decide(a: Ndnf, b: Ndnf, decls=None) -> bool:
         for ka in a.conjuncts
         for kb in b.conjuncts
     )
+
+
+def candidate_pairs(ndnfs) -> list:
+    """The pairs (i, j), i < j, in increasing order, of NDNFs that `decide`
+    may call overlapping: those with two positive conjuncts of the same
+    head, a positive conjunct whose head a negative one does not ban, or two
+    negative conjuncts.  Every other pair of conjuncts is disjoint before
+    `_conj_overlap_raw` recurses or raises, so `decide` is False on every
+    pair left out.  An index on the head constructor finds the pairs
+    without looking at the others (first-argument indexing, as in Warren's
+    abstract machine), so clauses with distinct heads cost nothing."""
+    by_head: dict = {}  # head -> increasing indices of NDNFs with that positive head
+    negative = []  # increasing indices of NDNFs with a negative conjunct
+    bans = []  # per NDNF, the ban sets of its negative conjuncts
+    for i, d in enumerate(ndnfs):
+        heads = {k.ctor for k in d.conjuncts if isinstance(k, PosConj)}
+        for c in heads:
+            by_head.setdefault(c, []).append(i)
+        bans.append([k.banned for k in d.conjuncts if isinstance(k, NegConj)])
+        if bans[-1]:
+            negative.append(i)
+    later: dict = {}  # i -> the j > i paired with it
+    for same in by_head.values():
+        for n, i in enumerate(same[:-1]):
+            later.setdefault(i, set()).update(same[n + 1 :])
+    for n, j in enumerate(negative):
+        if n + 1 < len(negative):
+            later.setdefault(j, set()).update(negative[n + 1 :])
+        for c, with_head in by_head.items():
+            if any(c not in banned for banned in bans[j]):
+                for i in with_head:
+                    if i < j:
+                        later.setdefault(i, set()).add(j)
+                    elif i > j:
+                        later.setdefault(j, set()).add(i)
+    return [(i, j) for i in sorted(later) for j in sorted(later[i])]
 
 
 def disjoint(p: Pattern, q: Pattern, decls=None) -> bool:

@@ -50,8 +50,6 @@ from .syntax import (
     Pattern,
     Var,
     Wild,
-    fv_even,
-    fv_odd,
     is_proper,
     map_vars,
     match_neg,
@@ -112,7 +110,8 @@ def _strip_vars(p: Pattern) -> Pattern:
 
 
 def _linear_both(p: Pattern) -> bool:
-    return wellformed.linear_pos(p) and wellformed.linear_neg(p)
+    facts = wellformed.pattern_facts(p)
+    return facts.linear_pos and facts.linear_neg
 
 
 def _equiv_case(result, lhs, rhs, universe, label):
@@ -382,7 +381,8 @@ def prop_covering_and_properness(seed, depth, cases) -> PropertyResult:
     while checked < cases:
         tau = _TAUS[checked % len(_TAUS)]
         p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
-        lp, ln = wellformed.linear_pos(p), wellformed.linear_neg(p)
+        facts = wellformed.pattern_facts(p)
+        lp, ln = facts.linear_pos, facts.linear_neg
         if not (lp or ln):
             continue
         checked += 1
@@ -390,7 +390,7 @@ def prop_covering_and_properness(seed, depth, cases) -> PropertyResult:
         for v in _universe(tau, depth):
             if lp:
                 for s in match_pos(p, v):
-                    if {m.var for m in s} != set(fv_even(p)):
+                    if {m.var for m in s} != facts.fv_even:
                         res.fail(
                             f"domain mismatch: {format_pattern(p)} vs {format_value(v)}"
                         )
@@ -400,7 +400,7 @@ def prop_covering_and_properness(seed, depth, cases) -> PropertyResult:
                         )
             if ln:
                 for s in match_neg(p, v):
-                    if {m.var for m in s} != set(fv_odd(p)):
+                    if {m.var for m in s} != facts.fv_odd:
                         res.fail(
                             f"negative domain mismatch: {format_pattern(p)} vs {format_value(v)}"
                         )
@@ -418,9 +418,10 @@ def prop_deterministic_matching(seed, depth, cases) -> PropertyResult:
     while checked < cases:
         tau = _TAUS[checked % len(_TAUS)]
         p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
-        if not wellformed.deterministic(p):
+        facts = wellformed.pattern_facts(p)
+        if not facts.deterministic():
             continue
-        lp, ln = wellformed.linear_pos(p), wellformed.linear_neg(p)
+        lp, ln = facts.linear_pos, facts.linear_neg
         if not (lp or ln):
             continue
         checked += 1
@@ -442,7 +443,6 @@ def prop_deterministic_matching(seed, depth, cases) -> PropertyResult:
 def prop_de_morgan_linearity(seed, depth, cases) -> PropertyResult:
     res = PropertyResult("De Morgan rewrites preserve linearity")
     rng = random.Random(seed)
-    lp, ln = wellformed.linear_pos, wellformed.linear_neg
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
         p1 = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
@@ -454,9 +454,13 @@ def prop_de_morgan_linearity(seed, depth, cases) -> PropertyResult:
             (Neg(Neg(p1)), p1),
         )
         for before, after in pairs:
-            if lp(before) and not lp(after):
+            b = wellformed.pattern_facts(before)
+            if not (b.linear_pos or b.linear_neg):
+                continue
+            a = wellformed.pattern_facts(after)
+            if b.linear_pos and not a.linear_pos:
                 res.fail(f"positive linearity lost: {format_pattern(before)}")
-            if ln(before) and not ln(after):
+            if b.linear_neg and not a.linear_neg:
                 res.fail(f"negative linearity lost: {format_pattern(before)}")
     return res
 
@@ -553,7 +557,8 @@ def _gen_matrix(rng, taus, depth, disjoint_disjuncts=True):
             for c, tau in enumerate(taus):
                 p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
                 p = map_vars(p, lambda x: Var(f"{x.name}_{c}"))
-                if not (wellformed.linear_pos(p) and wellformed.deterministic(p)):
+                facts = wellformed.pattern_facts(p)
+                if not (facts.linear_pos and facts.deterministic()):
                     ok = False
                     break
                 d = to_ndnf(p)
@@ -561,7 +566,7 @@ def _gen_matrix(rng, taus, depth, disjoint_disjuncts=True):
                     ok = False
                     break
                 cells.append(d)
-                rhs_vars.extend(sorted(fv_even(p)))
+                rhs_vars.extend(sorted(facts.fv_even))
             if not ok:
                 break
             rows.append(MatrixRow(tuple(cells), _gen_rhs(rng, STANDARD_DECLS, rhs_vars)))

@@ -85,7 +85,8 @@ class Value:
     values constructs a `Value`.  The hash is computed once, from the
     children's stored hashes, so hashing never walks the value; equality
     compares the stored hashes first and then walks with an explicit
-    stack, so neither recurses on the depth of the value."""
+    stack, and `repr` prints through `pretty.format_value`, so none of them
+    recurses on the depth of the value."""
 
     ctor: CtorName
     args: tuple  # of Value
@@ -101,6 +102,12 @@ class Value:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        # The generated repr recurses per level; the printer does not.
+        from .pretty import format_value
+
+        return f"Value({format_value(self)})"
 
     def __eq__(self, other) -> bool:
         if self is other:

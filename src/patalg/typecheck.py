@@ -64,6 +64,7 @@ class DataDecls:
 
     def __post_init__(self):
         seen = {}
+        arg_types_of = {}
         for type_name, ctors in self.types.items():
             for ctor, arg_types in ctors:
                 if len(arg_types) != ctor.arity:
@@ -77,7 +78,9 @@ class DataDecls:
                         f"{seen[ctor]} and {type_name}"
                     )
                 seen[ctor] = type_name
+                arg_types_of[ctor] = arg_types
         self._owner = seen
+        self._arg_types = arg_types_of
 
     def declare(self, type_name: str, ctors) -> None:
         self.types[type_name] = tuple(ctors)
@@ -105,13 +108,10 @@ class DataDecls:
         return None
 
     def arg_types(self, ctor: CtorName):
-        owner = self.owner(ctor)
-        if owner is None:
+        arg_types = self._arg_types.get(ctor)
+        if arg_types is None:
             raise DeclError(f"undeclared constructor {ctor.name}/{ctor.arity}")
-        for c, arg_types in self.types[owner]:
-            if c == ctor:
-                return arg_types
-        raise AssertionError
+        return arg_types
 
 
 def signature_of(tau: Type, decls: Optional[DataDecls]):

@@ -5,13 +5,16 @@ Linearity guarantees that matching yields proper substitutions whose domain
 can be read off the pattern.  Determinism guarantees that all derivations
 of a match agree on the substitution; its disjointness side conditions are
 decided with the conservative overlap procedure, so some deterministic
-patterns may be rejected (never the other way around).
+patterns may be rejected (never the other way around).  Both come from
+one post-order pass over a pattern (`pattern_facts`), and a case's
+pairwise disjointness is decided only on the clause pairs an index on
+head constructors leaves (`overlap.candidate_pairs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import overlap, semantics
 from .normalize import embed_ndnf, to_ndnf
@@ -25,91 +28,118 @@ from .syntax import (
     Value,
     Var,
     Wild,
-    fv_even,
-    fv_odd,
 )
 
 if TYPE_CHECKING:
     from .compiler import ClauseMatrix
 
 
+_NO_VARS: frozenset = frozenset()
+_LEAF_FACTS = (_NO_VARS, _NO_VARS, True, True)
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    return a | b if a and b else a or b
+
+
+class PatternFacts(NamedTuple):
+    """The facts the wellformedness checks read off a pattern."""
+
+    fv_even: frozenset
+    fv_odd: frozenset
+    linear_pos: bool
+    linear_neg: bool
+    # Pattern pairs that determinism requires to be disjoint, in the order
+    # a left-to-right post-order walk meets them: for each Or node binding
+    # a variable its two sides, for each And node with a variable under a
+    # negation the negations of its two sides.
+    disjoint_pairs: tuple
+
+    def deterministic(self, decls=None) -> bool:
+        """Decides the side conditions in order and stops at the first
+        that fails, as the recursive definition does."""
+        return all(overlap.disjoint(p, q, decls) for p, q in self.disjoint_pairs)
+
+
+def pattern_facts(p: Pattern) -> PatternFacts:
+    """Free variables at both negation parities, positive and negative
+    linearity and the determinism side conditions of a pattern, in one
+    post-order pass on an explicit stack.  Each node's facts are built from
+    its children's, so no subpattern is walked twice and no Python frame
+    is spent per level."""
+    # First every node, each before its children and a later child before
+    # an earlier one, so that the reverse order is a left-to-right
+    # post-order.
+    nodes = []
+    todo = [p]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        kind = type(node)
+        if kind is Ctor:
+            todo.extend(node.args)
+        elif kind is Or or kind is And:
+            todo.append(node.left)
+            todo.append(node.right)
+        elif kind is Neg:
+            todo.append(node.sub)
+        elif kind is not Var and kind is not Wild and kind is not Absurd:
+            raise TypeError(f"not a pattern: {node!r}")
+    pairs: list = []
+    done: list = []  # (fv_even, fv_odd, linear_pos, linear_neg) of finished subpatterns
+    for node in reversed(nodes):
+        kind = type(node)
+        if kind is Ctor:
+            start = len(done) - len(node.args)
+            args = done[start:]
+            del done[start:]
+            fe = fo = _NO_VARS
+            lp = ln = True
+            for a_fe, a_fo, a_lp, a_ln in args:
+                # Pairwise disjointness of the bindable variables; strictly
+                # stronger than an n-ary intersection for three or more
+                # arguments, and what properness of the produced
+                # substitutions requires.
+                lp = lp and a_lp and not (fe & a_fe)
+                ln = ln and a_ln and not a_fo
+                fe, fo = _union(fe, a_fe), _union(fo, a_fo)
+            done.append((fe, fo, lp, ln))
+        elif kind is Or:
+            r_fe, r_fo, r_lp, r_ln = done.pop()
+            l_fe, l_fo, l_lp, l_ln = done.pop()
+            if l_fe or r_fe:
+                pairs.append((node.left, node.right))
+            lp = l_lp and r_lp and l_fe == r_fe
+            ln = l_ln and r_ln and not (l_fo & r_fo)
+            done.append((_union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln))
+        elif kind is And:
+            r_fe, r_fo, r_lp, r_ln = done.pop()
+            l_fe, l_fo, l_lp, l_ln = done.pop()
+            if l_fo or r_fo:
+                pairs.append((Neg(node.left), Neg(node.right)))
+            lp = l_lp and r_lp and not (l_fe & r_fe)
+            ln = l_ln and r_ln and l_fo == r_fo
+            done.append((_union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln))
+        elif kind is Neg:
+            fe, fo, lp, ln = done.pop()
+            done.append((fo, fe, ln, lp))
+        elif kind is Var:
+            done.append((frozenset((node.name,)), _NO_VARS, True, True))
+        else:
+            done.append(_LEAF_FACTS)
+    return PatternFacts(*done.pop(), tuple(pairs))
+
+
 def linear_pos(p: Pattern) -> bool:
-    if isinstance(p, (Var, Wild, Absurd)):
-        return True
-    if isinstance(p, Or):
-        return (
-            linear_pos(p.left)
-            and linear_pos(p.right)
-            and fv_even(p.left) == fv_even(p.right)
-        )
-    if isinstance(p, And):
-        return (
-            linear_pos(p.left)
-            and linear_pos(p.right)
-            and not (fv_even(p.left) & fv_even(p.right))
-        )
-    if isinstance(p, Neg):
-        return linear_neg(p.sub)
-    if isinstance(p, Ctor):
-        if not all(linear_pos(a) for a in p.args):
-            return False
-        # Pairwise disjointness of the bindable variables; strictly stronger
-        # than an n-ary intersection for three or more arguments, and what
-        # properness of the produced substitutions requires.
-        seen: set = set()
-        for a in p.args:
-            fv = fv_even(a)
-            if seen & fv:
-                return False
-            seen |= fv
-        return True
-    raise TypeError(f"not a pattern: {p!r}")
+    return pattern_facts(p).linear_pos
 
 
 def linear_neg(p: Pattern) -> bool:
-    if isinstance(p, (Var, Wild, Absurd)):
-        return True
-    if isinstance(p, Or):
-        return (
-            linear_neg(p.left)
-            and linear_neg(p.right)
-            and not (fv_odd(p.left) & fv_odd(p.right))
-        )
-    if isinstance(p, And):
-        return (
-            linear_neg(p.left)
-            and linear_neg(p.right)
-            and fv_odd(p.left) == fv_odd(p.right)
-        )
-    if isinstance(p, Neg):
-        return linear_pos(p.sub)
-    if isinstance(p, Ctor):
-        return all(linear_neg(a) for a in p.args) and all(
-            not fv_odd(a) for a in p.args
-        )
-    raise TypeError(f"not a pattern: {p!r}")
+    return pattern_facts(p).linear_neg
 
 
 def deterministic(p: Pattern, decls=None) -> bool:
-    if isinstance(p, (Var, Wild, Absurd)):
-        return True
-    if isinstance(p, Neg):
-        return deterministic(p.sub, decls)
-    if isinstance(p, Or):
-        if not (deterministic(p.left, decls) and deterministic(p.right, decls)):
-            return False
-        if not fv_even(p.left) and not fv_even(p.right):
-            return True
-        return overlap.disjoint(p.left, p.right, decls)
-    if isinstance(p, And):
-        if not (deterministic(p.left, decls) and deterministic(p.right, decls)):
-            return False
-        if not fv_odd(p.left) and not fv_odd(p.right):
-            return True
-        return overlap.disjoint(Neg(p.left), Neg(p.right), decls)
-    if isinstance(p, Ctor):
-        return all(deterministic(a, decls) for a in p.args)
-    raise TypeError(f"not a pattern: {p!r}")
+    return pattern_facts(p).deterministic(decls)
 
 
 # --- reports -------------------------------------------------------------------
@@ -158,7 +188,8 @@ def _wf_expr(e, path, decls, out) -> None:
         ndnfs = []
         for i, c in enumerate(e.clauses):
             cpath = path + (i + 1,)
-            if not deterministic(c.pattern, decls):
+            facts = pattern_facts(c.pattern)
+            if not facts.deterministic(decls):
                 out.append(
                     Violation(
                         "nondeterministic",
@@ -167,7 +198,7 @@ def _wf_expr(e, path, decls, out) -> None:
                         f"differently across derivations",
                     )
                 )
-            if not linear_pos(c.pattern):
+            if not facts.linear_pos:
                 out.append(
                     Violation(
                         "nonlinear",
@@ -178,18 +209,18 @@ def _wf_expr(e, path, decls, out) -> None:
                 )
             ndnfs.append(to_ndnf(c.pattern))
             _wf_expr(c.rhs, cpath, decls, out)
-        for i in range(len(e.clauses)):
-            for j in range(i + 1, len(e.clauses)):
-                if overlap.decide(ndnfs[i], ndnfs[j], decls):
-                    out.append(
-                        Violation(
-                            "overlap",
-                            path + (i + 1,),
-                            f"clause patterns "
-                            f"{format_pattern(e.clauses[i].pattern)} and "
-                            f"{format_pattern(e.clauses[j].pattern)} overlap",
-                        )
+        # Only the pairs the head index leaves can overlap.
+        for i, j in overlap.candidate_pairs(ndnfs):
+            if overlap.decide(ndnfs[i], ndnfs[j], decls):
+                out.append(
+                    Violation(
+                        "overlap",
+                        path + (i + 1,),
+                        f"clause patterns "
+                        f"{format_pattern(e.clauses[i].pattern)} and "
+                        f"{format_pattern(e.clauses[j].pattern)} overlap",
                     )
+                )
         _wf_expr(e.default_rhs, path + (len(e.clauses) + 1,), decls, out)
         return
     if hasattr(e, "args"):
@@ -211,20 +242,20 @@ def wf_matrix(m: "ClauseMatrix", decls=None) -> WfReport:
     for r, row in enumerate(m.rows):
         fvs = []
         for c, cell in enumerate(row.cells):
-            p = embed_ndnf(cell)
-            if not deterministic(p, decls):
+            facts = pattern_facts(embed_ndnf(cell))
+            if not facts.deterministic(decls):
                 out.append(
                     Violation(
                         "nondeterministic", (r, c), "cell pattern is not deterministic"
                     )
                 )
-            if not linear_pos(p):
+            if not facts.linear_pos:
                 out.append(
                     Violation(
                         "nonlinear", (r, c), "cell pattern is not positively linear"
                     )
                 )
-            fvs.append(fv_even(p))
+            fvs.append(facts.fv_even)
         seen: set = set()
         for c, fv in enumerate(fvs):
             if seen & fv:

@@ -1,0 +1,286 @@
+"""The head-constructor index and the one-pass facts: the overlap check
+decides only the pairs the index leaves, the matrix core specializes a
+column for every constructor in one pass, and the wellformedness facts of
+a pattern come from one post-order pass.  Each is checked against the
+reference it replaces (`helpers`) and for its cost on wide inputs."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from helpers import (
+    cn,
+    deterministic_by_recursion,
+    linear_neg_by_recursion,
+    linear_pos_by_recursion,
+    pattern_matrix,
+    wf_expr_all_pairs,
+)
+
+from patalg import oracle, overlap, wellformed
+from patalg.compiler import column_heads, specialize_each, specialize_rows
+from patalg.normalize import to_ndnf
+from patalg.overlap import OverlapTypeError, candidate_pairs
+from patalg.semantics import Clause, ECase, EVar, Evaluated
+from patalg.suites import STANDARD_DECLS
+from patalg.syntax import (
+    Absurd,
+    And,
+    Ctor,
+    CtorName,
+    Neg,
+    Or,
+    Value,
+    Var,
+    Wild,
+    fv_even,
+    fv_odd,
+)
+from patalg.typecheck import Named, signature_of
+from patalg.wellformed import Violation
+
+TAUS = ("Color", "Day", "B", "BPair", "BList")
+
+
+def _outcome(check, e, decls):
+    """The report's violations, or the exception a check raised."""
+    try:
+        return check(e, decls).violations
+    except OverlapTypeError as err:
+        return ("OverlapTypeError", str(err))
+
+
+def _agree(e):
+    for decls in (None, STANDARD_DECLS):
+        assert _outcome(wellformed.wf_expr, e, decls) == _outcome(
+            wf_expr_all_pairs, e, decls
+        )
+
+
+def _case(patterns, rhs=None):
+    rhs = rhs if rhs is not None else Value(cn("T"), ())
+    return ECase(EVar("s"), tuple(Clause(p, rhs) for p in patterns), Value(cn("F"), ()))
+
+
+def test_wf_expr_agrees_with_all_pairs_on_generated_cases():
+    for seed in range(300):
+        tau = Named(TAUS[seed % len(TAUS)])
+        _agree(oracle.gen_case(STANDARD_DECLS, tau, seed, max_clauses=4))
+
+
+def test_wf_expr_agrees_with_all_pairs_on_mixed_clauses():
+    """Unfiltered patterns overlap, bind nonlinearly and misbehave under
+    determinism; cases of one type and of several types (whose negative
+    pairs raise in typed mode), nested in right-hand sides too."""
+    rng = random.Random(7)
+    seen = Counter()
+    for seed in range(300):
+        taus = [TAUS[seed % len(TAUS)]] if seed % 3 else rng.sample(TAUS, 2)
+        patterns = []
+        for k in range(rng.randint(1, 6)):
+            tau = Named(rng.choice(taus))
+            p = oracle.gen_pattern(STANDARD_DECLS, tau, rng.randint(0, 4), seed * 10 + k)
+            patterns.append(Neg(p) if rng.random() < 0.3 else p)
+        inner = _case(patterns[:2])
+        e = _case(patterns, inner if seed % 2 else None)
+        _agree(e)
+        for decls in (None, STANDARD_DECLS):
+            outcome = _outcome(wellformed.wf_expr, e, decls)
+            seen.update(v.rule for v in outcome if isinstance(v, Violation))
+            seen["raises"] += outcome[:1] == ("OverlapTypeError",)
+    # The mix reaches every rule and the typed raise, so the agreement
+    # above is not vacuous.
+    assert {"overlap", "nonlinear", "nondeterministic"} <= set(seen)
+    assert seen["raises"] > 0
+
+
+def test_wf_expr_agrees_on_hand_built_conjunct_mixes():
+    red, green, blue = (Ctor(cn(c), ()) for c in ("Red", "Green", "Blue"))
+    x = Var("x")
+    cases = [
+        # positive, negative and unsatisfiable conjuncts side by side
+        [red, Neg(red), And(red, Neg(red)), green, Or(blue, Neg(Or(red, green))), x],
+        [Absurd(), Absurd(), red, And(x, Neg(red)), And(Var("y"), Neg(green)), blue],
+        [Or(red, green), Neg(Or(red, green)), Or(green, blue), Wild()],
+        [And(Neg(red), Neg(green)), Neg(blue), red, Neg(Or(Or(red, green), blue))],
+    ]
+    for patterns in cases:
+        _agree(_case(patterns))
+
+
+def test_typed_negative_pair_raises_at_the_same_pair():
+    red, green = Ctor(cn("Red"), ()), Ctor(cn("Green"), ())
+    mo, tu = Ctor(cn("Mo"), ()), Ctor(cn("Tu"), ())
+    # (1, 2) is the first pair whose ban sets span two types; (3, 4) would
+    # raise with another message.
+    e = _case([red, Neg(red), Neg(mo), Neg(Or(green, tu)), Neg(tu)])
+    with pytest.raises(OverlapTypeError) as new:
+        wellformed.wf_expr(e, STANDARD_DECLS)
+    with pytest.raises(OverlapTypeError) as ref:
+        wf_expr_all_pairs(e, STANDARD_DECLS)
+    assert str(new.value) == str(ref.value)
+    assert "Mo/0, Red/0" in str(new.value)
+
+
+def test_pairs_left_out_never_overlap():
+    for seed in range(200):
+        rng = random.Random(seed)
+        tau = Named(TAUS[seed % len(TAUS)])
+        ndnfs = [
+            to_ndnf(
+                oracle.gen_pattern(STANDARD_DECLS, tau, rng.randint(0, 3), seed * 10 + k)
+            )
+            for k in range(rng.randint(1, 7))
+        ]
+        pairs = candidate_pairs(ndnfs)
+        assert pairs == sorted(set(pairs))
+        assert all(i < j for i, j in pairs)
+        for i in range(len(ndnfs)):
+            for j in range(i + 1, len(ndnfs)):
+                if (i, j) not in pairs:
+                    assert not overlap.decide(ndnfs[i], ndnfs[j])
+                    assert not overlap.decide(ndnfs[i], ndnfs[j], STANDARD_DECLS)
+
+
+def _random_rows(rng, taus, seed):
+    rows = []
+    for r in range(rng.randint(0, 6)):
+        cells = []
+        for c, t in enumerate(taus):
+            p = oracle.gen_pattern(
+                STANDARD_DECLS, Named(t), rng.randint(0, 3), seed * 100 + r * 10 + c
+            )
+            cells.append(to_ndnf(p))
+        rows.append(cells)
+    return pattern_matrix(rows)
+
+
+def test_specialize_each_equals_specialize_rows_per_constructor():
+    combos = (("BList", "B"), ("Color", "BPair"), ("BPair", "BList"), ("Day", "Color"))
+    for seed in range(200):
+        rng = random.Random(seed)
+        taus = combos[seed % len(combos)]
+        rows = _random_rows(rng, taus, seed)
+        for col in (0, 1):
+            pos, neg = column_heads([row.cells[col] for row in rows])
+            sig = [c for c, _ in signature_of(Named(taus[col]), STANDARD_DECLS)]
+            # the column's heads, other constructors of its type, and one
+            # no row mentions
+            ctors = list(dict.fromkeys([*sorted(pos | neg, key=str), *sig, cn("Zz", 1)]))
+            each = specialize_each(rows, col, ctors)
+            assert list(each) == ctors
+            for c in ctors:
+                assert each[c] == specialize_rows(rows, col, c)
+
+
+def test_pattern_facts_agree_with_recursive_definitions():
+    for seed in range(600):
+        tau = Named(TAUS[seed % len(TAUS)])
+        p = oracle.gen_pattern(STANDARD_DECLS, tau, seed % 7, seed)
+        facts = wellformed.pattern_facts(p)
+        assert facts.linear_pos == linear_pos_by_recursion(p)
+        assert facts.linear_neg == linear_neg_by_recursion(p)
+        assert wellformed.linear_pos(p) == facts.linear_pos
+        assert wellformed.linear_neg(p) == facts.linear_neg
+        assert wellformed.deterministic(p) == deterministic_by_recursion(p)
+        assert facts.fv_even == fv_even(p)
+        assert facts.fv_odd == fv_odd(p)
+
+
+def test_determinism_decides_side_conditions_in_recursion_order():
+    """The first side condition that fails or raises is the recursion's:
+    typed, `!Red & x | !Mo & x` raises (its sides' ban sets span two
+    types), and `y | y` fails untyped and typed, so in a pair of the two
+    the left one decides."""
+    x, y = Var("x"), Var("y")
+    raising = Or(And(Neg(Ctor(cn("Red"), ())), x), And(Neg(Ctor(cn("Mo"), ())), x))
+    failing = Or(y, y)
+    pair = CtorName("MkPair", 2)
+    patterns = (
+        raising,
+        And(raising, y),
+        Ctor(pair, (raising, failing)),
+        Ctor(pair, (failing, raising)),
+    )
+    for pattern in patterns:
+        for decls in (None, STANDARD_DECLS):
+            try:
+                want = deterministic_by_recursion(pattern, decls)
+            except OverlapTypeError as err:
+                want = str(err)
+            try:
+                got = wellformed.deterministic(pattern, decls)
+            except OverlapTypeError as err:
+                got = str(err)
+            assert got == want
+    with pytest.raises(OverlapTypeError):
+        wellformed.deterministic(Ctor(pair, (raising, failing)), STANDARD_DECLS)
+    assert not wellformed.deterministic(Ctor(pair, (failing, raising)), STANDARD_DECLS)
+
+
+# --- cost on wide inputs ------------------------------------------------------
+
+
+def test_wide_enum_decides_few_overlaps(monkeypatch):
+    """One clause per constructor of a 1,200-constructor enum, and one
+    clause repeating a head: the head index leaves a single pair."""
+    k = 1200
+    ks = [CtorName(f"K{i}", 0) for i in range(k)]
+    clauses = [Clause(Ctor(c, ()), Value(ks[(i + 1) % k], ())) for i, c in enumerate(ks)]
+    clauses.append(Clause(Ctor(ks[5], ()), Value(ks[0], ())))
+    e = ECase(EVar("x"), tuple(clauses), Value(ks[0], ()))
+    calls = []
+    decide = overlap.decide
+    monkeypatch.setattr(overlap, "decide", lambda *a: calls.append(a) or decide(*a))
+    report = wellformed.wf_expr(e)
+    assert len(calls) < k
+    assert len(calls) == 1
+    assert [(v.rule, v.path) for v in report.violations] == [("overlap", (6,))]
+
+
+def test_fact_pass_visits_each_node_a_bounded_number_of_times(monkeypatch):
+    """`!(K0 | ... | K999)` nests 1,000 deep; the recursive definitions
+    walked each Or's left side again at every node above it."""
+    nodes = [Ctor(CtorName(f"K{i}", 0), ()) for i in range(1000)]
+    p = nodes[0]
+    for leaf in nodes[1:]:
+        p = Or(p, leaf)
+        nodes.append(p)
+    p = Neg(p)
+    nodes.append(p)
+    reads = Counter()
+
+    def counting(self, name):
+        if name in ("left", "right", "sub", "args", "name", "ctor"):
+            reads[id(self)] += 1
+        return object.__getattribute__(self, name)
+
+    for cls in (Or, Neg, Ctor):
+        monkeypatch.setattr(cls, "__getattribute__", counting)
+    checks = (
+        lambda: wellformed.pattern_facts(p).linear_pos,
+        lambda: wellformed.linear_pos(p),
+        lambda: wellformed.linear_neg(p),
+        lambda: wellformed.deterministic(p),
+    )
+    for check in checks:
+        reads.clear()
+        assert check()
+        assert len(reads) == len(nodes)
+        assert max(reads.values()) <= 10
+
+
+# --- deep values print --------------------------------------------------------
+
+
+def test_repr_of_deep_value_does_not_recurse():
+    v = Value(cn("Z"), ())
+    for _ in range(5000):
+        v = Value(CtorName("S", 1), (v,))
+    text = repr(Evaluated(v))
+    assert text.startswith("Evaluated(value=Value(S(S(")
+    assert text.endswith("Z" + ")" * 5000 + "))")
+    assert repr(Value(CtorName("Pair", 2), (Value(cn("A"), ()), Value(cn("B"), ())))) == (
+        "Value(Pair(A, B))"
+    )
