@@ -9,8 +9,8 @@ a normalized disjunctive form (`normalize`), overlap deciding (`overlap`),
 compilation to decision trees (`compiler`), exhaustiveness checking
 (`exhaustiveness`), and brute-force oracles with property suites
 (`oracle`, `suites`).  Compilation and exhaustiveness share one matrix
-core: `specialize_rows` (and `specialize_each`, every constructor of a
-column in one pass), `default_rows` and `column_heads` over `MatrixRow`s.
+core: `specialize_each` (every constructor of a column in one pass),
+`default_rows` and `column_heads` over `MatrixRow`s.
 The overlap check of a case decides only the clause pairs that an index
 on head constructors leaves (`candidate_pairs`), and one pass over a
 pattern gives its linearity and determinism facts (`pattern_facts`).
@@ -84,7 +84,6 @@ from .compiler import (
     head_ctors,
     specialize,
     specialize_each,
-    specialize_rows,
     step_matrix,
 )
 from .exhaustiveness import exhaustive, useful

@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from . import semantics, wellformed
-from .compiler import CompileError, Leaf, MatrixRow, compile_case
+from .compiler import CompileError, Leaf, MatrixRow, compile_case, head_ctors
 from .exhaustiveness import SignatureError, non_exhaustiveness_witness
 from .normalize import dnf, nnf, to_ndnf
 from .parser import (
@@ -33,7 +33,7 @@ from .pretty import (
     format_value,
     tree_to_obj,
 )
-from .semantics import Call, ECase, ECtor
+from .semantics import ECase
 from .suites import run_suites
 from .typecheck import Ill, type_expr
 
@@ -61,17 +61,14 @@ def _parse_file(path: str) -> Optional[Program]:
 # --- check ---------------------------------------------------------------------
 
 
-def _case_sites(e, path=""):
-    """Every case expression in an expression tree, with a display path."""
-    if isinstance(e, ECase):
-        yield path or "<body>", e
-        yield from _case_sites(e.scrutinee, path + "/scrutinee")
-        for i, c in enumerate(e.clauses):
-            yield from _case_sites(c.rhs, f"{path}/clause{i}")
-        yield from _case_sites(e.default_rhs, path + "/default")
-    elif isinstance(e, (ECtor, Call)):
-        for i, a in enumerate(e.args):
-            yield from _case_sites(a, f"{path}/{i}")
+def _site_name(where) -> str:
+    """The display path of a case site: `<body>`, or steps such as
+    `/scrutinee`, `/clause0`, `/default` and `/0` (argument 0)."""
+    parts = []
+    for kind, i in semantics.steps(where):
+        step = f"clause{i - 1}" if kind == semantics.CLAUSE else kind
+        parts.append(f"/{i if kind == semantics.ARG else step}")
+    return "".join(parts) or "<body>"
 
 
 def cmd_check(args) -> int:
@@ -97,20 +94,22 @@ def cmd_check(args) -> int:
                 loc = "/".join(map(str, v.path))
                 print(f"{args.file}: def {name}: [{v.rule}] at {loc or 'root'}: {v.message}")
         if not args.untyped:
-            for where, case in _case_sites(body):
-                _report_exhaustiveness(args.file, name, where, case, prog)
+            for site in report.sites:
+                _report_exhaustiveness(args.file, name, site, prog)
         if args.typed:
             failed = _check_types(args.file, name, body, params, prog) or failed
     print("ok" if not failed else "check failed")
     return 0 if not failed else 1
 
 
-def _report_exhaustiveness(path, def_name, where, case: ECase, prog: Program) -> None:
+def _report_exhaustiveness(path, def_name, site, prog: Program) -> None:
+    """Exhaustiveness of a case site, from the NDNFs `wf_expr` kept."""
     from .oracle import infer_scrutinee_type
 
-    matrix = tuple(MatrixRow((to_ndnf(c.pattern),)) for c in case.clauses)
+    where = _site_name(site.where)
+    matrix = tuple(MatrixRow((d,)) for d in site.ndnfs)
     try:
-        col_types = (infer_scrutinee_type(case, prog.decls),)
+        col_types = (infer_scrutinee_type(head_ctors(site.ndnfs), prog.decls),)
     except ValueError:
         col_types = None
     try:

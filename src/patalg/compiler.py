@@ -5,10 +5,10 @@ normalized patterns.  Compilation repeatedly branches on a column with head
 constructors, building constructor-specific subproblems (specialization)
 and a subproblem for scrutinees matching none of the heads (default), until
 a row of bare variable cells or the lone default clause remains.  The
-row-level steps (`specialize_rows`, `specialize_each`, `default_rows`,
-`column_heads`) are the matrix core that usefulness checking in
-`exhaustiveness` shares; branching specializes every head of a column in
-one pass over the rows (`specialize_each`).
+row-level steps (`specialize_each`, `default_rows`, `column_heads`) are
+the matrix core that usefulness checking in `exhaustiveness` shares;
+`specialize_each` specializes every head of a column in one pass over the
+rows.
 
 `step_matrix` implements the multi-column single-step relation directly on
 top of the matching judgments; it is the independent oracle against which
@@ -84,31 +84,15 @@ def head_ctors(column) -> frozenset:
     return pos | neg
 
 
-def specialize_rows(rows, i: int, ctor: CtorName) -> list:
-    """Rows for values whose column-i head is `ctor`.  Each disjunct of a
-    column-i cell yields its own row: a positive conjunct with that head
-    puts its argument cells in front, a negative conjunct not banning it
-    puts wildcards there, and other conjuncts yield nothing.  Returns
-    (row, vars) pairs, vars being what the consumed conjunct bound."""
-    out = []
-    for row in rows:
-        rest = row.cells[:i] + row.cells[i + 1 :]
-        for k in row.cells[i].conjuncts:
-            if isinstance(k, PosConj) and k.ctor == ctor:
-                front = tuple(Ndnf((a,)) for a in k.args)
-            elif isinstance(k, NegConj) and ctor not in k.banned:
-                front = tuple(ndnf_wildcard() for _ in range(ctor.arity))
-            else:
-                continue
-            out.append((MatrixRow(front + rest, row.rhs), k.vars))
-    return out
-
-
 def specialize_each(rows, i: int, ctors) -> dict:
-    """`specialize_rows(rows, i, c)` for every constructor c of `ctors`,
-    in one pass over the rows: each list holds the same pairs in the same
-    order.  A positive conjunct goes to the list of its head alone, so a
-    column with one row per constructor costs one pass, not one per
+    """For every constructor c of `ctors`, the rows for values whose
+    column-i head is c, as a list of (row, vars) pairs.  Each disjunct of
+    a column-i cell yields its own row: a positive conjunct with head c
+    puts its argument cells in front, a negative conjunct not banning c
+    puts wildcards there, and other conjuncts yield nothing; vars are what
+    the consumed conjunct bound.  One pass over the rows serves every
+    constructor: a positive conjunct goes to the list of its head alone,
+    so a column with one row per constructor costs one pass, not one per
     head."""
     out = {c: [] for c in ctors}
     for row in rows:
@@ -130,7 +114,7 @@ def specialize_each(rows, i: int, ctors) -> dict:
 def default_rows(rows, i: int) -> list:
     """Rows for values whose column-i head is none of the column's heads:
     column i disappears and only negative conjuncts survive, since their
-    ban sets are among the heads.  Pairs as in `specialize_rows`."""
+    ban sets are among the heads.  Pairs as in `specialize_each`."""
     out = []
     for row in rows:
         rest = row.cells[:i] + row.cells[i + 1 :]
@@ -188,10 +172,19 @@ def embed_case(e: ECase) -> ClauseMatrix:
     """Embed an ordinary case expression as a one-column matrix, running
     every clause pattern through normalization.  Pattern variables named
     like the scrutinee are renamed apart first, as `wf_matrix` requires."""
+    return _embed(e, [None] * len(e.clauses))
+
+
+def _embed(e: ECase, ndnfs) -> ClauseMatrix:
+    """`embed_case` given the NDNF of each clause pattern, None where not
+    known; a clause `_unshadow` renames is normalized again."""
     if not isinstance(e.scrutinee, (EVar, Value)):
         raise CompileError("case scrutinee must be a variable or a value")
     clauses = [_unshadow(c, e.scrutinee) for c in e.clauses]
-    rows = tuple(MatrixRow((to_ndnf(c.pattern),), c.rhs) for c in clauses)
+    rows = tuple(
+        MatrixRow((d if u is c and d is not None else to_ndnf(u.pattern),), u.rhs)
+        for c, u, d in zip(e.clauses, clauses, ndnfs)
+    )
     return ClauseMatrix((e.scrutinee,), rows, e.default_rhs)
 
 
@@ -222,7 +215,7 @@ def specialize(i: int, ctor_pattern, m: ClauseMatrix) -> ClauseMatrix:
     ctor, binders = ctor_pattern
     if len(binders) != ctor.arity:
         raise ValueError("binder count must equal constructor arity")
-    return _specialized(m, i, binders, specialize_rows(m.rows, i, ctor))
+    return _specialized(m, i, binders, specialize_each(m.rows, i, (ctor,))[ctor])
 
 
 def _specialized(m: ClauseMatrix, i: int, binders, pairs) -> ClauseMatrix:
@@ -277,11 +270,12 @@ def compile(m: ClauseMatrix, fresh: Optional[FreshSupply] = None) -> DecisionTre
 def compile_case(e: ECase) -> DecisionTree:
     """Compile a case expression that passes the wellformedness check of
     `patc check` (`wf_expr`).  That check runs once, on the source
-    patterns; the embedded matrix is not checked again."""
+    patterns, and the NDNFs of the clauses it kept are the rows of the
+    matrix; the matrix is not checked again."""
     report = wellformed.wf_expr(e)
     if not report.ok:
         raise CompileError(f"case is not wellformed:\n{report.describe()}", report)
-    return _compile(_clean(embed_case(e)), FreshSupply(), depth=0)
+    return _compile(_clean(_embed(e, report.sites[0].ndnfs)), FreshSupply(), depth=0)
 
 
 def _compile(m: ClauseMatrix, fresh: FreshSupply, depth: int) -> DecisionTree:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .compiler import column_heads, default_rows, specialize_each, specialize_rows
+from .compiler import column_heads, default_rows, specialize_each
 from .normalize import Ndnf, PosConj, UnsatConj, ndnf_matches, ndnf_wildcard
 from .syntax import CtorName, SoundnessError, Value
 from .typecheck import DataDecls, DeclError, Named, Type, signature_of
@@ -31,10 +31,6 @@ ANY_CTOR = CtorName("$any", 0)
 class SignatureError(ValueError):
     """Raised when a completeness check needs a type signature but the
     constructors at hand span no single declared type."""
-
-
-def _specialize(P, ctor: CtorName) -> tuple:
-    return tuple(row for row, _ in specialize_rows(P, 0, ctor))
 
 
 def _default(P) -> tuple:
@@ -148,7 +144,7 @@ def _useful(P, pvec, decls, col_types) -> Optional[tuple]:
             arg_types = _arg_types_for(decls, col_types[0], k.ctor)
         sub_types = (arg_types + rest_types) if arg_types is not None else None
         sub = _useful(
-            _specialize(P, k.ctor),
+            tuple(row for row, _ in specialize_each(P, 0, (k.ctor,))[k.ctor]),
             tuple(Ndnf((a,)) for a in k.args) + rest,
             decls,
             sub_types,

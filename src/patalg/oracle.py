@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import semantics, wellformed
-from .compiler import DecisionTree, compile_case, eval_tree
+from .compiler import DecisionTree, compile_case, eval_tree, head_ctors
+from .normalize import to_ndnf
 from .semantics import Clause, ECase, ECtor, EVar, Evaluated
 from .syntax import (
     Absurd,
@@ -139,12 +140,14 @@ def gen_case(
     """Random wellformed case expression over a variable scrutinee of the
     given type.  Clause patterns are deterministic, positively linear and
     pairwise disjoint by construction; right-hand sides mention the bound
-    variables."""
+    variables.  Each candidate pattern is normalized once, and decided
+    against the NDNFs of the clauses already accepted."""
     from . import overlap
 
     rng = random.Random(seed)
     for _ in range(_MAX_RETRIES):
         clauses = []
+        ndnfs = []
         want = rng.randint(1, max_clauses)
         tries = 0
         while len(clauses) < want and tries < 50:
@@ -153,10 +156,12 @@ def gen_case(
             facts = wellformed.pattern_facts(p)
             if not (facts.linear_pos and facts.deterministic()):
                 continue
-            if any(not overlap.disjoint(p, q) for q, _ in clauses):
+            d = to_ndnf(p)
+            if any(overlap.decide(d, q) for q in ndnfs):
                 continue
             rhs = _gen_rhs(rng, decls, sorted(facts.fv_even))
             clauses.append((p, rhs))
+            ndnfs.append(d)
         if not clauses:
             continue
         default_rhs = _gen_rhs(rng, decls, [])
@@ -244,12 +249,9 @@ class Disagree:
     detail: str
 
 
-def infer_scrutinee_type(e: ECase, decls: DataDecls) -> Type:
-    """Scrutinee type from the head constructors of the clause patterns."""
-    from .compiler import head_ctors
-    from .normalize import to_ndnf
-
-    heads = head_ctors([to_ndnf(c.pattern) for c in e.clauses])
+def infer_scrutinee_type(heads, decls: DataDecls) -> Type:
+    """Scrutinee type from the head constructors of the clause patterns
+    (`compiler.head_ctors` of their NDNFs)."""
     owners = {decls.owner(c) for c in heads if decls.owner(c) is not None}
     if len(owners) != 1:
         raise ValueError("cannot infer the scrutinee type from the clause patterns")
@@ -271,7 +273,8 @@ def differential_check_tree(
     if not isinstance(e.scrutinee, EVar):
         raise ValueError("differential checking needs a variable scrutinee")
     if tau is None:
-        tau = infer_scrutinee_type(e, decls)
+        heads = head_ctors([to_ndnf(c.pattern) for c in e.clauses])
+        tau = infer_scrutinee_type(heads, decls)
     n = 0
     for v in enumerate_values(decls, tau, depth):
         direct = semantics.eval(ECase(v, e.clauses, e.default_rhs), fuel)

@@ -23,10 +23,6 @@ class OverlapTypeError(ValueError):
 _cache: dict = {}
 
 
-def clear_overlap_cache() -> None:
-    _cache.clear()
-
-
 def _conj_overlap(a, b, decls) -> bool:
     if decls is None:
         key = (a, b)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .semantics import Call, Clause, ECase, ECtor, EVar, substitute
+from .semantics import Call, Clause, ECase, ECtor, EVar, substitute, subterms
 from .syntax import (
     Absurd,
     And,
@@ -419,41 +419,28 @@ def parse_value(source: str) -> Value:
 
 def undeclared_ctors(prog: Program):
     """Constructor occurrences not covered by the declarations (name and
-    arity must both match)."""
+    arity must both match), in the order one pre-order walk meets them."""
     missing: list = []
-
-    def walk_pattern(p):
-        if isinstance(p, Ctor):
-            if prog.decls.owner(p.ctor) is None:
-                missing.append(p.ctor)
-            for a in p.args:
-                walk_pattern(a)
-        elif isinstance(p, (And, Or)):
-            walk_pattern(p.left)
-            walk_pattern(p.right)
-        elif isinstance(p, Neg):
-            walk_pattern(p.sub)
-
-    def walk_expr(e):
-        if isinstance(e, (ECtor, Value)):
-            if prog.decls.owner(e.ctor) is None:
-                missing.append(e.ctor)
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, ECase):
-            walk_expr(e.scrutinee)
-            for c in e.clauses:
-                walk_pattern(c.pattern)
-                walk_expr(c.rhs)
-            walk_expr(e.default_rhs)
-        elif isinstance(e, Call):
-            for a in e.args:
-                walk_expr(a)
-
-    for d in prog.defs:
-        walk_expr(d.body)
+    bodies = [d.body for d in prog.defs]
     if prog.main is not None:
-        walk_expr(prog.main)
+        bodies.append(prog.main)
+    for body in bodies:
+        for node, _ in subterms(body):
+            if isinstance(node, (ECtor, Value)):
+                if prog.decls.owner(node.ctor) is None:
+                    missing.append(node.ctor)
+            elif isinstance(node, Clause):
+                todo = [node.pattern]
+                while todo:
+                    p = todo.pop()
+                    if isinstance(p, Ctor):
+                        if prog.decls.owner(p.ctor) is None:
+                            missing.append(p.ctor)
+                        todo.extend(reversed(p.args))
+                    elif isinstance(p, (And, Or)):
+                        todo += (p.right, p.left)
+                    elif isinstance(p, Neg):
+                        todo.append(p.sub)
     return tuple(dict.fromkeys(missing))
 
 

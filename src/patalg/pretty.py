@@ -1,5 +1,5 @@
-"""Text rendering for patterns, values, expressions, normal forms, clause
-matrices and decision trees.
+"""Text rendering for patterns, values, expressions, normal forms and
+decision trees.
 
 Pattern connectives print at their surface precedence (! above & above |),
 with binary operators treated as left-associative, so right-nested chains
@@ -9,9 +9,7 @@ keep their grouping parentheses.  Normalized disjunctive forms print in the
 
 from __future__ import annotations
 
-import json
-
-from .compiler import ClauseMatrix, DecisionTree, Leaf
+from .compiler import DecisionTree, Leaf
 from .normalize import Ndnf, NegConj, PosConj, UnsatConj
 from .semantics import ECase, ECtor, EVar
 from .syntax import Absurd, And, Ctor, Neg, Or, Pattern, Value, Var, Wild
@@ -65,10 +63,6 @@ def format_value(v: Value) -> str:
                 todo += (item.args[i], ", ")
             todo.append(item.args[0])
     return "".join(out)
-
-
-def format_subst(s) -> str:
-    return "[" + ", ".join(f"{m.var} -> {format_value(m.value)}" for m in s) + "]"
 
 
 def format_expr(e) -> str:
@@ -162,19 +156,7 @@ def format_program(prog) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- matrices and trees ---------------------------------------------------------
-
-
-def format_matrix(m: ClauseMatrix) -> str:
-    scruts = ", ".join(format_expr(s) for s in m.scrutinees)
-    lines = [f"case {scruts} of ["]
-    for row in m.rows:
-        cells = "  ".join(format_ndnf(c) for c in row.cells)
-        sep = "  " if cells else ""
-        lines.append(f"  {cells}{sep}=> {format_expr(row.rhs)}")
-    lines.append(f"  default => {format_expr(m.default_rhs)}")
-    lines.append("]")
-    return "\n".join(lines)
+# --- trees ---------------------------------------------------------------------
 
 
 def format_tree(t: DecisionTree, indent: int = 0) -> str:
@@ -212,7 +194,3 @@ def tree_to_obj(t: DecisionTree):
         ],
         "default": tree_to_obj(t.default_arm),
     }
-
-
-def tree_to_json(t: DecisionTree) -> str:
-    return json.dumps(tree_to_obj(t), indent=2)

@@ -19,7 +19,8 @@ step and reach the same outcomes.
 
 Values are expressions: ground data is the one `syntax.Value` node, which
 `ECtor` yields when applied to values only, so telling a value from other
-expressions is a type test and never walks the tree.
+expressions is a type test and never walks the tree.  `subterms` walks an
+expression on an explicit stack; the checks that visit every case use it.
 """
 
 from __future__ import annotations
@@ -98,6 +99,50 @@ Expression = Union[Value, EVar, ECtor, ECase, Call]
 
 def is_value(e) -> bool:
     return isinstance(e, Value)
+
+
+# --- walking ----------------------------------------------------------------------
+
+# The kinds of step from a node to a child.
+SCRUTINEE, CLAUSE, DEFAULT, ARG = "scrutinee", "clause", "default", "arg"
+
+
+def subterms(e):
+    """Every subterm of an expression in pre-order, as `(node, where)`, on an
+    explicit stack, so no Python frame is spent per level.  A case yields
+    its scrutinee's subterms, then each `Clause` and its right-hand side's
+    subterms, then its default's.  `where` is None at the root, else
+    `(parent's where, kind, index)`, the index being 0 for the scrutinee,
+    i + 1 for clause i and its right-hand side, n + 1 for the default after
+    n clauses, and i for argument i."""
+    todo = [(e, None)]
+    while todo:
+        node, where = todo.pop()
+        yield node, where
+        kind = type(node)
+        if kind is ECase:
+            clauses = node.clauses
+            todo.append((node.default_rhs, (where, DEFAULT, len(clauses) + 1)))
+            for i in range(len(clauses), 0, -1):
+                todo.append((clauses[i - 1], (where, CLAUSE, i)))
+            todo.append((node.scrutinee, (where, SCRUTINEE, 0)))
+        elif kind is Clause:
+            todo.append((node.rhs, where))
+        elif kind is ECtor or kind is Call or kind is Value:
+            for i in range(len(node.args) - 1, -1, -1):
+                todo.append((node.args[i], (where, ARG, i)))
+        elif kind is not EVar:
+            raise TypeError(f"not an expression: {node!r}")
+
+
+def steps(where) -> list:
+    """The `(kind, index)` steps from the root to a `subterms` position."""
+    out = []
+    while where is not None:
+        where, kind, index = where
+        out.append((kind, index))
+    out.reverse()
+    return out
 
 
 # --- substitution ----------------------------------------------------------------

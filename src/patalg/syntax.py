@@ -243,10 +243,6 @@ class SoundnessError(RuntimeError):
 _match_cache: dict = {}
 
 
-def clear_match_cache() -> None:
-    _match_cache.clear()
-
-
 def _products(sets) -> list:
     """All concatenations picking one substitution from each set."""
     out = []

@@ -6,14 +6,15 @@ can be read off the pattern.  Determinism guarantees that all derivations
 of a match agree on the substitution; its disjointness side conditions are
 decided with the conservative overlap procedure, so some deterministic
 patterns may be rejected (never the other way around).  Both come from
-one post-order pass over a pattern (`pattern_facts`), and a case's
-pairwise disjointness is decided only on the clause pairs an index on
-head constructors leaves (`overlap.candidate_pairs`).
+one post-order pass over a pattern (`pattern_facts`), and the pairwise
+disjointness of a case's clauses or a matrix's rows is decided only on the
+pairs an index on head constructors leaves (`overlap.candidate_pairs`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import overlap, semantics
@@ -25,7 +26,6 @@ from .syntax import (
     Neg,
     Or,
     Pattern,
-    Value,
     Var,
     Wild,
 )
@@ -152,9 +152,21 @@ class Violation:
     message: str
 
 
+class CaseSite(NamedTuple):
+    """A case expression `wf_expr` checked, with the NDNF of each of its
+    clause patterns: the one normalization of the clauses, which
+    exhaustiveness checking and compilation read."""
+
+    case: "semantics.ECase"
+    where: object  # the position `semantics.subterms` gives it
+    ndnfs: list  # of Ndnf, one per clause
+
+
 @dataclass(frozen=True)
 class WfReport:
     violations: tuple  # of Violation
+    # The case sites `wf_expr` checked, in pre-order; empty for matrices.
+    sites: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -169,92 +181,81 @@ class WfReport:
         )
 
 
+def _path(where) -> tuple:
+    return tuple(index for _, index in semantics.steps(where))
+
+
 def wf_expr(e, decls=None) -> WfReport:
     """Wellformedness of an expression: every case clause pattern must be
     deterministic and positively linear, and clause patterns must be
-    pairwise disjoint."""
-    out: list = []
-    _wf_expr(e, (), decls, out)
-    return WfReport(tuple(out))
-
-
-def _wf_expr(e, path, decls, out) -> None:
+    pairwise disjoint.  One walk over the expression (`semantics.subterms`)
+    checks every case; a case's violations follow its scrutinee's, each
+    clause's come before its right-hand side's, and its overlaps come
+    after the last right-hand side's and before its default's.  The report
+    keeps each case with its clauses' NDNFs (`sites`)."""
     from .pretty import format_pattern
 
-    if isinstance(e, (semantics.EVar, Value)):
-        return
-    if isinstance(e, semantics.ECase):
-        _wf_expr(e.scrutinee, path + (0,), decls, out)
-        ndnfs = []
-        for i, c in enumerate(e.clauses):
-            cpath = path + (i + 1,)
-            facts = pattern_facts(c.pattern)
-            if not facts.deterministic(decls):
-                out.append(
-                    Violation(
-                        "nondeterministic",
-                        cpath,
-                        f"pattern {format_pattern(c.pattern)} can bind "
-                        f"differently across derivations",
-                    )
-                )
-            if not facts.linear_pos:
-                out.append(
-                    Violation(
-                        "nonlinear",
-                        cpath,
-                        f"pattern {format_pattern(c.pattern)} is not "
-                        f"positively linear",
-                    )
-                )
-            ndnfs.append(to_ndnf(c.pattern))
-            _wf_expr(c.rhs, cpath, decls, out)
-        # Only the pairs the head index leaves can overlap.
-        for i, j in overlap.candidate_pairs(ndnfs):
-            if overlap.decide(ndnfs[i], ndnfs[j], decls):
-                out.append(
-                    Violation(
-                        "overlap",
-                        path + (i + 1,),
-                        f"clause patterns "
-                        f"{format_pattern(e.clauses[i].pattern)} and "
-                        f"{format_pattern(e.clauses[j].pattern)} overlap",
-                    )
-                )
-        _wf_expr(e.default_rhs, path + (len(e.clauses) + 1,), decls, out)
-        return
-    if hasattr(e, "args"):
-        for i, a in enumerate(e.args):
-            _wf_expr(a, path + (i,), decls, out)
-        return
-    raise TypeError(f"not an expression: {e!r}")
+    out: list = []
+    sites: list = []
+    open_sites: list = []  # cases whose default is not reached yet, innermost last
+    for node, where in semantics.subterms(e):
+        if where is not None and where[1] == semantics.DEFAULT:
+            _overlaps(open_sites.pop(), decls, out)
+        if type(node) is semantics.ECase:
+            sites.append(CaseSite(node, where, []))
+            open_sites.append(sites[-1])
+        elif type(node) is semantics.Clause:
+            facts = pattern_facts(node.pattern)
+            det, lin = facts.deterministic(decls), facts.linear_pos
+            for rule, holds, says in (
+                ("nondeterministic", det, "can bind differently across derivations"),
+                ("nonlinear", lin, "is not positively linear"),
+            ):
+                if not holds:
+                    shown = format_pattern(node.pattern)
+                    out.append(Violation(rule, _path(where), f"pattern {shown} {says}"))
+            open_sites[-1].ndnfs.append(to_ndnf(node.pattern))
+    return WfReport(tuple(out), tuple(sites))
 
 
-def wf_matrix(m: "ClauseMatrix", decls=None) -> WfReport:
+def _overlaps(site: CaseSite, decls, out: list) -> None:
+    from .pretty import format_pattern
+
+    clauses, ndnfs = site.case.clauses, site.ndnfs
+    # Only the pairs the head index leaves can overlap.
+    for i, j in overlap.candidate_pairs(ndnfs):
+        if overlap.decide(ndnfs[i], ndnfs[j], decls):
+            out.append(
+                Violation(
+                    "overlap",
+                    _path(site.where) + (i + 1,),
+                    f"clause patterns {format_pattern(clauses[i].pattern)} and "
+                    f"{format_pattern(clauses[j].pattern)} overlap",
+                )
+            )
+
+
+def wf_matrix(m: "ClauseMatrix") -> WfReport:
     """Wellformedness of a clause matrix: per-cell determinism and positive
     linearity, pairwise row disjointness in at least one column, and
     disjoint bindable variables across the columns of each row, none of
     them named like a scrutinee variable (compilation substitutes the
     scrutinee for bound variables step by step, and a later step would
-    capture it)."""
+    capture it).  Two rows are decided only when the head index of every
+    column leaves them (`overlap.candidate_pairs`); with no column, every
+    pair overlaps."""
     out: list = []
     scrutinee_vars = {s.name for s in m.scrutinees if isinstance(s, semantics.EVar)}
     for r, row in enumerate(m.rows):
         fvs = []
         for c, cell in enumerate(row.cells):
             facts = pattern_facts(embed_ndnf(cell))
-            if not facts.deterministic(decls):
-                out.append(
-                    Violation(
-                        "nondeterministic", (r, c), "cell pattern is not deterministic"
-                    )
-                )
-            if not facts.linear_pos:
-                out.append(
-                    Violation(
-                        "nonlinear", (r, c), "cell pattern is not positively linear"
-                    )
-                )
+            for rule, holds, says in (
+                ("nondeterministic", facts.deterministic(), "deterministic"),
+                ("nonlinear", facts.linear_pos, "positively linear"),
+            ):
+                if not holds:
+                    out.append(Violation(rule, (r, c), f"cell pattern is not {says}"))
             fvs.append(facts.fv_even)
         seen: set = set()
         for c, fv in enumerate(fvs):
@@ -277,18 +278,15 @@ def wf_matrix(m: "ClauseMatrix", decls=None) -> WfReport:
                     f"the name of a scrutinee",
                 )
             )
-    for i in range(len(m.rows)):
-        for j in range(i + 1, len(m.rows)):
-            disjoint_somewhere = any(
-                not overlap.decide(a, b, decls)
-                for a, b in zip(m.rows[i].cells, m.rows[j].cells)
+    pairs = None
+    for c in range(len(m.scrutinees)):
+        column = set(overlap.candidate_pairs([row.cells[c] for row in m.rows]))
+        pairs = column if pairs is None else pairs & column
+    if pairs is None:
+        pairs = itertools.combinations(range(len(m.rows)), 2)
+    for i, j in sorted(pairs):
+        if all(overlap.decide(a, b) for a, b in zip(m.rows[i].cells, m.rows[j].cells)):
+            out.append(
+                Violation("overlap", (i, j), f"rows {i} and {j} overlap in every column")
             )
-            if not disjoint_somewhere:
-                out.append(
-                    Violation(
-                        "overlap",
-                        (i, j),
-                        f"rows {i} and {j} overlap in every column",
-                    )
-                )
     return WfReport(tuple(out))

@@ -2,7 +2,7 @@
 
 from patalg import overlap
 from patalg.compiler import MatrixRow
-from patalg.normalize import to_ndnf
+from patalg.normalize import Ndnf, NegConj, PosConj, embed_ndnf, ndnf_wildcard, to_ndnf
 from patalg.pretty import format_pattern
 from patalg.semantics import (
     DEFAULT_FUEL,
@@ -29,7 +29,7 @@ from patalg.syntax import (
     fv_odd,
 )
 from patalg.typecheck import DataDecls, Named
-from patalg.wellformed import Violation, WfReport
+from patalg.wellformed import Violation, WfReport, pattern_facts
 
 
 def cn(name, arity=0):
@@ -219,3 +219,77 @@ def _wf_all_pairs(e, path, decls, out):
         return
     for i, a in enumerate(e.args):
         _wf_all_pairs(a, path + (i,), decls, out)
+
+
+def wf_matrix_all_pairs(m):
+    """Reference `wellformed.wf_matrix`: the same per-row checks, and the
+    overlap check deciding every pair of rows in (i, j) order."""
+    out = []
+    scrutinee_vars = {s.name for s in m.scrutinees if isinstance(s, EVar)}
+    for r, row in enumerate(m.rows):
+        fvs = []
+        for col, cell in enumerate(row.cells):
+            facts = pattern_facts(embed_ndnf(cell))
+            if not facts.deterministic():
+                out.append(
+                    Violation(
+                        "nondeterministic", (r, col), "cell pattern is not deterministic"
+                    )
+                )
+            if not facts.linear_pos:
+                out.append(
+                    Violation(
+                        "nonlinear", (r, col), "cell pattern is not positively linear"
+                    )
+                )
+            fvs.append(facts.fv_even)
+        seen = set()
+        for col, fv in enumerate(fvs):
+            if seen & fv:
+                out.append(
+                    Violation(
+                        "shared-variables",
+                        (r, col),
+                        f"variables {sorted(seen & fv)} bound in more than "
+                        f"one column of the row",
+                    )
+                )
+            seen |= fv
+        if seen & scrutinee_vars:
+            out.append(
+                Violation(
+                    "shadows-scrutinee",
+                    (r,),
+                    f"variables {sorted(seen & scrutinee_vars)} bound under "
+                    f"the name of a scrutinee",
+                )
+            )
+    for i in range(len(m.rows)):
+        for j in range(i + 1, len(m.rows)):
+            cells = zip(m.rows[i].cells, m.rows[j].cells)
+            if not any(not overlap.decide(a, b) for a, b in cells):
+                out.append(
+                    Violation("overlap", (i, j), f"rows {i} and {j} overlap in every column")
+                )
+    return WfReport(tuple(out))
+
+
+# --- reference specialization: one constructor per pass -----------------------
+
+
+def specialize_rows(rows, i, ctor):
+    """Rows for values whose column-i head is `ctor`, one pass per
+    constructor; `compiler.specialize_each` must give the same (row, vars)
+    pairs in the same order for every constructor it is asked for."""
+    out = []
+    for row in rows:
+        rest = row.cells[:i] + row.cells[i + 1 :]
+        for k in row.cells[i].conjuncts:
+            if isinstance(k, PosConj) and k.ctor == ctor:
+                front = tuple(Ndnf((a,)) for a in k.args)
+            elif isinstance(k, NegConj) and ctor not in k.banned:
+                front = tuple(ndnf_wildcard() for _ in range(ctor.arity))
+            else:
+                continue
+            out.append((MatrixRow(front + rest, row.rhs), k.vars))
+    return out

@@ -20,7 +20,7 @@ from patalg.compiler import (
     head_ctors,
     default_rows,
     specialize,
-    specialize_rows,
+    specialize_each,
     step_matrix,
     tree_invariants_ok,
 )
@@ -176,7 +176,7 @@ def test_core_works_on_any_column_and_reports_bindings():
         MatrixRow((first, to_ndnf(And(var("y"), Neg(c("Nil"))))), E2),
     )
     wild = ndnf_wildcard()
-    assert specialize_rows(rows, 1, cons) == [
+    assert specialize_each(rows, 1, (cons,))[cons] == [
         (MatrixRow((wild, wild, first), E1), frozenset({"y"})),
         (MatrixRow((wild, wild, first), E2), frozenset({"y"})),
     ]

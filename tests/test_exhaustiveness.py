@@ -8,7 +8,7 @@ import pytest
 
 from helpers import BOOL_LIST, COLOR, DAYS, c, cn, pattern_matrix, v, var
 
-from patalg.compiler import MatrixRow, default_rows, specialize_rows
+from patalg.compiler import MatrixRow, default_rows, specialize_each
 from patalg.exhaustiveness import (
     SignatureError,
     exhaustive,
@@ -146,7 +146,7 @@ def test_signature_error_for_mixed_types():
 def test_specialize_positive_row_expands_arguments():
     inner = to_ndnf(c("True"))
     P = pattern_matrix(((to_ndnf(c("Cons", c("True"), var("t"))),),))
-    S = specialize_rows(P, 0, cn("Cons", 2))
+    S = specialize_each(P, 0, (cn("Cons", 2),))[cn("Cons", 2)]
     tail = Ndnf((NegConj(frozenset({"t"}), frozenset()),))
     assert S == [(MatrixRow((inner, tail)), frozenset())]
 
@@ -158,7 +158,7 @@ def test_specialize_drops_unsat_and_banned_rows():
             (to_ndnf(Neg(c("Red"))),),
         )
     )
-    S = specialize_rows(P, 0, cn("Red"))
+    S = specialize_each(P, 0, (cn("Red"),))[cn("Red")]
     assert S == []
     D = default_rows(P, 0)
     assert D == [(MatrixRow(()), frozenset())]
@@ -166,13 +166,13 @@ def test_specialize_drops_unsat_and_banned_rows():
 
 def test_specialize_negative_row_contributes_wildcards():
     P = pattern_matrix(((to_ndnf(Neg(c("Nil"))),),))
-    S = specialize_rows(P, 0, cn("Cons", 2))
+    S = specialize_each(P, 0, (cn("Cons", 2),))[cn("Cons", 2)]
     assert S == [(MatrixRow((ndnf_wildcard(), ndnf_wildcard())), frozenset())]
 
 
 def test_disjunction_rows_split():
     P = pattern_matrix(((to_ndnf(Or(c("Red"), c("Green"))),),))
-    S = specialize_rows(P, 0, cn("Red"))
+    S = specialize_each(P, 0, (cn("Red"),))[cn("Red")]
     assert len(S) == 1
     D = default_rows(P, 0)
     assert D == []

@@ -15,11 +15,13 @@ from helpers import (
     linear_neg_by_recursion,
     linear_pos_by_recursion,
     pattern_matrix,
+    specialize_rows,
     wf_expr_all_pairs,
+    wf_matrix_all_pairs,
 )
 
 from patalg import oracle, overlap, wellformed
-from patalg.compiler import column_heads, specialize_each, specialize_rows
+from patalg.compiler import ClauseMatrix, MatrixRow, column_heads, specialize_each
 from patalg.normalize import to_ndnf
 from patalg.overlap import OverlapTypeError, candidate_pairs
 from patalg.semantics import Clause, ECase, EVar, Evaluated
@@ -172,6 +174,37 @@ def test_specialize_each_equals_specialize_rows_per_constructor():
             assert list(each) == ctors
             for c in ctors:
                 assert each[c] == specialize_rows(rows, col, c)
+
+
+def test_wf_matrix_agrees_with_all_pairs_on_generated_matrices():
+    """Two rows are decided only when every column's head index leaves
+    them; the verdicts and their order are those of deciding every pair."""
+    combos = (
+        ("Color",),
+        ("BList",),
+        ("B", "Color"),
+        ("BPair", "BList"),
+        ("Day", "B", "BList"),
+    )
+    seen = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        taus = combos[seed % len(combos)]
+        rows = tuple(
+            MatrixRow(row.cells, Value(cn("T"), ())) for row in _random_rows(rng, taus, seed)
+        )
+        scrutinees = tuple(EVar(f"s{c}") for c in range(len(taus)))
+        m = ClauseMatrix(scrutinees, rows, Value(cn("F"), ()))
+        want = wf_matrix_all_pairs(m).violations
+        assert wellformed.wf_matrix(m).violations == want
+        seen.update(v.rule for v in want)
+        seen["pairs"] += len(rows) * (len(rows) - 1) // 2
+    # Rows overlap in some matrices and not in others.
+    assert 0 < seen["overlap"] < seen["pairs"]
+    # With no column, every pair of rows overlaps.
+    m = ClauseMatrix((), (MatrixRow(()),) * 3, Value(cn("F"), ()))
+    assert wellformed.wf_matrix(m).violations == wf_matrix_all_pairs(m).violations
+    assert [v.path for v in wellformed.wf_matrix(m).violations] == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_pattern_facts_agree_with_recursive_definitions():

@@ -17,3 +17,132 @@ def test_no_assert_statements():
     ]
     assert len(list(SRC.glob("*.py"))) > 10
     assert found == []
+
+
+def _self_recursive(path) -> list:
+    """The functions of a module that reach themselves through the
+    module's own call graph: calls by name resolve to the innermost
+    enclosing definition of that name (nested defs included), and
+    `self.name(...)` to a method of the enclosing class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    calls: dict = {}  # qualified name -> qualified names it calls
+
+    def defs_in(body, prefix) -> dict:
+        return {n.name: prefix + n.name for n in body if isinstance(n, functions)}
+
+    def nested_defs(fn, prefix) -> dict:
+        """The defs whose innermost enclosing function is `fn`."""
+        out, todo = {}, list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, functions):
+                out[node.name] = prefix + node.name
+            else:
+                todo.extend(ast.iter_child_nodes(node))
+        return out
+
+    def visit(fn, name, scopes, methods):
+        calls.setdefault(name, set())
+        scan(fn, scopes + [nested_defs(fn, f"{name}.")], methods, name)
+
+    def scan(node, scopes, methods, current):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                own = defs_in(child.body, f"{child.name}.")
+                for item in child.body:
+                    if isinstance(item, functions):
+                        visit(item, own[item.name], scopes, own)
+                    else:
+                        scan(item, scopes, own, current)
+            elif isinstance(child, functions):
+                visit(child, scopes[-1][child.name], scopes, methods)
+            else:
+                if isinstance(child, ast.Call) and current is not None:
+                    f = child.func
+                    if isinstance(f, ast.Name):
+                        visible = (s[f.id] for s in reversed(scopes) if f.id in s)
+                        target = next(visible, None)
+                    elif (
+                        isinstance(f, ast.Attribute)
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id == "self"
+                    ):
+                        target = methods.get(f.attr)
+                    else:
+                        target = None
+                    if target is not None:
+                        calls[current].add(target)
+                scan(child, scopes, methods, current)
+
+    scan(tree, [defs_in(tree.body, "")], {}, None)
+    found = []
+    for name in calls:
+        reached, todo = set(), list(calls[name])
+        while todo:
+            f = todo.pop()
+            if f not in reached:
+                reached.add(f)
+                todo.extend(calls.get(f, ()))
+        if name in reached:
+            found.append(f"{path.stem}.{name}")
+    return found
+
+
+# Functions that recurse on their input, so a deep enough input exhausts
+# the interpreter stack.  The list may only shrink: a new walk must use an
+# explicit stack (as `semantics.subterms` and `wellformed.pattern_facts`
+# do).  ROADMAP item 10 aims at no more than five entries, each bounded by
+# program structure.
+RECURSIVE_ALLOWED = {
+    "compiler._compile",
+    "compiler._invariants",
+    "exhaustiveness._height",
+    "exhaustiveness._min_value",
+    "exhaustiveness._useful",
+    "normalize._conj_matches",
+    "normalize._contains_or",
+    "normalize._dnf",
+    "normalize.combine",
+    "normalize.embed_conjunct",
+    "normalize.is_nnf",
+    "normalize.nnf_neg",
+    "normalize.nnf_pos",
+    "normalize.normalize_conjunct",
+    "oracle._enum",
+    "oracle._gen_pattern",
+    "overlap._conj_overlap",
+    "overlap._conj_overlap_raw",
+    "parser._Parser.parse_and_pattern",
+    "parser._Parser.parse_atom_pattern",
+    "parser._Parser.parse_case",
+    "parser._Parser.parse_expr",
+    "parser._Parser.parse_neg_pattern",
+    "parser._Parser.parse_pattern",
+    "parser.inline_calls.go",
+    "pretty.format_expr",
+    "pretty.format_nconjunct",
+    "pretty.format_pattern",
+    "pretty.format_tree",
+    "pretty.tree_to_obj",
+    "semantics.expr_free_vars",
+    "semantics.rename_clause",
+    "semantics.substitute",
+    "syntax._value_key",
+    "syntax.fv_even",
+    "syntax.fv_odd",
+    "syntax.map_vars",
+    "syntax.match_both",
+    "typecheck.format_type",
+    "typecheck.type_expr",
+    "typecheck.type_pattern",
+}
+
+
+def test_no_new_recursive_functions():
+    found = {f for path in sorted(SRC.glob("*.py")) for f in _self_recursive(path)}
+    # The scan sees recursion: the walk `inline_calls` nests is found.
+    assert "parser.inline_calls.go" in found
+    assert sorted(found - RECURSIVE_ALLOWED) == []
+    # An entry whose function no longer recurses leaves the list.
+    assert sorted(RECURSIVE_ALLOWED - found) == []
