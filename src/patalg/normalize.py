@@ -14,10 +14,9 @@ normalized conjuncts get their own types below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .syntax import Absurd, And, Ctor, CtorName, Neg, Or, Pattern, Value, Var, Wild
+from .syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Pattern, Value, Var, Wild
 
 # Negation normal forms and elementary conjuncts, as pattern subsets.
 Nnf = Pattern
@@ -153,40 +152,33 @@ def _dnf(n: Nnf) -> list:
 # --- stage 3: normalized conjuncts --------------------------------------------
 
 
-@dataclass(frozen=True)
-class PosConj:
+class PosConj(Node):
     """Matches values headed by `ctor`, binding them to all of `vars`."""
 
-    vars: frozenset
-    ctor: CtorName
-    args: tuple  # of NConjunct, length == ctor.arity
+    __slots__ = ("vars", "ctor", "args")  # args: tuple of NConjunct, one per ctor arity
 
 
-@dataclass(frozen=True)
-class NegConj:
+class NegConj(Node):
     """Matches values whose head constructor is not in `banned`.  With an
     empty ban set this encodes a variable ({x} & !{}) or the wildcard."""
 
-    vars: frozenset
-    banned: frozenset  # of CtorName
+    __slots__ = ("vars", "banned")  # banned: frozenset of CtorName
 
 
-@dataclass(frozen=True)
-class UnsatConj:
+class UnsatConj(Node):
     """Never matches."""
 
-    vars: frozenset
+    __slots__ = ("vars",)
 
 
 NConjunct = Union[PosConj, NegConj, UnsatConj]
 
 
-@dataclass(frozen=True)
-class Ndnf:
+class Ndnf(Node):
     """Disjunction of normalized conjuncts; the empty disjunction is legal
     and behaves like the absurd pattern everywhere downstream."""
 
-    conjuncts: tuple  # of NConjunct
+    __slots__ = ("conjuncts",)  # tuple of NConjunct
 
 
 WILDCARD_CONJ = NegConj(frozenset(), frozenset())

@@ -25,12 +25,11 @@ expression on an explicit stack; the checks that visit every case use it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Union
 
 from .syntax import (
-    CtorName,
+    Node,
     Pattern,
     Value,
     Var,
@@ -43,55 +42,39 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class EVar:
-    name: str
+class EVar(Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class ECtor:
+class ECtor(Node):
     """Constructor application with at least one argument that is not a
     value.  Applied to values only, the constructor yields the `Value`
     itself, so every ground expression is a `Value`."""
 
-    ctor: CtorName
-    args: tuple  # of Expression
+    __slots__ = ("ctor", "args")  # args: tuple of Expression
+    _arity = "constructor {}/{} applied to {} arguments"
 
     def __new__(cls, ctor, args):
         if all(isinstance(a, Value) for a in args):
             return Value(ctor, tuple(args))
-        return super().__new__(cls)
-
-    def __post_init__(self):
-        if len(self.args) != self.ctor.arity:
-            raise ValueError(
-                f"constructor {self.ctor.name}/{self.ctor.arity} applied "
-                f"to {len(self.args)} arguments"
-            )
+        return super().__new__(cls, ctor, args)
 
 
-@dataclass(frozen=True)
-class Clause:
-    pattern: Pattern
-    rhs: "Expression"
+class Clause(Node):
+    __slots__ = ("pattern", "rhs")
 
 
-@dataclass(frozen=True)
-class ECase:
+class ECase(Node):
     """Case expression; carries exactly one default right-hand side."""
 
-    scrutinee: "Expression"
-    clauses: tuple  # of Clause
-    default_rhs: "Expression"
+    __slots__ = ("scrutinee", "clauses", "default_rhs")  # clauses: tuple of Clause
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Node):
     """Application of a top-level definition; `step` unfolds it when given
     the definition table."""
 
-    name: str
-    args: tuple  # of Expression
+    __slots__ = ("name", "args")  # args: tuple of Expression
 
 
 Expression = Union[Value, EVar, ECtor, ECase, Call]
@@ -191,9 +174,8 @@ def substitute(e, mapping: dict):
             substitute(e.default_rhs, mapping),
         )
     if isinstance(e, (ECtor, Call)):
-        return dataclasses.replace(
-            e, args=tuple(substitute(a, mapping) for a in e.args)
-        )
+        args = tuple(substitute(a, mapping) for a in e.args)
+        return ECtor(e.ctor, args) if isinstance(e, ECtor) else Call(e.name, args)
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -8,7 +8,6 @@ the acceptance tests.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -96,14 +95,6 @@ class PropertyResult:
             self.counterexamples.append(detail)
 
 
-@functools.cache
-def _universe(tau, depth):
-    # Enumerated once per process: every case then matches the same value
-    # objects, so lookups in the match cache succeed on identity instead
-    # of walking equal values built apart.
-    return enumerate_values(STANDARD_DECLS, tau, depth)
-
-
 def _strip_vars(p: Pattern) -> Pattern:
     """Variable-free patterns are always linear on both sides."""
     return map_vars(p, lambda x: Wild())
@@ -146,7 +137,7 @@ def prop_boolean_laws(seed, depth, cases) -> PropertyResult:
     rng = random.Random(seed)
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
-        uni = _universe(tau, depth)
+        uni = enumerate_values(STANDARD_DECLS, tau, depth)
         p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
         q = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
         r = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
@@ -188,7 +179,7 @@ def prop_ctor_laws_one(seed, depth, cases) -> PropertyResult:
     taus = (Named("BPair"), Named("BList"))
     for i in range(cases):
         tau = taus[i % len(taus)]
-        uni = _universe(tau, depth)
+        uni = enumerate_values(STANDARD_DECLS, tau, depth)
         drawn = _gen_ctor_args(rng, tau, 1)
         if drawn is None:
             continue
@@ -248,7 +239,7 @@ def prop_linear_laws(seed, depth, cases) -> PropertyResult:
     )
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
-        uni = _universe(tau, depth)
+        uni = enumerate_values(STANDARD_DECLS, tau, depth)
         name, law = laws[i % len(laws)]
         p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
         q = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
@@ -267,7 +258,7 @@ def prop_ctor_laws_linear(seed, depth, cases) -> PropertyResult:
     taus = (Named("BPair"), Named("BList"))
     for i in range(cases):
         tau = taus[i % len(taus)]
-        uni = _universe(tau, depth)
+        uni = enumerate_values(STANDARD_DECLS, tau, depth)
         drawn = _gen_ctor_args(rng, tau, 1)
         if drawn is None:
             continue
@@ -332,7 +323,7 @@ def prop_congruence(seed, depth, cases) -> PropertyResult:
     )
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
-        uni = _universe(tau, depth)
+        uni = enumerate_values(STANDARD_DECLS, tau, depth)
         p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
         q = transforms[i % len(transforms)](p)
         if not pattern_equiv_bounded(p, q, uni):
@@ -354,7 +345,7 @@ def prop_congruence(seed, depth, cases) -> PropertyResult:
                 q if j == idx else Wild() for j in range(ctor.arity)
             )
             contexts.append((Ctor(ctor, args_p), Ctor(ctor, args_q)))
-            ctx_uni = _universe(outer_tau, depth)
+            ctx_uni = enumerate_values(STANDARD_DECLS, outer_tau, depth)
             res.cases += 1
             if not pattern_equiv_bounded(Ctor(ctor, args_p), Ctor(ctor, args_q), ctx_uni):
                 res.fail(f"constructor context broke equivalence for {format_pattern(p)}")
@@ -387,7 +378,7 @@ def prop_covering_and_properness(seed, depth, cases) -> PropertyResult:
             continue
         checked += 1
         res.cases += 1
-        for v in _universe(tau, depth):
+        for v in enumerate_values(STANDARD_DECLS, tau, depth):
             if lp:
                 for s in match_pos(p, v):
                     if {m.var for m in s} != facts.fv_even:
@@ -426,7 +417,7 @@ def prop_deterministic_matching(seed, depth, cases) -> PropertyResult:
             continue
         checked += 1
         res.cases += 1
-        for v in _universe(tau, depth):
+        for v in enumerate_values(STANDARD_DECLS, tau, depth):
             # Canonical substitution sets collapse equivalent members, so
             # determinism shows up as at most one element.
             if lp and len(match_pos(p, v)) > 1:
@@ -475,7 +466,7 @@ def prop_overlap_sound(seed, depth, cases) -> PropertyResult:
         res.cases += 1
         if overlap.decide(to_ndnf(p), to_ndnf(q)):
             continue
-        for v in _universe(tau, depth):
+        for v in enumerate_values(STANDARD_DECLS, tau, depth):
             if match_pos(p, v) and match_pos(q, v):
                 res.fail(
                     f"declared disjoint but both match {format_value(v)}: "
@@ -495,7 +486,7 @@ def prop_wellformed_deterministic_eval(seed, depth, cases) -> PropertyResult:
         tau = _TAUS[i % 4]  # skip the recursive type for speed
         e = gen_case(STANDARD_DECLS, tau, rng.randrange(1 << 30))
         res.cases += 1
-        for v in _universe(tau, depth):
+        for v in enumerate_values(STANDARD_DECLS, tau, depth):
             cur = ECase(v, e.clauses, e.default_rhs)
             for _ in range(200):
                 r = semantics.step(cur)
@@ -521,7 +512,7 @@ def prop_clause_permutation(seed, depth, cases) -> PropertyResult:
         rng.shuffle(perm)
         shuffled = ECase(e.scrutinee, tuple(perm), e.default_rhs)
         res.cases += 1
-        for v in _universe(tau, depth):
+        for v in enumerate_values(STANDARD_DECLS, tau, depth):
             a = ECase(v, e.clauses, e.default_rhs)
             b = ECase(v, shuffled.clauses, shuffled.default_rhs)
             if not semantics.expr_equiv_bounded(a, b, 500):
@@ -689,7 +680,7 @@ def prop_default_clause_not_wildcard() -> PropertyResult:
 
 
 def _brute_force_exhaustive(P, taus, depth) -> bool:
-    pools = [_universe(t, depth) for t in taus]
+    pools = [enumerate_values(STANDARD_DECLS, t, depth) for t in taus]
     for combo in itertools.product(*pools):
         if not any(
             all(match_pos(embed_ndnf(c), v) for c, v in zip(row.cells, combo))

@@ -1,5 +1,8 @@
 """Pattern and value syntax with non-deterministic matching.
 
+Every syntax node is hash-consed (`Node`): equal nodes are one object, so
+equality and hashing are identity and never walk a tree.
+
 Matching is computed as the *complete* set of derivable substitutions, for
 both the "matches" and the "does not match" judgment.  Keeping every
 derivation around (instead of the first hit) is what makes the soundness,
@@ -9,7 +12,9 @@ completeness and determinism properties directly testable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 
@@ -25,52 +30,112 @@ class CtorName:
         return self.name
 
 
+# --- hash-consed nodes ---------------------------------------------------------
+
+
+class _Entry(weakref.ref):
+    """A table entry: a weak reference to a node, carrying the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    # Runs when the node dies; a node built since under the same key keeps
+    # its own entry.
+    with _lock:
+        if _table.get(entry.key) is entry:
+            del _table[entry.key]
+
+
+# (class, *fields) -> the entry of the one live node with them.
+_table: dict = {}
+# Makes each check-then-act on the table atomic, so that threads building
+# equal nodes get one node.  Re-entrant: an insertion may free an entry
+# whose key held the last reference to a node, whose `_forget` then runs.
+_lock = threading.RLock()
+
+
+class Node:
+    """Base of every syntax node: patterns, values, normal forms and
+    expressions.  A node is built from its fields in `__slots__` order.
+    Construction looks (class, *fields) up in one table and returns the
+    node already there, so equal nodes are one object and `==` and `hash`
+    are the identity defaults.  Children are nodes, so the key compares
+    them by identity and a construction costs one probe.  The table holds
+    its nodes weakly: an entry lasts as long as something else refers to
+    its node (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", ML
+    2006).  Nodes are immutable.  A class with fields (ctor, args) may set
+    `_arity`, the message for args that do not number ctor's arity; it is
+    checked when a node is first built."""
+
+    __slots__ = ("__weakref__",)
+    _arity = None
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__dict__["__slots__"]
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        entry = _table.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields")
+        if cls._arity and len(fields[1]) != fields[0].arity:
+            ctor = fields[0]
+            raise ValueError(cls._arity.format(ctor.name, ctor.arity, len(fields[1])))
+        with _lock:
+            entry = _table.get(key)
+            node = entry() if entry is not None else None
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls._fields, fields):
+                    object.__setattr__(node, name, value)
+                entry = _Entry(node, _forget)
+                entry.key = key
+                _table[key] = entry
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an interned node")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 # --- patterns ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Ctor:
-    ctor: CtorName
-    args: tuple  # of Pattern, length == ctor.arity
-
-    def __post_init__(self):
-        if len(self.args) != self.ctor.arity:
-            raise ValueError(
-                f"constructor {self.ctor.name}/{self.ctor.arity} applied "
-                f"to {len(self.args)} subpatterns"
-            )
+class Ctor(Node):
+    __slots__ = ("ctor", "args")  # args: tuple of Pattern, one per ctor arity
+    _arity = "constructor {}/{} applied to {} subpatterns"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Pattern"
-    right: "Pattern"
+class And(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Pattern"
-    right: "Pattern"
+class Or(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Wild:
-    pass
+class Wild(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Absurd:
-    pass
+class Absurd(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    sub: "Pattern"
+class Neg(Node):
+    __slots__ = ("sub",)
 
 
 Pattern = Union[Var, Ctor, And, Or, Wild, Absurd, Neg]
@@ -79,50 +144,19 @@ Pattern = Union[Var, Ctor, And, Or, Wild, Absurd, Neg]
 # --- values and substitutions ------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Value:
+class Value(Node):
     """Ground data, and the expression node for it: `semantics.ECtor` over
-    values constructs a `Value`.  The hash is computed once, from the
-    children's stored hashes, so hashing never walks the value; equality
-    compares the stored hashes first and then walks with an explicit
-    stack, and `repr` prints through `pretty.format_value`, so none of them
-    recurses on the depth of the value."""
+    values constructs a `Value`.  `repr` prints through
+    `pretty.format_value`, so it does not recurse on the depth of the
+    value."""
 
-    ctor: CtorName
-    args: tuple  # of Value
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.args) != self.ctor.arity:
-            raise ValueError(
-                f"value constructor {self.ctor.name}/{self.ctor.arity} "
-                f"applied to {len(self.args)} arguments"
-            )
-        object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("ctor", "args")  # args: tuple of Value
+    _arity = "value constructor {}/{} applied to {} arguments"
 
     def __repr__(self) -> str:
-        # The generated repr recurses per level; the printer does not.
         from .pretty import format_value
 
         return f"Value({format_value(self)})"
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Value):
-            return NotImplemented
-        pending = [(self, other)]
-        while pending:
-            a, b = pending.pop()
-            if a is b:
-                continue
-            if a._hash != b._hash or (a.ctor is not b.ctor and a.ctor != b.ctor):
-                return False
-            pending.extend(zip(a.args, b.args))
-        return True
 
 
 class Mapping(NamedTuple):
@@ -320,12 +354,6 @@ def match_neg(p: Pattern, v: Value) -> SubstSet:
 def pattern_equiv_bounded(p: Pattern, q: Pattern, universe) -> bool:
     """Bounded approximation of semantic pattern equivalence: over every
     value of the (finite) universe, the positive and negative derivation
-    sets must cover each other up to substitution equivalence."""
-    for v in universe:
-        p_pos, p_neg = match_both(p, v)
-        q_pos, q_neg = match_both(q, v)
-        # Canonical substitutions make coverage-up-to-equivalence plain
-        # set equality.
-        if set(p_pos) != set(q_pos) or set(p_neg) != set(q_neg):
-            return False
-    return True
+    sets must cover each other up to substitution equivalence.  Both are
+    canonical (`_canon_set`), so that is plain equality."""
+    return all(match_both(p, v) == match_both(q, v) for v in universe)

@@ -222,17 +222,23 @@ def _overlaps(site: CaseSite, decls, out: list) -> None:
     from .pretty import format_pattern
 
     clauses, ndnfs = site.case.clauses, site.ndnfs
-    # Only the pairs the head index leaves can overlap.
+    # Only the pairs the head index leaves can overlap.  Ban sets that fit
+    # no declared type are reported at their pair.
     for i, j in overlap.candidate_pairs(ndnfs):
-        if overlap.decide(ndnfs[i], ndnfs[j], decls):
-            out.append(
-                Violation(
-                    "overlap",
-                    _path(site.where) + (i + 1,),
-                    f"clause patterns {format_pattern(clauses[i].pattern)} and "
-                    f"{format_pattern(clauses[j].pattern)} overlap",
-                )
+        try:
+            if not overlap.decide(ndnfs[i], ndnfs[j], decls):
+                continue
+            rule, says = "overlap", "overlap"
+        except overlap.OverlapTypeError as err:
+            rule, says = "overlap-type", f"cannot be compared by type: {err}"
+        out.append(
+            Violation(
+                rule,
+                _path(site.where) + (i + 1,),
+                f"clause patterns {format_pattern(clauses[i].pattern)} and "
+                f"{format_pattern(clauses[j].pattern)} {says}",
             )
+        )
 
 
 def wf_matrix(m: "ClauseMatrix") -> WfReport:

@@ -172,7 +172,8 @@ def deterministic_by_recursion(p, decls=None):
 
 def wf_expr_all_pairs(e, decls=None):
     """Reference `wellformed.wf_expr`: the recursive checks above, and the
-    overlap check deciding every pair of clauses in (i, j) order."""
+    overlap check deciding every pair of clauses in (i, j) order, reporting
+    a pair whose ban sets fit no declared type."""
     out = []
     _wf_all_pairs(e, (), decls, out)
     return WfReport(tuple(out))
@@ -205,16 +206,21 @@ def _wf_all_pairs(e, path, decls, out):
             _wf_all_pairs(cl.rhs, cpath, decls, out)
         for i in range(len(e.clauses)):
             for j in range(i + 1, len(e.clauses)):
-                if overlap.decide(ndnfs[i], ndnfs[j], decls):
-                    out.append(
-                        Violation(
-                            "overlap",
-                            path + (i + 1,),
-                            f"clause patterns "
-                            f"{format_pattern(e.clauses[i].pattern)} and "
-                            f"{format_pattern(e.clauses[j].pattern)} overlap",
-                        )
+                try:
+                    if not overlap.decide(ndnfs[i], ndnfs[j], decls):
+                        continue
+                    rule, says = "overlap", "overlap"
+                except overlap.OverlapTypeError as err:
+                    rule, says = "overlap-type", f"cannot be compared by type: {err}"
+                out.append(
+                    Violation(
+                        rule,
+                        path + (i + 1,),
+                        f"clause patterns "
+                        f"{format_pattern(e.clauses[i].pattern)} and "
+                        f"{format_pattern(e.clauses[j].pattern)} {says}",
                     )
+                )
         _wf_all_pairs(e.default_rhs, path + (len(e.clauses) + 1,), decls, out)
         return
     for i, a in enumerate(e.args):

@@ -64,7 +64,7 @@ def test_each_clause_pattern_is_normalized_at_most_once(
     to_ndnf = normalize.to_ndnf
 
     def counting(p):
-        calls[id(p)] += 1
+        calls[p] += 1
         return to_ndnf(p)
 
     for name, module in list(sys.modules.items()):
@@ -82,9 +82,11 @@ def test_each_clause_pattern_is_normalized_at_most_once(
     monkeypatch.setattr(cli, "parse", keeping)
     main([command[0], str(path), *command[1:]])
     capsys.readouterr()
-    patterns = _clause_patterns(programs[0])
-    assert patterns and sum(calls.values()) > 0
-    assert max(calls[id(p)] for p in patterns) <= 1
+    # Equal clause patterns are one object: each may be normalized once per
+    # clause that has it.
+    clauses = Counter(_clause_patterns(programs[0]))
+    assert clauses and sum(calls.values()) > 0
+    assert all(calls[p] <= n for p, n in clauses.items())
 
 
 def test_one_normalization_per_clause_on_an_or_product(tmp_path, monkeypatch, capsys):

@@ -74,7 +74,7 @@ def test_wf_expr_agrees_with_all_pairs_on_generated_cases():
 def test_wf_expr_agrees_with_all_pairs_on_mixed_clauses():
     """Unfiltered patterns overlap, bind nonlinearly and misbehave under
     determinism; cases of one type and of several types (whose negative
-    pairs raise in typed mode), nested in right-hand sides too."""
+    pairs are reported in typed mode), nested in right-hand sides too."""
     rng = random.Random(7)
     seen = Counter()
     for seed in range(300):
@@ -90,11 +90,9 @@ def test_wf_expr_agrees_with_all_pairs_on_mixed_clauses():
         for decls in (None, STANDARD_DECLS):
             outcome = _outcome(wellformed.wf_expr, e, decls)
             seen.update(v.rule for v in outcome if isinstance(v, Violation))
-            seen["raises"] += outcome[:1] == ("OverlapTypeError",)
-    # The mix reaches every rule and the typed raise, so the agreement
-    # above is not vacuous.
-    assert {"overlap", "nonlinear", "nondeterministic"} <= set(seen)
-    assert seen["raises"] > 0
+    # The mix reaches every rule, the typed report of ban sets that span
+    # two types included, so the agreement above is not vacuous.
+    assert {"overlap", "overlap-type", "nonlinear", "nondeterministic"} <= set(seen)
 
 
 def test_wf_expr_agrees_on_hand_built_conjunct_mixes():
@@ -111,18 +109,18 @@ def test_wf_expr_agrees_on_hand_built_conjunct_mixes():
         _agree(_case(patterns))
 
 
-def test_typed_negative_pair_raises_at_the_same_pair():
+def test_typed_negative_pairs_are_reported_at_their_pairs():
     red, green = Ctor(cn("Red"), ()), Ctor(cn("Green"), ())
     mo, tu = Ctor(cn("Mo"), ()), Ctor(cn("Tu"), ())
-    # (1, 2) is the first pair whose ban sets span two types; (3, 4) would
-    # raise with another message.
+    # (1, 2) is the first pair whose ban sets span two types; (3, 4) spans
+    # them with another message.  Each pair is reported where it is, and
+    # the pairs after it are still decided.
     e = _case([red, Neg(red), Neg(mo), Neg(Or(green, tu)), Neg(tu)])
-    with pytest.raises(OverlapTypeError) as new:
-        wellformed.wf_expr(e, STANDARD_DECLS)
-    with pytest.raises(OverlapTypeError) as ref:
-        wf_expr_all_pairs(e, STANDARD_DECLS)
-    assert str(new.value) == str(ref.value)
-    assert "Mo/0, Red/0" in str(new.value)
+    report = wellformed.wf_expr(e, STANDARD_DECLS)
+    assert report.violations == wf_expr_all_pairs(e, STANDARD_DECLS).violations
+    typed = [v for v in report.violations if v.rule == "overlap-type"]
+    assert typed[0].path == (2,) and "Mo/0, Red/0" in typed[0].message
+    assert any(v.path == (4,) for v in typed)
 
 
 def test_pairs_left_out_never_overlap():

@@ -1,0 +1,197 @@
+"""Hash-consed syntax: every node is built through `syntax.Node`, equal
+constructions give one object, equality and hashing are identity, and the
+one table holding the nodes forgets a node once nothing else refers to it."""
+
+import gc
+import os
+import subprocess
+import sys
+import threading
+
+import pytest
+from helpers import cn
+
+from patalg import syntax
+from patalg.normalize import Ndnf, NegConj, PosConj, UnsatConj
+from patalg.semantics import Call, Clause, ECase, ECtor, EVar
+from patalg.syntax import Absurd, And, Ctor, Neg, Node, Or, Value, Var, Wild
+
+CLASSES = (
+    Var, Ctor, And, Or, Wild, Absurd, Neg, Value,
+    PosConj, NegConj, UnsatConj, Ndnf,
+    EVar, ECtor, Clause, ECase, Call,
+)
+
+
+def _examples():
+    """For each class, a function building one node of it from fresh parts."""
+    x = lambda: Var("x")
+    z = lambda: Value(cn("Z"), ())
+    neg = lambda: NegConj(frozenset({"x"}), frozenset({cn("Z")}))
+    return {
+        Var: x,
+        Ctor: lambda: Ctor(cn("S", 1), (x(),)),
+        And: lambda: And(x(), Wild()),
+        Or: lambda: Or(x(), Absurd()),
+        Wild: Wild,
+        Absurd: Absurd,
+        Neg: lambda: Neg(x()),
+        Value: lambda: Value(cn("S", 1), (z(),)),
+        PosConj: lambda: PosConj(frozenset({"y"}), cn("S", 1), (neg(),)),
+        NegConj: neg,
+        UnsatConj: lambda: UnsatConj(frozenset({"x"})),
+        Ndnf: lambda: Ndnf((neg(), UnsatConj(frozenset()))),
+        EVar: lambda: EVar("x"),
+        ECtor: lambda: ECtor(cn("S", 1), (EVar("x"),)),
+        Clause: lambda: Clause(x(), EVar("x")),
+        ECase: lambda: ECase(EVar("x"), (Clause(x(), z()),), z()),
+        Call: lambda: Call("f", (EVar("x"), z())),
+    }
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_equal_constructions_are_one_object(cls):
+    build = _examples()[cls]
+    a, b = build(), build()
+    assert type(a) is cls
+    assert a is b and a == b and hash(a) == hash(b)
+
+
+def test_ctor_over_values_is_the_interned_value():
+    z = Value(cn("Z"), ())
+    assert ECtor(cn("S", 1), (z,)) is Value(cn("S", 1), (z,))
+    assert ECtor(cn("S", 1), [Value(cn("Z"), ())]) is ECtor(cn("S", 1), (z,))
+
+
+def test_different_fields_give_different_nodes():
+    assert Var("x") is not Var("y") and Var("x") != EVar("x")
+    assert Value(cn("A"), ()) is not Value(cn("A", 1), (Value(cn("A"), ()),))
+    assert NegConj(frozenset(), frozenset()) is not UnsatConj(frozenset())
+
+
+def test_arity_is_checked_when_a_node_is_first_built():
+    with pytest.raises(ValueError, match="constructor S/1 applied to 0 subpatterns"):
+        Ctor(cn("S", 1), ())
+    with pytest.raises(ValueError, match="value constructor S/1 applied to 0 arguments"):
+        Value(cn("S", 1), ())
+    with pytest.raises(ValueError, match="constructor S/1 applied to 2 arguments"):
+        ECtor(cn("S", 1), (EVar("x"), EVar("y")))
+    with pytest.raises(TypeError):
+        Var("x", "y")
+
+
+def test_nodes_are_immutable():
+    with pytest.raises(AttributeError):
+        Var("x").name = "y"
+
+
+def test_the_table_forgets_dead_nodes():
+    gc.collect()
+    before = len(syntax._table)
+
+    def build():
+        return [Ctor(cn("T", 2), (Var(f"n{i}"), Wild())) for i in range(1000)]
+
+    nodes = build()
+    assert len(syntax._table) >= before + 2000
+    del nodes
+    gc.collect()
+    assert len(syntax._table) == before
+
+
+def test_threads_building_equal_nodes_get_one_node():
+    # A short switch interval makes the threads interleave inside
+    # construction; a lost update would leave two equal nodes.
+    results = [None] * 8
+
+    def build(k):
+        z = Value(cn("Z"), ())
+        results[k] = [Ctor(cn("T", 2), (Var(f"t{i}"), z)) for i in range(3000)]
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(len(results))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for nodes in results[1:]:
+        assert all(a is b for a, b in zip(nodes, results[0], strict=True))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_every_node_class_uses_identity_from_the_one_base(cls):
+    assert issubclass(cls, Node)
+    assert "__eq__" not in cls.__dict__ and "__hash__" not in cls.__dict__
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+# --- deep and wide inputs -----------------------------------------------------
+
+
+def _chains(n, bottom):
+    """Chains of n levels over a leaf named `bottom`, one per kind of node."""
+    s = cn("S", 1)
+    ctor = alt = Var(bottom)
+    value, expr = Value(cn(bottom), ()), EVar(bottom)
+    conj = NegConj(frozenset(), frozenset({cn(bottom)}))
+    for _ in range(n):
+        ctor = Ctor(s, (ctor,))
+        alt = Or(alt, Wild())
+        value = Value(s, (value,))
+        conj = PosConj(frozenset(), s, (conj,))
+        expr = ECtor(s, (expr,))
+    return ctor, alt, value, conj, expr
+
+
+def test_deep_nodes_hash_and_compare_without_recursion():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        first, again, other = _chains(10_000, "A"), _chains(10_000, "A"), _chains(10_000, "B")
+        for a, b, c in zip(first, again, other):
+            assert a is b and a == b and hash(a) == hash(b)
+            assert a != c and not a == c
+            table = {a: 1}
+            assert b in table and c not in table
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_wide_or_pattern_checks_and_compiles(tmp_path):
+    # `y & !(K0 | ... | K599)` over 1,200 constructors: the parser nests
+    # the 600 alternatives 600 deep, which a structural hash of the
+    # pattern could not survive.
+    k = 1200
+    names = [f"K{i}" for i in range(k)]
+    clauses = [f"K{i} => K{i + k // 2}" for i in range(k // 2)]
+    clauses.append(f"y & !({' | '.join(names[: k // 2])}) => y")
+    path = tmp_path / "wide.pat"
+    path.write_text(
+        f"data E = {' | '.join(names)};\n"
+        f"def g(x: E) := case x of {{ {', '.join(clauses)}, default => K0 }};\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = (
+        ["check"],
+        ["check", "--type-aware-overlap"],
+        ["compile"],
+        ["compile", "--format", "json"],
+    )
+    for command in runs:
+        out = subprocess.run(
+            [sys.executable, "-m", "patalg.cli", command[0], str(path), *command[1:]],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in out.stderr + out.stdout, out.stderr[-500:]
+        assert out.returncode == 0, command
+        if command[0] == "check":
+            assert "the default clause is unreachable" in out.stdout
+            assert out.stdout.endswith("ok\n")

@@ -1,5 +1,9 @@
 """Linearity, determinism and wellformedness checks."""
 
+import os
+import subprocess
+import sys
+
 from helpers import c, cn, var
 
 from patalg.compiler import ClauseMatrix, MatrixRow
@@ -153,3 +157,30 @@ def test_row_binding_a_scrutinee_name_rejected():
     m = _matrix([[c("Cons", var("s"), Wild())]])
     report = wf_matrix(m)
     assert [viol.rule for viol in report.violations] == ["shadows-scrutinee"]
+
+
+def test_type_aware_overlap_reports_ban_sets_of_two_types(tmp_path):
+    # The ban sets of `!Red` and `!Mo` fit no one declared type: `check`
+    # reports the pair and fails cleanly instead of raising.
+    path = tmp_path / "two_types.pat"
+    path.write_text(
+        "data Color = Red | Green | Blue;\n"
+        "data Day = Mo | Tu;\n"
+        "def f(x) := case x of { !Red => Mo, !Mo => Tu, default => Tu };\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "patalg.cli", "check", str(path), "--type-aware-overlap"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in out.stderr, out.stderr[-500:]
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    assert lines[0] == (
+        f"{path}: def f: [overlap-type] at 1: clause patterns !Red and !Mo cannot be "
+        "compared by type: banned constructors Mo/0, Red/0 do not all belong to one "
+        "declared type"
+    )
+    assert lines[-1] == "check failed"
