@@ -41,7 +41,7 @@ from .syntax import (
     pattern_equiv_bounded,
     subst_equiv,
 )
-from .normalize import Ndnf, NegConj, PosConj, UnsatConj, dnf, nnf, to_ndnf
+from .normalize import Ndnf, NegConj, PosConj, dnf, nnf, to_ndnf
 from .overlap import candidate_pairs, decide, disjoint
 from .wellformed import (
     PatternFacts,

@@ -26,8 +26,6 @@ from .normalize import (
     Ndnf,
     NegConj,
     PosConj,
-    UnsatConj,
-    cell_is_void,
     conjunct_is_variable,
     embed_ndnf,
     ndnf_wildcard,
@@ -235,19 +233,11 @@ def default_matrix(i: int, heads, m: ClauseMatrix) -> ClauseMatrix:
     return _subproblem(m, i, default_rows(m.rows, i), scrutinees)
 
 
-def _canon_cell(cell: Ndnf) -> Ndnf:
-    sat = tuple(k for k in cell.conjuncts if not isinstance(k, UnsatConj))
-    return Ndnf(tuple(dict.fromkeys(sat))) if sat else cell
-
-
 def _clean(m: ClauseMatrix) -> ClauseMatrix:
-    """Drop rows that can never match and unsatisfiable disjuncts inside
-    cells; they contribute nothing to any use of the matrix."""
-    rows = []
-    for row in m.rows:
-        if any(cell_is_void(c) for c in row.cells):
-            continue
-        rows.append(MatrixRow(tuple(_canon_cell(c) for c in row.cells), row.rhs))
+    """Drop the rows that can never match, those with an empty cell, and
+    duplicate rows.  Specialization and default never make an empty cell,
+    so only the matrix that compilation starts from needs cleaning."""
+    rows = (row for row in m.rows if all(c.conjuncts for c in row.cells))
     return ClauseMatrix(m.scrutinees, _dedup_rows(rows), m.default_rhs)
 
 
@@ -309,8 +299,8 @@ def _compile(m: ClauseMatrix, fresh: FreshSupply, depth: int) -> DecisionTree:
         binders = fresh.fresh_names(ctor.arity)
         # Popped, so that each subproblem's rows are freed once compiled.
         sub = _specialized(m, i, binders, groups.pop(ctor))
-        arms.append(Arm(ctor, binders, _compile(_clean(sub), fresh, depth + 1)))
-    dflt = _compile(_clean(default_matrix(i, heads, m)), fresh, depth + 1)
+        arms.append(Arm(ctor, binders, _compile(sub, fresh, depth + 1)))
+    dflt = _compile(default_matrix(i, heads, m), fresh, depth + 1)
     return Switch(m.scrutinees[i], tuple(arms), dflt)
 
 

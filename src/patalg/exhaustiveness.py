@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .compiler import column_heads, default_rows, specialize_each
-from .normalize import Ndnf, PosConj, UnsatConj, ndnf_matches, ndnf_wildcard
+from .normalize import Ndnf, PosConj, ndnf_matches, ndnf_wildcard
 from .syntax import CtorName, SoundnessError, Value
 from .typecheck import DataDecls, DeclError, Named, Type, signature_of
 
@@ -136,8 +136,6 @@ def _useful(P, pvec, decls, col_types) -> Optional[tuple]:
                 return w
         return None
     k = first.conjuncts[0]
-    if isinstance(k, UnsatConj):
-        return None
     if isinstance(k, PosConj):
         arg_types = None
         if col_types:

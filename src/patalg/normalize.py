@@ -1,26 +1,31 @@
-"""Three-stage pattern normalization.
+"""Pattern normalization, as one fold over a pattern read under a polarity.
 
-Stage 1 pushes negations inward until they sit on variables or bare
-constructor heads (negation normal form).  Stage 2 pushes disjunctions
-outward (disjunctive normal form, a set of elementary conjuncts).  Stage 3
-collapses each elementary conjunct into one of three shapes: positive
-(a variable set plus a constructor application), negative (a variable set
-plus a set of banned head constructors) or unsatisfiable.
+Negation normal form (`nnf`) pushes negations inward until they sit on
+variables or bare constructor heads.  Disjunctive normal form (`dnf`)
+pushes disjunctions outward, giving a set of elementary conjuncts.  The
+normalized disjunctive form (`to_ndnf`) does both at once and collapses
+each elementary conjunct into one of two shapes: positive (a variable set
+plus a constructor application) or negative (a variable set plus a set of
+banned head constructors).  A conjunct that no value matches is dropped
+where it arises, so a normal form holds only satisfiable conjuncts and the
+empty disjunction is the one unsatisfiable form.
 
-Negation normal forms and elementary conjuncts are represented as plain
-patterns satisfying a shape invariant (`is_nnf` / `is_conjunct`); the
-normalized conjuncts get their own types below.
+The three are step functions of one post-order fold (`_fold`) over
+(pattern, polarity) pairs, so a negation costs nothing and no walk
+recurses on the depth of a pattern.  Negation normal forms and elementary
+conjuncts are plain patterns satisfying a shape invariant (`is_nnf` /
+`is_conjunct`); the normalized conjuncts get their own types below.
 """
 
 from __future__ import annotations
 
-from typing import Union
+import itertools
+from typing import Optional, Union
 
 from .syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Pattern, Value, Var, Wild
 
-# Negation normal forms and elementary conjuncts, as pattern subsets.
+# Negation normal forms, as a pattern subset.
 Nnf = Pattern
-Conjunct = Pattern
 
 
 def neg_ctor_head(ctor: CtorName) -> Pattern:
@@ -62,94 +67,109 @@ def _contains_or(p: Pattern) -> bool:
     return False
 
 
-# --- stage 1: negation normal form -------------------------------------------
+# --- the fold -------------------------------------------------------------------
+
+
+def _fold(p: Pattern, step):
+    """The catamorphism of `p` read in positive position (Meijer, Fokkinga
+    & Paterson, FPCA 1991).  `step(node, positive, results)` builds a
+    node's result from its operands' results: a negation's operand is read
+    at the flipped polarity, every other operand at the node's own.  Runs
+    post-order on an explicit stack, and each (node, polarity) pair is
+    folded once per call, so a subpattern shared in `p` costs one step."""
+    done: dict = {}
+    todo: list = [((p, True), None)]
+    while todo:
+        pair, kids = todo.pop()
+        if pair in done:
+            continue
+        node, positive = pair
+        if kids is not None:
+            done[pair] = step(node, positive, [done[k] for k in kids])
+            continue
+        kind = type(node)
+        if kind is Neg:
+            kids = ((node.sub, not positive),)
+        elif kind is And or kind is Or:
+            kids = ((node.left, positive), (node.right, positive))
+        elif kind is Ctor:
+            kids = tuple((a, positive) for a in node.args)
+        elif kind is Var or kind is Wild or kind is Absurd:
+            kids = ()
+        else:
+            raise TypeError(f"not a pattern: {node!r}")
+        todo.append((pair, kids))
+        todo.extend((k, None) for k in reversed(kids))
+    return done[(p, True)]
+
+
+def _dedup(items) -> tuple:
+    return tuple(dict.fromkeys(items))
+
+
+def _right_nested(op, parts: list) -> Pattern:
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = op(part, out)
+    return out
+
+
+# --- negation normal form ---------------------------------------------------------
 
 
 def nnf(p: Pattern) -> Nnf:
     """Negation normal form; the top level starts in positive position."""
-    return nnf_pos(p)
+    return _fold(p, _nnf_step)
 
 
-def nnf_pos(p: Pattern) -> Nnf:
-    if isinstance(p, Var):
-        return p
-    if isinstance(p, Wild):
-        return p
-    if isinstance(p, Absurd):
-        return p
-    if isinstance(p, Neg):
-        return nnf_neg(p.sub)
-    if isinstance(p, And):
-        return And(nnf_pos(p.left), nnf_pos(p.right))
-    if isinstance(p, Or):
-        return Or(nnf_pos(p.left), nnf_pos(p.right))
-    if isinstance(p, Ctor):
-        return Ctor(p.ctor, tuple(nnf_pos(a) for a in p.args))
-    raise TypeError(f"not a pattern: {p!r}")
-
-
-def nnf_neg(p: Pattern) -> Nnf:
-    if isinstance(p, Var):
-        return Neg(p)
-    if isinstance(p, Wild):
-        return Absurd()
-    if isinstance(p, Absurd):
-        return Wild()
-    if isinstance(p, Neg):
-        return nnf_pos(p.sub)
-    if isinstance(p, And):
-        return Or(nnf_neg(p.left), nnf_neg(p.right))
-    if isinstance(p, Or):
-        return And(nnf_neg(p.left), nnf_neg(p.right))
-    if isinstance(p, Ctor):
+def _nnf_step(node, positive, results):
+    kind = type(node)
+    if kind is Neg:
+        return results[0]
+    if kind is And or kind is Or:
+        return (And if (kind is And) == positive else Or)(*results)
+    if kind is Ctor:
+        if positive:
+            return Ctor(node.ctor, tuple(results))
         # A value fails to match C(p1..pn) by having a different head, or by
         # having the right head with some argument failing its subpattern.
-        n = p.ctor.arity
-        disjuncts = [neg_ctor_head(p.ctor)]
-        for i in range(n):
-            args = tuple(
-                nnf_neg(p.args[j]) if j == i else Wild() for j in range(n)
-            )
-            disjuncts.append(Ctor(p.ctor, args))
-        out = disjuncts[-1]
-        for d in reversed(disjuncts[:-1]):
-            out = Or(d, out)
-        return out
-    raise TypeError(f"not a pattern: {p!r}")
+        wild = (Wild(),) * node.ctor.arity
+        disjuncts = [neg_ctor_head(node.ctor)]
+        for i, k in enumerate(results):
+            disjuncts.append(Ctor(node.ctor, wild[:i] + (k,) + wild[i + 1 :]))
+        return _right_nested(Or, disjuncts)
+    if positive:
+        return node
+    if kind is Var:
+        return Neg(node)
+    return Absurd() if kind is Wild else Wild()
 
 
-# --- stage 2: disjunctive normal form -----------------------------------------
+# --- disjunctive normal form --------------------------------------------------------
 
 
 def dnf(n: Nnf) -> tuple:
     """Elementary conjuncts of a pattern in negation normal form, in
-    left-to-right discovery order, structurally deduplicated."""
-    return tuple(dict.fromkeys(_dnf(n)))
+    left-to-right discovery order, deduplicated."""
+    return _fold(n, _dnf_step)
 
 
-def _dnf(n: Nnf) -> list:
-    if isinstance(n, (Var, Wild, Absurd)):
-        return [n]
-    if isinstance(n, Neg):
-        if isinstance(n.sub, Var) or _is_neg_ctor_head(n):
-            return [n]
-        raise ValueError(f"input not in negation normal form: {n!r}")
-    if isinstance(n, Or):
-        return _dnf(n.left) + _dnf(n.right)
-    if isinstance(n, And):
-        return [
-            And(k1, k2) for k1 in _dnf(n.left) for k2 in _dnf(n.right)
-        ]
-    if isinstance(n, Ctor):
-        arg_choices = [_dnf(a) for a in n.args]
-        out = [()]
-        for choices in arg_choices:
-            out = [combo + (k,) for combo in out for k in choices]
-        return [Ctor(n.ctor, combo) for combo in out]
-    raise TypeError(f"not a pattern: {n!r}")
+def _dnf_step(node, positive, results):
+    if not positive:
+        return None  # in negation normal form every negation is an atom
+    kind = type(node)
+    if kind is Or:
+        return _dedup(results[0] + results[1])
+    if kind is And:
+        return _dedup(And(a, b) for a in results[0] for b in results[1])
+    if kind is Ctor:
+        return _dedup(Ctor(node.ctor, args) for args in itertools.product(*results))
+    if kind is Neg and not (type(node.sub) is Var or _is_neg_ctor_head(node)):
+        raise ValueError(f"input not in negation normal form: {node!r}")
+    return (node,)
 
 
-# --- stage 3: normalized conjuncts --------------------------------------------
+# --- normalized disjunctive form ------------------------------------------------------
 
 
 class PosConj(Node):
@@ -165,79 +185,82 @@ class NegConj(Node):
     __slots__ = ("vars", "banned")  # banned: frozenset of CtorName
 
 
-class UnsatConj(Node):
-    """Never matches."""
-
-    __slots__ = ("vars",)
-
-
-NConjunct = Union[PosConj, NegConj, UnsatConj]
+NConjunct = Union[PosConj, NegConj]
 
 
 class Ndnf(Node):
-    """Disjunction of normalized conjuncts; the empty disjunction is legal
-    and behaves like the absurd pattern everywhere downstream."""
+    """Disjunction of satisfiable normalized conjuncts; the empty
+    disjunction is the unsatisfiable form and behaves like the absurd
+    pattern everywhere downstream."""
 
     __slots__ = ("conjuncts",)  # tuple of NConjunct
 
 
-WILDCARD_CONJ = NegConj(frozenset(), frozenset())
+_NO_VARS: frozenset = frozenset()
+WILDCARD_CONJ = NegConj(_NO_VARS, _NO_VARS)
 
 
 def ndnf_wildcard() -> Ndnf:
     return Ndnf((WILDCARD_CONJ,))
 
 
-def normalize_conjunct(k: Conjunct) -> NConjunct:
-    if isinstance(k, Var):
-        return NegConj(frozenset({k.name}), frozenset())
-    if isinstance(k, Wild):
-        return NegConj(frozenset(), frozenset())
-    if isinstance(k, Absurd):
-        return UnsatConj(frozenset())
-    if isinstance(k, Neg):
-        if isinstance(k.sub, Var):
-            # Negated variables can never be used on a right-hand side, so
-            # they are collapsed into an unsatisfiable conjunct.
-            return UnsatConj(frozenset())
-        if _is_neg_ctor_head(k):
-            return NegConj(frozenset(), frozenset({k.sub.ctor}))
-        raise ValueError(f"not an elementary conjunct: {k!r}")
-    if isinstance(k, Ctor):
-        return PosConj(
-            frozenset(), k.ctor, tuple(normalize_conjunct(a) for a in k.args)
-        )
-    if isinstance(k, And):
-        return combine(normalize_conjunct(k.left), normalize_conjunct(k.right))
-    raise TypeError(f"not a pattern: {k!r}")
-
-
-def combine(a: NConjunct, b: NConjunct) -> NConjunct:
-    """Merge two normalized conjuncts into one."""
+def combine(a: NConjunct, b: NConjunct) -> Optional[NConjunct]:
+    """Merge two satisfiable conjuncts into one, or None when no value
+    matches both."""
     vars_ = a.vars | b.vars
-    if isinstance(a, UnsatConj) or isinstance(b, UnsatConj):
-        return UnsatConj(vars_)
     if isinstance(a, NegConj) and isinstance(b, NegConj):
         return NegConj(vars_, a.banned | b.banned)
     if isinstance(a, NegConj):
         a, b = b, a
     if isinstance(b, NegConj):
         if a.ctor in b.banned:
-            return UnsatConj(vars_)
+            return None
         return PosConj(vars_, a.ctor, a.args)
     # two positive conjuncts
-    if a.ctor == b.ctor:
-        return PosConj(
-            vars_, a.ctor, tuple(combine(x, y) for x, y in zip(a.args, b.args))
-        )
-    return UnsatConj(vars_)
+    if a.ctor != b.ctor:
+        return None
+    args = []
+    for x, y in zip(a.args, b.args):
+        k = combine(x, y)
+        if k is None:
+            return None
+        args.append(k)
+    return PosConj(vars_, a.ctor, tuple(args))
 
 
 def to_ndnf(p: Pattern) -> Ndnf:
-    """Full pipeline: negation normal form, disjunctive normal form, then
-    conjunct normalization.  Disjuncts are structurally deduplicated."""
-    conjuncts = [normalize_conjunct(k) for k in dnf(nnf(p))]
-    return Ndnf(tuple(dict.fromkeys(conjuncts)))
+    """Normalized disjunctive form: the conjuncts of `dnf(nnf(p))`,
+    normalized, deduplicated and in the same order, without those no value
+    matches."""
+    return Ndnf(_fold(p, _ndnf_step))
+
+
+def _ndnf_step(node, positive, results):
+    kind = type(node)
+    if kind is Neg:
+        return results[0]
+    if kind is And or kind is Or:
+        left, right = results
+        if (kind is Or) == positive:
+            return _dedup(left + right)
+        pairs = (combine(a, b) for a in left for b in right)
+        return _dedup(k for k in pairs if k is not None)
+    if kind is Ctor:
+        c = node.ctor
+        if positive:
+            # The arguments' conjuncts are distinct and satisfiable, so
+            # every combination of them is too.
+            return tuple(PosConj(_NO_VARS, c, args) for args in itertools.product(*results))
+        wild = (WILDCARD_CONJ,) * c.arity
+        out = [NegConj(_NO_VARS, frozenset((c,)))]
+        for i, ks in enumerate(results):
+            out.extend(PosConj(_NO_VARS, c, wild[:i] + (k,) + wild[i + 1 :]) for k in ks)
+        return _dedup(out)
+    if kind is Var:
+        # A negated variable can never be used on a right-hand side, so it
+        # contributes no conjunct.
+        return (NegConj(frozenset((node.name,)), _NO_VARS),) if positive else ()
+    return (WILDCARD_CONJ,) if positive == (kind is Wild) else ()
 
 
 # --- embedding normal forms back into patterns --------------------------------
@@ -254,12 +277,7 @@ def embed_conjunct(k: NConjunct) -> Pattern:
         if not k.banned:
             base = Wild()
         else:
-            negs = [neg_ctor_head(c) for c in _sorted_ctors(k.banned)]
-            base = negs[-1]
-            for n in reversed(negs[:-1]):
-                base = And(n, base)
-    elif isinstance(k, UnsatConj):
-        base = Absurd()
+            base = _right_nested(And, [neg_ctor_head(c) for c in _sorted_ctors(k.banned)])
     else:
         raise TypeError(f"not a normalized conjunct: {k!r}")
     for x in sorted(k.vars, reverse=True):
@@ -272,21 +290,12 @@ def embed_ndnf(d: Ndnf) -> Pattern:
     empty disjunction embeds as the absurd pattern."""
     if not d.conjuncts:
         return Absurd()
-    parts = [embed_conjunct(k) for k in d.conjuncts]
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
+    return _right_nested(Or, [embed_conjunct(k) for k in d.conjuncts])
 
 
 def conjunct_is_variable(k: NConjunct) -> bool:
     """True for the {x1..xn} & !{} shape (bare variables and wildcards)."""
     return isinstance(k, NegConj) and not k.banned
-
-
-def cell_is_void(d: Ndnf) -> bool:
-    """True when no conjunct of the disjunction can ever match."""
-    return all(isinstance(k, UnsatConj) for k in d.conjuncts)
 
 
 # --- matching normal forms ------------------------------------------------------
@@ -299,10 +308,8 @@ def ndnf_matches(d: Ndnf, v: Value) -> bool:
 
 
 def _conj_matches(k: NConjunct, v: Value) -> bool:
-    if isinstance(k, PosConj):
-        return k.ctor == v.ctor and all(
-            _conj_matches(a, w) for a, w in zip(k.args, v.args)
-        )
     if isinstance(k, NegConj):
         return v.ctor not in k.banned
-    return False
+    return k.ctor == v.ctor and all(
+        _conj_matches(a, w) for a, w in zip(k.args, v.args)
+    )

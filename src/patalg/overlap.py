@@ -8,7 +8,7 @@ case when the combined ban sets cover a whole constructor signature.
 
 from __future__ import annotations
 
-from .normalize import Ndnf, NegConj, PosConj, UnsatConj, WILDCARD_CONJ, to_ndnf
+from .normalize import Ndnf, NegConj, PosConj, WILDCARD_CONJ, to_ndnf
 from .syntax import Pattern
 
 
@@ -36,8 +36,6 @@ def _conj_overlap(a, b, decls) -> bool:
 
 
 def _conj_overlap_raw(a, b, decls) -> bool:
-    if isinstance(a, UnsatConj) or isinstance(b, UnsatConj):
-        return False
     if isinstance(a, NegConj) and isinstance(b, NegConj):
         if decls is None:
             return True

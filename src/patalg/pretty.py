@@ -10,7 +10,7 @@ keep their grouping parentheses.  Normalized disjunctive forms print in the
 from __future__ import annotations
 
 from .compiler import DecisionTree, Leaf
-from .normalize import Ndnf, NegConj, PosConj, UnsatConj
+from .normalize import Ndnf, NegConj, PosConj
 from .semantics import ECase, ECtor, EVar
 from .syntax import Absurd, And, Ctor, Neg, Or, Pattern, Value, Var, Wild
 
@@ -106,8 +106,6 @@ def format_nconjunct(k) -> str:
     elif isinstance(k, NegConj):
         names = sorted(k.banned, key=lambda c: (c.name, c.arity))
         rhs = "!{" + ", ".join(c.name for c in names) + "}"
-    elif isinstance(k, UnsatConj):
-        rhs = "#"
     else:
         raise TypeError(f"not a normalized conjunct: {k!r}")
     return f"{_format_var_set(k.vars)} & {rhs}"

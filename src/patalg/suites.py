@@ -319,7 +319,10 @@ def prop_congruence(seed, depth, cases) -> PropertyResult:
         lambda p: Neg(Neg(p)),
         lambda p: And(p, Wild()),
         lambda p: Or(p, Absurd()),
-        lambda p: And(p, p) if _linear_both(p) else Neg(Neg(p)),
+        # p & p keeps the derivations of p only when they all agree.
+        lambda p: (
+            And(p, p) if _linear_both(p) and wellformed.deterministic(p) else Neg(Neg(p))
+        ),
     )
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]

@@ -14,20 +14,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import NamedTuple, Union
-
-
-@dataclass(frozen=True)
-class CtorName:
-    """Constructor identity.  Two occurrences denote the same constructor
-    iff both name and arity agree, so Cons/2 and Cons/1 are distinct."""
-
-    name: str
-    arity: int
-
-    def __str__(self) -> str:
-        return self.name
 
 
 # --- hash-consed nodes ---------------------------------------------------------
@@ -56,12 +43,12 @@ _lock = threading.RLock()
 
 
 class Node:
-    """Base of every syntax node: patterns, values, normal forms and
-    expressions.  A node is built from its fields in `__slots__` order.
-    Construction looks (class, *fields) up in one table and returns the
-    node already there, so equal nodes are one object and `==` and `hash`
-    are the identity defaults.  Children are nodes, so the key compares
-    them by identity and a construction costs one probe.  The table holds
+    """Base of every syntax node: constructor names, patterns, values,
+    normal forms and expressions.  A node is built from its fields in
+    `__slots__` order.  Construction looks (class, *fields) up in one table
+    and returns the node already there, so equal nodes are one object and
+    `==` and `hash` are the identity defaults.  Children are nodes, so the
+    key compares them by identity and a construction costs one probe.  The table holds
     its nodes weakly: an entry lasts as long as something else refers to
     its node (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", ML
     2006).  Nodes are immutable.  A class with fields (ctor, args) may set
@@ -104,6 +91,16 @@ class Node:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class CtorName(Node):
+    """Constructor identity.  Two occurrences denote the same constructor
+    iff both name and arity agree, so Cons/2 and Cons/1 are distinct."""
+
+    __slots__ = ("name", "arity")
+
+    def __str__(self) -> str:
+        return self.name
 
 
 # --- patterns ---------------------------------------------------------------

@@ -206,10 +206,18 @@ def wf_expr(e, decls=None) -> WfReport:
             open_sites.append(sites[-1])
         elif type(node) is semantics.Clause:
             facts = pattern_facts(node.pattern)
-            det, lin = facts.deterministic(decls), facts.linear_pos
+            # Ban sets that fit no declared type are reported at the clause.
+            try:
+                det_rule = (
+                    "nondeterministic",
+                    facts.deterministic(decls),
+                    "can bind differently across derivations",
+                )
+            except overlap.OverlapTypeError as err:
+                det_rule = ("overlap-type", False, f"cannot be compared by type: {err}")
             for rule, holds, says in (
-                ("nondeterministic", det, "can bind differently across derivations"),
-                ("nonlinear", lin, "is not positively linear"),
+                det_rule,
+                ("nonlinear", facts.linear_pos, "is not positively linear"),
             ):
                 if not holds:
                     shown = format_pattern(node.pattern)

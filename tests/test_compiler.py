@@ -24,7 +24,7 @@ from patalg.compiler import (
     step_matrix,
     tree_invariants_ok,
 )
-from patalg.normalize import Ndnf, NegConj, PosConj, UnsatConj, ndnf_wildcard, to_ndnf
+from patalg.normalize import Ndnf, NegConj, PosConj, ndnf_wildcard, to_ndnf
 from patalg.semantics import (
     Clause,
     ECase,
@@ -78,7 +78,7 @@ def test_embed_default_only_case():
 
 def test_embed_absurd_clause():
     m = embed_case(ECase(EVar("x"), (Clause(Absurd(), E1),), D))
-    assert m.rows[0].cells[0] == Ndnf((UnsatConj(frozenset()),))
+    assert m.rows[0].cells[0] == Ndnf(())
 
 
 def test_head_ctors_weekend_column():

@@ -19,7 +19,6 @@ from patalg.exhaustiveness import (
 from patalg.normalize import (
     Ndnf,
     NegConj,
-    UnsatConj,
     embed_ndnf,
     ndnf_wildcard,
     to_ndnf,
@@ -154,7 +153,7 @@ def test_specialize_positive_row_expands_arguments():
 def test_specialize_drops_unsat_and_banned_rows():
     P = pattern_matrix(
         (
-            (Ndnf((UnsatConj(frozenset()),)),),
+            (Ndnf(()),),
             (to_ndnf(Neg(c("Red"))),),
         )
     )

@@ -12,13 +12,13 @@ import pytest
 from helpers import cn
 
 from patalg import syntax
-from patalg.normalize import Ndnf, NegConj, PosConj, UnsatConj
+from patalg.normalize import Ndnf, NegConj, PosConj
 from patalg.semantics import Call, Clause, ECase, ECtor, EVar
-from patalg.syntax import Absurd, And, Ctor, Neg, Node, Or, Value, Var, Wild
+from patalg.syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Value, Var, Wild
 
 CLASSES = (
-    Var, Ctor, And, Or, Wild, Absurd, Neg, Value,
-    PosConj, NegConj, UnsatConj, Ndnf,
+    CtorName, Var, Ctor, And, Or, Wild, Absurd, Neg, Value,
+    PosConj, NegConj, Ndnf,
     EVar, ECtor, Clause, ECase, Call,
 )
 
@@ -29,6 +29,7 @@ def _examples():
     z = lambda: Value(cn("Z"), ())
     neg = lambda: NegConj(frozenset({"x"}), frozenset({cn("Z")}))
     return {
+        CtorName: lambda: CtorName("S", 1),
         Var: x,
         Ctor: lambda: Ctor(cn("S", 1), (x(),)),
         And: lambda: And(x(), Wild()),
@@ -39,8 +40,7 @@ def _examples():
         Value: lambda: Value(cn("S", 1), (z(),)),
         PosConj: lambda: PosConj(frozenset({"y"}), cn("S", 1), (neg(),)),
         NegConj: neg,
-        UnsatConj: lambda: UnsatConj(frozenset({"x"})),
-        Ndnf: lambda: Ndnf((neg(), UnsatConj(frozenset()))),
+        Ndnf: lambda: Ndnf((neg(), NegConj(frozenset(), frozenset()))),
         EVar: lambda: EVar("x"),
         ECtor: lambda: ECtor(cn("S", 1), (EVar("x"),)),
         Clause: lambda: Clause(x(), EVar("x")),
@@ -66,7 +66,7 @@ def test_ctor_over_values_is_the_interned_value():
 def test_different_fields_give_different_nodes():
     assert Var("x") is not Var("y") and Var("x") != EVar("x")
     assert Value(cn("A"), ()) is not Value(cn("A", 1), (Value(cn("A"), ()),))
-    assert NegConj(frozenset(), frozenset()) is not UnsatConj(frozenset())
+    assert Wild() is not Absurd() and CtorName("A", 0) is not CtorName("A", 1)
 
 
 def test_arity_is_checked_when_a_node_is_first_built():
@@ -162,11 +162,10 @@ def test_deep_nodes_hash_and_compare_without_recursion():
         sys.setrecursionlimit(old)
 
 
-def test_wide_or_pattern_checks_and_compiles(tmp_path):
-    # `y & !(K0 | ... | K599)` over 1,200 constructors: the parser nests
-    # the 600 alternatives 600 deep, which a structural hash of the
-    # pattern could not survive.
-    k = 1200
+def _wide_program(tmp_path, k):
+    """One clause per constructor of the first half of k constructors, then
+    `y & !(K0 | ... | K{k/2 - 1})`: the parser nests the k/2 alternatives
+    k/2 deep."""
     names = [f"K{i}" for i in range(k)]
     clauses = [f"K{i} => K{i + k // 2}" for i in range(k // 2)]
     clauses.append(f"y & !({' | '.join(names[: k // 2])}) => y")
@@ -175,23 +174,40 @@ def test_wide_or_pattern_checks_and_compiles(tmp_path):
         f"data E = {' | '.join(names)};\n"
         f"def g(x: E) := case x of {{ {', '.join(clauses)}, default => K0 }};\n"
     )
+    return path
+
+
+def _assert_runs_cleanly(path, *command):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    runs = (
+    out = subprocess.run(
+        [sys.executable, "-m", "patalg.cli", command[0], str(path), *command[1:]],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in out.stderr + out.stdout, out.stderr[-500:]
+    assert out.returncode == 0, command
+    if command[0] == "check":
+        assert "the default clause is unreachable" in out.stdout
+        assert out.stdout.endswith("ok\n")
+
+
+def test_wide_or_pattern_checks_and_compiles(tmp_path):
+    # A structural hash of the 600-deep pattern could not survive it.
+    path = _wide_program(tmp_path, 1200)
+    for command in (
         ["check"],
         ["check", "--type-aware-overlap"],
         ["compile"],
         ["compile", "--format", "json"],
-    )
-    for command in runs:
-        out = subprocess.run(
-            [sys.executable, "-m", "patalg.cli", command[0], str(path), *command[1:]],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert "Traceback" not in out.stderr + out.stdout, out.stderr[-500:]
-        assert out.returncode == 0, command
-        if command[0] == "check":
-            assert "the default clause is unreachable" in out.stdout
-            assert out.stdout.endswith("ok\n")
+    ):
+        _assert_runs_cleanly(path, *command)
+
+
+def test_complement_of_a_thousand_alternatives_checks(tmp_path):
+    # Normalization folds the 1,000-deep complement without recursing.
+    # `compile` (`syntax.fv_even`, via `compiler._unshadow`) and `check --typed`
+    # (`typecheck.type_pattern`) still recurse on it.
+    path = _wide_program(tmp_path, 2000)
+    for command in (["check"], ["check", "--type-aware-overlap"]):
+        _assert_runs_cleanly(path, *command)

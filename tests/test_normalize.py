@@ -1,5 +1,6 @@
 """Normalization stages and their printed forms."""
 
+import functools
 import random
 
 from helpers import BOOL_LIST, c, cn, var
@@ -8,7 +9,6 @@ from patalg.normalize import (
     Ndnf,
     NegConj,
     PosConj,
-    UnsatConj,
     combine,
     dnf,
     embed_ndnf,
@@ -16,7 +16,6 @@ from patalg.normalize import (
     is_nnf,
     ndnf_matches,
     nnf,
-    normalize_conjunct,
     to_ndnf,
 )
 from patalg.oracle import _gen_pattern, enumerate_values
@@ -24,8 +23,10 @@ from patalg.pretty import format_dnf, format_ndnf, format_pattern
 from patalg.syntax import (
     Absurd,
     And,
+    Ctor,
     Neg,
     Or,
+    Value,
     Wild,
     fv_even,
     fv_odd,
@@ -87,15 +88,20 @@ def test_ndnf_printed_forms():
 
 
 def test_normalize_negated_variable_is_unsatisfiable():
-    assert normalize_conjunct(Neg(var("x"))) == UnsatConj(frozenset())
+    # A negated variable contributes no conjunct, under a conjunction or a
+    # constructor too.
+    for p in (Neg(var("x")), And(var("y"), Neg(var("x"))), c("S", Neg(var("x")))):
+        assert to_ndnf(p) == Ndnf(())
 
 
 def test_combine_unsat_absorbs():
+    # An argument no value matches makes the whole conjunct unsatisfiable.
+    wild = NegConj(frozenset(), frozenset())
     out = combine(
-        UnsatConj(frozenset({"x"})),
-        PosConj(frozenset({"y"}), cn("C"), ()),
+        PosConj(frozenset({"x"}), cn("Cons", 2), (PosConj(frozenset(), cn("True"), ()), wild)),
+        PosConj(frozenset({"y"}), cn("Cons", 2), (PosConj(frozenset(), cn("False"), ()), wild)),
     )
-    assert out == UnsatConj(frozenset({"x", "y"}))
+    assert out is None
 
 
 def test_combine_positive_with_banning_negative():
@@ -103,7 +109,7 @@ def test_combine_positive_with_banning_negative():
         PosConj(frozenset(), cn("Red"), ()),
         NegConj(frozenset(), frozenset({cn("Red")})),
     )
-    assert out == UnsatConj(frozenset())
+    assert out is None
 
 
 def test_combine_negatives_union():
@@ -189,8 +195,8 @@ def _contains_neg_var(p):
 
 
 def test_ndnf_round_trip_preserves_semantics():
-    # Negated variables normalize to the unsatisfiable conjunct and are the
-    # documented exception; they get a dedicated test below.
+    # Negated variables normalize to no conjunct and are the documented
+    # exception; they get a dedicated test below.
     rng = random.Random(12)
     uni = _universe("List")
     found = 0
@@ -205,7 +211,7 @@ def test_ndnf_round_trip_preserves_semantics():
 def test_negated_variable_normalizes_to_absurd():
     p = Neg(var("x"))
     d = to_ndnf(p)
-    assert d == Ndnf((UnsatConj(frozenset()),))
+    assert d == Ndnf(())
     # Same values matched (none), though the failure bindings differ.
     for value in _universe("B", 1):
         assert match_pos(p, value) == ()
@@ -234,3 +240,81 @@ def test_ndnf_matches_agrees_with_matching_the_pattern():
             d = to_ndnf(p)
             for value in uni:
                 assert ndnf_matches(d, value) == bool(match_pos(p, value)), (p, value)
+
+
+# --- normal forms hold only satisfiable conjuncts ---
+
+
+def _open_world_witness(k):
+    """A value matching the conjunct when constructors beyond the declared
+    ones exist: its head and argument witnesses, or a fresh constructor."""
+    if isinstance(k, NegConj):
+        return Value(cn("$fresh"), ())
+    return Value(k.ctor, tuple(_open_world_witness(a) for a in k.args))
+
+
+def test_every_conjunct_is_distinct_and_satisfiable():
+    rng = random.Random(15)
+    for i in range(600):
+        tau = Named(("List", "B")[i % 2])
+        p = _gen_pattern(rng, BOOL_LIST, tau, rng.randint(0, 5))
+        if i % 3 == 0:
+            p = Neg(p)
+        d = to_ndnf(p)
+        assert len(set(d.conjuncts)) == len(d.conjuncts), format_pattern(p)
+        for k in d.conjuncts:
+            w = _open_world_witness(k)
+            assert ndnf_matches(Ndnf((k,)), w), (format_pattern(p), format_ndnf(Ndnf((k,))))
+
+
+def test_dead_shapes_contribute_no_conjunct():
+    # `!x`, `#` and a constructor with an unsatisfiable argument.
+    p = Or(Neg(var("x")), Or(c("S", Absurd()), c("Pair", Neg(var("y")), Wild())))
+    assert format_ndnf(to_ndnf(p)) == "||{}"
+    assert format_dnf(dnf(nnf(p))) == "||{ !x, S(#), Pair(!y, _) }"
+
+
+def test_normal_forms_of_deep_and_wide_patterns_do_not_recurse():
+    # At the default recursion limit: 10,000 levels of `!` and of `S(...)`,
+    # a 2,000-wide or-pattern nested to the left as the parser builds it,
+    # and its complement under a variable.
+    s = cn("S", 1)
+    bangs = nest = var("x")
+    for _ in range(10_000):
+        bangs, nest = Neg(bangs), Ctor(s, (nest,))
+    alts = [c(f"K{i}") for i in range(2000)]
+    wide = functools.reduce(Or, alts)
+    complement = And(var("y"), Neg(wide))
+    for p in (bangs, nest, wide, complement):
+        assert len(dnf(nnf(p))) == len(to_ndnf(p).conjuncts)
+    assert nnf(bangs) is var("x") and nnf(nest) is nest
+    assert to_ndnf(bangs) == to_ndnf(var("x"))
+    assert to_ndnf(complement) == Ndnf(
+        (NegConj(frozenset({"y"}), frozenset(a.ctor for a in alts)),)
+    )
+    # !S^n(x) has n + 1 elementary conjuncts of total size O(n^2); the last,
+    # S^n(!x), matches nothing.
+    deep = var("x")
+    for _ in range(500):
+        deep = Ctor(s, (deep,))
+    assert len(dnf(nnf(Neg(deep)))) == 501
+    assert len(to_ndnf(Neg(deep)).conjuncts) == 500
+
+
+def _first_match_clause(n, i):
+    """Clause i of n of a first-match case over Q(B x max(6, n + 1)),
+    desugared for order-independent matching: p_i & !(p_1 | ... | p_{i-1}),
+    where p_j has True at field j and False at field j + 1."""
+    width = max(6, n + 1)
+    q = cn("Q", width)
+
+    def p(j):
+        fields = {j: c("True"), j + 1: c("False")}
+        return Ctor(q, tuple(fields.get(f, Wild()) for f in range(1, width + 1)))
+
+    return And(p(i), Neg(functools.reduce(Or, [p(j) for j in range(1, i)])))
+
+
+def test_first_match_clause_keeps_only_its_live_conjuncts():
+    # Of the 2,193 conjuncts distribution meets, 32 can match a value.
+    assert len(to_ndnf(_first_match_clause(6, 6)).conjuncts) == 32

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import COLOR, c, cn, var
 
-from patalg.normalize import Ndnf, NegConj, PosConj, UnsatConj
+from patalg.normalize import Ndnf, NegConj, PosConj
 from patalg.overlap import OverlapTypeError, decide, disjoint
 from patalg.syntax import And, Neg, Wild
 
@@ -22,7 +22,7 @@ def _neg(*banned):
 
 
 def _unsat():
-    return Ndnf((UnsatConj(frozenset()),))
+    return Ndnf(())
 
 
 def test_positive_vs_negative_not_banned():

@@ -92,7 +92,7 @@ def _self_recursive(path) -> list:
 # Functions that recurse on their input, so a deep enough input exhausts
 # the interpreter stack.  The list may only shrink: a new walk must use an
 # explicit stack (as `semantics.subterms` and `wellformed.pattern_facts`
-# do).  ROADMAP item 10 aims at no more than five entries, each bounded by
+# do).  ROADMAP item 5 aims at no more than five entries, each bounded by
 # program structure.
 RECURSIVE_ALLOWED = {
     "compiler._compile",
@@ -102,13 +102,9 @@ RECURSIVE_ALLOWED = {
     "exhaustiveness._useful",
     "normalize._conj_matches",
     "normalize._contains_or",
-    "normalize._dnf",
     "normalize.combine",
     "normalize.embed_conjunct",
     "normalize.is_nnf",
-    "normalize.nnf_neg",
-    "normalize.nnf_pos",
-    "normalize.normalize_conjunct",
     "oracle._enum",
     "oracle._gen_pattern",
     "overlap._conj_overlap",

@@ -1,7 +1,7 @@
 """Smoke runs of the fuzz suites at a reduced case count; the acceptance
 module reruns the relevant ones at full scale."""
 
-from patalg.suites import run_suites
+from patalg.suites import prop_congruence, run_suites
 
 
 def test_all_suites_clean_at_small_scale():
@@ -10,6 +10,13 @@ def test_all_suites_clean_at_small_scale():
         f"{r.name}: {ce}" for r in results for ce in r.counterexamples
     ]
     assert problems == []
+
+
+def test_congruence_guards_idempotence_by_determinism():
+    # `x | MkPair(x, _)` at this seed: `p & p` doubles the derivations of
+    # a nondeterministic `p`, so idempotence is no law for it.
+    result = prop_congruence(108, 4, 400)
+    assert result.counterexamples == []
 
 
 def test_suites_are_seed_deterministic():

@@ -168,13 +168,7 @@ def test_type_aware_overlap_reports_ban_sets_of_two_types(tmp_path):
         "data Day = Mo | Tu;\n"
         "def f(x) := case x of { !Red => Mo, !Mo => Tu, default => Tu };\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    out = subprocess.run(
-        [sys.executable, "-m", "patalg.cli", "check", str(path), "--type-aware-overlap"],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-    )
+    out = _type_aware_check(path)
     assert "Traceback" not in out.stderr, out.stderr[-500:]
     assert out.returncode == 1
     lines = out.stdout.splitlines()
@@ -184,3 +178,33 @@ def test_type_aware_overlap_reports_ban_sets_of_two_types(tmp_path):
         "declared type"
     )
     assert lines[-1] == "check failed"
+
+
+def test_type_aware_overlap_reports_ban_sets_of_two_types_in_one_clause(tmp_path):
+    # Determinism of the one clause compares `y & !Red` with `y & !Mo`.
+    path = tmp_path / "two_types.pat"
+    path.write_text(
+        "data Color = Red | Green | Blue;\n"
+        "data Day = Mo | Tu;\n"
+        "def f(x) := case x of { (y & !Red) | (y & !Mo) => y, default => Tu };\n"
+    )
+    out = _type_aware_check(path)
+    assert "Traceback" not in out.stderr + out.stdout, out.stderr[-500:]
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    assert lines[0] == (
+        f"{path}: def f: [overlap-type] at 1: pattern y & !Red | y & !Mo cannot be "
+        "compared by type: banned constructors Mo/0, Red/0 do not all belong to one "
+        "declared type"
+    )
+    assert lines[-1] == "check failed"
+
+
+def _type_aware_check(path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.run(
+        [sys.executable, "-m", "patalg.cli", "check", str(path), "--type-aware-overlap"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
