@@ -65,7 +65,7 @@ from .semantics import (
     expr_equiv_bounded,
     step,
 )
-from .typecheck import Bool, DataDecls, Named, Pair, Sum, type_expr, type_pattern
+from .typecheck import Bool, DataDecls, Named, type_expr, type_pattern
 from .compiler import (
     ClauseMatrix,
     CompileError,

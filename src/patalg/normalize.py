@@ -10,11 +10,13 @@ banned head constructors).  A conjunct that no value matches is dropped
 where it arises, so a normal form holds only satisfiable conjuncts and the
 empty disjunction is the one unsatisfiable form.
 
-The three are step functions of one post-order fold (`_fold`) over
-(pattern, polarity) pairs, so a negation costs nothing and no walk
-recurses on the depth of a pattern.  Negation normal forms and elementary
-conjuncts are plain patterns satisfying a shape invariant (`is_nnf` /
-`is_conjunct`); the normalized conjuncts get their own types below.
+The three are step functions of the one post-order pattern fold
+(`syntax.fold`) over (pattern, polarity) pairs, so a negation costs
+nothing and no walk recurses on the depth of a pattern.  Negation normal
+forms and elementary conjuncts are plain patterns satisfying a shape
+invariant (`is_nnf` / `is_conjunct`, steps of the same fold); the
+normalized conjuncts get their own types below, and `embed_conjunct`
+folds them back into patterns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Union
 
-from .syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Pattern, Value, Var, Wild
+from .syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Pattern, Value, Var, Wild, fold
 
 # Negation normal forms, as a pattern subset.
 Nnf = Pattern
@@ -42,65 +44,22 @@ def _is_neg_ctor_head(p: Pattern) -> bool:
 
 
 def is_nnf(p: Pattern) -> bool:
-    if isinstance(p, (Var, Wild, Absurd)):
-        return True
-    if isinstance(p, Neg):
-        return isinstance(p.sub, Var) or _is_neg_ctor_head(p)
-    if isinstance(p, (And, Or)):
-        return is_nnf(p.left) and is_nnf(p.right)
-    if isinstance(p, Ctor):
-        return all(is_nnf(a) for a in p.args)
-    return False
+    return fold(p, _is_nnf_step)
 
 
 def is_conjunct(p: Pattern) -> bool:
-    return is_nnf(p) and not _contains_or(p)
+    """A negation normal form without disjunctions."""
+    return fold(p, _is_conjunct_step)
 
 
-def _contains_or(p: Pattern) -> bool:
-    if isinstance(p, Or):
-        return True
-    if isinstance(p, (And,)):
-        return _contains_or(p.left) or _contains_or(p.right)
-    if isinstance(p, Ctor):
-        return any(_contains_or(a) for a in p.args)
-    return False
+def _is_nnf_step(node, positive, results) -> bool:
+    if type(node) is Neg:
+        return type(node.sub) is Var or _is_neg_ctor_head(node)
+    return all(results)
 
 
-# --- the fold -------------------------------------------------------------------
-
-
-def _fold(p: Pattern, step):
-    """The catamorphism of `p` read in positive position (Meijer, Fokkinga
-    & Paterson, FPCA 1991).  `step(node, positive, results)` builds a
-    node's result from its operands' results: a negation's operand is read
-    at the flipped polarity, every other operand at the node's own.  Runs
-    post-order on an explicit stack, and each (node, polarity) pair is
-    folded once per call, so a subpattern shared in `p` costs one step."""
-    done: dict = {}
-    todo: list = [((p, True), None)]
-    while todo:
-        pair, kids = todo.pop()
-        if pair in done:
-            continue
-        node, positive = pair
-        if kids is not None:
-            done[pair] = step(node, positive, [done[k] for k in kids])
-            continue
-        kind = type(node)
-        if kind is Neg:
-            kids = ((node.sub, not positive),)
-        elif kind is And or kind is Or:
-            kids = ((node.left, positive), (node.right, positive))
-        elif kind is Ctor:
-            kids = tuple((a, positive) for a in node.args)
-        elif kind is Var or kind is Wild or kind is Absurd:
-            kids = ()
-        else:
-            raise TypeError(f"not a pattern: {node!r}")
-        todo.append((pair, kids))
-        todo.extend((k, None) for k in reversed(kids))
-    return done[(p, True)]
+def _is_conjunct_step(node, positive, results) -> bool:
+    return type(node) is not Or and _is_nnf_step(node, positive, results)
 
 
 def _dedup(items) -> tuple:
@@ -119,7 +78,7 @@ def _right_nested(op, parts: list) -> Pattern:
 
 def nnf(p: Pattern) -> Nnf:
     """Negation normal form; the top level starts in positive position."""
-    return _fold(p, _nnf_step)
+    return fold(p, _nnf_step)
 
 
 def _nnf_step(node, positive, results):
@@ -151,7 +110,7 @@ def _nnf_step(node, positive, results):
 def dnf(n: Nnf) -> tuple:
     """Elementary conjuncts of a pattern in negation normal form, in
     left-to-right discovery order, deduplicated."""
-    return _fold(n, _dnf_step)
+    return fold(n, _dnf_step)
 
 
 def _dnf_step(node, positive, results):
@@ -232,7 +191,7 @@ def to_ndnf(p: Pattern) -> Ndnf:
     """Normalized disjunctive form: the conjuncts of `dnf(nnf(p))`,
     normalized, deduplicated and in the same order, without those no value
     matches."""
-    return Ndnf(_fold(p, _ndnf_step))
+    return Ndnf(fold(p, _ndnf_step))
 
 
 def _ndnf_step(node, positive, results):
@@ -270,19 +229,28 @@ def _sorted_ctors(ctors) -> list:
     return sorted(ctors, key=lambda c: (c.name, c.arity))
 
 
-def embed_conjunct(k: NConjunct) -> Pattern:
-    if isinstance(k, PosConj):
-        base: Pattern = Ctor(k.ctor, tuple(embed_conjunct(a) for a in k.args))
-    elif isinstance(k, NegConj):
-        if not k.banned:
-            base = Wild()
-        else:
-            base = _right_nested(And, [neg_ctor_head(c) for c in _sorted_ctors(k.banned)])
+def _conjunct_kids(k, ctx):
+    if type(k) is PosConj:
+        return tuple((a, ctx) for a in k.args)
+    if type(k) is NegConj:
+        return ()
+    raise TypeError(f"not a normalized conjunct: {k!r}")
+
+
+def _embed_step(k, _, results) -> Pattern:
+    if type(k) is PosConj:
+        base: Pattern = Ctor(k.ctor, tuple(results))
+    elif not k.banned:
+        base = Wild()
     else:
-        raise TypeError(f"not a normalized conjunct: {k!r}")
+        base = _right_nested(And, [neg_ctor_head(c) for c in _sorted_ctors(k.banned)])
     for x in sorted(k.vars, reverse=True):
         base = And(Var(x), base)
     return base
+
+
+def embed_conjunct(k: NConjunct) -> Pattern:
+    return fold(k, _embed_step, None, _conjunct_kids)
 
 
 def embed_ndnf(d: Ndnf) -> Pattern:
@@ -308,8 +276,14 @@ def ndnf_matches(d: Ndnf, v: Value) -> bool:
 
 
 def _conj_matches(k: NConjunct, v: Value) -> bool:
-    if isinstance(k, NegConj):
-        return v.ctor not in k.banned
-    return k.ctor == v.ctor and all(
-        _conj_matches(a, w) for a, w in zip(k.args, v.args)
-    )
+    todo = [(k, v)]
+    while todo:
+        k, v = todo.pop()
+        if type(k) is NegConj:
+            if v.ctor in k.banned:
+                return False
+        elif k.ctor is not v.ctor:
+            return False
+        else:
+            todo.extend(zip(k.args, v.args))
+    return True

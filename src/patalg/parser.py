@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the surface language.
+"""Parser for the surface language.
 
 Programs consist of data declarations, definitions and an optional main
 expression:
@@ -327,54 +327,66 @@ class _Parser:
     # --- patterns ---
 
     def parse_pattern(self) -> Pattern:
-        p = self.parse_and_pattern()
-        while self.at("|"):
-            self.next()
-            p = Or(p, self.parse_and_pattern())
-        return p
-
-    def parse_and_pattern(self) -> Pattern:
-        p = self.parse_neg_pattern()
-        while self.at("&"):
-            self.next()
-            p = And(p, self.parse_neg_pattern())
-        return p
-
-    def parse_neg_pattern(self) -> Pattern:
-        if self.at("!"):
-            self.next()
-            return Neg(self.parse_neg_pattern())
-        return self.parse_atom_pattern()
-
-    def parse_atom_pattern(self) -> Pattern:
-        t = self.peek()
-        if t.text == "_":
-            self.next()
-            return Wild()
-        if t.text == "#":
-            self.next()
-            return Absurd()
-        if t.text == "(":
-            self.next()
-            p = self.parse_pattern()
-            self.expect(")")
-            return p
-        if t.kind == "ctor":
-            self.next()
-            args: list = []
-            if self.at("("):
+        # Patterns nest as deep as the data they spell, so the open
+        # parentheses and constructor argument lists live on an explicit
+        # stack.  A frame is (opening token, arguments so far, disjunction
+        # so far, conjunction so far, pending `!`s): the token is None at
+        # the top, and the arguments are None in a parenthesis.  The
+        # innermost frame is held in the locals.  `!` binds tighter than
+        # `&`, which binds tighter than `|`, and both nest to the left.
+        stack: list = []
+        head = args = disj = conj = None
+        negs = 0
+        while True:
+            while self.at("!"):
                 self.next()
-                if not self.at(")"):
-                    args.append(self.parse_pattern())
-                    while self.at(","):
-                        self.next()
-                        args.append(self.parse_pattern())
+                negs += 1
+            t = self.next()
+            opens = t.text == "("
+            if t.kind == "ctor" and self.at("("):
+                self.next()
+                opens = not self.at(")")
+                if not opens:
+                    self.next()  # `C()` is the nullary `C`
+            if opens:
+                stack.append((head, args, disj, conj, negs))
+                head, args = t, [] if t.kind == "ctor" else None
+                disj = conj = None
+                negs = 0
+                continue
+            if t.kind == "ctor":
+                p: Pattern = Ctor(CtorName(t.text, 0), ())
+            elif t.text == "_":
+                p = Wild()
+            elif t.text == "#":
+                p = Absurd()
+            elif t.kind == "ident" and t.text not in KEYWORDS:
+                p = Var(t.text)
+            else:
+                raise self.error(f"expected a pattern, found {t.text!r}", t)
+            # Close what `p` completes, up to the next operator or comma.
+            while True:
+                for _ in range(negs):
+                    p = Neg(p)
+                negs = 0
+                conj = p if conj is None else And(conj, p)
+                if self.at("&"):
+                    break
+                disj = conj if disj is None else Or(disj, conj)
+                conj = None
+                if self.at("|"):
+                    break
+                p, disj = disj, None
+                if head is None:
+                    return p
+                if args is not None:
+                    args.append(p)
+                    if self.at(","):
+                        break
+                    p = Ctor(CtorName(head.text, len(args)), tuple(args))
                 self.expect(")")
-            return Ctor(CtorName(t.text, len(args)), tuple(args))
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            self.next()
-            return Var(t.text)
-        raise self.error(f"expected a pattern, found {t.text!r}", t)
+                head, args, disj, conj, negs = stack.pop()
+            self.next()  # the `&`, `|` or `,` that ends `p`
 
 
 def _apply(head: Token, args: list):
@@ -452,9 +464,11 @@ class UnfoldLimit(RuntimeError):
 
 
 def inline_calls(e, prog: Program, budget: int = 1000):
-    """Statically unfold definition calls; raises UnfoldLimit when the
-    budget runs out (recursive definitions)."""
+    """Statically unfold definition calls; raises UnfoldLimit at a call of
+    a definition that is being unfolded (recursion) or when the budget
+    runs out."""
     remaining = [budget]
+    unfolding: set = set()
 
     def go(e):
         if isinstance(e, (EVar, Value)):
@@ -469,14 +483,17 @@ def inline_calls(e, prog: Program, budget: int = 1000):
                     1,
                     f"{e.name} takes {len(d.params)} arguments, got {len(e.args)}",
                 )
-            if remaining[0] <= 0:
+            if remaining[0] <= 0 or e.name in unfolding:
                 raise UnfoldLimit(e.name)
             remaining[0] -= 1
             args = [go(a) for a in e.args]
             body = substitute(
                 d.body, {name: a for (name, _), a in zip(d.params, args)}
             )
-            return go(body)
+            unfolding.add(e.name)
+            body = go(body)
+            unfolding.discard(e.name)
+            return body
         if isinstance(e, ECase):
             return ECase(
                 go(e.scrutinee),

@@ -9,106 +9,111 @@ keep their grouping parentheses.  Normalized disjunctive forms print in the
 
 from __future__ import annotations
 
-from .compiler import DecisionTree, Leaf
+from .compiler import DecisionTree, Leaf, Switch
 from .normalize import Ndnf, NegConj, PosConj
-from .semantics import ECase, ECtor, EVar
+from .semantics import Call, ECase, ECtor, EVar
 from .syntax import Absurd, And, Ctor, Neg, Or, Pattern, Value, Var, Wild
 
 _OR, _AND, _NEG, _ATOM = 0, 1, 2, 3
 
 
-def format_pattern(p: Pattern, _level: int = _OR) -> str:
-    if isinstance(p, Var):
-        s, level = p.name, _ATOM
-    elif isinstance(p, Wild):
-        s, level = "_", _ATOM
-    elif isinstance(p, Absurd):
-        s, level = "#", _ATOM
-    elif isinstance(p, Ctor):
-        if p.args:
-            inner = ", ".join(format_pattern(a, _OR) for a in p.args)
-            s = f"{p.ctor.name}({inner})"
+def _emit(stack: list, parts: list) -> None:
+    """The one printer: pop the items of `stack` onto `parts` until it is
+    empty.  An item is literal text, or a (node, ctx) pair that is replaced
+    by its pieces in pre-order.  For a pattern ctx is the precedence level
+    it is printed at, for a decision tree its indent; other nodes ignore
+    it.  Runs on the explicit stack alone, so deep terms print without
+    recursion and no string outlives the text of its parent."""
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, ctx = item
+        kind = type(node)
+        if kind is PosConj or kind is NegConj:
+            # `{x, y} & ` and the ban set, or the head as a constructor's.
+            parts.append("{" + ", ".join(sorted(node.vars)) + "} & ")
+            if kind is NegConj:
+                names = sorted(node.banned, key=lambda c: (c.name, c.arity))
+                parts.append("!{" + ", ".join(c.name for c in names) + "}")
+                continue
+        if kind is Value or kind is Ctor or kind is ECtor or kind is Call or kind is PosConj:
+            # `C(a1, ..., an)`, or `C` for a nullary constructor; a call
+            # always has its parentheses.
+            head = node.name if kind is Call else node.ctor.name
+            args = node.args
+            if not args and kind is not Call:
+                parts.append(head)
+                continue
+            parts.append(f"{head}(")
+            stack.append(")")
+            for i in range(len(args) - 1, 0, -1):
+                stack += ((args[i], _OR), ", ")
+            if args:
+                stack.append((args[0], _OR))
+        elif kind is Var or kind is EVar:
+            parts.append(node.name)
+        elif kind is Wild or kind is Absurd:
+            parts.append("_" if kind is Wild else "#")
+        elif kind is Neg or kind is And or kind is Or:
+            level = _NEG if kind is Neg else _AND if kind is And else _OR
+            if level < ctx:
+                parts.append("(")
+                stack.append(")")
+            if kind is Neg:
+                stack.append((node.sub, _NEG))
+                parts.append("!")
+            else:
+                op = " & " if kind is And else " | "
+                stack += ((node.right, level + 1), op, (node.left, level))
+        elif kind is ECase:
+            stack += (" }", (node.default_rhs, None), "default => ")
+            for c in reversed(node.clauses):
+                stack += (", ", (c.rhs, None), " => ", (c.pattern, _OR))
+            stack += (" of { ", (node.scrutinee, None))
+            parts.append("case ")
+        elif kind is Leaf:
+            parts.append("  " * ctx + "leaf ")
+            stack.append((node.rhs, None))
+        elif kind is Switch:
+            pad = "  " * ctx
+            stack += (f"\n{pad}}}", (node.default_arm, ctx + 2), f"\n{pad}  default =>\n")
+            for arm in reversed(node.arms):
+                head = arm.ctor.name
+                if arm.binders:
+                    head += "(" + ", ".join(arm.binders) + ")"
+                stack += ((arm.subtree, ctx + 2), f"\n{pad}  {head} =>\n")
+            stack += (" {", (node.scrutinee, None))
+            parts.append(f"{pad}switch ")
         else:
-            s = p.ctor.name
-        level = _ATOM
-    elif isinstance(p, Neg):
-        s, level = f"!{format_pattern(p.sub, _NEG)}", _NEG
-    elif isinstance(p, And):
-        s = f"{format_pattern(p.left, _AND)} & {format_pattern(p.right, _AND + 1)}"
-        level = _AND
-    elif isinstance(p, Or):
-        s = f"{format_pattern(p.left, _OR)} | {format_pattern(p.right, _OR + 1)}"
-        level = _OR
-    else:
-        raise TypeError(f"not a pattern: {p!r}")
-    return f"({s})" if level < _level else s
+            raise TypeError(f"cannot print {node!r}")
+
+
+def _render(node, ctx=_OR) -> str:
+    parts: list = []
+    _emit([(node, ctx)], parts)
+    return "".join(parts)
+
+
+def format_pattern(p: Pattern, _level: int = _OR) -> str:
+    return _render(p, _level)
 
 
 def format_value(v: Value) -> str:
-    """`C(a1, ..., an)`, or `C` for a nullary constructor.  Runs on an
-    explicit stack of values and literal text, so deep values print
-    without recursion."""
-    out = []
-    todo = [v]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif not item.args:
-            out.append(item.ctor.name)
-        else:
-            out.append(f"{item.ctor.name}(")
-            todo.append(")")
-            for i in range(len(item.args) - 1, 0, -1):
-                todo += (item.args[i], ", ")
-            todo.append(item.args[0])
-    return "".join(out)
+    """`C(a1, ..., an)`, or `C` for a nullary constructor."""
+    return _render(v)
 
 
 def format_expr(e) -> str:
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, Value):
-        return format_value(e)
-    if isinstance(e, ECtor):
-        return f"{e.ctor.name}({', '.join(format_expr(a) for a in e.args)})"
-    if isinstance(e, ECase):
-        clauses = "".join(
-            f"{format_pattern(c.pattern)} => {format_expr(c.rhs)}, "
-            for c in e.clauses
-        )
-        return (
-            f"case {format_expr(e.scrutinee)} of "
-            f"{{ {clauses}default => {format_expr(e.default_rhs)} }}"
-        )
-    # Surface-language extension nodes (definition calls).
-    name = getattr(e, "name", None)
-    args = getattr(e, "args", None)
-    if name is not None and args is not None:
-        return f"{name}({', '.join(format_expr(a) for a in args)})"
-    raise TypeError(f"not an expression: {e!r}")
+    return _render(e)
 
 
 # --- normal forms -------------------------------------------------------------
 
 
-def _format_var_set(vars_) -> str:
-    return "{" + ", ".join(sorted(vars_)) + "}"
-
-
 def format_nconjunct(k) -> str:
-    if isinstance(k, PosConj):
-        if k.args:
-            inner = ", ".join(format_nconjunct(a) for a in k.args)
-            rhs = f"{k.ctor.name}({inner})"
-        else:
-            rhs = k.ctor.name
-    elif isinstance(k, NegConj):
-        names = sorted(k.banned, key=lambda c: (c.name, c.arity))
-        rhs = "!{" + ", ".join(c.name for c in names) + "}"
-    else:
-        raise TypeError(f"not a normalized conjunct: {k!r}")
-    return f"{_format_var_set(k.vars)} & {rhs}"
+    return _render(k)
 
 
 def format_ndnf(d: Ndnf) -> str:
@@ -158,37 +163,28 @@ def format_program(prog) -> str:
 
 
 def format_tree(t: DecisionTree, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(t, Leaf):
-        return f"{pad}leaf {format_expr(t.rhs)}"
-    lines = [f"{pad}switch {format_expr(t.scrutinee)} {{"]
-    for arm in t.arms:
-        head = arm.ctor.name
-        if arm.binders:
-            head += "(" + ", ".join(arm.binders) + ")"
-        lines.append(f"{pad}  {head} =>")
-        lines.append(format_tree(arm.subtree, indent + 2))
-    lines.append(f"{pad}  default =>")
-    lines.append(format_tree(t.default_arm, indent + 2))
-    lines.append(f"{pad}}}")
-    return "\n".join(lines)
+    return _render(t, indent)
 
 
 def tree_to_obj(t: DecisionTree):
     """Machine form with stable field order: switch nodes carry `switch`,
     `arms` (each with `ctor`, `binders`, `tree`) and `default`; leaves carry
-    `leaf`."""
-    if isinstance(t, Leaf):
-        return {"leaf": format_expr(t.rhs)}
-    return {
-        "switch": format_expr(t.scrutinee),
-        "arms": [
-            {
-                "ctor": a.ctor.name,
-                "binders": list(a.binders),
-                "tree": tree_to_obj(a.subtree),
-            }
-            for a in t.arms
-        ],
-        "default": tree_to_obj(t.default_arm),
-    }
+    `leaf`.  Each subtree fills its dict slot from an explicit stack."""
+    root: dict = {}
+    todo = [(t, root)]
+    while todo:
+        node, slot = todo.pop()
+        if isinstance(node, Leaf):
+            slot["leaf"] = format_expr(node.rhs)
+            continue
+        slot["switch"] = format_expr(node.scrutinee)
+        slot["arms"] = []
+        for a in node.arms:
+            sub: dict = {}
+            slot["arms"].append(
+                {"ctor": a.ctor.name, "binders": list(a.binders), "tree": sub}
+            )
+            todo.append((a.subtree, sub))
+        slot["default"] = {}
+        todo.append((node.default_arm, slot["default"]))
+    return root

@@ -132,18 +132,24 @@ def steps(where) -> list:
 
 
 def expr_free_vars(e) -> frozenset:
-    if isinstance(e, Value):
-        return frozenset()
-    if isinstance(e, EVar):
-        return frozenset({e.name})
-    if isinstance(e, ECase):
-        out = expr_free_vars(e.scrutinee) | expr_free_vars(e.default_rhs)
-        for c in e.clauses:
-            out |= expr_free_vars(c.rhs) - fv_even(c.pattern)
-        return out
-    if isinstance(e, (ECtor, Call)):
-        return frozenset().union(*(expr_free_vars(a) for a in e.args)) if e.args else frozenset()
-    raise TypeError(f"not an expression: {e!r}")
+    """The variables of `e` that no enclosing clause pattern binds, on an
+    explicit stack of (subterm, variables bound around it)."""
+    out: set = set()
+    todo = [(e, frozenset())]
+    while todo:
+        node, bound = todo.pop()
+        kind = type(node)
+        if kind is EVar:
+            if node.name not in bound:
+                out.add(node.name)
+        elif kind is ECase:
+            todo += ((node.scrutinee, bound), (node.default_rhs, bound))
+            todo.extend((c.rhs, bound | fv_even(c.pattern)) for c in node.clauses)
+        elif kind is ECtor or kind is Call:
+            todo.extend((a, bound) for a in node.args)
+        elif kind is not Value:
+            raise TypeError(f"not an expression: {node!r}")
+    return frozenset(out)
 
 
 def substitute(e, mapping: dict):

@@ -214,53 +214,89 @@ def subst_to_dict(s) -> dict:
     return out
 
 
+# --- the fold -------------------------------------------------------------------
+
+
+def pattern_kids(node, positive):
+    """A pattern node's operands, each paired with the polarity it is read
+    at: a negation flips the polarity, every other node keeps its own."""
+    kind = type(node)
+    if kind is Neg:
+        return ((node.sub, not positive),)
+    if kind is And or kind is Or:
+        return ((node.left, positive), (node.right, positive))
+    if kind is Ctor:
+        return tuple((a, positive) for a in node.args)
+    if kind is Var or kind is Wild or kind is Absurd:
+        return ()
+    raise TypeError(f"not a pattern: {node!r}")
+
+
+def fold(root, step, ctx=True, kids=pattern_kids):
+    """The catamorphism of `root` read at context `ctx` (Meijer, Fokkinga &
+    Paterson, FPCA 1991).  `kids(node, ctx)` gives a node's operands, each
+    paired with its own context; `step(node, ctx, results)` builds the
+    node's result from its operands' results, in order.  Runs post-order on
+    an explicit stack, and each (node, ctx) pair is stepped once per call,
+    so a subterm shared in `root` costs one step."""
+    done: dict = {}
+    todo: list = [((root, ctx), None)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        pair, ks = pop()
+        if ks is not None:
+            done[pair] = step(pair[0], pair[1], [done[k] for k in ks])
+        elif pair not in done:
+            node, c = pair
+            ks = kids(node, c)
+            if not ks:  # a leaf is stepped at once
+                done[pair] = step(node, c, ks)
+                continue
+            push((pair, ks))
+            for k in reversed(ks):
+                push((k, None))
+    return done[(root, ctx)]
+
+
+def _rebuild(node, results):
+    """`node` with its operands replaced by `results`."""
+    kind = type(node)
+    if kind is Neg:
+        return Neg(results[0])
+    if kind is And or kind is Or:
+        return kind(*results)
+    if kind is Ctor:
+        return Ctor(node.ctor, tuple(results))
+    return node
+
+
 # --- free variables ----------------------------------------------------------
+
+
+def _fv_step(node, even, results):
+    if type(node) is Var:
+        return frozenset((node.name,) if even else ())
+    return frozenset().union(*results)
 
 
 def fv_even(p: Pattern) -> frozenset:
     """Variables occurring under an even number of negations."""
-    if isinstance(p, Var):
-        return frozenset({p.name})
-    if isinstance(p, (Wild, Absurd)):
-        return frozenset()
-    if isinstance(p, Neg):
-        return fv_odd(p.sub)
-    if isinstance(p, (And, Or)):
-        return fv_even(p.left) | fv_even(p.right)
-    if isinstance(p, Ctor):
-        return frozenset().union(*(fv_even(a) for a in p.args)) if p.args else frozenset()
-    raise TypeError(f"not a pattern: {p!r}")
+    return fold(p, _fv_step, True)
 
 
 def fv_odd(p: Pattern) -> frozenset:
     """Variables occurring under an odd number of negations."""
-    if isinstance(p, Var):
-        return frozenset()
-    if isinstance(p, (Wild, Absurd)):
-        return frozenset()
-    if isinstance(p, Neg):
-        return fv_even(p.sub)
-    if isinstance(p, (And, Or)):
-        return fv_odd(p.left) | fv_odd(p.right)
-    if isinstance(p, Ctor):
-        return frozenset().union(*(fv_odd(a) for a in p.args)) if p.args else frozenset()
-    raise TypeError(f"not a pattern: {p!r}")
+    return fold(p, _fv_step, False)
 
 
 def map_vars(p: Pattern, f) -> Pattern:
     """The pattern with every variable occurrence `Var` replaced by the
     pattern `f(Var)`."""
-    if isinstance(p, Var):
-        return f(p)
-    if isinstance(p, (Wild, Absurd)):
-        return p
-    if isinstance(p, Neg):
-        return Neg(map_vars(p.sub, f))
-    if isinstance(p, (And, Or)):
-        return type(p)(map_vars(p.left, f), map_vars(p.right, f))
-    if isinstance(p, Ctor):
-        return Ctor(p.ctor, tuple(map_vars(a, f) for a in p.args))
-    raise TypeError(f"not a pattern: {p!r}")
+
+    def step(node, _, results):
+        return f(node) if type(node) is Var else _rebuild(node, results)
+
+    return fold(p, step)
 
 
 # --- matching ----------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Patterns are typed against two contexts: one for the variables usable on a
 successful match (even negation depth) and one for the temporarily
-deactivated variables (odd depth); negation swaps them.  Built-in booleans,
-pairs and binary sums illustrate the rules; user programs declare nominal
-data types instead.
+deactivated variables (odd depth); negation swaps them.  Built-in booleans
+illustrate the rules; user programs declare nominal data types instead.
+Pattern typing is a step of the one pattern fold (`syntax.fold`), read at
+a type instead of a polarity.
 
 Typing is an optional phase: wellformedness and compilation never consult
 types.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .semantics import ECase, ECtor, EVar
-from .syntax import Absurd, And, Ctor, CtorName, Neg, Or, Pattern, Value, Var, Wild
+from .syntax import And, Ctor, CtorName, Neg, Or, Pattern, Value, Var, fold, pattern_kids
 
 
 @dataclass(frozen=True)
@@ -26,29 +27,14 @@ class Bool:
 
 
 @dataclass(frozen=True)
-class Pair:
-    left: "Type"
-    right: "Type"
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "Type"
-    right: "Type"
-
-
-@dataclass(frozen=True)
 class Named:
     name: str
 
 
-Type = Union[Bool, Pair, Sum, Named]
+Type = Union[Bool, Named]
 
 TRUE = CtorName("True", 0)
 FALSE = CtorName("False", 0)
-PAIR = CtorName("Pair", 2)
-INL = CtorName("Inl", 1)
-INR = CtorName("Inr", 1)
 
 
 class DeclError(ValueError):
@@ -118,10 +104,6 @@ def signature_of(tau: Type, decls: Optional[DataDecls]):
     """Constructors of a type with their argument types."""
     if isinstance(tau, Bool):
         return ((TRUE, ()), (FALSE, ()))
-    if isinstance(tau, Pair):
-        return ((PAIR, (tau.left, tau.right)),)
-    if isinstance(tau, Sum):
-        return ((INL, (tau.left,)), (INR, (tau.right,)))
     if isinstance(tau, Named):
         if decls is None:
             raise DeclError(f"no declarations supplied for type {tau.name}")
@@ -155,62 +137,66 @@ def _same_multiset(a, b) -> bool:
 # --- pattern typing -----------------------------------------------------------
 
 
+def _arg_types(ctor: CtorName, tau: Type, decls: Optional[DataDecls]):
+    """The argument types of `ctor` as a constructor of `tau`, or the `Ill`
+    that says why it is none."""
+    try:
+        sig = signature_of(tau, decls)
+    except DeclError as err:
+        return Ill(str(err))
+    for c, arg_types in sig:
+        if c == ctor:
+            return arg_types
+    return Ill(
+        f"constructor {ctor.name}/{ctor.arity} does not belong to "
+        f"type {format_type(tau)}"
+    )
+
+
 def type_pattern(p: Pattern, tau: Type, decls: Optional[DataDecls] = None):
     """Synthesize the dual binder contexts of a pattern at a type, or
-    explain why it has none."""
-    if isinstance(p, Var):
-        return Typed(((p.name, tau),), ())
-    if isinstance(p, (Wild, Absurd)):
-        return Typed((), ())
-    if isinstance(p, Neg):
-        r = type_pattern(p.sub, tau, decls)
-        if isinstance(r, Ill):
-            return r
-        return Typed(r.delta, r.gamma)
-    if isinstance(p, And):
-        r1 = type_pattern(p.left, tau, decls)
-        r2 = type_pattern(p.right, tau, decls)
-        for r in (r1, r2):
+    explain why it has none; the first failure in left-to-right order
+    wins.  A fold whose context is the type: a constructor gives each
+    argument its declared type, and one outside the type has no operands."""
+
+    def kids(node, tau):
+        if type(node) is not Ctor:
+            return tuple((k, tau) for k, _ in pattern_kids(node, True))
+        arg_types = _arg_types(node.ctor, tau, decls)
+        return () if isinstance(arg_types, Ill) else tuple(zip(node.args, arg_types))
+
+    def step(node, tau, results):
+        for r in results:
             if isinstance(r, Ill):
                 return r
-        if not _same_multiset(r1.delta, r2.delta):
-            return Ill(
-                f"conjuncts bind different negated variables: "
-                f"{r1.delta} vs {r2.delta}"
-            )
-        return Typed(r1.gamma + r2.gamma, r1.delta)
-    if isinstance(p, Or):
-        r1 = type_pattern(p.left, tau, decls)
-        r2 = type_pattern(p.right, tau, decls)
-        for r in (r1, r2):
-            if isinstance(r, Ill):
-                return r
-        if not _same_multiset(r1.gamma, r2.gamma):
-            return Ill(
-                f"disjuncts bind different variables: {r1.gamma} vs {r2.gamma}"
-            )
-        return Typed(r1.gamma, r1.delta + r2.delta)
-    if isinstance(p, Ctor):
-        try:
-            sig = signature_of(tau, decls)
-        except DeclError as err:
-            return Ill(str(err))
-        for ctor, arg_types in sig:
-            if ctor == p.ctor:
-                gamma: tuple = ()
-                delta: tuple = ()
-                for sub, sub_tau in zip(p.args, arg_types):
-                    r = type_pattern(sub, sub_tau, decls)
-                    if isinstance(r, Ill):
-                        return r
-                    gamma += r.gamma
-                    delta += r.delta
-                return Typed(gamma, delta)
-        return Ill(
-            f"constructor {p.ctor.name}/{p.ctor.arity} does not belong to "
-            f"type {format_type(tau)}"
-        )
-    raise TypeError(f"not a pattern: {p!r}")
+        kind = type(node)
+        if kind is Var:
+            return Typed(((node.name, tau),), ())
+        if kind is Neg:
+            return Typed(results[0].delta, results[0].gamma)
+        if kind is And:
+            r1, r2 = results
+            if not _same_multiset(r1.delta, r2.delta):
+                return Ill(
+                    f"conjuncts bind different negated variables: "
+                    f"{r1.delta} vs {r2.delta}"
+                )
+            return Typed(r1.gamma + r2.gamma, r1.delta)
+        if kind is Or:
+            r1, r2 = results
+            if not _same_multiset(r1.gamma, r2.gamma):
+                return Ill(
+                    f"disjuncts bind different variables: {r1.gamma} vs {r2.gamma}"
+                )
+            return Typed(r1.gamma, r1.delta + r2.delta)
+        if kind is Ctor:
+            arg_types = _arg_types(node.ctor, tau, decls)
+            if isinstance(arg_types, Ill):
+                return arg_types
+        gamma = sum((r.gamma for r in results), ())
+        return Typed(gamma, sum((r.delta for r in results), ()))
+
+    return fold(p, step, tau, kids)
 
 
 # --- expression typing ----------------------------------------------------------
@@ -242,19 +228,6 @@ def type_expr(ctx, e, decls: Optional[DataDecls] = None):
             return Ok(Named(owner))
         if e.ctor == TRUE or e.ctor == FALSE:
             return Ok(Bool())
-        if e.ctor == PAIR:
-            parts = [type_expr(ctx, a, decls) for a in e.args]
-            for r in parts:
-                if isinstance(r, Ill):
-                    return r
-            return Ok(Pair(parts[0].type, parts[1].type))
-        if e.ctor in (INL, INR):
-            # The other sum component is not determined by the term; the
-            # syntax-directed rules cannot synthesize it.
-            return Ill(
-                f"cannot infer the full sum type of {e.ctor.name}; "
-                f"use a declared data type"
-            )
         return Ill(f"undeclared constructor {e.ctor.name}/{e.ctor.arity}")
     if isinstance(e, ECase):
         scrut = type_expr(ctx, e.scrutinee, decls)
@@ -292,10 +265,6 @@ def type_expr(ctx, e, decls: Optional[DataDecls] = None):
 def format_type(tau: Type) -> str:
     if isinstance(tau, Bool):
         return "Bool"
-    if isinstance(tau, Pair):
-        return f"({format_type(tau.left)} * {format_type(tau.right)})"
-    if isinstance(tau, Sum):
-        return f"({format_type(tau.left)} + {format_type(tau.right)})"
     if isinstance(tau, Named):
         return tau.name
     raise TypeError(f"not a type: {tau!r}")

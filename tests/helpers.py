@@ -1,13 +1,25 @@
 """Shared builders for the test suite."""
 
+from collections import Counter
+
 from patalg import overlap
-from patalg.compiler import MatrixRow
-from patalg.normalize import Ndnf, NegConj, PosConj, embed_ndnf, ndnf_wildcard, to_ndnf
+from patalg.compiler import Leaf, MatrixRow
+from patalg.normalize import (
+    Ndnf,
+    NegConj,
+    PosConj,
+    embed_ndnf,
+    ndnf_wildcard,
+    neg_ctor_head,
+    to_ndnf,
+)
+from patalg.parser import KEYWORDS, _Parser
 from patalg.pretty import format_pattern
 from patalg.semantics import (
     DEFAULT_FUEL,
     Diverged,
     ECase,
+    ECtor,
     EVar,
     Evaluated,
     IsValue,
@@ -28,7 +40,7 @@ from patalg.syntax import (
     fv_even,
     fv_odd,
 )
-from patalg.typecheck import DataDecls, Named
+from patalg.typecheck import DataDecls, DeclError, Ill, Named, Typed, format_type, signature_of
 from patalg.wellformed import Violation, WfReport, pattern_facts
 
 
@@ -299,3 +311,270 @@ def specialize_rows(rows, i, ctor):
                 continue
             out.append((MatrixRow(front + rest, row.rhs), k.vars))
     return out
+
+
+# --- reference walks: the recursive versions of the fold and printer steps ----
+#
+# Each recurses once per level of its input, as the package's walks did
+# before they became steps of `syntax.fold` and `pretty._emit`; the rebuilt
+# walks must agree with them on every input.
+
+_OR, _AND, _NEG, _ATOM = 0, 1, 2, 3
+
+
+class RecursivePatternParser(_Parser):
+    """The recursive-descent pattern parser, one method per precedence
+    level; `parser._Parser.parse_pattern` must agree with it."""
+
+    def parse_pattern(self):
+        p = self.parse_and_pattern()
+        while self.at("|"):
+            self.next()
+            p = Or(p, self.parse_and_pattern())
+        return p
+
+    def parse_and_pattern(self):
+        p = self.parse_neg_pattern()
+        while self.at("&"):
+            self.next()
+            p = And(p, self.parse_neg_pattern())
+        return p
+
+    def parse_neg_pattern(self):
+        if self.at("!"):
+            self.next()
+            return Neg(self.parse_neg_pattern())
+        return self.parse_atom_pattern()
+
+    def parse_atom_pattern(self):
+        t = self.peek()
+        if t.text == "_":
+            self.next()
+            return Wild()
+        if t.text == "#":
+            self.next()
+            return Absurd()
+        if t.text == "(":
+            self.next()
+            p = self.parse_pattern()
+            self.expect(")")
+            return p
+        if t.kind == "ctor":
+            self.next()
+            args = []
+            if self.at("("):
+                self.next()
+                if not self.at(")"):
+                    args.append(self.parse_pattern())
+                    while self.at(","):
+                        self.next()
+                        args.append(self.parse_pattern())
+                self.expect(")")
+            return Ctor(CtorName(t.text, len(args)), tuple(args))
+        if t.kind == "ident" and t.text not in KEYWORDS:
+            self.next()
+            return Var(t.text)
+        raise self.error(f"expected a pattern, found {t.text!r}", t)
+
+
+def parse_pattern_by_recursion(source):
+    p = RecursivePatternParser(source)
+    pat = p.parse_pattern()
+    if p.peek().kind != "eof":
+        raise p.error("trailing input after pattern")
+    return pat
+
+
+def fv_even_by_recursion(p):
+    if isinstance(p, Var):
+        return frozenset({p.name})
+    if isinstance(p, (Wild, Absurd)):
+        return frozenset()
+    if isinstance(p, Neg):
+        return fv_odd_by_recursion(p.sub)
+    if isinstance(p, (And, Or)):
+        return fv_even_by_recursion(p.left) | fv_even_by_recursion(p.right)
+    return frozenset().union(*(fv_even_by_recursion(a) for a in p.args))
+
+
+def fv_odd_by_recursion(p):
+    if isinstance(p, (Var, Wild, Absurd)):
+        return frozenset()
+    if isinstance(p, Neg):
+        return fv_even_by_recursion(p.sub)
+    if isinstance(p, (And, Or)):
+        return fv_odd_by_recursion(p.left) | fv_odd_by_recursion(p.right)
+    return frozenset().union(*(fv_odd_by_recursion(a) for a in p.args))
+
+
+def map_vars_by_recursion(p, f):
+    if isinstance(p, Var):
+        return f(p)
+    if isinstance(p, (Wild, Absurd)):
+        return p
+    if isinstance(p, Neg):
+        return Neg(map_vars_by_recursion(p.sub, f))
+    if isinstance(p, (And, Or)):
+        return type(p)(map_vars_by_recursion(p.left, f), map_vars_by_recursion(p.right, f))
+    return Ctor(p.ctor, tuple(map_vars_by_recursion(a, f) for a in p.args))
+
+
+def type_pattern_by_recursion(p, tau, decls=None):
+    if isinstance(p, Var):
+        return Typed(((p.name, tau),), ())
+    if isinstance(p, (Wild, Absurd)):
+        return Typed((), ())
+    if isinstance(p, Neg):
+        r = type_pattern_by_recursion(p.sub, tau, decls)
+        return r if isinstance(r, Ill) else Typed(r.delta, r.gamma)
+    if isinstance(p, (And, Or)):
+        r1 = type_pattern_by_recursion(p.left, tau, decls)
+        r2 = type_pattern_by_recursion(p.right, tau, decls)
+        for r in (r1, r2):
+            if isinstance(r, Ill):
+                return r
+        if isinstance(p, And):
+            if Counter(r1.delta) != Counter(r2.delta):
+                return Ill(
+                    f"conjuncts bind different negated variables: "
+                    f"{r1.delta} vs {r2.delta}"
+                )
+            return Typed(r1.gamma + r2.gamma, r1.delta)
+        if Counter(r1.gamma) != Counter(r2.gamma):
+            return Ill(f"disjuncts bind different variables: {r1.gamma} vs {r2.gamma}")
+        return Typed(r1.gamma, r1.delta + r2.delta)
+    try:
+        sig = signature_of(tau, decls)
+    except DeclError as err:
+        return Ill(str(err))
+    for ctor, arg_types in sig:
+        if ctor == p.ctor:
+            gamma, delta = (), ()
+            for sub, sub_tau in zip(p.args, arg_types):
+                r = type_pattern_by_recursion(sub, sub_tau, decls)
+                if isinstance(r, Ill):
+                    return r
+                gamma += r.gamma
+                delta += r.delta
+            return Typed(gamma, delta)
+    return Ill(
+        f"constructor {p.ctor.name}/{p.ctor.arity} does not belong to "
+        f"type {format_type(tau)}"
+    )
+
+
+def embed_conjunct_by_recursion(k):
+    if isinstance(k, PosConj):
+        base = Ctor(k.ctor, tuple(embed_conjunct_by_recursion(a) for a in k.args))
+    elif not k.banned:
+        base = Wild()
+    else:
+        heads = [neg_ctor_head(c) for c in sorted(k.banned, key=lambda c: (c.name, c.arity))]
+        base = heads[-1]
+        for h in reversed(heads[:-1]):
+            base = And(h, base)
+    for x in sorted(k.vars, reverse=True):
+        base = And(Var(x), base)
+    return base
+
+
+def expr_free_vars_by_recursion(e):
+    if isinstance(e, Value):
+        return frozenset()
+    if isinstance(e, EVar):
+        return frozenset({e.name})
+    if isinstance(e, ECase):
+        out = expr_free_vars_by_recursion(e.scrutinee) | expr_free_vars_by_recursion(
+            e.default_rhs
+        )
+        for cl in e.clauses:
+            out |= expr_free_vars_by_recursion(cl.rhs) - fv_even_by_recursion(cl.pattern)
+        return out
+    return frozenset().union(*(expr_free_vars_by_recursion(a) for a in e.args))
+
+
+def format_pattern_by_recursion(p, _level=_OR):
+    if isinstance(p, Var):
+        s, level = p.name, _ATOM
+    elif isinstance(p, Wild):
+        s, level = "_", _ATOM
+    elif isinstance(p, Absurd):
+        s, level = "#", _ATOM
+    elif isinstance(p, Ctor):
+        s, level = p.ctor.name, _ATOM
+        if p.args:
+            s += "(" + ", ".join(format_pattern_by_recursion(a, _OR) for a in p.args) + ")"
+    elif isinstance(p, Neg):
+        s, level = f"!{format_pattern_by_recursion(p.sub, _NEG)}", _NEG
+    else:
+        level = _AND if isinstance(p, And) else _OR
+        op = " & " if isinstance(p, And) else " | "
+        s = format_pattern_by_recursion(p.left, level) + op
+        s += format_pattern_by_recursion(p.right, level + 1)
+    return f"({s})" if level < _level else s
+
+
+def format_nconjunct_by_recursion(k):
+    if isinstance(k, PosConj):
+        rhs = k.ctor.name
+        if k.args:
+            rhs += "(" + ", ".join(format_nconjunct_by_recursion(a) for a in k.args) + ")"
+    else:
+        names = sorted(k.banned, key=lambda c: (c.name, c.arity))
+        rhs = "!{" + ", ".join(c.name for c in names) + "}"
+    return "{" + ", ".join(sorted(k.vars)) + "} & " + rhs
+
+
+def format_expr_by_recursion(e):
+    if isinstance(e, EVar):
+        return e.name
+    if isinstance(e, Value):
+        if not e.args:
+            return e.ctor.name
+        return f"{e.ctor.name}({', '.join(format_expr_by_recursion(a) for a in e.args)})"
+    if isinstance(e, ECtor):
+        return f"{e.ctor.name}({', '.join(format_expr_by_recursion(a) for a in e.args)})"
+    if isinstance(e, ECase):
+        clauses = "".join(
+            f"{format_pattern_by_recursion(cl.pattern)} => {format_expr_by_recursion(cl.rhs)}, "
+            for cl in e.clauses
+        )
+        return (
+            f"case {format_expr_by_recursion(e.scrutinee)} of "
+            f"{{ {clauses}default => {format_expr_by_recursion(e.default_rhs)} }}"
+        )
+    return f"{e.name}({', '.join(format_expr_by_recursion(a) for a in e.args)})"
+
+
+def format_tree_by_recursion(t, indent=0):
+    pad = "  " * indent
+    if isinstance(t, Leaf):
+        return f"{pad}leaf {format_expr_by_recursion(t.rhs)}"
+    lines = [f"{pad}switch {format_expr_by_recursion(t.scrutinee)} {{"]
+    for arm in t.arms:
+        head = arm.ctor.name
+        if arm.binders:
+            head += "(" + ", ".join(arm.binders) + ")"
+        lines.append(f"{pad}  {head} =>")
+        lines.append(format_tree_by_recursion(arm.subtree, indent + 2))
+    lines.append(f"{pad}  default =>")
+    lines.append(format_tree_by_recursion(t.default_arm, indent + 2))
+    lines.append(f"{pad}}}")
+    return "\n".join(lines)
+
+
+def tree_to_obj_by_recursion(t):
+    if isinstance(t, Leaf):
+        return {"leaf": format_expr_by_recursion(t.rhs)}
+    return {
+        "switch": format_expr_by_recursion(t.scrutinee),
+        "arms": [
+            {
+                "ctor": a.ctor.name,
+                "binders": list(a.binders),
+                "tree": tree_to_obj_by_recursion(a.subtree),
+            }
+            for a in t.arms
+        ],
+        "default": tree_to_obj_by_recursion(t.default_arm),
+    }

@@ -1,0 +1,148 @@
+"""Deep and wide inputs through the command line.
+
+Each run is a fresh `patc` process, so it gets the interpreter's own stack
+depth, and must exit 0 with no traceback.  The runs marked xfail still
+recurse once per level in the named function; the ROADMAP item that
+removes the function removes the mark.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+K = 2000  # constructors of the wide enum
+
+
+def _nest(n: int, inner: str) -> str:
+    return "S(" * n + inner + ")" * n
+
+
+def _case_program(depth: int) -> str:
+    return (
+        "data N = Z | S(N);\n"
+        f"def f(x: N) := case x of {{ {_nest(depth, 'Z')} => Z, default => S(Z) }};\n"
+    )
+
+
+def _wide_program() -> str:
+    # `g` maps K0..K999 to K1000..K1999 and returns every other value
+    # through one clause `y & !(K0 | ... | K999)`, a 1,000-wide or-pattern.
+    ctors = " | ".join(f"K{i}" for i in range(K))
+    clauses = ", ".join(f"K{i} => K{i + K // 2}" for i in range(K // 2))
+    alts = " | ".join(f"K{i}" for i in range(K // 2))
+    return (
+        f"data E = {ctors};\n"
+        f"def g(x: E) := case x of {{ {clauses}, y & !({alts}) => y, default => K0 }};\n"
+    )
+
+
+PROGRAMS = {
+    "deep10k.pat": _case_program(10_000),
+    "deep250.pat": _case_program(250),
+    "wide.pat": _wide_program(),
+    "body.pat": f"data N = Z | S(N);\ndef f(x: N) := {_nest(3000, 'x')};\nmain := f(Z);\n",
+}
+
+PATTERNS = {
+    "deep-ctor": _nest(10_000, "Z"),
+    "deep-neg": "!" * 3000 + "x",
+    "wide-or": "y & !(" + " | ".join(f"K{i}" for i in range(K)) + ")",
+}
+
+
+def _xfail(reason: str):
+    return pytest.mark.xfail(strict=True, reason=reason)
+
+
+RUNS = [
+    *(["check", "deep10k.pat", *flags] for flags in ([], ["--typed"], ["--untyped"])),
+    ["check", "deep10k.pat", "--type-aware-overlap"],
+    ["eval", "deep10k.pat", "--entry", "f", "--args", "Z"],
+    *(
+        ["norm", "--pattern", PATTERNS[name], "--stage", stage]
+        for name in PATTERNS
+        for stage in ("nnf", "dnf", "ndnf")
+    ),
+    ["check", "deep250.pat"],
+    ["compile", "deep250.pat"],
+    ["compile", "deep250.pat", "--format", "json"],
+    ["eval", "deep250.pat", "--entry", "f", "--args", _nest(250, "Z")],
+    ["check", "wide.pat"],
+    ["check", "wide.pat", "--typed"],
+    ["check", "wide.pat", "--type-aware-overlap"],
+    ["compile", "wide.pat"],
+    ["compile", "wide.pat", "--format", "json"],
+    ["check", "body.pat"],
+    ["compile", "body.pat"],
+    ["compile", "body.pat", "--format", "json"],
+    ["check", str(DEMOS / "lists.pat"), "--typed"],
+    pytest.param(
+        ["compile", "deep10k.pat"],
+        marks=_xfail("compiler._compile recurses per level (ROADMAP items 6 and 9)"),
+    ),
+    pytest.param(
+        ["compile", "deep10k.pat", "--format", "json"],
+        marks=_xfail("compiler._compile recurses per level (ROADMAP items 6 and 9)"),
+    ),
+    pytest.param(
+        ["eval", "deep10k.pat", "--entry", "f", "--args", _nest(10_000, "Z")],
+        marks=_xfail("syntax.match_both recurses per level (ROADMAP item 10)"),
+    ),
+    pytest.param(
+        ["eval", "wide.pat", "--entry", "g", "--args", f"K{K - 1}"],
+        marks=_xfail("syntax.match_both recurses per or-alternative (ROADMAP item 10)"),
+    ),
+    pytest.param(
+        ["check", "body.pat", "--typed"],
+        marks=_xfail("parser.inline_calls.go recurses per level (ROADMAP item 3)"),
+    ),
+    pytest.param(
+        ["eval", "body.pat", "--entry", "main"],
+        marks=_xfail("semantics.substitute recurses per level (ROADMAP item 10)"),
+    ),
+]
+
+
+def _run_id(argv) -> str:
+    if argv[0] == "norm":
+        name = next(n for n, p in PATTERNS.items() if p == argv[2])
+        return f"norm-{name}-{argv[4]}"
+    words = [pathlib.Path(a).name if a.endswith(".pat") else a for a in argv]
+    return "-".join(w if len(w) < 40 else "deep-arg" for w in words)
+
+
+def _ids(run) -> str:
+    return _run_id(run.values[0] if hasattr(run, "values") else run)
+
+
+@pytest.fixture(scope="module")
+def programs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("deep")
+    for name, text in PROGRAMS.items():
+        (root / name).write_text(text)
+    return root
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[_ids(r) for r in RUNS])
+def test_deep_or_wide_input_exits_cleanly(argv, programs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-m", "patalg.cli", *argv],
+        cwd=programs,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "Traceback" not in out.stderr, out.stderr[-500:]
+    assert out.returncode == 0, out.stderr[-500:]
+    if argv[1].endswith("lists.pat"):
+        # A recursive definition is skipped by the typing, not unfolded.
+        assert "def main: note: recursive definition; typing skipped" in out.stdout
+        assert out.stdout.endswith("ok\n")

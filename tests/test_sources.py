@@ -90,48 +90,30 @@ def _self_recursive(path) -> list:
 
 
 # Functions that recurse on their input, so a deep enough input exhausts
-# the interpreter stack.  The list may only shrink: a new walk must use an
-# explicit stack (as `semantics.subterms` and `wellformed.pattern_facts`
-# do).  ROADMAP item 5 aims at no more than five entries, each bounded by
-# program structure.
+# the interpreter stack.  The list may only shrink: a new walk must be a
+# step function of `syntax.fold` or `pretty._emit`, or use an explicit
+# stack (as `semantics.subterms` and `wellformed.pattern_facts` do).  Each
+# entry names the ROADMAP item that removes it; ROADMAP item 5 aims at
+# keeping only the walks bounded by program structure.
 RECURSIVE_ALLOWED = {
-    "compiler._compile",
-    "compiler._invariants",
-    "exhaustiveness._height",
-    "exhaustiveness._min_value",
-    "exhaustiveness._useful",
-    "normalize._conj_matches",
-    "normalize._contains_or",
-    "normalize.combine",
-    "normalize.embed_conjunct",
-    "normalize.is_nnf",
-    "oracle._enum",
-    "oracle._gen_pattern",
-    "overlap._conj_overlap",
-    "overlap._conj_overlap_raw",
-    "parser._Parser.parse_and_pattern",
-    "parser._Parser.parse_atom_pattern",
-    "parser._Parser.parse_case",
-    "parser._Parser.parse_expr",
-    "parser._Parser.parse_neg_pattern",
-    "parser._Parser.parse_pattern",
-    "parser.inline_calls.go",
-    "pretty.format_expr",
-    "pretty.format_nconjunct",
-    "pretty.format_pattern",
-    "pretty.format_tree",
-    "pretty.tree_to_obj",
-    "semantics.expr_free_vars",
-    "semantics.rename_clause",
-    "semantics.substitute",
-    "syntax._value_key",
-    "syntax.fv_even",
-    "syntax.fv_odd",
-    "syntax.map_vars",
-    "syntax.match_both",
-    "typecheck.format_type",
-    "typecheck.type_expr",
-    "typecheck.type_pattern",
+    "compiler._compile",  # items 6 and 9
+    "compiler._invariants",  # item 7
+    "exhaustiveness._height",  # item 8
+    "exhaustiveness._min_value",  # item 8
+    "exhaustiveness._useful",  # item 8
+    "normalize.combine",  # items 8 and 9
+    "oracle._enum",  # bounded by program structure: the enumeration depth
+    "oracle._gen_pattern",  # bounded by program structure: the generated size
+    "overlap._conj_overlap",  # item 8
+    "overlap._conj_overlap_raw",  # item 8
+    "parser._Parser.parse_case",  # bounded by program structure: case nesting
+    "parser._Parser.parse_expr",  # bounded by program structure: case nesting
+    "parser.inline_calls.go",  # item 3
+    "semantics.rename_clause",  # item 10
+    "semantics.substitute",  # item 10
+    "syntax._value_key",  # item 10
+    "syntax.match_both",  # item 10
+    "typecheck.type_expr",  # item 3
 }
 
 

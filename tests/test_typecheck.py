@@ -9,19 +9,14 @@ from patalg.normalize import nnf
 from patalg.oracle import _gen_pattern
 from patalg.semantics import Clause, ECase, ECtor, EVar
 from patalg.syntax import And, Neg, Or, Wild
-from patalg.typecheck import (
-    Bool,
-    Ill,
-    Named,
-    Ok,
-    Pair,
-    Sum,
-    Typed,
-    type_expr,
-    type_pattern,
-)
+from patalg.typecheck import Bool, DataDecls, Ill, Named, Ok, Typed, type_expr, type_pattern
 
 B = Bool()
+
+# Declared stand-ins for a product and a binary sum of types.
+PAIR_BT = DataDecls({"P": ((cn("Pair", 2), (B, Named("T"))),)})
+PAIR_BB = DataDecls({"P": ((cn("Pair", 2), (B, B)),)})
+SUM_BT = DataDecls({"S": ((cn("Inl", 1), (B,)), (cn("Inr", 1), (Named("T"),)))})
 
 
 def test_variable_pattern():
@@ -31,7 +26,7 @@ def test_variable_pattern():
 
 def test_nonlinear_pair_is_typeable():
     # Typing admits it; linearity rejects it separately.
-    r = type_pattern(c("Pair", var("x"), var("x")), Pair(B, Named("T")))
+    r = type_pattern(c("Pair", var("x"), var("x")), Named("P"), PAIR_BT)
     assert r == Typed((("x", B), ("x", Named("T"))), ())
 
 
@@ -48,14 +43,14 @@ def test_or_requires_matching_branch_contexts():
 
 
 def test_sum_patterns():
-    r = type_pattern(c("Inl", var("x")), Sum(B, Named("T")))
+    r = type_pattern(c("Inl", var("x")), Named("S"), SUM_BT)
     assert r == Typed((("x", B),), ())
-    r = type_pattern(c("Inr", var("x")), Sum(B, Named("T")))
+    r = type_pattern(c("Inr", var("x")), Named("S"), SUM_BT)
     assert r == Typed((("x", Named("T")),), ())
 
 
 def test_constructor_type_mismatch():
-    assert isinstance(type_pattern(c("True"), Pair(B, B)), Ill)
+    assert isinstance(type_pattern(c("True"), Named("P"), PAIR_BB), Ill)
     assert isinstance(type_pattern(c("Red"), Named("List"), BOOL_LIST), Ill)
 
 
@@ -83,7 +78,7 @@ def test_expr_case_with_negated_clause():
 def test_expr_pair_of_variables():
     ctx = (("x", B),)
     e = ECtor(cn("Pair", 2), (EVar("x"), EVar("x")))
-    assert type_expr(ctx, e) == Ok(Pair(B, B))
+    assert type_expr(ctx, e, PAIR_BB) == Ok(Named("P"))
 
 
 def test_expr_clause_binders_in_scope():
