@@ -8,9 +8,9 @@ reduction rule that the step relation and the evaluation machine share
 a normalized disjunctive form (`normalize`), overlap deciding (`overlap`),
 compilation to decision trees (`compiler`), exhaustiveness checking
 (`exhaustiveness`), and brute-force oracles with property suites
-(`oracle`, `suites`).  Compilation and exhaustiveness share one matrix
-core: `specialize_each` (every constructor of a column in one pass),
-`default_rows` and `column_heads` over `MatrixRow`s.
+(`oracle`, `suites`).  Overlap and exhaustiveness ask whether some value
+matches a conjunct of a normal form, through one inhabitant search for
+the closed world (`inhabitant`).
 The overlap check of a case decides only the clause pairs that an index
 on head constructors leaves (`candidate_pairs`), and one pass over a
 pattern gives its linearity and determinism facts (`pattern_facts`).
@@ -74,7 +74,6 @@ from .compiler import (
     Leaf,
     MatrixRow,
     Switch,
-    column_heads,
     compile,
     compile_case,
     default_matrix,
@@ -86,7 +85,7 @@ from .compiler import (
     specialize_each,
     step_matrix,
 )
-from .exhaustiveness import exhaustive, useful
+from .exhaustiveness import exhaustive, inhabitant, useful_witness
 from .oracle import differential_compile_check, enumerate_values, gen_pattern
 
 __all__ = [name for name in dir() if not name.startswith("_")]

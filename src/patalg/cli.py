@@ -12,8 +12,8 @@ import sys
 from typing import Optional
 
 from . import semantics, wellformed
-from .compiler import CompileError, Leaf, MatrixRow, compile_case, head_ctors
-from .exhaustiveness import SignatureError, non_exhaustiveness_witness
+from .compiler import CompileError, Leaf, compile_case, head_ctors
+from .exhaustiveness import SignatureError, infer_scrutinee_type, useful_witness
 from .normalize import dnf, nnf, to_ndnf
 from .parser import (
     ParseError,
@@ -34,6 +34,7 @@ from .pretty import (
     tree_to_obj,
 )
 from .semantics import ECase
+from .syntax import Wild
 from .suites import run_suites
 from .typecheck import Ill, type_expr
 
@@ -103,17 +104,15 @@ def cmd_check(args) -> int:
 
 
 def _report_exhaustiveness(path, def_name, site, prog: Program) -> None:
-    """Exhaustiveness of a case site, from the NDNFs `wf_expr` kept."""
-    from .oracle import infer_scrutinee_type
-
+    """Exhaustiveness of a case site, typed by the NDNFs `wf_expr` kept."""
     where = _site_name(site.where)
-    matrix = tuple(MatrixRow((d,)) for d in site.ndnfs)
+    rows = tuple((c.pattern,) for c in site.case.clauses)
     try:
         col_types = (infer_scrutinee_type(head_ctors(site.ndnfs), prog.decls),)
     except ValueError:
         col_types = None
     try:
-        witness = non_exhaustiveness_witness(matrix, prog.decls, col_types)
+        witness = useful_witness(rows, (Wild(),), prog.decls, col_types)
     except SignatureError as err:
         print(f"{path}: def {def_name}: note: cannot check exhaustiveness at {where}: {err}")
         return

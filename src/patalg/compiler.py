@@ -5,10 +5,9 @@ normalized patterns.  Compilation repeatedly branches on a column with head
 constructors, building constructor-specific subproblems (specialization)
 and a subproblem for scrutinees matching none of the heads (default), until
 a row of bare variable cells or the lone default clause remains.  The
-row-level steps (`specialize_each`, `default_rows`, `column_heads`) are
-the matrix core that usefulness checking in `exhaustiveness` shares;
-`specialize_each` specializes every head of a column in one pass over the
-rows.
+row-level steps (`specialize_each`, `default_rows`, `head_ctors`) work
+on any column; `specialize_each` specializes every head of a column in
+one pass over the rows.
 
 `step_matrix` implements the multi-column single-step relation directly on
 top of the matching judgments; it is the independent oracle against which
@@ -53,33 +52,21 @@ class FreshSupply:
 
 # --- the matrix core ------------------------------------------------------------
 # Specialization, default and column heads over rows of normalized cells, for
-# any column.  Compilation and usefulness checking (`exhaustiveness`) share
-# them; a row's right-hand side is carried along untouched.
+# any column; a row's right-hand side is carried along untouched.
 
 
 @dataclass(frozen=True)
 class MatrixRow:
     cells: tuple  # of Ndnf, one per column
-    rhs: object = None  # the right-hand side; None in usefulness matrices
-
-
-def column_heads(column) -> tuple:
-    """Constructors a column can be tested against, as two sets: the heads
-    of positive conjuncts and the ban sets of negative conjuncts."""
-    pos: set = set()
-    neg: set = set()
-    for cell in column:
-        for k in cell.conjuncts:
-            if isinstance(k, PosConj):
-                pos.add(k.ctor)
-            elif isinstance(k, NegConj):
-                neg.update(k.banned)
-    return frozenset(pos), frozenset(neg)
+    rhs: object = None  # the right-hand side; None where none is needed
 
 
 def head_ctors(column) -> frozenset:
-    pos, neg = column_heads(column)
-    return pos | neg
+    """Constructors a column can be tested against: the heads of positive
+    conjuncts and the ban sets of negative conjuncts."""
+    return frozenset().union(
+        *((k.ctor,) if isinstance(k, PosConj) else k.banned for c in column for k in c.conjuncts)
+    )
 
 
 def specialize_each(rows, i: int, ctors) -> dict:

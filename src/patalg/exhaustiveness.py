@@ -1,26 +1,26 @@
-"""Usefulness and exhaustiveness checking over normalized pattern matrices.
+"""Usefulness and exhaustiveness as one emptiness question.
 
-A pattern matrix is a tuple of `MatrixRow`s (right-hand sides unused).  A
-pattern vector is useful for a matrix when some value vector matches the
-vector but no row of the matrix; a matrix is exhaustive when the
-all-wildcard vector is not useful.  The recursion is compilation's: it
-specializes and defaults the first column with the matrix core of
-`compiler`, and negative conjuncts require their banned constructors to be
-examined explicitly.
-
-Whenever usefulness holds, a concrete witness vector is reconstructed along
-the recursion and checked against the definition, by matching it against
-the normalized cells directly (`normalize.ndnf_matches`).
+Patterns express their own complement: a vector of patterns `q` is useful
+for rows of patterns when `q & !r_1 & ... & !r_m` has a value, and rows are
+exhaustive when the all-wildcard vector is not useful.  With several
+columns, the vector and each row are wrapped in the reserved constructor
+`$row/n`.  The witness is a value of the first conjunct of that pattern's
+normal form that has one (`inhabitant`, the one closed-world inhabitant
+search, which typed overlap asks too), found by a search that does not
+build the normal form.  Every witness is checked by matching it against
+the source patterns.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
-from .compiler import column_heads, default_rows, specialize_each
-from .normalize import Ndnf, PosConj, ndnf_matches, ndnf_wildcard
-from .syntax import CtorName, SoundnessError, Value
-from .typecheck import DataDecls, DeclError, Named, Type, signature_of
+from .normalize import NegConj, PosConj
+from .syntax import (
+    Absurd, And, Ctor, CtorName, Neg, Or, SoundnessError, Value, Var, Wild, fold, pattern_kids,
+)
+from .typecheck import DataDecls, Named, Type, signature_of
 
 # Head for witness positions no constructor evidence constrains; it stands
 # for an arbitrary value (open-world reading) and cannot collide with
@@ -32,179 +32,300 @@ class SignatureError(ValueError):
     """Raised when a completeness check needs a type signature but the
     constructors at hand span no single declared type."""
 
-
-def _default(P) -> tuple:
-    return tuple(row for row, _ in default_rows(P, 0))
-
-
-def _sorted(ctors):
-    return sorted(ctors, key=lambda c: (c.name, c.arity))
+    def __init__(self, ctors):
+        self.ctors = frozenset(ctors)
+        names = sorted(ctors, key=lambda c: (c.name, c.arity))
+        shown = ", ".join(f"{c.name}/{c.arity}" for c in names)
+        super().__init__(f"constructors {shown} span no single declared type")
 
 
-def _owner_type(decls: DataDecls, ctors) -> Optional[Type]:
-    if not ctors:
-        return None
-    name = decls.owner_of_all(ctors)
-    if name is None:
-        raise SignatureError(
-            "constructors "
-            + ", ".join(f"{c.name}/{c.arity}" for c in _sorted(ctors))
-            + " span no single declared type"
-        )
-    return Named(name)
+def infer_scrutinee_type(heads, decls: DataDecls) -> Type:
+    """Scrutinee type from the head constructors of the clause patterns
+    (`compiler.head_ctors` of their NDNFs)."""
+    owners = {decls.owner(c) for c in heads if decls.owner(c) is not None}
+    if len(owners) != 1:
+        raise ValueError("cannot infer the scrutinee type from the clause patterns")
+    return Named(owners.pop())
 
 
-def _min_value(decls: DataDecls, tau: Type, _seen=frozenset()) -> Value:
-    """A smallest value of a type; declaration order breaks ties."""
-    best: Optional[Value] = None
-    for ctor, arg_types in signature_of(tau, decls):
-        if ctor in _seen:
-            continue
-        try:
-            args = tuple(
-                _min_value(decls, t, _seen | {ctor}) for t in arg_types
-            )
-        except DeclError:
-            raise
-        except ValueError:
-            continue
-        candidate = Value(ctor, args)
-        if best is None or _height(candidate) < _height(best):
-            best = candidate
-    if best is None:
-        raise ValueError(f"type has no value: {tau!r}")
-    return best
+def inhabitant(k, tau: Optional[Type], decls: Optional[DataDecls]) -> Optional[Value]:
+    """A value of type `tau` matching the satisfiable conjunct `k`, or None
+    when the type has none.  Arguments of a known type get their declared
+    types.  Of an unknown type (None), a negative conjunct takes the type
+    declaring its ban set (SignatureError if none does), or with no ban
+    set the open world's `$any`.  Runs on an explicit stack, left to
+    right, and stops at the first argument without a value."""
+    done: list = []  # finished values, the last ones the pending arguments
+    todo: list = [(k, tau, False)]
+    while todo:
+        k, tau, build = todo.pop()
+        if build:
+            start = len(done) - k.ctor.arity
+            done[start:] = [Value(k.ctor, tuple(done[start:]))]
+        elif type(k) is PosConj:
+            if tau is None:
+                arg_types = (None,) * k.ctor.arity
+            elif (arg_types := dict(signature_of(tau, decls)).get(k.ctor)) is None:
+                return None
+            todo.append((k, tau, True))
+            todo.extend((a, t, False) for a, t in reversed(tuple(zip(k.args, arg_types))))
+        else:
+            v = _outside(k.banned, tau, decls)
+            if v is None:
+                return None
+            done.append(v)
+    return done[0]
 
 
-def _height(v: Value) -> int:
-    return 1 + max((_height(a) for a in v.args), default=0)
-
-
-def _missing_value(decls, tau: Optional[Type], excluded) -> Value:
-    """Some value whose head constructor is none of the excluded ones."""
+def _outside(banned, tau, decls) -> Optional[Value]:
+    """The first constructor of `tau`, in declaration order, that is not
+    banned and whose argument types have values, over their least values."""
     if tau is None:
-        return Value(ANY_CTOR, ())
+        if not banned:
+            return Value(ANY_CTOR, ())
+        if (owner := decls.owner_of_all(banned)) is None:
+            raise SignatureError(banned)
+        tau = Named(owner)
     for ctor, arg_types in signature_of(tau, decls):
-        if ctor in excluded:
-            continue
-        return Value(ctor, tuple(_min_value(decls, t) for t in arg_types))
-    raise AssertionError("no missing constructor despite incomplete signature")
+        if ctor not in banned:
+            args = tuple(decls.least_value(t) for t in arg_types)
+            if None not in args:
+                return Value(ctor, args)
+    return None
 
 
-def useful_witness(P, pvec, decls: DataDecls, col_types=None) -> Optional[tuple]:
-    """A value vector matching `pvec` but no row of `P`, or None.  The
-    witness is checked against both conditions; a failure raises
-    SoundnessError."""
-    pvec = tuple(pvec)
-    if any(len(row.cells) != len(pvec) for row in P):
+def useful_witness(rows, vector, decls: DataDecls, col_types=None) -> Optional[tuple]:
+    """A value vector matching the pattern vector but no row, or None.
+    Rows and the vector are tuples of patterns, one per column; a column's
+    type is unknown without `col_types`.  The witness is checked against
+    both conditions; a failure raises SoundnessError."""
+    vector = tuple(vector)
+    n = len(vector)
+    if any(len(r) != n for r in rows):
         raise ValueError("pattern vector width differs from matrix width")
-    witness = _useful(P, pvec, decls, tuple(col_types) if col_types else None)
-    if witness is not None:
-        if not _matches_vector(pvec, witness):
-            raise SoundnessError("usefulness witness fails the pattern vector")
-        if _matrix_matches(P, witness):
-            raise SoundnessError("usefulness witness is covered by a row")
-    return witness
+    types = tuple(col_types) if col_types else (None,) * n
+    row = CtorName("$row", n)
 
+    def wrap(cells):  # one column needs no row constructor
+        return cells[0] if n == 1 else Ctor(row, tuple(cells))
 
-def useful(P, pvec, decls: DataDecls, col_types=None) -> bool:
-    """Is some value vector matched by `pvec` but by no row of `P`?"""
-    return useful_witness(P, pvec, decls, col_types) is not None
-
-
-def exhaustive(P, decls: DataDecls, col_types=None) -> bool:
-    """A matrix is exhaustive when the all-wildcard vector is not useful."""
-    return non_exhaustiveness_witness(P, decls, col_types) is None
-
-
-def non_exhaustiveness_witness(P, decls: DataDecls, col_types=None) -> Optional[tuple]:
-    wild = tuple(ndnf_wildcard() for _ in range(len(P[0].cells) if P else 0))
-    return useful_witness(P, wild, decls, col_types)
-
-
-def _useful(P, pvec, decls, col_types) -> Optional[tuple]:
-    if not pvec:
-        return () if not P else None
-    first = pvec[0]
-    rest = pvec[1:]
-    rest_types = col_types[1:] if col_types else None
-    if len(first.conjuncts) != 1:
-        # Externalize the disjunction; the empty disjunction never matches.
-        for k in first.conjuncts:
-            w = _useful(P, (Ndnf((k,)),) + rest, decls, col_types)
-            if w is not None:
-                return w
+    query, covered = wrap(vector), [wrap(r) for r in rows]
+    if (w := _first_value(query, covered, types, row, decls)) is None:
         return None
-    k = first.conjuncts[0]
-    if isinstance(k, PosConj):
-        arg_types = None
-        if col_types:
-            arg_types = _arg_types_for(decls, col_types[0], k.ctor)
-        sub_types = (arg_types + rest_types) if arg_types is not None else None
-        sub = _useful(
-            tuple(row for row, _ in specialize_each(P, 0, (k.ctor,))[k.ctor]),
-            tuple(Ndnf((a,)) for a in k.args) + rest,
-            decls,
-            sub_types,
-        )
-        if sub is None:
-            return None
-        n = k.ctor.arity
-        return (Value(k.ctor, sub[:n]),) + sub[n:]
-    # Negative conjunct, which includes the plain wildcard.
-    pos_heads, neg_heads = column_heads([row.cells[0] for row in P])
-    mentioned = pos_heads | neg_heads | k.banned
-    tau: Optional[Type] = col_types[0] if col_types else None
-    if tau is None and mentioned:
-        tau = _owner_type(decls, mentioned)
-    missing_exists = True
-    signature: tuple = ()
-    if tau is not None:
-        signature = tuple(c for c, _ in signature_of(tau, decls))
-        missing_exists = bool(set(signature) - mentioned)
-    if not missing_exists:
-        # Complete signature: try every constructor the vector allows.
-        candidates = [c for c in signature if c not in k.banned]
-    else:
-        # Banned heads behave differently across the negative rows and must
-        # be examined one by one; everything else is covered by a single
-        # default step on some head absent from the whole column.
-        candidates = [c for c in _sorted(neg_heads) if c not in k.banned]
-    groups = specialize_each(P, 0, candidates)
-    for ctor in candidates:
-        sub_pvec = tuple(ndnf_wildcard() for _ in range(ctor.arity)) + rest
-        arg_types = (
-            _arg_types_for(decls, tau, ctor) if (col_types and tau) else None
-        )
-        sub_types = (arg_types + rest_types) if arg_types is not None else None
-        sub_P = tuple(row for row, _ in groups.pop(ctor))
-        sub = _useful(sub_P, sub_pvec, decls, sub_types)
-        if sub is not None:
-            n = ctor.arity
-            return (Value(ctor, sub[:n]),) + sub[n:]
-    if missing_exists:
-        sub = _useful(_default(P), rest, decls, rest_types)
-        if sub is not None:
-            return (_missing_value(decls, tau, mentioned),) + sub
+    if not _matches(query, w):
+        raise SoundnessError("usefulness witness fails the pattern vector")
+    if any(_matches(r, w) for r in covered):
+        raise SoundnessError("usefulness witness is covered by a row")
+    return (w,) if n == 1 else w.args
+
+
+def _first_value(query, rows, types, row, decls) -> Optional[Value]:
+    """A value of the first conjunct of `to_ndnf(query & !rows[0] & ... &
+    !rows[-1])`, in its order, that has one, or None.
+
+    A depth-first search on an explicit stack builds one conjunct per
+    branch and undoes its changes from a trail when it backs up.  A goal is
+    a (pattern, polarity, position) triple, the root at position 0; a
+    `CtorName` goal sets the head at its position, or bans it.  A branch
+    ends where bans leave a position of known type no value, and before
+    each row the search skips a state it has already searched without a
+    value, so many rows over few positions cost the states they reach.
+    With every type known, a branch not known to have a value is probed
+    before its next row in the disjoint form, which reads `!C(a, b)` as
+    `!C | C(!a, _) | C(a, !b)` and skips rows the branch already rules out:
+    its branches split the values as a decision tree over positions does.
+    A probe that finds no value ends the branch; one that finds a value
+    lets the branch go on, and no other probe is made while each head or
+    ban the branch adds keeps that value in it."""
+    n = row.arity
+    at: dict = {}  # position -> its head, or the set of heads it bans
+    pos_types = [types[0] if n == 1 else None]  # position -> its type, if known
+    origin: list = [None]  # position -> (its parent, the parent's head, i)
+    child: dict = {}  # (position, head, i) -> the position of argument i
+    live: dict = {}  # type -> its constructors with values
+    trail: list = []  # calls that undo each change, made when backing up
+    failed: set = set()  # (row, state) pairs searched without a value
+    goals = None
+    for i in reversed(range(len(rows))):
+        goals = ((i, None, None), ((rows[i], False, 0), goals))
+    # (goal list, trail length, disjoint form?, parts by position of a value
+    # the branch has); (None, key, ...) closes a state, disjoint None a probe
+    choices: list = [(((query, True, 0), goals), 0, False, None)]
+
+    def kid(pos, ctor, i):
+        if (pos, ctor, i) not in child:
+            tau = pos_types[pos]
+            if ctor is row:
+                tau = types[i]
+            else:  # unknown, also below a head outside the type
+                known = type(tau) is Named and decls.owner(ctor) == tau.name
+                tau = decls.arg_types(ctor)[i] if known else None
+            child[(pos, ctor, i)] = len(pos_types)
+            pos_types.append(tau)
+            origin.append((pos, ctor, i))
+        return child[(pos, ctor, i)]
+
+    def value_at(parts, pos):  # the part of a value at `pos`, given its root part
+        chain = []
+        while pos not in parts:
+            chain.append(pos)
+            pos = origin[pos][0]
+        for p in reversed(chain):
+            v, (_, ctor, i) = parts[pos], origin[p]
+            parts[p] = v.args[i] if v is not None and v.ctor is ctor else None
+            pos = p
+        return parts[pos]
+
+    def dead(ban, tau):  # do the bans leave a position of known type no value?
+        if tau not in live:
+            sig = signature_of(tau, decls)
+            live[tau] = {c for c, ats in sig if None not in map(decls.least_value, ats)}
+        return live[tau] <= ban
+
+    def refuted(p) -> bool:  # does the branch rule out the row, by its conjunctive parts?
+        todo = [(p, 0)]
+        while todo:
+            p, pos = todo.pop()
+            kind, head = type(p), at.get(pos)
+            if kind is Absurd or kind is Ctor and (
+                p.ctor in head if type(head) is set else head not in (None, p.ctor)
+            ):
+                return True
+            if kind is Ctor and head is p.ctor:
+                todo.extend((a, child.get((pos, p.ctor, i))) for i, a in enumerate(p.args))
+            elif kind is And:
+                todo += ((p.left, pos), (p.right, pos))
+        return False
+
+    def kids(pos, _):
+        head = at.get(pos)
+        n = head.arity if type(head) is CtorName else 0
+        return tuple((kid(pos, head, i), None) for i in range(n))
+
+    def step(pos, _, results):
+        head = at.get(pos)
+        if type(head) is CtorName:
+            return PosConj(frozenset(), head, tuple(results))
+        return NegConj(frozenset(), frozenset(head or ()))
+
+    while choices:
+        goals, mark, disjoint, seen = choices.pop()
+        if goals is None:  # every branch from the state `mark` ended without a value
+            failed.add(mark)
+            continue
+        if disjoint is None:  # a probe found no value, so its branch has none
+            continue
+        while len(trail) > mark:
+            trail.pop()()
+        while goals is not None:
+            (q, positive, pos), goals = goals
+            kind = type(q)
+            if kind is int:  # before row q
+                if disjoint and refuted(goals[0][0]):
+                    goals = goals[1]
+                    continue
+                if choices and choices[-1][2] is not None:  # only another branch can come back
+                    key = (q, frozenset((p, h if type(h) is CtorName else frozenset(h))
+                                        for p, h in at.items() if h))
+                    if key in failed:
+                        break
+                    choices.append((None, key, disjoint, None))
+                if not (disjoint or seen or None in types):
+                    choices.append((goals, len(trail), None, None))  # resumed by the probe
+                    disjoint = True
+            elif kind is Neg:
+                goals = ((q.sub, not positive, pos), goals)
+            elif kind is And or kind is Or:
+                right = (q.right, positive, pos)
+                if (kind is And) == positive:
+                    goals = ((q.left, positive, pos), (right, goals))
+                else:  # the left operand, or the right one
+                    choices.append(((right, goals), len(trail), disjoint, seen))
+                    goals = ((q.left, positive, pos), goals)
+            elif kind is Ctor:
+                args = [(a, positive, kid(pos, q.ctor, i)) for i, a in enumerate(q.args)]
+                if positive:
+                    for goal in reversed([(q.ctor, True, pos), *args]):
+                        goals = (goal, goals)
+                else:  # a banned head, or the head with an argument failing
+                    for j in reversed(range(len(args))):
+                        alt = (args[j], goals)
+                        for a, _, p in reversed(args[:j] if disjoint else ()):
+                            alt = ((a, True, p), alt)  # where those before it match
+                        choices.append((((q.ctor, True, pos), alt), len(trail), disjoint, seen))
+                    goals = ((q.ctor, False, pos), goals)
+            elif kind is CtorName:
+                head, tau = at.get(pos), pos_types[pos]
+                if type(head) is CtorName:
+                    if (head is q) != positive:
+                        break
+                    continue
+                if positive:
+                    if head and q in head:
+                        break
+                    trail.append(partial(at.__setitem__, pos, head))
+                    at[pos] = q
+                elif head is None:
+                    trail.append(partial(at.__setitem__, pos, head))
+                    at[pos] = head = {q}
+                elif q in head:
+                    continue
+                else:  # a ban set this search made: grow it in place
+                    head.add(q)
+                    trail.append(partial(head.discard, q))
+                if not positive and tau is not None and dead(head, tau):
+                    break
+                if seen and ((v := value_at(seen, pos)) is None or (v.ctor is q) != positive):
+                    seen = None
+            elif kind is Var or kind is Wild or kind is Absurd:
+                if positive == (kind is Absurd):
+                    break
+            else:
+                raise TypeError(f"not a pattern: {q!r}")
+        else:
+            k = fold(0, step, None, kids)
+            values: list = []
+            for cell, tau in zip((k,) if n == 1 else k.args, types):
+                if (v := inhabitant(cell, tau, decls)) is None:
+                    break
+                values.append(v)
+            else:
+                v = values[0] if n == 1 else Value(row, tuple(values))
+                if not disjoint:
+                    return v
+                while choices[-1][2] is not None:  # drop the probe's other branches
+                    choices.pop()
+                goals, mark, _, _ = choices.pop()
+                choices.append((goals, mark, False, {0: v}))
     return None
 
 
-def _arg_types_for(decls, tau, ctor):
-    """The argument types of `ctor` as a constructor of `tau`, or None."""
-    if isinstance(tau, Named):
-        if decls is None or decls.owner(ctor) != tau.name:
-            return None
-        return tuple(decls.arg_types(ctor))
-    # A built-in type: at most two constructors.
-    for c, arg_types in signature_of(tau, decls):
-        if c == ctor:
-            return tuple(arg_types)
-    return None
+def exhaustive(rows, decls: DataDecls, col_types=None) -> bool:
+    """Rows are exhaustive when the all-wildcard vector is not useful."""
+    return non_exhaustiveness_witness(rows, decls, col_types) is None
 
 
-def _matches_vector(pvec, values) -> bool:
-    return all(ndnf_matches(cell, v) for cell, v in zip(pvec, values))
+def non_exhaustiveness_witness(rows, decls: DataDecls, col_types=None) -> Optional[tuple]:
+    wild = (Wild(),) * (len(rows[0]) if rows else 0)
+    return useful_witness(rows, wild, decls, col_types)
 
 
-def _matrix_matches(P, values) -> bool:
-    return any(_matches_vector(row.cells, values) for row in P)
+def _matches(p, v: Value) -> bool:
+    """Does the pattern match the value?  The truth of the matching
+    judgment, `bool(match_pos(p, v))`, as a fold over the pattern read
+    against the value."""
+
+    def kids(node, v):
+        if type(node) is Ctor:
+            return tuple(zip(node.args, v.args)) if node.ctor is v.ctor else ()
+        return tuple((sub, v) for sub, _ in pattern_kids(node, True))
+
+    def step(node, v, results) -> bool:
+        kind = type(node)
+        if kind is Neg:
+            return not results[0]
+        if kind is Or:
+            return results[0] or results[1]
+        return all(results) and kind is not Absurd and (kind is not Ctor or node.ctor is v.ctor)
+
+    return fold(p, step, v, kids)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Union
 
-from .syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Pattern, Value, Var, Wild, fold
+from .syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Pattern, Var, Wild, fold
 
 # Negation normal forms, as a pattern subset.
 Nnf = Pattern
@@ -165,26 +165,36 @@ def ndnf_wildcard() -> Ndnf:
 
 def combine(a: NConjunct, b: NConjunct) -> Optional[NConjunct]:
     """Merge two satisfiable conjuncts into one, or None when no value
-    matches both."""
-    vars_ = a.vars | b.vars
-    if isinstance(a, NegConj) and isinstance(b, NegConj):
-        return NegConj(vars_, a.banned | b.banned)
-    if isinstance(a, NegConj):
-        a, b = b, a
-    if isinstance(b, NegConj):
-        if a.ctor in b.banned:
-            return None
-        return PosConj(vars_, a.ctor, a.args)
-    # two positive conjuncts
-    if a.ctor != b.ctor:
-        return None
-    args = []
-    for x, y in zip(a.args, b.args):
-        k = combine(x, y)
-        if k is None:
-            return None
-        args.append(k)
-    return PosConj(vars_, a.ctor, tuple(args))
+    matches both.  Pairs of arguments are merged on an explicit stack, and
+    the first pair no value matches ends the merge."""
+    done: list = []  # merged conjuncts, the last ones the pending arguments
+    todo: list = [(a, b, False)]
+    while todo:
+        a, b, build = todo.pop()
+        if build:
+            start = len(done) - a.ctor.arity
+            done[start:] = [PosConj(a.vars | b.vars, a.ctor, tuple(done[start:]))]
+        elif b is WILDCARD_CONJ or a is b:
+            done.append(a)
+        elif a is WILDCARD_CONJ:
+            done.append(b)
+        elif type(a) is PosConj and type(b) is PosConj:
+            if a.ctor is not b.ctor:
+                return None
+            todo.append((a, b, True))
+            todo.extend(zip(reversed(a.args), reversed(b.args), itertools.repeat(False)))
+        elif type(a) is NegConj and type(b) is NegConj:
+            if not (b.banned <= a.banned and b.vars <= a.vars):
+                a = NegConj(a.vars | b.vars, a.banned | b.banned)
+            done.append(a)
+        else:
+            pos, neg = (a, b) if type(a) is PosConj else (b, a)
+            if pos.ctor in neg.banned:
+                return None
+            if not neg.vars <= pos.vars:
+                pos = PosConj(pos.vars | neg.vars, pos.ctor, pos.args)
+            done.append(pos)
+    return done[0]
 
 
 def to_ndnf(p: Pattern) -> Ndnf:
@@ -264,26 +274,3 @@ def embed_ndnf(d: Ndnf) -> Pattern:
 def conjunct_is_variable(k: NConjunct) -> bool:
     """True for the {x1..xn} & !{} shape (bare variables and wildcards)."""
     return isinstance(k, NegConj) and not k.banned
-
-
-# --- matching normal forms ------------------------------------------------------
-
-
-def ndnf_matches(d: Ndnf, v: Value) -> bool:
-    """Does some disjunct match the value?  Agrees with
-    `bool(match_pos(embed_ndnf(d), v))` in one walk over the normal form."""
-    return any(_conj_matches(k, v) for k in d.conjuncts)
-
-
-def _conj_matches(k: NConjunct, v: Value) -> bool:
-    todo = [(k, v)]
-    while todo:
-        k, v = todo.pop()
-        if type(k) is NegConj:
-            if v.ctor in k.banned:
-                return False
-        elif k.ctor is not v.ctor:
-            return False
-        else:
-            todo.extend(zip(k.args, v.args))
-    return True

@@ -15,6 +15,7 @@ from typing import Optional, Union
 
 from . import semantics, wellformed
 from .compiler import DecisionTree, compile_case, eval_tree, head_ctors
+from .exhaustiveness import infer_scrutinee_type
 from .normalize import to_ndnf
 from .semantics import Clause, ECase, ECtor, EVar, Evaluated
 from .syntax import (
@@ -29,7 +30,7 @@ from .syntax import (
     Var,
     Wild,
 )
-from .typecheck import DataDecls, Named, Type, signature_of
+from .typecheck import DataDecls, Type, signature_of
 
 
 def enumerate_values(decls: Optional[DataDecls], tau: Type, depth: int):
@@ -247,15 +248,6 @@ class Agree:
 class Disagree:
     witness: Value
     detail: str
-
-
-def infer_scrutinee_type(heads, decls: DataDecls) -> Type:
-    """Scrutinee type from the head constructors of the clause patterns
-    (`compiler.head_ctors` of their NDNFs)."""
-    owners = {decls.owner(c) for c in heads if decls.owner(c) is not None}
-    if len(owners) != 1:
-        raise ValueError("cannot infer the scrutinee type from the clause patterns")
-    return Named(owners.pop())
 
 
 def differential_check_tree(

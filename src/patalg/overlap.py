@@ -1,14 +1,16 @@
 """Deciding whether two normalized patterns can match a common value.
 
-The type-free procedure is conservative: it may report an overlap that no
-value witnesses (two negative conjuncts always "overlap"), but it never
-misses one.  Supplying data declarations tightens the negative/negative
-case when the combined ban sets cover a whole constructor signature.
+Normal forms hold only satisfiable conjuncts, so in the open world two
+normal forms overlap exactly when some pair of their conjuncts combines
+(`normalize.combine`).  With data declarations the combined conjunct must
+also have a value (`exhaustiveness.inhabitant`), which ban sets covering
+a whole declared type leave it without.
 """
 
 from __future__ import annotations
 
-from .normalize import Ndnf, NegConj, PosConj, WILDCARD_CONJ, to_ndnf
+from .exhaustiveness import SignatureError, inhabitant
+from .normalize import Ndnf, NegConj, PosConj, combine, to_ndnf
 from .syntax import Pattern
 
 
@@ -23,63 +25,42 @@ class OverlapTypeError(ValueError):
 _cache: dict = {}
 
 
-def _conj_overlap(a, b, decls) -> bool:
-    if decls is None:
-        key = (a, b)
-        hit = _cache.get(key)
-        if hit is not None:
-            return hit
-    result = _conj_overlap_raw(a, b, decls)
-    if decls is None:
-        _cache[key] = result
-    return result
-
-
-def _conj_overlap_raw(a, b, decls) -> bool:
-    if isinstance(a, NegConj) and isinstance(b, NegConj):
-        if decls is None:
-            return True
-        banned = a.banned | b.banned
-        if not banned:
-            return True
-        type_name = decls.owner_of_all(banned)
-        if type_name is None:
-            raise OverlapTypeError(
-                "banned constructors "
-                + ", ".join(sorted(f"{c.name}/{c.arity}" for c in banned))
-                + " do not all belong to one declared type"
-            )
-        return banned < set(decls.ctor_names(type_name))
-    if isinstance(a, NegConj):
-        a, b = b, a
-    if isinstance(b, NegConj):
-        if a.ctor in b.banned:
-            return False
-        return all(_conj_overlap(arg, WILDCARD_CONJ, decls) for arg in a.args)
-    # two positive conjuncts
-    if a.ctor != b.ctor:
-        return False
-    return all(_conj_overlap(x, y, decls) for x, y in zip(a.args, b.args))
+def _open_overlap(a, b) -> bool:
+    """`combine(a, b) is not None`, cached."""
+    hit = _cache.get((a, b))
+    if hit is None:
+        hit = _cache[(a, b)] = combine(a, b) is not None
+    return hit
 
 
 def decide(a: Ndnf, b: Ndnf, decls=None) -> bool:
-    """True when some conjunct of `a` overlaps some conjunct of `b`."""
-    return any(
-        _conj_overlap(ka, kb, decls)
-        for ka in a.conjuncts
-        for kb in b.conjuncts
-    )
+    """True when some value matches both normal forms: some conjunct of
+    `a` combines with some conjunct of `b`, and with declarations the
+    combined conjunct has a value."""
+    pairs = ((ka, kb) for ka in a.conjuncts for kb in b.conjuncts)
+    if decls is None:
+        return any(_open_overlap(ka, kb) for ka, kb in pairs)
+    try:
+        return any(
+            (k := combine(ka, kb)) is not None and inhabitant(k, None, decls) is not None
+            for ka, kb in pairs
+        )
+    except SignatureError as err:
+        shown = ", ".join(sorted(f"{c.name}/{c.arity}" for c in err.ctors))
+        raise OverlapTypeError(
+            f"banned constructors {shown} do not all belong to one declared type"
+        ) from None
 
 
 def candidate_pairs(ndnfs) -> list:
     """The pairs (i, j), i < j, in increasing order, of NDNFs that `decide`
     may call overlapping: those with two positive conjuncts of the same
     head, a positive conjunct whose head a negative one does not ban, or two
-    negative conjuncts.  Every other pair of conjuncts is disjoint before
-    `_conj_overlap_raw` recurses or raises, so `decide` is False on every
-    pair left out.  An index on the head constructor finds the pairs
-    without looking at the others (first-argument indexing, as in Warren's
-    abstract machine), so clauses with distinct heads cost nothing."""
+    negative conjuncts.  `combine` gives None on every other pair of
+    conjuncts, so `decide` is False on every pair left out.  An index on
+    the head constructor finds the pairs without looking at the others
+    (first-argument indexing, as in Warren's abstract machine), so clauses
+    with distinct heads cost nothing."""
     by_head: dict = {}  # head -> increasing indices of NDNFs with that positive head
     negative = []  # increasing indices of NDNFs with a negative conjunct
     bans = []  # per NDNF, the ban sets of its negative conjuncts
@@ -108,6 +89,5 @@ def candidate_pairs(ndnfs) -> list:
 
 
 def disjoint(p: Pattern, q: Pattern, decls=None) -> bool:
-    """Conservative disjointness of arbitrary patterns: never claims
-    disjointness when an overlap exists, may miss some disjoint pairs."""
+    """No value matches both patterns, as `decide` reads the world."""
     return not decide(to_ndnf(p), to_ndnf(q), decls)

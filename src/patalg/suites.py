@@ -27,7 +27,7 @@ from .compiler import (
     tree_invariants_ok,
 )
 from .exhaustiveness import exhaustive, non_exhaustiveness_witness
-from .normalize import embed_ndnf, to_ndnf
+from .normalize import combine, to_ndnf
 from .oracle import (
     Disagree,
     _gen_pattern,
@@ -556,7 +556,8 @@ def _gen_matrix(rng, taus, depth, disjoint_disjuncts=True):
                     ok = False
                     break
                 d = to_ndnf(p)
-                if disjoint_disjuncts and _has_overlapping_disjuncts(d):
+                pairs = itertools.combinations(d.conjuncts, 2)
+                if disjoint_disjuncts and any(combine(a, b) is not None for a, b in pairs):
                     ok = False
                     break
                 cells.append(d)
@@ -571,17 +572,6 @@ def _gen_matrix(rng, taus, depth, disjoint_disjuncts=True):
         if wellformed.wf_matrix(m).ok:
             return m
     return None
-
-
-def _has_overlapping_disjuncts(d) -> bool:
-    ks = d.conjuncts
-    for i in range(len(ks)):
-        for j in range(i + 1, len(ks)):
-            from .normalize import Ndnf
-
-            if overlap.decide(Ndnf((ks[i],)), Ndnf((ks[j],))):
-                return True
-    return False
 
 
 def prop_matrix_subproblem_stepping(seed, depth, cases) -> PropertyResult:
@@ -685,10 +675,7 @@ def prop_default_clause_not_wildcard() -> PropertyResult:
 def _brute_force_exhaustive(P, taus, depth) -> bool:
     pools = [enumerate_values(STANDARD_DECLS, t, depth) for t in taus]
     for combo in itertools.product(*pools):
-        if not any(
-            all(match_pos(embed_ndnf(c), v) for c, v in zip(row.cells, combo))
-            for row in P
-        ):
+        if not any(all(match_pos(p, v) for p, v in zip(row, combo)) for row in P):
             return False
     return True
 
@@ -704,14 +691,10 @@ def prop_exhaustiveness_oracle(seed, depth, cases) -> PropertyResult:
     )
     for i in range(cases):
         taus = combos[i % len(combos)]
-        rows = []
-        for _ in range(rng.randint(1, 3)):
-            row = []
-            for tau in taus:
-                p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
-                row.append(to_ndnf(p))
-            rows.append(MatrixRow(tuple(row)))
-        P = tuple(rows)
+        P = tuple(
+            tuple(_gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3)) for tau in taus)
+            for _ in range(rng.randint(1, 3))
+        )
         res.cases += 1
         # Depth 2 closes every value of these non-recursive types.
         full_depth = 2
@@ -720,10 +703,7 @@ def prop_exhaustiveness_oracle(seed, depth, cases) -> PropertyResult:
         if claimed != brute:
             res.fail(
                 f"exhaustive={claimed} but brute force says {brute} for "
-                + " | ".join(
-                    "; ".join(format_pattern(embed_ndnf(c)) for c in row.cells)
-                    for row in P
-                )
+                + " | ".join("; ".join(format_pattern(p) for p in row) for row in P)
             )
     return res
 
@@ -734,17 +714,16 @@ def prop_witness_soundness(seed, depth, cases) -> PropertyResult:
     taus = (Named("Color"), Named("Day"), Named("BList"))
     for i in range(cases):
         tau = taus[i % len(taus)]
-        rows = []
-        for _ in range(rng.randint(1, 3)):
-            p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
-            rows.append(MatrixRow((to_ndnf(p),)))
-        P = tuple(rows)
+        P = tuple(
+            (_gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3)),)
+            for _ in range(rng.randint(1, 3))
+        )
         res.cases += 1
         witness = non_exhaustiveness_witness(P, STANDARD_DECLS, col_types=(tau,))
         if witness is None:
             continue
         v = witness[0]
-        if any(match_pos(embed_ndnf(row.cells[0]), v) for row in P):
+        if any(match_pos(row[0], v) for row in P):
             res.fail(f"witness {format_value(v)} is covered by a row")
     return res
 

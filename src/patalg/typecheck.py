@@ -67,6 +67,7 @@ class DataDecls:
                 arg_types_of[ctor] = arg_types
         self._owner = seen
         self._arg_types = arg_types_of
+        self._least: Optional[dict] = None
 
     def declare(self, type_name: str, ctors) -> None:
         self.types[type_name] = tuple(ctors)
@@ -98,6 +99,28 @@ class DataDecls:
         if arg_types is None:
             raise DeclError(f"undeclared constructor {ctor.name}/{ctor.arity}")
         return arg_types
+
+    def least_value(self, tau: "Type") -> Optional[Value]:
+        """A value of least height of a type, None if it has no finite one:
+        the least heights are one fixpoint per declaration set, and each
+        value takes the first constructor, in declaration order, reaching it."""
+        if self._least is None:
+            height: dict = {Bool(): 1}
+
+            def reach(arg_types):  # the height a constructor reaches, if known
+                hs = [height.get(t) for t in arg_types]
+                return None if None in hs else 1 + max(hs, default=0)
+
+            for _ in self.types:  # after pass h, each type of least height h has it
+                for name, ctors in self.types.items():
+                    hs = [h for h in (reach(ats) for _, ats in ctors) if h]
+                    if hs:
+                        height[Named(name)] = min(hs)
+            least = self._least = {Bool(): Value(TRUE, ())}
+            for t in sorted(height.keys() - {Bool()}, key=height.get):
+                ctor, ats = next(ca for ca in self.types[t.name] if reach(ca[1]) == height[t])
+                least[t] = Value(ctor, tuple(least[a] for a in ats))
+        return self._least.get(tau)
 
 
 def signature_of(tau: Type, decls: Optional[DataDecls]):

@@ -4,8 +4,9 @@ expressions and clause matrices.
 Linearity guarantees that matching yields proper substitutions whose domain
 can be read off the pattern.  Determinism guarantees that all derivations
 of a match agree on the substitution; its disjointness side conditions are
-decided with the conservative overlap procedure, so some deterministic
-patterns may be rejected (never the other way around).  Both come from
+decided by the overlap procedure, which is exact for the open world, so
+some patterns deterministic in a closed type are rejected (never the
+other way around).  Both come from
 one post-order pass over a pattern (`pattern_facts`), and the pairwise
 disjointness of a case's clauses or a matrix's rows is decided only on the
 pairs an index on head constructors leaves (`overlap.candidate_pairs`).

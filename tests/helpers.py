@@ -3,8 +3,10 @@
 from collections import Counter
 
 from patalg import overlap
-from patalg.compiler import Leaf, MatrixRow
+from patalg.compiler import Leaf, MatrixRow, default_rows, specialize_each
+from patalg.exhaustiveness import SignatureError
 from patalg.normalize import (
+    WILDCARD_CONJ,
     Ndnf,
     NegConj,
     PosConj,
@@ -578,3 +580,160 @@ def tree_to_obj_by_recursion(t):
         ],
         "default": tree_to_obj_by_recursion(t.default_arm),
     }
+
+
+# --- reference emptiness: the pairwise overlap loop and usefulness ------------
+#
+# The procedures the package used before overlap, exhaustiveness and typed
+# overlap shared one inhabitant search.  `overlap.decide` and
+# `exhaustiveness.useful_witness` must agree with them.
+
+
+def decide_by_pairs(a, b, decls=None):
+    """Reference `overlap.decide`: true when some pair of conjuncts
+    overlaps, typed by the ban sets where declarations are given."""
+    return any(_conj_overlap(ka, kb, decls) for ka in a.conjuncts for kb in b.conjuncts)
+
+
+def _conj_overlap(a, b, decls):
+    if isinstance(a, NegConj) and isinstance(b, NegConj):
+        if decls is None:
+            return True
+        banned = a.banned | b.banned
+        if not banned:
+            return True
+        type_name = decls.owner_of_all(banned)
+        if type_name is None:
+            raise overlap.OverlapTypeError(
+                "banned constructors "
+                + ", ".join(sorted(f"{c.name}/{c.arity}" for c in banned))
+                + " do not all belong to one declared type"
+            )
+        return banned < set(decls.ctor_names(type_name))
+    if isinstance(a, NegConj):
+        a, b = b, a
+    if isinstance(b, NegConj):
+        if a.ctor in b.banned:
+            return False
+        return all(_conj_overlap(arg, WILDCARD_CONJ, decls) for arg in a.args)
+    if a.ctor != b.ctor:
+        return False
+    return all(_conj_overlap(x, y, decls) for x, y in zip(a.args, b.args))
+
+
+ANY = CtorName("$any", 0)
+
+
+def useful_by_recursion(P, pvec, decls, col_types=None):
+    """Reference usefulness (Maranget, "Warnings for pattern matching",
+    JFP 2007) over rows of NDNF cells (`MatrixRow`s) and a vector of NDNF
+    cells: a witness vector, or None."""
+    pvec = tuple(pvec)
+    if not pvec:
+        return () if not P else None
+    first, rest = pvec[0], pvec[1:]
+    rest_types = col_types[1:] if col_types else None
+    if len(first.conjuncts) != 1:
+        for k in first.conjuncts:
+            w = useful_by_recursion(P, (Ndnf((k,)),) + rest, decls, col_types)
+            if w is not None:
+                return w
+        return None
+    k = first.conjuncts[0]
+    if isinstance(k, PosConj):
+        arg_types = _arg_types_for(decls, col_types[0], k.ctor) if col_types else None
+        sub = useful_by_recursion(
+            tuple(row for row, _ in specialize_each(P, 0, (k.ctor,))[k.ctor]),
+            tuple(Ndnf((a,)) for a in k.args) + rest,
+            decls,
+            (arg_types + rest_types) if arg_types is not None else None,
+        )
+        if sub is None:
+            return None
+        return (Value(k.ctor, sub[: k.ctor.arity]),) + sub[k.ctor.arity :]
+    pos_heads = {k.ctor for row in P for k in row.cells[0].conjuncts if isinstance(k, PosConj)}
+    neg_heads = {c for row in P for k in row.cells[0].conjuncts if isinstance(k, NegConj) for c in k.banned}
+    mentioned = pos_heads | neg_heads | k.banned
+    tau = col_types[0] if col_types else None
+    if tau is None and mentioned:
+        name = decls.owner_of_all(mentioned)
+        if name is None:
+            raise SignatureError(mentioned)
+        tau = Named(name)
+    missing_exists, signature = True, ()
+    if tau is not None:
+        signature = tuple(c for c, _ in signature_of(tau, decls))
+        missing_exists = bool(set(signature) - mentioned)
+    if not missing_exists:
+        candidates = [c for c in signature if c not in k.banned]
+    else:
+        candidates = [c for c in _by_name(neg_heads) if c not in k.banned]
+    groups = specialize_each(P, 0, candidates)
+    for ctor in candidates:
+        arg_types = _arg_types_for(decls, tau, ctor) if (col_types and tau) else None
+        sub = useful_by_recursion(
+            tuple(row for row, _ in groups.pop(ctor)),
+            tuple(ndnf_wildcard() for _ in range(ctor.arity)) + rest,
+            decls,
+            (arg_types + rest_types) if arg_types is not None else None,
+        )
+        if sub is not None:
+            return (Value(ctor, sub[: ctor.arity]),) + sub[ctor.arity :]
+    if missing_exists:
+        sub = useful_by_recursion(
+            tuple(row for row, _ in default_rows(P, 0)), rest, decls, rest_types
+        )
+        if sub is not None:
+            return (_missing_value(decls, tau, mentioned),) + sub
+    return None
+
+
+def _by_name(ctors):
+    return sorted(ctors, key=lambda c: (c.name, c.arity))
+
+
+def _arg_types_for(decls, tau, ctor):
+    if isinstance(tau, Named):
+        if decls is None or decls.owner(ctor) != tau.name:
+            return None
+        return tuple(decls.arg_types(ctor))
+    for c, arg_types in signature_of(tau, decls):
+        if c == ctor:
+            return tuple(arg_types)
+    return None
+
+
+def _missing_value(decls, tau, excluded):
+    if tau is None:
+        return Value(ANY, ())
+    for ctor, arg_types in signature_of(tau, decls):
+        if ctor not in excluded:
+            return Value(ctor, tuple(min_value_by_search(decls, t) for t in arg_types))
+    raise AssertionError("no missing constructor despite incomplete signature")
+
+
+def min_value_by_search(decls, tau, _seen=frozenset()):
+    """Reference least value: the smallest value over every constructor not
+    already on the path, declaration order breaking ties.  Exponential in
+    the number of recursive constructors; `DataDecls.least_value` must
+    agree with it."""
+    best = None
+    for ctor, arg_types in signature_of(tau, decls):
+        if ctor in _seen:
+            continue
+        try:
+            args = tuple(min_value_by_search(decls, t, _seen | {ctor}) for t in arg_types)
+        except DeclError:
+            raise
+        except ValueError:
+            continue
+        candidate = Value(ctor, args)
+        if best is None or _height(candidate) < _height(best):
+            best = candidate
+    if best is None:
+        raise ValueError(f"type has no value: {tau!r}")
+    return best
+
+
+def _height(v):
+    return 1 + max((_height(a) for a in v.args), default=0)

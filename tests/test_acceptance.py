@@ -12,7 +12,7 @@ the repository README.
 
 import pytest
 
-from helpers import BOOL_LIST, COLOR, DAYS, c, cn, pattern_matrix, v, var
+from helpers import BOOL_LIST, COLOR, DAYS, c, cn, v, var
 
 from patalg.compiler import (
     Arm,
@@ -197,11 +197,9 @@ def test_criterion_3_compilation_golden():
 
 
 def _weekend_pattern_matrix():
-    return pattern_matrix(
-        (
-            (to_ndnf(And(var("y"), Or(c("Sa"), c("Su")))),),
-            (to_ndnf(And(var("y"), Neg(Or(c("Fr"), Or(c("Sa"), c("Su")))))),),
-        )
+    return (
+        (And(var("y"), Or(c("Sa"), c("Su"))),),
+        (And(var("y"), Neg(Or(c("Fr"), Or(c("Sa"), c("Su"))))),),
     )
 
 
@@ -213,18 +211,16 @@ def test_criterion_4a_exhaustiveness_golden():
     witness = non_exhaustiveness_witness(P, DAYS)
     assert witness is not None
     # Oracle: the witness matches no row; Fr is in fact the only such day.
-    from patalg.normalize import embed_ndnf
-
     uncovered = [
         day
         for day in enumerate_values(DAYS, Named("Day"), 1)
-        if not any(match_pos(embed_ndnf(row.cells[0]), day) for row in P)
+        if not any(match_pos(row[0], day) for row in P)
     ]
     assert list(witness) == [v("Fr")] and uncovered == [v("Fr")]
-    is_red = pattern_matrix(((to_ndnf(c("Red")),), (to_ndnf(Neg(c("Red"))),)))
+    is_red = ((c("Red"),), (Neg(c("Red")),))
     assert exhaustive(is_red, COLOR)
     for color in enumerate_values(COLOR, Named("Color"), 1):
-        assert any(match_pos(embed_ndnf(row.cells[0]), color) for row in is_red)
+        assert any(match_pos(row[0], color) for row in is_red)
     report("4a", "exhaustiveness goldens with a sound witness")
 
 

@@ -42,8 +42,17 @@ def _wide_program() -> str:
     )
 
 
+def _complementary_program(depth: int) -> str:
+    deep = _nest(depth, "Z")
+    return (
+        "data N = Z | S(N);\n"
+        f"def f(x: N) := case x of {{ {deep} => Z, !{deep} => S(Z), default => Z }};\n"
+    )
+
+
 PROGRAMS = {
     "deep10k.pat": _case_program(10_000),
+    "complement.pat": _complementary_program(1200),
     "deep250.pat": _case_program(250),
     "wide.pat": _wide_program(),
     "body.pat": f"data N = Z | S(N);\ndef f(x: N) := {_nest(3000, 'x')};\nmain := f(Z);\n",
@@ -69,6 +78,10 @@ RUNS = [
         for name in PATTERNS
         for stage in ("nnf", "dnf", "ndnf")
     ),
+    *(
+        ["check", "complement.pat", *flags]
+        for flags in ([], ["--typed"], ["--untyped"], ["--type-aware-overlap"])
+    ),
     ["check", "deep250.pat"],
     ["compile", "deep250.pat"],
     ["compile", "deep250.pat", "--format", "json"],
@@ -82,6 +95,10 @@ RUNS = [
     ["compile", "body.pat"],
     ["compile", "body.pat", "--format", "json"],
     ["check", str(DEMOS / "lists.pat"), "--typed"],
+    pytest.param(
+        ["compile", "complement.pat"],
+        marks=_xfail("compiler._compile recurses per level (ROADMAP items 6 and 9)"),
+    ),
     pytest.param(
         ["compile", "deep10k.pat"],
         marks=_xfail("compiler._compile recurses per level (ROADMAP items 6 and 9)"),

@@ -13,13 +13,11 @@ from patalg.exhaustiveness import (
     SignatureError,
     exhaustive,
     non_exhaustiveness_witness,
-    useful,
     useful_witness,
 )
 from patalg.normalize import (
     Ndnf,
     NegConj,
-    embed_ndnf,
     ndnf_wildcard,
     to_ndnf,
 )
@@ -29,9 +27,9 @@ from patalg.typecheck import Named
 
 
 def weekend_rows():
-    row1 = to_ndnf(And(var("y"), Or(c("Sa"), c("Su"))))
-    row2 = to_ndnf(And(var("y"), Neg(Or(c("Fr"), Or(c("Sa"), c("Su"))))))
-    return pattern_matrix(((row1,), (row2,)))
+    row1 = And(var("y"), Or(c("Sa"), c("Su")))
+    row2 = And(var("y"), Neg(Or(c("Fr"), Or(c("Sa"), c("Su")))))
+    return ((row1,), (row2,))
 
 
 def test_weekend_matrix_not_exhaustive_with_fr_witness():
@@ -47,90 +45,75 @@ def test_weekend_witness_is_the_only_one():
     uncovered = [
         day
         for day in enumerate_values(DAYS, Named("Day"), 1)
-        if not any(match_pos(embed_ndnf(row.cells[0]), day) for row in P)
+        if not any(match_pos(row[0], day) for row in P)
     ]
     assert uncovered == [v("Fr")]
 
 
 def test_zero_column_bases():
-    assert not useful(pattern_matrix(((),)), (), DAYS)
-    assert useful(pattern_matrix(()), (), DAYS)
+    assert useful_witness(((),), (), DAYS) is None
+    assert useful_witness((), (), DAYS) == ()
 
 
 def test_is_red_matrix_exhaustive():
-    P = pattern_matrix(
-        ((to_ndnf(c("Red")),), (to_ndnf(Neg(c("Red"))),))
-    )
+    P = ((c("Red"),), (Neg(c("Red")),))
     assert exhaustive(P, COLOR)
     # Oracle confirmation: every color matches some row.
     for color in enumerate_values(COLOR, Named("Color"), 1):
-        assert any(match_pos(embed_ndnf(row.cells[0]), color) for row in P)
+        assert any(match_pos(row[0], color) for row in P)
 
 
 def test_single_wildcard_row_exhaustive():
-    P = pattern_matrix(((ndnf_wildcard(),),))
+    P = ((Wild(),),)
     assert exhaustive(P, DAYS)
 
 
 def test_useful_vector_with_banned_head():
     # The vector bans Red; usefulness must find a non-Red witness not
     # covered by the matrix.
-    P = pattern_matrix(((to_ndnf(c("Green")),),))
-    w = useful_witness(P, (to_ndnf(Neg(c("Red"))),), COLOR)
+    P = ((c("Green"),),)
+    w = useful_witness(P, (Neg(c("Red")),), COLOR)
     assert w == (v("Blue"),)
 
 
 def test_unsatisfiable_vector_never_useful():
-    P = pattern_matrix(())
-    assert not useful(P, (to_ndnf(Neg(var("x"))),), COLOR)
+    assert useful_witness((), (Neg(var("x")),), COLOR) is None
 
 
 def test_multi_column_default_branch_needed():
     # Witnesses here are headed by constructors outside both the positive
-    # and the banned head sets; the default step must find them.
-    P = pattern_matrix(
-        (
-            (to_ndnf(Neg(c("Fr"))), to_ndnf(c("Sa"))),
-            (to_ndnf(c("Fr")), ndnf_wildcard()),
-        )
+    # and the banned head sets.
+    P = (
+        (Neg(c("Fr")), c("Sa")),
+        (c("Fr"), Wild()),
     )
     assert not exhaustive(P, DAYS)
     witness = non_exhaustiveness_witness(P, DAYS)
     assert witness is not None
     # Verified against the rows directly.
     assert not any(
-        all(match_pos(embed_ndnf(cell), val) for cell, val in zip(row.cells, witness))
-        for row in P
+        all(match_pos(cell, val) for cell, val in zip(row, witness)) for row in P
     )
 
 
 def test_exhaustive_multi_column():
-    P = pattern_matrix(
-        (
-            (to_ndnf(c("Red")), ndnf_wildcard()),
-            (to_ndnf(Neg(c("Red"))), ndnf_wildcard()),
-        )
+    P = (
+        (c("Red"), Wild()),
+        (Neg(c("Red")), Wild()),
     )
     assert exhaustive(P, COLOR)
 
 
 def test_nested_constructor_witness():
     lst = Named("List")
-    P = pattern_matrix(
-        (
-            (to_ndnf(c("Nil")),),
-            (to_ndnf(c("Cons", c("True"), Wild())),),
-        )
-    )
+    P = ((c("Nil"),), (c("Cons", c("True"), Wild()),))
     assert not exhaustive(P, BOOL_LIST)
     witness = non_exhaustiveness_witness(P, BOOL_LIST, col_types=(lst,))
     assert witness == (v("Cons", v("False"), v("Nil")),)
 
 
 def test_signature_error_for_mixed_types():
-    P = pattern_matrix(
-        ((to_ndnf(c("Red")),), (to_ndnf(c("Sa")),))
-    )
+    P = ((c("Red"),), (c("Sa"),))
     both = DAYS.types | COLOR.types
     from patalg.typecheck import DataDecls
 
@@ -182,15 +165,13 @@ def test_witness_check_survives_python_O():
     # `python -O` strips assertions.
     script = (
         "from patalg import exhaustiveness as ex\n"
-        "from patalg.compiler import MatrixRow\n"
-        "from patalg.normalize import to_ndnf\n"
         "from patalg.syntax import Ctor, CtorName, SoundnessError\n"
         "from patalg.typecheck import DataDecls\n"
         "red, green = CtorName('Red', 0), CtorName('Green', 0)\n"
         "decls = DataDecls({'Color': ((red, ()), (green, ()))})\n"
-        "ex._matrix_matches = lambda P, values: True\n"
+        "ex._matches = lambda p, value: True\n"
         "try:\n"
-        "    ex.exhaustive((MatrixRow((to_ndnf(Ctor(red, ())),)),), decls)\n"
+        "    ex.exhaustive(((Ctor(red, ()),),), decls)\n"
         "except SoundnessError as err:\n"
         "    print(err)\n"
     )

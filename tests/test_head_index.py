@@ -21,7 +21,7 @@ from helpers import (
 )
 
 from patalg import oracle, overlap, wellformed
-from patalg.compiler import ClauseMatrix, MatrixRow, column_heads, specialize_each
+from patalg.compiler import ClauseMatrix, MatrixRow, head_ctors, specialize_each
 from patalg.normalize import to_ndnf
 from patalg.overlap import OverlapTypeError, candidate_pairs
 from patalg.semantics import Clause, ECase, EVar, Evaluated
@@ -163,11 +163,11 @@ def test_specialize_each_equals_specialize_rows_per_constructor():
         taus = combos[seed % len(combos)]
         rows = _random_rows(rng, taus, seed)
         for col in (0, 1):
-            pos, neg = column_heads([row.cells[col] for row in rows])
+            heads = head_ctors([row.cells[col] for row in rows])
             sig = [c for c, _ in signature_of(Named(taus[col]), STANDARD_DECLS)]
             # the column's heads, other constructors of its type, and one
             # no row mentions
-            ctors = list(dict.fromkeys([*sorted(pos | neg, key=str), *sig, cn("Zz", 1)]))
+            ctors = list(dict.fromkeys([*sorted(heads, key=str), *sig, cn("Zz", 1)]))
             each = specialize_each(rows, col, ctors)
             assert list(each) == ctors
             for c in ctors:

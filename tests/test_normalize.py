@@ -14,7 +14,6 @@ from patalg.normalize import (
     embed_ndnf,
     is_conjunct,
     is_nnf,
-    ndnf_matches,
     nnf,
     to_ndnf,
 )
@@ -229,7 +228,7 @@ def test_double_negation_normalizes_equivalently():
         assert pattern_equiv_bounded(a, b, uni)
 
 
-def test_ndnf_matches_agrees_with_matching_the_pattern():
+def test_normalization_keeps_which_values_match():
     # Negated variables and nonlinear patterns included: whether some
     # derivation exists survives normalization even where bindings do not.
     rng = random.Random(14)
@@ -237,9 +236,9 @@ def test_ndnf_matches_agrees_with_matching_the_pattern():
         uni = _universe(tau)
         for _ in range(300):
             p = _gen_pattern(rng, BOOL_LIST, Named(tau), rng.randint(0, 5))
-            d = to_ndnf(p)
+            q = embed_ndnf(to_ndnf(p))
             for value in uni:
-                assert ndnf_matches(d, value) == bool(match_pos(p, value)), (p, value)
+                assert bool(match_pos(q, value)) == bool(match_pos(p, value)), (p, value)
 
 
 # --- normal forms hold only satisfiable conjuncts ---
@@ -264,7 +263,8 @@ def test_every_conjunct_is_distinct_and_satisfiable():
         assert len(set(d.conjuncts)) == len(d.conjuncts), format_pattern(p)
         for k in d.conjuncts:
             w = _open_world_witness(k)
-            assert ndnf_matches(Ndnf((k,)), w), (format_pattern(p), format_ndnf(Ndnf((k,))))
+            shown = (format_pattern(p), format_ndnf(Ndnf((k,))))
+            assert match_pos(embed_ndnf(Ndnf((k,))), w), shown
 
 
 def test_dead_shapes_contribute_no_conjunct():

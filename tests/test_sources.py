@@ -98,14 +98,8 @@ def _self_recursive(path) -> list:
 RECURSIVE_ALLOWED = {
     "compiler._compile",  # items 6 and 9
     "compiler._invariants",  # item 7
-    "exhaustiveness._height",  # item 8
-    "exhaustiveness._min_value",  # item 8
-    "exhaustiveness._useful",  # item 8
-    "normalize.combine",  # items 8 and 9
     "oracle._enum",  # bounded by program structure: the enumeration depth
     "oracle._gen_pattern",  # bounded by program structure: the generated size
-    "overlap._conj_overlap",  # item 8
-    "overlap._conj_overlap_raw",  # item 8
     "parser._Parser.parse_case",  # bounded by program structure: case nesting
     "parser._Parser.parse_expr",  # bounded by program structure: case nesting
     "parser.inline_calls.go",  # item 3
