@@ -70,7 +70,6 @@ from .compiler import (
     ClauseMatrix,
     CompileError,
     DecisionTree,
-    FreshSupply,
     Leaf,
     MatrixRow,
     Switch,

@@ -7,7 +7,6 @@ found, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -30,8 +29,8 @@ from .pretty import (
     format_ndnf,
     format_pattern,
     format_tree,
+    format_trees_json,
     format_value,
-    tree_to_obj,
 )
 from .semantics import ECase
 from .syntax import Wild
@@ -168,8 +167,7 @@ def cmd_compile(args) -> int:
             print(f"{args.file}: def {d.name}: cannot compile, {why}", file=sys.stderr)
             return 1
     if args.format == "json":
-        obj = {"definitions": [{"name": n, "tree": tree_to_obj(t)} for n, t in trees]}
-        text = json.dumps(obj, indent=2)
+        text = format_trees_json(trees)
     else:
         chunks = []
         for n, t in trees:

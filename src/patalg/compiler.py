@@ -17,7 +17,6 @@ compiled trees are checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import semantics, wellformed
@@ -31,34 +30,18 @@ from .normalize import (
     to_ndnf,
 )
 from .semantics import ECase, EVar, Stepped, Stuck, substitute
-from .syntax import CtorName, Value, fv_even, match_pos, subst_to_dict
-
-FRESH_PREFIX = "$k"
-
-
-@dataclass
-class FreshSupply:
-    """Generator of binder names; the prefix is rejected by the parser, so
-    generated names cannot collide with program identifiers."""
-
-    counter: int = 0
-    prefix: str = FRESH_PREFIX
-
-    def fresh_names(self, n: int) -> tuple:
-        names = tuple(f"{self.prefix}{self.counter + i}" for i in range(n))
-        self.counter += n
-        return names
-
+from .syntax import Node, Value, fv_even, match_pos, subst_to_dict
 
 # --- the matrix core ------------------------------------------------------------
 # Specialization, default and column heads over rows of normalized cells, for
 # any column; a row's right-hand side is carried along untouched.
 
 
-@dataclass(frozen=True)
-class MatrixRow:
-    cells: tuple  # of Ndnf, one per column
-    rhs: object = None  # the right-hand side; None where none is needed
+class MatrixRow(Node):
+    # cells: tuple of Ndnf, one per column; rhs: the right-hand side, None
+    # where none is needed
+    __slots__ = ("cells", "rhs")
+    _defaults = (None,)
 
 
 def head_ctors(column) -> frozenset:
@@ -116,38 +99,33 @@ def _dedup_rows(rows) -> tuple:
 # --- clause matrices -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClauseMatrix:
-    scrutinees: tuple  # of Expression (variables or values)
-    rows: tuple  # of MatrixRow
-    default_rhs: "semantics.Expression"
+class ClauseMatrix(Node):
+    # scrutinees: tuple of Expression (variables or values); rows: tuple of
+    # MatrixRow, each with one cell per scrutinee
+    __slots__ = ("scrutinees", "rows", "default_rhs")
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row.cells) != len(self.scrutinees):
+    def __new__(cls, scrutinees, rows, default_rhs):
+        for row in rows:
+            if len(row.cells) != len(scrutinees):
                 raise ValueError(
                     f"row with {len(row.cells)} cells in a matrix of "
-                    f"{len(self.scrutinees)} scrutinees"
+                    f"{len(scrutinees)} scrutinees"
                 )
+        return super().__new__(cls, scrutinees, rows, default_rhs)
 
 
-@dataclass(frozen=True)
-class Leaf:
-    rhs: "semantics.Expression"
+# Decision trees are interned, so equal subtrees are one node and a
+# compiled tree is a DAG.
+class Leaf(Node):
+    __slots__ = ("rhs",)
 
 
-@dataclass(frozen=True)
-class Arm:
-    ctor: CtorName
-    binders: tuple  # of str, length == ctor.arity
-    subtree: "DecisionTree"
+class Arm(Node):
+    __slots__ = ("ctor", "binders", "subtree")  # binders: ctor.arity names
 
 
-@dataclass(frozen=True)
-class Switch:
-    scrutinee: "semantics.Expression"
-    arms: tuple  # of Arm, pairwise distinct constructors
-    default_arm: "DecisionTree"
+class Switch(Node):
+    __slots__ = ("scrutinee", "arms", "default_arm")  # arms: distinct ctors
 
 
 DecisionTree = Union[Leaf, Switch]
@@ -234,14 +212,12 @@ class CompileError(ValueError):
         self.report = report  # the failed wellformedness report, if any
 
 
-def compile(m: ClauseMatrix, fresh: Optional[FreshSupply] = None) -> DecisionTree:
+def compile(m: ClauseMatrix) -> DecisionTree:
     """Compile a wellformed clause matrix to a decision tree."""
     report = wellformed.wf_matrix(m)
     if not report.ok:
         raise CompileError(f"matrix is not wellformed:\n{report.describe()}", report)
-    if fresh is None:
-        fresh = FreshSupply()
-    return _compile(_clean(m), fresh, depth=0)
+    return _compile_clean(_clean(m))
 
 
 def compile_case(e: ECase) -> DecisionTree:
@@ -252,43 +228,64 @@ def compile_case(e: ECase) -> DecisionTree:
     report = wellformed.wf_expr(e)
     if not report.ok:
         raise CompileError(f"case is not wellformed:\n{report.describe()}", report)
-    return _compile(_clean(_embed(e, report.sites[0].ndnfs)), FreshSupply(), depth=0)
+    return _compile_clean(_clean(_embed(e, report.sites[0].ndnfs)))
 
 
-def _compile(m: ClauseMatrix, fresh: FreshSupply, depth: int) -> DecisionTree:
+def _compile_clean(m: ClauseMatrix) -> DecisionTree:
+    """Compile a cleaned matrix.  Binders are named by occurrence: root
+    scrutinee i is `$i`, and argument j of a scrutinee named `$p` is bound
+    to `$p_j`, so equal subproblems are equal matrices and each compiles
+    once (Maranget, "Compiling Pattern Matching to Good Decision Trees",
+    ML 2008)."""
+    occ: dict = {}
+    for i, s in enumerate(m.scrutinees):
+        occ.setdefault(s, f"${i}")
+    return _compile(m, occ, {}, 0)
+
+
+def _compile(m: ClauseMatrix, occ: dict, memo: dict, depth: int) -> DecisionTree:
+    tree = memo.get(m)
+    if tree is not None:
+        return tree
     if depth > 10_000:
         raise CompileError("compilation recursion limit exceeded")
-    # Default: only the default clause is left.
-    if not m.rows:
-        return Leaf(m.default_rhs)
-    first = m.rows[0]
-    # Simple: the first row consists only of variable cells (this includes
-    # the zero-column case).
-    if all(
+    first = m.rows[0] if m.rows else None
+    if first is None:
+        # Default: only the default clause is left.
+        tree = Leaf(m.default_rhs)
+    elif all(
         len(c.conjuncts) == 1 and conjunct_is_variable(c.conjuncts[0])
         for c in first.cells
     ):
+        # Simple: the first row consists only of variable cells (this
+        # includes the zero-column case).
         rhs = first.rhs
         for cell, scrut in zip(first.cells, m.scrutinees):
             rhs = _subst_rhs(rhs, cell.conjuncts[0].vars, scrut)
-        return Leaf(rhs)
-    # Branch: pick the leftmost column with head constructors.
-    for i in range(len(m.scrutinees)):
-        heads = head_ctors([row.cells[i] for row in m.rows])
-        if heads:
-            break
+        tree = Leaf(rhs)
     else:
-        raise CompileError("no column with head constructors in a non-simple matrix")
-    arms = []
-    ctors = sorted(heads, key=lambda c: (c.name, c.arity))
-    groups = specialize_each(m.rows, i, ctors)
-    for ctor in ctors:
-        binders = fresh.fresh_names(ctor.arity)
-        # Popped, so that each subproblem's rows are freed once compiled.
-        sub = _specialized(m, i, binders, groups.pop(ctor))
-        arms.append(Arm(ctor, binders, _compile(sub, fresh, depth + 1)))
-    dflt = _compile(default_matrix(i, heads, m), fresh, depth + 1)
-    return Switch(m.scrutinees[i], tuple(arms), dflt)
+        # Branch: pick the leftmost column with head constructors.
+        for i in range(len(m.scrutinees)):
+            heads = head_ctors([row.cells[i] for row in m.rows])
+            if heads:
+                break
+        else:
+            raise CompileError("no column with head constructors in a non-simple matrix")
+        s = m.scrutinees[i]
+        prefix = occ.get(s) or s.name  # a binder's name is its occurrence
+        arms = []
+        ctors = sorted(heads, key=lambda c: (c.name, c.arity))
+        groups = specialize_each(m.rows, i, ctors)
+        for ctor in ctors:
+            binders = tuple(f"{prefix}_{j}" for j in range(ctor.arity))
+            # Popped, so that each group's pairs are freed once its
+            # subproblem is built.
+            sub = _specialized(m, i, binders, groups.pop(ctor))
+            arms.append(Arm(ctor, binders, _compile(sub, occ, memo, depth + 1)))
+        dflt = _compile(default_matrix(i, heads, m), occ, memo, depth + 1)
+        tree = Switch(s, tuple(arms), dflt)
+    memo[m] = tree
+    return tree
 
 
 # --- decision tree evaluation ----------------------------------------------------

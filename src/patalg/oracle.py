@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import semantics, wellformed
@@ -24,6 +23,7 @@ from .syntax import (
     Ctor,
     Mapping,
     Neg,
+    Node,
     Or,
     Pattern,
     Value,
@@ -239,15 +239,13 @@ def _wrap_var(rng, decls, name, extra):
 # --- differential checking -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Agree:
-    cases: int = 0
+class Agree(Node):
+    __slots__ = ("cases",)
+    _defaults = (0,)
 
 
-@dataclass(frozen=True)
-class Disagree:
-    witness: Value
-    detail: str
+class Disagree(Node):
+    __slots__ = ("witness", "detail")
 
 
 def differential_check_tree(

@@ -16,7 +16,6 @@ comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .semantics import Call, Clause, ECase, ECtor, EVar, substitute, subterms
@@ -26,6 +25,7 @@ from .syntax import (
     Ctor,
     CtorName,
     Neg,
+    Node,
     Or,
     Pattern,
     Value,
@@ -45,18 +45,17 @@ class ParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Def:
-    name: str
-    params: tuple  # of (name, Optional[Type])
-    body: object  # expression, possibly containing Call nodes
+class Def(Node):
+    # params: tuple of (name, Optional[Type]); body: an expression, possibly
+    # containing Call nodes
+    __slots__ = ("name", "params", "body")
 
 
-@dataclass
 class Program:
-    decls: DataDecls
-    defs: tuple  # of Def
-    main: Optional[object] = None
+    __slots__ = ("decls", "defs", "main")
+
+    def __init__(self, decls: DataDecls, defs: tuple, main: Optional[object] = None):
+        self.decls, self.defs, self.main = decls, defs, main
 
     def lookup(self, name: str) -> Optional[Def]:
         for d in self.defs:
@@ -77,12 +76,12 @@ class Program:
 # --- tokenizer ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "ident", "ctor", "punct", "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        # kind: "ident", "ctor", "punct" or "eof"
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
 
 _PUNCT2 = ("=>", ":=", "--")

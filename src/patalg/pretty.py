@@ -9,6 +9,8 @@ keep their grouping parentheses.  Normalized disjunctive forms print in the
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _quote
+
 from .compiler import DecisionTree, Leaf, Switch
 from .normalize import Ndnf, NegConj, PosConj
 from .semantics import Call, ECase, ECtor, EVar
@@ -19,15 +21,21 @@ _OR, _AND, _NEG, _ATOM = 0, 1, 2, 3
 
 def _emit(stack: list, parts: list) -> None:
     """The one printer: pop the items of `stack` onto `parts` until it is
-    empty.  An item is literal text, or a (node, ctx) pair that is replaced
-    by its pieces in pre-order.  For a pattern ctx is the precedence level
-    it is printed at, for a decision tree its indent; other nodes ignore
-    it.  Runs on the explicit stack alone, so deep terms print without
-    recursion and no string outlives the text of its parent."""
+    empty.  An item is literal text, an index of `parts` from which the
+    pieces printed so far become one JSON string literal, or a (node, ctx)
+    pair that is replaced by its pieces in pre-order.  For a pattern ctx is
+    the precedence level it is printed at; for a decision tree it is the
+    indent level as text, or as JSON the newline and indent of the node's
+    fields.  Other nodes ignore it.  Runs on the explicit stack alone, so
+    deep terms print without recursion and no string outlives the text of
+    its parent."""
     while stack:
         item = stack.pop()
         if type(item) is str:
             parts.append(item)
+            continue
+        if type(item) is int:
+            parts[item:] = [_quote("".join(parts[item:]))]
             continue
         node, ctx = item
         kind = type(node)
@@ -73,6 +81,30 @@ def _emit(stack: list, parts: list) -> None:
                 stack += (", ", (c.rhs, None), " => ", (c.pattern, _OR))
             stack += (" of { ", (node.scrutinee, None))
             parts.append("case ")
+        elif type(ctx) is str and (kind is Leaf or kind is Switch):
+            # The node's dict as `json.dumps(..., indent=2)` writes it.
+            end = ctx[:-2] + "}"
+            if kind is Leaf:
+                parts.append(f'{{{ctx}"leaf": ')
+                stack += (end, len(parts), (node.rhs, None))
+                continue
+            # The indents of an arm, of its fields, and of its binders and
+            # its tree's fields.
+            arm_pad, field_pad, inner_pad = ctx + "  ", ctx + "    ", ctx + "      "
+            parts.append(f'{{{ctx}"switch": ')
+            todo = [(node.scrutinee, None), len(parts), f',{ctx}"arms": [']
+            for k, arm in enumerate(node.arms):
+                binders = ",".join(inner_pad + _quote(b) for b in arm.binders)
+                todo += (
+                    f'{"," if k else ""}{arm_pad}{{{field_pad}"ctor": {_quote(arm.ctor.name)},'
+                    f'{field_pad}"binders": [{binders}{field_pad if binders else ""}],'
+                    f'{field_pad}"tree": ',
+                    (arm.subtree, inner_pad),
+                    arm_pad + "}",
+                )
+            pad = ctx if node.arms else ""
+            todo += (f'{pad}],{ctx}"default": ', (node.default_arm, arm_pad), end)
+            stack += reversed(todo)
         elif kind is Leaf:
             parts.append("  " * ctx + "leaf ")
             stack.append((node.rhs, None))
@@ -166,25 +198,17 @@ def format_tree(t: DecisionTree, indent: int = 0) -> str:
     return _render(t, indent)
 
 
-def tree_to_obj(t: DecisionTree):
-    """Machine form with stable field order: switch nodes carry `switch`,
-    `arms` (each with `ctor`, `binders`, `tree`) and `default`; leaves carry
-    `leaf`.  Each subtree fills its dict slot from an explicit stack."""
-    root: dict = {}
-    todo = [(t, root)]
-    while todo:
-        node, slot = todo.pop()
-        if isinstance(node, Leaf):
-            slot["leaf"] = format_expr(node.rhs)
-            continue
-        slot["switch"] = format_expr(node.scrutinee)
-        slot["arms"] = []
-        for a in node.arms:
-            sub: dict = {}
-            slot["arms"].append(
-                {"ctor": a.ctor.name, "binders": list(a.binders), "tree": sub}
-            )
-            todo.append((a.subtree, sub))
-        slot["default"] = {}
-        todo.append((node.default_arm, slot["default"]))
-    return root
+def format_trees_json(named) -> str:
+    """The (name, tree) pairs as `{"definitions": [{"name": ..., "tree":
+    ...}, ...]}`, byte for byte as `json.dumps(..., indent=2)` writes it: a
+    switch node has `switch`, `arms` (each with `ctor`, `binders` and
+    `tree`) and `default`, a leaf has `leaf`.  Shared subtrees print
+    expanded."""
+    todo: list = []
+    for k, (name, t) in enumerate(named):
+        head = f'{"," if k else ""}\n    {{\n      "name": {_quote(name)},\n      "tree": '
+        todo += (head, (t, "\n        "), "\n    }")
+    parts = ['{\n  "definitions": [']
+    todo.append("\n  ]\n}" if todo else "]\n}")
+    _emit(todo[::-1], parts)
+    return "".join(parts)

@@ -25,7 +25,6 @@ expression on an explicit stack; the checks that visit every case use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .syntax import (
@@ -221,19 +220,16 @@ def _apply_loose(e, s):
 # --- single and multi step -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stepped:
-    successors: tuple  # nonempty, structurally deduplicated
+class Stepped(Node):
+    __slots__ = ("successors",)  # nonempty, deduplicated
 
 
-@dataclass(frozen=True)
-class Stuck:
-    pass
+class Stuck(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsValue:
-    pass
+class IsValue(Node):
+    __slots__ = ()
 
 
 StepResult = Union[Stepped, Stuck, IsValue]
@@ -330,19 +326,16 @@ def step(e, defs=None) -> StepResult:
     return Stepped(tuple(out))
 
 
-@dataclass(frozen=True)
-class Evaluated:
-    value: Value
+class Evaluated(Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Diverged:
-    pass
+class Diverged(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Nondeterministic:
-    pass
+class Nondeterministic(Node):
+    __slots__ = ()
 
 
 EvalResult = Union[Evaluated, Diverged, Stuck, Nondeterministic]

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from . import overlap, semantics, wellformed
 from .compiler import (
     ClauseMatrix,
-    FreshSupply,
     MatrixRow,
     compile as compile_matrix,
     default_matrix,
@@ -80,11 +78,11 @@ STANDARD_DECLS = DataDecls(
 _TAUS = (Named("Color"), Named("Day"), Named("B"), Named("BPair"), Named("BList"))
 
 
-@dataclass
 class PropertyResult:
-    name: str
-    cases: int = 0
-    counterexamples: list = field(default_factory=list)
+    __slots__ = ("name", "cases", "counterexamples")
+
+    def __init__(self, name: str):
+        self.name, self.cases, self.counterexamples = name, 0, []
 
     @property
     def ok(self) -> bool:
@@ -587,12 +585,11 @@ def prop_matrix_subproblem_stepping(seed, depth, cases) -> PropertyResult:
             continue
         res.cases += 1
         base = set(step_matrix(m).successors)
-        fresh = FreshSupply()
         for col in range(len(m.scrutinees)):
             heads = head_ctors([row.cells[col] for row in m.rows])
             v = m.scrutinees[col]
             if v.ctor in heads:
-                binders = fresh.fresh_names(v.ctor.arity)
+                binders = tuple(f"${col}_{j}" for j in range(v.ctor.arity))
                 spec = specialize(col, (v.ctor, binders), m)
                 if not wellformed.wf_matrix(spec).ok:
                     res.fail(f"specialization broke wellformedness at column {col}")

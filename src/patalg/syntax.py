@@ -1,7 +1,8 @@
 """Pattern and value syntax with non-deterministic matching.
 
-Every syntax node is hash-consed (`Node`): equal nodes are one object, so
-equality and hashing are identity and never walk a tree.
+Every syntax node, and every other immutable record of the package, is
+hash-consed (`Node`): equal nodes are one object, so equality and hashing
+are identity and never walk a tree.
 
 Matching is computed as the *complete* set of derivable substitutions, for
 both the "matches" and the "does not match" judgment.  Keeping every
@@ -43,20 +44,23 @@ _lock = threading.RLock()
 
 
 class Node:
-    """Base of every syntax node: constructor names, patterns, values,
-    normal forms and expressions.  A node is built from its fields in
-    `__slots__` order.  Construction looks (class, *fields) up in one table
-    and returns the node already there, so equal nodes are one object and
-    `==` and `hash` are the identity defaults.  Children are nodes, so the
-    key compares them by identity and a construction costs one probe.  The table holds
+    """Base of every immutable record: constructor names, patterns, values,
+    normal forms, expressions, clause matrices, decision trees, types and
+    results.  A node is built from its fields in `__slots__` order.
+    Construction looks (class, *fields) up in one table and returns the
+    node already there, so equal nodes are one object and `==` and `hash`
+    are the identity defaults.  Children are nodes, so the key compares
+    them by identity and a construction costs one probe.  The table holds
     its nodes weakly: an entry lasts as long as something else refers to
     its node (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", ML
     2006).  Nodes are immutable.  A class with fields (ctor, args) may set
     `_arity`, the message for args that do not number ctor's arity; it is
-    checked when a node is first built."""
+    checked when a node is first built.  `_defaults` are the values of the
+    trailing fields a construction may leave out."""
 
     __slots__ = ("__weakref__",)
     _arity = None
+    _defaults = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = cls.__dict__["__slots__"]
@@ -68,8 +72,11 @@ class Node:
             node = entry()
             if node is not None:
                 return node
-        if len(fields) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields")
+        missing = len(cls._fields) - len(fields)
+        if missing:
+            if not 0 < missing <= len(cls._defaults):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields")
+            return cls(*fields, *cls._defaults[-missing:])
         if cls._arity and len(fields[1]) != fields[0].arity:
             ctor = fields[0]
             raise ValueError(cls._arity.format(ctor.name, ctor.arity, len(fields[1])))

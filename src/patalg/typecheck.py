@@ -14,21 +14,18 @@ types.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .semantics import ECase, ECtor, EVar
-from .syntax import And, Ctor, CtorName, Neg, Or, Pattern, Value, Var, fold, pattern_kids
+from .syntax import And, Ctor, CtorName, Neg, Node, Or, Pattern, Value, Var, fold, pattern_kids
 
 
-@dataclass(frozen=True)
-class Bool:
-    pass
+class Bool(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Named:
-    name: str
+class Named(Node):
+    __slots__ = ("name",)
 
 
 Type = Union[Bool, Named]
@@ -41,14 +38,17 @@ class DeclError(ValueError):
     pass
 
 
-@dataclass
 class DataDecls:
     """Signature table: type name -> ordered constructors with argument
     types.  Constructor names must be unique across declarations."""
 
-    types: dict = field(default_factory=dict)  # name -> tuple[(CtorName, tuple[Type])]
+    __slots__ = ("types", "_owner", "_arg_types", "_least")
 
-    def __post_init__(self):
+    def __init__(self, types=None):
+        self.types = {} if types is None else types  # name -> tuple[(CtorName, tuple[Type])]
+        self._check()
+
+    def _check(self):
         seen = {}
         arg_types_of = {}
         for type_name, ctors in self.types.items():
@@ -71,7 +71,7 @@ class DataDecls:
 
     def declare(self, type_name: str, ctors) -> None:
         self.types[type_name] = tuple(ctors)
-        self.__post_init__()
+        self._check()
 
     def has_type(self, name: str) -> bool:
         return name in self.types
@@ -137,20 +137,17 @@ def signature_of(tau: Type, decls: Optional[DataDecls]):
 # --- results -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Typed:
-    gamma: tuple  # of (name, Type), even-negation binders
-    delta: tuple  # of (name, Type), odd-negation binders
+class Typed(Node):
+    # gamma, delta: tuples of (name, Type), the even- and odd-negation binders
+    __slots__ = ("gamma", "delta")
 
 
-@dataclass(frozen=True)
-class Ok:
-    type: Type
+class Ok(Node):
+    __slots__ = ("type",)
 
 
-@dataclass(frozen=True)
-class Ill:
-    message: str
+class Ill(Node):
+    __slots__ = ("message",)
 
 
 def _same_multiset(a, b) -> bool:

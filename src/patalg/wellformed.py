@@ -15,7 +15,6 @@ pairs an index on head constructors leaves (`overlap.candidate_pairs`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import overlap, semantics
@@ -25,6 +24,7 @@ from .syntax import (
     And,
     Ctor,
     Neg,
+    Node,
     Or,
     Pattern,
     Var,
@@ -146,11 +146,8 @@ def deterministic(p: Pattern, decls=None) -> bool:
 # --- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    path: tuple  # child indices from the root
-    message: str
+class Violation(Node):
+    __slots__ = ("rule", "path", "message")  # path: child indices from the root
 
 
 class CaseSite(NamedTuple):
@@ -163,11 +160,13 @@ class CaseSite(NamedTuple):
     ndnfs: list  # of Ndnf, one per clause
 
 
-@dataclass(frozen=True)
 class WfReport:
-    violations: tuple  # of Violation
-    # The case sites `wf_expr` checked, in pre-order; empty for matrices.
-    sites: tuple = field(default=(), compare=False, repr=False)
+    __slots__ = ("violations", "sites")
+
+    def __init__(self, violations: tuple, sites: tuple = ()):
+        self.violations = violations  # of Violation
+        # The case sites `wf_expr` checked, in pre-order; empty for matrices.
+        self.sites = sites
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,6 @@ from patalg.compiler import (
     Arm,
     ClauseMatrix,
     CompileError,
-    FreshSupply,
     Leaf,
     MatrixRow,
     Switch,
@@ -266,11 +265,19 @@ def test_compile_nested_patterns_switches_subscrutinees():
     assert eval_tree(tree, env) == Evaluated(v("D0"))
 
 
-def test_fresh_binders_use_reserved_prefix():
-    supply = FreshSupply()
-    names = supply.fresh_names(3)
-    assert names == ("$k0", "$k1", "$k2")
-    assert supply.fresh_names(1) == ("$k3",)
+def test_binders_are_named_by_occurrence():
+    # Root scrutinee i is `$i` and argument j of the scrutinee `$p` is bound
+    # to `$p_j`; the parser rejects `$`, so no program name collides.
+    case = ECase(EVar("s"), (Clause(c("Cons", Wild(), c("Cons", var("t"), Wild())), EVar("t")),), D)
+    tree = compile_case(case)
+    assert tree.arms[0].binders == ("$0_0", "$0_1")
+    inner = tree.arms[0].subtree
+    assert inner.scrutinee is EVar("$0_1")
+    assert inner.arms[0].binders == ("$0_1_0", "$0_1_1")
+    assert inner.arms[0].subtree is Leaf(EVar("$0_1_0"))
+    cons = to_ndnf(c("Cons", Wild(), Wild()))
+    m = ClauseMatrix((EVar("x"), EVar("y")), (MatrixRow((ndnf_wildcard(), cons), D),), D)
+    assert compile_matrix(m).arms[0].binders == ("$1_0", "$1_1")
 
 
 # --- decision tree evaluation ---

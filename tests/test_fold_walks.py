@@ -2,6 +2,7 @@
 pattern parser agree with the recursive references in `helpers` on
 generated patterns, normal forms, expressions and decision trees."""
 
+import json
 import random
 
 import pytest
@@ -24,7 +25,13 @@ from patalg.compiler import compile_case
 from patalg.normalize import embed_conjunct, to_ndnf
 from patalg.oracle import gen_case, gen_pattern
 from patalg.parser import ParseError, parse_pattern
-from patalg.pretty import format_expr, format_nconjunct, format_pattern, format_tree, tree_to_obj
+from patalg.pretty import (
+    format_expr,
+    format_nconjunct,
+    format_pattern,
+    format_tree,
+    format_trees_json,
+)
 from patalg.semantics import Clause, ECase, expr_free_vars
 from patalg.suites import _TAUS, STANDARD_DECLS
 from patalg.syntax import Neg, Var, Wild, fv_even, fv_odd, map_vars
@@ -109,7 +116,8 @@ def test_tree_printing(cases):
         t = compile_case(e)
         for indent in (0, 1):
             assert format_tree(t, indent) == format_tree_by_recursion(t, indent)
-        assert tree_to_obj(t) == tree_to_obj_by_recursion(t)
+        want = {"definitions": [{"name": "f", "tree": tree_to_obj_by_recursion(t)}]}
+        assert format_trees_json([("f", t)]) == json.dumps(want, indent=2)
 
 
 def _parse_outcome(parse, text):

@@ -12,14 +12,35 @@ import pytest
 from helpers import cn
 
 from patalg import syntax
-from patalg.normalize import Ndnf, NegConj, PosConj
-from patalg.semantics import Call, Clause, ECase, ECtor, EVar
+from patalg.compiler import Arm, ClauseMatrix, Leaf, MatrixRow, Switch
+from patalg.normalize import Ndnf, NegConj, PosConj, ndnf_wildcard
+from patalg.oracle import Agree, Disagree
+from patalg.parser import Def
+from patalg.semantics import (
+    Call,
+    Clause,
+    Diverged,
+    ECase,
+    ECtor,
+    EVar,
+    Evaluated,
+    IsValue,
+    Nondeterministic,
+    Stepped,
+    Stuck,
+)
 from patalg.syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Value, Var, Wild
+from patalg.typecheck import Bool, Ill, Named, Ok, Typed
+from patalg.wellformed import Violation
 
 CLASSES = (
     CtorName, Var, Ctor, And, Or, Wild, Absurd, Neg, Value,
     PosConj, NegConj, Ndnf,
     EVar, ECtor, Clause, ECase, Call,
+    MatrixRow, ClauseMatrix, Leaf, Arm, Switch,
+    Bool, Named, Typed, Ok, Ill,
+    Stepped, Stuck, IsValue, Evaluated, Diverged, Nondeterministic,
+    Violation, Def, Agree, Disagree,
 )
 
 
@@ -46,6 +67,26 @@ def _examples():
         Clause: lambda: Clause(x(), EVar("x")),
         ECase: lambda: ECase(EVar("x"), (Clause(x(), z()),), z()),
         Call: lambda: Call("f", (EVar("x"), z())),
+        MatrixRow: lambda: MatrixRow((ndnf_wildcard(),), z()),
+        ClauseMatrix: lambda: ClauseMatrix((EVar("x"),), (MatrixRow((ndnf_wildcard(),)),), z()),
+        Leaf: lambda: Leaf(EVar("x")),
+        Arm: lambda: Arm(cn("S", 1), ("$0_0",), Leaf(z())),
+        Switch: lambda: Switch(EVar("x"), (Arm(cn("Z"), (), Leaf(z())),), Leaf(z())),
+        Bool: Bool,
+        Named: lambda: Named("N"),
+        Typed: lambda: Typed((("x", Named("N")),), ()),
+        Ok: lambda: Ok(Bool()),
+        Ill: lambda: Ill("no"),
+        Stepped: lambda: Stepped((z(), EVar("x"))),
+        Stuck: Stuck,
+        IsValue: IsValue,
+        Evaluated: lambda: Evaluated(z()),
+        Diverged: Diverged,
+        Nondeterministic: Nondeterministic,
+        Violation: lambda: Violation("linear", (0, 1), "x twice"),
+        Def: lambda: Def("f", (("x", Named("N")),), EVar("x")),
+        Agree: lambda: Agree(3),
+        Disagree: lambda: Disagree(z(), "differs"),
     }
 
 
@@ -78,6 +119,14 @@ def test_arity_is_checked_when_a_node_is_first_built():
         ECtor(cn("S", 1), (EVar("x"), EVar("y")))
     with pytest.raises(TypeError):
         Var("x", "y")
+
+
+def test_records_keep_their_checks_and_defaults():
+    with pytest.raises(ValueError, match="row with 0 cells in a matrix of 1 scrutinees"):
+        ClauseMatrix((EVar("x"),), (MatrixRow(()),), Value(cn("Z"), ()))
+    assert MatrixRow(()) is MatrixRow((), None) and Agree() is Agree(0)
+    with pytest.raises(TypeError):
+        MatrixRow()
 
 
 def test_nodes_are_immutable():

@@ -276,7 +276,7 @@ def test_compile_pattern_variable_named_like_scrutinee(tmp_path, capsys):
     path = tmp_path / "shadow.pat"
     path.write_text(SHADOWED_SCRUTINEE)
     assert main(["compile", str(path)]) == 0
-    assert "leaf Pair(s, $k0)" in capsys.readouterr().out
+    assert "leaf Pair(s, $0_0)" in capsys.readouterr().out
     prog = parse(SHADOWED_SCRUTINEE)
     body = prog.defs[0].body
     assert differential_check_tree(body, compile_case(body), prog.decls, 3) == Agree(5)

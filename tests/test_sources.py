@@ -1,7 +1,10 @@
 """Checks on the package sources themselves."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "patalg"
 
@@ -17,6 +20,29 @@ def test_no_assert_statements():
     ]
     assert len(list(SRC.glob("*.py"))) > 10
     assert found == []
+
+
+def test_no_dataclasses_import():
+    # Every record is a `syntax.Node` or a plain `__slots__` class; the
+    # `dataclasses` import chain (`inspect`, `ast`, `dis`, `tokenize`) and
+    # its method generation would cost every `patc` run start-up time.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    code = "import sys, patalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _self_recursive(path) -> list:
