@@ -17,6 +17,7 @@ compiled trees are checked.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Optional, Union
 
 from . import semantics, wellformed
@@ -30,7 +31,7 @@ from .normalize import (
     to_ndnf,
 )
 from .semantics import ECase, EVar, Stepped, Stuck, substitute
-from .syntax import Node, Value, fv_even, match_pos, subst_to_dict
+from .syntax import Node, Value, fold, fv_even, match_pos, subst_to_dict
 
 # --- the matrix core ------------------------------------------------------------
 # Specialization, default and column heads over rows of normalized cells, for
@@ -90,10 +91,6 @@ def default_rows(rows, i: int) -> list:
             if isinstance(k, NegConj):
                 out.append((MatrixRow(rest, row.rhs), k.vars))
     return out
-
-
-def _dedup_rows(rows) -> tuple:
-    return tuple(dict.fromkeys(rows))
 
 
 # --- clause matrices -------------------------------------------------------------
@@ -169,7 +166,7 @@ def _subproblem(m: ClauseMatrix, i: int, pairs, scrutinees) -> ClauseMatrix:
     consumed conjunct bound now name scrutinee i."""
     old = m.scrutinees[i]
     rows = (MatrixRow(r.cells, _subst_rhs(r.rhs, xs, old)) for r, xs in pairs)
-    return ClauseMatrix(scrutinees, _dedup_rows(rows), m.default_rhs)
+    return ClauseMatrix(scrutinees, tuple(dict.fromkeys(rows)), m.default_rhs)
 
 
 def specialize(i: int, ctor_pattern, m: ClauseMatrix) -> ClauseMatrix:
@@ -183,11 +180,7 @@ def specialize(i: int, ctor_pattern, m: ClauseMatrix) -> ClauseMatrix:
 
 def _specialized(m: ClauseMatrix, i: int, binders, pairs) -> ClauseMatrix:
     """`specialize` from the core's pairs for one constructor."""
-    scrutinees = (
-        tuple(EVar(b) for b in binders)
-        + m.scrutinees[:i]
-        + m.scrutinees[i + 1 :]
-    )
+    scrutinees = tuple(map(EVar, binders)) + m.scrutinees[:i] + m.scrutinees[i + 1 :]
     return _subproblem(m, i, pairs, scrutinees)
 
 
@@ -203,7 +196,7 @@ def _clean(m: ClauseMatrix) -> ClauseMatrix:
     duplicate rows.  Specialization and default never make an empty cell,
     so only the matrix that compilation starts from needs cleaning."""
     rows = (row for row in m.rows if all(c.conjuncts for c in row.cells))
-    return ClauseMatrix(m.scrutinees, _dedup_rows(rows), m.default_rhs)
+    return ClauseMatrix(m.scrutinees, tuple(dict.fromkeys(rows)), m.default_rhs)
 
 
 class CompileError(ValueError):
@@ -217,7 +210,7 @@ def compile(m: ClauseMatrix) -> DecisionTree:
     report = wellformed.wf_matrix(m)
     if not report.ok:
         raise CompileError(f"matrix is not wellformed:\n{report.describe()}", report)
-    return _compile_clean(_clean(m))
+    return _compile(m)
 
 
 def compile_case(e: ECase) -> DecisionTree:
@@ -228,42 +221,30 @@ def compile_case(e: ECase) -> DecisionTree:
     report = wellformed.wf_expr(e)
     if not report.ok:
         raise CompileError(f"case is not wellformed:\n{report.describe()}", report)
-    return _compile_clean(_clean(_embed(e, report.sites[0].ndnfs)))
+    return _compile(_embed(e, report.sites[0].ndnfs))
 
 
-def _compile_clean(m: ClauseMatrix) -> DecisionTree:
-    """Compile a cleaned matrix.  Binders are named by occurrence: root
-    scrutinee i is `$i`, and argument j of a scrutinee named `$p` is bound
-    to `$p_j`, so equal subproblems are equal matrices and each compiles
-    once (Maranget, "Compiling Pattern Matching to Good Decision Trees",
-    ML 2008)."""
+def _compile(m: ClauseMatrix) -> DecisionTree:
+    """Compile a matrix, as a fold over its subproblems: a matrix's
+    operands are its specialized matrices in constructor order, then its
+    default matrix.  The fold steps each distinct matrix once, so equal
+    subproblems compile once and the tree is a DAG.  Binders are named by
+    occurrence: root scrutinee i is `$i`, and argument j of a scrutinee
+    named `$p` is bound to `$p_j`, so equal subproblems are equal matrices
+    (Maranget, "Compiling Pattern Matching to Good Decision Trees", ML
+    2008)."""
+    root = _clean(m)
     occ: dict = {}
-    for i, s in enumerate(m.scrutinees):
+    for i, s in enumerate(root.scrutinees):
         occ.setdefault(s, f"${i}")
-    return _compile(m, occ, {}, 0)
+    switches: dict = {}  # matrix -> (scrutinee, ctors, binders) of its switch
 
-
-def _compile(m: ClauseMatrix, occ: dict, memo: dict, depth: int) -> DecisionTree:
-    tree = memo.get(m)
-    if tree is not None:
-        return tree
-    if depth > 10_000:
-        raise CompileError("compilation recursion limit exceeded")
-    first = m.rows[0] if m.rows else None
-    if first is None:
-        # Default: only the default clause is left.
-        tree = Leaf(m.default_rhs)
-    elif all(
-        len(c.conjuncts) == 1 and conjunct_is_variable(c.conjuncts[0])
-        for c in first.cells
-    ):
-        # Simple: the first row consists only of variable cells (this
-        # includes the zero-column case).
-        rhs = first.rhs
-        for cell, scrut in zip(first.cells, m.scrutinees):
-            rhs = _subst_rhs(rhs, cell.conjuncts[0].vars, scrut)
-        tree = Leaf(rhs)
-    else:
+    def kids(m, _):
+        if not m.rows or all(
+            len(c.conjuncts) == 1 and conjunct_is_variable(c.conjuncts[0])
+            for c in m.rows[0].cells
+        ):
+            return ()
         # Branch: pick the leftmost column with head constructors.
         for i in range(len(m.scrutinees)):
             heads = head_ctors([row.cells[i] for row in m.rows])
@@ -273,19 +254,30 @@ def _compile(m: ClauseMatrix, occ: dict, memo: dict, depth: int) -> DecisionTree
             raise CompileError("no column with head constructors in a non-simple matrix")
         s = m.scrutinees[i]
         prefix = occ.get(s) or s.name  # a binder's name is its occurrence
-        arms = []
         ctors = sorted(heads, key=lambda c: (c.name, c.arity))
+        binders = [tuple(f"{prefix}_{j}" for j in range(c.arity)) for c in ctors]
+        switches[m] = (s, ctors, binders)
         groups = specialize_each(m.rows, i, ctors)
-        for ctor in ctors:
-            binders = tuple(f"{prefix}_{j}" for j in range(ctor.arity))
-            # Popped, so that each group's pairs are freed once its
-            # subproblem is built.
-            sub = _specialized(m, i, binders, groups.pop(ctor))
-            arms.append(Arm(ctor, binders, _compile(sub, occ, memo, depth + 1)))
-        dflt = _compile(default_matrix(i, heads, m), occ, memo, depth + 1)
-        tree = Switch(s, tuple(arms), dflt)
-    memo[m] = tree
-    return tree
+        subs = [(_specialized(m, i, b, groups.pop(c)), None) for c, b in zip(ctors, binders)]
+        subs.append((default_matrix(i, heads, m), None))
+        return subs
+
+    def step(m, _, results):
+        if m in switches:
+            s, ctors, binders = switches.pop(m)
+            arms = tuple(map(Arm, ctors, binders, results))
+            return Switch(s, arms, results[-1])
+        if not m.rows:
+            # Default: only the default clause is left.
+            return Leaf(m.default_rhs)
+        # Simple: the first row consists only of variable cells (this
+        # includes the zero-column case).
+        rhs = m.rows[0].rhs
+        for cell, scrut in zip(m.rows[0].cells, m.scrutinees):
+            rhs = _subst_rhs(rhs, cell.conjuncts[0].vars, scrut)
+        return Leaf(rhs)
+
+    return fold(root, step, None, kids)
 
 
 # --- decision tree evaluation ----------------------------------------------------
@@ -357,23 +349,38 @@ def eval_matrix(m: ClauseMatrix, fuel: int = semantics.DEFAULT_FUEL):
 # --- decision tree invariants ------------------------------------------------------
 
 
+def _branches(t, ctx):
+    """A decision tree node's subtrees, each read at `ctx`."""
+    if type(t) is Leaf:
+        return ()
+    return (*((a.subtree, ctx) for a in t.arms), (t.default_arm, ctx))
+
+
 def tree_invariants_ok(t: DecisionTree) -> bool:
     """Arms are pairwise distinct, binder counts match arities and no
-    scrutinee position is examined twice along a path."""
-    return _invariants(t, frozenset())
+    scrutinee position is examined twice along a path.  A fold whose
+    context is the set of scrutinees switched on so far, so a DAG is
+    checked once per distinct (node, context) state, not once per path.
+    A scrutinee that one distinct switch alone examines cannot recur on a
+    path of a DAG, so the context keeps only those of several switches."""
+    nodes: list = []
+    fold(t, lambda n, _, results: nodes.append(n), None, _branches)
+    switches = Counter(n.scrutinee for n in nodes if type(n) is Switch)
+    shared = {s for s, k in switches.items() if k > 1}
 
+    def kids(n, switched):
+        if type(n) is Leaf:
+            return ()
+        ctors = [a.ctor for a in n.arms]
+        if (
+            n.scrutinee in switched
+            or len(set(ctors)) != len(ctors)
+            or any(len(a.binders) != a.ctor.arity for a in n.arms)
+        ):
+            return ()  # a switch with no result fails
+        return _branches(n, switched | ({n.scrutinee} & shared))
 
-def _invariants(t: DecisionTree, switched: frozenset) -> bool:
-    if isinstance(t, Leaf):
-        return True
-    ctors = [a.ctor for a in t.arms]
-    if len(set(ctors)) != len(ctors):
-        return False
-    if t.scrutinee in switched:
-        return False
-    switched = switched | {t.scrutinee}
-    if any(len(a.binders) != a.ctor.arity for a in t.arms):
-        return False
-    return all(_invariants(a.subtree, switched) for a in t.arms) and _invariants(
-        t.default_arm, switched
-    )
+    def step(n, _, results):
+        return type(n) is Leaf or bool(results) and all(results)
+
+    return fold(t, step, frozenset(), kids)

@@ -10,6 +10,7 @@ keep their grouping parentheses.  Normalized disjunctive forms print in the
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Optional
 
 from .compiler import DecisionTree, Leaf, Switch
 from .normalize import Ndnf, NegConj, PosConj
@@ -126,6 +127,19 @@ def _render(node, ctx=_OR) -> str:
     parts: list = []
     _emit([(node, ctx)], parts)
     return "".join(parts)
+
+
+_PRINTED = frozenset(
+    (Var, Ctor, And, Or, Wild, Absurd, Neg, Value, PosConj, NegConj, EVar, ECtor, ECase, Call)
+)
+
+
+def format_node(node) -> Optional[str]:
+    """The text of a pattern, value, normal form or expression, which is
+    its `repr`; None for any other node."""
+    if type(node) is Ndnf:
+        return format_ndnf(node)
+    return _render(node) if type(node) in _PRINTED else None
 
 
 def format_pattern(p: Pattern, _level: int = _OR) -> str:

@@ -56,7 +56,9 @@ class Node:
     2006).  Nodes are immutable.  A class with fields (ctor, args) may set
     `_arity`, the message for args that do not number ctor's arity; it is
     checked when a node is first built.  `_defaults` are the values of the
-    trailing fields a construction may leave out."""
+    trailing fields a construction may leave out.  The `repr` of a pattern,
+    value, normal form or expression is its text from `pretty.format_node`,
+    which does not recurse on the depth of the node."""
 
     __slots__ = ("__weakref__",)
     _arity = None
@@ -96,6 +98,11 @@ class Node:
         raise AttributeError(f"cannot assign to field {name!r} of an interned node")
 
     def __repr__(self) -> str:
+        from .pretty import format_node
+
+        text = format_node(self)
+        if text is not None:
+            return f"{type(self).__qualname__}({text})"
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
@@ -150,17 +157,10 @@ Pattern = Union[Var, Ctor, And, Or, Wild, Absurd, Neg]
 
 class Value(Node):
     """Ground data, and the expression node for it: `semantics.ECtor` over
-    values constructs a `Value`.  `repr` prints through
-    `pretty.format_value`, so it does not recurse on the depth of the
-    value."""
+    values constructs a `Value`."""
 
     __slots__ = ("ctor", "args")  # args: tuple of Value
     _arity = "value constructor {}/{} applied to {} arguments"
-
-    def __repr__(self) -> str:
-        from .pretty import format_value
-
-        return f"Value({format_value(self)})"
 
 
 class Mapping(NamedTuple):

@@ -19,24 +19,13 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import overlap, semantics
 from .normalize import embed_ndnf, to_ndnf
-from .syntax import (
-    Absurd,
-    And,
-    Ctor,
-    Neg,
-    Node,
-    Or,
-    Pattern,
-    Var,
-    Wild,
-)
+from .syntax import And, Neg, Node, Or, Pattern, Var, fold
 
 if TYPE_CHECKING:
     from .compiler import ClauseMatrix
 
 
 _NO_VARS: frozenset = frozenset()
-_LEAF_FACTS = (_NO_VARS, _NO_VARS, True, True)
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -64,71 +53,56 @@ class PatternFacts(NamedTuple):
 
 def pattern_facts(p: Pattern) -> PatternFacts:
     """Free variables at both negation parities, positive and negative
-    linearity and the determinism side conditions of a pattern, in one
-    post-order pass on an explicit stack.  Each node's facts are built from
-    its children's, so no subpattern is walked twice and no Python frame
-    is spent per level."""
-    # First every node, each before its children and a later child before
-    # an earlier one, so that the reverse order is a left-to-right
-    # post-order.
-    nodes = []
-    todo = [p]
+    linearity and the determinism side conditions of a pattern: one step
+    of `syntax.fold` builds a node's facts from its operands', so no
+    subpattern is walked twice and no Python frame is spent per level."""
+    fe, fo, lp, ln, pairs = fold(p, _facts_step)
+    # A node's pairs are None or a list of its operands' pairs and then its
+    # own pair, so that a node costs no copy of its operands' pairs; they
+    # are flattened here, once per occurrence of a shared subpattern.
+    out, todo = [], [pairs or []]
     while todo:
-        node = todo.pop()
-        nodes.append(node)
-        kind = type(node)
-        if kind is Ctor:
-            todo.extend(node.args)
-        elif kind is Or or kind is And:
-            todo.append(node.left)
-            todo.append(node.right)
-        elif kind is Neg:
-            todo.append(node.sub)
-        elif kind is not Var and kind is not Wild and kind is not Absurd:
-            raise TypeError(f"not a pattern: {node!r}")
-    pairs: list = []
-    done: list = []  # (fv_even, fv_odd, linear_pos, linear_neg) of finished subpatterns
-    for node in reversed(nodes):
-        kind = type(node)
-        if kind is Ctor:
-            start = len(done) - len(node.args)
-            args = done[start:]
-            del done[start:]
-            fe = fo = _NO_VARS
-            lp = ln = True
-            for a_fe, a_fo, a_lp, a_ln in args:
-                # Pairwise disjointness of the bindable variables; strictly
-                # stronger than an n-ary intersection for three or more
-                # arguments, and what properness of the produced
-                # substitutions requires.
-                lp = lp and a_lp and not (fe & a_fe)
-                ln = ln and a_ln and not a_fo
-                fe, fo = _union(fe, a_fe), _union(fo, a_fo)
-            done.append((fe, fo, lp, ln))
-        elif kind is Or:
-            r_fe, r_fo, r_lp, r_ln = done.pop()
-            l_fe, l_fo, l_lp, l_ln = done.pop()
+        item = todo.pop()
+        if type(item) is list:
+            todo += reversed(item)
+        else:
+            out.append(item)
+    return PatternFacts(fe, fo, lp, ln, tuple(out))
+
+
+def _facts_step(node, _, results):
+    """(fv_even, fv_odd, linear_pos, linear_neg, pairs) of a pattern node."""
+    kind = type(node)
+    if kind is Var:
+        return frozenset((node.name,)), _NO_VARS, True, True, None
+    if kind is Neg:
+        fe, fo, lp, ln, pairs = results[0]
+        return fo, fe, ln, lp, pairs
+    pairs = [r[4] for r in results if r[4] is not None]
+    if kind is Or or kind is And:
+        (l_fe, l_fo, l_lp, l_ln, _), (r_fe, r_fo, r_lp, r_ln, _) = results
+        if kind is Or:
             if l_fe or r_fe:
                 pairs.append((node.left, node.right))
             lp = l_lp and r_lp and l_fe == r_fe
             ln = l_ln and r_ln and not (l_fo & r_fo)
-            done.append((_union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln))
-        elif kind is And:
-            r_fe, r_fo, r_lp, r_ln = done.pop()
-            l_fe, l_fo, l_lp, l_ln = done.pop()
+        else:
             if l_fo or r_fo:
                 pairs.append((Neg(node.left), Neg(node.right)))
             lp = l_lp and r_lp and not (l_fe & r_fe)
             ln = l_ln and r_ln and l_fo == r_fo
-            done.append((_union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln))
-        elif kind is Neg:
-            fe, fo, lp, ln = done.pop()
-            done.append((fo, fe, ln, lp))
-        elif kind is Var:
-            done.append((frozenset((node.name,)), _NO_VARS, True, True))
-        else:
-            done.append(_LEAF_FACTS)
-    return PatternFacts(*done.pop(), tuple(pairs))
+        return _union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln, pairs or None
+    # A constructor, or a leaf with no operands.
+    fe = fo = _NO_VARS
+    lp = ln = True
+    for a_fe, a_fo, a_lp, a_ln, _ in results:
+        # Pairwise disjointness of the bindable variables; strictly stronger
+        # than an n-ary intersection for three or more arguments, and what
+        # properness of the produced substitutions requires.
+        lp = lp and a_lp and not (fe & a_fe)
+        ln = ln and a_ln and not a_fo
+        fe, fo = _union(fe, a_fe), _union(fo, a_fo)
+    return fe, fo, lp, ln, pairs or None
 
 
 def linear_pos(p: Pattern) -> bool:

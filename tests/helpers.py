@@ -43,7 +43,7 @@ from patalg.syntax import (
     fv_odd,
 )
 from patalg.typecheck import DataDecls, DeclError, Ill, Named, Typed, format_type, signature_of
-from patalg.wellformed import Violation, WfReport, pattern_facts
+from patalg.wellformed import PatternFacts, Violation, WfReport, pattern_facts
 
 
 def cn(name, arity=0):
@@ -182,6 +182,80 @@ def deterministic_by_recursion(p, decls=None):
             return True
         return overlap.disjoint(Neg(p.left), Neg(p.right), decls)
     return all(deterministic_by_recursion(a, decls) for a in p.args)
+
+
+_NO_VARS = frozenset()
+
+
+def _union_vars(a, b):
+    return a | b if a and b else a or b
+
+
+def pattern_facts_by_stack(p):
+    """Reference `wellformed.pattern_facts`: one post-order pass over every
+    occurrence of every subpattern, on an explicit stack.  The fold must
+    give the same five fields, its pairs in the same order."""
+    # First every node, each before its children and a later child before
+    # an earlier one, so that the reverse order is a left-to-right
+    # post-order.
+    nodes = []
+    todo = [p]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        kind = type(node)
+        if kind is Ctor:
+            todo.extend(node.args)
+        elif kind is Or or kind is And:
+            todo.append(node.left)
+            todo.append(node.right)
+        elif kind is Neg:
+            todo.append(node.sub)
+        elif kind is not Var and kind is not Wild and kind is not Absurd:
+            raise TypeError(f"not a pattern: {node!r}")
+    pairs: list = []
+    done: list = []  # (fv_even, fv_odd, linear_pos, linear_neg) of finished subpatterns
+    for node in reversed(nodes):
+        kind = type(node)
+        if kind is Ctor:
+            start = len(done) - len(node.args)
+            args = done[start:]
+            del done[start:]
+            fe = fo = _NO_VARS
+            lp = ln = True
+            for a_fe, a_fo, a_lp, a_ln in args:
+                # Pairwise disjointness of the bindable variables; strictly
+                # stronger than an n-ary intersection for three or more
+                # arguments, and what properness of the produced
+                # substitutions requires.
+                lp = lp and a_lp and not (fe & a_fe)
+                ln = ln and a_ln and not a_fo
+                fe, fo = _union_vars(fe, a_fe), _union_vars(fo, a_fo)
+            done.append((fe, fo, lp, ln))
+        elif kind is Or:
+            r_fe, r_fo, r_lp, r_ln = done.pop()
+            l_fe, l_fo, l_lp, l_ln = done.pop()
+            if l_fe or r_fe:
+                pairs.append((node.left, node.right))
+            lp = l_lp and r_lp and l_fe == r_fe
+            ln = l_ln and r_ln and not (l_fo & r_fo)
+            done.append((_union_vars(l_fe, r_fe), _union_vars(l_fo, r_fo), lp, ln))
+        elif kind is And:
+            r_fe, r_fo, r_lp, r_ln = done.pop()
+            l_fe, l_fo, l_lp, l_ln = done.pop()
+            if l_fo or r_fo:
+                pairs.append((Neg(node.left), Neg(node.right)))
+            lp = l_lp and r_lp and not (l_fe & r_fe)
+            ln = l_ln and r_ln and l_fo == r_fo
+            done.append((_union_vars(l_fe, r_fe), _union_vars(l_fo, r_fo), lp, ln))
+        elif kind is Neg:
+            fe, fo, lp, ln = done.pop()
+            done.append((fo, fe, ln, lp))
+        elif kind is Var:
+            done.append((frozenset((node.name,)), _NO_VARS, True, True))
+        else:
+            done.append((_NO_VARS, _NO_VARS, True, True))
+    return PatternFacts(*done.pop(), tuple(pairs))
 
 
 def wf_expr_all_pairs(e, decls=None):
@@ -546,6 +620,21 @@ def format_expr_by_recursion(e):
             f"{{ {clauses}default => {format_expr_by_recursion(e.default_rhs)} }}"
         )
     return f"{e.name}({', '.join(format_expr_by_recursion(a) for a in e.args)})"
+
+
+def tree_invariants_by_recursion(t, switched=frozenset()):
+    """Reference `compiler.tree_invariants_ok`: one recursion per path of
+    the expanded tree, carrying every scrutinee switched on so far."""
+    if isinstance(t, Leaf):
+        return True
+    ctors = [a.ctor for a in t.arms]
+    if len(set(ctors)) != len(ctors) or t.scrutinee in switched:
+        return False
+    if any(len(a.binders) != a.ctor.arity for a in t.arms):
+        return False
+    inner = switched | {t.scrutinee}
+    subtrees = [a.subtree for a in t.arms] + [t.default_arm]
+    return all(tree_invariants_by_recursion(s, inner) for s in subtrees)
 
 
 def format_tree_by_recursion(t, indent=0):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import c, cn, v, var
+from helpers import c, cn, tree_invariants_by_recursion, v, var
 
 from patalg.compiler import (
     Arm,
@@ -318,3 +318,26 @@ def test_step_matrix_duplicate_rows_nondeterministic():
     row2 = MatrixRow((to_ndnf(Wild()),), ECtor(cn("B0"), ()))
     m = ClauseMatrix((v("Red"),), (row, row2), D)
     assert len(step_matrix(m).successors) == 2
+
+
+def test_tree_invariants_on_shared_and_broken_trees():
+    x, y, z = EVar("x"), EVar("y"), EVar("z")
+    a, b, s = cn("A"), cn("B"), cn("S", 1)
+    leaf, other = Leaf(D), Leaf(E1)
+    inner = Switch(y, (Arm(a, (), leaf),), other)
+    via_z, via_y = (Switch(w, (Arm(b, (), inner),), leaf) for w in (z, y))
+    trees = {
+        # The shared node `inner` is reached by two paths, and neither has
+        # switched on y before it: fine.
+        Switch(x, (Arm(a, (), inner), Arm(b, (), via_z)), leaf): True,
+        Switch(x, (Arm(s, ("x_0",), Switch(EVar("x_0"), (), leaf)),), inner): True,
+        # `inner` is reached again below a switch on y.
+        Switch(x, (Arm(a, (), inner), Arm(b, (), via_y)), leaf): False,
+        Switch(x, (Arm(a, (), Switch(x, (), leaf)),), leaf): False,
+        Switch(x, (Arm(a, (), leaf), Arm(a, (), other)), leaf): False,
+        Switch(x, (Arm(s, (), leaf),), leaf): False,
+        leaf: True,
+    }
+    for tree, ok in trees.items():
+        assert tree_invariants_ok(tree) is ok
+        assert tree_invariants_by_recursion(tree) is ok

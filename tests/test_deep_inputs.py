@@ -1,17 +1,27 @@
-"""Deep and wide inputs through the command line.
+"""Deep and wide inputs through the command line, and in process.
 
 Each run is a fresh `patc` process, so it gets the interpreter's own stack
-depth, and must exit 0 with no traceback.  The runs marked xfail still
-recurse once per level in the named function; the ROADMAP item that
-removes the function removes the mark.
+depth, and must exit 0 with no traceback.  Its address space is capped at
+1 GiB, so a run whose memory grows out of bounds fails fast.  The runs
+marked xfail still recurse once per level in the named function, or write
+output that grows faster than the input; the ROADMAP item that removes
+the cause removes the mark.
 """
 
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
 import pytest
+
+from patalg.compiler import compile_case, eval_tree, tree_invariants_ok
+from patalg.normalize import to_ndnf
+from patalg.parser import parse, parse_pattern
+from patalg.pretty import format_expr, format_ndnf, format_pattern
+from patalg.semantics import ECtor, EVar, Evaluated
+from patalg.syntax import CtorName, Mapping, Value
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -95,17 +105,14 @@ RUNS = [
     ["compile", "body.pat"],
     ["compile", "body.pat", "--format", "json"],
     ["check", str(DEMOS / "lists.pat"), "--typed"],
-    pytest.param(
-        ["compile", "complement.pat"],
-        marks=_xfail("compiler._compile recurses per level (ROADMAP items 6 and 9)"),
-    ),
+    ["compile", "complement.pat"],
     pytest.param(
         ["compile", "deep10k.pat"],
-        marks=_xfail("compiler._compile recurses per level (ROADMAP items 6 and 9)"),
+        marks=_xfail("indented tree output is quadratic in depth (ROADMAP item 6)"),
     ),
     pytest.param(
         ["compile", "deep10k.pat", "--format", "json"],
-        marks=_xfail("compiler._compile recurses per level (ROADMAP items 6 and 9)"),
+        marks=_xfail("indented tree output is quadratic in depth (ROADMAP item 6)"),
     ),
     pytest.param(
         ["eval", "deep10k.pat", "--entry", "f", "--args", _nest(10_000, "Z")],
@@ -146,6 +153,13 @@ def programs(tmp_path_factory):
     return root
 
 
+MEMORY_CAP = 1 << 30  # bytes of address space for each run
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 @pytest.mark.parametrize("argv", RUNS, ids=[_ids(r) for r in RUNS])
 def test_deep_or_wide_input_exits_cleanly(argv, programs):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -156,6 +170,7 @@ def test_deep_or_wide_input_exits_cleanly(argv, programs):
         capture_output=True,
         text=True,
         timeout=120,
+        preexec_fn=_cap_memory,
     )
     assert "Traceback" not in out.stderr, out.stderr[-500:]
     assert out.returncode == 0, out.stderr[-500:]
@@ -163,3 +178,37 @@ def test_deep_or_wide_input_exits_cleanly(argv, programs):
         # A recursive definition is skipped by the typing, not unfolded.
         assert "def main: note: recursive definition; typing skipped" in out.stdout
         assert out.stdout.endswith("ok\n")
+
+
+# --- in process -------------------------------------------------------------------
+
+
+def _s_value(depth: int) -> Value:
+    v = Value(CtorName("Z", 0), ())
+    for _ in range(depth):
+        v = Value(CtorName("S", 1), (v,))
+    return v
+
+
+@pytest.mark.parametrize("name, depth", [("deep10k.pat", 10_000), ("complement.pat", 1200)])
+def test_deep_clauses_compile_to_a_valid_dag(name, depth):
+    # The clause `S^depth(Z) => Z` is one switch per level.  Its tree is
+    # checked and run in process: printing it is quadratic in the depth.
+    tree = compile_case(parse(PROGRAMS[name]).defs[0].body)
+    assert tree_invariants_ok(tree)
+    z = Value(CtorName("Z", 0), ())
+    assert eval_tree(tree, (Mapping("x", _s_value(depth)),)) == Evaluated(z)
+    assert eval_tree(tree, (Mapping("x", _s_value(depth - 1)),)) != Evaluated(z)
+
+
+def test_repr_of_deep_nodes_prints_without_recursion():
+    p = parse_pattern(_nest(3000, "x"))
+    d = to_ndnf(p)
+    e = ECtor(CtorName("S", 1), (EVar("x"),))
+    for _ in range(2999):
+        e = ECtor(CtorName("S", 1), (e,))
+    assert repr(p) == f"Ctor({format_pattern(p)})"
+    assert repr(d) == f"Ndnf({format_ndnf(d)})"
+    assert repr(d.conjuncts[0]).startswith("PosConj({} & S({} & S(")
+    assert repr(e) == f"ECtor({format_expr(e)})"
+    assert repr(_s_value(3000)) == f"Value({_nest(3000, 'Z')})"

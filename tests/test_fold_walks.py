@@ -17,6 +17,7 @@ from helpers import (
     fv_odd_by_recursion,
     map_vars_by_recursion,
     parse_pattern_by_recursion,
+    pattern_facts_by_stack,
     tree_to_obj_by_recursion,
     type_pattern_by_recursion,
 )
@@ -34,8 +35,9 @@ from patalg.pretty import (
 )
 from patalg.semantics import Clause, ECase, expr_free_vars
 from patalg.suites import _TAUS, STANDARD_DECLS
-from patalg.syntax import Neg, Var, Wild, fv_even, fv_odd, map_vars
+from patalg.syntax import And, Neg, Or, Var, Wild, fv_even, fv_odd, map_vars
 from patalg.typecheck import Named, type_pattern
+from patalg.wellformed import pattern_facts
 
 PER_TYPE = 420  # patterns per standard type: 2,100 in all
 
@@ -82,6 +84,23 @@ def test_free_variables_and_renaming(patterns):
         assert fv_even(p) == fv_even_by_recursion(p)
         assert fv_odd(p) == fv_odd_by_recursion(p)
         assert map_vars(p, rename) is map_vars_by_recursion(p, rename)
+
+
+def test_pattern_facts(patterns):
+    # Interning makes an operand repeated in a pattern one node, which the
+    # fold steps once; its side conditions still count once per occurrence.
+    x = Var("x")
+    shared = [
+        q
+        for p, _ in patterns[::4]
+        for q in (Or(p, p), And(p, Neg(p)), Or(And(p, x), And(Neg(p), x)))
+    ]
+    repeated = 0
+    for p in [p for p, _ in patterns] + shared:
+        facts = pattern_facts(p)
+        assert facts == pattern_facts_by_stack(p)
+        repeated += len(set(facts.disjoint_pairs)) < len(facts.disjoint_pairs)
+    assert repeated >= 50
 
 
 def test_pattern_typing(patterns):

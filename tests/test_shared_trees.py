@@ -118,24 +118,33 @@ def test_orprod_has_one_node_per_distinct_subtree():
 
 
 def test_each_distinct_matrix_compiles_once(monkeypatch):
-    # Every run of `_compile`'s body builds exactly one Leaf or Switch.
-    # Distinct matrices may give one node: leaves of the default clause.
-    matrices, built, calls = set(), [], []
-    real = compiler._compile
+    # `_compile` is a fold over matrices: every step builds exactly one
+    # Leaf or Switch, and every operand a matrix lists is one edge of the
+    # DAG of subproblems.  Distinct matrices may give one node: leaves of
+    # the default clause.
+    stepped, edges, built = [], [], []
+    real = compiler.fold
 
-    def spy(m, *rest):
-        matrices.add(m)
-        calls.append(m)
-        return real(m, *rest)
+    def spy(root, step, ctx, kids):
+        def spy_step(m, c, results):
+            stepped.append(m)
+            return step(m, c, results)
 
-    monkeypatch.setattr(compiler, "_compile", spy)
+        def spy_kids(m, c):
+            ks = kids(m, c)
+            edges.extend(ks)
+            return ks
+
+        return real(root, spy_step, ctx, spy_kids)
+
+    monkeypatch.setattr(compiler, "fold", spy)
     for cls in (Leaf, Switch):
         monkeypatch.setattr(compiler, cls.__name__, lambda *f, cls=cls: built.append(cls) or cls(*f))
     for n in range(4, 10):
-        matrices.clear()
+        stepped.clear()
+        edges.clear()
         built.clear()
-        calls.clear()
         root = compile_case(parse(_orprod(n)).defs[0].body)
-        assert len(built) == len(matrices) >= len(_nodes(root))
+        assert len(built) == len(stepped) == len(set(stepped)) >= len(_nodes(root))
         # Linear in n, where the expanded tree has 3 * 2^n + 1 nodes.
-        assert (len(matrices), len(calls)) == (2 * n + 3, 3 * n + 4)
+        assert (len(stepped), len(edges) + 1) == (2 * n + 3, 3 * n + 4)

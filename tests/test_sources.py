@@ -117,13 +117,12 @@ def _self_recursive(path) -> list:
 
 # Functions that recurse on their input, so a deep enough input exhausts
 # the interpreter stack.  The list may only shrink: a new walk must be a
-# step function of `syntax.fold` or `pretty._emit`, or use an explicit
-# stack (as `semantics.subterms` and `wellformed.pattern_facts` do).  Each
-# entry names the ROADMAP item that removes it; ROADMAP item 5 aims at
-# keeping only the walks bounded by program structure.
+# step function of `syntax.fold` (as pattern facts, compilation and the
+# tree invariants are) or `pretty._emit`, or use an explicit stack (as
+# `semantics.subterms` does).  Each entry names the ROADMAP item that
+# removes it; ROADMAP item 5 aims at keeping only the walks bounded by
+# program structure.
 RECURSIVE_ALLOWED = {
-    "compiler._compile",  # items 6 and 9
-    "compiler._invariants",  # item 7
     "oracle._enum",  # bounded by program structure: the enumeration depth
     "oracle._gen_pattern",  # bounded by program structure: the generated size
     "parser._Parser.parse_case",  # bounded by program structure: case nesting
