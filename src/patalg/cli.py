@@ -29,8 +29,9 @@ from .pretty import (
     format_ndnf,
     format_pattern,
     format_tree,
-    format_trees_json,
+    format_tree_json,
     format_value,
+    json_definitions,
 )
 from .semantics import ECase
 from .syntax import Wild
@@ -166,14 +167,18 @@ def cmd_compile(args) -> int:
             why = f"not wellformed:\n{err.report.describe()}" if err.report else err
             print(f"{args.file}: def {d.name}: cannot compile, {why}", file=sys.stderr)
             return 1
+    printed = []
+    for name, t in trees:
+        try:
+            tree = format_tree_json(t) if args.format == "json" else format_tree(t, indent=1)
+        except MemoryError:
+            print(f"{args.file}: def {name}: out of memory printing its tree", file=sys.stderr)
+            return 1
+        printed.append((name, tree))
     if args.format == "json":
-        text = format_trees_json(trees)
+        text = json_definitions(printed)
     else:
-        chunks = []
-        for n, t in trees:
-            chunks.append(f"def {n}:")
-            chunks.append(format_tree(t, indent=1))
-        text = "\n".join(chunks)
+        text = "\n".join(line for n, tree in printed for line in (f"def {n}:", tree))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -23,9 +23,9 @@ from .syntax import (
     Ctor,
     Mapping,
     Neg,
-    Node,
     Or,
     Pattern,
+    Record,
     Value,
     Var,
     Wild,
@@ -239,12 +239,12 @@ def _wrap_var(rng, decls, name, extra):
 # --- differential checking -------------------------------------------------------
 
 
-class Agree(Node):
+class Agree(Record):
     __slots__ = ("cases",)
     _defaults = (0,)
 
 
-class Disagree(Node):
+class Disagree(Record):
     __slots__ = ("witness", "detail")
 
 

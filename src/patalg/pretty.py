@@ -212,17 +212,25 @@ def format_tree(t: DecisionTree, indent: int = 0) -> str:
     return _render(t, indent)
 
 
-def format_trees_json(named) -> str:
-    """The (name, tree) pairs as `{"definitions": [{"name": ..., "tree":
-    ...}, ...]}`, byte for byte as `json.dumps(..., indent=2)` writes it: a
-    switch node has `switch`, `arms` (each with `ctor`, `binders` and
-    `tree`) and `default`, a leaf has `leaf`.  Shared subtrees print
-    expanded."""
-    todo: list = []
-    for k, (name, t) in enumerate(named):
-        head = f'{"," if k else ""}\n    {{\n      "name": {_quote(name)},\n      "tree": '
-        todo += (head, (t, "\n        "), "\n    }")
+def format_tree_json(t: DecisionTree) -> str:
+    """The JSON of `t` as `format_trees_json` writes a definition's tree."""
+    return _render(t, "\n        ")
+
+
+def json_definitions(printed) -> str:
+    """The list of (name, JSON of the tree) pairs as `{"definitions":
+    [{"name": ..., "tree": ...}, ...]}`, byte for byte as
+    `json.dumps(..., indent=2)` writes it."""
     parts = ['{\n  "definitions": [']
-    todo.append("\n  ]\n}" if todo else "]\n}")
-    _emit(todo[::-1], parts)
+    for k, (name, text) in enumerate(printed):
+        head = f'{"," if k else ""}\n    {{\n      "name": {_quote(name)},\n      "tree": '
+        parts += (head, text, "\n    }")
+    parts.append("\n  ]\n}" if printed else "]\n}")
     return "".join(parts)
+
+
+def format_trees_json(named) -> str:
+    """The (name, tree) pairs as `json_definitions` writes them: a switch
+    node has `switch`, `arms` (each with `ctor`, `binders` and `tree`) and
+    `default`, a leaf has `leaf`.  Shared subtrees print expanded."""
+    return json_definitions([(name, format_tree_json(t)) for name, t in named])

@@ -30,6 +30,7 @@ from typing import Union
 from .syntax import (
     Node,
     Pattern,
+    Record,
     Value,
     Var,
     fv_even,
@@ -220,15 +221,15 @@ def _apply_loose(e, s):
 # --- single and multi step -----------------------------------------------------
 
 
-class Stepped(Node):
+class Stepped(Record):
     __slots__ = ("successors",)  # nonempty, deduplicated
 
 
-class Stuck(Node):
+class Stuck(Record):
     __slots__ = ()
 
 
-class IsValue(Node):
+class IsValue(Record):
     __slots__ = ()
 
 
@@ -326,15 +327,15 @@ def step(e, defs=None) -> StepResult:
     return Stepped(tuple(out))
 
 
-class Evaluated(Node):
+class Evaluated(Record):
     __slots__ = ("value",)
 
 
-class Diverged(Node):
+class Diverged(Record):
     __slots__ = ()
 
 
-class Nondeterministic(Node):
+class Nondeterministic(Record):
     __slots__ = ()
 
 

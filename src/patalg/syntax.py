@@ -1,8 +1,9 @@
 """Pattern and value syntax with non-deterministic matching.
 
-Every syntax node, and every other immutable record of the package, is
-hash-consed (`Node`): equal nodes are one object, so equality and hashing
-are identity and never walk a tree.
+Every syntax node, and every other record that a memo keys on or that
+sharing needs, is hash-consed (`Node`): equal nodes are one object, so
+equality and hashing are identity and never walk a tree.  Result records
+(`Record`) are plain immutable records that compare field by field.
 
 Matching is computed as the *complete* set of derivable substitutions, for
 both the "matches" and the "does not match" judgment.  Keeping every
@@ -12,7 +13,6 @@ completeness and determinism properties directly testable.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import weakref
 from typing import NamedTuple, Union
@@ -37,28 +37,36 @@ def _forget(entry: _Entry) -> None:
 
 # (class, *fields) -> the entry of the one live node with them.
 _table: dict = {}
-# Makes each check-then-act on the table atomic, so that threads building
-# equal nodes get one node.  Re-entrant: an insertion may free an entry
-# whose key held the last reference to a node, whose `_forget` then runs.
+# Makes replacing a dead entry, and `_forget`'s check-then-delete, atomic,
+# so that threads building equal nodes get one node.  A new key goes in by
+# `dict.setdefault`, which is atomic on its own.  Re-entrant: a replacement
+# may free an entry whose key held the last reference to a node, whose
+# `_forget` then runs.
 _lock = threading.RLock()
 
 
+def _fields_repr(record) -> str:
+    fields = ", ".join(f"{n}={getattr(record, n)!r}" for n in record._fields)
+    return f"{type(record).__qualname__}({fields})"
+
+
 class Node:
-    """Base of every immutable record: constructor names, patterns, values,
-    normal forms, expressions, clause matrices, decision trees, types and
-    results.  A node is built from its fields in `__slots__` order.
-    Construction looks (class, *fields) up in one table and returns the
-    node already there, so equal nodes are one object and `==` and `hash`
-    are the identity defaults.  Children are nodes, so the key compares
-    them by identity and a construction costs one probe.  The table holds
-    its nodes weakly: an entry lasts as long as something else refers to
-    its node (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", ML
-    2006).  Nodes are immutable.  A class with fields (ctor, args) may set
-    `_arity`, the message for args that do not number ctor's arity; it is
-    checked when a node is first built.  `_defaults` are the values of the
-    trailing fields a construction may leave out.  The `repr` of a pattern,
-    value, normal form or expression is its text from `pretty.format_node`,
-    which does not recurse on the depth of the node."""
+    """Base of the records that a memo keys on or that sharing needs:
+    constructor names, patterns, values, normal forms, expressions, clause
+    matrices, decision trees and types.  A node is built from its fields in
+    `__slots__` order.  Construction looks (class, *fields) up in one table
+    and returns the node already there, so equal nodes are one object and
+    `==` and `hash` are the identity defaults.  Children are nodes, so the
+    key compares them by identity and a construction costs one probe.  The
+    table holds its nodes weakly: an entry lasts as long as something else
+    refers to its node (Filliâtre & Conchon, "Type-Safe Modular
+    Hash-Consing", ML 2006).  Nodes are immutable.  A class with fields
+    (ctor, args) may set `_arity`, the message for args that do not number
+    ctor's arity; it is checked when a node is first built.  `_defaults`
+    are the values of the trailing fields a construction may leave out.
+    The `repr` of a pattern, value, normal form or expression is its text
+    from `pretty.format_node`, which does not recurse on the depth of the
+    node."""
 
     __slots__ = ("__weakref__",)
     _arity = None
@@ -82,16 +90,20 @@ class Node:
         if cls._arity and len(fields[1]) != fields[0].arity:
             ctor = fields[0]
             raise ValueError(cls._arity.format(ctor.name, ctor.arity, len(fields[1])))
-        with _lock:
-            entry = _table.get(key)
-            node = entry() if entry is not None else None
-            if node is None:
-                node = object.__new__(cls)
-                for name, value in zip(cls._fields, fields):
-                    object.__setattr__(node, name, value)
-                entry = _Entry(node, _forget)
-                entry.key = key
-                _table[key] = entry
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(node, name, value)
+        entry = _Entry(node, _forget)
+        entry.key = key
+        found = _table.setdefault(key, entry)
+        if found is entry:
+            return node
+        with _lock:  # another thread's node, or a dead entry to replace
+            found = _table.get(key)
+            other = found() if found is not None else None
+            if other is not None:
+                return other
+            _table[key] = entry
         return node
 
     def __setattr__(self, name, value):
@@ -103,8 +115,48 @@ class Node:
         text = format_node(self)
         if text is not None:
             return f"{type(self).__qualname__}({text})"
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        return _fields_repr(self)
+
+
+class Record:
+    """Base of the result records: evaluation and step results, typing
+    results, wellformedness violations and oracle verdicts.  Nothing keys
+    a memo on them, so they are not interned: a record is built from its
+    fields in `__slots__` order, and `==` and `hash` go field by field.
+    That is exact and shallow, because the fields are interned nodes or
+    plain data.  Records are immutable, and `_defaults` are the values of
+    the trailing fields a construction may leave out."""
+
+    __slots__ = ()
+    _defaults = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__dict__["__slots__"]
+
+    def __init__(self, *fields):
+        missing = len(self._fields) - len(fields)
+        if missing:
+            if not 0 < missing <= len(self._defaults):
+                raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+            fields += self._defaults[-missing:]
+        for name, value in zip(self._fields, fields):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), *self._values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
+
+    __repr__ = _fields_repr
 
 
 class CtorName(Node):
@@ -186,6 +238,8 @@ def canon_subst(s) -> Subst:
     """Sort mappings by variable then value; duplicated identical mappings
     collapse (set reading of substitution equivalence).  The sort key walks
     whole values, so a single mapping is not sorted."""
+    if len(s) < 2:
+        return tuple(s)
     items = set(s)
     if len(items) < 2:
         return tuple(items)
@@ -193,6 +247,8 @@ def canon_subst(s) -> Subst:
 
 
 def _canon_set(substs) -> SubstSet:
+    if len(substs) < 2:
+        return tuple(canon_subst(s) for s in substs)
     seen = {}
     for s in substs:
         c = canon_subst(s)
@@ -314,70 +370,95 @@ class SoundnessError(RuntimeError):
     explicit raises, so they also run under `python -O`."""
 
 
+# pattern -> {value -> match_both(pattern, value)}, for the patterns whose
+# results combine sets.  Module-global: the same small subpatterns come back
+# across calls and cases.
 _match_cache: dict = {}
 
+# The sets of the patterns that match, or fail to match, with no binding.
+_UNIT = ((),)
+_YES = (_UNIT, ())
+_NO = ((), _UNIT)
+_COMBINING = frozenset((Neg, And, Or, Ctor))
 
-def _products(sets) -> list:
-    """All concatenations picking one substitution from each set."""
-    out = []
-    for combo in itertools.product(*sets):
-        merged = ()
-        for s in combo:
-            merged = merged + s
-        out.append(merged)
-    return out
+
+def _product(a: SubstSet, b: SubstSet) -> SubstSet:
+    """The canonical set of the concatenations s + t, s from `a` and t from
+    `b`, both canonical and nonempty.  The one substitution of `_UNIT` adds
+    nothing to a concatenation, and a canonical set is its own canonical
+    form."""
+    if a == _UNIT:
+        return b
+    if b == _UNIT:
+        return a
+    return _canon_set([s + t for s in a for t in b])
+
+
+def _union(a: SubstSet, b: SubstSet) -> SubstSet:
+    """The canonical union of the canonical sets `a` and `b`."""
+    if not a or a == b:
+        return b
+    if not b:
+        return a
+    return _canon_set(a + b)
 
 
 def match_both(p: Pattern, v: Value):
     """All derivations of the positive and the negative matching judgment.
 
     Exactly one of the two returned sets is nonempty for every input: the
-    rules are sound and complete, which is checked on every result.
+    rules are sound and complete, which is checked on every result that
+    combines sets.  Both sets are canonical (`_canon_set`); a result that
+    is already canonical is returned as it is.
     """
-    key = (p, v)
-    hit = _match_cache.get(key)
-    if hit is not None:
-        return hit
-
-    if isinstance(p, Var):
-        pos, neg = [(Mapping(p.name, v),)], []
-    elif isinstance(p, Wild):
-        pos, neg = [()], []
-    elif isinstance(p, Absurd):
-        pos, neg = [], [()]
-    elif isinstance(p, Neg):
-        sub_pos, sub_neg = match_both(p.sub, v)
-        pos, neg = list(sub_neg), list(sub_pos)
-    elif isinstance(p, And):
-        lpos, lneg = match_both(p.left, v)
-        rpos, rneg = match_both(p.right, v)
-        pos = _products([lpos, rpos]) if lpos and rpos else []
-        neg = list(lneg) + list(rneg)
-    elif isinstance(p, Or):
-        lpos, lneg = match_both(p.left, v)
-        rpos, rneg = match_both(p.right, v)
-        pos = list(lpos) + list(rpos)
-        neg = _products([lneg, rneg]) if lneg and rneg else []
-    elif isinstance(p, Ctor):
-        if p.ctor != v.ctor:
-            pos, neg = [], [()]
-        else:
-            arg_results = [match_both(pi, vi) for pi, vi in zip(p.args, v.args)]
-            arg_pos = [r[0] for r in arg_results]
-            if all(arg_pos):
-                pos = _products(arg_pos)
-            else:
-                pos = []
-            neg = [s for (_, ns) in arg_results for s in ns]
+    kind = type(p)
+    if kind is Wild:
+        return _YES
+    if kind is Absurd:
+        return _NO
+    if kind is Var:
+        return (((Mapping(p.name, v),),), ())
+    if kind is Ctor and p.ctor is not v.ctor:
+        return _NO
+    memo = _match_cache.get(p)
+    if memo is None:
+        if kind not in _COMBINING:
+            raise TypeError(f"not a pattern: {p!r}")
+        memo = _match_cache[p] = {}
     else:
-        raise TypeError(f"not a pattern: {p!r}")
+        hit = memo.get(v)
+        if hit is not None:
+            return hit
 
-    result = (_canon_set(pos), _canon_set(neg))
-    if result[0] and result[1]:
+    if kind is Neg:
+        sub_pos, sub_neg = match_both(p.sub, v)
+        result = memo[v] = (sub_neg, sub_pos)
+        return result
+    if kind is Ctor:
+        # Canonicalizing the product and the union argument by argument
+        # gives the canonical form of the whole: it depends only on the set
+        # of mappings of each substitution, and on the set of them.
+        pos, neg = _UNIT, ()
+        for pi, vi in zip(p.args, v.args):
+            arg_pos, arg_neg = match_both(pi, vi)
+            pos = _product(pos, arg_pos) if pos and arg_pos else ()
+            neg = _union(neg, arg_neg)
+    else:
+        # `|` is `&` with the two judgments swapped.
+        lpos, lneg = match_both(p.left, v)
+        rpos, rneg = match_both(p.right, v)
+        if kind is Or:
+            lpos, lneg, rpos, rneg = lneg, lpos, rneg, rpos
+        pos = _product(lpos, rpos) if lpos and rpos else ()
+        neg = _union(lneg, rneg)
+        if kind is Or:
+            pos, neg = neg, pos
+
+    if pos and neg:
         raise SoundnessError(f"matching unsound for {p!r} vs {v!r}")
-    if not (result[0] or result[1]):
+    if not (pos or neg):
         raise SoundnessError(f"matching incomplete for {p!r} vs {v!r}")
-    _match_cache[key] = result
+    result = memo[v] = (pos, neg)
     return result
 
 
@@ -395,5 +476,5 @@ def pattern_equiv_bounded(p: Pattern, q: Pattern, universe) -> bool:
     """Bounded approximation of semantic pattern equivalence: over every
     value of the (finite) universe, the positive and negative derivation
     sets must cover each other up to substitution equivalence.  Both are
-    canonical (`_canon_set`), so that is plain equality."""
+    canonical, whichever node built them, so that is plain equality."""
     return all(match_both(p, v) == match_both(q, v) for v in universe)

@@ -17,7 +17,20 @@ from collections import Counter
 from typing import Optional, Union
 
 from .semantics import ECase, ECtor, EVar
-from .syntax import And, Ctor, CtorName, Neg, Node, Or, Pattern, Value, Var, fold, pattern_kids
+from .syntax import (
+    And,
+    Ctor,
+    CtorName,
+    Neg,
+    Node,
+    Or,
+    Pattern,
+    Record,
+    Value,
+    Var,
+    fold,
+    pattern_kids,
+)
 
 
 class Bool(Node):
@@ -137,16 +150,16 @@ def signature_of(tau: Type, decls: Optional[DataDecls]):
 # --- results -----------------------------------------------------------------
 
 
-class Typed(Node):
+class Typed(Record):
     # gamma, delta: tuples of (name, Type), the even- and odd-negation binders
     __slots__ = ("gamma", "delta")
 
 
-class Ok(Node):
+class Ok(Record):
     __slots__ = ("type",)
 
 
-class Ill(Node):
+class Ill(Record):
     __slots__ = ("message",)
 
 

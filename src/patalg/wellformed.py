@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import overlap, semantics
 from .normalize import embed_ndnf, to_ndnf
-from .syntax import And, Neg, Node, Or, Pattern, Var, fold
+from .syntax import And, Neg, Or, Pattern, Record, Var, fold
 
 if TYPE_CHECKING:
     from .compiler import ClauseMatrix
@@ -120,7 +120,7 @@ def deterministic(p: Pattern, decls=None) -> bool:
 # --- reports -------------------------------------------------------------------
 
 
-class Violation(Node):
+class Violation(Record):
     __slots__ = ("rule", "path", "message")  # path: child indices from the root
 
 

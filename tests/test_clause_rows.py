@@ -46,13 +46,11 @@ COMMANDS = (
     ["compile"],
     ["compile", "--format", "json"],
 )
-# Every program under every command, but `check --typed` on lists.pat: it
-# inlines the recursive definitions and dies (ROADMAP item 2).
+# Every program under every command.
 RUNS = [
     pytest.param(path, command, id=f"{path.stem}-{'-'.join(command)}")
     for path in PROGRAMS
     for command in COMMANDS
-    if not (path.stem == "lists" and "--typed" in command)
 ]
 
 

@@ -1,6 +1,8 @@
 """Hash-consed syntax: every node is built through `syntax.Node`, equal
 constructions give one object, equality and hashing are identity, and the
-one table holding the nodes forgets a node once nothing else refers to it."""
+one table holding the nodes forgets a node once nothing else refers to it.
+Result records are built through `syntax.Record`: equal constructions give
+equal records, compared and hashed field by field."""
 
 import gc
 import os
@@ -29,19 +31,35 @@ from patalg.semantics import (
     Stepped,
     Stuck,
 )
-from patalg.syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Value, Var, Wild
+from patalg.syntax import (
+    Absurd,
+    And,
+    Ctor,
+    CtorName,
+    Neg,
+    Node,
+    Or,
+    Record,
+    Value,
+    Var,
+    Wild,
+)
 from patalg.typecheck import Bool, Ill, Named, Ok, Typed
 from patalg.wellformed import Violation
 
-CLASSES = (
+NODE_CLASSES = (
     CtorName, Var, Ctor, And, Or, Wild, Absurd, Neg, Value,
     PosConj, NegConj, Ndnf,
     EVar, ECtor, Clause, ECase, Call,
     MatrixRow, ClauseMatrix, Leaf, Arm, Switch,
-    Bool, Named, Typed, Ok, Ill,
-    Stepped, Stuck, IsValue, Evaluated, Diverged, Nondeterministic,
-    Violation, Def, Agree, Disagree,
+    Bool, Named, Def,
 )
+RECORD_CLASSES = (
+    Typed, Ok, Ill,
+    Stepped, Stuck, IsValue, Evaluated, Diverged, Nondeterministic,
+    Violation, Agree, Disagree,
+)
+CLASSES = NODE_CLASSES + RECORD_CLASSES
 
 
 def _examples():
@@ -92,10 +110,12 @@ def _examples():
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_equal_constructions_are_one_object(cls):
+    # Only nodes are interned; equal records are equal, distinct objects.
     build = _examples()[cls]
     a, b = build(), build()
     assert type(a) is cls
-    assert a is b and a == b and hash(a) == hash(b)
+    assert a == b and hash(a) == hash(b)
+    assert (a is b) == (cls in NODE_CLASSES)
 
 
 def test_ctor_over_values_is_the_interned_value():
@@ -124,7 +144,7 @@ def test_arity_is_checked_when_a_node_is_first_built():
 def test_records_keep_their_checks_and_defaults():
     with pytest.raises(ValueError, match="row with 0 cells in a matrix of 1 scrutinees"):
         ClauseMatrix((EVar("x"),), (MatrixRow(()),), Value(cn("Z"), ()))
-    assert MatrixRow(()) is MatrixRow((), None) and Agree() is Agree(0)
+    assert MatrixRow(()) is MatrixRow((), None) and Agree() == Agree(0)
     with pytest.raises(TypeError):
         MatrixRow()
 
@@ -132,6 +152,23 @@ def test_records_keep_their_checks_and_defaults():
 def test_nodes_are_immutable():
     with pytest.raises(AttributeError):
         Var("x").name = "y"
+
+
+def test_records_compare_and_hash_field_by_field():
+    z = Value(cn("Z"), ())
+    assert Evaluated(z) == Evaluated(Value(cn("Z"), ())) and Evaluated(z) != Evaluated(EVar("z"))
+    assert hash(Ok(Bool())) == hash(Ok(Bool())) and Ok(Bool()) != Ill("Bool")
+    assert Stuck() == Stuck() and Stuck() != IsValue() and Stuck() != ()
+    assert Agree() == Agree(0) != Agree(1)
+    assert len({Violation("linear", (0,), "m"), Violation("linear", (0,), "m")}) == 1
+    assert Violation("linear", (0,), "m") != Violation("linear", (1,), "m")
+    assert repr(Agree(2)) == "Agree(cases=2)"
+    with pytest.raises(AttributeError):
+        Agree(2).cases = 3
+    with pytest.raises(TypeError):
+        Disagree(z)
+    with pytest.raises(TypeError):
+        Agree(1, 2)
 
 
 def test_the_table_forgets_dead_nodes():
@@ -146,6 +183,33 @@ def test_the_table_forgets_dead_nodes():
     del nodes
     gc.collect()
     assert len(syntax._table) == before
+
+
+def test_a_key_whose_node_died_is_built_again():
+    gc.collect()
+    key = (Var, "ghost")
+    node = Var("ghost")
+    assert syntax._table[key]() is node
+    del node
+    gc.collect()
+    assert key not in syntax._table
+    node = Var("ghost")
+    assert syntax._table[key]() is node and node.name == "ghost"
+    del node
+
+    # A dead entry whose removal has not run yet is replaced.
+    class Gone:
+        pass
+
+    gone = Gone()
+    syntax._table[key] = dead = syntax._Entry(gone)
+    dead.key = key
+    del gone
+    node = Var("ghost")
+    assert syntax._table[key]() is node and Var("ghost") is node
+    del node
+    gc.collect()
+    assert key not in syntax._table
 
 
 def test_threads_building_equal_nodes_get_one_node():
@@ -174,9 +238,12 @@ def test_threads_building_equal_nodes_get_one_node():
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_every_node_class_uses_identity_from_the_one_base(cls):
-    assert issubclass(cls, Node)
+    # A record class takes field-wise equality from the one record base.
+    base, other = (Node, Record) if cls in NODE_CLASSES else (Record, Node)
+    assert issubclass(cls, base) and not issubclass(cls, other)
     assert "__eq__" not in cls.__dict__ and "__hash__" not in cls.__dict__
-    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    assert cls.__eq__ is base.__eq__ and cls.__hash__ is base.__hash__
+    assert Node.__eq__ is object.__eq__ and Node.__hash__ is object.__hash__
 
 
 # --- deep and wide inputs -----------------------------------------------------

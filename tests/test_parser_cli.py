@@ -10,6 +10,7 @@ import pytest
 
 from helpers import c, v, var
 
+from patalg import cli
 from patalg.cli import main
 from patalg.compiler import compile_case
 from patalg.oracle import Agree, differential_check_tree
@@ -310,6 +311,33 @@ def test_cli_compile_output_file(weekend_file, tmp_path):
     out_path = tmp_path / "tree.json"
     assert main(["compile", weekend_file, "--format", "json", "-o", str(out_path)]) == 0
     assert json.loads(out_path.read_text())["definitions"]
+
+
+@pytest.mark.parametrize(
+    "printer, flags", [("format_tree", []), ("format_tree_json", ["--format", "json"])]
+)
+def test_cli_compile_out_of_memory_names_the_definition(
+    tmp_path, monkeypatch, capsys, printer, flags
+):
+    # Printing g's tree runs out of memory: a message naming g, no traceback.
+    path = tmp_path / "two.pat"
+    path.write_text(
+        "data B = T | F;\n"
+        "def f(x) := case x of { T => F, default => T };\n"
+        "def g(x) := case x of { F => T, default => F };\n"
+    )
+    real = getattr(cli, printer)
+
+    def exhausted(tree, *args, **kwargs):
+        if tree.arms[0].ctor.name == "F":
+            raise MemoryError
+        return real(tree, *args, **kwargs)
+
+    monkeypatch.setattr(cli, printer, exhausted)
+    assert main(["compile", str(path), *flags]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{path}: def g: out of memory printing its tree\n"
 
 
 def test_cli_eval(weekend_file, capsys):

@@ -23,9 +23,10 @@ def test_no_assert_statements():
 
 
 def test_no_dataclasses_import():
-    # Every record is a `syntax.Node` or a plain `__slots__` class; the
-    # `dataclasses` import chain (`inspect`, `ast`, `dis`, `tokenize`) and
-    # its method generation would cost every `patc` run start-up time.
+    # Every record is a `syntax.Node`, a `syntax.Record` or a plain
+    # `__slots__` class; the `dataclasses` import chain (`inspect`, `ast`,
+    # `dis`, `tokenize`) and its method generation would cost every `patc`
+    # run start-up time.
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))

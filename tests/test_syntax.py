@@ -1,8 +1,10 @@
 """Matching, free variables and substitution equivalence."""
 
-from helpers import BOOL_LIST, c, v, var
+import random
 
-from patalg.oracle import enumerate_values
+from helpers import BOOL_LIST, c, match_both_by_recursion, v, var
+
+from patalg.oracle import _gen_pattern, enumerate_values
 from patalg.syntax import (
     Absurd,
     And,
@@ -17,6 +19,7 @@ from patalg.syntax import (
     Var,
     is_proper,
     map_vars,
+    match_both,
     match_neg,
     match_pos,
     pattern_equiv_bounded,
@@ -131,6 +134,32 @@ def test_subst_equiv_different_mapping():
 
 def test_subst_equiv_ignores_multiplicity():
     assert subst_equiv((m("x", v("2")), m("x", v("2"))), (m("x", v("2")),))
+
+
+def test_match_both_agrees_with_the_reference_order_included():
+    # Two variable names, and a conjunction or disjunction of two generated
+    # patterns, make patterns non-linear and or-patterns bind both ways, so
+    # that many sets hold several substitutions, whose order the canonical
+    # form fixes.
+    rng = random.Random(2024)
+    two_names = lambda x: Var("x" if x.name in ("x", "z") else "y")
+    universes = {tau: enumerate_values(BOOL_LIST, Named(tau), 3) for tau in ("B", "List")}
+
+    def gen(tau):
+        return map_vars(_gen_pattern(rng, BOOL_LIST, Named(tau), rng.randint(0, 4)), two_names)
+
+    several = improper = 0
+    for _ in range(3000):
+        tau = rng.choice(("B", "List"))
+        p = gen(tau)
+        if rng.random() < 0.5:
+            p = rng.choice((And, Or))(p, gen(tau))
+        value = rng.choice(universes[tau])
+        got = match_both(p, value)
+        assert got == match_both_by_recursion(p, value), (p, value)
+        several += any(len(ss) > 1 for ss in got)
+        improper += any(not is_proper(s) for ss in got for s in ss)
+    assert several > 200 and improper > 10
 
 
 # --- bounded pattern equivalence ---
