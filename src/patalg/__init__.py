@@ -73,7 +73,6 @@ from .compiler import (
     Leaf,
     MatrixRow,
     Switch,
-    compile,
     compile_case,
     default_matrix,
     default_rows,
@@ -82,9 +81,8 @@ from .compiler import (
     head_ctors,
     specialize,
     specialize_each,
-    step_matrix,
 )
 from .exhaustiveness import exhaustive, inhabitant, useful_witness
-from .oracle import differential_compile_check, enumerate_values, gen_pattern
+from .oracle import differential_compile_check, enumerate_values, gen_pattern, validate_tree
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,15 +9,12 @@ row-level steps (`specialize_each`, `default_rows`, `head_ctors`) work
 on any column; `specialize_each` specializes every head of a column in
 one pass over the rows.
 
-`step_matrix` implements the multi-column single-step relation directly on
-top of the matching judgments; it is the independent oracle against which
-compiled trees are checked.
+Compiled trees are checked against their source case by
+`oracle.validate_tree`, which shares no code with this module's matrices.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from typing import Optional, Union
 
 from . import semantics, wellformed
@@ -26,12 +23,11 @@ from .normalize import (
     NegConj,
     PosConj,
     conjunct_is_variable,
-    embed_ndnf,
     ndnf_wildcard,
     to_ndnf,
 )
-from .semantics import ECase, EVar, Stepped, Stuck, substitute
-from .syntax import Node, Value, fold, fv_even, match_pos, subst_to_dict
+from .semantics import ECase, EVar, Stuck, substitute
+from .syntax import Node, Value, fold, fv_even, subst_to_dict
 
 # --- the matrix core ------------------------------------------------------------
 # Specialization, default and column heads over rows of normalized cells, for
@@ -131,7 +127,9 @@ DecisionTree = Union[Leaf, Switch]
 def embed_case(e: ECase) -> ClauseMatrix:
     """Embed an ordinary case expression as a one-column matrix, running
     every clause pattern through normalization.  Pattern variables named
-    like the scrutinee are renamed apart first, as `wf_matrix` requires."""
+    like the scrutinee are renamed apart first, because compilation
+    substitutes the scrutinee for bound variables step by step, and a later
+    step would capture it."""
     return _embed(e, [None] * len(e.clauses))
 
 
@@ -203,14 +201,6 @@ class CompileError(ValueError):
     def __init__(self, message: str, report: Optional[wellformed.WfReport] = None):
         super().__init__(message)
         self.report = report  # the failed wellformedness report, if any
-
-
-def compile(m: ClauseMatrix) -> DecisionTree:
-    """Compile a wellformed clause matrix to a decision tree."""
-    report = wellformed.wf_matrix(m)
-    if not report.ok:
-        raise CompileError(f"matrix is not wellformed:\n{report.describe()}", report)
-    return _compile(m)
 
 
 def compile_case(e: ECase) -> DecisionTree:
@@ -306,81 +296,3 @@ def eval_tree(t: DecisionTree, env, fuel: int = semantics.DEFAULT_FUEL):
         else:
             node = node.default_arm
     return semantics.eval(substitute(node.rhs, bindings), fuel)
-
-
-# --- multi-column single step (the compilation oracle) ----------------------------
-
-
-def step_matrix(m: ClauseMatrix):
-    """All expressions a multi-column case over value scrutinees can step
-    to: one per matching row and substitution choice, or the default
-    right-hand side when no row matches."""
-    values = m.scrutinees
-    if not all(isinstance(s, Value) for s in values):
-        raise ValueError("step_matrix requires value scrutinees")
-    successors = []
-    any_match = False
-    for row in m.rows:
-        per_column = [
-            match_pos(embed_ndnf(cell), v) for cell, v in zip(row.cells, values)
-        ]
-        if not all(per_column):
-            continue
-        any_match = True
-        for combo in itertools.product(*per_column):
-            rhs = row.rhs
-            for s in combo:
-                rhs = semantics._apply_loose(rhs, s)
-            successors.append(rhs)
-    if not any_match:
-        successors.append(m.default_rhs)
-    return Stepped(tuple(dict.fromkeys(successors)))
-
-
-def eval_matrix(m: ClauseMatrix, fuel: int = semantics.DEFAULT_FUEL):
-    """Multi-step evaluation through the matrix relation; reports
-    nondeterminism like expression evaluation does."""
-    r = step_matrix(m)
-    if len(r.successors) > 1:
-        return semantics.Nondeterministic()
-    return semantics.eval(r.successors[0], fuel)
-
-
-# --- decision tree invariants ------------------------------------------------------
-
-
-def _branches(t, ctx):
-    """A decision tree node's subtrees, each read at `ctx`."""
-    if type(t) is Leaf:
-        return ()
-    return (*((a.subtree, ctx) for a in t.arms), (t.default_arm, ctx))
-
-
-def tree_invariants_ok(t: DecisionTree) -> bool:
-    """Arms are pairwise distinct, binder counts match arities and no
-    scrutinee position is examined twice along a path.  A fold whose
-    context is the set of scrutinees switched on so far, so a DAG is
-    checked once per distinct (node, context) state, not once per path.
-    A scrutinee that one distinct switch alone examines cannot recur on a
-    path of a DAG, so the context keeps only those of several switches."""
-    nodes: list = []
-    fold(t, lambda n, _, results: nodes.append(n), None, _branches)
-    switches = Counter(n.scrutinee for n in nodes if type(n) is Switch)
-    shared = {s for s, k in switches.items() if k > 1}
-
-    def kids(n, switched):
-        if type(n) is Leaf:
-            return ()
-        ctors = [a.ctor for a in n.arms]
-        if (
-            n.scrutinee in switched
-            or len(set(ctors)) != len(ctors)
-            or any(len(a.binders) != a.ctor.arity for a in n.arms)
-        ):
-            return ()  # a switch with no result fails
-        return _branches(n, switched | ({n.scrutinee} & shared))
-
-    def step(n, _, results):
-        return type(n) is Leaf or bool(results) and all(results)
-
-    return fold(t, step, frozenset(), kids)

@@ -53,7 +53,7 @@ def inhabitant(k, tau: Optional[Type], decls: Optional[DataDecls]) -> Optional[V
     when the type has none.  Arguments of a known type get their declared
     types.  Of an unknown type (None), a negative conjunct takes the type
     declaring its ban set (SignatureError if none does), or with no ban
-    set the open world's `$any`.  Runs on an explicit stack, left to
+    set or no declarations (None) the open world's `$any`.  Runs on an explicit stack, left to
     right, and stops at the first argument without a value."""
     done: list = []  # finished values, the last ones the pending arguments
     todo: list = [(k, tau, False)]
@@ -81,7 +81,7 @@ def _outside(banned, tau, decls) -> Optional[Value]:
     """The first constructor of `tau`, in declaration order, that is not
     banned and whose argument types have values, over their least values."""
     if tau is None:
-        if not banned:
+        if not banned or decls is None:
             return Value(ANY_CTOR, ())
         if (owner := decls.owner_of_all(banned)) is None:
             raise SignatureError(banned)
@@ -97,7 +97,8 @@ def _outside(banned, tau, decls) -> Optional[Value]:
 def useful_witness(rows, vector, decls: DataDecls, col_types=None) -> Optional[tuple]:
     """A value vector matching the pattern vector but no row, or None.
     Rows and the vector are tuples of patterns, one per column; a column's
-    type is unknown without `col_types`.  The witness is checked against
+    type is unknown without `col_types`, and with no declarations (None)
+    the world is open.  The witness is checked against
     both conditions; a failure raises SoundnessError."""
     vector = tuple(vector)
     n = len(vector)

@@ -8,27 +8,33 @@ output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Optional, Union
 
 from . import semantics, wellformed
-from .compiler import DecisionTree, compile_case, eval_tree, head_ctors
-from .exhaustiveness import infer_scrutinee_type
+from .compiler import DecisionTree, Leaf, Switch, compile_case, eval_tree, head_ctors
+from .exhaustiveness import infer_scrutinee_type, useful_witness
 from .normalize import to_ndnf
-from .semantics import Clause, ECase, ECtor, EVar, Evaluated
+from .pretty import format_expr, format_pattern, format_value
+from .semantics import Clause, ECase, ECtor, EVar, Evaluated, substitute
 from .syntax import (
     Absurd,
     And,
     Ctor,
+    CtorName,
     Mapping,
     Neg,
+    Node,
     Or,
     Pattern,
     Record,
+    SoundnessError,
     Value,
     Var,
     Wild,
+    fold,
 )
 from .typecheck import DataDecls, Type, signature_of
 
@@ -140,9 +146,11 @@ def gen_case(
 ) -> ECase:
     """Random wellformed case expression over a variable scrutinee of the
     given type.  Clause patterns are deterministic, positively linear and
-    pairwise disjoint by construction; right-hand sides mention the bound
-    variables.  Each candidate pattern is normalized once, and decided
-    against the NDNFs of the clauses already accepted."""
+    pairwise disjoint by construction, by the tests `wf_expr` makes;
+    right-hand sides mention the bound variables, and their cases have one
+    variable clause each, so the case needs no further check.  Each
+    candidate pattern is normalized once, and decided against the NDNFs of
+    the clauses already accepted."""
     from . import overlap
 
     rng = random.Random(seed)
@@ -166,13 +174,11 @@ def gen_case(
         if not clauses:
             continue
         default_rhs = _gen_rhs(rng, decls, [])
-        e = ECase(
+        return ECase(
             EVar(scrutinee),
             tuple(Clause(p, rhs) for p, rhs in clauses),
             default_rhs,
         )
-        if wellformed.wf_expr(e).ok:
-            return e
     raise GenerationError("no wellformed case expression found")
 
 
@@ -258,8 +264,6 @@ def differential_check_tree(
 ) -> Union[Agree, Disagree]:
     """Compare direct evaluation of a case against a decision tree, over
     every scrutinee value up to the depth bound."""
-    from .pretty import format_value
-
     if not isinstance(e.scrutinee, EVar):
         raise ValueError("differential checking needs a variable scrutinee")
     if tau is None:
@@ -298,3 +302,257 @@ def differential_compile_check(
     evaluation for every scrutinee value up to the depth bound."""
     tree = compile_case(e)
     return differential_check_tree(e, tree, decls, depth, tau, fuel)
+
+
+# --- translation validation ------------------------------------------------------
+#
+# A tree is checked against its source case for every value at once
+# (Necula, "Translation Validation for an Optimizing Compiler", PLDI 2000).
+# A path knows a partial value of the scrutinee: an arm gives an occurrence
+# its head and child occurrences, a default arm bans the arms' heads.
+# Each clause's source pattern is read against it in Kleene's logic, to a
+# residual: a settled yes or no, with the variables one derivation binds,
+# or a formula over the constructor patterns waiting at open occurrences.
+
+
+class _At(Node):
+    """Constructor pattern `pattern` waiting at occurrence `occ`, the
+    expression naming it.  The occurrence may have no switch yet, or have
+    left one by its default arm: in the open world, no ban set decides a
+    constructor it does not hold."""
+
+    __slots__ = ("occ", "pattern")
+
+
+class _Known(Node):
+    __slots__ = ("holds", "binds")  # binds: (variable, occurrence) pairs
+
+
+_YES, _NO = _Known(True, frozenset()), _Known(False, frozenset())
+
+
+def _not(r):
+    if type(r) is _Known:
+        return _Known(not r.holds, r.binds)
+    return r.sub if type(r) is Neg else Neg(r)
+
+
+def _and(a, b):
+    """Kleene's `&`: a no on either side settles it, and yes sides add
+    their bindings.  `|` is `&` with yes and no swapped (`_connect`), as
+    in `syntax.match_both`."""
+    for x in (a, b):
+        if type(x) is _Known and not x.holds:
+            return x
+    if type(a) is _Known and type(b) is _Known:
+        return _Known(True, a.binds | b.binds)
+    return b if a is _YES else a if b is _YES else And(a, b)
+
+
+def _connect(node, results):
+    if type(node) is Neg:
+        return _not(results[0])
+    if type(node) is And:
+        return _and(*results)
+    return _not(_and(_not(results[0]), _not(results[1])))
+
+
+def _kids(node, _):
+    """The operands of `&`, `|` and `!`, in a pattern or a residual."""
+    if type(node) is Neg:
+        return ((node.sub, None),)
+    return ((node.left, None), (node.right, None)) if type(node) in (And, Or) else ()
+
+
+def _read(p, occ):
+    """The residual of pattern `p` at an occurrence of unknown head."""
+
+    def step(node, _, results):
+        kind = type(node)
+        if kind is Var:
+            return _Known(True, frozenset(((node.name, occ),)))
+        if kind is Ctor:
+            return _At(occ, node)
+        if kind is Wild or kind is Absurd:
+            return _YES if kind is Wild else _NO
+        return _connect(node, results)
+
+    return fold(p, step, None, _kids)
+
+
+def _learn(r, occ, head, binders):
+    """Residual `r` once occurrence `occ` is known to have the constructor
+    `head` with child occurrences named `binders`, or none of the set
+    `head`."""
+
+    def step(node, _, results):
+        if type(node) is not _At:
+            return node if type(node) is _Known else _connect(node, results)
+        p = node.pattern
+        if node.occ is not occ:
+            return node
+        if type(head) is frozenset:
+            return _NO if p.ctor in head else node
+        if p.ctor is not head:
+            return _NO
+        out = _YES
+        for a, b in zip(p.args, binders):
+            out = _and(out, _read(a, EVar(b)))
+        return out
+
+    return fold(r, step, None, _kids)
+
+
+class _State:
+    """A path's context: the occurrences it exposed and did not test, and
+    each clause's residual, which decide whether a subtree is right and
+    are all the memo compares; and the path, which only completes a
+    witness: (parent, occurrence, head or ban set, binders) links.  A
+    plain class, because a `NamedTuple` costs every `patc` run start-up
+    time."""
+
+    __slots__ = ("open", "residuals", "path")
+
+    def __init__(self, open_, residuals, path):
+        self.open, self.residuals, self.path = open_, residuals, path
+
+    def __eq__(self, other):
+        return self.open == other.open and self.residuals == other.residuals
+
+    def __hash__(self):
+        return hash((self.open, self.residuals))
+
+
+def _switch_fault(n: Switch, st: _State) -> Optional[str]:
+    o = n.scrutinee
+    if o not in st.open:
+        path = st.path
+        while path is not None and path[1] is not o:
+            path = path[0]
+        return f"tests {format_expr(o)} {'again' if path else 'before an arm exposes it'}"
+    ctors = [a.ctor for a in n.arms]
+    if len(set(ctors)) != len(ctors):
+        return "has two arms for one constructor"
+    taken = set(st.open)  # and the occurrences a residual waits at or binds
+
+    def step(node, _, results):
+        if type(node) is _At:
+            taken.add(node.occ)
+        elif type(node) is _Known:
+            taken.update(occ for _, occ in node.binds)
+
+    for r in st.residuals:
+        fold(r, step, None, _kids)
+    for a in n.arms:
+        if len(a.binders) != a.ctor.arity:
+            return f"names {len(a.binders)} of the {a.ctor.arity} arguments of {a.ctor.name}"
+        if len(set(a.binders)) != len(a.binders) or taken & set(map(EVar, a.binders)):
+            return f"binds a name in use under {a.ctor.name}"
+    return None
+
+
+def validate_tree(e: ECase, tree: Union[Leaf, Switch]) -> Union[Agree, Disagree]:
+    """Check a decision tree against its case for every scrutinee value.
+    A switch must test an occurrence that the path exposed and did not
+    test, with distinct arms, each binding arity-many unused names.  At a
+    leaf at most one clause may say yes, and one still unknown must be
+    settled no by the open-world emptiness search on it and the partial
+    value.  The leaf must be the right-hand side of the clause saying yes,
+    each variable replaced by its occurrence, or else the default.  A fold
+    over the DAG memoized on the state: `Agree` counts the (node, state)
+    pairs checked, and `Disagree` names the path to a fault and a
+    scrutinee value that takes it."""
+    root = e.scrutinee
+    start = _State(frozenset((root,)), tuple(_read(c.pattern, root) for c in e.clauses), None)
+    checked = 0
+
+    def kids(n, st):
+        if type(n) is Leaf or _switch_fault(n, st):
+            return ()
+        out, rest = [], st.open - {n.scrutinee}
+        for head, binders, sub in (
+            *((a.ctor, a.binders, a.subtree) for a in n.arms),
+            (frozenset(a.ctor for a in n.arms), (), n.default_arm),
+        ):
+            residuals = tuple(_learn(r, n.scrutinee, head, binders) for r in st.residuals)
+            path = (st.path, n.scrutinee, head, binders)
+            out.append((sub, _State(rest.union(map(EVar, binders)), residuals, path)))
+        return out
+
+    def step(n, st, results):
+        nonlocal checked
+        checked += 1
+        if type(n) is Switch:
+            if not results:
+                return _fault(e, st, f"the switch {_switch_fault(n, st)}")
+            return next((r for r in results if r is not None), None)
+        yes = []
+        for c, r in zip(e.clauses, st.residuals):
+            if type(r) is _Known:
+                if r.holds:
+                    yes.append((c, r.binds))
+            elif (w := _witness(root, st.path, c.pattern)) is not None:
+                why = f"clause {format_pattern(c.pattern)} may or may not match"
+                return _fault(e, st, why, n, w)
+        if len(yes) > 1:
+            return _fault(e, st, "two clauses match", n)
+        want = substitute(yes[0][0].rhs, dict(yes[0][1])) if yes else e.default_rhs
+        if n.rhs is want:
+            return None
+        return _fault(e, st, f"the leaf is {format_expr(n.rhs)}, not {format_expr(want)}", n, want=want)
+
+    fault = fold(tree, step, start, kids)
+    return Agree(checked) if fault is None else fault
+
+
+def _witness(root, path, extra=None) -> Optional[Value]:
+    """A scrutinee value of the path's partial value that matches `extra`
+    too, by the open-world emptiness search, or None.  Without `extra`
+    each open position gets a nullary constructor of its own, `$1`, `$2`,
+    ..., which no pattern names, so no two are equal."""
+    fresh = itertools.count(1)
+
+    def open_(banned=()):
+        if extra is None:
+            return Ctor(CtorName(f"${next(fresh)}", 0), ())
+        ban = [Ctor(c, (Wild(),) * c.arity) for c in banned]
+        return Neg(functools.reduce(Or, ban)) if ban else Wild()
+
+    built: dict = {}  # occurrence -> its partial value as a pattern
+    while path is not None:
+        path, occ, head, binders = path
+        if type(head) is frozenset:
+            built[occ] = open_(head)
+        else:
+            built[occ] = Ctor(head, tuple(built.pop(EVar(b), None) or open_() for b in binders))
+    p = built.get(root) or open_()
+    found = useful_witness((), (p if extra is None else And(p, extra),), None)
+    return found and found[0]
+
+
+def _fault(e, st, reason, leaf=None, w=None, want=None) -> Disagree:
+    """The `Disagree` of a fault on the path of `st`.  At a leaf both
+    routes are evaluated at the witness, and `semantics.eval` must confirm
+    what the validator wants there."""
+    w = w or _witness(e.scrutinee, st.path)
+    links, path = [], st.path
+    while path is not None:
+        path, *link = path
+        links.append(link)
+    values, shown = {e.scrutinee: w}, []
+    for occ, head, binders in reversed(links):
+        if type(head) is frozenset:
+            names = ", ".join(sorted(c.name for c in head))
+            shown.append(f"{format_expr(occ)} is none of {{{names}}}")
+        else:
+            shown.append(f"{format_expr(occ)} is {head.name}")
+            values.update(zip(map(EVar, binders), values[occ].args))
+    detail = f"after {', '.join(shown) or 'no switch'}: {reason}"
+    if leaf is None:
+        return Disagree(w, detail)
+    env = {o.name: v for o, v in values.items() if type(o) is EVar}
+    direct = semantics.eval(ECase(w, e.clauses, e.default_rhs))
+    if want is not None and semantics.eval(substitute(want, env)) != direct:
+        raise SoundnessError(f"validation wants {format_expr(want)} where evaluation gives {direct!r}")
+    via_tree = semantics.eval(substitute(leaf.rhs, env))
+    return Disagree(w, f"{detail}; at {format_value(w)} direct evaluation gives {direct!r}, the tree {via_tree!r}")

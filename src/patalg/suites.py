@@ -12,28 +12,17 @@ import itertools
 import random
 
 from . import overlap, semantics, wellformed
-from .compiler import (
-    ClauseMatrix,
-    MatrixRow,
-    compile as compile_matrix,
-    default_matrix,
-    eval_matrix,
-    eval_tree,
-    head_ctors,
-    specialize,
-    step_matrix,
-    tree_invariants_ok,
-)
+from .compiler import compile_case
 from .exhaustiveness import exhaustive, non_exhaustiveness_witness
-from .normalize import combine, to_ndnf
+from .normalize import to_ndnf
 from .oracle import (
     Disagree,
     _gen_pattern,
-    _gen_rhs,
-    differential_compile_check,
+    differential_check_tree,
     enumerate_values,
     gen_case,
     gen_value,
+    validate_tree,
 )
 from .pretty import format_expr, format_pattern, format_value
 from .semantics import ECase, Stepped
@@ -45,7 +34,6 @@ from .syntax import (
     Neg,
     Or,
     Pattern,
-    Var,
     Wild,
     is_proper,
     map_vars,
@@ -523,121 +511,20 @@ def prop_clause_permutation(seed, depth, cases) -> PropertyResult:
 
 
 def prop_differential_compile(seed, depth, cases) -> PropertyResult:
+    """Every compiled tree validates against its case, and agrees with
+    direct evaluation on every scrutinee value up to the depth."""
     res = PropertyResult("compiled trees agree with direct evaluation")
     rng = random.Random(seed)
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
         e = gen_case(STANDARD_DECLS, tau, rng.randrange(1 << 30))
         res.cases += 1
-        outcome = differential_compile_check(e, STANDARD_DECLS, depth, tau)
+        tree = compile_case(e)
+        outcome = validate_tree(e, tree)
+        if not isinstance(outcome, Disagree):
+            outcome = differential_check_tree(e, tree, STANDARD_DECLS, depth, tau)
         if isinstance(outcome, Disagree):
             res.fail(f"{format_expr(e)}: {outcome.detail}")
-    return res
-
-
-def _gen_matrix(rng, taus, depth, disjoint_disjuncts=True):
-    """Random wellformed clause matrix with value scrutinees; columns use
-    disjoint variable pools so rows bind disjointly."""
-    ncols = len(taus)
-    for _ in range(200):
-        rows = []
-        nrows = rng.randint(1, 3)
-        ok = True
-        for r in range(nrows):
-            cells = []
-            rhs_vars = []
-            for c, tau in enumerate(taus):
-                p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
-                p = map_vars(p, lambda x: Var(f"{x.name}_{c}"))
-                facts = wellformed.pattern_facts(p)
-                if not (facts.linear_pos and facts.deterministic()):
-                    ok = False
-                    break
-                d = to_ndnf(p)
-                pairs = itertools.combinations(d.conjuncts, 2)
-                if disjoint_disjuncts and any(combine(a, b) is not None for a, b in pairs):
-                    ok = False
-                    break
-                cells.append(d)
-                rhs_vars.extend(sorted(facts.fv_even))
-            if not ok:
-                break
-            rows.append(MatrixRow(tuple(cells), _gen_rhs(rng, STANDARD_DECLS, rhs_vars)))
-        if not ok:
-            continue
-        scruts = tuple(gen_value(rng, STANDARD_DECLS, tau, depth) for tau in taus)
-        m = ClauseMatrix(scruts, tuple(rows), _gen_rhs(rng, STANDARD_DECLS, []))
-        if wellformed.wf_matrix(m).ok:
-            return m
-    return None
-
-
-def prop_matrix_subproblem_stepping(seed, depth, cases) -> PropertyResult:
-    """Specialization and default matrices preserve and reflect the
-    single-step relation, and stay wellformed."""
-    res = PropertyResult("matrix subproblems preserve stepping and wellformedness")
-    rng = random.Random(seed)
-    combos = ((Named("Color"),), (Named("B"), Named("Color")), (Named("BPair"),))
-    for i in range(cases):
-        taus = combos[i % len(combos)]
-        m = _gen_matrix(rng, taus, depth)
-        if m is None:
-            continue
-        res.cases += 1
-        base = set(step_matrix(m).successors)
-        for col in range(len(m.scrutinees)):
-            heads = head_ctors([row.cells[col] for row in m.rows])
-            v = m.scrutinees[col]
-            if v.ctor in heads:
-                binders = tuple(f"${col}_{j}" for j in range(v.ctor.arity))
-                spec = specialize(col, (v.ctor, binders), m)
-                if not wellformed.wf_matrix(spec).ok:
-                    res.fail(f"specialization broke wellformedness at column {col}")
-                    continue
-                inst = ClauseMatrix(
-                    v.args + spec.scrutinees[v.ctor.arity :],
-                    spec.rows,
-                    spec.default_rhs,
-                )
-                got = set(step_matrix(inst).successors)
-                if got != base:
-                    res.fail(
-                        f"specialized step set differs at column {col}: "
-                        f"{sorted(map(format_expr, got))} vs "
-                        f"{sorted(map(format_expr, base))}"
-                    )
-            else:
-                dflt = default_matrix(col, heads, m)
-                if not wellformed.wf_matrix(dflt).ok:
-                    res.fail(f"default matrix broke wellformedness at column {col}")
-                    continue
-                got = set(step_matrix(dflt).successors)
-                if got != base:
-                    res.fail(f"default step set differs at column {col}")
-    return res
-
-
-def prop_matrix_compile_agreement(seed, depth, cases) -> PropertyResult:
-    res = PropertyResult("tree evaluation agrees with the matrix relation")
-    rng = random.Random(seed)
-    combos = ((Named("Color"),), (Named("B"), Named("Color")), (Named("BList"),))
-    for i in range(cases):
-        taus = combos[i % len(combos)]
-        m = _gen_matrix(rng, taus, depth, disjoint_disjuncts=False)
-        if m is None:
-            continue
-        res.cases += 1
-        tree = compile_matrix(m)
-        if not tree_invariants_ok(tree):
-            res.fail("compiled tree violates its structural invariants")
-            continue
-        direct = eval_matrix(m)
-        via_tree = eval_tree(tree, ())
-        if direct != via_tree:
-            res.fail(
-                f"matrix evaluation {direct!r} differs from tree result "
-                f"{via_tree!r}"
-            )
     return res
 
 
@@ -749,8 +636,6 @@ def run_compile_suite(seed=0, depth=3, cases=200):
         prop_clause_permutation(seed + 11, depth, max(cases // 4, 25)),
         prop_default_clause_not_wildcard(),
         prop_differential_compile(seed + 12, depth, cases),
-        prop_matrix_subproblem_stepping(seed + 13, depth, max(cases // 4, 25)),
-        prop_matrix_compile_agreement(seed + 14, depth, max(cases // 4, 25)),
     ]
 
 

@@ -624,21 +624,6 @@ def format_expr_by_recursion(e):
     return f"{e.name}({', '.join(format_expr_by_recursion(a) for a in e.args)})"
 
 
-def tree_invariants_by_recursion(t, switched=frozenset()):
-    """Reference `compiler.tree_invariants_ok`: one recursion per path of
-    the expanded tree, carrying every scrutinee switched on so far."""
-    if isinstance(t, Leaf):
-        return True
-    ctors = [a.ctor for a in t.arms]
-    if len(set(ctors)) != len(ctors) or t.scrutinee in switched:
-        return False
-    if any(len(a.binders) != a.ctor.arity for a in t.arms):
-        return False
-    inner = switched | {t.scrutinee}
-    subtrees = [a.subtree for a in t.arms] + [t.default_arm]
-    return all(tree_invariants_by_recursion(s, inner) for s in subtrees)
-
-
 def format_tree_by_recursion(t, indent=0):
     pad = "  " * indent
     if isinstance(t, Leaf):

@@ -20,7 +20,7 @@ from patalg.compiler import (
     Leaf,
     MatrixRow,
     Switch,
-    compile as compile_matrix,
+    compile_case,
     default_matrix,
     embed_case,
     specialize,
@@ -126,8 +126,8 @@ WEEKEND_E2 = ECtor(cn("E2", 1), (EVar("y"),))
 WEEKEND_D = ECtor(cn("D0"), ())
 
 
-def _weekend_matrix():
-    case = ECase(
+def _weekend_case():
+    return ECase(
         EVar("x"),
         (
             Clause(And(var("y"), Or(c("Sa"), c("Su"))), WEEKEND_E1),
@@ -137,16 +137,15 @@ def _weekend_matrix():
         ),
         WEEKEND_D,
     )
-    return embed_case(case)
 
 
 def test_criterion_3_compilation_golden():
     """The weekend program compiles to the exact switch, and the
     specialization and default subproblems match the worked matrices."""
-    m = _weekend_matrix()
+    m = embed_case(_weekend_case())
     e1x = ECtor(cn("E1", 1), (EVar("x"),))
     e2x = ECtor(cn("E2", 1), (EVar("x"),))
-    tree = compile_matrix(m)
+    tree = compile_case(_weekend_case())
     assert tree == Switch(
         EVar("x"),
         (
@@ -312,9 +311,9 @@ def test_criterion_8_differential_compilation():
     out = differential_compile_check(lists, BOOL_LIST, 3, Named("List"))
     assert out == Agree(7)
     # Fault injection: a tree with two arms swapped must disagree.
-    from patalg.oracle import Disagree, differential_check_tree
+    from patalg.oracle import Disagree, differential_check_tree, validate_tree
 
-    tree = compile_matrix(embed_case(is_red))
+    tree = compile_case(is_red)
     first = tree.arms[0]
     corrupted = Switch(
         tree.scrutinee,
@@ -323,6 +322,10 @@ def test_criterion_8_differential_compilation():
     )
     faulty = differential_check_tree(is_red, corrupted, COLOR, 1, Named("Color"))
     assert isinstance(faulty, Disagree)
+    # Translation validation accepts the compiled tree and rejects the
+    # corrupted one, for every value at once.
+    assert validate_tree(is_red, tree) == Agree(3)
+    assert isinstance(validate_tree(is_red, corrupted), Disagree)
     _assert_clean(results, 8, "differential compilation, 200+ random programs")
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import c, cn, tree_invariants_by_recursion, v, var
+from helpers import c, cn, v, var
 
 from patalg.compiler import (
     Arm,
@@ -11,7 +11,7 @@ from patalg.compiler import (
     Leaf,
     MatrixRow,
     Switch,
-    compile as compile_matrix,
+    _compile,
     compile_case,
     default_matrix,
     embed_case,
@@ -20,10 +20,9 @@ from patalg.compiler import (
     default_rows,
     specialize,
     specialize_each,
-    step_matrix,
-    tree_invariants_ok,
 )
 from patalg.normalize import Ndnf, NegConj, PosConj, ndnf_wildcard, to_ndnf
+from patalg.oracle import Agree, validate_tree
 from patalg.semantics import (
     Clause,
     ECase,
@@ -186,7 +185,7 @@ def test_core_works_on_any_column_and_reports_bindings():
 
 
 def test_compile_weekend_golden():
-    tree = compile_matrix(weekend_matrix())
+    tree = compile_case(weekend_case())
     e1x = ECtor(cn("E1", 1), (EVar("x"),))
     e2x = ECtor(cn("E2", 1), (EVar("x"),))
     assert tree == Switch(
@@ -201,7 +200,7 @@ def test_compile_weekend_golden():
 
 
 def test_compile_default_only():
-    assert compile_matrix(ClauseMatrix((EVar("s"),), (), D)) == Leaf(D)
+    assert compile_case(ECase(EVar("s"), (), D)) == Leaf(D)
 
 
 def test_compile_single_wildcard_row():
@@ -210,32 +209,23 @@ def test_compile_single_wildcard_row():
         (MatrixRow((to_ndnf(var("x")), ndnf_wildcard()), ECtor(cn("W", 1), (EVar("x"),))),),
         D,
     )
-    assert compile_matrix(m) == Leaf(ECtor(cn("W", 1), (EVar("a"),)))
-
-
-def test_compile_rejects_non_wellformed():
-    m = ClauseMatrix(
-        (EVar("s"),),
-        (
-            MatrixRow((to_ndnf(c("Red")),), E1),
-            MatrixRow((to_ndnf(Wild()),), E2),
-        ),
-        D,
-    )
-    with pytest.raises(CompileError):
-        compile_matrix(m)
+    assert _compile(m) == Leaf(ECtor(cn("W", 1), (EVar("a"),)))
 
 
 def test_compile_case_checks_wellformedness_once(monkeypatch):
     from patalg import wellformed
 
-    golden = compile_matrix(weekend_matrix())
+    golden = compile_case(weekend_case())
+    calls = []
+    real = wellformed.wf_expr
 
-    def no_recheck(*args):
-        raise AssertionError("the embedded matrix was checked again")
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(wellformed, "wf_matrix", no_recheck)
+    monkeypatch.setattr(wellformed, "wf_expr", counted)
     assert compile_case(weekend_case()) == golden
+    assert len(calls) == 1
 
 
 def test_compile_case_rejects_with_report():
@@ -255,8 +245,8 @@ def test_compile_nested_patterns_switches_subscrutinees():
         ),
         D,
     )
-    tree = compile_matrix(embed_case(case))
-    assert tree_invariants_ok(tree)
+    tree = compile_case(case)
+    assert isinstance(validate_tree(case, tree), Agree)
     env = (Mapping("s", v("Cons", v("True"), v("Nil"))),)
     assert eval_tree(tree, env) == Evaluated(v("A", v("Nil")))
     env = (Mapping("s", v("Cons", v("False"), v("Nil"))),)
@@ -277,14 +267,14 @@ def test_binders_are_named_by_occurrence():
     assert inner.arms[0].subtree is Leaf(EVar("$0_1_0"))
     cons = to_ndnf(c("Cons", Wild(), Wild()))
     m = ClauseMatrix((EVar("x"), EVar("y")), (MatrixRow((ndnf_wildcard(), cons), D),), D)
-    assert compile_matrix(m).arms[0].binders == ("$1_0", "$1_1")
+    assert _compile(m).arms[0].binders == ("$1_0", "$1_1")
 
 
 # --- decision tree evaluation ---
 
 
 def test_eval_tree_weekend():
-    tree = compile_matrix(weekend_matrix())
+    tree = compile_case(weekend_case())
     out = eval_tree(tree, (Mapping("x", v("Sa")),))
     assert out == Evaluated(v("E1", v("Sa")))
     out = eval_tree(tree, (Mapping("x", v("Mo")),))
@@ -295,49 +285,3 @@ def test_eval_tree_weekend():
 
 def test_eval_tree_leaf_ignores_env_shape():
     assert eval_tree(Leaf(ECtor(cn("True"), ())), ()) == Evaluated(v("True"))
-
-
-# --- the multi-column step relation ---
-
-
-def test_step_matrix_weekend_on_sa():
-    src = weekend_case()
-    m = embed_case(ECase(v("Sa"), src.clauses, src.default_rhs))
-    r = step_matrix(m)
-    assert r.successors == (ECtor(cn("E1", 1), (v("Sa"),)),)
-
-
-def test_step_matrix_default_when_all_rows_fail():
-    src = weekend_case()
-    m = embed_case(ECase(v("Fr"), src.clauses, src.default_rhs))
-    assert step_matrix(m).successors == (D,)
-
-
-def test_step_matrix_duplicate_rows_nondeterministic():
-    row = MatrixRow((to_ndnf(c("Red")),), ECtor(cn("A0"), ()))
-    row2 = MatrixRow((to_ndnf(Wild()),), ECtor(cn("B0"), ()))
-    m = ClauseMatrix((v("Red"),), (row, row2), D)
-    assert len(step_matrix(m).successors) == 2
-
-
-def test_tree_invariants_on_shared_and_broken_trees():
-    x, y, z = EVar("x"), EVar("y"), EVar("z")
-    a, b, s = cn("A"), cn("B"), cn("S", 1)
-    leaf, other = Leaf(D), Leaf(E1)
-    inner = Switch(y, (Arm(a, (), leaf),), other)
-    via_z, via_y = (Switch(w, (Arm(b, (), inner),), leaf) for w in (z, y))
-    trees = {
-        # The shared node `inner` is reached by two paths, and neither has
-        # switched on y before it: fine.
-        Switch(x, (Arm(a, (), inner), Arm(b, (), via_z)), leaf): True,
-        Switch(x, (Arm(s, ("x_0",), Switch(EVar("x_0"), (), leaf)),), inner): True,
-        # `inner` is reached again below a switch on y.
-        Switch(x, (Arm(a, (), inner), Arm(b, (), via_y)), leaf): False,
-        Switch(x, (Arm(a, (), Switch(x, (), leaf)),), leaf): False,
-        Switch(x, (Arm(a, (), leaf), Arm(a, (), other)), leaf): False,
-        Switch(x, (Arm(s, (), leaf),), leaf): False,
-        leaf: True,
-    }
-    for tree, ok in trees.items():
-        assert tree_invariants_ok(tree) is ok
-        assert tree_invariants_by_recursion(tree) is ok

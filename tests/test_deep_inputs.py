@@ -13,11 +13,13 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
-from patalg.compiler import compile_case, eval_tree, tree_invariants_ok
+from patalg.compiler import compile_case, eval_tree
 from patalg.normalize import to_ndnf
+from patalg.oracle import Agree, validate_tree
 from patalg.parser import parse, parse_pattern
 from patalg.pretty import format_expr, format_ndnf, format_pattern
 from patalg.semantics import ECtor, EVar, Evaluated
@@ -193,9 +195,12 @@ def _s_value(depth: int) -> Value:
 @pytest.mark.parametrize("name, depth", [("deep10k.pat", 10_000), ("complement.pat", 1200)])
 def test_deep_clauses_compile_to_a_valid_dag(name, depth):
     # The clause `S^depth(Z) => Z` is one switch per level.  Its tree is
-    # checked and run in process: printing it is quadratic in the depth.
-    tree = compile_case(parse(PROGRAMS[name]).defs[0].body)
-    assert tree_invariants_ok(tree)
+    # validated and run in process: printing it is quadratic in the depth.
+    case = parse(PROGRAMS[name]).defs[0].body
+    tree = compile_case(case)
+    start = time.process_time()
+    assert validate_tree(case, tree) == Agree(depth + 3)
+    assert time.process_time() - start < 1.0
     z = Value(CtorName("Z", 0), ())
     assert eval_tree(tree, (Mapping("x", _s_value(depth)),)) == Evaluated(z)
     assert eval_tree(tree, (Mapping("x", _s_value(depth - 1)),)) != Evaluated(z)

@@ -1,10 +1,11 @@
-"""Value enumeration, generators and differential checking."""
+"""Value enumeration, generators, differential checking and translation
+validation."""
 
 import pytest
 
 from helpers import BOOL_LIST, COLOR, DAYS, c, cn, v, var
 
-from patalg.compiler import Arm, Switch, compile as compile_matrix, embed_case
+from patalg.compiler import Arm, Leaf, Switch, compile_case, eval_tree
 from patalg.oracle import (
     Agree,
     Disagree,
@@ -13,9 +14,10 @@ from patalg.oracle import (
     enumerate_values,
     gen_case,
     gen_pattern,
+    validate_tree,
 )
-from patalg.semantics import Clause, ECase, ECtor, EVar
-from patalg.syntax import And, Neg, Or, Wild
+from patalg.semantics import Clause, ECase, ECtor, EVar, eval as eval_expr
+from patalg.syntax import And, Mapping, Neg, Or, Wild
 from patalg.typecheck import Bool, DataDecls, Named
 from patalg.wellformed import deterministic, linear_neg, linear_pos, wf_expr
 
@@ -159,7 +161,7 @@ def test_differential_detects_corrupted_tree():
         ECtor(cn("We"), ()),
     )
     merged = DataDecls(dict(COLOR.types | DAYS.types))
-    tree = compile_matrix(embed_case(e))
+    tree = compile_case(e)
     assert isinstance(tree, Switch)
     # Swap the subtrees of the first two arms.
     a, b = tree.arms[0], tree.arms[1]
@@ -172,3 +174,118 @@ def test_differential_detects_corrupted_tree():
     out = differential_check_tree(e, corrupted, merged, 1, Named("Color"))
     assert isinstance(out, Disagree)
     assert out.witness in (v("Red"), v("Green"))
+
+
+def test_gen_case_is_wellformed_for_every_suite_type():
+    # `gen_case` builds its clauses with the tests `wf_expr` makes and
+    # does not call it; the cases the suites draw must pass it.
+    import random
+
+    from patalg.suites import _TAUS, STANDARD_DECLS
+
+    for seed in range(1, 13):
+        rng = random.Random(seed)
+        for i in range(100):
+            e = gen_case(STANDARD_DECLS, _TAUS[i % len(_TAUS)], rng.randrange(1 << 30))
+            assert wf_expr(e).ok, e
+
+
+# --- translation validation -----------------------------------------------------
+
+
+def _case(source):
+    from patalg.parser import parse
+
+    return parse(source).defs[0].body
+
+
+WEEKEND = _case(
+    "data Day = Mo | Tu | We | Th | Fr | Sa | Su; data R = E1(Day) | E2(Day) | D0;"
+    "def f(x) := case x of { y & (Sa | Su) => E1(y), y & !(Fr | Sa | Su) => E2(y), default => D0 };"
+)
+IS_RED = _case(
+    "data Color = Red | Green | Blue;"
+    "def f(x) := case x of { Red => Red, !Red => Green, default => Blue };"
+)
+LISTS = _case(
+    "data B = True | False; data List = Nil | Cons(B, List);"
+    "def f(x) := case x of { Nil => True, Cons(_, t) => Cons(False, t), default => Nil };"
+)
+
+
+def _mutants():
+    """Hand-made faults in the compiled weekend, is_red and lists trees:
+    name -> (case, faulty tree)."""
+    week, red, lists = (compile_case(e) for e in (WEEKEND, IS_RED, LISTS))
+    fr, sa, su = week.arms
+    cons, nil = lists.arms
+    x = week.scrutinee
+
+    def weekend(*arms, default=week.default_arm):
+        return WEEKEND, Switch(x, arms, default)
+
+    def in_cons(arm):
+        return LISTS, Switch(x, (arm, nil), lists.default_arm)
+
+    wrong_tail = Leaf(ECtor(cn("Cons", 2), (v("False"), EVar("$0_0"))))
+    return {
+        "swapped arm": weekend(Arm(fr.ctor, (), sa.subtree), Arm(sa.ctor, (), fr.subtree), su),
+        "clause rhs for the default": weekend(Arm(fr.ctor, (), sa.subtree), sa, su),
+        "second switch on one occurrence": weekend(fr, Arm(sa.ctor, (), week), su),
+        "duplicate arm constructors": weekend(fr, sa, sa),
+        "leaf for a switch": (IS_RED, red.default_arm),
+        "occurrence not yet exposed": (
+            IS_RED,
+            Switch(x, (Arm(cn("Red"), (), Switch(EVar("$0_0"), (), red.arms[0].subtree)),), red.default_arm),
+        ),
+        "wrong binder in a leaf": in_cons(Arm(cons.ctor, cons.binders, wrong_tail)),
+        "binder count unlike the arity": in_cons(Arm(cons.ctor, ("$0_0",), cons.subtree)),
+    }
+
+
+def test_validator_rejects_each_mutant():
+    mutants = _mutants()
+    assert len(mutants) == 8
+    for name, (case, tree) in mutants.items():
+        assert isinstance(validate_tree(case, compile_case(case)), Agree)
+        out = validate_tree(case, tree)
+        assert isinstance(out, Disagree), name
+        if name in ("swapped arm", "clause rhs for the default", "leaf for a switch", "wrong binder in a leaf"):
+            # The witness takes the faulty leaf, where the two routes differ.
+            direct = eval_expr(ECase(out.witness, case.clauses, case.default_rhs))
+            assert direct != eval_tree(tree, (Mapping("x", out.witness),)), name
+            assert f"direct evaluation gives {direct!r}" in out.detail, name
+
+
+def test_wrong_leaf_below_depth_one_escapes_enumeration():
+    case, tree = _mutants()["wrong binder in a leaf"]
+    assert differential_check_tree(case, tree, BOOL_LIST, 1, Named("List")) == Agree(1)
+    out = validate_tree(case, tree)
+    assert out.witness.ctor == cn("Cons", 2)
+    assert out.detail.startswith("after x is Cons: ")
+
+
+def test_switch_faults_name_the_occurrence():
+    _, twice = _mutants()["second switch on one occurrence"]
+    _, early = _mutants()["occurrence not yet exposed"]
+    assert "the switch tests x again" in validate_tree(WEEKEND, twice).detail
+    assert "before an arm exposes it" in validate_tree(IS_RED, early).detail
+
+
+def test_validator_settles_a_kleene_unknown_at_a_leaf():
+    # No value matches the clause, and the compiler never tests x, so the
+    # clause is unknown at the leaf; the emptiness search settles it no.
+    case = _case("data T = A | B; def f(x) := case x of { y & !(A | !A) => B, default => A };")
+    tree = compile_case(case)
+    assert tree == Leaf(v("A"))
+    assert validate_tree(case, tree) == Agree(1)
+    assert isinstance(validate_tree(case, Leaf(v("B"))), Disagree)
+
+
+def test_validation_is_linear_in_the_states_of_orprod():
+    # The A and B arms of each argument reach one subtree in one state.
+    from test_shared_trees import _orprod
+
+    for n in range(4, 13):
+        case = _case(_orprod(n))
+        assert validate_tree(case, compile_case(case)) == Agree(2 * n + 3)

@@ -434,8 +434,9 @@ def test_cli_norm_stages(capsys):
 
 
 def test_cli_fuzz_compile_seed_2(capsys):
-    # At this seed the suite generates cases that `check` accepts but whose
-    # embedded matrices `wf_matrix` would reject; compile must accept them.
+    # At this seed the suite generates `(Tu | _) & z`, a deterministic
+    # clause whose normal form has two overlapping conjuncts that both bind
+    # `z`; `check` accepts it, so compile must too, and its tree validates.
     assert main(["fuzz", "--suite", "compile", "--seed", "2", "--depth", "4", "--cases", "400"]) == 0
     capsys.readouterr()
 

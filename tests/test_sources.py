@@ -144,3 +144,34 @@ def test_no_new_recursive_functions():
     assert sorted(found - RECURSIVE_ALLOWED) == []
     # An entry whose function no longer recurses leaves the list.
     assert sorted(RECURSIVE_ALLOWED - found) == []
+
+
+def test_validator_shares_no_code_with_the_compiler():
+    # `oracle.validate_tree` checks `normalize` and the compiler together,
+    # so of theirs it may read only the tree's node classes.  Its helpers
+    # are the module-level names it reaches.
+    path = SRC / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    source, top = {}, {}  # imported name -> its module; top-level name -> its node
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            source.update((a.asname or a.name, node.module) for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            top[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        top[n.id] = node
+    reached, used, todo = set(), set(), ["validate_tree"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            ids = {n.id for n in ast.walk(top[name]) if isinstance(n, ast.Name)}
+            used |= ids
+            todo.extend(ids & set(top))
+    assert {"_read", "_learn", "_witness", "_fault"} <= reached
+    assert {n for n in used if source.get(n) == "compiler"} <= {"Leaf", "Arm", "Switch"}
+    assert {n for n in used if source.get(n) == "normalize"} == set()
+    assert {"compiler", "normalize"} & used == set()
