@@ -8,12 +8,12 @@ reduction rule that the step relation and the evaluation machine share
 a normalized disjunctive form (`normalize`), overlap deciding (`overlap`),
 compilation to decision trees (`compiler`), exhaustiveness checking
 (`exhaustiveness`), and brute-force oracles with property suites
-(`oracle`, `suites`).  Overlap and exhaustiveness ask whether some value
-matches a conjunct of a normal form, through one inhabitant search for
-the closed world (`inhabitant`).
-The overlap check of a case decides only the clause pairs that an index
-on head constructors leaves (`candidate_pairs`), and one pass over a
-pattern gives its linearity and determinism facts (`pattern_facts`).
+(`oracle`, `suites`).  Overlap and exhaustiveness ask one question of the
+source patterns, whether some value matches a boolean combination of them
+(`useful_witness`), so `patc check` never normalizes: only the compiler
+does.  One pass over a pattern gives its linearity, determinism and root
+facts (`pattern_facts`), and the overlap check of a case decides only the
+clause pairs an index on root facts leaves (`candidate_pairs`).
 Values are expressions: `Value` is the one node for ground data, matched
 by patterns and produced by evaluation.  The `patc` command line fronts
 it.
@@ -82,7 +82,7 @@ from .compiler import (
     specialize,
     specialize_each,
 )
-from .exhaustiveness import exhaustive, inhabitant, useful_witness
+from .exhaustiveness import exhaustive, useful_witness
 from .oracle import differential_compile_check, enumerate_values, gen_pattern, validate_tree
 
 __all__ = [name for name in dir() if not name.startswith("_")]

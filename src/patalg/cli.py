@@ -11,7 +11,7 @@ import sys
 from typing import Optional
 
 from . import semantics, wellformed
-from .compiler import CompileError, Leaf, compile_case, head_ctors
+from .compiler import CompileError, Leaf, compile_case
 from .exhaustiveness import SignatureError, infer_scrutinee_type, useful_witness
 from .normalize import dnf, nnf, to_ndnf
 from .parser import (
@@ -104,11 +104,11 @@ def cmd_check(args) -> int:
 
 
 def _report_exhaustiveness(path, def_name, site, prog: Program) -> None:
-    """Exhaustiveness of a case site, typed by the NDNFs `wf_expr` kept."""
+    """Exhaustiveness of a case site, typed by its clauses' root facts."""
     where = _site_name(site.where)
     rows = tuple((c.pattern,) for c in site.case.clauses)
     try:
-        col_types = (infer_scrutinee_type(head_ctors(site.ndnfs), prog.decls),)
+        col_types = (infer_scrutinee_type(site.roots, prog.decls),)
     except ValueError:
         col_types = None
     try:

@@ -126,23 +126,14 @@ DecisionTree = Union[Leaf, Switch]
 
 def embed_case(e: ECase) -> ClauseMatrix:
     """Embed an ordinary case expression as a one-column matrix, running
-    every clause pattern through normalization.  Pattern variables named
-    like the scrutinee are renamed apart first, because compilation
+    every clause pattern through normalization once.  Pattern variables
+    named like the scrutinee are renamed apart first, because compilation
     substitutes the scrutinee for bound variables step by step, and a later
     step would capture it."""
-    return _embed(e, [None] * len(e.clauses))
-
-
-def _embed(e: ECase, ndnfs) -> ClauseMatrix:
-    """`embed_case` given the NDNF of each clause pattern, None where not
-    known; a clause `_unshadow` renames is normalized again."""
     if not isinstance(e.scrutinee, (EVar, Value)):
         raise CompileError("case scrutinee must be a variable or a value")
     clauses = [_unshadow(c, e.scrutinee) for c in e.clauses]
-    rows = tuple(
-        MatrixRow((d if u is c and d is not None else to_ndnf(u.pattern),), u.rhs)
-        for c, u, d in zip(e.clauses, clauses, ndnfs)
-    )
+    rows = tuple(MatrixRow((to_ndnf(c.pattern),), c.rhs) for c in clauses)
     return ClauseMatrix((e.scrutinee,), rows, e.default_rhs)
 
 
@@ -206,12 +197,12 @@ class CompileError(ValueError):
 def compile_case(e: ECase) -> DecisionTree:
     """Compile a case expression that passes the wellformedness check of
     `patc check` (`wf_expr`).  That check runs once, on the source
-    patterns, and the NDNFs of the clauses it kept are the rows of the
-    matrix; the matrix is not checked again."""
+    patterns, and normalizes nothing; `embed_case` then normalizes each
+    clause once, for the rows of the matrix, which is not checked again."""
     report = wellformed.wf_expr(e)
     if not report.ok:
         raise CompileError(f"case is not wellformed:\n{report.describe()}", report)
-    return _compile(_embed(e, report.sites[0].ndnfs))
+    return _compile(embed_case(e))
 
 
 def _compile(m: ClauseMatrix) -> DecisionTree:

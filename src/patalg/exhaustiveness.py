@@ -1,14 +1,14 @@
-"""Usefulness and exhaustiveness as one emptiness question.
+"""Usefulness, exhaustiveness and overlap as one emptiness question.
 
 Patterns express their own complement: a vector of patterns `q` is useful
-for rows of patterns when `q & !r_1 & ... & !r_m` has a value, and rows are
-exhaustive when the all-wildcard vector is not useful.  With several
-columns, the vector and each row are wrapped in the reserved constructor
-`$row/n`.  The witness is a value of the first conjunct of that pattern's
-normal form that has one (`inhabitant`, the one closed-world inhabitant
-search, which typed overlap asks too), found by a search that does not
-build the normal form.  Every witness is checked by matching it against
-the source patterns.
+for rows of patterns when `q & !r_1 & ... & !r_m` has a value, rows are
+exhaustive when the all-wildcard vector is not useful, and two patterns
+overlap when `p & q` has one (`overlap.decide`).  With several columns,
+the vector and each row are wrapped in the reserved constructor `$row/n`.
+The witness is the least value of the first conjunct of that pattern's
+normal form that has one, found by a search that does not build the
+normal form.  Every witness is checked by matching it against the
+source patterns.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from .normalize import NegConj, PosConj
 from .syntax import (
     Absurd, And, Ctor, CtorName, Neg, Or, SoundnessError, Value, Var, Wild, fold, pattern_kids,
 )
@@ -39,47 +38,22 @@ class SignatureError(ValueError):
         super().__init__(f"constructors {shown} span no single declared type")
 
 
-def infer_scrutinee_type(heads, decls: DataDecls) -> Type:
-    """Scrutinee type from the head constructors of the clause patterns
-    (`compiler.head_ctors` of their NDNFs)."""
+def infer_scrutinee_type(roots, decls: DataDecls) -> Type:
+    """Scrutinee type from the constructors that the root facts of the
+    clause patterns name (`overlap.roots_step`): heads and ban sets."""
+    heads = frozenset().union(*(h | (bans or h) for h, _, bans in roots))
     owners = {decls.owner(c) for c in heads if decls.owner(c) is not None}
     if len(owners) != 1:
         raise ValueError("cannot infer the scrutinee type from the clause patterns")
     return Named(owners.pop())
 
 
-def inhabitant(k, tau: Optional[Type], decls: Optional[DataDecls]) -> Optional[Value]:
-    """A value of type `tau` matching the satisfiable conjunct `k`, or None
-    when the type has none.  Arguments of a known type get their declared
-    types.  Of an unknown type (None), a negative conjunct takes the type
-    declaring its ban set (SignatureError if none does), or with no ban
-    set or no declarations (None) the open world's `$any`.  Runs on an explicit stack, left to
-    right, and stops at the first argument without a value."""
-    done: list = []  # finished values, the last ones the pending arguments
-    todo: list = [(k, tau, False)]
-    while todo:
-        k, tau, build = todo.pop()
-        if build:
-            start = len(done) - k.ctor.arity
-            done[start:] = [Value(k.ctor, tuple(done[start:]))]
-        elif type(k) is PosConj:
-            if tau is None:
-                arg_types = (None,) * k.ctor.arity
-            elif (arg_types := dict(signature_of(tau, decls)).get(k.ctor)) is None:
-                return None
-            todo.append((k, tau, True))
-            todo.extend((a, t, False) for a, t in reversed(tuple(zip(k.args, arg_types))))
-        else:
-            v = _outside(k.banned, tau, decls)
-            if v is None:
-                return None
-            done.append(v)
-    return done[0]
-
-
 def _outside(banned, tau, decls) -> Optional[Value]:
-    """The first constructor of `tau`, in declaration order, that is not
-    banned and whose argument types have values, over their least values."""
+    """The least value outside `banned`: the first constructor of `tau`, in
+    declaration order, that is not banned and whose argument types have
+    values, over their least values.  An unknown type (None) is the one
+    declaring the ban set (SignatureError if none does), or with no ban set
+    or no declarations the open world's `$any` is the value."""
     if tau is None:
         if not banned or decls is None:
             return Value(ANY_CTOR, ())
@@ -203,11 +177,17 @@ def _first_value(query, rows, types, row, decls) -> Optional[Value]:
         n = head.arity if type(head) is CtorName else 0
         return tuple((kid(pos, head, i), None) for i in range(n))
 
-    def step(pos, _, results):
-        head = at.get(pos)
-        if type(head) is CtorName:
-            return PosConj(frozenset(), head, tuple(results))
-        return NegConj(frozenset(), frozenset(head or ()))
+    def least(pos, _, results):  # the branch's least value at `pos`, None, or the error
+        head, tau = at.get(pos), pos_types[pos]
+        if type(head) is not CtorName:
+            try:
+                return _outside(frozenset(head or ()), tau, decls)
+            except SignatureError as err:
+                return err
+        if tau is not None and head not in dict(signature_of(tau, decls)):
+            return None
+        failed = [r for r in results if type(r) is not Value]  # the first one decides
+        return failed[0] if failed else Value(head, tuple(results))
 
     while choices:
         goals, mark, disjoint, seen = choices.pop()
@@ -284,14 +264,10 @@ def _first_value(query, rows, types, row, decls) -> Optional[Value]:
             else:
                 raise TypeError(f"not a pattern: {q!r}")
         else:
-            k = fold(0, step, None, kids)
-            values: list = []
-            for cell, tau in zip((k,) if n == 1 else k.args, types):
-                if (v := inhabitant(cell, tau, decls)) is None:
-                    break
-                values.append(v)
-            else:
-                v = values[0] if n == 1 else Value(row, tuple(values))
+            v = fold(0, least, None, kids)
+            if type(v) is SignatureError:
+                raise v
+            if v is not None:
                 if not disjoint:
                     return v
                 while choices[-1][2] is not None:  # drop the probe's other branches

@@ -13,10 +13,9 @@ import itertools
 import random
 from typing import Optional, Union
 
-from . import semantics, wellformed
-from .compiler import DecisionTree, Leaf, Switch, compile_case, eval_tree, head_ctors
+from . import overlap, semantics, wellformed
+from .compiler import DecisionTree, Leaf, Switch, compile_case, eval_tree
 from .exhaustiveness import infer_scrutinee_type, useful_witness
-from .normalize import to_ndnf
 from .pretty import format_expr, format_pattern, format_value
 from .semantics import Clause, ECase, ECtor, EVar, Evaluated, substitute
 from .syntax import (
@@ -149,14 +148,11 @@ def gen_case(
     pairwise disjoint by construction, by the tests `wf_expr` makes;
     right-hand sides mention the bound variables, and their cases have one
     variable clause each, so the case needs no further check.  Each
-    candidate pattern is normalized once, and decided against the NDNFs of
-    the clauses already accepted."""
-    from . import overlap
-
+    candidate pattern is decided, on the source patterns, against each
+    clause already accepted whose root facts meet its own."""
     rng = random.Random(seed)
     for _ in range(_MAX_RETRIES):
-        clauses = []
-        ndnfs = []
+        clauses = []  # (pattern, right-hand side, root facts)
         want = rng.randint(1, max_clauses)
         tries = 0
         while len(clauses) < want and tries < 50:
@@ -165,20 +161,12 @@ def gen_case(
             facts = wellformed.pattern_facts(p)
             if not (facts.linear_pos and facts.deterministic()):
                 continue
-            d = to_ndnf(p)
-            if any(overlap.decide(d, q) for q in ndnfs):
+            if any(overlap.roots_meet(facts.roots, r) and overlap.decide(p, q) for q, _, r in clauses):
                 continue
-            rhs = _gen_rhs(rng, decls, sorted(facts.fv_even))
-            clauses.append((p, rhs))
-            ndnfs.append(d)
-        if not clauses:
-            continue
-        default_rhs = _gen_rhs(rng, decls, [])
-        return ECase(
-            EVar(scrutinee),
-            tuple(Clause(p, rhs) for p, rhs in clauses),
-            default_rhs,
-        )
+            clauses.append((p, _gen_rhs(rng, decls, sorted(facts.fv_even)), facts.roots))
+        if clauses:
+            body = tuple(Clause(p, rhs) for p, rhs, _ in clauses)
+            return ECase(EVar(scrutinee), body, _gen_rhs(rng, decls, []))
     raise GenerationError("no wellformed case expression found")
 
 
@@ -267,8 +255,8 @@ def differential_check_tree(
     if not isinstance(e.scrutinee, EVar):
         raise ValueError("differential checking needs a variable scrutinee")
     if tau is None:
-        heads = head_ctors([to_ndnf(c.pattern) for c in e.clauses])
-        tau = infer_scrutinee_type(heads, decls)
+        roots = [wellformed.pattern_facts(c.pattern).roots for c in e.clauses]
+        tau = infer_scrutinee_type(roots, decls)
     n = 0
     for v in enumerate_values(decls, tau, depth):
         direct = semantics.eval(ECase(v, e.clauses, e.default_rhs), fuel)

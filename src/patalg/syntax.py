@@ -321,7 +321,7 @@ def fold(root, step, ctx=True, kids=pattern_kids):
     return done[(root, ctx)]
 
 
-def _rebuild(node, results):
+def rebuild(node, results):
     """`node` with its operands replaced by `results`."""
     kind = type(node)
     if kind is Neg:
@@ -357,7 +357,7 @@ def map_vars(p: Pattern, f) -> Pattern:
     pattern `f(Var)`."""
 
     def step(node, _, results):
-        return f(node) if type(node) is Var else _rebuild(node, results)
+        return f(node) if type(node) is Var else rebuild(node, results)
 
     return fold(p, step)
 

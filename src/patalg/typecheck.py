@@ -82,20 +82,10 @@ class DataDecls:
         self._arg_types = arg_types_of
         self._least: Optional[dict] = None
 
-    def declare(self, type_name: str, ctors) -> None:
-        self.types[type_name] = tuple(ctors)
-        self._check()
-
-    def has_type(self, name: str) -> bool:
-        return name in self.types
-
     def ctors_of(self, type_name: str):
         if type_name not in self.types:
             raise DeclError(f"unknown type {type_name}")
         return self.types[type_name]
-
-    def ctor_names(self, type_name: str):
-        return tuple(c for c, _ in self.ctors_of(type_name))
 
     def owner(self, ctor: CtorName) -> Optional[str]:
         return self._owner.get(ctor)

@@ -6,10 +6,10 @@ can be read off the pattern.  Determinism guarantees that all derivations
 of a match agree on the substitution; its disjointness side conditions are
 decided by the overlap procedure, which is exact for the open world, so
 some patterns deterministic in a closed type are rejected (never the
-other way around).  Both come from
-one post-order pass over a pattern (`pattern_facts`), and the pairwise
-disjointness of a case's clauses or a matrix's rows is decided only on the
-pairs an index on head constructors leaves (`overlap.candidate_pairs`).
+other way around).  Both come from one post-order pass over a pattern
+(`pattern_facts`), with its root facts, and the pairwise disjointness of
+a case's clauses or a matrix's rows is decided, on source patterns, only
+for the pairs an index on root facts leaves (`overlap.candidate_pairs`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import overlap, semantics
-from .normalize import embed_ndnf, to_ndnf
+from .normalize import embed_ndnf
 from .syntax import And, Neg, Or, Pattern, Record, Var, fold
 
 if TYPE_CHECKING:
@@ -44,6 +44,7 @@ class PatternFacts(NamedTuple):
     # a variable its two sides, for each And node with a variable under a
     # negation the negations of its two sides.
     disjoint_pairs: tuple
+    roots: tuple  # (heads, banned, bans), as `overlap.roots_step` reads the pattern
 
     def deterministic(self, decls=None) -> bool:
         """Decides the side conditions in order and stops at the first
@@ -54,9 +55,9 @@ class PatternFacts(NamedTuple):
 def pattern_facts(p: Pattern) -> PatternFacts:
     """Free variables at both negation parities, positive and negative
     linearity and the determinism side conditions of a pattern: one step
-    of `syntax.fold` builds a node's facts from its operands', so no
-    subpattern is walked twice and no Python frame is spent per level."""
-    fe, fo, lp, ln, pairs = fold(p, _facts_step)
+    of `syntax.fold` builds a node's facts, root facts included, from its
+    operands', so no subpattern is walked twice and no frame is spent per level."""
+    fe, fo, lp, ln, pairs, (roots, _) = fold(p, _facts_step)
     # A node's pairs are None or a list of its operands' pairs and then its
     # own pair, so that a node costs no copy of its operands' pairs; they
     # are flattened here, once per occurrence of a shared subpattern.
@@ -67,20 +68,21 @@ def pattern_facts(p: Pattern) -> PatternFacts:
             todo += reversed(item)
         else:
             out.append(item)
-    return PatternFacts(fe, fo, lp, ln, tuple(out))
+    return PatternFacts(fe, fo, lp, ln, tuple(out), roots)
 
 
 def _facts_step(node, _, results):
-    """(fv_even, fv_odd, linear_pos, linear_neg, pairs) of a pattern node."""
+    """(fv_even, fv_odd, linear_pos, linear_neg, pairs, roots) of a node."""
     kind = type(node)
+    roots = overlap.roots_step(node, [r[5] for r in results])
     if kind is Var:
-        return frozenset((node.name,)), _NO_VARS, True, True, None
+        return frozenset((node.name,)), _NO_VARS, True, True, None, roots
     if kind is Neg:
-        fe, fo, lp, ln, pairs = results[0]
-        return fo, fe, ln, lp, pairs
+        fe, fo, lp, ln, pairs, _ = results[0]
+        return fo, fe, ln, lp, pairs, roots
     pairs = [r[4] for r in results if r[4] is not None]
     if kind is Or or kind is And:
-        (l_fe, l_fo, l_lp, l_ln, _), (r_fe, r_fo, r_lp, r_ln, _) = results
+        (l_fe, l_fo, l_lp, l_ln, _, _), (r_fe, r_fo, r_lp, r_ln, _, _) = results
         if kind is Or:
             if l_fe or r_fe:
                 pairs.append((node.left, node.right))
@@ -91,18 +93,18 @@ def _facts_step(node, _, results):
                 pairs.append((Neg(node.left), Neg(node.right)))
             lp = l_lp and r_lp and not (l_fe & r_fe)
             ln = l_ln and r_ln and l_fo == r_fo
-        return _union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln, pairs or None
+        return _union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln, pairs or None, roots
     # A constructor, or a leaf with no operands.
     fe = fo = _NO_VARS
     lp = ln = True
-    for a_fe, a_fo, a_lp, a_ln, _ in results:
+    for a_fe, a_fo, a_lp, a_ln, _, _ in results:
         # Pairwise disjointness of the bindable variables; strictly stronger
         # than an n-ary intersection for three or more arguments, and what
         # properness of the produced substitutions requires.
         lp = lp and a_lp and not (fe & a_fe)
         ln = ln and a_ln and not a_fo
         fe, fo = _union(fe, a_fe), _union(fo, a_fo)
-    return fe, fo, lp, ln, pairs or None
+    return fe, fo, lp, ln, pairs or None, roots
 
 
 def linear_pos(p: Pattern) -> bool:
@@ -125,22 +127,19 @@ class Violation(Record):
 
 
 class CaseSite(NamedTuple):
-    """A case expression `wf_expr` checked, with the NDNF of each of its
-    clause patterns: the one normalization of the clauses, which
-    exhaustiveness checking and compilation read."""
+    """A case expression `wf_expr` checked, with the root facts of each of
+    its clause patterns, which type exhaustiveness checking."""
 
     case: "semantics.ECase"
     where: object  # the position `semantics.subterms` gives it
-    ndnfs: list  # of Ndnf, one per clause
+    roots: list  # of `PatternFacts.roots`, one per clause
 
 
-class WfReport:
+class WfReport(Record):
+    # violations: of Violation; sites: the case sites `wf_expr` checked, in
+    # pre-order, empty for matrices
     __slots__ = ("violations", "sites")
-
-    def __init__(self, violations: tuple, sites: tuple = ()):
-        self.violations = violations  # of Violation
-        # The case sites `wf_expr` checked, in pre-order; empty for matrices.
-        self.sites = sites
+    _defaults = ((),)
 
     @property
     def ok(self) -> bool:
@@ -166,7 +165,7 @@ def wf_expr(e, decls=None) -> WfReport:
     checks every case; a case's violations follow its scrutinee's, each
     clause's come before its right-hand side's, and its overlaps come
     after the last right-hand side's and before its default's.  The report
-    keeps each case with its clauses' NDNFs (`sites`)."""
+    keeps each case with its clauses' root facts (`sites`)."""
     from .pretty import format_pattern
 
     out: list = []
@@ -196,19 +195,19 @@ def wf_expr(e, decls=None) -> WfReport:
                 if not holds:
                     shown = format_pattern(node.pattern)
                     out.append(Violation(rule, _path(where), f"pattern {shown} {says}"))
-            open_sites[-1].ndnfs.append(to_ndnf(node.pattern))
+            open_sites[-1].roots.append(facts.roots)
     return WfReport(tuple(out), tuple(sites))
 
 
 def _overlaps(site: CaseSite, decls, out: list) -> None:
     from .pretty import format_pattern
 
-    clauses, ndnfs = site.case.clauses, site.ndnfs
+    clauses = site.case.clauses
     # Only the pairs the head index leaves can overlap.  Ban sets that fit
     # no declared type are reported at their pair.
-    for i, j in overlap.candidate_pairs(ndnfs):
+    for i, j in overlap.candidate_pairs(site.roots):
         try:
-            if not overlap.decide(ndnfs[i], ndnfs[j], decls):
+            if not overlap.decide(clauses[i].pattern, clauses[j].pattern, decls):
                 continue
             rule, says = "overlap", "overlap"
         except overlap.OverlapTypeError as err:
@@ -229,15 +228,16 @@ def wf_matrix(m: "ClauseMatrix") -> WfReport:
     disjoint bindable variables across the columns of each row, none of
     them named like a scrutinee variable (compilation substitutes the
     scrutinee for bound variables step by step, and a later step would
-    capture it).  Two rows are decided only when the head index of every
-    column leaves them (`overlap.candidate_pairs`); with no column, every
-    pair overlaps."""
+    capture it).  Cells are read as the patterns they embed as.  Two rows
+    are decided only when the head index of every column leaves them
+    (`overlap.candidate_pairs`); with no column, every pair overlaps."""
     out: list = []
     scrutinee_vars = {s.name for s in m.scrutinees if isinstance(s, semantics.EVar)}
-    for r, row in enumerate(m.rows):
+    cells = [[embed_ndnf(cell) for cell in row.cells] for row in m.rows]
+    cell_facts = [[pattern_facts(p) for p in row] for row in cells]
+    for r, row in enumerate(cell_facts):
         fvs = []
-        for c, cell in enumerate(row.cells):
-            facts = pattern_facts(embed_ndnf(cell))
+        for c, facts in enumerate(row):
             for rule, holds, says in (
                 ("nondeterministic", facts.deterministic(), "deterministic"),
                 ("nonlinear", facts.linear_pos, "positively linear"),
@@ -268,12 +268,12 @@ def wf_matrix(m: "ClauseMatrix") -> WfReport:
             )
     pairs = None
     for c in range(len(m.scrutinees)):
-        column = set(overlap.candidate_pairs([row.cells[c] for row in m.rows]))
+        column = set(overlap.candidate_pairs([row[c].roots for row in cell_facts]))
         pairs = column if pairs is None else pairs & column
     if pairs is None:
         pairs = itertools.combinations(range(len(m.rows)), 2)
     for i, j in sorted(pairs):
-        if all(overlap.decide(a, b) for a, b in zip(m.rows[i].cells, m.rows[j].cells)):
+        if all(overlap.decide(a, b) for a, b in zip(cells[i], cells[j])):
             out.append(
                 Violation("overlap", (i, j), f"rows {i} and {j} overlap in every column")
             )

@@ -3,7 +3,7 @@
 import itertools
 from collections import Counter
 
-from patalg import overlap
+from patalg import exhaustiveness, overlap
 from patalg.compiler import Leaf, MatrixRow, default_rows, specialize_each
 from patalg.exhaustiveness import SignatureError
 from patalg.normalize import (
@@ -179,10 +179,10 @@ def deterministic_by_recursion(p, decls=None):
         if isinstance(p, Or):
             if not fv_even(p.left) and not fv_even(p.right):
                 return True
-            return overlap.disjoint(p.left, p.right, decls)
+            return disjoint_by_pairs(p.left, p.right, decls)
         if not fv_odd(p.left) and not fv_odd(p.right):
             return True
-        return overlap.disjoint(Neg(p.left), Neg(p.right), decls)
+        return disjoint_by_pairs(Neg(p.left), Neg(p.right), decls)
     return all(deterministic_by_recursion(a, decls) for a in p.args)
 
 
@@ -193,10 +193,42 @@ def _union_vars(a, b):
     return a | b if a and b else a or b
 
 
+def _meet_roots(a, b):
+    """Root facts (heads, ban sets) of a conjunction: the normal form's
+    conjunct pairs, read at the root."""
+    (ha, ba), (hb, bb) = a, b
+    heads = (ha & hb) | {h for h in ha if any(h not in x for x in bb)}
+    heads |= {h for h in hb if any(h not in x for x in ba)}
+    return heads, [x | y for x in ba for y in bb]
+
+
+def _roots_by_stack(node, kids):
+    """(positive, negative) root facts of a node from its operands', each
+    a pair (heads, list of ban sets): what the root of the normal form
+    shows when arguments are not read."""
+    anything, nothing = (set(), [frozenset()]), (set(), [])
+    kind = type(node)
+    if kind is Neg:
+        return kids[0][1], kids[0][0]
+    if kind is And or kind is Or:
+        (lp, ln), (rp, rn) = kids
+        meet = _meet_roots(lp, rp), _meet_roots(ln, rn)
+        join = (lp[0] | rp[0], lp[1] + rp[1]), (ln[0] | rn[0], ln[1] + rn[1])
+        return (meet[0], join[1]) if kind is And else (join[0], meet[1])
+    if kind is Ctor:
+        head = frozenset((node.ctor,))
+        empty = any(not h and not b for (h, b), _ in kids)
+        pos = nothing if empty else (set(head), [])
+        fails = any(h or b for _, (h, b) in kids)
+        return pos, (set(head) if fails else set(), [head])
+    return (nothing, anything) if kind is Absurd else (anything, nothing)
+
+
 def pattern_facts_by_stack(p):
     """Reference `wellformed.pattern_facts`: one post-order pass over every
-    occurrence of every subpattern, on an explicit stack.  The fold must
-    give the same five fields, its pairs in the same order."""
+    occurrence of every subpattern, on an explicit stack, with root facts
+    kept as lists of ban sets.  The fold must give the same fields, its
+    pairs in the same order."""
     # First every node, each before its children and a later child before
     # an earlier one, so that the reverse order is a left-to-right
     # post-order.
@@ -217,8 +249,13 @@ def pattern_facts_by_stack(p):
             raise TypeError(f"not a pattern: {node!r}")
     pairs: list = []
     done: list = []  # (fv_even, fv_odd, linear_pos, linear_neg) of finished subpatterns
+    roots: list = []  # their root facts, in step with `done`
     for node in reversed(nodes):
         kind = type(node)
+        arity = len(node.args) if kind is Ctor else 2 if kind in (Or, And) else int(kind is Neg)
+        kids = roots[len(roots) - arity :]
+        del roots[len(roots) - arity :]
+        roots.append(_roots_by_stack(node, kids))
         if kind is Ctor:
             start = len(done) - len(node.args)
             args = done[start:]
@@ -257,7 +294,10 @@ def pattern_facts_by_stack(p):
             done.append((frozenset((node.name,)), _NO_VARS, True, True))
         else:
             done.append((_NO_VARS, _NO_VARS, True, True))
-    return PatternFacts(*done.pop(), tuple(pairs))
+    heads, bans = roots.pop()[0]
+    banned = frozenset.intersection(*bans) if bans else None
+    union = frozenset().union(*bans) if bans else None
+    return PatternFacts(*done.pop(), tuple(pairs), (frozenset(heads), banned, union))
 
 
 def wf_expr_all_pairs(e, decls=None):
@@ -297,7 +337,7 @@ def _wf_all_pairs(e, path, decls, out):
         for i in range(len(e.clauses)):
             for j in range(i + 1, len(e.clauses)):
                 try:
-                    if not overlap.decide(ndnfs[i], ndnfs[j], decls):
+                    if not decide_by_pairs(ndnfs[i], ndnfs[j], decls):
                         continue
                     rule, says = "overlap", "overlap"
                 except overlap.OverlapTypeError as err:
@@ -326,7 +366,7 @@ def wf_matrix_all_pairs(m):
         fvs = []
         for col, cell in enumerate(row.cells):
             facts = pattern_facts(embed_ndnf(cell))
-            if not facts.deterministic():
+            if not deterministic_by_recursion(embed_ndnf(cell)):
                 out.append(
                     Violation(
                         "nondeterministic", (r, col), "cell pattern is not deterministic"
@@ -363,7 +403,7 @@ def wf_matrix_all_pairs(m):
     for i in range(len(m.rows)):
         for j in range(i + 1, len(m.rows)):
             cells = zip(m.rows[i].cells, m.rows[j].cells)
-            if not any(not overlap.decide(a, b) for a, b in cells):
+            if not any(not decide_by_pairs(a, b) for a, b in cells):
                 out.append(
                     Violation("overlap", (i, j), f"rows {i} and {j} overlap in every column")
                 )
@@ -671,6 +711,11 @@ def decide_by_pairs(a, b, decls=None):
     return any(_conj_overlap(ka, kb, decls) for ka in a.conjuncts for kb in b.conjuncts)
 
 
+def disjoint_by_pairs(p, q, decls=None):
+    """Reference `overlap.disjoint`, on the normal forms of the patterns."""
+    return not decide_by_pairs(to_ndnf(p), to_ndnf(q), decls)
+
+
 def _conj_overlap(a, b, decls):
     if isinstance(a, NegConj) and isinstance(b, NegConj):
         if decls is None:
@@ -685,7 +730,7 @@ def _conj_overlap(a, b, decls):
                 + ", ".join(sorted(f"{c.name}/{c.arity}" for c in banned))
                 + " do not all belong to one declared type"
             )
-        return banned < set(decls.ctor_names(type_name))
+        return banned < {c for c, _ in decls.ctors_of(type_name)}
     if isinstance(a, NegConj):
         a, b = b, a
     if isinstance(b, NegConj):
@@ -695,6 +740,37 @@ def _conj_overlap(a, b, decls):
     if a.ctor != b.ctor:
         return False
     return all(_conj_overlap(x, y, decls) for x, y in zip(a.args, b.args))
+
+
+def inhabitant(k, tau, decls):
+    """Reference least value: a value of type `tau` matching the
+    satisfiable conjunct `k`, or None when the type has none.  Arguments of
+    a known type get their declared types.  Of an unknown type (None), a
+    negative conjunct takes the type declaring its ban set (SignatureError
+    if none does), or with no ban set or no declarations (None) the open
+    world's `$any`.  Runs on an explicit stack, left to right, and stops at
+    the first argument without a value.  The emptiness search builds the
+    same value of the conjunct its branch reaches."""
+    done: list = []  # finished values, the last ones the pending arguments
+    todo: list = [(k, tau, False)]
+    while todo:
+        k, tau, build = todo.pop()
+        if build:
+            start = len(done) - k.ctor.arity
+            done[start:] = [Value(k.ctor, tuple(done[start:]))]
+        elif type(k) is PosConj:
+            if tau is None:
+                arg_types = (None,) * k.ctor.arity
+            elif (arg_types := dict(signature_of(tau, decls)).get(k.ctor)) is None:
+                return None
+            todo.append((k, tau, True))
+            todo.extend((a, t, False) for a, t in reversed(tuple(zip(k.args, arg_types))))
+        else:
+            v = exhaustiveness._outside(k.banned, tau, decls)
+            if v is None:
+                return None
+            done.append(v)
+    return done[0]
 
 
 ANY = CtorName("$any", 0)

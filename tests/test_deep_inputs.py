@@ -10,6 +10,7 @@ the cause removes the mark.
 
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -62,12 +63,28 @@ def _complementary_program(depth: int) -> str:
     )
 
 
+def _or_product_program(n: int) -> str:
+    # `T(A | B, ..., A | B)` has 2^n conjuncts in normal form; its overlap
+    # with `T(C, _, ..., _)` clashes in the first column.
+    ab = ", ".join(["A | B"] * n)
+    rest = ", _" * (n - 1)
+    return (
+        f"data AB = A | B | C;\ndata T = T({', '.join(['AB'] * n)});\n"
+        f"def f(x: T) := case x of {{ T({ab}) => A, T(C{rest}) => B, default => C }};\n"
+    )
+
+
 PROGRAMS = {
     "deep10k.pat": _case_program(10_000),
     "complement.pat": _complementary_program(1200),
     "deep250.pat": _case_program(250),
     "wide.pat": _wide_program(),
     "body.pat": f"data N = Z | S(N);\ndef f(x: N) := {_nest(3000, 'x')};\nmain := f(Z);\n",
+    "orprod40.pat": _or_product_program(40),
+    "negdeep10k.pat": (
+        "data N = Z | S(N);\n"
+        f"def f(x: N) := case x of {{ !{_nest(10_000, 'Z')} => Z, default => S(Z) }};\n"
+    ),
 }
 
 PATTERNS = {
@@ -180,6 +197,29 @@ def test_deep_or_wide_input_exits_cleanly(argv, programs):
         # A recursive definition is skipped by the typing, not unfolded.
         assert "def main: note: recursive definition; typing skipped" in out.stdout
         assert out.stdout.endswith("ok\n")
+
+
+@pytest.mark.parametrize("argv", [["orprod40.pat", "--typed"], ["negdeep10k.pat"]], ids=_run_id)
+def test_check_builds_no_normal_form(argv, programs):
+    # `check` decides overlap and determinism on the source patterns, so it
+    # builds neither the 2^40 conjuncts of the or-product's normal form nor
+    # the normal form of `!S^10000(Z)`, which is quadratic in the depth.
+    out = subprocess.run(
+        [sys.executable, "-m", "patalg.cli", "check", *argv],
+        cwd=programs,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_cap_memory,
+    )
+    assert "Traceback" not in out.stderr, out.stderr[-500:]
+    assert out.returncode == 0, out.stderr[-500:]
+    assert out.stdout.endswith("ok\n")
+    if argv[0] == "orprod40.pat":
+        # The witness is a T headed by A or B with a C later on.
+        witness = re.search(r"handles e\.g\. T\((.*)\)\n", out.stdout).group(1).split(", ")
+        assert len(witness) == 40 and witness[0] in ("A", "B") and "C" in witness[1:]
 
 
 # --- in process -------------------------------------------------------------------

@@ -22,7 +22,8 @@ from helpers import (
 
 from patalg import oracle, overlap, wellformed
 from patalg.compiler import ClauseMatrix, MatrixRow, head_ctors, specialize_each
-from patalg.normalize import to_ndnf
+from patalg.exhaustiveness import infer_scrutinee_type
+from patalg.normalize import NegConj, PosConj, embed_ndnf, to_ndnf
 from patalg.overlap import OverlapTypeError, candidate_pairs
 from patalg.semantics import Clause, ECase, EVar, Evaluated
 from patalg.suites import STANDARD_DECLS
@@ -53,11 +54,26 @@ def _outcome(check, e, decls):
         return ("OverlapTypeError", str(err))
 
 
-def _agree(e):
+def _agree(e) -> int:
+    """Checks `wf_expr` against the all-pairs reference, and returns the
+    number of typed overlaps the reference cannot compare by type that
+    `wf_expr` decides: `decide` replaces a subpattern no value matches by
+    `#` before it searches, so the constructors only that subpattern names
+    leave the ban sets it compares (see `test_emptiness`)."""
+    typed_only = 0
     for decls in (None, STANDARD_DECLS):
-        assert _outcome(wellformed.wf_expr, e, decls) == _outcome(
-            wf_expr_all_pairs, e, decls
-        )
+        got = _outcome(wellformed.wf_expr, e, decls)
+        want = _outcome(wf_expr_all_pairs, e, decls)
+        if got == want:
+            continue
+        assert decls is not None and len(got) == len(want), (got, want)
+        for g, w in zip(got, want):
+            if g != w:
+                assert (g.path, w.rule) == (w.path, "overlap-type"), (g, w)
+                pair = w.message.split(" cannot ")[0]
+                assert g.message.startswith(pair), (g, w)
+                typed_only += 1
+    return typed_only
 
 
 def _case(patterns, rhs=None):
@@ -68,7 +84,7 @@ def _case(patterns, rhs=None):
 def test_wf_expr_agrees_with_all_pairs_on_generated_cases():
     for seed in range(300):
         tau = Named(TAUS[seed % len(TAUS)])
-        _agree(oracle.gen_case(STANDARD_DECLS, tau, seed, max_clauses=4))
+        assert _agree(oracle.gen_case(STANDARD_DECLS, tau, seed, max_clauses=4)) == 0
 
 
 def test_wf_expr_agrees_with_all_pairs_on_mixed_clauses():
@@ -77,6 +93,7 @@ def test_wf_expr_agrees_with_all_pairs_on_mixed_clauses():
     pairs are reported in typed mode), nested in right-hand sides too."""
     rng = random.Random(7)
     seen = Counter()
+    typed_only = 0
     for seed in range(300):
         taus = [TAUS[seed % len(TAUS)]] if seed % 3 else rng.sample(TAUS, 2)
         patterns = []
@@ -86,13 +103,16 @@ def test_wf_expr_agrees_with_all_pairs_on_mixed_clauses():
             patterns.append(Neg(p) if rng.random() < 0.3 else p)
         inner = _case(patterns[:2])
         e = _case(patterns, inner if seed % 2 else None)
-        _agree(e)
+        typed_only += _agree(e)
         for decls in (None, STANDARD_DECLS):
             outcome = _outcome(wellformed.wf_expr, e, decls)
             seen.update(v.rule for v in outcome if isinstance(v, Violation))
     # The mix reaches every rule, the typed report of ban sets that span
     # two types included, so the agreement above is not vacuous.
     assert {"overlap", "overlap-type", "nonlinear", "nondeterministic"} <= set(seen)
+    # `!(Sa & Tu)` and `!T`: the reference bans Sa and T together, where
+    # `decide` reads `!#` and finds the two overlap.
+    assert typed_only == 1
 
 
 def test_wf_expr_agrees_on_hand_built_conjunct_mixes():
@@ -106,7 +126,7 @@ def test_wf_expr_agrees_on_hand_built_conjunct_mixes():
         [And(Neg(red), Neg(green)), Neg(blue), red, Neg(Or(Or(red, green), blue))],
     ]
     for patterns in cases:
-        _agree(_case(patterns))
+        assert _agree(_case(patterns)) == 0
 
 
 def test_typed_negative_pairs_are_reported_at_their_pairs():
@@ -124,23 +144,68 @@ def test_typed_negative_pairs_are_reported_at_their_pairs():
 
 
 def test_pairs_left_out_never_overlap():
+    # On generated patterns, and on the patterns their normal forms embed as.
     for seed in range(200):
         rng = random.Random(seed)
         tau = Named(TAUS[seed % len(TAUS)])
-        ndnfs = [
-            to_ndnf(
-                oracle.gen_pattern(STANDARD_DECLS, tau, rng.randint(0, 3), seed * 10 + k)
-            )
+        patterns = [
+            oracle.gen_pattern(STANDARD_DECLS, tau, rng.randint(0, 3), seed * 10 + k)
             for k in range(rng.randint(1, 7))
         ]
-        pairs = candidate_pairs(ndnfs)
-        assert pairs == sorted(set(pairs))
-        assert all(i < j for i, j in pairs)
-        for i in range(len(ndnfs)):
-            for j in range(i + 1, len(ndnfs)):
-                if (i, j) not in pairs:
-                    assert not overlap.decide(ndnfs[i], ndnfs[j])
-                    assert not overlap.decide(ndnfs[i], ndnfs[j], STANDARD_DECLS)
+        for ps in (patterns, [embed_ndnf(to_ndnf(p)) for p in patterns]):
+            pairs = candidate_pairs([wellformed.pattern_facts(p).roots for p in ps])
+            assert pairs == sorted(set(pairs))
+            assert all(i < j for i, j in pairs)
+            for i in range(len(ps)):
+                for j in range(i + 1, len(ps)):
+                    if (i, j) not in pairs:
+                        assert not overlap.decide(ps[i], ps[j])
+                        assert not overlap.decide(ps[i], ps[j], STANDARD_DECLS)
+
+
+def _ndnf_roots(d) -> tuple:
+    """The root facts of a normal form, read off its conjuncts."""
+    bans = [k.banned for k in d.conjuncts if isinstance(k, NegConj)]
+    heads = frozenset(k.ctor for k in d.conjuncts if isinstance(k, PosConj))
+    if not bans:
+        return heads, None, None
+    return heads, frozenset.intersection(*bans), frozenset.union(*bans)
+
+
+def _type_guess(roots):
+    try:
+        return infer_scrutinee_type(roots, STANDARD_DECLS)
+    except ValueError:
+        return None
+
+
+def test_fact_index_keeps_the_normal_form_index_and_type_guess():
+    """On generated cases, the index built from pattern facts leaves every
+    pair the index built from the clauses' normal forms leaves, and the
+    scrutinee type guessed from them is the one guessed from the normal
+    forms."""
+    seen = Counter()
+    for seed in range(600):
+        tau = Named(TAUS[seed % len(TAUS)])
+        e = oracle.gen_case(STANDARD_DECLS, tau, seed, max_clauses=5)
+        # Overlapping clauses too, so that pairs are left.
+        patterns = [c.pattern for c in e.clauses] + [
+            oracle.gen_pattern(STANDARD_DECLS, tau, seed % 5, seed * 10 + k) for k in range(3)
+        ]
+        roots = [wellformed.pattern_facts(p).roots for p in patterns]
+        exact = [_ndnf_roots(to_ndnf(p)) for p in patterns]
+        from_facts, from_ndnfs = set(candidate_pairs(roots)), set(candidate_pairs(exact))
+        assert from_ndnfs <= from_facts
+        # The guess reads the constructors named, so it is the old
+        # `head_ctors` guess.
+        assert {c for h, _, b in exact for c in h | (b or h)} == head_ctors(
+            [to_ndnf(p) for p in patterns]
+        )
+        guess = _type_guess(roots)
+        assert guess == _type_guess(exact)
+        seen.update(pairs=len(from_ndnfs), more=len(from_facts - from_ndnfs), typed=guess is not None)
+    # The facts leave a few pairs the normal forms rule out, by arguments.
+    assert seen["pairs"] > 2000 and seen["more"] > 0 and seen["typed"] > 500
 
 
 def _random_rows(rng, taus, seed):

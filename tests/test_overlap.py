@@ -1,10 +1,11 @@
-"""The overlap decision procedure."""
+"""The overlap decision procedure, on patterns: the normal forms below are
+given as the patterns they embed as."""
 
 import pytest
 
 from helpers import COLOR, c, cn, var
 
-from patalg.normalize import Ndnf, NegConj, PosConj
+from patalg.normalize import Ndnf, NegConj, PosConj, embed_ndnf
 from patalg.overlap import OverlapTypeError, decide, disjoint
 from patalg.syntax import And, Neg, Wild
 
@@ -14,15 +15,15 @@ GREEN = cn("Green")
 
 
 def _pos(ctor, *args):
-    return Ndnf((PosConj(frozenset(), ctor, tuple(args)),))
+    return embed_ndnf(Ndnf((PosConj(frozenset(), ctor, tuple(args)),)))
 
 
 def _neg(*banned):
-    return Ndnf((NegConj(frozenset(), frozenset(banned)),))
+    return embed_ndnf(Ndnf((NegConj(frozenset(), frozenset(banned)),)))
 
 
 def _unsat():
-    return Ndnf(())
+    return embed_ndnf(Ndnf(()))
 
 
 def test_positive_vs_negative_not_banned():

@@ -175,3 +175,25 @@ def test_validator_shares_no_code_with_the_compiler():
     assert {n for n in used if source.get(n) == "compiler"} <= {"Leaf", "Arm", "Switch"}
     assert {n for n in used if source.get(n) == "normalize"} == set()
     assert {"compiler", "normalize"} & used == set()
+
+
+def _normalize_imports(path) -> set:
+    """The names a module imports from `normalize`; `*` for the module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("normalize", "patalg.normalize"):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "patalg"):
+            names.update("*" for a in node.names if a.name == "normalize")
+        elif isinstance(node, ast.Import):
+            names.update("*" for a in node.names if a.name == "patalg.normalize")
+    return names
+
+
+def test_check_decides_on_source_patterns():
+    # `check` asks the emptiness search of the source patterns and never
+    # normalizes: overlap reads no normal form, and wellformedness embeds
+    # one only where `wf_matrix` is given a matrix of normal forms.
+    assert _normalize_imports(SRC / "compiler.py") >= {"to_ndnf"}  # the scan sees imports
+    assert _normalize_imports(SRC / "overlap.py") == set()
+    assert _normalize_imports(SRC / "wellformed.py") == {"embed_ndnf"}
