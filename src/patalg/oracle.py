@@ -49,15 +49,15 @@ def enumerate_values(decls: Optional[DataDecls], tau: Type, depth: int):
 def _enum(decls, tau, depth) -> tuple:
     if depth < 1:
         return ()
-    out = []
-    for ctor, arg_types in signature_of(tau, decls):
-        if not arg_types:
-            out.append(Value(ctor, ()))
-            continue
-        pools = [_enum(decls, t, depth - 1) for t in arg_types]
-        for combo in itertools.product(*pools):
-            out.append(Value(ctor, combo))
-    return tuple(out)
+    cache = {} if decls is None else decls._pools
+    out = cache.get((tau, depth))
+    if out is None:
+        out = []
+        for ctor, arg_types in signature_of(tau, decls):
+            pools = [_enum(decls, t, depth - 1) for t in arg_types]
+            out.extend(Value(ctor, combo) for combo in itertools.product(*pools))
+        out = cache[(tau, depth)] = tuple(out)
+    return out
 
 
 class GenerationError(RuntimeError):
@@ -174,18 +174,12 @@ def _gen_rhs(rng, decls, bound_vars) -> "semantics.Expression":
     """Small expression built from declared constructors and the bound
     variables, so substitutions are observable in evaluation results."""
     leaves: list = [EVar(x) for x in bound_vars]
-    nullary = [
-        c
-        for ctors in decls.types.values()
-        for c, ats in ctors
-        if not ats
-    ]
-    wrappers = [
-        (c, ats)
-        for ctors in decls.types.values()
-        for c, ats in ctors
-        if ats
-    ]
+    pools = decls._pools.get(_gen_rhs)
+    if pools is None:  # the nullary constructors, and the others with their argument types
+        ctors = [(c, ats) for cs in decls.types.values() for c, ats in cs]
+        nullary = tuple(c for c, ats in ctors if not ats)
+        pools = decls._pools[_gen_rhs] = nullary, tuple(ca for ca in ctors if ca[1])
+    nullary, wrappers = pools
     if not leaves or rng.random() < 0.3:
         leaves.append(ECtor(rng.choice(nullary), ()))
     expr = rng.choice(leaves)
@@ -208,21 +202,16 @@ def _gen_rhs(rng, decls, bound_vars) -> "semantics.Expression":
         shadow = rng.choice(("s", "x", "y"))
         expr = ECase(
             ECtor(rng.choice(nullary), ()),
-            (Clause(Var(shadow), _wrap_var(rng, decls, shadow, expr)),),
+            (Clause(Var(shadow), _wrap_var(rng, wrappers, shadow, expr)),),
             expr,
         )
     return expr
 
 
-def _wrap_var(rng, decls, name, extra):
+def _wrap_var(rng, wrappers, name, extra):
     """Body for a shadowing clause: mention the rebound name, and half the
     time the outer expression too."""
-    wrappers = [
-        (c, ats)
-        for ctors in decls.types.values()
-        for c, ats in ctors
-        if len(ats) >= 2
-    ]
+    wrappers = [ca for ca in wrappers if len(ca[1]) >= 2]
     if wrappers and rng.random() < 0.5:
         ctor, ats = rng.choice(wrappers)
         args = [EVar(name), extra] + [EVar(name)] * (len(ats) - 2)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .exhaustiveness import SignatureError, useful_witness
-from .syntax import Absurd, And, Ctor, Neg, Or, Pattern, fold, rebuild
+from .syntax import Absurd, And, Ctor, Generations, Neg, Or, Pattern, fold, rebuild
 
 
 class OverlapTypeError(ValueError):
@@ -24,8 +24,10 @@ class OverlapTypeError(ValueError):
 
 
 # (p, q) -> does some value match both, in the open world; keyed on the
-# interned patterns.  Fills are idempotent, so concurrent readers are safe.
+# interned patterns.  The young generation of `_decided`, so a long-lived
+# process keeps the pairs it still asks about, not every pair it asked.
 _cache: dict = {}
+_decided = Generations(_cache)
 
 # The root facts of a pattern at one polarity are (heads, banned, bans): a
 # value it matches has its head in `heads`, or outside `banned` where that
@@ -108,7 +110,7 @@ def _merge_step(pair, _, results):
 def decide(p: Pattern, q: Pattern, decls=None) -> bool:
     """True when the emptiness search finds a value of `p & q`, pushed
     into constructors; a pair whose root facts do not meet needs none."""
-    if decls is None and (hit := _cache.get((p, q))) is not None:
+    if decls is None and (hit := _decided.get((p, q))) is not None:
         return hit
     query = fold(And(p, q), _query_step)[0]
     try:
@@ -119,7 +121,7 @@ def decide(p: Pattern, q: Pattern, decls=None) -> bool:
             f"banned constructors {shown} do not all belong to one declared type"
         ) from None
     if decls is None:
-        _cache[(p, q)] = found
+        _decided.put((p, q), found)
     return found
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import MappingProxyType
 
 from . import overlap, semantics, wellformed
 from .compiler import compile_case
@@ -645,11 +646,11 @@ def run_exhaustive_suite(seed=0, depth=3, cases=200):
     ]
 
 
-SUITES = {
+SUITES = MappingProxyType({
     "algebra": run_algebra_suite,
     "compile": run_compile_suite,
     "exhaustive": run_exhaustive_suite,
-}
+})
 
 
 def run_suites(which="all", seed=0, depth=3, cases=200):

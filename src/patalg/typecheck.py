@@ -55,7 +55,7 @@ class DataDecls:
     """Signature table: type name -> ordered constructors with argument
     types.  Constructor names must be unique across declarations."""
 
-    __slots__ = ("types", "_owner", "_arg_types", "_least")
+    __slots__ = ("types", "_owner", "_arg_types", "_least", "_pools")
 
     def __init__(self, types=None):
         self.types = {} if types is None else types  # name -> tuple[(CtorName, tuple[Type])]
@@ -81,6 +81,8 @@ class DataDecls:
         self._owner = seen
         self._arg_types = arg_types_of
         self._least: Optional[dict] = None
+        # The oracle's value pools by (type, depth), and constructor pools.
+        self._pools: dict = {}
 
     def ctors_of(self, type_name: str):
         if type_name not in self.types:

@@ -3,7 +3,7 @@
 import itertools
 from collections import Counter
 
-from patalg import exhaustiveness, overlap
+from patalg import exhaustiveness, overlap, syntax
 from patalg.compiler import Leaf, MatrixRow, default_rows, specialize_each
 from patalg.exhaustiveness import SignatureError
 from patalg.normalize import (
@@ -926,6 +926,15 @@ def _concatenations(sets):
             merged = merged + s
         out.append(merged)
     return out
+
+
+def fresh_match_memo(monkeypatch, generation):
+    """Give `syntax.match_both` an empty memo, whose young generation
+    rotates at `generation` patterns, for the rest of the test."""
+    monkeypatch.setattr(syntax, "GENERATION", generation)
+    monkeypatch.setattr(syntax, "_match_cache", {})
+    monkeypatch.setattr(syntax, "_pairs", {syntax._YES: syntax._YES, syntax._NO: syntax._NO})
+    monkeypatch.setattr(syntax, "_match_memo", syntax.Generations(syntax._match_cache, syntax._pairs))
 
 
 def match_both_by_recursion(p, v):

@@ -1,6 +1,7 @@
 """Checks on the package sources themselves."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -44,6 +45,27 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_module_level_dicts_are_the_bounded_memos():
+    # A module-level dict lives as long as the process, so the only ones
+    # are the weak intern table, the two memos, whose generations bound
+    # them, and the pairs table that rotates with the match memo.  A new
+    # global cache must be one of their generations, or scoped to a call.
+    modules = ["patalg"] + [f"patalg.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__"]
+    found = {
+        f"{module}.{name}"
+        for module in modules
+        for name, value in vars(importlib.import_module(module)).items()
+        if type(value) is dict and not name.startswith("__")
+    }
+    assert len(modules) > 10
+    assert found == {
+        "patalg.syntax._table",
+        "patalg.syntax._match_cache",
+        "patalg.syntax._pairs",
+        "patalg.overlap._cache",
+    }
 
 
 def _self_recursive(path) -> list:

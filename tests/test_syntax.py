@@ -1,9 +1,12 @@
 """Matching, free variables and substitution equivalence."""
 
 import random
+import sys
+import threading
 
-from helpers import BOOL_LIST, c, match_both_by_recursion, v, var
+from helpers import BOOL_LIST, c, fresh_match_memo, match_both_by_recursion, v, var
 
+from patalg import syntax
 from patalg.oracle import _gen_pattern, enumerate_values
 from patalg.syntax import (
     Absurd,
@@ -136,30 +139,73 @@ def test_subst_equiv_ignores_multiplicity():
     assert subst_equiv((m("x", v("2")), m("x", v("2"))), (m("x", v("2")),))
 
 
-def test_match_both_agrees_with_the_reference_order_included():
-    # Two variable names, and a conjunction or disjunction of two generated
-    # patterns, make patterns non-linear and or-patterns bind both ways, so
-    # that many sets hold several substitutions, whose order the canonical
-    # form fixes.
-    rng = random.Random(2024)
+def _reference_pairs(seed, n):
+    """Two variable names, and a conjunction or disjunction of two generated
+    patterns, make patterns non-linear and or-patterns bind both ways, so
+    that many sets hold several substitutions, whose order the canonical
+    form fixes."""
+    rng = random.Random(seed)
     two_names = lambda x: Var("x" if x.name in ("x", "z") else "y")
     universes = {tau: enumerate_values(BOOL_LIST, Named(tau), 3) for tau in ("B", "List")}
 
     def gen(tau):
         return map_vars(_gen_pattern(rng, BOOL_LIST, Named(tau), rng.randint(0, 4)), two_names)
 
-    several = improper = 0
-    for _ in range(3000):
+    pairs = []
+    for _ in range(n):
         tau = rng.choice(("B", "List"))
         p = gen(tau)
         if rng.random() < 0.5:
             p = rng.choice((And, Or))(p, gen(tau))
-        value = rng.choice(universes[tau])
-        got = match_both(p, value)
-        assert got == match_both_by_recursion(p, value), (p, value)
-        several += any(len(ss) > 1 for ss in got)
-        improper += any(not is_proper(s) for ss in got for s in ss)
-    assert several > 200 and improper > 10
+        pairs.append((p, rng.choice(universes[tau])))
+    return pairs
+
+
+def test_match_both_agrees_with_the_reference_order_included(monkeypatch):
+    # On a fresh memo that never rotates, equal memoized results are one
+    # object; with a bound of 8 patterns the memo rotates every few pairs.
+    for generation in (10**9, 8):
+        fresh_match_memo(monkeypatch, generation)
+        several = improper = 0
+        memoized = []
+        for p, value in _reference_pairs(2024, 3000):
+            got = match_both(p, value)
+            assert got == match_both_by_recursion(p, value), (p, value)
+            several += any(len(ss) > 1 for ss in got)
+            improper += any(not is_proper(s) for ss in got for s in ss)
+            if type(p) is not Var:  # a variable's result is built for each call
+                memoized.append(got)
+        assert several > 200 and improper > 10
+        units = [r for r in memoized if r in (syntax._YES, syntax._NO)]
+        assert len(units) > 1000 and all(r is syntax._YES or r is syntax._NO for r in units)
+        if generation > 3000:
+            assert len({id(r) for r in memoized}) == len(set(memoized))
+
+
+def test_threads_matching_across_rotations_get_the_reference_results(monkeypatch):
+    # A short switch interval makes the threads interleave inside the
+    # rotations of a memo bounded at 4 patterns; a rotation may lose
+    # entries, but must change no result.
+    fresh_match_memo(monkeypatch, 4)
+    pairs = _reference_pairs(7, 300)
+    expected = [match_both_by_recursion(p, value) for p, value in pairs]
+    results = [None] * 8
+
+    def match(k):
+        results[k] = [match_both(p, value) for p, value in pairs]
+
+    threads = [threading.Thread(target=match, args=(k,)) for k in range(len(results))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == expected for got in results)
 
 
 # --- bounded pattern equivalence ---
