@@ -149,10 +149,10 @@ def gen_case(
     right-hand sides mention the bound variables, and their cases have one
     variable clause each, so the case needs no further check.  Each
     candidate pattern is decided, on the source patterns, against each
-    clause already accepted whose root facts meet its own."""
+    clause already accepted."""
     rng = random.Random(seed)
     for _ in range(_MAX_RETRIES):
-        clauses = []  # (pattern, right-hand side, root facts)
+        clauses: list = []
         want = rng.randint(1, max_clauses)
         tries = 0
         while len(clauses) < want and tries < 50:
@@ -161,12 +161,11 @@ def gen_case(
             facts = wellformed.pattern_facts(p)
             if not (facts.linear_pos and facts.deterministic()):
                 continue
-            if any(overlap.roots_meet(facts.roots, r) and overlap.decide(p, q) for q, _, r in clauses):
+            if any(overlap.decide(p, c.pattern) for c in clauses):
                 continue
-            clauses.append((p, _gen_rhs(rng, decls, sorted(facts.fv_even)), facts.roots))
+            clauses.append(Clause(p, _gen_rhs(rng, decls, sorted(facts.fv_even))))
         if clauses:
-            body = tuple(Clause(p, rhs) for p, rhs, _ in clauses)
-            return ECase(EVar(scrutinee), body, _gen_rhs(rng, decls, []))
+            return ECase(EVar(scrutinee), tuple(clauses), _gen_rhs(rng, decls, []))
     raise GenerationError("no wellformed case expression found")
 
 

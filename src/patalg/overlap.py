@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import wellformed
 from .exhaustiveness import SignatureError, useful_witness
 from .syntax import Absurd, And, Ctor, Generations, Neg, Or, Pattern, fold, rebuild
 
@@ -23,9 +24,9 @@ class OverlapTypeError(ValueError):
     declared type."""
 
 
-# (p, q) -> does some value match both, in the open world; keyed on the
-# interned patterns.  The young generation of `_decided`, so a long-lived
-# process keeps the pairs it still asks about, not every pair it asked.
+# {p, q} -> does some value match both, in the open world; keyed on the
+# interned pair, lower id first.  The young generation of `_decided`, so a
+# long-lived process keeps the pairs it still asks about, not all it asked.
 _cache: dict = {}
 _decided = Generations(_cache)
 
@@ -37,6 +38,10 @@ _decided = Generations(_cache)
 _NO: frozenset = frozenset()
 _NOTHING, _ANYTHING = (_NO, None, None), (_NO, _NO, _NO)
 _ABSURD = Absurd()
+# A judgment is a pattern read at one polarity: (roots, full, flat), its
+# root facts, whether every value satisfies it, and whether the head alone
+# decides it, so that the root facts are exact.
+_EVERY, _NONE = (_ANYTHING, True, True), (_NOTHING, False, True)
 
 
 def _meet(a, b):
@@ -58,35 +63,36 @@ def _join(a, b):
     return ha | hb, ia & ib, ua | ub
 
 
-def roots_meet(a, b) -> bool:
-    """Do the root facts `a` and `b` admit a common head?"""
-    return _meet(a, b) is not _NOTHING
-
-
 def roots_step(node, results) -> tuple:
-    """The root facts of a pattern node read positively and negatively,
-    from its operands' pairs of them."""
+    """The positive and the negative judgment of a pattern node, from its
+    operands' pairs of them.  `_`, `x` and `#` are flat, and `_` and `x`
+    positively full.  A constructor whose arguments are positively full is
+    flat, and so are `&` and `|` of flat operands.  `&` is positively full
+    where both operands are, negatively where either is; `|` is its dual."""
     kind = type(node)
     if kind is Ctor:
         head = frozenset((node.ctor,))
-        pos, heads = (head, None, None), _NO
-        for r_pos, r_neg in results:
+        pos, heads, flat = (head, None, None), _NO, True
+        for (r_pos, full, _), (r_neg, _, _) in results:
             pos = _NOTHING if r_pos is _NOTHING else pos
             heads = head if r_neg is not _NOTHING else heads  # the head, failing an argument
-        return pos, (heads, head, head)
+            flat = flat and full
+        return (pos, False, flat), ((heads, head, head), False, flat)
     if kind is Neg:
         return results[0][::-1]
     if kind is And or kind is Or:
-        (lp, ln), (rp, rn) = results
-        return (_join(lp, rp), _meet(ln, rn)) if kind is Or else (_meet(lp, rp), _join(ln, rn))
-    return (_NOTHING, _ANYTHING) if kind is Absurd else (_ANYTHING, _NOTHING)
+        (lp, ln), (rp, rn) = results if kind is And else (r[::-1] for r in results)
+        meet = _meet(lp[0], rp[0]), lp[1] and rp[1], lp[2] and rp[2]
+        join = _join(ln[0], rn[0]), ln[1] or rn[1], ln[2] and rn[2]
+        return (meet, join) if kind is And else (join, meet)  # `|` is `&` read negated
+    return (_NONE, _EVERY) if kind is Absurd else (_EVERY, _NONE)
 
 
 def _query_step(node, _, results):
-    """`node` with conjunctions pushed into constructors, and its root facts."""
+    """`node` with conjunctions pushed into constructors, and its judgments."""
     roots = roots_step(node, [r[1] for r in results])
     parts = [r[0] for r in results]
-    if roots[0] is _NOTHING or type(node) is Ctor and _ABSURD in parts:
+    if roots[0][0] is _NOTHING or type(node) is Ctor and _ABSURD in parts:
         return _ABSURD, roots
     if type(node) is And and type(parts[0]) is Ctor and type(parts[1]) is Ctor:
         return fold(tuple(parts), _merge_step, None, _arg_pairs), roots
@@ -108,9 +114,16 @@ def _merge_step(pair, _, results):
 
 
 def decide(p: Pattern, q: Pattern, decls=None) -> bool:
-    """True when the emptiness search finds a value of `p & q`, pushed
-    into constructors; a pair whose root facts do not meet needs none."""
-    if decls is None and (hit := _decided.get((p, q))) is not None:
+    """True when some value matches `p & q`: none when their root facts do
+    not meet, one when they meet in the open world and both are flat, and
+    otherwise as the emptiness search finds, pushed into constructors."""
+    p_facts, q_facts = wellformed.pattern_facts(p), wellformed.pattern_facts(q)
+    if _meet(p_facts.roots, q_facts.roots) is _NOTHING:
+        return False
+    if decls is None and p_facts.pos[2] and q_facts.pos[2]:
+        return True
+    key = (p, q) if id(p) < id(q) else (q, p)
+    if decls is None and (hit := _decided.get(key)) is not None:
         return hit
     query = fold(And(p, q), _query_step)[0]
     try:
@@ -121,7 +134,7 @@ def decide(p: Pattern, q: Pattern, decls=None) -> bool:
             f"banned constructors {shown} do not all belong to one declared type"
         ) from None
     if decls is None:
-        _decided.put((p, q), found)
+        _decided.put(key, found)
     return found
 
 

@@ -172,32 +172,40 @@ class CtorName(Node):
 # --- patterns ---------------------------------------------------------------
 
 
-class Var(Node):
+class _Pattern(Node):
+    """Base of the pattern classes.  Its one slot is not a field: `_facts`
+    is False once the pattern's `wellformed.PatternFacts` were asked for,
+    and holds them from the second ask on."""
+
+    __slots__ = ("_facts",)
+
+
+class Var(_Pattern):
     __slots__ = ("name",)
 
 
-class Ctor(Node):
+class Ctor(_Pattern):
     __slots__ = ("ctor", "args")  # args: tuple of Pattern, one per ctor arity
     _arity = "constructor {}/{} applied to {} subpatterns"
 
 
-class And(Node):
+class And(_Pattern):
     __slots__ = ("left", "right")
 
 
-class Or(Node):
+class Or(_Pattern):
     __slots__ = ("left", "right")
 
 
-class Wild(Node):
+class Wild(_Pattern):
     __slots__ = ()
 
 
-class Absurd(Node):
+class Absurd(_Pattern):
     __slots__ = ()
 
 
-class Neg(Node):
+class Neg(_Pattern):
     __slots__ = ("sub",)
 
 
@@ -403,6 +411,7 @@ class Generations:
         """Store `value` under `key` in the young generation; returns it."""
         young = self.young
         if len(young) >= GENERATION:
+            self.old = {}  # dropped before the copy, not while it is made
             self.old = young.copy()
             young.clear()
             self.pairs.clear()

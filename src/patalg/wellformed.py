@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import overlap, semantics
 from .normalize import embed_ndnf
-from .syntax import And, Neg, Or, Pattern, Record, Var, fold
+from .syntax import And, Neg, Or, Pattern, Record, Var, fold, pattern_kids
 
 if TYPE_CHECKING:
     from .compiler import ClauseMatrix
@@ -33,7 +33,7 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 
 class PatternFacts(NamedTuple):
-    """The facts the wellformedness checks read off a pattern."""
+    """The facts the wellformedness checks and `overlap.decide` read."""
 
     fv_even: frozenset
     fv_odd: frozenset
@@ -44,7 +44,13 @@ class PatternFacts(NamedTuple):
     # a variable its two sides, for each And node with a variable under a
     # negation the negations of its two sides.
     disjoint_pairs: tuple
-    roots: tuple  # (heads, banned, bans), as `overlap.roots_step` reads the pattern
+    pos: tuple  # the two judgments, from `overlap.roots_step`
+    neg: tuple
+
+    @property
+    def roots(self) -> tuple:
+        """The positive root facts: (heads, banned, bans)."""
+        return self.pos[0]
 
     def deterministic(self, decls=None) -> bool:
         """Decides the side conditions in order and stops at the first
@@ -54,35 +60,53 @@ class PatternFacts(NamedTuple):
 
 def pattern_facts(p: Pattern) -> PatternFacts:
     """Free variables at both negation parities, positive and negative
-    linearity and the determinism side conditions of a pattern: one step
-    of `syntax.fold` builds a node's facts, root facts included, from its
-    operands', so no subpattern is walked twice and no frame is spent per level."""
-    fe, fo, lp, ln, pairs, (roots, _) = fold(p, _facts_step)
-    # A node's pairs are None or a list of its operands' pairs and then its
-    # own pair, so that a node costs no copy of its operands' pairs; they
-    # are flattened here, once per occurrence of a shared subpattern.
-    out, todo = [], [pairs or []]
-    while todo:
-        item = todo.pop()
-        if type(item) is list:
-            todo += reversed(item)
-        else:
-            out.append(item)
-    return PatternFacts(fe, fo, lp, ln, tuple(out), roots)
+    linearity, the determinism side conditions and the two judgments of a
+    pattern.  One step of `syntax.fold` builds a node's facts from its
+    operands', or reads those the node keeps, so no subpattern is walked
+    twice and no frame is spent per level.  A pattern keeps its facts from
+    the second ask on, and the first only marks it (the admission rule of
+    2Q, Johnson & Shasha, VLDB 1994): the suites ask once about most of
+    the patterns they generate, which the match memo keeps alive."""
+    facts = getattr(p, "_facts", None)
+    if not facts:
+        asked = facts
+        fe, fo, lp, ln, pairs, pos, neg = fold(p, _facts_step, True, _facts_kids)
+        # A node's pairs are None or a list of its operands' pairs and then
+        # its own pair, so that a node costs no copy of its operands' pairs;
+        # they are flattened here, once per occurrence of a shared subpattern.
+        out, todo = [], [pairs or []]
+        while todo:
+            item = todo.pop()
+            if type(item) is list:
+                todo += reversed(item)
+            else:
+                out.append(item)
+        facts = PatternFacts(fe, fo, lp, ln, tuple(out), pos, neg)
+        object.__setattr__(p, "_facts", asked is not None and facts)
+    return facts
 
 
-def _facts_step(node, _, results):
-    """(fv_even, fv_odd, linear_pos, linear_neg, pairs, roots) of a node."""
+def _facts_kids(node, positive):
+    # A node that keeps its facts is a leaf of the fold.
+    kids = pattern_kids(node, positive)
+    return () if kids and getattr(node, "_facts", None) else kids
+
+
+def _facts_step(node, _, results) -> tuple:
+    """(fv_even, fv_odd, linear_pos, linear_neg, pairs, pos, neg) of a
+    node: the facts it keeps, or built from its operands'."""
+    if not results and (facts := getattr(node, "_facts", None)):
+        return (*facts[:4], list(facts.disjoint_pairs) or None, *facts[5:])
     kind = type(node)
-    roots = overlap.roots_step(node, [r[5] for r in results])
+    pos, neg = overlap.roots_step(node, [r[5:] for r in results])
     if kind is Var:
-        return frozenset((node.name,)), _NO_VARS, True, True, None, roots
+        return frozenset((node.name,)), _NO_VARS, True, True, None, pos, neg
     if kind is Neg:
-        fe, fo, lp, ln, pairs, _ = results[0]
-        return fo, fe, ln, lp, pairs, roots
+        fe, fo, lp, ln, pairs, _, _ = results[0]
+        return fo, fe, ln, lp, pairs, pos, neg
     pairs = [r[4] for r in results if r[4] is not None]
     if kind is Or or kind is And:
-        (l_fe, l_fo, l_lp, l_ln, _, _), (r_fe, r_fo, r_lp, r_ln, _, _) = results
+        (l_fe, l_fo, l_lp, l_ln, *_), (r_fe, r_fo, r_lp, r_ln, *_) = results
         if kind is Or:
             if l_fe or r_fe:
                 pairs.append((node.left, node.right))
@@ -93,18 +117,18 @@ def _facts_step(node, _, results):
                 pairs.append((Neg(node.left), Neg(node.right)))
             lp = l_lp and r_lp and not (l_fe & r_fe)
             ln = l_ln and r_ln and l_fo == r_fo
-        return _union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln, pairs or None, roots
+        return _union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln, pairs or None, pos, neg
     # A constructor, or a leaf with no operands.
     fe = fo = _NO_VARS
     lp = ln = True
-    for a_fe, a_fo, a_lp, a_ln, _, _ in results:
+    for a_fe, a_fo, a_lp, a_ln, *_ in results:
         # Pairwise disjointness of the bindable variables; strictly stronger
         # than an n-ary intersection for three or more arguments, and what
         # properness of the produced substitutions requires.
         lp = lp and a_lp and not (fe & a_fe)
         ln = ln and a_ln and not a_fo
         fe, fo = _union(fe, a_fe), _union(fo, a_fo)
-    return fe, fo, lp, ln, pairs or None, roots
+    return fe, fo, lp, ln, pairs or None, pos, neg
 
 
 def linear_pos(p: Pattern) -> bool:

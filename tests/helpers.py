@@ -224,11 +224,38 @@ def _roots_by_stack(node, kids):
     return (nothing, anything) if kind is Absurd else (anything, nothing)
 
 
+def _flags_by_stack(node, kids):
+    """((full, flat) positively, (full, flat) negatively) of a node from
+    its operands': a judgment is full when every value satisfies it, and
+    flat when only the value's head decides it."""
+    kind = type(node)
+    if kind is Neg:
+        return kids[0][1], kids[0][0]
+    if kind is And or kind is Or:
+        (lp, ln), (rp, rn) = kids
+        both = (lp[0] and rp[0], lp[1] and rp[1]), (ln[0] and rn[0], ln[1] and rn[1])
+        either = (lp[0] or rp[0], lp[1] and rp[1]), (ln[0] or rn[0], ln[1] and rn[1])
+        return (both[0], either[1]) if kind is And else (either[0], both[1])
+    if kind is Ctor:
+        flat = all(pos[0] for pos, _ in kids)
+        return (False, flat), (False, flat)
+    every, none = (True, True), (False, True)
+    return (none, every) if kind is Absurd else (every, none)
+
+
+def _as_roots(heads, bans) -> tuple:
+    """(heads, banned, bans), as `overlap.roots_step` keeps root facts."""
+    banned = frozenset.intersection(*bans) if bans else None
+    union = frozenset().union(*bans) if bans else None
+    return frozenset(heads), banned, union
+
+
 def pattern_facts_by_stack(p):
     """Reference `wellformed.pattern_facts`: one post-order pass over every
     occurrence of every subpattern, on an explicit stack, with root facts
-    kept as lists of ban sets.  The fold must give the same fields, its
-    pairs in the same order."""
+    kept as lists of ban sets and the flags of each judgment computed apart
+    from them.  The fold must give the same fields, its pairs in the same
+    order."""
     # First every node, each before its children and a later child before
     # an earlier one, so that the reverse order is a left-to-right
     # post-order.
@@ -250,12 +277,14 @@ def pattern_facts_by_stack(p):
     pairs: list = []
     done: list = []  # (fv_even, fv_odd, linear_pos, linear_neg) of finished subpatterns
     roots: list = []  # their root facts, in step with `done`
+    flags: list = []  # and their flags
     for node in reversed(nodes):
         kind = type(node)
         arity = len(node.args) if kind is Ctor else 2 if kind in (Or, And) else int(kind is Neg)
-        kids = roots[len(roots) - arity :]
-        del roots[len(roots) - arity :]
-        roots.append(_roots_by_stack(node, kids))
+        for stack, step in ((roots, _roots_by_stack), (flags, _flags_by_stack)):
+            kids = stack[len(stack) - arity :]
+            del stack[len(stack) - arity :]
+            stack.append(step(node, kids))
         if kind is Ctor:
             start = len(done) - len(node.args)
             args = done[start:]
@@ -294,10 +323,13 @@ def pattern_facts_by_stack(p):
             done.append((frozenset((node.name,)), _NO_VARS, True, True))
         else:
             done.append((_NO_VARS, _NO_VARS, True, True))
-    heads, bans = roots.pop()[0]
-    banned = frozenset.intersection(*bans) if bans else None
-    union = frozenset().union(*bans) if bans else None
-    return PatternFacts(*done.pop(), tuple(pairs), (frozenset(heads), banned, union))
+    (pos, neg), (pos_flags, neg_flags) = roots.pop(), flags.pop()
+    return PatternFacts(
+        *done.pop(),
+        tuple(pairs),
+        (_as_roots(*pos), *pos_flags),
+        (_as_roots(*neg), *neg_flags),
+    )
 
 
 def wf_expr_all_pairs(e, decls=None):

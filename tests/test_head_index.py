@@ -39,6 +39,7 @@ from patalg.syntax import (
     Wild,
     fv_even,
     fv_odd,
+    match_both,
 )
 from patalg.typecheck import Named, signature_of
 from patalg.wellformed import Violation
@@ -284,6 +285,39 @@ def test_pattern_facts_agree_with_recursive_definitions():
         assert facts.fv_odd == fv_odd(p)
 
 
+def _admits(roots, head) -> bool:
+    heads, banned, _ = roots
+    return head in heads or banned is not None and head not in banned
+
+
+def test_flat_judgments_are_exact():
+    """A pattern flat at a polarity matches (fails on) a value exactly when
+    that polarity's root facts admit the value's head, and a full judgment
+    holds of every value: checked against every value of every depth-3
+    universe, whatever type the pattern was drawn at."""
+    universe = [
+        v for tau in TAUS for v in oracle.enumerate_values(STANDARD_DECLS, Named(tau), 3)
+    ]
+    seen = Counter()
+    for seed in range(1, 13):
+        rng = random.Random(seed)
+        for size in range(5):
+            for tau in TAUS:
+                p = oracle._gen_pattern(rng, STANDARD_DECLS, Named(tau), size)
+                facts = wellformed.pattern_facts(p)
+                for polarity, (roots, full, flat) in enumerate((facts.pos, facts.neg)):
+                    seen[polarity, flat, full] += 1
+                    for v in universe:
+                        holds = bool(match_both(p, v)[polarity])
+                        if flat:
+                            assert holds == _admits(roots, v.ctor), (p, v, polarity)
+                        if full:
+                            assert holds, (p, v, polarity)
+    # Each polarity sees full, flat but not full, and neither.
+    kinds = ((True, True), (True, False), (False, False))
+    assert all(seen[pol, flat, full] >= 10 for pol in (0, 1) for flat, full in kinds), seen
+
+
 def test_determinism_decides_side_conditions_in_recursion_order():
     """The first side condition that fails or raises is the recursion's:
     typed, `!Red & x | !Mo & x` raises (its sides' ban sets span two
@@ -337,14 +371,19 @@ def test_wide_enum_decides_few_overlaps(monkeypatch):
 
 def test_fact_pass_visits_each_node_a_bounded_number_of_times(monkeypatch):
     """`!(K0 | ... | K999)` nests 1,000 deep; the recursive definitions
-    walked each Or's left side again at every node above it."""
-    nodes = [Ctor(CtorName(f"K{i}", 0), ()) for i in range(1000)]
-    p = nodes[0]
-    for leaf in nodes[1:]:
-        p = Or(p, leaf)
-        nodes.append(p)
-    p = Neg(p)
-    nodes.append(p)
+    walked each Or's left side again at every node above it.  Each check
+    gets a pattern of its own, because a pattern keeps its facts from the
+    second ask on; asked a third time, a check reads no operand."""
+
+    def nested(prefix):
+        nodes = [Ctor(CtorName(f"{prefix}{i}", 0), ()) for i in range(1000)]
+        p = nodes[0]
+        for leaf in nodes[1:]:
+            p = Or(p, leaf)
+            nodes.append(p)
+        nodes.append(Neg(p))
+        return nodes
+
     reads = Counter()
 
     def counting(self, name):
@@ -352,19 +391,24 @@ def test_fact_pass_visits_each_node_a_bounded_number_of_times(monkeypatch):
             reads[id(self)] += 1
         return object.__getattribute__(self, name)
 
+    checks = (
+        lambda p: wellformed.pattern_facts(p).linear_pos,
+        wellformed.linear_pos,
+        wellformed.linear_neg,
+        wellformed.deterministic,
+    )
+    patterns = [nested(f"K{k}_") for k in range(len(checks))]
     for cls in (Or, Neg, Ctor):
         monkeypatch.setattr(cls, "__getattribute__", counting)
-    checks = (
-        lambda: wellformed.pattern_facts(p).linear_pos,
-        lambda: wellformed.linear_pos(p),
-        lambda: wellformed.linear_neg(p),
-        lambda: wellformed.deterministic(p),
-    )
-    for check in checks:
+    for check, nodes in zip(checks, patterns):
+        for _ in range(2):
+            reads.clear()
+            assert check(nodes[-1])
+            assert len(reads) == len(nodes)
+            assert max(reads.values()) <= 10
         reads.clear()
-        assert check()
-        assert len(reads) == len(nodes)
-        assert max(reads.values()) <= 10
+        assert check(nodes[-1])
+        assert not reads
 
 
 # --- deep values print --------------------------------------------------------
