@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from . import semantics, wellformed
 from .compiler import CompileError, Leaf, compile_case
@@ -48,7 +47,7 @@ def _load(path: str):
         return None
 
 
-def _parse_file(path: str) -> Optional[Program]:
+def _parse_file(path: str) -> Program | None:
     source = _load(path)
     if source is None:
         return None

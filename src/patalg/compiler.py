@@ -15,8 +15,6 @@ Compiled trees are checked against their source case by
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from . import semantics, wellformed
 from .normalize import (
     Ndnf,
@@ -104,7 +102,7 @@ class ClauseMatrix(Node):
                     f"row with {len(row.cells)} cells in a matrix of "
                     f"{len(scrutinees)} scrutinees"
                 )
-        return super().__new__(cls, scrutinees, rows, default_rhs)
+        return cls._new(cls, scrutinees, rows, default_rhs)
 
 
 # Decision trees are interned, so equal subtrees are one node and a
@@ -121,7 +119,7 @@ class Switch(Node):
     __slots__ = ("scrutinee", "arms", "default_arm")  # arms: distinct ctors
 
 
-DecisionTree = Union[Leaf, Switch]
+DecisionTree = "Leaf | Switch"
 
 
 def embed_case(e: ECase) -> ClauseMatrix:
@@ -189,7 +187,7 @@ def _clean(m: ClauseMatrix) -> ClauseMatrix:
 
 
 class CompileError(ValueError):
-    def __init__(self, message: str, report: Optional[wellformed.WfReport] = None):
+    def __init__(self, message: str, report: wellformed.WfReport | None = None):
         super().__init__(message)
         self.report = report  # the failed wellformedness report, if any
 

@@ -14,7 +14,6 @@ source patterns.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from .syntax import (
     Absurd, And, Ctor, CtorName, Neg, Or, SoundnessError, Value, Var, Wild, fold, pattern_kids,
@@ -48,7 +47,7 @@ def infer_scrutinee_type(roots, decls: DataDecls) -> Type:
     return Named(owners.pop())
 
 
-def _outside(banned, tau, decls) -> Optional[Value]:
+def _outside(banned, tau, decls) -> Value | None:
     """The least value outside `banned`: the first constructor of `tau`, in
     declaration order, that is not banned and whose argument types have
     values, over their least values.  An unknown type (None) is the one
@@ -68,7 +67,7 @@ def _outside(banned, tau, decls) -> Optional[Value]:
     return None
 
 
-def useful_witness(rows, vector, decls: DataDecls, col_types=None) -> Optional[tuple]:
+def useful_witness(rows, vector, decls: DataDecls, col_types=None) -> tuple | None:
     """A value vector matching the pattern vector but no row, or None.
     Rows and the vector are tuples of patterns, one per column; a column's
     type is unknown without `col_types`, and with no declarations (None)
@@ -94,7 +93,7 @@ def useful_witness(rows, vector, decls: DataDecls, col_types=None) -> Optional[t
     return (w,) if n == 1 else w.args
 
 
-def _first_value(query, rows, types, row, decls) -> Optional[Value]:
+def _first_value(query, rows, types, row, decls) -> Value | None:
     """A value of the first conjunct of `to_ndnf(query & !rows[0] & ... &
     !rows[-1])`, in its order, that has one, or None.
 
@@ -282,7 +281,7 @@ def exhaustive(rows, decls: DataDecls, col_types=None) -> bool:
     return non_exhaustiveness_witness(rows, decls, col_types) is None
 
 
-def non_exhaustiveness_witness(rows, decls: DataDecls, col_types=None) -> Optional[tuple]:
+def non_exhaustiveness_witness(rows, decls: DataDecls, col_types=None) -> tuple | None:
     wild = (Wild(),) * (len(rows[0]) if rows else 0)
     return useful_witness(rows, wild, decls, col_types)
 

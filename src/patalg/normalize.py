@@ -22,7 +22,6 @@ folds them back into patterns.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Union
 
 from .syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Pattern, Var, Wild, fold
 
@@ -144,7 +143,7 @@ class NegConj(Node):
     __slots__ = ("vars", "banned")  # banned: frozenset of CtorName
 
 
-NConjunct = Union[PosConj, NegConj]
+NConjunct = "PosConj | NegConj"
 
 
 class Ndnf(Node):
@@ -163,7 +162,7 @@ def ndnf_wildcard() -> Ndnf:
     return Ndnf((WILDCARD_CONJ,))
 
 
-def combine(a: NConjunct, b: NConjunct) -> Optional[NConjunct]:
+def combine(a: NConjunct, b: NConjunct) -> NConjunct | None:
     """Merge two satisfiable conjuncts into one, or None when no value
     matches both.  Pairs of arguments are merged on an explicit stack, and
     the first pair no value matches ends the merge."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import Optional, Union
 
 from . import overlap, semantics, wellformed
 from .compiler import DecisionTree, Leaf, Switch, compile_case, eval_tree
@@ -38,7 +37,7 @@ from .syntax import (
 from .typecheck import DataDecls, Type, signature_of
 
 
-def enumerate_values(decls: Optional[DataDecls], tau: Type, depth: int):
+def enumerate_values(decls: DataDecls | None, tau: Type, depth: int):
     """All values of a type whose constructor-tree height is at most
     `depth`, in a deterministic order without duplicates."""
     if depth < 1:
@@ -69,11 +68,11 @@ _MAX_RETRIES = 500
 
 
 def gen_pattern(
-    decls: Optional[DataDecls],
+    decls: DataDecls | None,
     tau: Type,
     size: int,
     seed: int,
-    constraints: Optional[dict] = None,
+    constraints: dict | None = None,
 ) -> Pattern:
     """Pseudo-random pattern of bounded size over the constructors of a
     type.  With constraints set, rejection-samples until the wellformedness
@@ -235,9 +234,9 @@ def differential_check_tree(
     tree: DecisionTree,
     decls: DataDecls,
     depth: int,
-    tau: Optional[Type] = None,
+    tau: Type | None = None,
     fuel: int = semantics.DEFAULT_FUEL,
-) -> Union[Agree, Disagree]:
+) -> Agree | Disagree:
     """Compare direct evaluation of a case against a decision tree, over
     every scrutinee value up to the depth bound."""
     if not isinstance(e.scrutinee, EVar):
@@ -271,9 +270,9 @@ def differential_compile_check(
     e: ECase,
     decls: DataDecls,
     depth: int,
-    tau: Optional[Type] = None,
+    tau: Type | None = None,
     fuel: int = semantics.DEFAULT_FUEL,
-) -> Union[Agree, Disagree]:
+) -> Agree | Disagree:
     """Compile the case expression and compare the tree against direct
     evaluation for every scrutinee value up to the depth bound."""
     tree = compile_case(e)
@@ -399,7 +398,7 @@ class _State:
         return hash((self.open, self.residuals))
 
 
-def _switch_fault(n: Switch, st: _State) -> Optional[str]:
+def _switch_fault(n: Switch, st: _State) -> str | None:
     o = n.scrutinee
     if o not in st.open:
         path = st.path
@@ -427,7 +426,7 @@ def _switch_fault(n: Switch, st: _State) -> Optional[str]:
     return None
 
 
-def validate_tree(e: ECase, tree: Union[Leaf, Switch]) -> Union[Agree, Disagree]:
+def validate_tree(e: ECase, tree: Leaf | Switch) -> Agree | Disagree:
     """Check a decision tree against its case for every scrutinee value.
     A switch must test an occurrence that the path exposed and did not
     test, with distinct arms, each binding arity-many unused names.  At a
@@ -481,7 +480,7 @@ def validate_tree(e: ECase, tree: Union[Leaf, Switch]) -> Union[Agree, Disagree]
     return Agree(checked) if fault is None else fault
 
 
-def _witness(root, path, extra=None) -> Optional[Value]:
+def _witness(root, path, extra=None) -> Value | None:
     """A scrutinee value of the path's partial value that matches `extra`
     too, by the open-world emptiness search, or None.  Without `extra`
     each open position gets a nullary constructor of its own, `$1`, `$2`,

@@ -16,8 +16,6 @@ comment.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .semantics import Call, Clause, ECase, ECtor, EVar, substitute, subterms
 from .syntax import (
     Absurd,
@@ -46,7 +44,7 @@ class ParseError(Exception):
 
 
 class Def(Node):
-    # params: tuple of (name, Optional[Type]); body: an expression, possibly
+    # params: tuple of (name, Type | None); body: an expression, possibly
     # containing Call nodes
     __slots__ = ("name", "params", "body")
 
@@ -54,10 +52,10 @@ class Def(Node):
 class Program:
     __slots__ = ("decls", "defs", "main")
 
-    def __init__(self, decls: DataDecls, defs: tuple, main: Optional[object] = None):
+    def __init__(self, decls: DataDecls, defs: tuple, main: object | None = None):
         self.decls, self.defs, self.main = decls, defs, main
 
-    def lookup(self, name: str) -> Optional[Def]:
+    def lookup(self, name: str) -> Def | None:
         for d in self.defs:
             if d.name == name:
                 return d
@@ -150,7 +148,7 @@ class _Parser:
         self.pos += 1
         return t
 
-    def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
         t = tok or self.peek()
         return ParseError(t.line, t.col, message)
 

@@ -10,7 +10,6 @@ keep their grouping parentheses.  Normalized disjunctive forms print in the
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional
 
 from .compiler import DecisionTree, Leaf, Switch
 from .normalize import Ndnf, NegConj, PosConj
@@ -134,7 +133,7 @@ _PRINTED = frozenset(
 )
 
 
-def format_node(node) -> Optional[str]:
+def format_node(node) -> str | None:
     """The text of a pattern, value, normal form or expression, which is
     its `repr`; None for any other node."""
     if type(node) is Ndnf:

@@ -25,16 +25,14 @@ expression on an explicit stack; the checks that visit every case use it.
 
 from __future__ import annotations
 
-from typing import Union
-
+# A cycle: `wellformed` imports this module, and is read only at call time.
+from . import wellformed
 from .syntax import (
     Node,
     Pattern,
     Record,
     Value,
     Var,
-    fv_even,
-    fv_odd,
     is_proper,
     map_vars,
     match_pos,
@@ -55,9 +53,10 @@ class ECtor(Node):
     _arity = "constructor {}/{} applied to {} arguments"
 
     def __new__(cls, ctor, args):
-        if all(isinstance(a, Value) for a in args):
-            return Value(ctor, tuple(args))
-        return super().__new__(cls, ctor, args)
+        for a in args:
+            if not isinstance(a, Value):
+                return cls._new(cls, ctor, args)
+        return Value(ctor, tuple(args))
 
 
 class Clause(Node):
@@ -77,7 +76,7 @@ class Call(Node):
     __slots__ = ("name", "args")  # args: tuple of Expression
 
 
-Expression = Union[Value, EVar, ECtor, ECase, Call]
+Expression = "Value | EVar | ECtor | ECase | Call"
 
 
 def is_value(e) -> bool:
@@ -144,7 +143,8 @@ def expr_free_vars(e) -> frozenset:
                 out.add(node.name)
         elif kind is ECase:
             todo += ((node.scrutinee, bound), (node.default_rhs, bound))
-            todo.extend((c.rhs, bound | fv_even(c.pattern)) for c in node.clauses)
+            facts_of = wellformed.pattern_facts
+            todo.extend((c.rhs, bound | facts_of(c.pattern).fv_even) for c in node.clauses)
         elif kind is ECtor or kind is Call:
             todo.extend((a, bound) for a in node.args)
         elif kind is not Value:
@@ -164,7 +164,7 @@ def substitute(e, mapping: dict):
     if isinstance(e, ECase):
         new_clauses = []
         for c in e.clauses:
-            bound = fv_even(c.pattern)
+            bound = wellformed.pattern_facts(c.pattern).fv_even
             inner = {x: v for x, v in mapping.items() if x not in bound}
             if inner:
                 payload = frozenset().union(
@@ -189,7 +189,8 @@ def rename_clause(c: Clause, clash, avoid) -> Clause:
     """Alpha-rename the clashing pattern binders of a clause.  Fresh names
     carry the reserved $ marker, so they cannot collide with program
     identifiers."""
-    used = set(avoid) | set(fv_even(c.pattern)) | set(fv_odd(c.pattern))
+    facts = wellformed.pattern_facts(c.pattern)
+    used = set(avoid) | facts.fv_even | facts.fv_odd
     used |= set(expr_free_vars(c.rhs))
     renaming = {}
     for x in sorted(clash):
@@ -233,7 +234,7 @@ class IsValue(Record):
     __slots__ = ()
 
 
-StepResult = Union[Stepped, Stuck, IsValue]
+StepResult = "Stepped | Stuck | IsValue"
 
 
 def case_successors(e: ECase) -> tuple:
@@ -252,7 +253,7 @@ def case_successors(e: ECase) -> tuple:
     return tuple(dict.fromkeys(succ))
 
 
-def contract(e, defs=None) -> Union[Stepped, Stuck]:
+def contract(e, defs=None) -> Stepped | Stuck:
     """The successors of a redex: a case over a value goes through
     `case_successors`, a call whose arguments are values unfolds to the
     body of its definition in `defs` (call by value), and anything else,
@@ -339,7 +340,7 @@ class Nondeterministic(Record):
     __slots__ = ()
 
 
-EvalResult = Union[Evaluated, Diverged, Stuck, Nondeterministic]
+EvalResult = "Evaluated | Diverged | Stuck | Nondeterministic"
 
 DEFAULT_FUEL = 10_000
 

@@ -13,36 +13,157 @@ completeness and determinism properties directly testable.
 
 from __future__ import annotations
 
-import threading
-import weakref
-from typing import NamedTuple, Union
+from _weakref import _remove_dead_weakref, ref
+from collections import namedtuple
 
 
 # --- hash-consed nodes ---------------------------------------------------------
 
 
-class _Entry(weakref.ref):
+class _Entry(ref):
     """A table entry: a weak reference to a node, carrying the node's key."""
 
     __slots__ = ("key",)
 
 
-def _forget(entry: _Entry) -> None:
-    # Runs when the node dies; a node built since under the same key keeps
-    # its own entry.
-    with _lock:
-        if _table.get(entry.key) is entry:
-            del _table[entry.key]
-
-
 # (class, *fields) -> the entry of the one live node with them.
 _table: dict = {}
-# Makes replacing a dead entry, and `_forget`'s check-then-delete, atomic,
-# so that threads building equal nodes get one node.  A new key goes in by
-# `dict.setdefault`, which is atomic on its own.  Re-entrant: a replacement
-# may free an entry whose key held the last reference to a node, whose
-# `_forget` then runs.
-_lock = threading.RLock()
+
+
+def _forget(entry: _Entry, table=_table, remove=_remove_dead_weakref) -> None:
+    # Runs when the node dies, and deletes its key only while the key's
+    # entry is dead, in one step that no other thread can interleave with:
+    # a node built since under the key keeps its own entry.  The table and
+    # the helper are bound here, so a node that dies while the interpreter
+    # shuts down reads no module global.
+    remove(table, entry.key)
+
+
+def _enter(node, key):
+    """Enter the new `node` under `key`, and return the node the table
+    holds for it: `node`, or another thread's equal node.  Each change to
+    the table is one atomic call, so threads building equal nodes get one
+    node without a lock: `setdefault` never replaces an entry, and an entry
+    found dead, whose `_forget` has not run yet, is removed only while it
+    is still dead."""
+    entry = _Entry(node, _forget)
+    entry.key = key
+    found = _table.setdefault(key, entry)
+    while found is not entry:
+        other = found()
+        if other is not None:
+            return other
+        _remove_dead_weakref(_table, key)
+        found = _table.setdefault(key, entry)
+    return node
+
+
+def _setters(cls, maker) -> list:
+    """The `__set__` of each field's slot descriptor, taken once per class;
+    `maker` writes out constructors for up to three fields, the most any
+    class has."""
+    if len(cls._fields) > 3:
+        raise TypeError(
+            f"{cls.__name__} has {len(cls._fields)} fields: add a "
+            f"{len(cls._fields)}-field case to syntax.{maker.__name__}"
+        )
+    return [cls.__dict__[name].__set__ for name in cls._fields]
+
+
+def _node_new(cls):
+    """The constructor of a node class, written out for its number of
+    fields.  A hit costs one table probe and one weakref call; a birth
+    checks `_arity`, sets each field through its slot descriptor and
+    enters the node.  Its defaults are the class's `_defaults`."""
+    sets, get, new = _setters(cls, _node_new), _table.get, object.__new__
+    if len(sets) == 0:
+
+        def __new__(cls):
+            key = (cls,)
+            entry = get(key)
+            if entry is not None and (node := entry()) is not None:
+                return node
+            return _enter(new(cls), key)
+
+    elif len(sets) == 1:
+        (set_a,) = sets
+
+        def __new__(cls, a):
+            key = (cls, a)
+            entry = get(key)
+            if entry is not None and (node := entry()) is not None:
+                return node
+            node = new(cls)
+            set_a(node, a)
+            return _enter(node, key)
+
+    elif len(sets) == 2:
+        set_a, set_b = sets
+        arity = cls._arity
+
+        def __new__(cls, a, b):
+            key = (cls, a, b)
+            entry = get(key)
+            if entry is not None and (node := entry()) is not None:
+                return node
+            if arity and len(b) != a.arity:
+                raise ValueError(arity.format(a.name, a.arity, len(b)))
+            node = new(cls)
+            set_a(node, a)
+            set_b(node, b)
+            return _enter(node, key)
+
+    else:
+        set_a, set_b, set_c = sets
+
+        def __new__(cls, a, b, c):
+            key = (cls, a, b, c)
+            entry = get(key)
+            if entry is not None and (node := entry()) is not None:
+                return node
+            node = new(cls)
+            set_a(node, a)
+            set_b(node, b)
+            set_c(node, c)
+            return _enter(node, key)
+
+    __new__.__defaults__ = cls._defaults or None
+    return __new__
+
+
+def _record_init(cls):
+    """The initializer of a record class, written out for its number of
+    fields: it sets each field through its slot descriptor.  Its defaults
+    are the class's `_defaults`."""
+    sets = _setters(cls, _record_init)
+    if len(sets) == 0:
+
+        def __init__(self):
+            pass
+
+    elif len(sets) == 1:
+        (set_a,) = sets
+
+        def __init__(self, a):
+            set_a(self, a)
+
+    elif len(sets) == 2:
+        set_a, set_b = sets
+
+        def __init__(self, a, b):
+            set_a(self, a)
+            set_b(self, b)
+
+    else:
+        set_a, set_b, set_c = sets
+
+        def __init__(self, a, b, c):
+            set_a(self, a)
+            set_b(self, b)
+            set_c(self, c)
+
+    __init__.__defaults__ = cls._defaults or None
+    return __init__
 
 
 def _fields_repr(record) -> str:
@@ -60,13 +181,15 @@ class Node:
     key compares them by identity and a construction costs one probe.  The
     table holds its nodes weakly: an entry lasts as long as something else
     refers to its node (Filliâtre & Conchon, "Type-Safe Modular
-    Hash-Consing", ML 2006).  Nodes are immutable.  A class with fields
-    (ctor, args) may set `_arity`, the message for args that do not number
-    ctor's arity; it is checked when a node is first built.  `_defaults`
-    are the values of the trailing fields a construction may leave out.
-    The `repr` of a pattern, value, normal form or expression is its text
-    from `pretty.format_node`, which does not recurse on the depth of the
-    node."""
+    Hash-Consing", ML 2006).  Nodes are immutable.  Each class gets its own
+    constructor (`_node_new`), as `__new__`, or as `_new` where the class
+    writes a `__new__` that checks its arguments first.  A class with
+    fields (ctor, args) may set `_arity`, the message for args that do not
+    number ctor's arity; it is checked when a node is first built.
+    `_defaults` are the values of the trailing fields a construction may
+    leave out.  The `repr` of a pattern, value, normal form or expression
+    is its text from `pretty.format_node`, which does not recurse on the
+    depth of the node."""
 
     __slots__ = ("__weakref__",)
     _arity = None
@@ -74,37 +197,9 @@ class Node:
 
     def __init_subclass__(cls) -> None:
         cls._fields = cls.__dict__["__slots__"]
-
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        entry = _table.get(key)
-        if entry is not None:
-            node = entry()
-            if node is not None:
-                return node
-        missing = len(cls._fields) - len(fields)
-        if missing:
-            if not 0 < missing <= len(cls._defaults):
-                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields")
-            return cls(*fields, *cls._defaults[-missing:])
-        if cls._arity and len(fields[1]) != fields[0].arity:
-            ctor = fields[0]
-            raise ValueError(cls._arity.format(ctor.name, ctor.arity, len(fields[1])))
-        node = object.__new__(cls)
-        for name, value in zip(cls._fields, fields):
-            object.__setattr__(node, name, value)
-        entry = _Entry(node, _forget)
-        entry.key = key
-        found = _table.setdefault(key, entry)
-        if found is entry:
-            return node
-        with _lock:  # another thread's node, or a dead entry to replace
-            found = _table.get(key)
-            other = found() if found is not None else None
-            if other is not None:
-                return other
-            _table[key] = entry
-        return node
+        cls._new = new = staticmethod(_node_new(cls))
+        if "__new__" not in cls.__dict__:
+            cls.__new__ = new
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an interned node")
@@ -122,25 +217,18 @@ class Record:
     """Base of the result records: evaluation and step results, typing
     results, wellformedness violations and oracle verdicts.  Nothing keys
     a memo on them, so they are not interned: a record is built from its
-    fields in `__slots__` order, and `==` and `hash` go field by field.
-    That is exact and shallow, because the fields are interned nodes or
-    plain data.  Records are immutable, and `_defaults` are the values of
-    the trailing fields a construction may leave out."""
+    fields in `__slots__` order by its class's own initializer
+    (`_record_init`), and `==` and `hash` go field by field.  That is exact
+    and shallow, because the fields are interned nodes or plain data.
+    Records are immutable, and `_defaults` are the values of the trailing
+    fields a construction may leave out."""
 
     __slots__ = ()
     _defaults = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = cls.__dict__["__slots__"]
-
-    def __init__(self, *fields):
-        missing = len(self._fields) - len(fields)
-        if missing:
-            if not 0 < missing <= len(self._defaults):
-                raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
-            fields += self._defaults[-missing:]
-        for name, value in zip(self._fields, fields):
-            object.__setattr__(self, name, value)
+        cls.__init__ = _record_init(cls)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, n) for n in self._fields)
@@ -209,7 +297,7 @@ class Neg(_Pattern):
     __slots__ = ("sub",)
 
 
-Pattern = Union[Var, Ctor, And, Or, Wild, Absurd, Neg]
+Pattern = "Var | Ctor | And | Or | Wild | Absurd | Neg"
 
 
 # --- values and substitutions ------------------------------------------------
@@ -223,9 +311,8 @@ class Value(Node):
     _arity = "value constructor {}/{} applied to {} arguments"
 
 
-class Mapping(NamedTuple):
-    var: str
-    value: Value
+# One binding of a substitution: a tuple, so it hashes and compares in C.
+Mapping = namedtuple("Mapping", ("var", "value"))
 
 
 # A substitution is an ordered list of mappings; nonlinear patterns can
@@ -473,8 +560,9 @@ def match_both(p: Pattern, v: Value):
         return (((Mapping(p.name, v),),), ())
     if kind is Ctor and p.ctor is not v.ctor:
         return _NO
-    memo = _match_memo.get(p)
-    if memo is None:
+    # Most patterns are in the young generation: one probe finds them.
+    memo = _match_cache.get(p)
+    if memo is None and (memo := _match_memo.get(p)) is None:
         if kind not in _COMBINING:
             raise TypeError(f"not a pattern: {p!r}")
         memo = _match_memo.put(p, {})

@@ -14,7 +14,6 @@ types.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Union
 
 from .semantics import ECase, ECtor, EVar
 from .syntax import (
@@ -41,7 +40,7 @@ class Named(Node):
     __slots__ = ("name",)
 
 
-Type = Union[Bool, Named]
+Type = "Bool | Named"
 
 TRUE = CtorName("True", 0)
 FALSE = CtorName("False", 0)
@@ -80,7 +79,7 @@ class DataDecls:
                 arg_types_of[ctor] = arg_types
         self._owner = seen
         self._arg_types = arg_types_of
-        self._least: Optional[dict] = None
+        self._least: dict | None = None
         # The oracle's value pools by (type, depth), and constructor pools.
         self._pools: dict = {}
 
@@ -89,10 +88,10 @@ class DataDecls:
             raise DeclError(f"unknown type {type_name}")
         return self.types[type_name]
 
-    def owner(self, ctor: CtorName) -> Optional[str]:
+    def owner(self, ctor: CtorName) -> str | None:
         return self._owner.get(ctor)
 
-    def owner_of_all(self, ctors) -> Optional[str]:
+    def owner_of_all(self, ctors) -> str | None:
         """The unique type declaring every given constructor, if any."""
         owners = {self._owner.get(c) for c in ctors}
         if len(owners) == 1 and None not in owners:
@@ -105,7 +104,7 @@ class DataDecls:
             raise DeclError(f"undeclared constructor {ctor.name}/{ctor.arity}")
         return arg_types
 
-    def least_value(self, tau: "Type") -> Optional[Value]:
+    def least_value(self, tau: "Type") -> Value | None:
         """A value of least height of a type, None if it has no finite one:
         the least heights are one fixpoint per declaration set, and each
         value takes the first constructor, in declaration order, reaching it."""
@@ -128,7 +127,7 @@ class DataDecls:
         return self._least.get(tau)
 
 
-def signature_of(tau: Type, decls: Optional[DataDecls]):
+def signature_of(tau: Type, decls: DataDecls | None):
     """Constructors of a type with their argument types."""
     if isinstance(tau, Bool):
         return ((TRUE, ()), (FALSE, ()))
@@ -162,7 +161,7 @@ def _same_multiset(a, b) -> bool:
 # --- pattern typing -----------------------------------------------------------
 
 
-def _arg_types(ctor: CtorName, tau: Type, decls: Optional[DataDecls]):
+def _arg_types(ctor: CtorName, tau: Type, decls: DataDecls | None):
     """The argument types of `ctor` as a constructor of `tau`, or the `Ill`
     that says why it is none."""
     try:
@@ -178,7 +177,7 @@ def _arg_types(ctor: CtorName, tau: Type, decls: Optional[DataDecls]):
     )
 
 
-def type_pattern(p: Pattern, tau: Type, decls: Optional[DataDecls] = None):
+def type_pattern(p: Pattern, tau: Type, decls: DataDecls | None = None):
     """Synthesize the dual binder contexts of a pattern at a type, or
     explain why it has none; the first failure in left-to-right order
     wins.  A fold whose context is the type: a constructor gives each
@@ -227,7 +226,7 @@ def type_pattern(p: Pattern, tau: Type, decls: Optional[DataDecls] = None):
 # --- expression typing ----------------------------------------------------------
 
 
-def type_expr(ctx, e, decls: Optional[DataDecls] = None):
+def type_expr(ctx, e, decls: DataDecls | None = None):
     """Synthesize the type of an expression under a context, or explain the
     first failing premise."""
     if isinstance(e, EVar):
@@ -258,7 +257,7 @@ def type_expr(ctx, e, decls: Optional[DataDecls] = None):
         scrut = type_expr(ctx, e.scrutinee, decls)
         if isinstance(scrut, Ill):
             return scrut
-        result: Optional[Type] = None
+        result: Type | None = None
         for c in e.clauses:
             r = type_pattern(c.pattern, scrut.type, decls)
             if isinstance(r, Ill):

@@ -15,14 +15,11 @@ for the pairs an index on root facts leaves (`overlap.candidate_pairs`).
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from . import overlap, semantics
 from .normalize import embed_ndnf
 from .syntax import And, Neg, Or, Pattern, Record, Var, fold, pattern_kids
-
-if TYPE_CHECKING:
-    from .compiler import ClauseMatrix
 
 
 _NO_VARS: frozenset = frozenset()
@@ -32,20 +29,20 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return a | b if a and b else a or b
 
 
-class PatternFacts(NamedTuple):
-    """The facts the wellformedness checks and `overlap.decide` read."""
+_FACTS = ("fv_even", "fv_odd", "linear_pos", "linear_neg", "disjoint_pairs", "pos", "neg")
 
-    fv_even: frozenset
-    fv_odd: frozenset
-    linear_pos: bool
-    linear_neg: bool
-    # Pattern pairs that determinism requires to be disjoint, in the order
-    # a left-to-right post-order walk meets them: for each Or node binding
-    # a variable its two sides, for each And node with a variable under a
-    # negation the negations of its two sides.
-    disjoint_pairs: tuple
-    pos: tuple  # the two judgments, from `overlap.roots_step`
-    neg: tuple
+
+class PatternFacts(namedtuple("PatternFacts", _FACTS)):
+    """The facts the wellformedness checks and `overlap.decide` read: the
+    free variables at both negation parities (frozensets), positive and
+    negative linearity, the pattern pairs that determinism requires to be
+    disjoint, and the two judgments from `overlap.roots_step`.  The pairs
+    come in the order a left-to-right post-order walk meets them: for each
+    Or node binding a variable its two sides, for each And node with a
+    variable under a negation the negations of its two sides.  A tuple, so
+    it hashes and compares in C."""
+
+    __slots__ = ()
 
     @property
     def roots(self) -> tuple:
@@ -150,13 +147,13 @@ class Violation(Record):
     __slots__ = ("rule", "path", "message")  # path: child indices from the root
 
 
-class CaseSite(NamedTuple):
-    """A case expression `wf_expr` checked, with the root facts of each of
-    its clause patterns, which type exhaustiveness checking."""
+class CaseSite(namedtuple("CaseSite", ("case", "where", "roots"))):
+    """A case expression `wf_expr` checked (`case`), with the position
+    `semantics.subterms` gives it (`where`) and the root facts of each of
+    its clause patterns (`roots`, a list of `PatternFacts.roots`, one per
+    clause), which type exhaustiveness checking."""
 
-    case: "semantics.ECase"
-    where: object  # the position `semantics.subterms` gives it
-    roots: list  # of `PatternFacts.roots`, one per clause
+    __slots__ = ()
 
 
 class WfReport(Record):
@@ -246,8 +243,8 @@ def _overlaps(site: CaseSite, decls, out: list) -> None:
         )
 
 
-def wf_matrix(m: "ClauseMatrix") -> WfReport:
-    """Wellformedness of a clause matrix: per-cell determinism and positive
+def wf_matrix(m) -> WfReport:
+    """Wellformedness of a `compiler.ClauseMatrix`: per-cell determinism and positive
     linearity, pairwise row disjointness in at least one column, and
     disjoint bindable variables across the columns of each row, none of
     them named like a scrutinee variable (compilation substitutes the

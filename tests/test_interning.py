@@ -5,6 +5,7 @@ Result records are built through `syntax.Record`: equal constructions give
 equal records, compared and hashed field by field."""
 
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -212,6 +213,28 @@ def test_a_key_whose_node_died_is_built_again():
     assert key not in syntax._table
 
 
+def test_a_late_forget_keeps_the_entry_of_a_node_built_since():
+    # A node's removal can run after an equal node replaced its dead entry;
+    # it must leave the new entry alone, and remove only a dead one.
+    class Gone:
+        pass
+
+    gc.collect()
+    key = (Var, "late")
+    gone = Gone()
+    syntax._table[key] = dead = syntax._Entry(gone)
+    dead.key = key
+    del gone
+    node = Var("late")
+    syntax._forget(dead)
+    assert syntax._table[key]() is node
+    del node
+    assert key not in syntax._table
+    syntax._table[key] = dead
+    syntax._forget(dead)
+    assert key not in syntax._table
+
+
 def test_threads_building_equal_nodes_get_one_node():
     # A short switch interval makes the threads interleave inside
     # construction; a lost update would leave two equal nodes.
@@ -234,6 +257,61 @@ def test_threads_building_equal_nodes_get_one_node():
     assert not any(t.is_alive() for t in threads)
     for nodes in results[1:]:
         assert all(a is b for a, b in zip(nodes, results[0], strict=True))
+
+
+def test_threads_building_and_dropping_equal_nodes_keep_one_live_entry():
+    # Nodes die while other threads build equal ones, so `_forget` runs
+    # between another thread's probe and its `setdefault`, and builders
+    # meet dead entries that they replace.  A lost entry would leave two
+    # equal nodes alive, and a stale one a key that outlives its node.
+    gc.collect()
+    before = len(syntax._table)
+    held = [None] * 8
+
+    def churn(k):
+        z = Value(cn("Z"), ())
+        for _ in range(100):
+            nodes = [Ctor(cn("R", 2), (Var(f"r{i}"), z)) for i in range(40)]
+        held[k] = nodes
+
+    threads = [threading.Thread(target=churn, args=(k,)) for k in range(len(held))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    gc.collect()
+    # Nodes compare by identity, so equal lists hold the same nodes.
+    assert all(nodes == held[0] for nodes in held)
+    assert all(syntax._table[(Ctor, n.ctor, n.args)]() is n for n in held[0])
+    del held
+    gc.collect()
+    assert len(syntax._table) == before
+
+
+@pytest.mark.parametrize("base", (Node, Record), ids=lambda base: base.__name__)
+def test_a_class_with_more_than_three_fields_is_refused(base):
+    # Constructors are written out for up to three fields; a wider class
+    # must not fall back to a slower generic path.
+    maker = "_node_new" if base is Node else "_record_init"
+    with pytest.raises(TypeError, match=f"Wide has 4 fields: add a 4-field case to syntax.{maker}"):
+
+        class Wide(base):
+            __slots__ = ("a", "b", "c", "d")
+
+
+def test_each_class_builds_through_a_constructor_of_its_own_arity():
+    for cls in CLASSES:
+        build = cls._new if cls in NODE_CLASSES else cls.__init__
+        code = build.__code__
+        assert code.co_argcount == len(cls._fields) + 1, cls
+        assert not code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS), cls
+    assert "__new__" not in Node.__dict__ and "__init__" not in Record.__dict__
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -327,3 +405,20 @@ def test_complement_of_a_thousand_alternatives_checks(tmp_path):
     path = _wide_program(tmp_path, 2000)
     for command in (["check"], ["check", "--type-aware-overlap"]):
         _assert_runs_cleanly(path, *command)
+
+
+def test_commands_exit_without_output_on_stderr():
+    # Nodes that module-level memos hold die while the interpreter shuts
+    # down; their table entries must go without an error printed at exit.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    for command in (
+        ["fuzz", "--suite", "algebra", "--cases", "50"],
+        ["check", os.path.join(root, "demos", "lists.pat")],
+    ):
+        out = subprocess.run(
+            [sys.executable, "-m", "patalg.cli", *command],
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True,
+            text=True,
+        )
+        assert (out.returncode, out.stderr) == (0, ""), command

@@ -47,6 +47,16 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_does_not_import_typing():
+    # `typing` would add a few milliseconds to every `patc` start.
+    code = "import sys, patalg.cli; print('typing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_module_level_dicts_are_the_bounded_memos():
     # A module-level dict lives as long as the process, so the only ones
     # are the weak intern table, the two memos, whose generations bound
