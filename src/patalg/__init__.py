@@ -9,11 +9,12 @@ a normalized disjunctive form (`normalize`), overlap deciding (`overlap`),
 compilation to decision trees (`compiler`), exhaustiveness checking
 (`exhaustiveness`), and brute-force oracles with property suites
 (`oracle`, `suites`).  Overlap and exhaustiveness ask one question of the
-source patterns, whether some value matches a boolean combination of them
-(`useful_witness`), so `patc check` never normalizes: only the compiler
-does.  One pass over a pattern gives its linearity, determinism and root
-facts (`pattern_facts`), and the overlap check of a case decides only the
-clause pairs an index on root facts leaves (`candidate_pairs`).
+source patterns, whether some value matches a boolean combination of them,
+and read the answer off one reduced decision diagram over occurrences
+(`exhaustiveness`), so `patc check` never normalizes: only the compiler
+does.  One pass over a pattern gives its linearity and determinism
+(`pattern_facts`), and a case's overlapping clauses are found by splitting
+them on their heads (`overlapping_pairs`).
 Values are expressions: `Value` is the one node for ground data, matched
 by patterns and produced by evaluation.  The `patc` command line fronts
 it.
@@ -42,7 +43,7 @@ from .syntax import (
     subst_equiv,
 )
 from .normalize import Ndnf, NegConj, PosConj, dnf, nnf, to_ndnf
-from .overlap import candidate_pairs, decide, disjoint
+from .overlap import decide, disjoint
 from .wellformed import (
     PatternFacts,
     WfReport,
@@ -82,7 +83,7 @@ from .compiler import (
     specialize,
     specialize_each,
 )
-from .exhaustiveness import exhaustive, useful_witness
+from .exhaustiveness import exhaustive, overlapping_pairs, useful_witness
 from .oracle import differential_compile_check, enumerate_values, gen_pattern, validate_tree
 
 __all__ = [name for name in dir() if not name.startswith("_")]

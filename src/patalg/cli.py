@@ -11,7 +11,7 @@ import sys
 
 from . import semantics, wellformed
 from .compiler import CompileError, Leaf, compile_case
-from .exhaustiveness import SignatureError, infer_scrutinee_type, useful_witness
+from .exhaustiveness import SignatureError, case_notes
 from .normalize import dnf, nnf, to_ndnf
 from .parser import (
     ParseError,
@@ -33,7 +33,6 @@ from .pretty import (
     json_definitions,
 )
 from .semantics import ECase
-from .syntax import Wild
 from .suites import run_suites
 from .typecheck import Ill, type_expr
 
@@ -103,28 +102,22 @@ def cmd_check(args) -> int:
 
 
 def _report_exhaustiveness(path, def_name, site, prog: Program) -> None:
-    """Exhaustiveness of a case site, typed by its clauses' root facts."""
+    """Exhaustiveness and dead clauses of a case site, under the scrutinee
+    type that the constructors at the roots of its clauses name."""
     where = _site_name(site.where)
-    rows = tuple((c.pattern,) for c in site.case.clauses)
-    try:
-        col_types = (infer_scrutinee_type(site.roots, prog.decls),)
-    except ValueError:
-        col_types = None
-    try:
-        witness = useful_witness(rows, (Wild(),), prog.decls, col_types)
-    except SignatureError as err:
-        print(f"{path}: def {def_name}: note: cannot check exhaustiveness at {where}: {err}")
-        return
-    if witness is None:
-        print(
-            f"{path}: def {def_name}: note: clauses at {where} are exhaustive; "
-            f"the default clause is unreachable"
-        )
+    patterns = [c.pattern for c in site.case.clauses]
+    w, dead = case_notes(patterns, prog.decls)
+    note = f"{path}: def {def_name}: note:"
+    if isinstance(w, SignatureError):
+        print(f"{note} cannot check exhaustiveness at {where}: {w}")
     else:
-        print(
-            f"{path}: def {def_name}: note: clauses at {where} are not "
-            f"exhaustive; the default clause handles e.g. {format_value(witness[0])}"
+        says = (
+            "exhaustive; the default clause is unreachable" if w is None
+            else f"not exhaustive; the default clause handles e.g. {format_value(w)}"
         )
+        print(f"{note} clauses at {where} are {says}")
+    for shown in sorted(format_pattern(patterns[i]) for i in dead):
+        print(f"{note} clause {shown} at {where} matches no value")
 
 
 def _check_types(path, name, body, params, prog: Program) -> bool:

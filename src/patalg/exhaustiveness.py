@@ -1,22 +1,31 @@
-"""Usefulness, exhaustiveness and overlap as one emptiness question.
+"""Usefulness, exhaustiveness and overlap, read off decision diagrams.
 
-Patterns express their own complement: a vector of patterns `q` is useful
-for rows of patterns when `q & !r_1 & ... & !r_m` has a value, rows are
-exhaustive when the all-wildcard vector is not useful, and two patterns
-overlap when `p & q` has one (`overlap.decide`).  With several columns,
-the vector and each row are wrapped in the reserved constructor `$row/n`.
-The witness is the least value of the first conjunct of that pattern's
-normal form that has one, found by a search that does not build the
-normal form.  Every witness is checked by matching it against the
-source patterns.
+A vector of patterns `q` is useful for rows of patterns when `q & !r_1 &
+... & !r_m` has a value (several columns are wrapped in `$row/n`), rows
+are exhaustive when the all-wildcard vector is not useful, and two
+patterns overlap when `p & q` has one.  Each question reads a reduced,
+hash-consed decision diagram over occurrences (Bryant, IEEE Trans.
+Computers 1986), as CDuce represents boolean combinations of types
+(Frisch, Castagna & Benzaken, JACM 2008).  A `Test` has an edge per
+constructor it names at its occurrence and an `other` edge for every other
+head; a `Sink` says whether a path's values match.  Tests follow preorder
+on occurrences, an edge equal to `other` is dropped, and a test whose
+edges all equal `other` is `other`, so equal sets of values are one node
+and, in the open world, every path has a value.  Declarations type each
+occurrence from its path; the witness is the value of the least path that
+has one (`_Reading.least`), checked against the source patterns.  A
+case's overlapping clauses come from splitting its clauses on their heads
+and deciding each clause that takes no single head against the others, a
+pair at a time (`overlapping_pairs`).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import reduce
 
 from .syntax import (
-    Absurd, And, Ctor, CtorName, Neg, Or, SoundnessError, Value, Var, Wild, fold, pattern_kids,
+    Absurd, And, Ctor, CtorName, Neg, Node, Or, SoundnessError, Value, Var, Wild, fold,
+    pattern_kids,
 )
 from .typecheck import DataDecls, Named, Type, signature_of
 
@@ -32,248 +41,398 @@ class SignatureError(ValueError):
 
     def __init__(self, ctors):
         self.ctors = frozenset(ctors)
-        names = sorted(ctors, key=lambda c: (c.name, c.arity))
+        names = sorted(ctors, key=_by_name)
         shown = ", ".join(f"{c.name}/{c.arity}" for c in names)
         super().__init__(f"constructors {shown} span no single declared type")
 
 
-def infer_scrutinee_type(roots, decls: DataDecls) -> Type:
-    """Scrutinee type from the constructors that the root facts of the
-    clause patterns name (`overlap.roots_step`): heads and ban sets."""
-    heads = frozenset().union(*(h | (bans or h) for h, _, bans in roots))
-    owners = {decls.owner(c) for c in heads if decls.owner(c) is not None}
-    if len(owners) != 1:
-        raise ValueError("cannot infer the scrutinee type from the clause patterns")
-    return Named(owners.pop())
+class Occ(Node):
+    """Argument `index` of the value at occurrence `parent` when its head
+    is `ctor`; the root has neither.  A test of it sits below the `ctor`
+    edge of a test of `parent`, and a column type gives it one type."""
+
+    __slots__ = ("parent", "ctor", "index")
 
 
-def _outside(banned, tau, decls) -> Value | None:
-    """The least value outside `banned`: the first constructor of `tau`, in
-    declaration order, that is not banned and whose argument types have
-    values, over their least values.  An unknown type (None) is the one
-    declaring the ban set (SignatureError if none does), or with no ban set
-    or no declarations the open world's `$any` is the value."""
-    if tau is None:
-        if not banned or decls is None:
-            return Value(ANY_CTOR, ())
-        if (owner := decls.owner_of_all(banned)) is None:
-            raise SignatureError(banned)
-        tau = Named(owner)
-    for ctor, arg_types in signature_of(tau, decls):
-        if ctor not in banned:
-            args = tuple(decls.least_value(t) for t in arg_types)
-            if None not in args:
-                return Value(ctor, args)
-    return None
+class Sink(Node):
+    __slots__ = ("matches",)  # bool: whether the path's values match
+
+
+class Test(Node):
+    __slots__ = ("occ", "edges", "other")  # edges: frozenset of (CtorName, child)
+
+
+def _by_name(c: CtorName) -> tuple:
+    return c.name, c.arity
+
+
+def _root() -> Occ:
+    return Occ(None, None, 0)
+
+
+def _first(a: Occ, b: Occ) -> Occ:
+    """Of two occurrences, the one preorder puts first.  Siblings under one
+    constructor go by index, and those under two, which no path holds
+    together, by name."""
+    if a is b:
+        return a
+    up = [a]  # a and its ancestors
+    while up[-1].parent is not None:
+        up.append(up[-1].parent)
+    where = {o: i for i, o in enumerate(up)}
+    y, below = b, None
+    while y not in where:
+        y, below = y.parent, y
+    if below is None or y is a:  # one is above the other
+        return y
+    x = up[where[y] - 1]
+    if x.ctor is below.ctor:
+        return a if x.index < below.index else b
+    return a if _by_name(x.ctor) < _by_name(below.ctor) else b
+
+
+def _test(occ, pairs, other):
+    """The reduced test of `occ` with (constructor, child) `pairs`."""
+    edges = frozenset([(c, d) for c, d in pairs if d is not other])
+    return Test(occ, edges, other) if edges else other
+
+
+def _chain(node) -> list:
+    """The operands of the chain of `&` (or of `|`) that `node` heads."""
+    kind, out, todo = type(node), [], [node]
+    while todo:
+        n = todo.pop()
+        if type(n) is kind:
+            todo += (n.right, n.left)
+        else:
+            out.append(n)
+    return out
+
+
+class _Diagrams:
+    """The memos of one question (one `decide`, one `useful_witness` or one
+    case): pattern diagrams and the n-ary apply, both on `syntax.fold`."""
+
+    __slots__ = ("false", "true", "built", "applied", "splits")
+
+    def __init__(self):
+        self.false, self.true = Sink(False), Sink(True)
+        self.built: dict = {}  # (pattern, (occurrence, polarity)) -> diagram
+        self.applied: dict = {}  # (members, union?) -> diagram
+        self.splits: dict = {}  # (members, union?) -> (occurrence, constructors), in flight
+
+    def pattern(self, p, occ, positive=True):
+        """The diagram of `p` (`!p` where not `positive`) at `occ`.
+        Negation is pushed to the leaves, and a chain of `&` or `|` is one
+        n-ary apply."""
+        false, true, apply = self.false, self.true, self.apply
+        if type(p) is Wild or type(p) is Var:
+            return true if positive else false
+
+        def kids(node, ctx):
+            kind, (o, pos) = type(node), ctx
+            if kind is Ctor:
+                return [(a, (Occ(o, node.ctor, i), pos)) for i, a in enumerate(node.args)]
+            if kind is And or kind is Or:
+                return [(k, ctx) for k in _chain(node)]
+            return [(k, (o, polarity)) for k, polarity in pattern_kids(node, pos)]
+
+        def step(node, ctx, results):
+            o, pos = ctx
+            kind = type(node)
+            if kind is Neg:
+                return results[0]
+            if kind is Ctor:  # `!C(p̄)`: any other head, or C with an argument failing
+                child = apply(results, not pos) if results else true if pos else false
+                return _test(o, ((node.ctor, child),), false if pos else true)
+            if kind is And or kind is Or:
+                return apply(results, (kind is Or) == pos)
+            return true if pos != (kind is Absurd) else false
+
+        return fold(p, step, (occ, positive), kids, self.built)
+
+    def apply(self, members, union):
+        """The union of the diagrams `members`, or their intersection."""
+        return self.build(self._task(members, union), union)
+
+    def build(self, task, union):
+        """The diagram of a task of `_task`."""
+        if type(task) is not frozenset:
+            return task
+        return fold(task, self._step, union, self._kids, self.applied)
+
+    def _task(self, members, union):
+        """The members as a task, or the diagram they give at once."""
+        if len(members) == 1:
+            return members[0]
+        zero, unit = (self.true, self.false) if union else (self.false, self.true)
+        ms = set(members)
+        if zero in ms:
+            return zero
+        ms.discard(unit)
+        return frozenset(ms) if len(ms) > 1 else ms.pop() if ms else unit
+
+    def split(self, task, union):
+        """The first occurrence that a member of `task` tests, the
+        constructors that members name there, and one task per constructor
+        and then one for `other`.  A member whose `other` child is the
+        identity joins only the tasks of the constructors it names."""
+        occ = reduce(_first, [m.occ for m in task if type(m) is Test])
+        unit = self.false if union else self.true
+        buckets, loose, others, rest = {}, [], [], []
+        for m in task:
+            if type(m) is not Test or m.occ is not occ:
+                rest.append(m)
+                continue
+            for c, child in m.edges:
+                buckets.setdefault(c, []).append(child)
+            others.append(m.other)
+            if m.other is not unit:
+                loose.append(({c for c, _ in m.edges}, m.other))
+        subs = [[*ks, *rest, *[o for cs, o in loose if c not in cs]] for c, ks in buckets.items()]
+        return occ, tuple(buckets), tuple([self._task(ms, union) for ms in (*subs, others + rest)])
+
+    def _kids(self, task, union):
+        if type(task) is not frozenset:
+            return ()
+        occ, ctors, tasks = self.split(task, union)
+        self.splits[task, union] = occ, ctors
+        return tuple([(t, union) for t in tasks])
+
+    def _step(self, task, union, results):
+        if type(task) is not frozenset:
+            return task
+        occ, ctors = self.splits.pop((task, union))
+        return _test(occ, zip(ctors, results), results[-1])
+
+
+def overlapping_pairs(patterns) -> list:
+    """The pairs (i, j), i < j, in increasing order, of patterns that some
+    value matches both of, in the open world.  The clauses are split by
+    the head each takes at the first occurrence that any of them tests, as
+    a head index splits them at the root, and each part is split again.  A
+    clause that takes no single head there (a sink, a test of a later
+    occurrence, or a test with two edges or a live `other`) is decided
+    against each clause of its part by the diagram of the two, and leaves
+    the part; so no clause is in two parts, and a case costs at most a
+    decision per pair.  In the open world every diagram but the false sink
+    has a value below any path that reaches it."""
+    ds, root = _Diagrams(), _root()
+    false, pairs = ds.false, set()
+    todo = [[(i, ds.pattern(p, root)) for i, p in enumerate(patterns)]]
+    while todo:
+        part = [(i, d) for i, d in todo.pop() if d is not false]
+        tests = [d.occ for _, d in part if type(d) is Test]
+        occ = reduce(_first, tests) if len(part) > 1 and tests else None
+        tight, loose, parts = [], [], {}
+        for i, d in part:
+            if type(d) is Test and d.occ is occ and d.other is false and len(d.edges) == 1:
+                tight.append((i, *next(iter(d.edges))))
+            else:
+                loose.append((i, d))
+        for n, (i, d) in enumerate(loose):  # each other clause, read at its one edge if tight
+            at, rest = (dict(d.edges), d.other) if type(d) is Test and d.occ is occ else ({}, d)
+            meets = [(j, d, e) for j, e in loose[n + 1 :]]
+            meets += [(j, at.get(c, rest), child) for j, c, child in tight]
+            found = [j for j, a, b in meets if ds.apply([a, b], False) is not false]
+            pairs.update((min(i, j), max(i, j)) for j in found)
+        for i, c, child in tight:
+            parts.setdefault(c, []).append((i, child))
+        todo += [ms for ms in parts.values() if len(ms) > 1]
+    return sorted(pairs)
+
+
+def overlaps(p, q) -> bool:
+    """Does some value match both patterns, in the open world?"""
+    ds = _Diagrams()
+    return ds.pattern(And(p, q), _root()) is not ds.false
+
+
+class _Reading:
+    """A diagram, or an intersection task of `ds`, read under declarations,
+    or in the open world (None): each occurrence's type from its path,
+    seeded at the columns, and the constructors of each type that have
+    values, with their least ones."""
+
+    __slots__ = ("decls", "types", "live", "ds")
+
+    def __init__(self, decls, types, ds):
+        self.decls, self.live, self.ds = decls, {}, ds
+        self.types = types if decls is not None else dict.fromkeys(types)
+
+    def type_of(self, occ):
+        chain = []
+        while occ not in self.types:
+            chain.append(occ)
+            occ = occ.parent
+        tau = self.types[occ]
+        for o in reversed(chain):
+            known = type(tau) is Named and self.decls.owner(o.ctor) == tau.name
+            tau = self.types[o] = self.decls.arg_types(o.ctor)[o.index] if known else None
+        return tau
+
+    def live_ctors(self, tau) -> dict:
+        """The constructors of `tau` that have values, in declaration
+        order, each with its rank and its least value."""
+        if tau not in self.live:
+            least, live = self.decls.least_value, {}
+            for c, arg_types in signature_of(tau, self.decls):
+                if None not in (args := tuple(map(least, arg_types))):
+                    live[c] = len(live), Value(c, args)
+            self.live[tau] = live
+        return self.live[tau]
+
+    def _view(self, x):
+        """A sink, or (x, occurrence, edges, other) of a test or of a task,
+        split only as far as the walk reaches.  A task at an occurrence of
+        unknown type whose `other` may have values is built, so that an
+        edge equal to `other` is dropped as in the diagram."""
+        if type(x) is frozenset:
+            occ, ctors, tasks = self.ds.split(x, False)
+            if tasks[-1] is self.ds.false or self.type_of(occ) is not None:
+                return x, occ, dict(zip(ctors, tasks)), tasks[-1]
+            x = self.ds.build(x, False)
+        return x if type(x) is Sink else (x, x.occ, dict(x.edges), x.other)
+
+    def _choices(self, view, false, dead):
+        """The (head, child) pairs of a test, least first, but `false` and
+        `dead` children.  At an occurrence of known type: the constructors
+        of the type that have values, in declaration order, each by its own
+        edge or by `other` headed by its least value.  At one of unknown
+        type: the constructors named, by name, and then `other`, typed by
+        the constructors named (with no declarations, `$any`);
+        SignatureError if no type declares them."""
+        _, occ, edges, other = view
+        tau = self.type_of(occ)
+        if tau is not None and (other is false or other in dead):  # the edges alone
+            live = self.live_ctors(tau)
+            pairs = ((c, edges[c]) for c in sorted([c for c in edges if c in live], key=live.get))
+        elif tau is not None:
+            live = self.live_ctors(tau).items()
+            pairs = ((c, edges[c]) if c in edges else (v, other) for c, (_, v) in live)
+        else:
+            pairs = ((c, edges[c]) for c in sorted(edges, key=_by_name))
+        yield from ((h, d) for h, d in pairs if d is not false and d not in dead)
+        if tau is None and other is not false and other not in dead:
+            if self.decls is None:
+                yield Value(ANY_CTOR, ()), other
+            elif (owner := self.decls.owner_of_all(edges)) is None:
+                raise SignatureError(edges)
+            else:
+                live = self.live_ctors(Named(owner)).items()
+                yield from ((v, other) for c, (_, v) in live if c not in edges)
+
+    def least(self, d) -> Value | None:
+        """The value of the least path of `d` that ends at the true sink and
+        has a value, or None.  A depth-first walk on an explicit stack that
+        splits a task only when it reaches it, skips a false child before
+        it types anything, types `other` only when it reaches it, and tries
+        no node twice.  The value has the head of the path at each
+        occurrence it tests, or the value taken at an `other` edge;
+        elsewhere its type's least value, or `$any`."""
+        false, dead, heads = self.ds.false, set(), {}  # heads: the path's, by occurrence
+        top = self._view(d)
+        if type(top) is Sink and not top.matches:
+            return None
+        stack = [] if type(top) is Sink else [(top, self._choices(top, false, dead))]
+        while stack:
+            (x, occ, _, _), choices = stack[-1]
+            head, child = next(choices, (None, false))
+            if child is false:
+                dead.add(x)
+                heads.pop(occ, None)
+                stack.pop()
+                continue
+            heads[occ] = head
+            view = self._view(child)
+            if type(view) is not Sink:
+                stack.append((view, self._choices(view, false, dead)))
+            elif view.matches:
+                break
+            else:  # a task built to the false sink
+                dead.add(child)
+        if type(top) is not Sink and not stack:  # no path has a value
+            return None
+
+        def kids(occ, _):
+            h = heads.get(occ)
+            n = h.arity if type(h) is CtorName else 0
+            return tuple([(Occ(occ, h, i), None) for i in range(n)])
+
+        def step(occ, _, results):
+            h = heads.get(occ)
+            if type(h) is CtorName:
+                return Value(h, tuple(results))
+            tau = self.type_of(occ)
+            return h or (Value(ANY_CTOR, ()) if tau is None else self.decls.least_value(tau))
+
+        return fold(_root(), step, None, kids)
+
+
+def scrutinee_type(patterns, decls) -> Type | None:
+    """The type of a case's scrutinee: the one declared type owning the
+    constructors at the roots of the clause patterns, under `&`, `|` and
+    `!`, or None."""
+    heads: set = set()
+    kids = lambda n, pos: () if type(n) is Ctor else pattern_kids(n, pos)  # noqa: E731
+    for p in patterns:
+        fold(p, lambda n, _, r: type(n) is Ctor and heads.add(n.ctor), True, kids)
+    owners = {decls.owner(c) for c in heads} - {None} if decls is not None else ()
+    return Named(owners.pop()) if len(owners) == 1 else None
+
+
+def case_notes(patterns, decls) -> tuple:
+    """What `check` notes of a case at the type that `scrutinee_type`
+    names: the least value that no clause matches (None if there is none,
+    or the SignatureError that stops the walk), checked against the
+    clauses; and the clauses that match no value, but those whose `other`
+    edge no declared type types.  The two share one memo, in which a
+    clause's diagram and its complement's share their nodes."""
+    ds, root, dead = _Diagrams(), _root(), []
+    reading = _Reading(decls, {root: scrutinee_type(patterns, decls)}, ds)
+    for i, p in enumerate(patterns):
+        try:
+            if reading.least(ds.pattern(p, root)) is None:
+                dead.append(i)
+        except SignatureError:
+            pass
+    try:
+        w = reading.least(ds._task([ds.pattern(p, root, False) for p in patterns], False))
+    except SignatureError as err:
+        return err, dead
+    if w is not None and any(_matches(p, w) for p in patterns):
+        raise SoundnessError("exhaustiveness witness is matched by a clause")
+    return w, dead
 
 
 def useful_witness(rows, vector, decls: DataDecls, col_types=None) -> tuple | None:
     """A value vector matching the pattern vector but no row, or None.
     Rows and the vector are tuples of patterns, one per column; a column's
     type is unknown without `col_types`, and with no declarations (None)
-    the world is open.  The witness is checked against
-    both conditions; a failure raises SoundnessError."""
+    the world is open.  The witness is the least value of the diagram of
+    `q & !r_1 & ... & !r_m`, and is checked against both conditions; a
+    failure raises SoundnessError."""
     vector = tuple(vector)
     n = len(vector)
     if any(len(r) != n for r in rows):
         raise ValueError("pattern vector width differs from matrix width")
-    types = tuple(col_types) if col_types else (None,) * n
-    row = CtorName("$row", n)
-
-    def wrap(cells):  # one column needs no row constructor
-        return cells[0] if n == 1 else Ctor(row, tuple(cells))
-
-    query, covered = wrap(vector), [wrap(r) for r in rows]
-    if (w := _first_value(query, covered, types, row, decls)) is None:
+    types, root = tuple(col_types) if col_types else (None,) * n, _root()
+    if n == 1:  # one column needs no row constructor
+        query, covered, seeds = vector[0], [r[0] for r in rows], {root: types[0]}
+    else:
+        row = CtorName("$row", n)
+        query, *covered = (Ctor(row, tuple(r)) for r in (vector, *rows))
+        seeds = {root: None, **{Occ(root, row, i): t for i, t in enumerate(types)}}
+    ds = _Diagrams()
+    negated = (ds.pattern(r, root, False) for r in covered)
+    task = ds._task([ds.pattern(query, root), *negated], False)
+    if (w := _Reading(decls, seeds, ds).least(task)) is None:
         return None
     if not _matches(query, w):
         raise SoundnessError("usefulness witness fails the pattern vector")
     if any(_matches(r, w) for r in covered):
         raise SoundnessError("usefulness witness is covered by a row")
     return (w,) if n == 1 else w.args
-
-
-def _first_value(query, rows, types, row, decls) -> Value | None:
-    """A value of the first conjunct of `to_ndnf(query & !rows[0] & ... &
-    !rows[-1])`, in its order, that has one, or None.
-
-    A depth-first search on an explicit stack builds one conjunct per
-    branch and undoes its changes from a trail when it backs up.  A goal is
-    a (pattern, polarity, position) triple, the root at position 0; a
-    `CtorName` goal sets the head at its position, or bans it.  A branch
-    ends where bans leave a position of known type no value, and before
-    each row the search skips a state it has already searched without a
-    value, so many rows over few positions cost the states they reach.
-    With every type known, a branch not known to have a value is probed
-    before its next row in the disjoint form, which reads `!C(a, b)` as
-    `!C | C(!a, _) | C(a, !b)` and skips rows the branch already rules out:
-    its branches split the values as a decision tree over positions does.
-    A probe that finds no value ends the branch; one that finds a value
-    lets the branch go on, and no other probe is made while each head or
-    ban the branch adds keeps that value in it."""
-    n = row.arity
-    at: dict = {}  # position -> its head, or the set of heads it bans
-    pos_types = [types[0] if n == 1 else None]  # position -> its type, if known
-    origin: list = [None]  # position -> (its parent, the parent's head, i)
-    child: dict = {}  # (position, head, i) -> the position of argument i
-    live: dict = {}  # type -> its constructors with values
-    trail: list = []  # calls that undo each change, made when backing up
-    failed: set = set()  # (row, state) pairs searched without a value
-    goals = None
-    for i in reversed(range(len(rows))):
-        goals = ((i, None, None), ((rows[i], False, 0), goals))
-    # (goal list, trail length, disjoint form?, parts by position of a value
-    # the branch has); (None, key, ...) closes a state, disjoint None a probe
-    choices: list = [(((query, True, 0), goals), 0, False, None)]
-
-    def kid(pos, ctor, i):
-        if (pos, ctor, i) not in child:
-            tau = pos_types[pos]
-            if ctor is row:
-                tau = types[i]
-            else:  # unknown, also below a head outside the type
-                known = type(tau) is Named and decls.owner(ctor) == tau.name
-                tau = decls.arg_types(ctor)[i] if known else None
-            child[(pos, ctor, i)] = len(pos_types)
-            pos_types.append(tau)
-            origin.append((pos, ctor, i))
-        return child[(pos, ctor, i)]
-
-    def value_at(parts, pos):  # the part of a value at `pos`, given its root part
-        chain = []
-        while pos not in parts:
-            chain.append(pos)
-            pos = origin[pos][0]
-        for p in reversed(chain):
-            v, (_, ctor, i) = parts[pos], origin[p]
-            parts[p] = v.args[i] if v is not None and v.ctor is ctor else None
-            pos = p
-        return parts[pos]
-
-    def dead(ban, tau):  # do the bans leave a position of known type no value?
-        if tau not in live:
-            sig = signature_of(tau, decls)
-            live[tau] = {c for c, ats in sig if None not in map(decls.least_value, ats)}
-        return live[tau] <= ban
-
-    def refuted(p) -> bool:  # does the branch rule out the row, by its conjunctive parts?
-        todo = [(p, 0)]
-        while todo:
-            p, pos = todo.pop()
-            kind, head = type(p), at.get(pos)
-            if kind is Absurd or kind is Ctor and (
-                p.ctor in head if type(head) is set else head not in (None, p.ctor)
-            ):
-                return True
-            if kind is Ctor and head is p.ctor:
-                todo.extend((a, child.get((pos, p.ctor, i))) for i, a in enumerate(p.args))
-            elif kind is And:
-                todo += ((p.left, pos), (p.right, pos))
-        return False
-
-    def kids(pos, _):
-        head = at.get(pos)
-        n = head.arity if type(head) is CtorName else 0
-        return tuple((kid(pos, head, i), None) for i in range(n))
-
-    def least(pos, _, results):  # the branch's least value at `pos`, None, or the error
-        head, tau = at.get(pos), pos_types[pos]
-        if type(head) is not CtorName:
-            try:
-                return _outside(frozenset(head or ()), tau, decls)
-            except SignatureError as err:
-                return err
-        if tau is not None and head not in dict(signature_of(tau, decls)):
-            return None
-        failed = [r for r in results if type(r) is not Value]  # the first one decides
-        return failed[0] if failed else Value(head, tuple(results))
-
-    while choices:
-        goals, mark, disjoint, seen = choices.pop()
-        if goals is None:  # every branch from the state `mark` ended without a value
-            failed.add(mark)
-            continue
-        if disjoint is None:  # a probe found no value, so its branch has none
-            continue
-        while len(trail) > mark:
-            trail.pop()()
-        while goals is not None:
-            (q, positive, pos), goals = goals
-            kind = type(q)
-            if kind is int:  # before row q
-                if disjoint and refuted(goals[0][0]):
-                    goals = goals[1]
-                    continue
-                if choices and choices[-1][2] is not None:  # only another branch can come back
-                    key = (q, frozenset((p, h if type(h) is CtorName else frozenset(h))
-                                        for p, h in at.items() if h))
-                    if key in failed:
-                        break
-                    choices.append((None, key, disjoint, None))
-                if not (disjoint or seen or None in types):
-                    choices.append((goals, len(trail), None, None))  # resumed by the probe
-                    disjoint = True
-            elif kind is Neg:
-                goals = ((q.sub, not positive, pos), goals)
-            elif kind is And or kind is Or:
-                right = (q.right, positive, pos)
-                if (kind is And) == positive:
-                    goals = ((q.left, positive, pos), (right, goals))
-                else:  # the left operand, or the right one
-                    choices.append(((right, goals), len(trail), disjoint, seen))
-                    goals = ((q.left, positive, pos), goals)
-            elif kind is Ctor:
-                args = [(a, positive, kid(pos, q.ctor, i)) for i, a in enumerate(q.args)]
-                if positive:
-                    for goal in reversed([(q.ctor, True, pos), *args]):
-                        goals = (goal, goals)
-                else:  # a banned head, or the head with an argument failing
-                    for j in reversed(range(len(args))):
-                        alt = (args[j], goals)
-                        for a, _, p in reversed(args[:j] if disjoint else ()):
-                            alt = ((a, True, p), alt)  # where those before it match
-                        choices.append((((q.ctor, True, pos), alt), len(trail), disjoint, seen))
-                    goals = ((q.ctor, False, pos), goals)
-            elif kind is CtorName:
-                head, tau = at.get(pos), pos_types[pos]
-                if type(head) is CtorName:
-                    if (head is q) != positive:
-                        break
-                    continue
-                if positive:
-                    if head and q in head:
-                        break
-                    trail.append(partial(at.__setitem__, pos, head))
-                    at[pos] = q
-                elif head is None:
-                    trail.append(partial(at.__setitem__, pos, head))
-                    at[pos] = head = {q}
-                elif q in head:
-                    continue
-                else:  # a ban set this search made: grow it in place
-                    head.add(q)
-                    trail.append(partial(head.discard, q))
-                if not positive and tau is not None and dead(head, tau):
-                    break
-                if seen and ((v := value_at(seen, pos)) is None or (v.ctor is q) != positive):
-                    seen = None
-            elif kind is Var or kind is Wild or kind is Absurd:
-                if positive == (kind is Absurd):
-                    break
-            else:
-                raise TypeError(f"not a pattern: {q!r}")
-        else:
-            v = fold(0, least, None, kids)
-            if type(v) is SignatureError:
-                raise v
-            if v is not None:
-                if not disjoint:
-                    return v
-                while choices[-1][2] is not None:  # drop the probe's other branches
-                    choices.pop()
-                goals, mark, _, _ = choices.pop()
-                choices.append((goals, mark, False, {0: v}))
-    return None
 
 
 def exhaustive(rows, decls: DataDecls, col_types=None) -> bool:

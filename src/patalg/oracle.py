@@ -14,7 +14,7 @@ import random
 
 from . import overlap, semantics, wellformed
 from .compiler import DecisionTree, Leaf, Switch, compile_case, eval_tree
-from .exhaustiveness import infer_scrutinee_type, useful_witness
+from .exhaustiveness import scrutinee_type, useful_witness
 from .pretty import format_expr, format_pattern, format_value
 from .semantics import Clause, ECase, ECtor, EVar, Evaluated, substitute
 from .syntax import (
@@ -242,8 +242,9 @@ def differential_check_tree(
     if not isinstance(e.scrutinee, EVar):
         raise ValueError("differential checking needs a variable scrutinee")
     if tau is None:
-        roots = [wellformed.pattern_facts(c.pattern).roots for c in e.clauses]
-        tau = infer_scrutinee_type(roots, decls)
+        tau = scrutinee_type([c.pattern for c in e.clauses], decls)
+        if tau is None:
+            raise ValueError("cannot infer the scrutinee type from the clause patterns")
     n = 0
     for v in enumerate_values(decls, tau, depth):
         direct = semantics.eval(ECase(v, e.clauses, e.default_rhs), fuel)
@@ -431,7 +432,7 @@ def validate_tree(e: ECase, tree: Leaf | Switch) -> Agree | Disagree:
     A switch must test an occurrence that the path exposed and did not
     test, with distinct arms, each binding arity-many unused names.  At a
     leaf at most one clause may say yes, and one still unknown must be
-    settled no by the open-world emptiness search on it and the partial
+    settled no by the open-world emptiness check on it and the partial
     value.  The leaf must be the right-hand side of the clause saying yes,
     each variable replaced by its occurrence, or else the default.  A fold
     over the DAG memoized on the state: `Agree` counts the (node, state)
@@ -482,7 +483,7 @@ def validate_tree(e: ECase, tree: Leaf | Switch) -> Agree | Disagree:
 
 def _witness(root, path, extra=None) -> Value | None:
     """A scrutinee value of the path's partial value that matches `extra`
-    too, by the open-world emptiness search, or None.  Without `extra`
+    too, by the open-world emptiness check, or None.  Without `extra`
     each open position gets a nullary constructor of its own, `$1`, `$2`,
     ..., which no pattern names, so no two are equal."""
     fresh = itertools.count(1)

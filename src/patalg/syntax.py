@@ -390,14 +390,15 @@ def pattern_kids(node, positive):
     raise TypeError(f"not a pattern: {node!r}")
 
 
-def fold(root, step, ctx=True, kids=pattern_kids):
+def fold(root, step, ctx=True, kids=pattern_kids, done=None):
     """The catamorphism of `root` read at context `ctx` (Meijer, Fokkinga &
     Paterson, FPCA 1991).  `kids(node, ctx)` gives a node's operands, each
     paired with its own context; `step(node, ctx, results)` builds the
     node's result from its operands' results, in order.  Runs post-order on
     an explicit stack, and each (node, ctx) pair is stepped once per call,
-    so a subterm shared in `root` costs one step."""
-    done: dict = {}
+    so a subterm shared in `root` costs one step.  A caller that passes its
+    own `done` dict shares the steps across calls."""
+    done = {} if done is None else done
     todo: list = [((root, ctx), None)]
     pop, push = todo.pop, todo.append
     while todo:

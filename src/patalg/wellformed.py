@@ -7,9 +7,8 @@ of a match agree on the substitution; its disjointness side conditions are
 decided by the overlap procedure, which is exact for the open world, so
 some patterns deterministic in a closed type are rejected (never the
 other way around).  Both come from one post-order pass over a pattern
-(`pattern_facts`), with its root facts, and the pairwise disjointness of
-a case's clauses or a matrix's rows is decided, on source patterns, only
-for the pairs an index on root facts leaves (`overlap.candidate_pairs`).
+(`pattern_facts`).  The clauses of a case that overlap are found by
+splitting them on their heads (`exhaustiveness.overlapping_pairs`).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from . import overlap, semantics
+from . import exhaustiveness, overlap, semantics
 from .normalize import embed_ndnf
 from .syntax import And, Neg, Or, Pattern, Record, Var, fold, pattern_kids
 
@@ -29,25 +28,19 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return a | b if a and b else a or b
 
 
-_FACTS = ("fv_even", "fv_odd", "linear_pos", "linear_neg", "disjoint_pairs", "pos", "neg")
+_FACTS = ("fv_even", "fv_odd", "linear_pos", "linear_neg", "disjoint_pairs")
 
 
 class PatternFacts(namedtuple("PatternFacts", _FACTS)):
-    """The facts the wellformedness checks and `overlap.decide` read: the
-    free variables at both negation parities (frozensets), positive and
-    negative linearity, the pattern pairs that determinism requires to be
-    disjoint, and the two judgments from `overlap.roots_step`.  The pairs
+    """The facts the wellformedness checks read: the free variables at both
+    negation parities (frozensets), positive and negative linearity, and
+    the pattern pairs that determinism requires to be disjoint.  The pairs
     come in the order a left-to-right post-order walk meets them: for each
     Or node binding a variable its two sides, for each And node with a
     variable under a negation the negations of its two sides.  A tuple, so
     it hashes and compares in C."""
 
     __slots__ = ()
-
-    @property
-    def roots(self) -> tuple:
-        """The positive root facts: (heads, banned, bans)."""
-        return self.pos[0]
 
     def deterministic(self, decls=None) -> bool:
         """Decides the side conditions in order and stops at the first
@@ -57,17 +50,17 @@ class PatternFacts(namedtuple("PatternFacts", _FACTS)):
 
 def pattern_facts(p: Pattern) -> PatternFacts:
     """Free variables at both negation parities, positive and negative
-    linearity, the determinism side conditions and the two judgments of a
-    pattern.  One step of `syntax.fold` builds a node's facts from its
-    operands', or reads those the node keeps, so no subpattern is walked
-    twice and no frame is spent per level.  A pattern keeps its facts from
-    the second ask on, and the first only marks it (the admission rule of
-    2Q, Johnson & Shasha, VLDB 1994): the suites ask once about most of
-    the patterns they generate, which the match memo keeps alive."""
+    linearity and the determinism side conditions of a pattern.  One step
+    of `syntax.fold` builds a node's facts from its operands', or reads
+    those the node keeps, so no subpattern is walked twice and no frame is
+    spent per level.  A pattern keeps its facts from the second ask on,
+    and the first only marks it (the admission rule of 2Q, Johnson &
+    Shasha, VLDB 1994): the suites ask once about most of the patterns
+    they generate, which the match memo keeps alive."""
     facts = getattr(p, "_facts", None)
     if not facts:
         asked = facts
-        fe, fo, lp, ln, pairs, pos, neg = fold(p, _facts_step, True, _facts_kids)
+        fe, fo, lp, ln, pairs = fold(p, _facts_step, True, _facts_kids)
         # A node's pairs are None or a list of its operands' pairs and then
         # its own pair, so that a node costs no copy of its operands' pairs;
         # they are flattened here, once per occurrence of a shared subpattern.
@@ -78,7 +71,7 @@ def pattern_facts(p: Pattern) -> PatternFacts:
                 todo += reversed(item)
             else:
                 out.append(item)
-        facts = PatternFacts(fe, fo, lp, ln, tuple(out), pos, neg)
+        facts = PatternFacts(fe, fo, lp, ln, tuple(out))
         object.__setattr__(p, "_facts", asked is not None and facts)
     return facts
 
@@ -90,17 +83,16 @@ def _facts_kids(node, positive):
 
 
 def _facts_step(node, _, results) -> tuple:
-    """(fv_even, fv_odd, linear_pos, linear_neg, pairs, pos, neg) of a
-    node: the facts it keeps, or built from its operands'."""
+    """(fv_even, fv_odd, linear_pos, linear_neg, pairs) of a node: the
+    facts it keeps, or built from its operands'."""
     if not results and (facts := getattr(node, "_facts", None)):
-        return (*facts[:4], list(facts.disjoint_pairs) or None, *facts[5:])
+        return (*facts[:4], list(facts.disjoint_pairs) or None)
     kind = type(node)
-    pos, neg = overlap.roots_step(node, [r[5:] for r in results])
     if kind is Var:
-        return frozenset((node.name,)), _NO_VARS, True, True, None, pos, neg
+        return frozenset((node.name,)), _NO_VARS, True, True, None
     if kind is Neg:
-        fe, fo, lp, ln, pairs, _, _ = results[0]
-        return fo, fe, ln, lp, pairs, pos, neg
+        fe, fo, lp, ln, pairs = results[0]
+        return fo, fe, ln, lp, pairs
     pairs = [r[4] for r in results if r[4] is not None]
     if kind is Or or kind is And:
         (l_fe, l_fo, l_lp, l_ln, *_), (r_fe, r_fo, r_lp, r_ln, *_) = results
@@ -114,18 +106,18 @@ def _facts_step(node, _, results) -> tuple:
                 pairs.append((Neg(node.left), Neg(node.right)))
             lp = l_lp and r_lp and not (l_fe & r_fe)
             ln = l_ln and r_ln and l_fo == r_fo
-        return _union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln, pairs or None, pos, neg
+        return _union(l_fe, r_fe), _union(l_fo, r_fo), lp, ln, pairs or None
     # A constructor, or a leaf with no operands.
     fe = fo = _NO_VARS
     lp = ln = True
-    for a_fe, a_fo, a_lp, a_ln, *_ in results:
+    for a_fe, a_fo, a_lp, a_ln, _ in results:
         # Pairwise disjointness of the bindable variables; strictly stronger
         # than an n-ary intersection for three or more arguments, and what
         # properness of the produced substitutions requires.
         lp = lp and a_lp and not (fe & a_fe)
         ln = ln and a_ln and not a_fo
         fe, fo = _union(fe, a_fe), _union(fo, a_fo)
-    return fe, fo, lp, ln, pairs or None, pos, neg
+    return fe, fo, lp, ln, pairs or None
 
 
 def linear_pos(p: Pattern) -> bool:
@@ -147,11 +139,9 @@ class Violation(Record):
     __slots__ = ("rule", "path", "message")  # path: child indices from the root
 
 
-class CaseSite(namedtuple("CaseSite", ("case", "where", "roots"))):
+class CaseSite(namedtuple("CaseSite", ("case", "where"))):
     """A case expression `wf_expr` checked (`case`), with the position
-    `semantics.subterms` gives it (`where`) and the root facts of each of
-    its clause patterns (`roots`, a list of `PatternFacts.roots`, one per
-    clause), which type exhaustiveness checking."""
+    `semantics.subterms` gives it (`where`)."""
 
     __slots__ = ()
 
@@ -185,8 +175,10 @@ def wf_expr(e, decls=None) -> WfReport:
     pairwise disjoint.  One walk over the expression (`semantics.subterms`)
     checks every case; a case's violations follow its scrutinee's, each
     clause's come before its right-hand side's, and its overlaps come
-    after the last right-hand side's and before its default's.  The report
-    keeps each case with its clauses' root facts (`sites`)."""
+    after the last right-hand side's and before its default's.  A case's
+    overlapping clauses are found in the open world; with declarations,
+    each such pair is decided again under them.  The report keeps each
+    case with its position (`sites`)."""
     from .pretty import format_pattern
 
     out: list = []
@@ -196,11 +188,11 @@ def wf_expr(e, decls=None) -> WfReport:
         if where is not None and where[1] == semantics.DEFAULT:
             _overlaps(open_sites.pop(), decls, out)
         if type(node) is semantics.ECase:
-            sites.append(CaseSite(node, where, []))
+            sites.append(CaseSite(node, where))
             open_sites.append(sites[-1])
         elif type(node) is semantics.Clause:
             facts = pattern_facts(node.pattern)
-            # Ban sets that fit no declared type are reported at the clause.
+            # Constructors that fit no declared type are reported at the clause.
             try:
                 det_rule = (
                     "nondeterministic",
@@ -216,7 +208,6 @@ def wf_expr(e, decls=None) -> WfReport:
                 if not holds:
                     shown = format_pattern(node.pattern)
                     out.append(Violation(rule, _path(where), f"pattern {shown} {says}"))
-            open_sites[-1].roots.append(facts.roots)
     return WfReport(tuple(out), tuple(sites))
 
 
@@ -224,23 +215,18 @@ def _overlaps(site: CaseSite, decls, out: list) -> None:
     from .pretty import format_pattern
 
     clauses = site.case.clauses
-    # Only the pairs the head index leaves can overlap.  Ban sets that fit
-    # no declared type are reported at their pair.
-    for i, j in overlap.candidate_pairs(site.roots):
+    # Only the pairs that overlap in the open world can overlap typed.
+    # Constructors that fit no declared type are reported at their pair.
+    for i, j in exhaustiveness.overlapping_pairs([c.pattern for c in clauses]):
+        p, q = clauses[i].pattern, clauses[j].pattern
         try:
-            if not overlap.decide(clauses[i].pattern, clauses[j].pattern, decls):
+            if decls is not None and not overlap.decide(p, q, decls):
                 continue
             rule, says = "overlap", "overlap"
         except overlap.OverlapTypeError as err:
             rule, says = "overlap-type", f"cannot be compared by type: {err}"
-        out.append(
-            Violation(
-                rule,
-                _path(site.where) + (i + 1,),
-                f"clause patterns {format_pattern(clauses[i].pattern)} and "
-                f"{format_pattern(clauses[j].pattern)} {says}",
-            )
-        )
+        shown = f"clause patterns {format_pattern(p)} and {format_pattern(q)} {says}"
+        out.append(Violation(rule, _path(site.where) + (i + 1,), shown))
 
 
 def wf_matrix(m) -> WfReport:
@@ -249,15 +235,13 @@ def wf_matrix(m) -> WfReport:
     disjoint bindable variables across the columns of each row, none of
     them named like a scrutinee variable (compilation substitutes the
     scrutinee for bound variables step by step, and a later step would
-    capture it).  Cells are read as the patterns they embed as.  Two rows
-    are decided only when the head index of every column leaves them
-    (`overlap.candidate_pairs`); with no column, every pair overlaps."""
+    capture it).  Cells are read as the patterns they embed as.  Every
+    pair of rows is decided; with no column, every pair overlaps."""
     out: list = []
     scrutinee_vars = {s.name for s in m.scrutinees if isinstance(s, semantics.EVar)}
     cells = [[embed_ndnf(cell) for cell in row.cells] for row in m.rows]
     cell_facts = [[pattern_facts(p) for p in row] for row in cells]
     for r, row in enumerate(cell_facts):
-        fvs = []
         for c, facts in enumerate(row):
             for rule, holds, says in (
                 ("nondeterministic", facts.deterministic(), "deterministic"),
@@ -265,37 +249,16 @@ def wf_matrix(m) -> WfReport:
             ):
                 if not holds:
                     out.append(Violation(rule, (r, c), f"cell pattern is not {says}"))
-            fvs.append(facts.fv_even)
         seen: set = set()
-        for c, fv in enumerate(fvs):
-            if seen & fv:
-                out.append(
-                    Violation(
-                        "shared-variables",
-                        (r, c),
-                        f"variables {sorted(seen & fv)} bound in more than "
-                        f"one column of the row",
-                    )
-                )
-            seen |= fv
-        if seen & scrutinee_vars:
-            out.append(
-                Violation(
-                    "shadows-scrutinee",
-                    (r,),
-                    f"variables {sorted(seen & scrutinee_vars)} bound under "
-                    f"the name of a scrutinee",
-                )
-            )
-    pairs = None
-    for c in range(len(m.scrutinees)):
-        column = set(overlap.candidate_pairs([row[c].roots for row in cell_facts]))
-        pairs = column if pairs is None else pairs & column
-    if pairs is None:
-        pairs = itertools.combinations(range(len(m.rows)), 2)
-    for i, j in sorted(pairs):
+        for c, facts in enumerate(row):
+            if shared := seen & facts.fv_even:
+                says = f"variables {sorted(shared)} bound in more than one column of the row"
+                out.append(Violation("shared-variables", (r, c), says))
+            seen |= facts.fv_even
+        if shadowed := seen & scrutinee_vars:
+            says = f"variables {sorted(shadowed)} bound under the name of a scrutinee"
+            out.append(Violation("shadows-scrutinee", (r,), says))
+    for i, j in itertools.combinations(range(len(m.rows)), 2):
         if all(overlap.decide(a, b) for a, b in zip(cells[i], cells[j])):
-            out.append(
-                Violation("overlap", (i, j), f"rows {i} and {j} overlap in every column")
-            )
+            out.append(Violation("overlap", (i, j), f"rows {i} and {j} overlap in every column"))
     return WfReport(tuple(out))

@@ -3,7 +3,7 @@
 import itertools
 from collections import Counter
 
-from patalg import exhaustiveness, overlap, syntax
+from patalg import overlap, syntax
 from patalg.compiler import Leaf, MatrixRow, default_rows, specialize_each
 from patalg.exhaustiveness import SignatureError
 from patalg.normalize import (
@@ -193,69 +193,10 @@ def _union_vars(a, b):
     return a | b if a and b else a or b
 
 
-def _meet_roots(a, b):
-    """Root facts (heads, ban sets) of a conjunction: the normal form's
-    conjunct pairs, read at the root."""
-    (ha, ba), (hb, bb) = a, b
-    heads = (ha & hb) | {h for h in ha if any(h not in x for x in bb)}
-    heads |= {h for h in hb if any(h not in x for x in ba)}
-    return heads, [x | y for x in ba for y in bb]
-
-
-def _roots_by_stack(node, kids):
-    """(positive, negative) root facts of a node from its operands', each
-    a pair (heads, list of ban sets): what the root of the normal form
-    shows when arguments are not read."""
-    anything, nothing = (set(), [frozenset()]), (set(), [])
-    kind = type(node)
-    if kind is Neg:
-        return kids[0][1], kids[0][0]
-    if kind is And or kind is Or:
-        (lp, ln), (rp, rn) = kids
-        meet = _meet_roots(lp, rp), _meet_roots(ln, rn)
-        join = (lp[0] | rp[0], lp[1] + rp[1]), (ln[0] | rn[0], ln[1] + rn[1])
-        return (meet[0], join[1]) if kind is And else (join[0], meet[1])
-    if kind is Ctor:
-        head = frozenset((node.ctor,))
-        empty = any(not h and not b for (h, b), _ in kids)
-        pos = nothing if empty else (set(head), [])
-        fails = any(h or b for _, (h, b) in kids)
-        return pos, (set(head) if fails else set(), [head])
-    return (nothing, anything) if kind is Absurd else (anything, nothing)
-
-
-def _flags_by_stack(node, kids):
-    """((full, flat) positively, (full, flat) negatively) of a node from
-    its operands': a judgment is full when every value satisfies it, and
-    flat when only the value's head decides it."""
-    kind = type(node)
-    if kind is Neg:
-        return kids[0][1], kids[0][0]
-    if kind is And or kind is Or:
-        (lp, ln), (rp, rn) = kids
-        both = (lp[0] and rp[0], lp[1] and rp[1]), (ln[0] and rn[0], ln[1] and rn[1])
-        either = (lp[0] or rp[0], lp[1] and rp[1]), (ln[0] or rn[0], ln[1] and rn[1])
-        return (both[0], either[1]) if kind is And else (either[0], both[1])
-    if kind is Ctor:
-        flat = all(pos[0] for pos, _ in kids)
-        return (False, flat), (False, flat)
-    every, none = (True, True), (False, True)
-    return (none, every) if kind is Absurd else (every, none)
-
-
-def _as_roots(heads, bans) -> tuple:
-    """(heads, banned, bans), as `overlap.roots_step` keeps root facts."""
-    banned = frozenset.intersection(*bans) if bans else None
-    union = frozenset().union(*bans) if bans else None
-    return frozenset(heads), banned, union
-
-
 def pattern_facts_by_stack(p):
     """Reference `wellformed.pattern_facts`: one post-order pass over every
-    occurrence of every subpattern, on an explicit stack, with root facts
-    kept as lists of ban sets and the flags of each judgment computed apart
-    from them.  The fold must give the same fields, its pairs in the same
-    order."""
+    occurrence of every subpattern, on an explicit stack.  The fold must
+    give the same fields, its pairs in the same order."""
     # First every node, each before its children and a later child before
     # an earlier one, so that the reverse order is a left-to-right
     # post-order.
@@ -276,15 +217,8 @@ def pattern_facts_by_stack(p):
             raise TypeError(f"not a pattern: {node!r}")
     pairs: list = []
     done: list = []  # (fv_even, fv_odd, linear_pos, linear_neg) of finished subpatterns
-    roots: list = []  # their root facts, in step with `done`
-    flags: list = []  # and their flags
     for node in reversed(nodes):
         kind = type(node)
-        arity = len(node.args) if kind is Ctor else 2 if kind in (Or, And) else int(kind is Neg)
-        for stack, step in ((roots, _roots_by_stack), (flags, _flags_by_stack)):
-            kids = stack[len(stack) - arity :]
-            del stack[len(stack) - arity :]
-            stack.append(step(node, kids))
         if kind is Ctor:
             start = len(done) - len(node.args)
             args = done[start:]
@@ -323,13 +257,7 @@ def pattern_facts_by_stack(p):
             done.append((frozenset((node.name,)), _NO_VARS, True, True))
         else:
             done.append((_NO_VARS, _NO_VARS, True, True))
-    (pos, neg), (pos_flags, neg_flags) = roots.pop(), flags.pop()
-    return PatternFacts(
-        *done.pop(),
-        tuple(pairs),
-        (_as_roots(*pos), *pos_flags),
-        (_as_roots(*neg), *neg_flags),
-    )
+    return PatternFacts(*done.pop(), tuple(pairs))
 
 
 def wf_expr_all_pairs(e, decls=None):
@@ -733,7 +661,7 @@ def tree_to_obj_by_recursion(t):
 # --- reference emptiness: the pairwise overlap loop and usefulness ------------
 #
 # The procedures the package used before overlap, exhaustiveness and typed
-# overlap shared one inhabitant search.  `overlap.decide` and
+# overlap shared one emptiness question.  `overlap.decide` and
 # `exhaustiveness.useful_witness` must agree with them.
 
 
@@ -772,37 +700,6 @@ def _conj_overlap(a, b, decls):
     if a.ctor != b.ctor:
         return False
     return all(_conj_overlap(x, y, decls) for x, y in zip(a.args, b.args))
-
-
-def inhabitant(k, tau, decls):
-    """Reference least value: a value of type `tau` matching the
-    satisfiable conjunct `k`, or None when the type has none.  Arguments of
-    a known type get their declared types.  Of an unknown type (None), a
-    negative conjunct takes the type declaring its ban set (SignatureError
-    if none does), or with no ban set or no declarations (None) the open
-    world's `$any`.  Runs on an explicit stack, left to right, and stops at
-    the first argument without a value.  The emptiness search builds the
-    same value of the conjunct its branch reaches."""
-    done: list = []  # finished values, the last ones the pending arguments
-    todo: list = [(k, tau, False)]
-    while todo:
-        k, tau, build = todo.pop()
-        if build:
-            start = len(done) - k.ctor.arity
-            done[start:] = [Value(k.ctor, tuple(done[start:]))]
-        elif type(k) is PosConj:
-            if tau is None:
-                arg_types = (None,) * k.ctor.arity
-            elif (arg_types := dict(signature_of(tau, decls)).get(k.ctor)) is None:
-                return None
-            todo.append((k, tau, True))
-            todo.extend((a, t, False) for a, t in reversed(tuple(zip(k.args, arg_types))))
-        else:
-            v = exhaustiveness._outside(k.banned, tau, decls)
-            if v is None:
-                return None
-            done.append(v)
-    return done[0]
 
 
 ANY = CtorName("$any", 0)

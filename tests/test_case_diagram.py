@@ -1,0 +1,245 @@
+"""`check` reads each case off decision diagrams: it notes dead clauses,
+its output depends on the set of clauses and not on their order, and its
+cost grows no faster than the diagrams on the families where the earlier
+procedures had cliffs, or where one diagram of the whole case would."""
+
+import itertools
+import math
+import random
+import re
+import sys
+from collections import Counter
+
+import pytest
+
+from patalg import oracle
+from patalg.cli import main
+from patalg.pretty import format_pattern
+from patalg.suites import STANDARD_DECLS
+from patalg.syntax import Neg
+from patalg.typecheck import Named, format_type
+
+DEAD = (
+    "data Color = Red | Green | Blue;\n"
+    "def f(x: Color) := case x of { Red => Red, !Red & !Green & !Blue => Red, default => Green };\n"
+)
+
+
+def _check(tmp_path, capsys, text, *flags):
+    path = tmp_path / "prog.pat"
+    path.write_text(text)
+    code = main(["check", str(path), *flags])
+    return code, capsys.readouterr().out.replace(f"{path}: ", "")
+
+
+@pytest.mark.parametrize("flags", [(), ("--typed",), ("--typed", "--type-aware-overlap")])
+def test_dead_clause_is_noted(tmp_path, capsys, flags):
+    code, out = _check(tmp_path, capsys, DEAD, *flags)
+    assert code == 0
+    assert out == (
+        "def f: note: clauses at <body> are not exhaustive; the default clause handles e.g. Green\n"
+        "def f: note: clause !Red & !Green & !Blue at <body> matches no value\n"
+        "ok\n"
+    )
+
+
+def test_open_world_dead_clause_is_noted(tmp_path, capsys):
+    # With no constructor at the root to type the scrutinee, a clause is
+    # dead only where no value at all matches it.
+    text = "def f(x) := case x of { x & !x => x, y => y, default => x };\n"
+    code, out = _check(tmp_path, capsys, text, "--untyped")
+    assert (code, out) == (0, "ok\n")
+    code, out = _check(tmp_path, capsys, text)
+    assert code == 0
+    assert "def f: note: clause x & !x at <body> matches no value\n" in out
+
+
+# --- clause order ------------------------------------------------------------
+
+
+def _decls_text() -> str:
+    lines = []
+    for name, ctors in STANDARD_DECLS.types.items():
+        alts = (
+            c.name + (f"({', '.join(map(format_type, ats))})" if ats else "") for c, ats in ctors
+        )
+        lines.append(f"data {name} = {' | '.join(alts)};\n")
+    return "".join(lines)
+
+
+def _program(patterns) -> str:
+    clauses = "".join(f"    {format_pattern(p)} => s,\n" for p in patterns)
+    return f"{_decls_text()}def f(s) :=\n  case s of {{\n{clauses}    default => s\n  }};\n"
+
+
+_VIOLATION = re.compile(r"^def f: \[(\S+)\] at [\d/]+: (.*)$")
+
+
+def _outputs(tmp_path, capsys, patterns, flags):
+    """`check`'s notes, in order, and its violations as a multiset, each a
+    rule and the set of patterns it names (a clause's position is not
+    part of it)."""
+    _, out = _check(tmp_path, capsys, _program(patterns), *flags)
+    notes = [line for line in out.splitlines() if " note: " in line]
+    violations = Counter()
+    for line in out.splitlines():
+        if m := _VIOLATION.match(line):
+            shown = m.group(2)
+            pair = re.match(r"clause patterns (.*) and (.*) (overlap|cannot be compared.*)$", shown)
+            if pair:
+                shown = (frozenset(pair.group(1, 2)), pair.group(3))
+            violations[m.group(1), shown] += 1
+    return notes, violations
+
+
+def test_check_output_does_not_depend_on_clause_order(tmp_path, capsys):
+    rng = random.Random(15)
+    taus = [Named(t) for t in ("Color", "Day", "B", "BPair", "BList")]
+    seen = Counter()
+    for seed in range(120):
+        tau = taus[seed % len(taus)]
+        if seed % 2:
+            patterns = [c.pattern for c in oracle.gen_case(STANDARD_DECLS, tau, seed, 5).clauses]
+        else:  # clauses that overlap, and raise under typed overlap
+            patterns = [
+                oracle.gen_pattern(STANDARD_DECLS, rng.choice(taus[:3]), rng.randint(0, 3), seed * 10 + k)
+                for k in range(rng.randint(2, 5))
+            ]
+            patterns = [Neg(p) if rng.random() < 0.3 else p for p in patterns]
+        shuffled = list(patterns)
+        rng.shuffle(shuffled)
+        for flags in ((), ("--type-aware-overlap",)):
+            notes, violations = _outputs(tmp_path, capsys, patterns, flags)
+            assert (notes, violations) == _outputs(tmp_path, capsys, shuffled, flags), patterns
+            seen.update(v[0] for v in violations)
+            seen["witness"] += any("e.g." in n for n in notes)
+    assert seen["overlap"] > 20 and seen["overlap-type"] > 0 and seen["witness"] > 50
+
+
+def test_mkpair_witness_does_not_depend_on_clause_order(tmp_path, capsys):
+    head = "data B = T | F;\ndata P = MkPair(B, B);\ndef f(x) := case x of { "
+    for clauses in ("MkPair(F, F) => T, MkPair(T, F) => F", "MkPair(T, F) => F, MkPair(F, F) => T"):
+        code, out = _check(tmp_path, capsys, head + clauses + ", default => T };\n")
+        assert (code, out) == (
+            0,
+            "def f: note: clauses at <body> are not exhaustive; the default clause handles "
+            "e.g. MkPair(T, T)\nok\n",
+        )
+
+
+# --- cost contract --------------------------------------------------------------
+#
+# Python calls that an in-process `check` makes, counted by `sys.setprofile`,
+# at three sizes of each family.  The emptiness search, the head index and
+# the overlap query fold each had a cliff on one of them: the truth table's
+# counts grew as rows^1.90 after the head index stopped separating its rows,
+# first-match grew exponentially in n, and the complement as k^2.  A case
+# diagram whose sinks are sets of clauses has 2^n sinks on the independent
+# columns, and the complement of clauses told apart only at the last
+# column has 2^n nodes, so the witness must not build it.  Counts do not
+# depend on the host, so the budgets can be tight: about 1.5 times the
+# counts measured when they were set, and an exponent fitted from the
+# smallest and largest size (`exponent`) at most the one given.
+
+
+def _table(rows: int) -> str:
+    width = rows.bit_length() - 1
+    clauses = "".join(
+        f"    P({', '.join(r)}) => x,\n" for r in itertools.product(("T", "F"), repeat=width)
+    )
+    return (
+        f"data B = T | F;\ndata R = P({', '.join(['B'] * width)});\n"
+        f"def f(x) :=\n  case x of {{\n{clauses}    default => x\n  }};\n"
+    )
+
+
+def _first_match(n: int) -> str:
+    def p(i):
+        args = ["_"] * (n + 1)
+        args[i], args[i + 1] = "T", "F"
+        return f"Q({', '.join(args)})"
+
+    clauses = [p(i) + (f" & !({' | '.join(map(p, range(i)))})" if i else "") for i in range(n)]
+    return (
+        f"data B = T | F;\ndata R = Q({', '.join(['B'] * (n + 1))});\n"
+        f"def f(x) := case x of {{ {', '.join(c + ' => T' for c in clauses)}, default => F }};\n"
+    )
+
+
+def _complement(k: int) -> str:
+    deep = "S(" * k + "Z" + ")" * k
+    return f"data N = Z | S(N);\ndef f(x: N) := case x of {{ {deep} => Z, !{deep} => S(Z), default => Z }};\n"
+
+
+def _clauses(p, n: int) -> str:
+    return ", ".join(f"{p(i)} => T" for i in range(n))
+
+
+def _independent(n: int) -> str:
+    def p(i):
+        args = ["_"] * n
+        args[i] = "T"
+        return f"P({', '.join(args)})"
+
+    return (
+        f"data B = T | F;\ndata R = P({', '.join(['B'] * n)});\n"
+        f"def f(x) := case x of {{ {_clauses(p, n)}, default => F }};\n"
+    )
+
+
+def _apart_last(n: int) -> str:
+    def p(i):
+        args = ["_"] * n + [f"K{i}"]
+        args[i] = "T"
+        return f"P({', '.join(args)})"
+
+    ks = " | ".join(f"K{i}" for i in range(n + 1))
+    return (
+        f"data B = T | F;\ndata K = {ks};\ndata R = P({', '.join(['B'] * n)}, K);\n"
+        f"def f(x) := case x of {{ {_clauses(p, n)}, default => F }};\n"
+    )
+
+
+# family: (program, sizes, budget of calls at each size, exponent, exit
+# code).  Measured 9,315 / 17,418 / 36,286 (exponent 0.98), 6,796 /
+# 13,385 / 23,654 (1.80; the source text grows as n^3), 19,746 / 37,546 /
+# 73,146 (0.94), 6,244 / 16,372 / 53,524 (1.55; every pair of clauses
+# overlaps, so the report grows as n^2) and 8,324 / 21,807 / 69,948 (1.54;
+# the text grows as n^2) on CPython 3.11.  The budgets are about 1.5 times
+# the counts of an earlier version, whose case diagram had sets of clauses
+# at its sinks, for the first three, and of this one for the last two.
+FAMILIES = {
+    "truth table": (_table, (16, 32, 64), (12_000, 24_500, 52_500), 1.3, 0),
+    "first-match": (_first_match, (4, 6, 8), (8_700, 16_300, 27_800), 2.0, 0),
+    "complement": (_complement, (100, 200, 400), (27_500, 52_000, 101_000), 1.2, 0),
+    "independent": (_independent, (8, 16, 32), (9_600, 25_000, 80_500), 1.8, 1),
+    "apart last": (_apart_last, (8, 16, 32), (13_600, 33_500, 106_500), 1.8, 0),
+}
+
+
+def _calls(tmp_path, capsys, text, want) -> int:
+    path = tmp_path / "family.pat"
+    path.write_text(text)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        code = main(["check", str(path)])
+    finally:
+        sys.setprofile(None)
+    assert code == want
+    capsys.readouterr()
+    return calls
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_check_cost_stays_within_budget(tmp_path, capsys, family):
+    program, sizes, budgets, most, code = FAMILIES[family]
+    counts = [_calls(tmp_path, capsys, program(n), code) for n in sizes]
+    exponent = math.log(counts[-1] / counts[0]) / math.log(sizes[-1] / sizes[0])
+    assert all(c <= b for c, b in zip(counts, budgets)), (counts, budgets)
+    assert exponent <= most, (counts, exponent)

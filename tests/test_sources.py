@@ -223,9 +223,11 @@ def _normalize_imports(path) -> set:
 
 
 def test_check_decides_on_source_patterns():
-    # `check` asks the emptiness search of the source patterns and never
-    # normalizes: overlap reads no normal form, and wellformedness embeds
-    # one only where `wf_matrix` is given a matrix of normal forms.
+    # `check` builds the decision diagrams of the source patterns and never
+    # normalizes: overlap and exhaustiveness read no normal form, and
+    # wellformedness embeds one only where `wf_matrix` is given a matrix of
+    # normal forms.
     assert _normalize_imports(SRC / "compiler.py") >= {"to_ndnf"}  # the scan sees imports
     assert _normalize_imports(SRC / "overlap.py") == set()
+    assert _normalize_imports(SRC / "exhaustiveness.py") == set()
     assert _normalize_imports(SRC / "wellformed.py") == {"embed_ndnf"}
