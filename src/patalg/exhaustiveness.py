@@ -16,11 +16,15 @@ occurrence from its path; the witness is the value of the least path that
 has one (`_Reading.least`), checked against the source patterns.  A
 case's overlapping clauses come from splitting its clauses on their heads
 and deciding each clause that takes no single head against the others, a
-pair at a time (`overlapping_pairs`).
+pair at a time (`overlapping_pairs`).  Every question reads one table of
+pattern diagrams and applies (`_diagrams`), which outlives the question
+and is bounded in two generations, so the clause diagrams that `check`
+builds for a case's overlaps serve its notes too.
 """
 
 from __future__ import annotations
 
+import atexit
 from functools import reduce
 
 from .syntax import (
@@ -109,25 +113,50 @@ def _chain(node) -> list:
     return out
 
 
-class _Diagrams:
-    """The memos of one question (one `decide`, one `useful_witness` or one
-    case): pattern diagrams and the n-ary apply, both on `syntax.fold`."""
+# The most keys, of `built` and `applied` together, that the diagram
+# table's young generation holds at the start of a question without
+# being rotated.
+DIAGRAMS = 2048
 
-    __slots__ = ("false", "true", "built", "applied", "splits")
+
+class _Diagrams:
+    """The diagram table: pattern diagrams (`built`) and the n-ary apply
+    (`applied`), both memos of `syntax.fold`, kept from one question (a
+    `decide`, a `useful_witness` or a case) to the next, as a BDD package
+    keeps its unique and computed tables (Brace, Rudell & Bryant, DAC
+    1990).  They are bounded in two generations: a question starts with
+    `start`, which, when the young tables hold more than `DIAGRAMS` keys,
+    makes `built` the old generation and starts both young tables empty.
+    A question never rotates the table while it runs, and a rotation
+    swaps in new dicts rather than clearing any, so a fold that another
+    thread runs keeps the memo it reads, and a race can only lose entries."""
+
+    __slots__ = ("false", "true", "built", "old", "applied")
 
     def __init__(self):
         self.false, self.true = Sink(False), Sink(True)
         self.built: dict = {}  # (pattern, (occurrence, polarity)) -> diagram
+        self.old: dict = {}  # the previous generation of `built`
         self.applied: dict = {}  # (members, union?) -> diagram
-        self.splits: dict = {}  # (members, union?) -> (occurrence, constructors), in flight
+
+    def start(self):
+        """The table, rotated if its young generation is over the bound."""
+        if len(self.built) + len(self.applied) > DIAGRAMS:
+            self.old, self.built, self.applied = self.built, {}, {}
+        return self
 
     def pattern(self, p, occ, positive=True):
-        """The diagram of `p` (`!p` where not `positive`) at `occ`.
-        Negation is pushed to the leaves, and a chain of `&` or `|` is one
-        n-ary apply."""
+        """The diagram of `p` (`!p` where not `positive`) at `occ`, which
+        callers ask at the root, so it is looked up in the old generation
+        too.  Negation is pushed to the leaves, and a chain of `&` or `|`
+        is one n-ary apply."""
         false, true, apply = self.false, self.true, self.apply
         if type(p) is Wild or type(p) is Var:
             return true if positive else false
+        built, key = self.built, (p, (occ, positive))
+        if key not in built and (hit := self.old.get(key)) is not None:
+            built[key] = hit
+            return hit
 
         def kids(node, ctx):
             kind, (o, pos) = type(node), ctx
@@ -149,17 +178,33 @@ class _Diagrams:
                 return apply(results, (kind is Or) == pos)
             return true if pos != (kind is Absurd) else false
 
-        return fold(p, step, (occ, positive), kids, self.built)
+        return fold(p, step, (occ, positive), kids, built)
 
     def apply(self, members, union):
         """The union of the diagrams `members`, or their intersection."""
         return self.build(self._task(members, union), union)
 
     def build(self, task, union):
-        """The diagram of a task of `_task`."""
+        """The diagram of a task of `_task`.  The splits in flight are the
+        call's own, so threads that share the memo share none."""
         if type(task) is not frozenset:
             return task
-        return fold(task, self._step, union, self._kids, self.applied)
+        split, splits = self.split, {}  # task -> (occurrence, constructors)
+
+        def kids(t, union):
+            if type(t) is not frozenset:
+                return ()
+            occ, ctors, tasks = split(t, union)
+            splits[t] = occ, ctors
+            return tuple([(sub, union) for sub in tasks])
+
+        def step(t, union, results):
+            if type(t) is not frozenset:
+                return t
+            occ, ctors = splits.pop(t)
+            return _test(occ, zip(ctors, results), results[-1])
+
+        return fold(task, step, union, kids, self.applied)
 
     def _task(self, members, union):
         """The members as a task, or the diagram they give at once."""
@@ -192,18 +237,12 @@ class _Diagrams:
         subs = [[*ks, *rest, *[o for cs, o in loose if c not in cs]] for c, ks in buckets.items()]
         return occ, tuple(buckets), tuple([self._task(ms, union) for ms in (*subs, others + rest)])
 
-    def _kids(self, task, union):
-        if type(task) is not frozenset:
-            return ()
-        occ, ctors, tasks = self.split(task, union)
-        self.splits[task, union] = occ, ctors
-        return tuple([(t, union) for t in tasks])
 
-    def _step(self, task, union, results):
-        if type(task) is not frozenset:
-            return task
-        occ, ctors = self.splits.pop((task, union))
-        return _test(occ, zip(ctors, results), results[-1])
+_diagrams = _Diagrams()
+# Emptied at exit, before the interpreter's last collections walk it:
+# after `check` of a 600-clause case it holds about 12,000 of the
+# objects that a full collection visits.
+atexit.register(_diagrams.__init__)
 
 
 def overlapping_pairs(patterns) -> list:
@@ -217,7 +256,7 @@ def overlapping_pairs(patterns) -> list:
     the part; so no clause is in two parts, and a case costs at most a
     decision per pair.  In the open world every diagram but the false sink
     has a value below any path that reaches it."""
-    ds, root = _Diagrams(), _root()
+    ds, root = _diagrams.start(), _root()
     false, pairs = ds.false, set()
     todo = [[(i, ds.pattern(p, root)) for i, p in enumerate(patterns)]]
     while todo:
@@ -244,8 +283,8 @@ def overlapping_pairs(patterns) -> list:
 
 def overlaps(p, q) -> bool:
     """Does some value match both patterns, in the open world?"""
-    ds = _Diagrams()
-    return ds.pattern(And(p, q), _root()) is not ds.false
+    ds, root = _diagrams.start(), _root()
+    return ds.apply([ds.pattern(p, root), ds.pattern(q, root)], False) is not ds.false
 
 
 class _Reading:
@@ -386,9 +425,10 @@ def case_notes(patterns, decls) -> tuple:
     names: the least value that no clause matches (None if there is none,
     or the SignatureError that stops the walk), checked against the
     clauses; and the clauses that match no value, but those whose `other`
-    edge no declared type types.  The two share one memo, in which a
-    clause's diagram and its complement's share their nodes."""
-    ds, root, dead = _Diagrams(), _root(), []
+    edge no declared type types.  The clause diagrams come from the table,
+    where `overlapping_pairs` left them, and a clause's diagram and its
+    complement's share their nodes."""
+    ds, root, dead = _diagrams.start(), _root(), []
     reading = _Reading(decls, {root: scrutinee_type(patterns, decls)}, ds)
     for i, p in enumerate(patterns):
         try:
@@ -423,7 +463,7 @@ def useful_witness(rows, vector, decls: DataDecls, col_types=None) -> tuple | No
         row = CtorName("$row", n)
         query, *covered = (Ctor(row, tuple(r)) for r in (vector, *rows))
         seeds = {root: None, **{Occ(root, row, i): t for i, t in enumerate(types)}}
-    ds = _Diagrams()
+    ds = _diagrams.start()
     negated = (ds.pattern(r, root, False) for r in covered)
     task = ds._task([ds.pattern(query, root), *negated], False)
     if (w := _Reading(decls, seeds, ds).least(task)) is None:

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from patalg import oracle
+from patalg import exhaustiveness, oracle
 from patalg.cli import main
 from patalg.pretty import format_pattern
 from patalg.suites import STANDARD_DECLS
@@ -139,7 +139,9 @@ def test_mkpair_witness_does_not_depend_on_clause_order(tmp_path, capsys):
 # column has 2^n nodes, so the witness must not build it.  Counts do not
 # depend on the host, so the budgets can be tight: about 1.5 times the
 # counts measured when they were set, and an exponent fitted from the
-# smallest and largest size (`exponent`) at most the one given.
+# smallest and largest size (`exponent`) at most the one given.  Each
+# count starts from a cold diagram table (`cold_table`), so that it does
+# not depend on the questions that earlier tests asked.
 
 
 def _table(rows: int) -> str:
@@ -200,6 +202,14 @@ def _apart_last(n: int) -> str:
     )
 
 
+def _apart_last_untyped(n: int) -> str:
+    """`_apart_last` with no declarations: `check` reports the undeclared
+    constructors and exits 1, after the witness walk has built the
+    complements' diagram at an occurrence of unknown type."""
+    text = _apart_last(n)
+    return text[text.index("def ") :]
+
+
 # family: (program, sizes, budget of calls at each size, exponent, exit
 # code).  Measured 9,315 / 17,418 / 36,286 (exponent 0.98), 6,796 /
 # 13,385 / 23,654 (1.80; the source text grows as n^3), 19,746 / 37,546 /
@@ -208,13 +218,29 @@ def _apart_last(n: int) -> str:
 # the text grows as n^2) on CPython 3.11.  The budgets are about 1.5 times
 # the counts of an earlier version, whose case diagram had sets of clauses
 # at its sinks, for the first three, and of this one for the last two.
+# Since the diagram table outlives its question, `check` builds each
+# clause's diagram once for its overlaps and its notes: the complement
+# then counted 16,504 / 31,104 / 60,304 and first-match 5,762 / 11,227 /
+# 19,948, and their budgets fell in proportion.  The untyped family's
+# budgets are 1.5 times its count at n=4 (4,903), grown as n^1.8, and
+# its count grows exponentially: 4,903 / 18,788 / 240,435.
 FAMILIES = {
     "truth table": (_table, (16, 32, 64), (12_000, 24_500, 52_500), 1.3, 0),
-    "first-match": (_first_match, (4, 6, 8), (8_700, 16_300, 27_800), 2.0, 0),
-    "complement": (_complement, (100, 200, 400), (27_500, 52_000, 101_000), 1.2, 0),
+    "first-match": (_first_match, (4, 6, 8), (7_400, 13_700, 23_400), 2.0, 0),
+    "complement": (_complement, (100, 200, 400), (23_000, 42_800, 83_100), 1.2, 0),
     "independent": (_independent, (8, 16, 32), (9_600, 25_000, 80_500), 1.8, 1),
     "apart last": (_apart_last, (8, 16, 32), (13_600, 33_500, 106_500), 1.8, 0),
+    "apart last, untyped": (_apart_last_untyped, (4, 8, 12), (7_400, 25_600, 53_000), 1.8, 1),
 }
+# The witness walk builds the intersection of the complements where an
+# occurrence's type is unknown, and that diagram has 2^n nodes here.
+SLOW = {"apart last, untyped": "the complements' diagram is built untyped (ROADMAP item 18)"}
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """Empties the diagram table; call it before each count."""
+    return lambda: monkeypatch.setattr(exhaustiveness, "_diagrams", exhaustiveness._Diagrams())
 
 
 def _calls(tmp_path, capsys, text, want) -> int:
@@ -236,10 +262,19 @@ def _calls(tmp_path, capsys, text, want) -> int:
     return calls
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_check_cost_stays_within_budget(tmp_path, capsys, family):
+@pytest.mark.parametrize(
+    "family",
+    [
+        pytest.param(f, marks=pytest.mark.xfail(strict=True, reason=SLOW[f])) if f in SLOW else f
+        for f in sorted(FAMILIES)
+    ],
+)
+def test_check_cost_stays_within_budget(tmp_path, capsys, cold_table, family):
     program, sizes, budgets, most, code = FAMILIES[family]
-    counts = [_calls(tmp_path, capsys, program(n), code) for n in sizes]
+    counts = []
+    for n in sizes:
+        cold_table()
+        counts.append(_calls(tmp_path, capsys, program(n), code))
     exponent = math.log(counts[-1] / counts[0]) / math.log(sizes[-1] / sizes[0])
     assert all(c <= b for c, b in zip(counts, budgets)), (counts, budgets)
     assert exponent <= most, (counts, exponent)

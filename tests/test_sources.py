@@ -57,17 +57,26 @@ def test_cli_does_not_import_typing():
     assert out.stdout.strip() == "False"
 
 
+def _holds_dicts(value) -> bool:
+    """A dict, or an object with a dict in one of its slots."""
+    slots = (s for k in type(value).__mro__ for s in getattr(k, "__slots__", ()))
+    return type(value) is dict or any(type(getattr(value, s, None)) is dict for s in slots)
+
+
 def test_module_level_dicts_are_the_bounded_memos():
     # A module-level dict lives as long as the process, so the only ones
     # are the weak intern table, the two memos, whose generations bound
     # them, and the pairs table that rotates with the match memo.  A new
     # global cache must be one of their generations, or scoped to a call.
+    # Objects that hold dicts count too: the two memos' `Generations`, the
+    # diagram table, whose generations bound it, and the standard
+    # declarations, whose value pools are bounded by the enumeration depth.
     modules = ["patalg"] + [f"patalg.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__"]
     found = {
         f"{module}.{name}"
         for module in modules
         for name, value in vars(importlib.import_module(module)).items()
-        if type(value) is dict and not name.startswith("__")
+        if not isinstance(value, type) and _holds_dicts(value) and not name.startswith("__")
     }
     assert len(modules) > 10
     assert found == {
@@ -75,6 +84,10 @@ def test_module_level_dicts_are_the_bounded_memos():
         "patalg.syntax._match_cache",
         "patalg.syntax._pairs",
         "patalg.overlap._cache",
+        "patalg.syntax._match_memo",
+        "patalg.overlap._decided",
+        "patalg.exhaustiveness._diagrams",
+        "patalg.suites.STANDARD_DECLS",
     }
 
 

@@ -3,7 +3,7 @@ module reruns the relevant ones at full scale."""
 
 import gc
 
-from patalg import overlap, syntax
+from patalg import exhaustiveness, overlap, syntax
 from patalg.suites import prop_congruence, run_suites
 
 
@@ -32,15 +32,19 @@ def test_suites_are_seed_deterministic():
 
 def test_memos_stay_bounded_across_seeds():
     # Six seeds in one process: each memo's two generations together hold
-    # at most twice the bound, the intern table stops growing (without a
-    # bound it grew by about 2,000 nodes a seed, to 14,000 after six), and
-    # rotations change no result.
+    # at most twice the bound, each generation of the diagram table, which
+    # rotates only when a question starts, at most twice its own, the
+    # intern table stops growing (without a bound it grew by about 2,000
+    # nodes a seed, to 14,000 after six), and rotations change no result.
     summary = lambda results: [(r.name, r.cases, r.counterexamples) for r in results]
     first = summary(run_suites("all", seed=1, depth=3, cases=100))
     for seed in range(2, 7):
         run_suites("all", seed=seed, depth=3, cases=100)
         for memo in (syntax._match_memo, overlap._decided):
             assert len(memo.young) + len(memo.old) <= 2 * syntax.GENERATION
+        table = exhaustiveness._diagrams
+        assert len(table.built) + len(table.applied) <= 2 * exhaustiveness.DIAGRAMS
+        assert len(table.old) <= 2 * exhaustiveness.DIAGRAMS
         gc.collect()
         assert len(syntax._table) < 11_000
     assert summary(run_suites("all", seed=1, depth=3, cases=100)) == first
