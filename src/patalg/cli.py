@@ -2,11 +2,17 @@
 
 Exit codes: 0 on success, 1 when a check fails or a counterexample is
 found, 2 on usage or parse errors.
+
+`main` freezes the start-up heap (`gc.freeze`) while the command runs and
+the whole heap at exit, so no collection walks what a run never frees; a
+caller that froze objects itself keeps the collector as it left it.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 from . import semantics, wellformed
@@ -331,7 +337,16 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
-    return args.fn(args)
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    fresh = not gc.get_freeze_count()
+    if fresh:
+        gc.freeze()
+    try:
+        return args.fn(args)
+    finally:
+        if fresh:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

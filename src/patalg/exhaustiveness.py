@@ -24,7 +24,6 @@ builds for a case's overlaps serve its notes too.
 
 from __future__ import annotations
 
-import atexit
 from functools import reduce
 
 from .syntax import (
@@ -239,10 +238,6 @@ class _Diagrams:
 
 
 _diagrams = _Diagrams()
-# Emptied at exit, before the interpreter's last collections walk it:
-# after `check` of a 600-clause case it holds about 12,000 of the
-# objects that a full collection visits.
-atexit.register(_diagrams.__init__)
 
 
 def overlapping_pairs(patterns) -> list:

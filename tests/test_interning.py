@@ -6,6 +6,7 @@ equal records, compared and hashed field by field."""
 
 import gc
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -407,18 +408,40 @@ def test_complement_of_a_thousand_alternatives_checks(tmp_path):
         _assert_runs_cleanly(path, *command)
 
 
-def test_commands_exit_without_output_on_stderr():
+# Runs `patc` under a hook registered before `main`: hooks run last in,
+# first out, so it sees the heap as the interpreter's last collections do.
+_EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: gc.get_freeze_count() or print("heap not frozen", file=sys.stderr))
+from patalg.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_commands_exit_without_output_on_stderr(tmp_path):
     # Nodes that module-level memos hold die while the interpreter shuts
     # down; their table entries must go without an error printed at exit.
+    # The heap is frozen at exit, and the output is still written whole.
     root = os.path.join(os.path.dirname(__file__), os.pardir)
-    for command in (
-        ["fuzz", "--suite", "algebra", "--cases", "50"],
-        ["check", os.path.join(root, "demos", "lists.pat")],
-    ):
+    wide, written = _wide_program(tmp_path, 400), tmp_path / "out"
+    failing = tmp_path / "bad.pat"
+    failing.write_text("data C = A;\ndef f(x) := case x of { B => A, default => A };\n")
+
+    def patc(*command, code=0):
         out = subprocess.run(
-            [sys.executable, "-m", "patalg.cli", *command],
+            [sys.executable, "-c", _EXIT_PROBE, *map(str, command)],
             env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
             capture_output=True,
             text=True,
         )
-        assert (out.returncode, out.stderr) == (0, ""), command
+        assert (out.returncode, out.stderr) == (code, ""), command
+        return out.stdout
+
+    patc("fuzz", "--suite", "algebra", "--cases", "50")
+    patc("check", os.path.join(root, "demos", "lists.pat"))
+    assert patc("check", failing, code=1).endswith("check failed\n")
+    json.loads(patc("compile", "--format", "json", os.path.join(root, "demos", "lists.pat")))
+    text = patc("compile", "--format", "json", wide)
+    assert len(text) > 16384 and json.loads(text)
+    assert patc("compile", "--format", "json", "-o", written, wide) == ""
+    assert written.read_text(encoding="utf-8") == text

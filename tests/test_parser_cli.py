@@ -1,5 +1,6 @@
 """Surface syntax, program round-trips and the patc subcommands."""
 
+import gc
 import json
 import os
 import re
@@ -226,6 +227,61 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     path.write_text("def f( := x;")
     assert main(["check", str(path)]) == 2
     assert ":1:" in capsys.readouterr().err
+
+
+def test_cli_leaves_the_collector_as_it_found_it(weekend_file, tmp_path):
+    # `main` freezes the start-up heap only for the command, on every exit
+    # path, and gives a caller that froze objects its frozen set back.
+    bad = tmp_path / "bad.pat"
+    bad.write_text("data C = A;\ndef f(x) := case x of { B => A, default => A };\n")
+    broken = tmp_path / "broken.pat"
+    broken.write_text("def f( := x;")
+    runs = [
+        (["check", weekend_file], 0),
+        (["check", str(bad)], 1),
+        (["check", str(broken)], 2),
+        (["frobnicate"], 2),
+    ]
+    for argv, code in runs:
+        assert gc.get_freeze_count() == 0
+        assert main(argv) == code, argv
+        assert gc.get_freeze_count() == 0, argv
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        for argv, code in runs:
+            assert main(argv) == code, argv
+            assert gc.get_freeze_count() == frozen, argv
+    finally:
+        gc.unfreeze()
+
+
+# Counts the `gc.freeze` calls made at exit after three runs of `main`;
+# the counting hook, registered first, runs last.  (`atexit._ncallbacks()`
+# counts the slots of unregistered hooks too, so it cannot tell.)
+_HOOK_COUNT = """
+import atexit, gc, sys
+from patalg.cli import main
+freeze, calls = gc.freeze, []
+gc.freeze = lambda: calls.append(None) or freeze()
+atexit.register(lambda: print(len(calls)))
+for _ in range(3):
+    main(sys.argv[1:])
+calls.clear()
+"""
+
+
+def test_cli_registers_one_exit_hook(weekend_file):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _HOOK_COUNT, "check", weekend_file],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines()[-1] == "1"
 
 
 def test_cli_compile_text(weekend_file, capsys):

@@ -38,6 +38,32 @@ def test_no_dataclasses_import():
     assert found == []
 
 
+def test_only_cli_sets_the_collector_policy():
+    # `cli.main` freezes the heap for the command and at exit, so no other
+    # module registers exit hooks or freezes objects behind its back.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "atexit" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "atexit")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "gc"
+            and any(a.name in ("freeze", "unfreeze") for a in node.names)
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("freeze", "unfreeze")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gc"
+        )
+    ]
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert found == []
+
+
 def test_cli_imports_neither_dataclasses_nor_inspect():
     code = "import sys, patalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
