@@ -3,9 +3,11 @@
 Exit codes: 0 on success, 1 when a check fails or a counterexample is
 found, 2 on usage or parse errors.
 
-`main` freezes the start-up heap (`gc.freeze`) while the command runs and
-the whole heap at exit, so no collection walks what a run never frees; a
-caller that froze objects itself keeps the collector as it left it.
+`main` registers `gc.freeze` with `atexit` (once, however often it runs),
+so the interpreter's last collections skip the heap that a run never
+frees.  The hook acts on the whole process: in any process that has
+called `main`, cyclic garbage left at exit is not collected and its
+finalizers do not run.
 """
 
 from __future__ import annotations
@@ -339,14 +341,7 @@ def main(argv=None) -> int:
         return err.code if isinstance(err.code, int) else 2
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    fresh = not gc.get_freeze_count()
-    if fresh:
-        gc.freeze()
-    try:
-        return args.fn(args)
-    finally:
-        if fresh:
-            gc.unfreeze()
+    return args.fn(args)
 
 
 if __name__ == "__main__":

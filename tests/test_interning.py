@@ -419,9 +419,10 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_commands_exit_without_output_on_stderr(tmp_path):
-    # Nodes that module-level memos hold die while the interpreter shuts
-    # down; their table entries must go without an error printed at exit.
-    # The heap is frozen at exit, and the output is still written whole.
+    # The heap is frozen at exit, so the nodes that module-level memos hold
+    # die one by one while the interpreter clears the modules, and `_forget`
+    # runs for each; their table entries must go without an error printed.
+    # The output is still written whole.
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     wide, written = _wide_program(tmp_path, 400), tmp_path / "out"
     failing = tmp_path / "bad.pat"
@@ -445,3 +446,26 @@ def test_commands_exit_without_output_on_stderr(tmp_path):
     assert len(text) > 16384 and json.loads(text)
     assert patc("compile", "--format", "json", "-o", written, wide) == ""
     assert written.read_text(encoding="utf-8") == text
+
+
+# Builds and memoizes nodes without `main`, so nothing freezes the heap.
+_LIBRARY_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: gc.get_freeze_count() and print("heap frozen", file=sys.stderr))
+from patalg.suites import run_suites
+assert all(r.ok for r in run_suites("algebra", seed=1, depth=3, cases=50))
+"""
+
+
+def test_library_callers_exit_without_output_on_stderr():
+    # A program that imports patalg without `cli.main` takes the unfrozen
+    # path at exit: the last collections free the memos' nodes together with
+    # their table entries, so no `_forget` runs, and nothing may be printed.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_EXIT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")

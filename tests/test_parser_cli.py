@@ -229,9 +229,9 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert ":1:" in capsys.readouterr().err
 
 
-def test_cli_leaves_the_collector_as_it_found_it(weekend_file, tmp_path):
-    # `main` freezes the start-up heap only for the command, on every exit
-    # path, and gives a caller that froze objects its frozen set back.
+def test_cli_freezes_nothing_while_it_runs(weekend_file, tmp_path):
+    # `main` freezes the heap only at exit: in process, on every exit path,
+    # the freeze count stays what the caller left, frozen objects or none.
     bad = tmp_path / "bad.pat"
     bad.write_text("data C = A;\ndef f(x) := case x of { B => A, default => A };\n")
     broken = tmp_path / "broken.pat"

@@ -39,8 +39,8 @@ def test_no_dataclasses_import():
 
 
 def test_only_cli_sets_the_collector_policy():
-    # `cli.main` freezes the heap for the command and at exit, so no other
-    # module registers exit hooks or freezes objects behind its back.
+    # `cli.main` freezes the heap at exit, so no other module registers
+    # exit hooks or freezes objects behind its back.
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
