@@ -84,6 +84,6 @@ from .compiler import (
     specialize_each,
 )
 from .exhaustiveness import exhaustive, overlapping_pairs, useful_witness
-from .oracle import differential_compile_check, enumerate_values, gen_pattern, validate_tree
+from ._lazy import ORACLE_NAMES as _ORACLE, __getattr__
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_ORACLE)

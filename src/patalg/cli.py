@@ -1,7 +1,12 @@
 """The `patc` command line: check, compile, eval, norm and fuzz.
 
 Exit codes: 0 on success, 1 when a check fails or a counterexample is
-found, 2 on usage or parse errors.
+found, 2 on usage or parse errors, on files that cannot be read as UTF-8 or
+written, and on a `fuzz --depth` too small for the suites' types.
+
+`main` reads argv against one table, `COMMANDS`, in the forms argparse
+accepts (see README), and prints the usage and `--help` from it.  A command
+imports what only it runs: `fuzz` the suites, the JSON printers `json`.
 
 `main` registers `gc.freeze` with `atexit` (once, however often it runs),
 so the interpreter's last collections skip the heap that a run never
@@ -12,10 +17,10 @@ finalizers do not run.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import sys
+from types import MappingProxyType, SimpleNamespace
 
 from . import semantics, wellformed
 from .compiler import CompileError, Leaf, compile_case
@@ -41,7 +46,6 @@ from .pretty import (
     json_definitions,
 )
 from .semantics import ECase
-from .suites import run_suites
 from .typecheck import Ill, type_expr
 
 
@@ -51,7 +55,9 @@ def _load(path: str):
             return fh.read()
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
-        return None
+    except UnicodeDecodeError as err:
+        print(f"error: {path}: {err}", file=sys.stderr)
+    return None
 
 
 def _parse_file(path: str) -> Program | None:
@@ -180,8 +186,12 @@ def cmd_compile(args) -> int:
     else:
         text = "\n".join(line for n, tree in printed for line in (f"def {n}:", tree))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0
@@ -267,7 +277,15 @@ def cmd_norm(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    results = run_suites(args.suite, seed=args.seed, depth=args.depth, cases=args.cases)
+    # The suites and their oracle load here, not with every `patc` start.
+    from .oracle import GenerationError
+    from .suites import run_suites
+
+    try:
+        results = run_suites(args.suite, seed=args.seed, depth=args.depth, cases=args.cases)
+    except GenerationError as err:
+        print(f"error: --depth {args.depth} is too small: {err}", file=sys.stderr)
+        return 2
     bad = 0
     for r in results:
         status = "ok" if r.ok else "FAIL"
@@ -280,68 +298,155 @@ def cmd_fuzz(args) -> int:
 
 # --- entry ----------------------------------------------------------------------
 
+# Each command's help, positional argument and options.  Its handler is
+# `cmd_<command>`, looked up when it runs, so a patched handler is the one that
+# runs.  An option is (its strings, its kind: int, str, the tuple of the values
+# it takes, or None for a flag; its default, or _REQUIRED; its help).
+_REQUIRED = object()
+_HELP = ("-h/--help", None, False, "show this help and exit")
+COMMANDS = MappingProxyType({
+    "check": ("wellformedness, overlap and exhaustiveness", "file", (
+        ("--typed", None, False, "also type-check bodies"),
+        ("--type-aware-overlap", None, False, "use declarations to tighten the overlap check"),
+        ("--untyped", None, False, "admit undeclared constructors and skip exhaustiveness"))),
+    "compile": ("emit decision trees per definition", "file", (
+        ("--format", ("text", "json"), "text", ""),
+        ("-o/--output", str, None, "write it to OUTPUT"))),
+    "eval": ("evaluate a definition applied to values", "file", (
+        ("--entry", str, _REQUIRED, "the definition, or main"),
+        ("--args", str, "", "its argument values: v1,v2"),
+        ("--fuel", int, semantics.DEFAULT_FUEL, ""))),
+    "norm": ("print normal forms of a pattern", None, (
+        ("--pattern", str, _REQUIRED, "the pattern"),
+        ("--stage", ("nnf", "dnf", "ndnf"), "ndnf", ""))),
+    "fuzz": ("run the property suites", None, (
+        ("--seed", int, 0, ""), ("--depth", int, 3, ""), ("--cases", int, 200, ""),
+        ("--suite", ("all", "algebra", "compile", "exhaustive"), "all", ""))),
+})
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="patc",
-        description="Checker, normalizer and decision-tree compiler for the "
-        "boolean algebra of patterns.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="wellformedness, overlap and exhaustiveness")
-    check.add_argument("file")
-    check.add_argument("--typed", action="store_true", help="also type-check bodies")
-    check.add_argument(
-        "--type-aware-overlap",
-        action="store_true",
-        help="use declarations to tighten the overlap check",
-    )
-    check.add_argument(
-        "--untyped",
-        action="store_true",
-        help="admit undeclared constructors and skip exhaustiveness",
-    )
-    check.set_defaults(fn=cmd_check)
+def _dest(strings: str) -> str:
+    return strings.split("/")[-1][2:].replace("-", "_")
 
-    comp = sub.add_parser("compile", help="emit decision trees per definition")
-    comp.add_argument("file")
-    comp.add_argument("--format", choices=("text", "json"), default="text")
-    comp.add_argument("-o", "--output")
-    comp.set_defaults(fn=cmd_compile)
 
-    ev = sub.add_parser("eval", help="evaluate a definition applied to values")
-    ev.add_argument("file")
-    ev.add_argument("--entry", required=True)
-    ev.add_argument("--args", default="")
-    ev.add_argument("--fuel", type=int, default=semantics.DEFAULT_FUEL)
-    ev.set_defaults(fn=cmd_eval)
+def _usage(command: str | None, full: bool = False) -> str:
+    """The usage line of `command`, or of `patc` for None; `full` adds a
+    line for each of its options and commands."""
+    _, positional, options = COMMANDS[command] if command else (None, None, ())
+    words, rows = ["usage: patc" + (f" {command}" if command else "")], []
+    for strings, kind, default, about in (_HELP, *options):
+        metavar = "" if kind is None else " " + (
+            "N" if kind is int else _dest(strings).upper() if kind is str else "|".join(kind)
+        )
+        shown = strings.split("/")[0] + metavar
+        words.append(shown if default is _REQUIRED else f"[{shown}]")
+        rows.append((strings.replace("/", ", ") + metavar, about or f"default {default!r}"))
+    if command is None:
+        words.append("{" + ",".join(COMMANDS) + "} ...")
+        rows += [(name, about) for name, (about, _, _) in COMMANDS.items()]
+    words += [positional.upper()] if positional else []
+    return "\n".join([" ".join(words)] + [f"  {shown:<26}{about}" for shown, about in rows] * full)
 
-    norm = sub.add_parser("norm", help="print normal forms of a pattern")
-    norm.add_argument("--pattern", required=True)
-    norm.add_argument("--stage", choices=("nnf", "dnf", "ndnf"), default="ndnf")
-    norm.set_defaults(fn=cmd_norm)
 
-    fuzz = sub.add_parser("fuzz", help="run the property suites")
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--depth", type=int, default=3)
-    fuzz.add_argument("--cases", type=int, default=200)
-    fuzz.add_argument(
-        "--suite", choices=("all", "algebra", "compile", "exhaustive"), default="all"
-    )
-    fuzz.set_defaults(fn=cmd_fuzz)
-    return ap
+def _fail(command: str | None, message: str):
+    print(f"{_usage(command)}\npatc: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _match(command: str | None, arg: str, table: dict):
+    """Read `arg` as argparse does against the option strings in `table`:
+    (the option string, the value given with it or None), None for a
+    positional argument, or ("", None) for an unknown option.  A long option
+    may be shortened to a prefix that names it alone; `-oVALUE` gives `-o`
+    its value.  A negative number, or text with a space, is positional."""
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    if arg in table:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in table:
+        return head, value
+    if arg[1] == "-":
+        hits = [(s, value if eq else None) for s in table if s.startswith(head)]
+    else:
+        hits = [(arg[:2], arg[2:])] if arg[:2] in table else []
+    if len(hits) > 1:
+        _fail(command, f"ambiguous option: {arg} could match {', '.join(s for s, _ in hits)}")
+    digits, dot, fraction = arg[1:].partition(".")
+    number = (not dot or fraction.isdecimal()) and (digits.isdecimal() or dot and not digits)
+    return hits[0] if hits else None if number or " " in arg else ("", None)
+
+
+def _read(command: str | None, args: list, extras: list):
+    """The values by name of the arguments of `command`; for `patc` (None),
+    the command and its arguments.  Unknown options and arguments left over
+    go to `extras`.  After `--` every argument is positional, and `--` is
+    dropped where the positional argument is filled next to it."""
+    _, positional, options = COMMANDS[command] if command else (None, "command", ())
+    table = {s: option for option in (_HELP, *options) for s in option[0].split("/")}
+    cut = args.index("--") if command and "--" in args else len(args)
+    hits = [_match(command, a, table) for a in args[:cut]] + ["--"] + [None] * len(args)
+    values = {_dest(strings): default for strings, _, default, _ in options}
+    filled, i = None, 0  # filled: the index of the positional argument
+    while i < len(args):
+        arg, hit = args[i], hits[i]
+        i += 1
+        if hit == "--":
+            if not (positional and filled in (None, i - 2)):
+                extras.append(arg)
+        elif hit is None and command is None:
+            return arg, args[i:]
+        elif hit is None and positional and filled is None:
+            values[positional], filled = arg, i - 1
+        elif not hit or not hit[0]:
+            extras.append(arg)
+        else:
+            strings, kind, _, _ = option = table[hit[0]]
+            value = hit[1]
+            if kind is None and value is not None:
+                _fail(command, f"argument {strings}: ignored explicit argument {value!r}")
+            if option is _HELP:
+                print(_usage(command, full=True))
+                raise SystemExit(0)
+            if kind is not None and value is None:
+                if hits[i] is not None:
+                    _fail(command, f"argument {strings}: expected one argument")
+                value, i = args[i], i + 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(command, f"argument {strings}: invalid int value: {value!r}")
+            elif type(kind) is tuple and value not in kind:
+                choices = ", ".join(map(repr, kind))
+                message = f"invalid choice: {value!r} (choose from {choices})"
+                _fail(command, f"argument {strings}: {message}")
+            values[_dest(strings)] = True if kind is None else value
+    missing = [positional] if positional and filled is None else []
+    missing += [s for s, _, _, _ in options if values[_dest(s)] is _REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return values
 
 
 def main(argv=None) -> int:
-    ap = build_arg_parser()
+    """Run the command that `argv` names with its arguments, read from the
+    table as argparse reads them.  A usage error prints the usage and the
+    error to stderr and returns 2; `-h` prints help to stdout and returns 0."""
+    extras: list = []
     try:
-        args = ap.parse_args(argv)
+        command, args = _read(None, sys.argv[1:] if argv is None else list(argv), extras)
+        if command not in COMMANDS:
+            choices = ", ".join(map(repr, COMMANDS))
+            _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+        values = _read(command, args, extras)
+        if extras:
+            _fail(command, f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as err:
-        return err.code if isinstance(err.code, int) else 2
+        return err.code
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    return args.fn(args)
+    return globals()[f"cmd_{command}"](SimpleNamespace(**values))
 
 
 if __name__ == "__main__":

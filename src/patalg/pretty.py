@@ -9,14 +9,19 @@ keep their grouping parentheses.  Normalized disjunctive forms print in the
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _quote
-
 from .compiler import DecisionTree, Leaf, Switch
 from .normalize import Ndnf, NegConj, PosConj
 from .semantics import Call, ECase, ECtor, EVar
 from .syntax import Absurd, And, Ctor, Neg, Or, Pattern, Value, Var, Wild
 
 _OR, _AND, _NEG, _ATOM = 0, 1, 2, 3
+_quote = None  # a string as a JSON literal; `_load_json` sets it
+
+
+def _load_json() -> None:
+    """Load `_quote` from `json`, which only the JSON printers import."""
+    global _quote
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 def _emit(stack: list, parts: list) -> None:
@@ -213,6 +218,7 @@ def format_tree(t: DecisionTree, indent: int = 0) -> str:
 
 def format_tree_json(t: DecisionTree) -> str:
     """The JSON of `t` as `format_trees_json` writes a definition's tree."""
+    _load_json()
     return _render(t, "\n        ")
 
 
@@ -220,6 +226,7 @@ def json_definitions(printed) -> str:
     """The list of (name, JSON of the tree) pairs as `{"definitions":
     [{"name": ..., "tree": ...}, ...]}`, byte for byte as
     `json.dumps(..., indent=2)` writes it."""
+    _load_json()
     parts = ['{\n  "definitions": [']
     for k, (name, text) in enumerate(printed):
         head = f'{"," if k else ""}\n    {{\n      "name": {_quote(name)},\n      "tree": '

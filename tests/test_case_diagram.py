@@ -223,10 +223,14 @@ def _apart_last_untyped(n: int) -> str:
 # then counted 16,504 / 31,104 / 60,304 and first-match 5,762 / 11,227 /
 # 19,948, and their budgets fell in proportion.  The untyped family's
 # budgets are 1.5 times its count at n=4 (4,903), grown as n^1.8, and
-# its count grows exponentially: 4,903 / 18,788 / 240,435.
+# its count grows exponentially: 4,903 / 18,788 / 240,435.  The counts
+# once held the 1,400-odd calls of building an argparse parser in every
+# run; without them first-match counts 4,346 / 9,799 / 18,508, which fits
+# an exponent of 2.09 where the same work with them fitted 1.79.  Its
+# budgets fell by those calls and its exponent rose to 2.2.
 FAMILIES = {
     "truth table": (_table, (16, 32, 64), (12_000, 24_500, 52_500), 1.3, 0),
-    "first-match": (_first_match, (4, 6, 8), (7_400, 13_700, 23_400), 2.0, 0),
+    "first-match": (_first_match, (4, 6, 8), (6_000, 12_300, 22_000), 2.2, 0),
     "complement": (_complement, (100, 200, 400), (23_000, 42_800, 83_100), 1.2, 0),
     "independent": (_independent, (8, 16, 32), (9_600, 25_000, 80_500), 1.8, 1),
     "apart last": (_apart_last, (8, 16, 32), (13_600, 33_500, 106_500), 1.8, 0),

@@ -1,5 +1,6 @@
 """Surface syntax, program round-trips and the patc subcommands."""
 
+import argparse
 import gc
 import json
 import os
@@ -11,8 +12,8 @@ import pytest
 
 from helpers import c, v, var
 
-from patalg import cli
-from patalg.cli import main
+from patalg import cli, semantics
+from patalg.cli import cmd_check, cmd_compile, cmd_eval, cmd_fuzz, cmd_norm, main
 from patalg.compiler import compile_case
 from patalg.oracle import Agree, differential_check_tree
 from patalg.parser import (
@@ -501,3 +502,186 @@ def test_cli_fuzz_smoke(capsys):
     assert main(["fuzz", "--cases", "5", "--suite", "exhaustive"]) == 0
     out = capsys.readouterr().out
     assert "[ok]" in out
+
+
+def test_cli_fuzz_depth_too_small_is_a_usage_error(capsys):
+    # No value of some suite's types fits in the depth: a message, exit 2.
+    for depth, argv in (("0", ["--cases", "3"]), ("1", ["--suite", "algebra"])):
+        assert main(["fuzz", "--depth", depth, *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: --depth {depth} is too small: no values of ")
+
+
+def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.pat"
+    path.write_bytes(b"\xff\xfe data")
+    for argv in (["check"], ["compile"], ["eval", "--entry", "main"]):
+        assert main([*argv, str(path)]) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff"), out.err
+
+
+def test_cli_compile_reports_an_output_file_it_cannot_open(weekend_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "tree.txt"
+    assert main(["compile", weekend_file, "-o", str(target)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+# --- reading the command line ------------------------------------------------
+
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    """`patc`'s argparse parser, kept verbatim from when `cli` used it: the
+    reference that `main`'s table-driven reading is checked against."""
+    ap = argparse.ArgumentParser(
+        prog="patc",
+        description="Checker, normalizer and decision-tree compiler for the "
+        "boolean algebra of patterns.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    check = sub.add_parser("check", help="wellformedness, overlap and exhaustiveness")
+    check.add_argument("file")
+    check.add_argument("--typed", action="store_true", help="also type-check bodies")
+    check.add_argument(
+        "--type-aware-overlap",
+        action="store_true",
+        help="use declarations to tighten the overlap check",
+    )
+    check.add_argument(
+        "--untyped",
+        action="store_true",
+        help="admit undeclared constructors and skip exhaustiveness",
+    )
+    check.set_defaults(fn=cmd_check)
+
+    comp = sub.add_parser("compile", help="emit decision trees per definition")
+    comp.add_argument("file")
+    comp.add_argument("--format", choices=("text", "json"), default="text")
+    comp.add_argument("-o", "--output")
+    comp.set_defaults(fn=cmd_compile)
+
+    ev = sub.add_parser("eval", help="evaluate a definition applied to values")
+    ev.add_argument("file")
+    ev.add_argument("--entry", required=True)
+    ev.add_argument("--args", default="")
+    ev.add_argument("--fuel", type=int, default=semantics.DEFAULT_FUEL)
+    ev.set_defaults(fn=cmd_eval)
+
+    norm = sub.add_parser("norm", help="print normal forms of a pattern")
+    norm.add_argument("--pattern", required=True)
+    norm.add_argument("--stage", choices=("nnf", "dnf", "ndnf"), default="ndnf")
+    norm.set_defaults(fn=cmd_norm)
+
+    fuzz = sub.add_parser("fuzz", help="run the property suites")
+    fuzz.add_argument("--seed", type=int, default=0)
+    fuzz.add_argument("--depth", type=int, default=3)
+    fuzz.add_argument("--cases", type=int, default=200)
+    fuzz.add_argument(
+        "--suite", choices=("all", "algebra", "compile", "exhaustive"), default="all"
+    )
+    fuzz.set_defaults(fn=cmd_fuzz)
+    return ap
+
+
+ARGVS = [
+    # every command, with options before and after the file
+    ["check", "f.pat"],
+    ["check", "--untyped", "f.pat", "--typed", "--type-aware-overlap"],
+    ["compile", "f.pat", "--format", "json", "-o", "out.json"],
+    ["eval", "f.pat", "--entry", "last", "--args", "Cons(T, Nil)", "--fuel", "50"],
+    ["norm", "--pattern", "x & !(Sa|Su)", "--stage", "dnf"],
+    ["fuzz"],
+    ["fuzz", "--seed", "3", "--depth", "4", "--cases", "10", "--suite", "algebra"],
+    # `=` forms, `-oFILE` and prefixes
+    ["compile", "--format=json", "f.pat", "--output=out.json"],
+    ["compile", "f.pat", "-oout.txt"],
+    ["compile", "f.pat", "-o=out.txt"],
+    ["compile", "f.pat", "--out", "x", "--form", "text"],
+    ["eval", "--entry=main", "f.pat", "--fu=7"],
+    ["norm", "--pat", "!x", "--st=nnf"],
+    ["fuzz", "--se", "1", "--su", "compile", "--c", "5"],
+    ["check", "f.pat", "--un"],
+    # values that start with `-`, a repeated option, and `--`
+    ["eval", "f.pat", "--entry", "f", "--fuel", "-5", "--args", "-x y"],
+    ["eval", "f.pat", "--entry", "f", "--entry", "g"],
+    ["check", "--", "-odd.pat"],
+    ["check", "f.pat", "--"],
+    # a missing --entry or --pattern, or a missing value
+    ["eval", "f.pat"],
+    ["eval"],
+    ["norm"],
+    ["norm", "--pattern"],
+    ["compile", "f.pat", "-o"],
+    ["eval", "f.pat", "--entry", "--fuel", "3"],
+    # a bad --format or --suite, a non-integer --fuel
+    ["compile", "f.pat", "--format", "xml"],
+    ["fuzz", "--suite", "bogus"],
+    ["eval", "f.pat", "--entry", "f", "--fuel", "ten"],
+    ["eval", "f.pat", "--entry", "f", "--fuel=1.5"],
+    # unknown commands and options, ambiguous prefixes, extra positionals
+    [],
+    ["frobnicate"],
+    ["check", "f.pat", "--bogus"],
+    ["--typed", "check", "f.pat"],
+    ["check", "f.pat", "-x"],
+    ["check", "f.pat", "--type"],
+    ["fuzz", "--s", "1"],
+    ["check", "f.pat", "--typed=yes"],
+    ["check", "f.pat", "g.pat"],
+    ["norm", "--pattern", "x", "extra"],
+    ["fuzz", "--"],
+    ["check", "f.pat", "--typed", "--"],
+    # -h and --help, which win over errors found later but not earlier
+    ["-h"],
+    ["--help", "frobnicate"],
+    ["check", "-h"],
+    ["eval", "f.pat", "--he"],
+    ["compile", "--bogus", "-h", "--format", "xml"],
+    ["compile", "--format", "xml", "-h"],
+    ["check", "-h", "--type"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_reads_argv_as_argparse_does(argv, monkeypatch, capsys):
+    try:
+        ns = build_arg_parser().parse_args(argv)
+    except SystemExit as err:
+        want = err.code
+    else:
+        want = (ns.command, {k: v for k, v in vars(ns).items() if k not in ("command", "fn")})
+    capsys.readouterr()
+    ran = []
+    for command in cli.COMMANDS:
+        record = lambda args, command=command: ran.append((command, vars(args))) or 0
+        monkeypatch.setattr(cli, f"cmd_{command}", record)
+    code = main(argv)
+    out = capsys.readouterr()
+    if isinstance(want, tuple):
+        assert (code, ran, out.err) == (0, [want], "")
+    elif want == 0:
+        assert (code, ran, out.err) == (0, [], "")
+        assert out.out.startswith("usage: patc")
+    else:
+        assert (code, ran, out.out) == (2, [], "")
+        assert out.err.startswith("usage: patc") and "\npatc: error: " in out.err
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_lists_every_option(command, capsys):
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit):
+        build_arg_parser().parse_args(argv)
+    reference = capsys.readouterr().out
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", reference))
+    if command is None:
+        listed |= set(cli.COMMANDS)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    words = set(re.split(r"[\s,\[\]{}]+", out))
+    assert listed - words == set()

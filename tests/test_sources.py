@@ -64,23 +64,56 @@ def test_only_cli_sets_the_collector_policy():
     assert found == []
 
 
-def test_cli_imports_neither_dataclasses_nor_inspect():
-    code = "import sys, patalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+# What `import patalg.cli` must not load: each would cost every `patc` start
+# milliseconds, and only some commands need them.  `patc fuzz` loads the
+# suites and their oracle, and the JSON printers load `json`.
+_NOT_AT_START = (
+    "argparse",
+    "gettext",
+    "json",
+    "patalg.oracle",
+    "patalg.suites",
+)
+
+_IMPORT_PROBE = """
+import sys, patalg.cli
+print(sorted(set(sys.argv[1:]) & set(sys.modules)))
+import patalg
+print(patalg.validate_tree.__module__, "patalg.oracle" in sys.modules)
+names = {}
+exec("from patalg import *", names)
+print(sorted(n for n in ("enumerate_values", "gen_pattern", "validate_tree") if n in names))
+"""
+
+
+def _probe_cli_import(*modules: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, *modules],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.splitlines()
+
+
+def test_cli_imports_only_what_every_command_needs():
+    # The oracle's names still resolve on the package, and load it then.
+    assert _probe_cli_import(*_NOT_AT_START) == [
+        "[]",
+        "patalg.oracle True",
+        "['enumerate_values', 'gen_pattern', 'validate_tree']",
+    ]
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    assert _probe_cli_import("dataclasses", "inspect")[0] == "[]"
 
 
 def test_cli_does_not_import_typing():
     # `typing` would add a few milliseconds to every `patc` start.
-    code = "import sys, patalg.cli; print('typing' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    assert _probe_cli_import("typing")[0] == "[]"
 
 
 def _holds_dicts(value) -> bool:
