@@ -1,35 +1,27 @@
-"""Compilation of multi-column clause matrices to decision trees.
+"""Compilation of case expressions to decision trees, and the matrix core.
 
-A matrix pairs a vector of scrutinees (variables or values) with rows of
-normalized patterns.  Compilation repeatedly branches on a column with head
-constructors, building constructor-specific subproblems (specialization)
-and a subproblem for scrutinees matching none of the heads (default), until
-a row of bare variable cells or the lone default clause remains.  The
-row-level steps (`specialize_each`, `default_rows`, `head_ctors`) work
-on any column; `specialize_each` specializes every head of a column in
-one pass over the rows.
-
-Compiled trees are checked against their source case by
-`oracle.validate_tree`, which shares no code with this module's matrices.
+`compile_case` reads a case's tree off the diagrams of the table that
+`check` reads (`exhaustiveness._diagrams`), so the two share one core.
+The matrix core keeps the worked definitions of specialization and default
+over clause matrices: a vector of scrutinees (variables or values) and
+rows of normalized patterns.  Its row-level steps (`specialize_each`,
+`default_rows`, `head_ctors`) work on any column.  Compiled trees are
+checked by `oracle.validate_tree` and `oracle.differential_check_tree`.
 """
 
 from __future__ import annotations
 
-from . import semantics, wellformed
-from .normalize import (
-    Ndnf,
-    NegConj,
-    PosConj,
-    conjunct_is_variable,
-    ndnf_wildcard,
-    to_ndnf,
-)
+import itertools
+
+from . import exhaustiveness, semantics, wellformed
+from .exhaustiveness import Occ, Sink, _by_name, _root, _test
+from .normalize import Ndnf, NegConj, PosConj, ndnf_wildcard, to_ndnf
 from .semantics import ECase, EVar, Stuck, substitute
-from .syntax import Node, Value, fold, fv_even, subst_to_dict
+from .syntax import (
+    Absurd, Ctor, Node, Value, Var, fold, fv_even, pattern_kids, rebuild, subst_to_dict,
+)
 
 # --- the matrix core ------------------------------------------------------------
-# Specialization, default and column heads over rows of normalized cells, for
-# any column; a row's right-hand side is carried along untouched.
 
 
 class MatrixRow(Node):
@@ -125,9 +117,9 @@ DecisionTree = "Leaf | Switch"
 def embed_case(e: ECase) -> ClauseMatrix:
     """Embed an ordinary case expression as a one-column matrix, running
     every clause pattern through normalization once.  Pattern variables
-    named like the scrutinee are renamed apart first, because compilation
-    substitutes the scrutinee for bound variables step by step, and a later
-    step would capture it."""
+    named like the scrutinee are renamed apart first, because
+    specialization substitutes the scrutinee for bound variables step by
+    step, and a later step would capture it."""
     if not isinstance(e.scrutinee, (EVar, Value)):
         raise CompileError("case scrutinee must be a variable or a value")
     clauses = [_unshadow(c, e.scrutinee) for c in e.clauses]
@@ -141,18 +133,11 @@ def _unshadow(c, scrutinee):
     return c
 
 
-def _subst_rhs(rhs, var_set, target):
-    """Map every variable of the set to the same scrutinee expression."""
-    if not var_set:
-        return rhs
-    return substitute(rhs, {x: target for x in var_set})
-
-
 def _subproblem(m: ClauseMatrix, i: int, pairs, scrutinees) -> ClauseMatrix:
     """Clause matrix from the core's (row, vars) pairs: the variables a
     consumed conjunct bound now name scrutinee i."""
     old = m.scrutinees[i]
-    rows = (MatrixRow(r.cells, _subst_rhs(r.rhs, xs, old)) for r, xs in pairs)
+    rows = (MatrixRow(r.cells, substitute(r.rhs, dict.fromkeys(xs, old))) for r, xs in pairs)
     return ClauseMatrix(scrutinees, tuple(dict.fromkeys(rows)), m.default_rhs)
 
 
@@ -162,13 +147,8 @@ def specialize(i: int, ctor_pattern, m: ClauseMatrix) -> ClauseMatrix:
     ctor, binders = ctor_pattern
     if len(binders) != ctor.arity:
         raise ValueError("binder count must equal constructor arity")
-    return _specialized(m, i, binders, specialize_each(m.rows, i, (ctor,))[ctor])
-
-
-def _specialized(m: ClauseMatrix, i: int, binders, pairs) -> ClauseMatrix:
-    """`specialize` from the core's pairs for one constructor."""
     scrutinees = tuple(map(EVar, binders)) + m.scrutinees[:i] + m.scrutinees[i + 1 :]
-    return _subproblem(m, i, pairs, scrutinees)
+    return _subproblem(m, i, specialize_each(m.rows, i, (ctor,))[ctor], scrutinees)
 
 
 def default_matrix(i: int, heads, m: ClauseMatrix) -> ClauseMatrix:
@@ -178,14 +158,6 @@ def default_matrix(i: int, heads, m: ClauseMatrix) -> ClauseMatrix:
     return _subproblem(m, i, default_rows(m.rows, i), scrutinees)
 
 
-def _clean(m: ClauseMatrix) -> ClauseMatrix:
-    """Drop the rows that can never match, those with an empty cell, and
-    duplicate rows.  Specialization and default never make an empty cell,
-    so only the matrix that compilation starts from needs cleaning."""
-    rows = (row for row in m.rows if all(c.conjuncts for c in row.cells))
-    return ClauseMatrix(m.scrutinees, tuple(dict.fromkeys(rows)), m.default_rhs)
-
-
 class CompileError(ValueError):
     def __init__(self, message: str, report: wellformed.WfReport | None = None):
         super().__init__(message)
@@ -193,70 +165,93 @@ class CompileError(ValueError):
 
 
 def compile_case(e: ECase) -> DecisionTree:
-    """Compile a case expression that passes the wellformedness check of
-    `patc check` (`wf_expr`).  That check runs once, on the source
-    patterns, and normalizes nothing; `embed_case` then normalizes each
-    clause once, for the rows of the matrix, which is not checked again."""
+    """Compile a case expression that passes `wf_expr`, the check of
+    `patc check`.  Each clause's diagram, with a sink of its number and
+    leaf in place of true, joins a union by the table's apply; as they are
+    disjoint, no path reaches two such sinks.  One fold steps each node of
+    the union once, so the tree is a DAG: a test is a switch, with arms in
+    constructor order and `other` as the default arm, and the false sink
+    is the default leaf.  The root is the scrutinee, its argument j is
+    `$0_j`, and argument j of `$p` is `$p_j`."""
     report = wellformed.wf_expr(e)
     if not report.ok:
         raise CompileError(f"case is not wellformed:\n{report.describe()}", report)
-    return _compile(embed_case(e))
+    if not isinstance(e.scrutinee, (EVar, Value)):
+        raise CompileError("case scrutinee must be a variable or a value")
+    ds, root = exhaustiveness._diagrams.start(), _root()
+    names = {root: "$0"}  # occurrence -> its name, given down from its parent's
+
+    def binder(occ):
+        if occ is root:
+            return e.scrutinee
+        up = [occ]
+        while up[-1].parent not in names:
+            up.append(up[-1].parent)
+        for o in reversed(up):
+            names[o] = f"{names[o.parent]}_{o.index}"
+        return EVar(names[occ])
+
+    def kids(d, ctx):
+        return () if type(d) is Sink else [(child, ctx) for _, child in d.edges] + [(d.other, ctx)]
+
+    def labelled(d, sink, results):  # `d` with `sink` in place of true
+        if type(d) is Sink:
+            return sink if d.matches else d
+        return _test(d.occ, zip([c for c, _ in d.edges], results), results[-1])
+
+    clauses = []  # a sink holds its number, so no two clauses share one
+    for c in e.clauses:
+        for p, binds in _binding_choices(c.pattern, root):
+            leaf = Leaf(substitute(c.rhs, {x: binder(o) for x, o in binds}))
+            clauses.append(fold(ds.pattern(p, root), labelled, Sink((len(clauses), leaf)), kids))
+
+    def step(d, _, results):
+        if type(d) is Sink:
+            return d.matches[1] if d.matches else Leaf(e.default_rhs)
+        arms = sorted(zip([c for c, _ in d.edges], results), key=lambda arm: _by_name(arm[0]))
+        arms = [Arm(c, tuple(binder(Occ(d.occ, c, j)).name for j in range(c.arity)), r) for c, r in arms]
+        return Switch(binder(d.occ), tuple(arms), results[-1])
+
+    return fold(ds.apply(clauses, True), step, None, kids)
 
 
-def _compile(m: ClauseMatrix) -> DecisionTree:
-    """Compile a matrix, as a fold over its subproblems: a matrix's
-    operands are its specialized matrices in constructor order, then its
-    default matrix.  The fold steps each distinct matrix once, so equal
-    subproblems compile once and the tree is a DAG.  Binders are named by
-    occurrence: root scrutinee i is `$i`, and argument j of a scrutinee
-    named `$p` is bound to `$p_j`, so equal subproblems are equal matrices
-    (Maranget, "Compiling Pattern Matching to Good Decision Trees", ML
-    2008)."""
-    root = _clean(m)
-    occ: dict = {}
-    for i, s in enumerate(root.scrutinees):
-        occ.setdefault(s, f"${i}")
-    switches: dict = {}  # matrix -> (scrutinee, ctors, binders) of its switch
+def _binding_choices(p, root) -> list:
+    """The pattern `p` as (pattern, ((variable, occurrence), ...)) pairs
+    whose patterns together match what `p` does, each binding every
+    variable at one occurrence.  A variable bound at several occurrences
+    (`P(x, A) | P(_, x & !A)`) gives one pair per choice of occurrence,
+    with `#` at its others; linearity and determinism make them disjoint."""
+    if not wellformed.pattern_facts(p).fv_even:
+        return [(p, ())]
+    occs: dict = {}  # variable -> its binding occurrences, in order
 
-    def kids(m, _):
-        if not m.rows or all(
-            len(c.conjuncts) == 1 and conjunct_is_variable(c.conjuncts[0])
-            for c in m.rows[0].cells
-        ):
-            return ()
-        # Branch: pick the leftmost column with head constructors.
-        for i in range(len(m.scrutinees)):
-            heads = head_ctors([row.cells[i] for row in m.rows])
-            if heads:
-                break
-        else:
-            raise CompileError("no column with head constructors in a non-simple matrix")
-        s = m.scrutinees[i]
-        prefix = occ.get(s) or s.name  # a binder's name is its occurrence
-        ctors = sorted(heads, key=lambda c: (c.name, c.arity))
-        binders = [tuple(f"{prefix}_{j}" for j in range(c.arity)) for c in ctors]
-        switches[m] = (s, ctors, binders)
-        groups = specialize_each(m.rows, i, ctors)
-        subs = [(_specialized(m, i, b, groups.pop(c)), None) for c, b in zip(ctors, binders)]
-        subs.append((default_matrix(i, heads, m), None))
-        return subs
+    def kids(node, ctx):
+        occ, pos = ctx
+        if type(node) is Ctor:
+            return [(a, (Occ(occ, node.ctor, i), pos)) for i, a in enumerate(node.args)]
+        return [(k, (occ, polarity)) for k, polarity in pattern_kids(node, pos)]
 
-    def step(m, _, results):
-        if m in switches:
-            s, ctors, binders = switches.pop(m)
-            arms = tuple(map(Arm, ctors, binders, results))
-            return Switch(s, arms, results[-1])
-        if not m.rows:
-            # Default: only the default clause is left.
-            return Leaf(m.default_rhs)
-        # Simple: the first row consists only of variable cells (this
-        # includes the zero-column case).
-        rhs = m.rows[0].rhs
-        for cell, scrut in zip(m.rows[0].cells, m.scrutinees):
-            rhs = _subst_rhs(rhs, cell.conjuncts[0].vars, scrut)
-        return Leaf(rhs)
+    def seen(node, ctx, _):
+        if type(node) is Var and ctx[1]:
+            occs.setdefault(node.name, {})[ctx[0]] = None
 
-    return fold(root, step, None, kids)
+    fold(p, seen, (root, True), kids)
+    first = {x: next(iter(os)) for x, os in occs.items()}
+    many = [x for x, os in occs.items() if len(os) > 1]
+    if not many:
+        return [(p, tuple(first.items()))]
+    out = []
+    for choice in itertools.product(*(occs[x] for x in many)):
+        chosen = dict(zip(many, choice))
+
+        def step(node, ctx, results):
+            if type(node) is not Var:
+                return rebuild(node, results)
+            occ, pos = ctx
+            return Absurd() if pos and chosen.get(node.name, occ) is not occ else node
+
+        out.append((fold(p, step, (root, True), kids), tuple({**first, **chosen}.items())))
+    return out
 
 
 # --- decision tree evaluation ----------------------------------------------------

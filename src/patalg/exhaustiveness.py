@@ -58,7 +58,7 @@ class Occ(Node):
 
 
 class Sink(Node):
-    __slots__ = ("matches",)  # bool: whether the path's values match
+    __slots__ = ("matches",)  # whether the path's values match, or a clause's (number, leaf)
 
 
 class Test(Node):

@@ -269,7 +269,3 @@ def embed_ndnf(d: Ndnf) -> Pattern:
         return Absurd()
     return _right_nested(Or, [embed_conjunct(k) for k in d.conjuncts])
 
-
-def conjunct_is_variable(k: NConjunct) -> bool:
-    """True for the {x1..xn} & !{} shape (bare variables and wildcards)."""
-    return isinstance(k, NegConj) and not k.banned

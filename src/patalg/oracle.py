@@ -33,6 +33,7 @@ from .syntax import (
     Var,
     Wild,
     fold,
+    pattern_kids,
 )
 from .typecheck import DataDecls, Type, signature_of
 
@@ -431,10 +432,12 @@ def validate_tree(e: ECase, tree: Leaf | Switch) -> Agree | Disagree:
     """Check a decision tree against its case for every scrutinee value.
     A switch must test an occurrence that the path exposed and did not
     test, with distinct arms, each binding arity-many unused names.  At a
-    leaf at most one clause may say yes, and one still unknown must be
-    settled no by the open-world emptiness check on it and the partial
-    value.  The leaf must be the right-hand side of the clause saying yes,
-    each variable replaced by its occurrence, or else the default.  A fold
+    leaf at most one clause may say yes, and one still unknown (such as
+    `Mo | !Mo`) is settled by the open-world emptiness check on the
+    partial value: no if no value of it matches, yes if none fails it and
+    its residual binds each variable at one occurrence (`_settled`).  The
+    leaf must be the right-hand side of the clause saying yes, each
+    variable replaced by its occurrence, or else the default.  A fold
     over the DAG memoized on the state: `Agree` counts the (node, state)
     pairs checked, and `Disagree` names the path to a fault and a
     scrutinee value that takes it."""
@@ -468,8 +471,11 @@ def validate_tree(e: ECase, tree: Leaf | Switch) -> Agree | Disagree:
                 if r.holds:
                     yes.append((c, r.binds))
             elif (w := _witness(root, st.path, c.pattern)) is not None:
-                why = f"clause {format_pattern(c.pattern)} may or may not match"
-                return _fault(e, st, why, n, w)
+                binds = _settled(r, c.pattern)
+                if binds is None or _witness(root, st.path, Neg(c.pattern)) is not None:
+                    why = f"clause {format_pattern(c.pattern)} may or may not match"
+                    return _fault(e, st, why, n, w)
+                yes.append((c, binds))
         if len(yes) > 1:
             return _fault(e, st, "two clauses match", n)
         want = substitute(yes[0][0].rhs, dict(yes[0][1])) if yes else e.default_rhs
@@ -479,6 +485,29 @@ def validate_tree(e: ECase, tree: Leaf | Switch) -> Agree | Disagree:
 
     fault = fold(tree, step, start, kids)
     return Agree(checked) if fault is None else fault
+
+
+def _settled(r, p):
+    """The bindings of the unknown residual `r` of `p` read as a yes: each
+    variable of `p`'s `fv_even` with the one occurrence where the settled
+    parts of `r` bind it at even parity; None if that is not one, or if it
+    waits at an open occurrence."""
+    binds, waiting = {}, set()
+
+    def step(node, pos, _):
+        if type(node) is _At:
+            facts = wellformed.pattern_facts(node.pattern)
+            waiting.update(facts.fv_even | facts.fv_odd)
+        elif type(node) is _Known and pos:
+            for x, occ in node.binds:
+                binds.setdefault(x, set()).add(occ)
+
+    kids = lambda n, pos: pattern_kids(n, pos) if type(n) in (And, Neg) else ()  # noqa: E731
+    fold(r, step, True, kids)
+    fv = wellformed.pattern_facts(p).fv_even
+    if fv & waiting or any(len(binds.get(x, ())) != 1 for x in fv):
+        return None
+    return frozenset((x, *binds[x]) for x in fv)
 
 
 def _witness(root, path, extra=None) -> Value | None:

@@ -11,7 +11,6 @@ from patalg.compiler import (
     Leaf,
     MatrixRow,
     Switch,
-    _compile,
     compile_case,
     default_matrix,
     embed_case,
@@ -203,15 +202,6 @@ def test_compile_default_only():
     assert compile_case(ECase(EVar("s"), (), D)) == Leaf(D)
 
 
-def test_compile_single_wildcard_row():
-    m = ClauseMatrix(
-        (EVar("a"), EVar("b")),
-        (MatrixRow((to_ndnf(var("x")), ndnf_wildcard()), ECtor(cn("W", 1), (EVar("x"),))),),
-        D,
-    )
-    assert _compile(m) == Leaf(ECtor(cn("W", 1), (EVar("a"),)))
-
-
 def test_compile_case_checks_wellformedness_once(monkeypatch):
     from patalg import wellformed
 
@@ -265,9 +255,26 @@ def test_binders_are_named_by_occurrence():
     assert inner.scrutinee is EVar("$0_1")
     assert inner.arms[0].binders == ("$0_1_0", "$0_1_1")
     assert inner.arms[0].subtree is Leaf(EVar("$0_1_0"))
-    cons = to_ndnf(c("Cons", Wild(), Wild()))
-    m = ClauseMatrix((EVar("x"), EVar("y")), (MatrixRow((ndnf_wildcard(), cons), D),), D)
-    assert _compile(m).arms[0].binders == ("$1_0", "$1_1")
+
+
+def test_variable_bound_at_two_occurrences():
+    # `x` is `$0_0` on values whose second argument is A and `$0_1` on the
+    # others: the clause compiles to one leaf per binding, told apart by a
+    # test of the second argument.
+    case = ECase(
+        EVar("s"),
+        (Clause(Or(c("P", var("x"), c("A")), c("P", Wild(), And(var("x"), Neg(c("A"))))), EVar("x")),),
+        D,
+    )
+    tree = compile_case(case)
+    assert isinstance(validate_tree(case, tree), Agree)
+    for second, want in ((v("A"), v("B")), (v("C"), v("C"))):
+        env = (Mapping("s", v("P", v("B"), second)),)
+        assert eval_tree(tree, env) == Evaluated(want)
+    inner = tree.arms[0].subtree
+    assert inner.scrutinee is EVar("$0_1")
+    assert inner.arms == (Arm(cn("A"), (), Leaf(EVar("$0_0"))),)
+    assert inner.default_arm is Leaf(EVar("$0_1"))
 
 
 # --- decision tree evaluation ---

@@ -282,6 +282,58 @@ def test_validator_settles_a_kleene_unknown_at_a_leaf():
     assert isinstance(validate_tree(case, Leaf(v("B"))), Disagree)
 
 
+# Clauses that every value matches, each in its own case: the case diagram
+# tests nothing, so each compiles to a leaf with no switch above it.
+TAUTOLOGIES = {
+    "Mo | !Mo": "data D = Mo | Tu; def f(x) := case x of { Mo | !Mo => Tu, default => Mo };",
+    "!(Green & Red)": "data C = Green | Red; def f(x) := case x of { !(Green & Red) => Red, default => Green };",
+    "x & (Mo | !Mo)": "data D = Mo | Tu; data W = W(D); def f(s) := case s of { x & (Mo | !Mo) => W(x), default => Mo };",
+    "!(Cons(F, y) & Nil)": (
+        "data B = T | F; data L = Nil | Cons(B, L);"
+        "def f(x) := case x of { !(Cons(F, y) & Nil) => Nil, default => T };"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAUTOLOGIES))
+def test_tautological_clause_compiles_to_a_leaf_that_validates(name):
+    # The clause is unknown at the leaf in Kleene's logic, and no value
+    # fails it, so it says yes, with the bindings its settled parts carry.
+    case = _case(TAUTOLOGIES[name])
+    tree = compile_case(case)
+    assert type(tree) is Leaf
+    assert validate_tree(case, tree) == Agree(1)
+
+
+def test_unknown_clause_that_a_value_fails_is_still_a_fault():
+    case = _case("data D = Mo | Tu; def f(x) := case x of { Mo => Tu, default => Mo };")
+    out = validate_tree(case, Leaf(v("Tu")))
+    assert isinstance(out, Disagree)
+    assert "clause Mo may or may not match" in out.detail
+
+
+def test_tautological_clause_bound_at_the_wrong_occurrence_is_a_fault():
+    # `x` is argument 0 wherever the first clause matches, so a leaf that
+    # reads argument 1 is wrong; the second binds `x` at argument 0 on some
+    # values and at argument 1 on the others, so a leaf under no test of
+    # argument 0 is wrong too.
+    for source, wrong in (
+        ("case x of { P(x, Mo | !Mo) => x, default => Mo }", "$0_1"),
+        ("case x of { P(x & Mo, _) | P(!Mo, x) => x, default => Mo }", "$0_0"),
+    ):
+        case = _case(f"data D = Mo | Tu; data P = P(D, D); def f(x) := {source};")
+        tree = compile_case(case)
+        assert isinstance(validate_tree(case, tree), Agree)
+        (arm,) = tree.arms
+        leaf = Arm(arm.ctor, arm.binders, Leaf(EVar(wrong)))
+        assert isinstance(validate_tree(case, Switch(tree.scrutinee, (leaf,), tree.default_arm)), Disagree)
+    # Every value matches `P(x, _) | x & !P(_, _)`, but a leaf with no test
+    # above it cannot bind `x`, which waits in the `P` of the left side.
+    case = _case("data D = Mo; data P = P(D, D); def f(x) := case x of { P(x, _) | x & !P(_, _) => x, default => Mo };")
+    assert isinstance(validate_tree(case, compile_case(case)), Agree)
+    assert isinstance(validate_tree(case, Leaf(EVar("x"))), Disagree)
+
+
 def test_validation_is_linear_in_the_states_of_orprod():
     # The A and B arms of each argument reach one subtree in one state.
     from test_shared_trees import _orprod

@@ -490,11 +490,16 @@ def test_cli_norm_stages(capsys):
     assert capsys.readouterr().out.strip() == "||{ {x} & !{Sa, Su} }"
 
 
-def test_cli_fuzz_compile_seed_2(capsys):
-    # At this seed the suite generates `(Tu | _) & z`, a deterministic
-    # clause whose normal form has two overlapping conjuncts that both bind
-    # `z`; `check` accepts it, so compile must too, and its tree validates.
-    assert main(["fuzz", "--suite", "compile", "--seed", "2", "--depth", "4", "--cases", "400"]) == 0
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_cli_fuzz_compile_seeds(seed, capsys):
+    # Every compiled tree validates and agrees with direct evaluation.  At
+    # seed 2 the suite generates `(Tu | _) & z`, a deterministic clause
+    # whose normal form has two overlapping conjuncts that both bind `z`;
+    # `check` accepts it, so compile must too.  Most seeds generate clauses
+    # whose tree has no test of some occurrence that the clause names, and
+    # the validator must settle them at the leaf.
+    argv = ["fuzz", "--suite", "compile", "--seed", str(seed), "--depth", "4", "--cases", "400"]
+    assert main(argv) == 0
     capsys.readouterr()
 
 

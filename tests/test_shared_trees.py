@@ -1,10 +1,10 @@
 """Compiled trees are DAGs whose binders are named by occurrence, and
 `compile --format json` streams them through `pretty._emit`.
 
-Equal subproblems compile once and equal subtrees are one node.  The
-printers still expand shared subtrees, so `format_trees_json` must write,
-byte for byte, what `json.dumps(..., indent=2)` writes for the expanded
-tree (`helpers.tree_to_obj_by_recursion`)."""
+Each distinct node of the case diagram compiles once, and equal subtrees
+are one node.  The printers still expand shared subtrees, so
+`format_trees_json` must write, byte for byte, what `json.dumps(...,
+indent=2)` writes for the expanded tree (`helpers.tree_to_obj_by_recursion`)."""
 
 import json
 import pathlib
@@ -117,34 +117,35 @@ def test_orprod_has_one_node_per_distinct_subtree():
     assert all(counts[n + 1] == counts[n] + 1 for n in range(4, 9))
 
 
-def test_each_distinct_matrix_compiles_once(monkeypatch):
-    # `_compile` is a fold over matrices: every step builds exactly one
-    # Leaf or Switch, and every operand a matrix lists is one edge of the
-    # DAG of subproblems.  Distinct matrices may give one node: leaves of
-    # the default clause.
-    stepped, edges, built = [], [], []
+def test_each_distinct_diagram_node_is_stepped_once(monkeypatch):
+    # The last fold of `compile_case` is over the case diagram: every step
+    # builds one tree node, a Switch for each test, and every operand a
+    # test lists is one edge of the diagram.  The or-product's diagram has
+    # n + 4 nodes: a test of the root and one of each column, two clause
+    # sinks and the false sink.
+    stepped, edges, switches = [], [], []
     real = compiler.fold
 
     def spy(root, step, ctx, kids):
-        def spy_step(m, c, results):
-            stepped.append(m)
-            return step(m, c, results)
+        stepped.clear()
+        edges.clear()
+        def spy_step(d, c, results):
+            stepped.append(d)
+            return step(d, c, results)
 
-        def spy_kids(m, c):
-            ks = kids(m, c)
+        def spy_kids(d, c):
+            ks = kids(d, c)
             edges.extend(ks)
             return ks
 
         return real(root, spy_step, ctx, spy_kids)
 
     monkeypatch.setattr(compiler, "fold", spy)
-    for cls in (Leaf, Switch):
-        monkeypatch.setattr(compiler, cls.__name__, lambda *f, cls=cls: built.append(cls) or cls(*f))
+    monkeypatch.setattr(compiler, "Switch", lambda *f: switches.append(f) or Switch(*f))
     for n in range(4, 10):
-        stepped.clear()
-        edges.clear()
-        built.clear()
+        switches.clear()
         root = compile_case(parse(_orprod(n)).defs[0].body)
-        assert len(built) == len(stepped) == len(set(stepped)) >= len(_nodes(root))
+        assert len(stepped) == len(set(stepped)) == len(_nodes(root)) == n + 4
+        assert len(switches) == n + 1
         # Linear in n, where the expanded tree has 3 * 2^n + 1 nodes.
-        assert (len(stepped), len(edges) + 1) == (2 * n + 3, 3 * n + 4)
+        assert len(edges) == 3 * n + 3

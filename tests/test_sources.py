@@ -251,9 +251,11 @@ def test_no_new_recursive_functions():
 
 
 def test_validator_shares_no_code_with_the_compiler():
-    # `oracle.validate_tree` checks `normalize` and the compiler together,
-    # so of theirs it may read only the tree's node classes.  Its helpers
-    # are the module-level names it reaches.
+    # `oracle.validate_tree` checks the compiler, so of its names it may
+    # read only the tree's node classes, and it reads no normal form.  Its
+    # emptiness questions go to the diagram table that the compiler reads
+    # too, so `differential_check_tree` is the check that shares no code
+    # with the diagrams.  Its helpers are the module-level names it reaches.
     path = SRC / "oracle.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     source, top = {}, {}  # imported name -> its module; top-level name -> its node

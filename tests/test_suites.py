@@ -1,9 +1,11 @@
 """Smoke runs of the fuzz suites at a reduced case count; the acceptance
 module reruns the relevant ones at full scale."""
 
-import gc
+import os
+import pathlib
+import subprocess
+import sys
 
-from patalg import exhaustiveness, overlap, syntax
 from patalg.suites import prop_congruence, run_suites
 
 
@@ -30,21 +32,37 @@ def test_suites_are_seed_deterministic():
     ]
 
 
+# The body of `test_memos_stay_bounded_across_seeds`, run in a fresh
+# interpreter: the intern table's size counts what earlier tests in the
+# same process left alive, so in process the test passed or failed by the
+# order that the tests ran in.
+_MEMO_BOUNDS = """
+import gc
+
+from patalg import exhaustiveness, overlap, syntax
+from patalg.suites import run_suites
+
+summary = lambda results: [(r.name, r.cases, r.counterexamples) for r in results]
+first = summary(run_suites("all", seed=1, depth=3, cases=100))
+for seed in range(2, 7):
+    run_suites("all", seed=seed, depth=3, cases=100)
+    for memo in (syntax._match_memo, overlap._decided):
+        assert len(memo.young) + len(memo.old) <= 2 * syntax.GENERATION
+    table = exhaustiveness._diagrams
+    assert len(table.built) + len(table.applied) <= 2 * exhaustiveness.DIAGRAMS
+    assert len(table.old) <= 2 * exhaustiveness.DIAGRAMS
+    gc.collect()
+    assert len(syntax._table) < 11_000
+assert summary(run_suites("all", seed=1, depth=3, cases=100)) == first
+"""
+
+
 def test_memos_stay_bounded_across_seeds():
     # Six seeds in one process: each memo's two generations together hold
     # at most twice the bound, each generation of the diagram table, which
     # rotates only when a question starts, at most twice its own, the
     # intern table stops growing (without a bound it grew by about 2,000
     # nodes a seed, to 14,000 after six), and rotations change no result.
-    summary = lambda results: [(r.name, r.cases, r.counterexamples) for r in results]
-    first = summary(run_suites("all", seed=1, depth=3, cases=100))
-    for seed in range(2, 7):
-        run_suites("all", seed=seed, depth=3, cases=100)
-        for memo in (syntax._match_memo, overlap._decided):
-            assert len(memo.young) + len(memo.old) <= 2 * syntax.GENERATION
-        table = exhaustiveness._diagrams
-        assert len(table.built) + len(table.applied) <= 2 * exhaustiveness.DIAGRAMS
-        assert len(table.old) <= 2 * exhaustiveness.DIAGRAMS
-        gc.collect()
-        assert len(syntax._table) < 11_000
-    assert summary(run_suites("all", seed=1, depth=3, cases=100)) == first
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", _MEMO_BOUNDS], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-2000:]
