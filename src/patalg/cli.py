@@ -147,6 +147,9 @@ def _check_types(path, name, body, params, prog: Program) -> bool:
     except UnfoldLimit:
         print(f"{path}: def {name}: note: recursive definition; typing skipped")
         return False
+    except ParseError as err:  # a call of an undefined definition, or of the wrong arity
+        print(f"{path}: def {name}: type error: {err.message}")
+        return True
     ctx = tuple((p, ann) for p, ann in params)
     result = type_expr(ctx, core, prog.decls)
     if isinstance(result, Ill):

@@ -418,13 +418,14 @@ def scrutinee_type(patterns, decls) -> Type | None:
 def case_notes(patterns, decls) -> tuple:
     """What `check` notes of a case at the type that `scrutinee_type`
     names: the least value that no clause matches (None if there is none,
-    or the SignatureError that stops the walk), checked against the
-    clauses; and the clauses that match no value, but those whose `other`
-    edge no declared type types.  The clause diagrams come from the table,
-    where `overlapping_pairs` left them, and a clause's diagram and its
-    complement's share their nodes."""
+    or the SignatureError that stops the walk), from
+    `non_exhaustiveness_witness`; and the clauses that match no value, but
+    those whose `other` edge no declared type types.  The clause diagrams
+    come from the table, where `overlapping_pairs` left them, and a
+    clause's diagram and its complement's share their nodes."""
+    tau = scrutinee_type(patterns, decls)
     ds, root, dead = _diagrams.start(), _root(), []
-    reading = _Reading(decls, {root: scrutinee_type(patterns, decls)}, ds)
+    reading = _Reading(decls, {root: tau}, ds)
     for i, p in enumerate(patterns):
         try:
             if reading.least(ds.pattern(p, root)) is None:
@@ -432,12 +433,10 @@ def case_notes(patterns, decls) -> tuple:
         except SignatureError:
             pass
     try:
-        w = reading.least(ds._task([ds.pattern(p, root, False) for p in patterns], False))
+        w = non_exhaustiveness_witness([(p,) for p in patterns], decls, (tau,))
     except SignatureError as err:
         return err, dead
-    if w is not None and any(_matches(p, w) for p in patterns):
-        raise SoundnessError("exhaustiveness witness is matched by a clause")
-    return w, dead
+    return (None if w is None else w[0]), dead
 
 
 def useful_witness(rows, vector, decls: DataDecls, col_types=None) -> tuple | None:
@@ -476,8 +475,8 @@ def exhaustive(rows, decls: DataDecls, col_types=None) -> bool:
 
 
 def non_exhaustiveness_witness(rows, decls: DataDecls, col_types=None) -> tuple | None:
-    wild = (Wild(),) * (len(rows[0]) if rows else 0)
-    return useful_witness(rows, wild, decls, col_types)
+    width = len(col_types) if col_types else len(rows[0]) if rows else 0
+    return useful_witness(rows, (Wild(),) * width, decls, col_types)
 
 
 def _matches(p, v: Value) -> bool:

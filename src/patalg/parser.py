@@ -50,85 +50,74 @@ class Def(Node):
 
 
 class Program:
-    __slots__ = ("decls", "defs", "main")
+    __slots__ = ("decls", "defs", "main", "_named")
 
-    def __init__(self, decls: DataDecls, defs: tuple, main: object | None = None):
-        self.decls, self.defs, self.main = decls, defs, main
+    def __init__(self, decls: DataDecls, named: dict, main: object | None = None):
+        # named: each definition by its name, in source order
+        self.decls, self.defs, self.main = decls, tuple(named.values()), main
+        self._named = named
 
     def lookup(self, name: str) -> Def | None:
-        for d in self.defs:
-            if d.name == name:
-                return d
-        return None
+        return self._named.get(name)
 
     def table(self) -> dict:
         """The definition table `semantics.step` unfolds calls with: name to
-        parameter names and body, the first definition of a name winning
-        as in `lookup`."""
-        out: dict = {}
-        for d in self.defs:
-            out.setdefault(d.name, (tuple(p for p, _ in d.params), d.body))
-        return out
+        parameter names and body."""
+        return {name: (tuple(p for p, _ in d.params), d.body) for name, d in self._named.items()}
 
 
 # --- tokenizer ---------------------------------------------------------------
 
 
 class Token:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "offset")
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        # kind: "ident", "ctor", "punct" or "eof"
-        self.kind, self.text, self.line, self.col = kind, text, line, col
+    def __init__(self, kind: str, text: str, offset: int):
+        # kind: "ident", "ctor", "punct" or "eof"; offset: of the first character
+        self.kind, self.text, self.offset = kind, text, offset
 
 
-_PUNCT2 = ("=>", ":=", "--")
+def position(source: str, offset: int) -> tuple:
+    """The (line, column) of `source[offset]`, both counted from 1: only a
+    newline starts a line, and every other character is one column."""
+    start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, start) + 1, offset - start + 1
+
+
+_PUNCT2 = ("=>", ":=")
 _PUNCT1 = "(){},;=|&!_#:"
 
 
-def tokenize(source: str):
+def tokenize(source: str) -> list:
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
+    i, n = 0, len(source)
     while i < n:
         ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
-            col += 1
             i += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
+        elif ch.isalnum() or ch == "$":
+            start = i
+            i += 1
+            while i < n and (source[i].isalnum() or source[i] in "_$"):
                 i += 1
-            continue
-        if ch.isalnum() or ch == "$":
-            start, start_col = i, col
-            while i < n and (source[i].isalnum() or source[i] == "_" or source[i] == "$"):
-                i += 1
-                col += 1
             text = source[start:i]
             if "$" in text:
-                raise ParseError(line, start_col, "identifiers containing $ are reserved")
-            kind = "ident" if text[0].islower() else "ctor"
-            tokens.append(Token(kind, text, line, start_col))
-            continue
-        two = source[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, line, col))
+                raise ParseError(*position(source, start), "identifiers containing $ are reserved")
+            tokens.append(Token("ident" if text[0].islower() else "ctor", text, start))
+        elif source.startswith("--", i):
+            end = source.find("\n", i)
+            if end < 0:
+                break  # the end of the input sits where this comment starts
+            i = end
+        elif source[i : i + 2] in _PUNCT2:
+            tokens.append(Token("punct", source[i : i + 2], i))
             i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, line, col))
+        elif ch in _PUNCT1:
+            tokens.append(Token("punct", ch, i))
             i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line, col))
+        else:
+            raise ParseError(*position(source, i), f"unexpected character {ch!r}")
+    tokens.append(Token("eof", "", i))
     return tokens
 
 
@@ -137,8 +126,7 @@ def tokenize(source: str):
 
 class _Parser:
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0
+        self.source, self.tokens, self.pos = source, tokenize(source), 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -149,26 +137,27 @@ class _Parser:
         return t
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
-        t = tok or self.peek()
-        return ParseError(t.line, t.col, message)
+        return ParseError(*position(self.source, (tok or self.peek()).offset), message)
+
+    # `text` is never empty, so the eof token (text "") never matches it.
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
-            raise self.error(f"expected {text!r}, found {t.text!r}")
-        return self.next()
+        t = self.tokens[self.pos]
+        if t.text != text:
+            raise self.error(f"expected {text!r}, found {t.text!r}", t)
+        self.pos += 1
+        return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.tokens[self.pos].text == text
 
     # --- programs ---
 
     def parse_program(self) -> Program:
         decl_table: dict = {}
-        defs: list = []
+        defs: dict = {}
         main = None
-        while self.peek().kind != "eof":
-            t = self.peek()
+        while (t := self.peek()).kind != "eof":
             if t.text == "data":
                 name, ctors = self.parse_data()
                 if name in decl_table:
@@ -176,9 +165,9 @@ class _Parser:
                 decl_table[name] = ctors
             elif t.text == "def":
                 d = self.parse_def()
-                if any(existing.name == d.name for existing in defs):
+                if d.name in defs:
                     raise self.error(f"definition {d.name} declared twice", t)
-                defs.append(d)
+                defs[d.name] = d
             elif t.text == "main":
                 if main is not None:
                     raise self.error("main declared twice", t)
@@ -194,7 +183,7 @@ class _Parser:
             decls = DataDecls(decl_table)
         except DeclError as err:
             raise ParseError(1, 1, str(err)) from err
-        return Program(decls, tuple(defs), main)
+        return Program(decls, defs, main)
 
     def parse_data(self):
         self.expect("data")
@@ -335,10 +324,10 @@ class _Parser:
         head = args = disj = conj = None
         negs = 0
         while True:
-            while self.at("!"):
-                self.next()
-                negs += 1
             t = self.next()
+            while t.text == "!":
+                negs += 1
+                t = self.next()
             opens = t.text == "("
             if t.kind == "ctor" and self.at("("):
                 self.next()
@@ -367,18 +356,19 @@ class _Parser:
                     p = Neg(p)
                 negs = 0
                 conj = p if conj is None else And(conj, p)
-                if self.at("&"):
+                op = self.peek().text
+                if op == "&":
                     break
                 disj = conj if disj is None else Or(disj, conj)
                 conj = None
-                if self.at("|"):
+                if op == "|":
                     break
                 p, disj = disj, None
                 if head is None:
                     return p
                 if args is not None:
                     args.append(p)
-                    if self.at(","):
+                    if op == ",":
                         break
                     p = Ctor(CtorName(head.text, len(args)), tuple(args))
                 self.expect(")")
@@ -400,20 +390,21 @@ def parse(source: str) -> Program:
     return _Parser(source).parse_program()
 
 
-def parse_pattern(source: str) -> Pattern:
+def _whole(source: str, rule, what: str):
+    """What `rule` reads, which must be all of `source`."""
     p = _Parser(source)
-    pat = p.parse_pattern()
+    result = rule(p)
     if p.peek().kind != "eof":
-        raise p.error("trailing input after pattern")
-    return pat
+        raise p.error(f"trailing input after {what}")
+    return result
+
+
+def parse_pattern(source: str) -> Pattern:
+    return _whole(source, _Parser.parse_pattern, "pattern")
 
 
 def parse_expr(source: str):
-    p = _Parser(source)
-    e = p.parse_expr()
-    if p.peek().kind != "eof":
-        raise p.error("trailing input after expression")
-    return e
+    return _whole(source, _Parser.parse_expr, "expression")
 
 
 def parse_value(source: str) -> Value:

@@ -2,27 +2,31 @@
 notes dead clauses, its output depends on the set of clauses and not on
 their order, and the cost of both grows no faster than the diagrams on the
 families where the earlier procedures had cliffs, or where one diagram of
-the whole case would."""
+the whole case would.  `eval` of a walk down a list costs linear time in
+the list."""
 
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
+from test_machine import WALK, _list
 from test_shared_trees import _orprod
 
-from patalg import exhaustiveness, oracle
+from patalg import oracle
 from patalg.cli import main
-from patalg.compiler import compile_case
-from patalg.parser import parse
-from patalg.pretty import format_pattern
+from patalg.pretty import format_pattern, format_value
 from patalg.suites import STANDARD_DECLS
 from patalg.syntax import Neg
 from patalg.typecheck import Named, format_type
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 DEAD = (
     "data Color = Red | Green | Blue;\n"
@@ -57,6 +61,15 @@ def test_open_world_dead_clause_is_noted(tmp_path, capsys):
     code, out = _check(tmp_path, capsys, text)
     assert code == 0
     assert "def f: note: clause x & !x at <body> matches no value\n" in out
+
+
+def test_case_with_no_clauses_is_noted(tmp_path, capsys):
+    # No clause names a constructor, so the scrutinee's type is unknown.
+    text = "data B = T | F;\ndef f(x: B) := case x of { default => x };\n"
+    assert _check(tmp_path, capsys, text) == (
+        0,
+        "def f: note: clauses at <body> are not exhaustive; the default clause handles e.g. $any\nok\n",
+    )
 
 
 # --- clause order ------------------------------------------------------------
@@ -145,8 +158,9 @@ def test_mkpair_witness_does_not_depend_on_clause_order(tmp_path, capsys):
 # depend on the host, so the budgets can be tight: about 1.5 times the
 # counts measured when they were set, and an exponent fitted from the
 # smallest and largest size (`exponent`) at most the one given.  Each
-# count starts from a cold diagram table (`cold_table`), so that it does
-# not depend on the questions that earlier tests asked.
+# family is counted in a fresh interpreter (`_fresh_counts`), and each
+# count starts from a cold diagram table, so that no count depends on the
+# pattern facts, overlap answers or diagrams that earlier tests left.
 
 
 def _table(rows: int) -> str:
@@ -216,59 +230,99 @@ def _apart_last_untyped(n: int) -> str:
 
 
 # family: (program, sizes, budget of calls at each size, exponent, exit
-# code).  Measured 9,315 / 17,418 / 36,286 (exponent 0.98), 6,796 /
-# 13,385 / 23,654 (1.80; the source text grows as n^3), 19,746 / 37,546 /
-# 73,146 (0.94), 6,244 / 16,372 / 53,524 (1.55; every pair of clauses
-# overlaps, so the report grows as n^2) and 8,324 / 21,807 / 69,948 (1.54;
-# the text grows as n^2) on CPython 3.11.  The budgets are about 1.5 times
-# the counts of an earlier version, whose case diagram had sets of clauses
-# at its sinks, for the first three, and of this one for the last two.
-# Since the diagram table outlives its question, `check` builds each
-# clause's diagram once for its overlaps and its notes: the complement
-# then counted 16,504 / 31,104 / 60,304 and first-match 5,762 / 11,227 /
-# 19,948, and their budgets fell in proportion.  The untyped family's
-# budgets are 1.5 times its count at n=4 (4,903), grown as n^1.8, and
-# its count grows exponentially: 4,903 / 18,788 / 240,435.  The counts
-# once held the 1,400-odd calls of building an argparse parser in every
-# run; without them first-match counts 4,346 / 9,799 / 18,508, which fits
-# an exponent of 2.09 where the same work with them fitted 1.79.  Its
-# budgets fell by those calls and its exponent rose to 2.2.
+# code).  Counted in a fresh interpreter on CPython 3.11: 5,456 / 11,774 /
+# 25,564 (exponent 1.11), 3,793 / 8,328 / 15,431 (2.02; the source text
+# grows as n^3), 12,855 / 25,255 / 50,055 (0.98), 3,848 / 11,796 / 40,940
+# (1.71; every pair of clauses overlaps, so the report grows as n^2) and
+# 5,564 / 16,539 / 56,132 (1.67; the text grows as n^2).  The last varies
+# by about 0.5% from one process to the next.  The budgets are about 1.5
+# times these, but first-match's at n=6 and n=8, which no count has
+# raised.  The untyped family's budgets are 1.5 times its count at n=4
+# (2,258), grown as n^1.8, and its count grows exponentially: 2,258 /
+# 16,466 / 230,401.
 FAMILIES = {
-    "truth table": (_table, (16, 32, 64), (12_000, 24_500, 52_500), 1.3, 0),
-    "first-match": (_first_match, (4, 6, 8), (6_000, 12_300, 22_000), 2.2, 0),
-    "complement": (_complement, (100, 200, 400), (23_000, 42_800, 83_100), 1.2, 0),
-    "independent": (_independent, (8, 16, 32), (9_600, 25_000, 80_500), 1.8, 1),
-    "apart last": (_apart_last, (8, 16, 32), (13_600, 33_500, 106_500), 1.8, 0),
-    "apart last, untyped": (_apart_last_untyped, (4, 8, 12), (7_400, 25_600, 53_000), 1.8, 1),
+    "truth table": (_table, (16, 32, 64), (8_200, 17_700, 38_300), 1.3, 0),
+    "first-match": (_first_match, (4, 6, 8), (5_700, 12_300, 22_000), 2.2, 0),
+    "complement": (_complement, (100, 200, 400), (19_300, 37_900, 75_100), 1.2, 0),
+    "independent": (_independent, (8, 16, 32), (5_800, 17_700, 61_400), 1.8, 1),
+    "apart last": (_apart_last, (8, 16, 32), (8_300, 24_800, 84_200), 1.8, 0),
+    "apart last, untyped": (_apart_last_untyped, (4, 8, 12), (3_400, 11_800, 24_500), 1.8, 1),
 }
 # The witness walk builds the intersection of the complements where an
 # occurrence's type is unknown, and that diagram has 2^n nodes here.
 SLOW = {"apart last, untyped": "the complements' diagram is built untyped (ROADMAP item 18)"}
 
 
-@pytest.fixture
-def cold_table(monkeypatch):
-    """Empties the diagram table; call it before each count."""
-    return lambda: monkeypatch.setattr(exhaustiveness, "_diagrams", exhaustiveness._Diagrams())
+# Counts each run in the interpreter it starts: a run is `main`'s argv,
+# or ("compile_case", path) for `compile_case` of the first definition in
+# the file at path, and its diagram table starts empty.  The imports are
+# those of a `patc` start.
+_COUNT = """
+import io
+import sys
+
+from patalg import exhaustiveness
+from patalg.cli import main
+from patalg.compiler import compile_case
+from patalg.parser import parse
 
 
-def _calls(tmp_path, capsys, text, want) -> int:
-    path = tmp_path / "family.pat"
-    path.write_text(text)
+def counted(run):
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
+    exhaustiveness._diagrams = exhaustiveness._Diagrams()
+    sys.stdout = io.StringIO()
     sys.setprofile(count)
     try:
-        code = main(["check", str(path)])
+        result = run()
     finally:
         sys.setprofile(None)
-    assert code == want
-    capsys.readouterr()
-    return calls
+        sys.stdout = sys.__stdout__
+    return calls, result
+
+
+for argv in (arg.split("\\n") for arg in sys.argv[1:]):
+    if argv[0] == "compile_case":
+        with open(argv[1], encoding="utf-8") as fh:
+            body = parse(fh.read()).defs[0].body
+        print(counted(lambda: compile_case(body))[0], 0)
+    else:
+        print(*counted(lambda: main(argv)))
+"""
+
+
+def _fresh_counts(runs) -> list:
+    """(calls, exit code) of each run, counted in one fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT, *("\n".join(r) for r in runs)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return [tuple(map(int, line.split())) for line in out.stdout.splitlines()]
+
+
+def _files(tmp_path, program, sizes) -> list:
+    paths = []
+    for n in sizes:
+        path = tmp_path / f"{n}.pat"
+        path.write_text(program(n))
+        paths.append(str(path))
+    return paths
+
+
+def _within_budget(counted, sizes, budgets, most, code=0):
+    counts = [calls for calls, _ in counted]
+    assert [c for _, c in counted] == [code] * len(sizes)
+    exponent = math.log(counts[-1] / counts[0]) / math.log(sizes[-1] / sizes[0])
+    assert all(c <= b for c, b in zip(counts, budgets)), (counts, budgets)
+    assert exponent <= most, (counts, exponent)
 
 
 @pytest.mark.parametrize(
@@ -278,29 +332,22 @@ def _calls(tmp_path, capsys, text, want) -> int:
         for f in sorted(FAMILIES)
     ],
 )
-def test_check_cost_stays_within_budget(tmp_path, capsys, cold_table, family):
+def test_check_cost_stays_within_budget(tmp_path, family):
     program, sizes, budgets, most, code = FAMILIES[family]
-    counts = []
-    for n in sizes:
-        cold_table()
-        counts.append(_calls(tmp_path, capsys, program(n), code))
-    exponent = math.log(counts[-1] / counts[0]) / math.log(sizes[-1] / sizes[0])
-    assert all(c <= b for c, b in zip(counts, budgets)), (counts, budgets)
-    assert exponent <= most, (counts, exponent)
+    counted = _fresh_counts([("check", p) for p in _files(tmp_path, program, sizes)])
+    _within_budget(counted, sizes, budgets, most, code)
 
 
-# `compile_case`, counted in process from a cold table as `check` is above,
-# on the parsed case: the printers expand the DAG (ROADMAP item 6), so
-# `patc compile` would count the output.  Measured 1,268 / 2,380 / 4,988
-# (exponent 0.99), 12,700 / 22,500 / 44,800 (0.91) and 2,534 / 10,782 /
-# 58,590 (2.27; the source text grows as n^3) on CPython 3.11, in a fresh
-# process; the budgets are about 1.5 times these.  Preorder tests the B
-# columns of "apart last" before its K column, so its case diagram has 2^n
-# nodes: 2,175 / 26,109 / 445,726 calls.  Its budgets are 1.5 times the
-# count at n=4, grown as n^2.  A pattern that an earlier test left alive
-# keeps its facts, and the overlap memo outlives the table, so a count can
-# be up to a quarter lower (1,024 at or-product n=8); the exponent bounds
-# leave room for that.
+# `compile_case`, counted as `check` is above, on the parsed case: the
+# printers expand the DAG (ROADMAP item 6), so `patc compile` would count
+# the output.  Counted 1,233 / 2,313 / 4,857 (exponent 0.98), 12,399 /
+# 21,899 / 43,599 (0.91) and 2,514 / 10,746 / 58,522 (2.27; the source
+# text grows as n^3) on CPython 3.11; the budgets are about 1.5 times the
+# counts when they were set, 1,268 / 2,380 / 4,988, 12,700 / 22,500 /
+# 44,800 and 2,534 / 10,782 / 58,590.  Preorder tests the B columns of
+# "apart last" before its K column, so its case diagram has 2^n nodes:
+# about 2,120 / 25,400 / 435,000 calls.  Its budgets are 1.5 times the
+# count at n=4, grown as n^2.
 COMPILE_FAMILIES = {
     "or-product": (_orprod, (8, 16, 32), (1_900, 3_500, 7_300), 1.25),
     "complement": (_complement, (100, 200, 400), (18_600, 32_900, 65_400), 1.15),
@@ -308,22 +355,6 @@ COMPILE_FAMILIES = {
     "apart last": (_apart_last, (4, 8, 12), (3_250, 13_000, 29_200), 2.0),
 }
 SLOW_COMPILE = {"apart last": "preorder tests K last, so the case diagram has 2^n nodes (ROADMAP item 23)"}
-
-
-def _compile_calls(text) -> int:
-    body = parse(text).defs[0].body
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        compile_case(body)
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -335,12 +366,29 @@ def _compile_calls(text) -> int:
         for f in sorted(COMPILE_FAMILIES)
     ],
 )
-def test_compile_cost_stays_within_budget(cold_table, family):
+def test_compile_cost_stays_within_budget(tmp_path, family):
     program, sizes, budgets, most = COMPILE_FAMILIES[family]
-    counts = []
-    for n in sizes:
-        cold_table()
-        counts.append(_compile_calls(program(n)))
-    exponent = math.log(counts[-1] / counts[0]) / math.log(sizes[-1] / sizes[0])
-    assert all(c <= b for c, b in zip(counts, budgets)), (counts, budgets)
-    assert exponent <= most, (counts, exponent)
+    counted = _fresh_counts([("compile_case", p) for p in _files(tmp_path, program, sizes)])
+    _within_budget(counted, sizes, budgets, most)
+
+
+# `patc eval` of `len` and `last`, the definitions of the benchmark's
+# `listwalk` (`test_machine.WALK`), on a list of n elements, counted as
+# `check` is above.  Counted 10,083 / 18,612 / 36,612 (exponent 0.93) for
+# `len` and 9,997 / 16,755 / 32,955 (0.86) for `last` on CPython 3.11;
+# the budgets are about 1.5 times these.
+EVAL_FAMILIES = {
+    "len": ((100, 200, 400), (15_100, 27_900, 54_900), 1.15),
+    "last": ((100, 200, 400), (15_000, 25_100, 49_400), 1.15),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EVAL_FAMILIES))
+def test_eval_cost_stays_within_budget(tmp_path, entry):
+    sizes, budgets, most = EVAL_FAMILIES[entry]
+    path = tmp_path / "walk.pat"
+    path.write_text(WALK)
+    runs = [
+        ("eval", str(path), "--entry", entry, "--args", format_value(_list(n))) for n in sizes
+    ]
+    _within_budget(_fresh_counts(runs), sizes, budgets, most)

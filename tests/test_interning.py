@@ -400,11 +400,17 @@ def test_wide_or_pattern_checks_and_compiles(tmp_path):
 
 
 def test_complement_of_a_thousand_alternatives_checks(tmp_path):
-    # Normalization folds the 1,000-deep complement without recursing.
-    # `compile` (`syntax.fv_even`, via `compiler._unshadow`) and `check --typed`
-    # (`typecheck.type_pattern`) still recurse on it.
+    # Normalization and typing (`typecheck.type_pattern`) fold the
+    # 1,000-deep complement without recursing, and `compile` reads the case
+    # off its diagram.
     path = _wide_program(tmp_path, 2000)
-    for command in (["check"], ["check", "--type-aware-overlap"]):
+    for command in (
+        ["check"],
+        ["check", "--type-aware-overlap"],
+        ["check", "--typed"],
+        ["compile"],
+        ["compile", "--format", "json"],
+    ):
         _assert_runs_cleanly(path, *command)
 
 

@@ -204,6 +204,17 @@ def test_cli_check_typed(tmp_path, capsys):
     assert "type error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [("g(x)", "call of undefined definition g"), ("h(x, x)", "h takes 1 arguments, got 2")],
+)
+def test_cli_check_typed_reports_a_bad_call(tmp_path, capsys, call, message):
+    path = tmp_path / "call.pat"
+    path.write_text(f"data B = T | F;\ndef h(x: B) := x;\ndef f(x: B) := {call};\n")
+    assert main(["check", "--typed", str(path)]) == 1
+    assert capsys.readouterr().out == f"{path}: def f: type error: {message}\ncheck failed\n"
+
+
 def test_cli_type_aware_overlap(tmp_path, capsys):
     # !(Red | Green) and !Blue overlap for the conservative check, but the
     # declarations show their ban sets cover all of Color.
