@@ -29,8 +29,6 @@ from .normalize import dnf, nnf, to_ndnf
 from .parser import (
     ParseError,
     Program,
-    UnfoldLimit,
-    inline_calls,
     parse,
     parse_pattern,
     parse_value,
@@ -46,7 +44,7 @@ from .pretty import (
     json_definitions,
 )
 from .semantics import ECase
-from .typecheck import Ill, type_expr
+from .typecheck import Ill, Recursive, type_expr
 
 
 def _load(path: str):
@@ -96,6 +94,7 @@ def cmd_check(args) -> int:
             print(f"{args.file}: undeclared constructor {ctor.name}/{ctor.arity}")
         failed = failed or bool(missing)
     overlap_decls = decls if args.type_aware_overlap else None
+    typed: dict = {}
     bodies = [(d.name, d.body, d.params) for d in prog.defs]
     if prog.main is not None:
         bodies.append(("main", prog.main, ()))
@@ -110,7 +109,7 @@ def cmd_check(args) -> int:
             for site in report.sites:
                 _report_exhaustiveness(args.file, name, site, prog)
         if args.typed:
-            failed = _check_types(args.file, name, body, params, prog) or failed
+            failed = _check_types(args.file, name, body, params, prog, typed) or failed
     print("ok" if not failed else "check failed")
     return 0 if not failed else 1
 
@@ -134,25 +133,19 @@ def _report_exhaustiveness(path, def_name, site, prog: Program) -> None:
         print(f"{note} clause {shown} at {where} matches no value")
 
 
-def _check_types(path, name, body, params, prog: Program) -> bool:
-    """Returns True when a type error was reported."""
+def _check_types(path, name, body, params, prog: Program, typed: dict) -> bool:
+    """Returns True when a type error was reported; `typed` is the table of
+    callee typings that `type_expr` fills for one `check`."""
     if any(ann is None for _, ann in params):
         print(
             f"{path}: def {name}: note: --typed needs parameter annotations "
             f"(def {name}(x: Type) := ...); skipped"
         )
         return False
-    try:
-        core = inline_calls(body, prog)
-    except UnfoldLimit:
+    result = type_expr(params, body, prog.decls, prog, typed)
+    if isinstance(result, Recursive):
         print(f"{path}: def {name}: note: recursive definition; typing skipped")
-        return False
-    except ParseError as err:  # a call of an undefined definition, or of the wrong arity
-        print(f"{path}: def {name}: type error: {err.message}")
-        return True
-    ctx = tuple((p, ann) for p, ann in params)
-    result = type_expr(ctx, core, prog.decls)
-    if isinstance(result, Ill):
+    elif isinstance(result, Ill):
         print(f"{path}: def {name}: type error: {result.message}")
         return True
     return False
@@ -348,7 +341,7 @@ def _usage(command: str | None, full: bool = False) -> str:
         words.append("{" + ",".join(COMMANDS) + "} ...")
         rows += [(name, about) for name, (about, _, _) in COMMANDS.items()]
     words += [positional.upper()] if positional else []
-    return "\n".join([" ".join(words)] + [f"  {shown:<26}{about}" for shown, about in rows] * full)
+    return "\n".join([" ".join(words)] + [f"  {shown:<24}  {about}" for shown, about in rows] * full)
 
 
 def _fail(command: str | None, message: str):

@@ -16,7 +16,7 @@ comment.
 
 from __future__ import annotations
 
-from .semantics import Call, Clause, ECase, ECtor, EVar, substitute, subterms
+from .semantics import Call, Clause, ECase, ECtor, EVar, subterms
 from .syntax import (
     Absurd,
     And,
@@ -443,53 +443,3 @@ def undeclared_ctors(prog: Program):
                         todo.append(p.sub)
     return tuple(dict.fromkeys(missing))
 
-
-# --- definition unfolding -------------------------------------------------------------
-
-
-class UnfoldLimit(RuntimeError):
-    pass
-
-
-def inline_calls(e, prog: Program, budget: int = 1000):
-    """Statically unfold definition calls; raises UnfoldLimit at a call of
-    a definition that is being unfolded (recursion) or when the budget
-    runs out."""
-    remaining = [budget]
-    unfolding: set = set()
-
-    def go(e):
-        if isinstance(e, (EVar, Value)):
-            return e
-        if isinstance(e, Call):
-            d = prog.lookup(e.name)
-            if d is None:
-                raise ParseError(1, 1, f"call of undefined definition {e.name}")
-            if len(e.args) != len(d.params):
-                raise ParseError(
-                    1,
-                    1,
-                    f"{e.name} takes {len(d.params)} arguments, got {len(e.args)}",
-                )
-            if remaining[0] <= 0 or e.name in unfolding:
-                raise UnfoldLimit(e.name)
-            remaining[0] -= 1
-            args = [go(a) for a in e.args]
-            body = substitute(
-                d.body, {name: a for (name, _), a in zip(d.params, args)}
-            )
-            unfolding.add(e.name)
-            body = go(body)
-            unfolding.discard(e.name)
-            return body
-        if isinstance(e, ECase):
-            return ECase(
-                go(e.scrutinee),
-                tuple(Clause(c.pattern, go(c.rhs)) for c in e.clauses),
-                go(e.default_rhs),
-            )
-        if isinstance(e, ECtor):
-            return ECtor(e.ctor, tuple(go(a) for a in e.args))
-        raise TypeError(f"not an expression: {e!r}")
-
-    return go(e)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .semantics import ECase, ECtor, EVar
+from .semantics import Call, ECase, ECtor, EVar
 from .syntax import (
     And,
     Ctor,
@@ -226,64 +226,119 @@ def type_pattern(p: Pattern, tau: Type, decls: DataDecls | None = None):
 # --- expression typing ----------------------------------------------------------
 
 
-def type_expr(ctx, e, decls: DataDecls | None = None):
+class Recursive(Record):
+    """A call reached a definition whose own typing is still open."""
+
+    __slots__ = ()
+
+
+def type_expr(ctx, e, decls: DataDecls | None = None, prog=None, typed=None):
     """Synthesize the type of an expression under a context, or explain the
-    first failing premise."""
-    if isinstance(e, EVar):
-        for name, tau in reversed(ctx):
-            if name == e.name:
-                return Ok(tau)
-        return Ill(f"unbound variable {e.name}")
-    if isinstance(e, (ECtor, Value)):
-        # Declared constructors take precedence over the built-in ones, so
-        # programs may declare their own True and False.
-        if decls is not None and decls.owner(e.ctor) is not None:
-            owner = decls.owner(e.ctor)
-            expected = decls.arg_types(e.ctor)
-            for a, want in zip(e.args, expected):
-                r = type_expr(ctx, a, decls)
+    first failing premise; `Recursive` if a call reaches a definition whose
+    typing is still open.  A call of a definition of `prog` types its
+    arguments, each at its parameter's annotation if it has one, and then
+    the callee's body at those types.  `typed` maps (callee, parameter
+    types) to the type of that body, so each is typed once per table.
+
+    Each rule is a generator that yields its premises, (context,
+    expression) pairs, in order and receives their types; the pending rules
+    wait on an explicit stack, so no Python frame is spent per level."""
+    typed = {} if typed is None else typed
+    opened: set = set()
+
+    def rule(ctx, e):
+        kind = type(e)
+        if kind is EVar:
+            for name, tau in reversed(ctx):
+                if name == e.name:
+                    return Ok(tau)
+            return Ill(f"unbound variable {e.name}")
+        if kind is ECtor or kind is Value:
+            # Declared constructors take precedence over the built-in ones, so
+            # programs may declare their own True and False.
+            owner = decls.owner(e.ctor) if decls is not None else None
+            if owner is not None:
+                for a, want in zip(e.args, decls.arg_types(e.ctor)):
+                    r = yield ctx, a
+                    if type(r) is not Ok:
+                        return r
+                    if r.type != want:
+                        return Ill(
+                            f"argument of {e.ctor.name} has type "
+                            f"{format_type(r.type)}, expected {format_type(want)}"
+                        )
+                return Ok(Named(owner))
+            if e.ctor == TRUE or e.ctor == FALSE:
+                return Ok(Bool())
+            return Ill(f"undeclared constructor {e.ctor.name}/{e.ctor.arity}")
+        if kind is ECase:
+            scrut = yield ctx, e.scrutinee
+            if type(scrut) is not Ok:
+                return scrut
+            result: Type | None = None
+            for c in e.clauses:
+                r = type_pattern(c.pattern, scrut.type, decls)
                 if isinstance(r, Ill):
                     return r
-                if r.type != want:
+                # The odd-negation context plays no role in the clause body;
+                # it is synthesized per clause and discarded.
+                rhs = yield ctx + r.gamma, c.rhs
+                if type(rhs) is not Ok:
+                    return rhs
+                if result is None:
+                    result = rhs.type
+                elif rhs.type != result:
                     return Ill(
-                        f"argument of {e.ctor.name} has type "
-                        f"{format_type(r.type)}, expected {format_type(want)}"
+                        f"clause result type {format_type(rhs.type)} differs "
+                        f"from {format_type(result)}"
                     )
-            return Ok(Named(owner))
-        if e.ctor == TRUE or e.ctor == FALSE:
-            return Ok(Bool())
-        return Ill(f"undeclared constructor {e.ctor.name}/{e.ctor.arity}")
-    if isinstance(e, ECase):
-        scrut = type_expr(ctx, e.scrutinee, decls)
-        if isinstance(scrut, Ill):
-            return scrut
-        result: Type | None = None
-        for c in e.clauses:
-            r = type_pattern(c.pattern, scrut.type, decls)
-            if isinstance(r, Ill):
-                return r
-            # The odd-negation context plays no role in the clause body;
-            # it is synthesized per clause and discarded.
-            rhs = type_expr(ctx + r.gamma, c.rhs, decls)
-            if isinstance(rhs, Ill):
-                return rhs
-            if result is None:
-                result = rhs.type
-            elif rhs.type != result:
+            dflt = yield ctx, e.default_rhs
+            if type(dflt) is not Ok:
+                return dflt
+            if result is not None and dflt.type != result:
                 return Ill(
-                    f"clause result type {format_type(rhs.type)} differs "
+                    f"default result type {format_type(dflt.type)} differs "
                     f"from {format_type(result)}"
                 )
-        dflt = type_expr(ctx, e.default_rhs, decls)
-        if isinstance(dflt, Ill):
-            return dflt
-        if result is not None and dflt.type != result:
-            return Ill(
-                f"default result type {format_type(dflt.type)} differs "
-                f"from {format_type(result)}"
-            )
-        return Ok(dflt.type if result is None else result)
-    raise TypeError(f"not an expression: {e!r}")
+            return Ok(dflt.type if result is None else result)
+        if kind is Call:
+            d = prog.lookup(e.name) if prog is not None else None
+            if d is None:
+                return Ill(f"call of undefined definition {e.name}")
+            if len(e.args) != len(d.params):
+                return Ill(f"{e.name} takes {len(d.params)} arguments, got {len(e.args)}")
+            if e.name in opened:
+                return Recursive()
+            params = []
+            for (name, ann), a in zip(d.params, e.args):
+                r = yield ctx, a
+                if type(r) is not Ok:
+                    return r
+                if ann is not None and r.type != ann:
+                    return Ill(
+                        f"argument {name} of {e.name} has type "
+                        f"{format_type(r.type)}, expected {format_type(ann)}"
+                    )
+                params.append((name, r.type))
+            key = (e.name, tuple(tau for _, tau in params))
+            if key not in typed:
+                opened.add(e.name)
+                typed[key] = yield tuple(params), d.body
+                opened.discard(e.name)
+            return typed[key]
+        raise TypeError(f"not an expression: {e!r}")
+
+    waiting = [rule(ctx, e)]  # the rules waiting on a premise, innermost last
+    r = None
+    while True:
+        try:
+            waiting.append(rule(*waiting[-1].send(r)))
+            r = None
+        except StopIteration as done:
+            waiting.pop()
+            r = done.value
+            if not waiting:
+                return r
 
 
 def format_type(tau: Type) -> str:

@@ -338,6 +338,38 @@ def test_check_cost_stays_within_budget(tmp_path, family):
     _within_budget(counted, sizes, budgets, most, code)
 
 
+# `check --typed` of a chain of definitions that nothing recurses in: `g_i`
+# calls `g_{i-1}` twice, and an ill-typed `bad` calls `g_n`.  Unfolding
+# the calls would type 2^n bodies; the `Call` rule types each definition
+# once per parameter types.  Counted as `check` is above: 1,832 / 3,180 /
+# 5,876 (exponent 0.84) on CPython 3.11; the budgets are about 1.5 times
+# these.
+TYPED_CHAIN = ((4, 8, 16), (2_750, 4_770, 8_810), 1.0)
+
+
+def _typed_chain(n: int) -> str:
+    calls = "".join(
+        f"def g{i}(x: B) := case x of {{ T => g{i - 1}(x), default => g{i - 1}(F) }};\n"
+        for i in range(1, n + 1)
+    )
+    return (
+        f"data B = T | F;\ndata C = K(B);\ndef g0(x: B) := x;\n{calls}"
+        f"def bad(x: B) := case x of {{ T => g{n}(x), default => K(x) }};\n"
+    )
+
+
+def test_typed_check_cost_stays_within_budget(tmp_path, capsys):
+    sizes, budgets, most = TYPED_CHAIN
+    paths = _files(tmp_path, _typed_chain, sizes)
+    for path in paths:
+        assert main(["check", "--typed", path]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}: def bad: type error: default result type C differs from B\n" in out
+        assert "recursive definition" not in out
+    counted = _fresh_counts([("check", "--typed", p) for p in paths])
+    _within_budget(counted, sizes, budgets, most, code=1)
+
+
 # `compile_case`, counted as `check` is above, on the parsed case: the
 # printers expand the DAG (ROADMAP item 6), so `patc compile` would count
 # the output.  Counted 1,233 / 2,313 / 4,857 (exponent 0.98), 12,399 /

@@ -82,6 +82,9 @@ PROGRAMS = {
     "wide.pat": _wide_program(),
     "body.pat": f"data N = Z | S(N);\ndef f(x: N) := {_nest(3000, 'x')};\nmain := f(Z);\n",
     "orprod40.pat": _or_product_program(40),
+    # 3,000 definitions, each calling the one before it.
+    "chain3k.pat": "data N = Z | S(N);\ndef g0(x: N) := x;\n"
+    + "".join(f"def g{i}(x: N) := S(g{i - 1}(x));\n" for i in range(1, 3000)),
     "negdeep10k.pat": (
         "data N = Z | S(N);\n"
         f"def f(x: N) := case x of {{ !{_nest(10_000, 'Z')} => Z, default => S(Z) }};\n"
@@ -122,9 +125,11 @@ RUNS = [
     ["compile", "wide.pat"],
     ["compile", "wide.pat", "--format", "json"],
     ["check", "body.pat"],
+    ["check", "body.pat", "--typed"],
     ["compile", "body.pat"],
     ["compile", "body.pat", "--format", "json"],
     ["check", str(DEMOS / "lists.pat"), "--typed"],
+    ["check", "chain3k.pat", "--typed"],
     ["compile", "complement.pat"],
     pytest.param(
         ["compile", "deep10k.pat"],
@@ -141,10 +146,6 @@ RUNS = [
     pytest.param(
         ["eval", "wide.pat", "--entry", "g", "--args", f"K{K - 1}"],
         marks=_xfail("syntax.match_both recurses per or-alternative (ROADMAP item 10)"),
-    ),
-    pytest.param(
-        ["check", "body.pat", "--typed"],
-        marks=_xfail("parser.inline_calls.go recurses per level (ROADMAP item 3)"),
     ),
     pytest.param(
         ["eval", "body.pat", "--entry", "main"],
@@ -198,6 +199,9 @@ def test_deep_or_wide_input_exits_cleanly(argv, programs):
         # A recursive definition is skipped by the typing, not unfolded.
         assert "def main: note: recursive definition; typing skipped" in out.stdout
         assert out.stdout.endswith("ok\n")
+    if argv[1] == "chain3k.pat":
+        # No definition recurses, and each is typed by the `Call` rule.
+        assert out.stdout.endswith("ok\n") and "typing skipped" not in out.stdout
 
 
 @pytest.mark.parametrize(

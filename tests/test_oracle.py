@@ -16,9 +16,10 @@ from patalg.oracle import (
     gen_pattern,
     validate_tree,
 )
+from patalg.parser import parse
 from patalg.semantics import Clause, ECase, ECtor, EVar, eval as eval_expr
 from patalg.syntax import And, Mapping, Neg, Or, Wild
-from patalg.typecheck import Bool, DataDecls, Named
+from patalg.typecheck import Bool, DataDecls, Ill, Named, Ok, type_expr
 from patalg.wellformed import deterministic, linear_neg, linear_pos, wf_expr
 
 
@@ -133,22 +134,23 @@ def test_differential_agrees_despite_shadowing():
     assert differential_compile_check(outer, merged, 1, Named("Day")) == Agree(7)
 
 
-def test_inline_calls_avoids_capture(tmp_path):
-    from patalg.parser import inline_calls, parse
-    from patalg.semantics import Evaluated, eval as eval_expr
-
+def test_call_typing_avoids_capture():
+    # `g`'s pattern binds `x`, the name of `h`'s argument.  The callee's
+    # body is typed in its own scope, so `y` keeps the argument's type B;
+    # captured by the pattern, it would have type Day and `MkP(x, y)` would
+    # not type.
     prog = parse(
         "data Day = Mo | Sa | Su;\n"
-        "data P2 = MkP(Day, Day);\n"
-        "def g(y) := case Su of { x => MkP(x, y), default => Mo };\n"
+        "data B = T | F;\n"
+        "data P2 = MkP(Day, B);\n"
+        "def g(y) := case Su of { x => MkP(x, y), default => MkP(Mo, y) };\n"
         "def h(x) := g(x);\n"
     )
-    body = inline_calls(prog.lookup("h").body, prog)
-    from patalg.semantics import substitute
-    from patalg.syntax import Value
-
-    applied = substitute(body, {"x": Value(cn("Sa"), ())})
-    assert eval_expr(applied) == Evaluated(Value(cn("MkP", 2), (Value(cn("Su"), ()), Value(cn("Sa"), ()))))
+    h = prog.lookup("h").body
+    assert type_expr((("x", Named("B")),), h, prog.decls, prog) == Ok(Named("P2"))
+    assert type_expr((("x", Named("Day")),), h, prog.decls, prog) == Ill(
+        "argument of MkP has type Day, expected B"
+    )
 
 
 def test_differential_detects_corrupted_tree():
@@ -194,8 +196,6 @@ def test_gen_case_is_wellformed_for_every_suite_type():
 
 
 def _case(source):
-    from patalg.parser import parse
-
     return parse(source).defs[0].body
 
 

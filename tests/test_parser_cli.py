@@ -18,7 +18,6 @@ from patalg.compiler import compile_case
 from patalg.oracle import Agree, differential_check_tree
 from patalg.parser import (
     ParseError,
-    inline_calls,
     parse,
     parse_pattern,
     parse_value,
@@ -27,6 +26,7 @@ from patalg.parser import (
 from patalg.pretty import format_expr, format_pattern, format_value
 from patalg.semantics import ECase
 from patalg.syntax import Absurd, And, Ctor, CtorName, Neg, Or, Wild
+from patalg.typecheck import Named, Ok, type_expr
 
 
 # --- patterns ---
@@ -126,14 +126,17 @@ def test_undeclared_ctor_detection():
     assert missing == (CtorName("Crimson", 0),)
 
 
-def test_inline_calls_substitutes_bodies():
+def test_calls_type_by_rule():
     prog = parse(
         "data B = T | F;\n"
         "def neg(x) := case x of { T => F, default => T };\n"
         "def both(x) := neg(neg(x));\n"
     )
-    body = inline_calls(prog.defs[1].body, prog)
-    assert isinstance(body, ECase)
+    b = Named("B")
+    typed = {}
+    assert type_expr((("x", b),), prog.defs[1].body, prog.decls, prog, typed) == Ok(b)
+    # Both calls are to `neg` at B, whose body is typed once.
+    assert typed == {("neg", (b,)): Ok(b)}
 
 
 # --- the command line ---
@@ -213,6 +216,14 @@ def test_cli_check_typed_reports_a_bad_call(tmp_path, capsys, call, message):
     path.write_text(f"data B = T | F;\ndef h(x: B) := x;\ndef f(x: B) := {call};\n")
     assert main(["check", "--typed", str(path)]) == 1
     assert capsys.readouterr().out == f"{path}: def f: type error: {message}\ncheck failed\n"
+
+
+def test_cli_check_typed_notes_a_recursive_definition(tmp_path, capsys):
+    path = tmp_path / "mutual.pat"
+    path.write_text("data B = T | F;\ndef f(x: B) := g(x);\ndef g(x: B) := f(x);\n")
+    assert main(["check", "--typed", str(path)]) == 0
+    notes = (f"{path}: def {n}: note: recursive definition; typing skipped\n" for n in "fg")
+    assert capsys.readouterr().out == "".join(notes) + "ok\n"
 
 
 def test_cli_type_aware_overlap(tmp_path, capsys):
@@ -701,3 +712,19 @@ def test_help_lists_every_option(command, capsys):
     out = capsys.readouterr().out
     words = set(re.split(r"[\s,\[\]{}]+", out))
     assert listed - words == set()
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_rows_keep_option_and_help_apart(command, capsys):
+    # Each row is the option, at least two spaces, and its help, however
+    # wide the option: `--suite all|algebra|compile|exhaustive` is wider
+    # than the column the help starts in.
+    assert main([command, "-h"] if command else ["-h"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    _, _, options = cli.COMMANDS[command] if command else (None, None, ())
+    want = [about or f"default {default!r}" for _, _, default, about in (cli._HELP, *options)]
+    if command is None:
+        want += [about for about, _, _ in cli.COMMANDS.values()]
+    shown = [re.fullmatch(r"  (\S+(?: \S+)*)  +(\S.*)", row) for row in rows]
+    assert None not in shown, rows
+    assert [m.group(2) for m in shown] == want

@@ -3,13 +3,26 @@
 import random
 from collections import Counter
 
+import pytest
+
 from helpers import BOOL_LIST, c, cn, var
 
 from patalg.normalize import nnf
 from patalg.oracle import _gen_pattern
+from patalg.parser import parse
 from patalg.semantics import Clause, ECase, ECtor, EVar
 from patalg.syntax import And, Neg, Or, Wild
-from patalg.typecheck import Bool, DataDecls, Ill, Named, Ok, Typed, type_expr, type_pattern
+from patalg.typecheck import (
+    Bool,
+    DataDecls,
+    Ill,
+    Named,
+    Ok,
+    Recursive,
+    Typed,
+    type_expr,
+    type_pattern,
+)
 
 B = Bool()
 
@@ -101,6 +114,77 @@ def test_expr_mismatched_clause_results():
 
 def test_unbound_variable():
     assert isinstance(type_expr((), EVar("ghost")), Ill)
+
+
+# --- calls ---
+
+CALLS = "data B = T | F;\ndata Color = Red | Blue;\ndata C = K(B);\ndata P = MkP(B, Color);\n"
+
+
+def _type_def(source, name, typed=None):
+    """The type of a definition's body at its parameters' annotations."""
+    prog = parse(CALLS + source)
+    d = prog.lookup(name)
+    return type_expr(d.params, d.body, prog.decls, prog, typed)
+
+
+def test_call_types_a_callee_at_each_argument_type():
+    typed = {}
+    text = "def id(x) := x;\ndef f(b: B, c: Color) := MkP(id(b), id(c));\n"
+    assert _type_def(text, "f", typed) == Ok(Named("P"))
+    b, color = Named("B"), Named("Color")
+    assert typed == {("id", (b,)): Ok(b), ("id", (color,)): Ok(color)}
+
+
+def test_call_argument_must_have_the_annotated_type():
+    text = "def g(x: B) := x;\ndef f(y: Color) := g(y);\n"
+    assert _type_def(text, "f") == Ill("argument x of g has type Color, expected B")
+
+
+def test_call_types_an_argument_its_callee_never_reads():
+    # Call by value evaluates every argument, so an ill-typed one is an
+    # error even where the body does not use it.
+    text = "def g(x: B, y: B) := x;\ndef f(x: B) := g(x, K(K(T)));\n"
+    assert _type_def(text, "f") == Ill("argument of K has type C, expected B")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [("g(x)", "call of undefined definition g"), ("h(x, x)", "h takes 1 arguments, got 2")],
+)
+def test_bad_call_is_ill(call, message):
+    assert _type_def(f"def h(x: B) := x;\ndef f(x: B) := {call};\n", "f") == Ill(message)
+
+
+def test_call_reaching_an_open_typing_is_recursive():
+    text = "def f(x: B) := g(x);\ndef g(x: B) := f(x);\n"
+    assert isinstance(_type_def(text, "f"), Recursive)
+    assert isinstance(_type_def(text, "g"), Recursive)
+
+
+def test_call_chain_types_each_definition_once():
+    # `g_i` calls `g_{i-1}` twice, so unfolding would type 2^12 bodies.
+    text = "def g0(x: B) := x;\n" + "".join(
+        f"def g{i}(x: B) := case x of {{ T => g{i - 1}(x), default => g{i - 1}(F) }};\n"
+        for i in range(1, 13)
+    )
+    typed = {}
+    assert _type_def(text, "g12", typed) == Ok(Named("B"))
+    assert sorted(typed) == sorted((f"g{i}", (Named("B"),)) for i in range(12))
+
+
+def test_callee_is_typed_in_its_own_scope():
+    # `g` reads an `x` that it does not bind; the caller's `x` is not in scope.
+    assert _type_def("def g(y) := x;\ndef f(x: B) := g(x);\n", "f") == Ill("unbound variable x")
+
+
+def test_recursive_definition_reports_an_error_before_its_recursive_call():
+    # The clauses are typed in order, so the clash of the first two is found
+    # before the third reaches `f` again.
+    text = "def f(x: B) := case x of { T => K(T), F => T, default => f(x) };\n"
+    assert _type_def(text, "f") == Ill("clause result type B differs from C")
+    text = "def f(x: B) := case x of { T => f(x), F => K(T), default => T };\n"
+    assert isinstance(_type_def(text, "f"), Recursive)
 
 
 # --- preservation under normalization ---
