@@ -11,10 +11,11 @@ compilation to decision trees (`compiler`), exhaustiveness checking
 (`oracle`, `suites`).  Overlap and exhaustiveness ask one question of the
 source patterns, whether some value matches a boolean combination of them,
 and read the answer off one reduced decision diagram over occurrences
-(`exhaustiveness`), so `patc check` never normalizes: only the compiler
-does.  One pass over a pattern gives its linearity and determinism
-(`pattern_facts`), and a case's overlapping clauses are found by splitting
-them on their heads (`overlapping_pairs`).
+(`exhaustiveness`), so neither `patc check` nor the compiler normalizes:
+only `patc norm` and the worked matrix definitions (`embed_case`,
+`wf_matrix`) do.  One pass over a pattern gives its linearity and
+determinism (`pattern_facts`), and a case's overlapping clauses are found
+by splitting them on their heads (`overlapping_pairs`).
 Values are expressions: `Value` is the one node for ground data, matched
 by patterns and produced by evaluation.  The `patc` command line fronts
 it.
@@ -66,7 +67,7 @@ from .semantics import (
     expr_equiv_bounded,
     step,
 )
-from .typecheck import Bool, DataDecls, Named, type_expr, type_pattern
+from .typecheck import DataDecls, Named, type_expr, type_pattern
 from .compiler import (
     ClauseMatrix,
     CompileError,

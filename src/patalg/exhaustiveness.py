@@ -301,7 +301,7 @@ class _Reading:
             occ = occ.parent
         tau = self.types[occ]
         for o in reversed(chain):
-            known = type(tau) is Named and self.decls.owner(o.ctor) == tau.name
+            known = tau is not None and self.decls.owner(o.ctor) == tau.name
             tau = self.types[o] = self.decls.arg_types(o.ctor)[o.index] if known else None
         return tau
 

@@ -131,7 +131,7 @@ def _gen_pattern(rng, decls, tau, size) -> Pattern:
 def gen_value(rng, decls, tau, depth) -> Value:
     pool = _enum(decls, tau, depth)
     if not pool:
-        raise GenerationError(f"no values of {tau!r} at depth {depth}")
+        raise GenerationError(f"no values of {tau.name} at depth {depth}")
     return pool[rng.randrange(len(pool))]
 
 

@@ -30,7 +30,7 @@ from .syntax import (
     Var,
     Wild,
 )
-from .typecheck import Bool, DataDecls, DeclError, Named, Type
+from .typecheck import DataDecls, DeclError, Named, Type
 
 KEYWORDS = {"data", "def", "main", "case", "of", "default"}
 
@@ -127,6 +127,7 @@ def tokenize(source: str) -> list:
 class _Parser:
     def __init__(self, source: str):
         self.source, self.tokens, self.pos = source, tokenize(source), 0
+        self.type_names: list = []  # each type name token, to resolve once all is read
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -179,6 +180,9 @@ class _Parser:
                 raise self.error(
                     f"expected data, def or main, found {t.text!r}", t
                 )
+        for tok in self.type_names:
+            if tok.text not in decl_table:
+                raise self.error(f"unknown type {tok.text}", tok)
         try:
             decls = DataDecls(decl_table)
         except DeclError as err:
@@ -216,8 +220,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "ctor":
             raise self.error("type names start with an uppercase letter", tok)
-        if tok.text == "Bool":
-            return Bool()
+        self.type_names.append(tok)
         return Named(tok.text)
 
     def parse_def(self) -> Def:
@@ -226,27 +229,30 @@ class _Parser:
         if name_tok.kind != "ident" or name_tok.text in KEYWORDS:
             raise self.error("definition names start lowercase", name_tok)
         self.expect("(")
-        params: list = []
+        params: dict = {}
         if not self.at(")"):
-            params.append(self.parse_param())
+            self.parse_param(params)
             while self.at(","):
                 self.next()
-                params.append(self.parse_param())
+                self.parse_param(params)
         self.expect(")")
         self.expect(":=")
         body = self.parse_expr()
         self.expect(";")
-        return Def(name_tok.text, tuple(params), body)
+        return Def(name_tok.text, tuple(params.items()), body)
 
-    def parse_param(self):
+    def parse_param(self, params: dict) -> None:
+        """Reads one parameter into `params`, its name to its annotation or None."""
         tok = self.next()
         if tok.kind != "ident" or tok.text in KEYWORDS:
             raise self.error("parameter names start lowercase", tok)
+        if tok.text in params:
+            raise self.error(f"parameter {tok.text} declared twice", tok)
         ann = None
         if self.at(":"):
             self.next()
             ann = self.parse_type()
-        return (tok.text, ann)
+        params[tok.text] = ann
 
     # --- expressions ---
 

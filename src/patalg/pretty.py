@@ -185,22 +185,18 @@ def format_dnf(conjuncts) -> str:
 def format_program(prog) -> str:
     """Surface syntax of a whole program; parsing it back yields the same
     program up to whitespace."""
-    from .typecheck import format_type
-
     lines = []
     for type_name, ctors in prog.decls.types.items():
         rendered = []
         for ctor, arg_types in ctors:
             if arg_types:
-                rendered.append(
-                    f"{ctor.name}({', '.join(format_type(t) for t in arg_types)})"
-                )
+                rendered.append(f"{ctor.name}({', '.join(t.name for t in arg_types)})")
             else:
                 rendered.append(ctor.name)
         lines.append(f"data {type_name} = {' | '.join(rendered)};")
     for d in prog.defs:
         params = ", ".join(
-            name if ann is None else f"{name}: {format_type(ann)}"
+            name if ann is None else f"{name}: {ann.name}"
             for name, ann in d.params
         )
         lines.append(f"def {d.name}({params}) := {format_expr(d.body)};")

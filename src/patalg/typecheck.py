@@ -2,8 +2,8 @@
 
 Patterns are typed against two contexts: one for the variables usable on a
 successful match (even negation depth) and one for the temporarily
-deactivated variables (odd depth); negation swaps them.  Built-in booleans
-illustrate the rules; user programs declare nominal data types instead.
+deactivated variables (odd depth); negation swaps them.  A type is the
+name of a data declaration; there are no built-in types.
 Pattern typing is a step of the one pattern fold (`syntax.fold`), read at
 a type instead of a polarity.
 
@@ -32,18 +32,11 @@ from .syntax import (
 )
 
 
-class Bool(Node):
-    __slots__ = ()
-
-
 class Named(Node):
     __slots__ = ("name",)
 
 
-Type = "Bool | Named"
-
-TRUE = CtorName("True", 0)
-FALSE = CtorName("False", 0)
+Type = Named
 
 
 class DeclError(ValueError):
@@ -109,7 +102,7 @@ class DataDecls:
         the least heights are one fixpoint per declaration set, and each
         value takes the first constructor, in declaration order, reaching it."""
         if self._least is None:
-            height: dict = {Bool(): 1}
+            height: dict = {}
 
             def reach(arg_types):  # the height a constructor reaches, if known
                 hs = [height.get(t) for t in arg_types]
@@ -120,8 +113,8 @@ class DataDecls:
                     hs = [h for h in (reach(ats) for _, ats in ctors) if h]
                     if hs:
                         height[Named(name)] = min(hs)
-            least = self._least = {Bool(): Value(TRUE, ())}
-            for t in sorted(height.keys() - {Bool()}, key=height.get):
+            least = self._least = {}
+            for t in sorted(height, key=height.get):
                 ctor, ats = next(ca for ca in self.types[t.name] if reach(ca[1]) == height[t])
                 least[t] = Value(ctor, tuple(least[a] for a in ats))
         return self._least.get(tau)
@@ -129,13 +122,9 @@ class DataDecls:
 
 def signature_of(tau: Type, decls: DataDecls | None):
     """Constructors of a type with their argument types."""
-    if isinstance(tau, Bool):
-        return ((TRUE, ()), (FALSE, ()))
-    if isinstance(tau, Named):
-        if decls is None:
-            raise DeclError(f"no declarations supplied for type {tau.name}")
-        return decls.ctors_of(tau.name)
-    raise TypeError(f"not a type: {tau!r}")
+    if decls is None:
+        raise DeclError(f"no declarations supplied for type {tau.name}")
+    return decls.ctors_of(tau.name)
 
 
 # --- results -----------------------------------------------------------------
@@ -164,17 +153,13 @@ def _same_multiset(a, b) -> bool:
 def _arg_types(ctor: CtorName, tau: Type, decls: DataDecls | None):
     """The argument types of `ctor` as a constructor of `tau`, or the `Ill`
     that says why it is none."""
+    if decls is not None and decls.owner(ctor) == tau.name:
+        return decls.arg_types(ctor)
     try:
-        sig = signature_of(tau, decls)
+        signature_of(tau, decls)  # for its message when the type is unknown
     except DeclError as err:
         return Ill(str(err))
-    for c, arg_types in sig:
-        if c == ctor:
-            return arg_types
-    return Ill(
-        f"constructor {ctor.name}/{ctor.arity} does not belong to "
-        f"type {format_type(tau)}"
-    )
+    return Ill(f"constructor {ctor.name}/{ctor.arity} does not belong to type {tau.name}")
 
 
 def type_pattern(p: Pattern, tau: Type, decls: DataDecls | None = None):
@@ -254,23 +239,19 @@ def type_expr(ctx, e, decls: DataDecls | None = None, prog=None, typed=None):
                     return Ok(tau)
             return Ill(f"unbound variable {e.name}")
         if kind is ECtor or kind is Value:
-            # Declared constructors take precedence over the built-in ones, so
-            # programs may declare their own True and False.
             owner = decls.owner(e.ctor) if decls is not None else None
-            if owner is not None:
-                for a, want in zip(e.args, decls.arg_types(e.ctor)):
-                    r = yield ctx, a
-                    if type(r) is not Ok:
-                        return r
-                    if r.type != want:
-                        return Ill(
-                            f"argument of {e.ctor.name} has type "
-                            f"{format_type(r.type)}, expected {format_type(want)}"
-                        )
-                return Ok(Named(owner))
-            if e.ctor == TRUE or e.ctor == FALSE:
-                return Ok(Bool())
-            return Ill(f"undeclared constructor {e.ctor.name}/{e.ctor.arity}")
+            if owner is None:
+                return Ill(f"undeclared constructor {e.ctor.name}/{e.ctor.arity}")
+            for a, want in zip(e.args, decls.arg_types(e.ctor)):
+                r = yield ctx, a
+                if type(r) is not Ok:
+                    return r
+                if r.type != want:
+                    return Ill(
+                        f"argument of {e.ctor.name} has type {r.type.name}, "
+                        f"expected {want.name}"
+                    )
+            return Ok(Named(owner))
         if kind is ECase:
             scrut = yield ctx, e.scrutinee
             if type(scrut) is not Ok:
@@ -289,16 +270,14 @@ def type_expr(ctx, e, decls: DataDecls | None = None, prog=None, typed=None):
                     result = rhs.type
                 elif rhs.type != result:
                     return Ill(
-                        f"clause result type {format_type(rhs.type)} differs "
-                        f"from {format_type(result)}"
+                        f"clause result type {rhs.type.name} differs from {result.name}"
                     )
             dflt = yield ctx, e.default_rhs
             if type(dflt) is not Ok:
                 return dflt
             if result is not None and dflt.type != result:
                 return Ill(
-                    f"default result type {format_type(dflt.type)} differs "
-                    f"from {format_type(result)}"
+                    f"default result type {dflt.type.name} differs from {result.name}"
                 )
             return Ok(dflt.type if result is None else result)
         if kind is Call:
@@ -316,8 +295,8 @@ def type_expr(ctx, e, decls: DataDecls | None = None, prog=None, typed=None):
                     return r
                 if ann is not None and r.type != ann:
                     return Ill(
-                        f"argument {name} of {e.name} has type "
-                        f"{format_type(r.type)}, expected {format_type(ann)}"
+                        f"argument {name} of {e.name} has type {r.type.name}, "
+                        f"expected {ann.name}"
                     )
                 params.append((name, r.type))
             key = (e.name, tuple(tau for _, tau in params))
@@ -339,11 +318,3 @@ def type_expr(ctx, e, decls: DataDecls | None = None, prog=None, typed=None):
             r = done.value
             if not waiting:
                 return r
-
-
-def format_type(tau: Type) -> str:
-    if isinstance(tau, Bool):
-        return "Bool"
-    if isinstance(tau, Named):
-        return tau.name
-    raise TypeError(f"not a type: {tau!r}")

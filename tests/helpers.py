@@ -44,7 +44,7 @@ from patalg.syntax import (
     fv_even,
     fv_odd,
 )
-from patalg.typecheck import DataDecls, DeclError, Ill, Named, Typed, format_type, signature_of
+from patalg.typecheck import DataDecls, DeclError, Ill, Named, Typed, signature_of
 from patalg.wellformed import PatternFacts, Violation, WfReport, pattern_facts
 
 
@@ -535,10 +535,7 @@ def type_pattern_by_recursion(p, tau, decls=None):
                 gamma += r.gamma
                 delta += r.delta
             return Typed(gamma, delta)
-    return Ill(
-        f"constructor {p.ctor.name}/{p.ctor.arity} does not belong to "
-        f"type {format_type(tau)}"
-    )
+    return Ill(f"constructor {p.ctor.name}/{p.ctor.arity} does not belong to type {tau.name}")
 
 
 def embed_conjunct_by_recursion(k):

@@ -24,7 +24,7 @@ from patalg.cli import main
 from patalg.pretty import format_pattern, format_value
 from patalg.suites import STANDARD_DECLS
 from patalg.syntax import Neg
-from patalg.typecheck import Named, format_type
+from patalg.typecheck import Named
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -79,7 +79,7 @@ def _decls_text() -> str:
     lines = []
     for name, ctors in STANDARD_DECLS.types.items():
         alts = (
-            c.name + (f"({', '.join(map(format_type, ats))})" if ats else "") for c, ats in ctors
+            c.name + (f"({', '.join(t.name for t in ats)})" if ats else "") for c, ats in ctors
         )
         lines.append(f"data {name} = {' | '.join(alts)};\n")
     return "".join(lines)

@@ -24,6 +24,17 @@ def test_demo_check(name, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_demo_check_typed(name, capsys, monkeypatch):
+    # Typing adds notes and no type error: the plain check's lines stay, in order.
+    monkeypatch.chdir(DEMOS)
+    assert main(["check", "--typed", f"{name}.pat"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert not any("type error" in line for line in out)
+    rest = iter(out)  # each `in` consumes up to the line it finds
+    assert all(want in rest for want in _golden(f"{name}.check.txt").splitlines())
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_demo_compile_text(name, capsys):
     assert main(["compile", str(DEMOS / f"{name}.pat")]) == 0
     assert capsys.readouterr().out == _golden(f"{name}.compile.txt")

@@ -46,7 +46,7 @@ from patalg.syntax import (
     Var,
     Wild,
 )
-from patalg.typecheck import Bool, Ill, Named, Ok, Typed
+from patalg.typecheck import Ill, Named, Ok, Typed
 from patalg.wellformed import Violation
 
 NODE_CLASSES = (
@@ -54,7 +54,7 @@ NODE_CLASSES = (
     PosConj, NegConj, Ndnf,
     EVar, ECtor, Clause, ECase, Call,
     MatrixRow, ClauseMatrix, Leaf, Arm, Switch,
-    Bool, Named, Def,
+    Named, Def,
 )
 RECORD_CLASSES = (
     Typed, Ok, Ill,
@@ -92,10 +92,9 @@ def _examples():
         Leaf: lambda: Leaf(EVar("x")),
         Arm: lambda: Arm(cn("S", 1), ("$0_0",), Leaf(z())),
         Switch: lambda: Switch(EVar("x"), (Arm(cn("Z"), (), Leaf(z())),), Leaf(z())),
-        Bool: Bool,
         Named: lambda: Named("N"),
         Typed: lambda: Typed((("x", Named("N")),), ()),
-        Ok: lambda: Ok(Bool()),
+        Ok: lambda: Ok(Named("N")),
         Ill: lambda: Ill("no"),
         Stepped: lambda: Stepped((z(), EVar("x"))),
         Stuck: Stuck,
@@ -159,7 +158,7 @@ def test_nodes_are_immutable():
 def test_records_compare_and_hash_field_by_field():
     z = Value(cn("Z"), ())
     assert Evaluated(z) == Evaluated(Value(cn("Z"), ())) and Evaluated(z) != Evaluated(EVar("z"))
-    assert hash(Ok(Bool())) == hash(Ok(Bool())) and Ok(Bool()) != Ill("Bool")
+    assert hash(Ok(Named("N"))) == hash(Ok(Named("N"))) and Ok(Named("N")) != Ill("N")
     assert Stuck() == Stuck() and Stuck() != IsValue() and Stuck() != ()
     assert Agree() == Agree(0) != Agree(1)
     assert len({Violation("linear", (0,), "m"), Violation("linear", (0,), "m")}) == 1

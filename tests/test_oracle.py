@@ -19,13 +19,16 @@ from patalg.oracle import (
 from patalg.parser import parse
 from patalg.semantics import Clause, ECase, ECtor, EVar, eval as eval_expr
 from patalg.syntax import And, Mapping, Neg, Or, Wild
-from patalg.typecheck import Bool, DataDecls, Ill, Named, Ok, type_expr
+from patalg.typecheck import DataDecls, DeclError, Ill, Named, Ok, type_expr
 from patalg.wellformed import deterministic, linear_neg, linear_pos, wf_expr
 
 
-def test_enumerate_bool_builtin():
-    values = enumerate_values(None, Bool(), 1)
-    assert values == (v("True"), v("False"))
+def test_enumerate_declared_bool():
+    # `Bool` is a declared type like any other: no declarations, no values.
+    bools = DataDecls({"Bool": ((cn("True"), ()), (cn("False"), ()))})
+    assert enumerate_values(bools, Named("Bool"), 1) == (v("True"), v("False"))
+    with pytest.raises(DeclError, match="no declarations supplied for type Bool"):
+        enumerate_values(None, Named("Bool"), 1)
 
 
 def test_enumerate_days():

@@ -86,6 +86,27 @@ def test_parse_error_has_position():
     assert (err.value.line, err.value.col) == (1, 14)
 
 
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        ("data B = T | F;\ndef f(x: Bool) := x;\n", (2, 10, "unknown type Bool")),
+        ("data B = T | F;\ndata P = MkP(B, Foo);\n", (2, 17, "unknown type Foo")),
+        (
+            "data P = MkP(Foo);\ndata Foo = A;\ndef f(p: P, q: Bar) := p;\n",
+            (3, 16, "unknown type Bar"),
+        ),
+        ("data B = T | F;\ndef f(x, x) := x;\nmain := f(T, F);\n", (2, 10, "parameter x declared twice")),
+    ],
+    ids=("annotation", "data argument", "declared later", "repeated parameter"),
+)
+def test_undeclared_type_or_repeated_parameter_is_an_error(source, error):
+    # A type is the name of a data declaration, declared before or after its
+    # use; `Bool` is no exception.
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col, err.value.message) == error
+
+
 def test_arity_distinguishes_constructors():
     p = parse_pattern("Cons(x) | Cons(x, y)")
     assert p == Or(
@@ -224,6 +245,42 @@ def test_cli_check_typed_notes_a_recursive_definition(tmp_path, capsys):
     assert main(["check", "--typed", str(path)]) == 0
     notes = (f"{path}: def {n}: note: recursive definition; typing skipped\n" for n in "fg")
     assert capsys.readouterr().out == "".join(notes) + "ok\n"
+
+
+def test_cli_check_typed_accepts_a_declared_bool(tmp_path, capsys):
+    # `Bool` is a declared type like any other, so an annotation and the
+    # constructors name the same type.
+    path = tmp_path / "bool.pat"
+    path.write_text(
+        "data Bool = True | False;\n"
+        "def g(x: Bool) := x;\n"
+        "def h(y: Bool) := g(True);\n"
+        "def k(z: Bool) := case z of { True => False, default => True };\n"
+    )
+    assert main(["check", "--typed", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        f"{path}: def k: note: clauses at <body> are not exhaustive; "
+        "the default clause handles e.g. False\nok\n"
+    )
+
+
+def test_cli_check_typed_rejects_an_undeclared_true(tmp_path, capsys):
+    # `--untyped` admits `True` unchecked, but typing it needs its type.
+    path = tmp_path / "true.pat"
+    path.write_text("data B = T | F;\ndef f(x: B) := case x of { T => True, default => False };\n")
+    assert main(["check", "--untyped", "--typed", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"{path}: def f: type error: undeclared constructor True/0\ncheck failed\n"
+    )
+
+
+def test_cli_rejects_an_undeclared_type_under_every_command(tmp_path, capsys):
+    # `check` without `--typed` used to accept the annotation.
+    path = tmp_path / "foo.pat"
+    path.write_text("data B = T | F;\ndef f(x: Foo) := x;\nmain := f(T);\n")
+    for argv in (["check"], ["check", "--untyped"], ["compile"], ["eval", "--entry", "main"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"{path}:2:10: unknown type Foo\n"
 
 
 def test_cli_type_aware_overlap(tmp_path, capsys):
@@ -532,12 +589,17 @@ def test_cli_fuzz_smoke(capsys):
 
 
 def test_cli_fuzz_depth_too_small_is_a_usage_error(capsys):
-    # No value of some suite's types fits in the depth: a message, exit 2.
-    for depth, argv in (("0", ["--cases", "3"]), ("1", ["--suite", "algebra"])):
+    # No value of some suite's types fits in the depth: a message that names
+    # the type, exit 2.
+    for depth, argv, tau in (
+        ("0", ["--cases", "3"], "Color"),
+        ("1", ["--suite", "algebra"], "BPair"),
+        ("-1", ["--suite", "algebra", "--cases", "3"], "Color"),
+    ):
         assert main(["fuzz", "--depth", depth, *argv]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith(f"error: --depth {depth} is too small: no values of ")
+        assert out.err == f"error: --depth {depth} is too small: no values of {tau} at depth {depth}\n"
 
 
 def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):

@@ -13,7 +13,6 @@ from patalg.parser import parse
 from patalg.semantics import Clause, ECase, ECtor, EVar
 from patalg.syntax import And, Neg, Or, Wild
 from patalg.typecheck import (
-    Bool,
     DataDecls,
     Ill,
     Named,
@@ -24,12 +23,15 @@ from patalg.typecheck import (
     type_pattern,
 )
 
-B = Bool()
+# A type is the name of a declaration: `Bool` is declared like any other.
+B = Named("Bool")
+BOOL = {"Bool": ((cn("True"), ()), (cn("False"), ()))}
+BOOLS = DataDecls(BOOL)
 
 # Declared stand-ins for a product and a binary sum of types.
-PAIR_BT = DataDecls({"P": ((cn("Pair", 2), (B, Named("T"))),)})
-PAIR_BB = DataDecls({"P": ((cn("Pair", 2), (B, B)),)})
-SUM_BT = DataDecls({"S": ((cn("Inl", 1), (B,)), (cn("Inr", 1), (Named("T"),)))})
+PAIR_BT = DataDecls({**BOOL, "P": ((cn("Pair", 2), (B, Named("T"))),)})
+PAIR_BB = DataDecls({**BOOL, "P": ((cn("Pair", 2), (B, B)),)})
+SUM_BT = DataDecls({**BOOL, "S": ((cn("Inl", 1), (B,)), (cn("Inr", 1), (Named("T"),)))})
 
 
 def test_variable_pattern():
@@ -73,7 +75,11 @@ def test_declared_constructor_pattern():
 
 
 def test_expr_true_has_bool_type():
-    assert type_expr((), ECtor(cn("True"), ())) == Ok(B)
+    # `True` types at the type that declares it, and is undeclared without it.
+    true = ECtor(cn("True"), ())
+    assert type_expr((), true, BOOLS) == Ok(B)
+    assert type_expr((), true, BOOL_LIST) == Ok(Named("B"))
+    assert type_expr((), true) == Ill("undeclared constructor True/0")
 
 
 def test_expr_case_with_negated_clause():
@@ -85,7 +91,7 @@ def test_expr_case_with_negated_clause():
         ),
         ECtor(cn("False"), ()),
     )
-    assert type_expr((), e) == Ok(B)
+    assert type_expr((), e, BOOLS) == Ok(B)
 
 
 def test_expr_pair_of_variables():
