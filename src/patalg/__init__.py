@@ -11,7 +11,7 @@ compilation to decision trees (`compiler`), exhaustiveness checking
 (`oracle`, `suites`).  Overlap and exhaustiveness ask one question of the
 source patterns, whether some value matches a boolean combination of them,
 and read the answer off one reduced decision diagram over occurrences
-(`exhaustiveness`), so neither `patc check` nor the compiler normalizes:
+(`diagram`), so neither `patc check` nor the compiler normalizes:
 only `patc norm` and the worked matrix definitions (`embed_case`,
 `wf_matrix`) do.  One pass over a pattern gives its linearity and
 determinism (`pattern_facts`), and a case's overlapping clauses are found

@@ -1,7 +1,7 @@
 """Compilation of case expressions to decision trees, and the matrix core.
 
 `compile_case` reads a case's tree off the diagrams of the table that
-`check` reads (`exhaustiveness._diagrams`), so the two share one core.
+`check` reads (`diagram.table`), so the two share one core.
 The matrix core keeps the worked definitions of specialization and default
 over clause matrices: a vector of scrutinees (variables or values) and
 rows of normalized patterns.  Its row-level steps (`specialize_each`,
@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 
-from . import exhaustiveness, semantics, wellformed
-from .exhaustiveness import Occ, Sink, _by_name, _root, _test
+from . import diagram, semantics, wellformed
+from .diagram import ROOT, Occ, Sink, children
 from .normalize import Ndnf, NegConj, PosConj, ndnf_wildcard, to_ndnf
 from .semantics import ECase, EVar, Stuck, substitute
 from .syntax import (
-    Absurd, Ctor, Node, Value, Var, fold, fv_even, pattern_kids, rebuild, subst_to_dict,
+    Absurd, Ctor, Node, Value, Var, by_name, fold, fv_even, pattern_kids, rebuild, subst_to_dict,
 )
 
 # --- the matrix core ------------------------------------------------------------
@@ -178,11 +178,11 @@ def compile_case(e: ECase) -> DecisionTree:
         raise CompileError(f"case is not wellformed:\n{report.describe()}", report)
     if not isinstance(e.scrutinee, (EVar, Value)):
         raise CompileError("case scrutinee must be a variable or a value")
-    ds, root = exhaustiveness._diagrams.start(), _root()
-    names = {root: "$0"}  # occurrence -> its name, given down from its parent's
+    ds = diagram.table.start()
+    names = {ROOT: "$0"}  # occurrence -> its name, given down from its parent's
 
     def binder(occ):
-        if occ is root:
+        if occ is ROOT:
             return e.scrutinee
         up = [occ]
         while up[-1].parent not in names:
@@ -191,31 +191,23 @@ def compile_case(e: ECase) -> DecisionTree:
             names[o] = f"{names[o.parent]}_{o.index}"
         return EVar(names[occ])
 
-    def kids(d, ctx):
-        return () if type(d) is Sink else [(child, ctx) for _, child in d.edges] + [(d.other, ctx)]
-
-    def labelled(d, sink, results):  # `d` with `sink` in place of true
-        if type(d) is Sink:
-            return sink if d.matches else d
-        return _test(d.occ, zip([c for c, _ in d.edges], results), results[-1])
-
     clauses = []  # a sink holds its number, so no two clauses share one
     for c in e.clauses:
-        for p, binds in _binding_choices(c.pattern, root):
+        for p, binds in _binding_choices(c.pattern):
             leaf = Leaf(substitute(c.rhs, {x: binder(o) for x, o in binds}))
-            clauses.append(fold(ds.pattern(p, root), labelled, Sink((len(clauses), leaf)), kids))
+            clauses.append(ds.labelled(p, Sink((len(clauses), leaf))))
 
     def step(d, _, results):
         if type(d) is Sink:
             return d.matches[1] if d.matches else Leaf(e.default_rhs)
-        arms = sorted(zip([c for c, _ in d.edges], results), key=lambda arm: _by_name(arm[0]))
+        arms = sorted(zip([c for c, _ in d.edges], results), key=lambda arm: by_name(arm[0]))
         arms = [Arm(c, tuple(binder(Occ(d.occ, c, j)).name for j in range(c.arity)), r) for c, r in arms]
         return Switch(binder(d.occ), tuple(arms), results[-1])
 
-    return fold(ds.apply(clauses, True), step, None, kids)
+    return fold(ds.apply(clauses, True), step, None, children)
 
 
-def _binding_choices(p, root) -> list:
+def _binding_choices(p) -> list:
     """The pattern `p` as (pattern, ((variable, occurrence), ...)) pairs
     whose patterns together match what `p` does, each binding every
     variable at one occurrence.  A variable bound at several occurrences
@@ -235,7 +227,7 @@ def _binding_choices(p, root) -> list:
         if type(node) is Var and ctx[1]:
             occs.setdefault(node.name, {})[ctx[0]] = None
 
-    fold(p, seen, (root, True), kids)
+    fold(p, seen, (ROOT, True), kids)
     first = {x: next(iter(os)) for x, os in occs.items()}
     many = [x for x, os in occs.items() if len(os) > 1]
     if not many:
@@ -250,7 +242,7 @@ def _binding_choices(p, root) -> list:
             occ, pos = ctx
             return Absurd() if pos and chosen.get(node.name, occ) is not occ else node
 
-        out.append((fold(p, step, (root, True), kids), tuple({**first, **chosen}.items())))
+        out.append((fold(p, step, (ROOT, True), kids), tuple({**first, **chosen}.items())))
     return out
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Pattern, Var, Wild, fold
+from .syntax import Absurd, And, Ctor, CtorName, Neg, Node, Or, Pattern, Var, Wild, by_name, fold
 
 # Negation normal forms, as a pattern subset.
 Nnf = Pattern
@@ -234,10 +234,6 @@ def _ndnf_step(node, positive, results):
 # --- embedding normal forms back into patterns --------------------------------
 
 
-def _sorted_ctors(ctors) -> list:
-    return sorted(ctors, key=lambda c: (c.name, c.arity))
-
-
 def _conjunct_kids(k, ctx):
     if type(k) is PosConj:
         return tuple((a, ctx) for a in k.args)
@@ -252,7 +248,7 @@ def _embed_step(k, _, results) -> Pattern:
     elif not k.banned:
         base = Wild()
     else:
-        base = _right_nested(And, [neg_ctor_head(c) for c in _sorted_ctors(k.banned)])
+        base = _right_nested(And, [neg_ctor_head(c) for c in sorted(k.banned, key=by_name)])
     for x in sorted(k.vars, reverse=True):
         base = And(Var(x), base)
     return base

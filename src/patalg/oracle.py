@@ -81,7 +81,7 @@ def gen_pattern(
     constraints = constraints or {}
     rng = random.Random(seed)
     for _ in range(_MAX_RETRIES):
-        p = _gen_pattern(rng, decls, tau, size)
+        p = random_pattern(rng, decls, tau, size)
         facts = wellformed.pattern_facts(p) if constraints else None
         if constraints.get("require_linear") and not (
             facts.linear_pos and facts.linear_neg
@@ -95,7 +95,8 @@ def gen_pattern(
     )
 
 
-def _gen_pattern(rng, decls, tau, size) -> Pattern:
+def random_pattern(rng, decls, tau, size) -> Pattern:
+    """`gen_pattern`'s draw from `rng`, of a size bounded by `size`."""
     sig = signature_of(tau, decls)
     if size <= 0:
         kind = rng.choice(("wild", "var", "ctor", "ctor"))
@@ -115,17 +116,17 @@ def _gen_pattern(rng, decls, tau, size) -> Pattern:
     if kind == "absurd":
         return Absurd()
     if kind == "neg":
-        return Neg(_gen_pattern(rng, decls, tau, size - 1))
+        return Neg(random_pattern(rng, decls, tau, size - 1))
     if kind in ("and", "or"):
         budget = rng.randint(0, max(size - 1, 0))
-        left = _gen_pattern(rng, decls, tau, budget)
-        right = _gen_pattern(rng, decls, tau, size - 1 - budget)
+        left = random_pattern(rng, decls, tau, budget)
+        right = random_pattern(rng, decls, tau, size - 1 - budget)
         return And(left, right) if kind == "and" else Or(left, right)
     ctor, arg_types = rng.choice(sig)
     if not arg_types:
         return Ctor(ctor, ())
     share = max((size - 1) // len(arg_types), 0)
-    return Ctor(ctor, tuple(_gen_pattern(rng, decls, t, share) for t in arg_types))
+    return Ctor(ctor, tuple(random_pattern(rng, decls, t, share) for t in arg_types))
 
 
 def gen_value(rng, decls, tau, depth) -> Value:
@@ -157,7 +158,7 @@ def gen_case(
         tries = 0
         while len(clauses) < want and tries < 50:
             tries += 1
-            p = _gen_pattern(rng, decls, tau, rng.randint(0, pattern_size))
+            p = random_pattern(rng, decls, tau, rng.randint(0, pattern_size))
             facts = wellformed.pattern_facts(p)
             if not (facts.linear_pos and facts.deterministic()):
                 continue

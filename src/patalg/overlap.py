@@ -1,5 +1,5 @@
 """Deciding whether two patterns can match a common value: whether the
-decision diagram of `p & q` (`exhaustiveness`) has a path with a value,
+decision diagram of `p & q` (`diagram`) has a path with a value,
 in the open world or at the types that declarations give.
 """
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .compiler import DecisionTree, Leaf, Switch
 from .normalize import Ndnf, NegConj, PosConj
 from .semantics import Call, ECase, ECtor, EVar
-from .syntax import Absurd, And, Ctor, Neg, Or, Pattern, Value, Var, Wild
+from .syntax import Absurd, And, Ctor, Neg, Or, Pattern, Value, Var, Wild, by_name
 
 _OR, _AND, _NEG, _ATOM = 0, 1, 2, 3
 _quote = None  # a string as a JSON literal; `_load_json` sets it
@@ -48,7 +48,7 @@ def _emit(stack: list, parts: list) -> None:
             # `{x, y} & ` and the ban set, or the head as a constructor's.
             parts.append("{" + ", ".join(sorted(node.vars)) + "} & ")
             if kind is NegConj:
-                names = sorted(node.banned, key=lambda c: (c.name, c.arity))
+                names = sorted(node.banned, key=by_name)
                 parts.append("!{" + ", ".join(c.name for c in names) + "}")
                 continue
         if kind is Value or kind is Ctor or kind is ECtor or kind is Call or kind is PosConj:

@@ -17,11 +17,11 @@ from .compiler import compile_case
 from .exhaustiveness import exhaustive, non_exhaustiveness_witness
 from .oracle import (
     Disagree,
-    _gen_pattern,
     differential_check_tree,
     enumerate_values,
     gen_case,
     gen_value,
+    random_pattern,
     validate_tree,
 )
 from .pretty import format_expr, format_pattern, format_value
@@ -107,7 +107,7 @@ def prop_matching_sound_complete(seed, depth, cases) -> PropertyResult:
     rng = random.Random(seed)
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
-        p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
+        p = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
         v = gen_value(rng, STANDARD_DECLS, tau, depth)
         pos, neg = match_pos(p, v), match_neg(p, v)
         res.cases += 1
@@ -124,9 +124,9 @@ def prop_boolean_laws(seed, depth, cases) -> PropertyResult:
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
         uni = enumerate_values(STANDARD_DECLS, tau, depth)
-        p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
-        q = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
-        r = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
+        p = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
+        q = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
+        r = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
         _equiv_case(res, And(p, q), And(q, p), uni, "commutativity of &")
         _equiv_case(res, Or(p, q), Or(q, p), uni, "commutativity of |")
         _equiv_case(res, And(p, And(q, r)), And(And(p, q), r), uni, "associativity of &")
@@ -151,10 +151,10 @@ def _gen_ctor_args(rng, tau, size):
         return None
     ctor, arg_types = rng.choice(sig)
     args = tuple(
-        _gen_pattern(rng, STANDARD_DECLS, t, rng.randint(0, size)) for t in arg_types
+        random_pattern(rng, STANDARD_DECLS, t, rng.randint(0, size)) for t in arg_types
     )
     args2 = tuple(
-        _gen_pattern(rng, STANDARD_DECLS, t, rng.randint(0, size)) for t in arg_types
+        random_pattern(rng, STANDARD_DECLS, t, rng.randint(0, size)) for t in arg_types
     )
     return ctor, arg_types, args, args2
 
@@ -227,9 +227,9 @@ def prop_linear_laws(seed, depth, cases) -> PropertyResult:
         tau = _TAUS[i % len(_TAUS)]
         uni = enumerate_values(STANDARD_DECLS, tau, depth)
         name, law = laws[i % len(laws)]
-        p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
-        q = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
-        r = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
+        p = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
+        q = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
+        r = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
         lhs, rhs = law(p, q, r)
         if not (_linear_both(lhs) and _linear_both(rhs)):
             p, q, r = _strip_vars(p), _strip_vars(q), _strip_vars(r)
@@ -313,12 +313,12 @@ def prop_congruence(seed, depth, cases) -> PropertyResult:
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
         uni = enumerate_values(STANDARD_DECLS, tau, depth)
-        p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
+        p = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
         q = transforms[i % len(transforms)](p)
         if not pattern_equiv_bounded(p, q, uni):
             res.fail(f"transform broke equivalence for {format_pattern(p)}")
             continue
-        r = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
+        r = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 2))
         contexts = [
             (Neg(p), Neg(q)),
             (And(p, r), And(q, r)),
@@ -360,7 +360,7 @@ def prop_covering_and_properness(seed, depth, cases) -> PropertyResult:
     checked = 0
     while checked < cases:
         tau = _TAUS[checked % len(_TAUS)]
-        p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
+        p = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
         facts = wellformed.pattern_facts(p)
         lp, ln = facts.linear_pos, facts.linear_neg
         if not (lp or ln):
@@ -397,7 +397,7 @@ def prop_deterministic_matching(seed, depth, cases) -> PropertyResult:
     checked = 0
     while checked < cases:
         tau = _TAUS[checked % len(_TAUS)]
-        p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
+        p = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
         facts = wellformed.pattern_facts(p)
         if not facts.deterministic():
             continue
@@ -425,8 +425,8 @@ def prop_de_morgan_linearity(seed, depth, cases) -> PropertyResult:
     rng = random.Random(seed)
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
-        p1 = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
-        p2 = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
+        p1 = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
+        p2 = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3))
         res.cases += 1
         pairs = (
             (Neg(Or(p1, p2)), And(Neg(p1), Neg(p2))),
@@ -450,8 +450,8 @@ def prop_overlap_sound(seed, depth, cases) -> PropertyResult:
     rng = random.Random(seed)
     for i in range(cases):
         tau = _TAUS[i % len(_TAUS)]
-        p = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
-        q = _gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
+        p = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
+        q = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
         res.cases += 1
         if overlap.decide(p, q):
             continue
@@ -576,7 +576,7 @@ def prop_exhaustiveness_oracle(seed, depth, cases) -> PropertyResult:
     for i in range(cases):
         taus = combos[i % len(combos)]
         P = tuple(
-            tuple(_gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3)) for tau in taus)
+            tuple(random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3)) for tau in taus)
             for _ in range(rng.randint(1, 3))
         )
         res.cases += 1
@@ -599,7 +599,7 @@ def prop_witness_soundness(seed, depth, cases) -> PropertyResult:
     for i in range(cases):
         tau = taus[i % len(taus)]
         P = tuple(
-            (_gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3)),)
+            (random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3)),)
             for _ in range(rng.randint(1, 3))
         )
         res.cases += 1

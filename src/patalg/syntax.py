@@ -257,6 +257,11 @@ class CtorName(Node):
         return self.name
 
 
+def by_name(c: CtorName) -> tuple:
+    """The key of the one order on constructors: by name, then arity."""
+    return c.name, c.arity
+
+
 # --- patterns ---------------------------------------------------------------
 
 

@@ -162,6 +162,11 @@ def _arg_types(ctor: CtorName, tau: Type, decls: DataDecls | None):
     return Ill(f"constructor {ctor.name}/{ctor.arity} does not belong to type {tau.name}")
 
 
+def _contexts(a, b) -> str:
+    """Two binder contexts as a message shows them: `{x: T, ...} vs {...}`."""
+    return " vs ".join("{" + ", ".join(f"{x}: {t.name}" for x, t in ctx) + "}" for ctx in (a, b))
+
+
 def type_pattern(p: Pattern, tau: Type, decls: DataDecls | None = None):
     """Synthesize the dual binder contexts of a pattern at a type, or
     explain why it has none; the first failure in left-to-right order
@@ -186,17 +191,13 @@ def type_pattern(p: Pattern, tau: Type, decls: DataDecls | None = None):
         if kind is And:
             r1, r2 = results
             if not _same_multiset(r1.delta, r2.delta):
-                return Ill(
-                    f"conjuncts bind different negated variables: "
-                    f"{r1.delta} vs {r2.delta}"
-                )
+                shown = _contexts(r1.delta, r2.delta)
+                return Ill(f"conjuncts bind different negated variables: {shown}")
             return Typed(r1.gamma + r2.gamma, r1.delta)
         if kind is Or:
             r1, r2 = results
             if not _same_multiset(r1.gamma, r2.gamma):
-                return Ill(
-                    f"disjuncts bind different variables: {r1.gamma} vs {r2.gamma}"
-                )
+                return Ill(f"disjuncts bind different variables: {_contexts(r1.gamma, r2.gamma)}")
             return Typed(r1.gamma, r1.delta + r2.delta)
         if kind is Ctor:
             arg_types = _arg_types(node.ctor, tau, decls)

@@ -497,6 +497,10 @@ def map_vars_by_recursion(p, f):
     return Ctor(p.ctor, tuple(map_vars_by_recursion(a, f) for a in p.args))
 
 
+def _shown(ctx) -> str:
+    return "{" + ", ".join(f"{x}: {tau.name}" for x, tau in ctx) + "}"
+
+
 def type_pattern_by_recursion(p, tau, decls=None):
     if isinstance(p, Var):
         return Typed(((p.name, tau),), ())
@@ -515,11 +519,13 @@ def type_pattern_by_recursion(p, tau, decls=None):
             if Counter(r1.delta) != Counter(r2.delta):
                 return Ill(
                     f"conjuncts bind different negated variables: "
-                    f"{r1.delta} vs {r2.delta}"
+                    f"{_shown(r1.delta)} vs {_shown(r2.delta)}"
                 )
             return Typed(r1.gamma + r2.gamma, r1.delta)
         if Counter(r1.gamma) != Counter(r2.gamma):
-            return Ill(f"disjuncts bind different variables: {r1.gamma} vs {r2.gamma}")
+            return Ill(
+                f"disjuncts bind different variables: {_shown(r1.gamma)} vs {_shown(r2.gamma)}"
+            )
         return Typed(r1.gamma, r1.delta + r2.delta)
     try:
         sig = signature_of(tau, decls)

@@ -234,9 +234,8 @@ def _apart_last_untyped(n: int) -> str:
 # 25,564 (exponent 1.11), 3,793 / 8,328 / 15,431 (2.02; the source text
 # grows as n^3), 12,855 / 25,255 / 50,055 (0.98), 3,848 / 11,796 / 40,940
 # (1.71; every pair of clauses overlaps, so the report grows as n^2) and
-# 5,564 / 16,539 / 56,132 (1.67; the text grows as n^2).  The last varies
-# by about 0.5% from one process to the next.  The budgets are about 1.5
-# times these, but first-match's at n=6 and n=8, which no count has
+# 5,564 / 16,539 / 56,132 (1.67; the text grows as n^2).  The budgets are
+# about 1.5 times these, but first-match's at n=6 and n=8, which no count has
 # raised.  The untyped family's budgets are 1.5 times its count at n=4
 # (2,258), grown as n^1.8, and its count grows exponentially: 2,258 /
 # 16,466 / 230,401.
@@ -250,7 +249,7 @@ FAMILIES = {
 }
 # The witness walk builds the intersection of the complements where an
 # occurrence's type is unknown, and that diagram has 2^n nodes here.
-SLOW = {"apart last, untyped": "the complements' diagram is built untyped (ROADMAP item 18)"}
+SLOW = {"apart last, untyped": "the complements' diagram is built untyped (ROADMAP item 23)"}
 
 
 # Counts each run in the interpreter it starts: a run is `main`'s argv,
@@ -261,7 +260,7 @@ _COUNT = """
 import io
 import sys
 
-from patalg import exhaustiveness
+from patalg import diagram
 from patalg.cli import main
 from patalg.compiler import compile_case
 from patalg.parser import parse
@@ -274,7 +273,7 @@ def counted(run):
         nonlocal calls
         calls += event == "call"
 
-    exhaustiveness._diagrams = exhaustiveness._Diagrams()
+    diagram.table = diagram.Table()
     sys.stdout = io.StringIO()
     sys.setprofile(count)
     try:
@@ -336,6 +335,15 @@ def test_check_cost_stays_within_budget(tmp_path, family):
     program, sizes, budgets, most, code = FAMILIES[family]
     counted = _fresh_counts([("check", p) for p in _files(tmp_path, program, sizes)])
     _within_budget(counted, sizes, budgets, most, code)
+
+
+def test_counts_do_not_depend_on_the_process(tmp_path):
+    # A split reads its occurrences as a set, so the calls it makes do not
+    # follow the order in which a frozenset of diagrams iterates, which
+    # follows their addresses.
+    check, compile_ = _files(tmp_path, _apart_last, (32, 12))
+    runs = [("check", check), ("compile_case", compile_)]
+    assert _fresh_counts(runs) == _fresh_counts(runs)
 
 
 # `check --typed` of a chain of definitions that nothing recurses in: `g_i`

@@ -1,6 +1,6 @@
 """The diagram table outlives its questions, and no answer depends on it.
 
-`exhaustiveness._diagrams` keeps pattern diagrams and the n-ary apply
+`diagram.table` keeps pattern diagrams and the n-ary apply
 from one question to the next, bounded in two generations.  Each answer
 of `overlap.decide`, `overlapping_pairs`, `useful_witness` and
 `case_notes`, witnesses included, is the same from a cold table, from a
@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from patalg import exhaustiveness, overlap, syntax
+from patalg import diagram, overlap, syntax
 from patalg.exhaustiveness import (
     SignatureError,
     case_notes,
@@ -69,14 +69,14 @@ def _questions():
 
 
 def _answers(monkeypatch, questions, cold=False):
-    monkeypatch.setattr(exhaustiveness, "_diagrams", exhaustiveness._Diagrams())
+    monkeypatch.setattr(diagram, "table", diagram.Table())
     out = []
     for ask, args in questions:
         # `decide` memoizes open-world answers itself; a fresh memo per
         # question makes each one read the table.
         monkeypatch.setattr(overlap, "_decided", syntax.Generations({}))
         if cold:
-            monkeypatch.setattr(exhaustiveness, "_diagrams", exhaustiveness._Diagrams())
+            monkeypatch.setattr(diagram, "table", diagram.Table())
         out.append(_outcome(ask, *args))
     return out
 
@@ -85,10 +85,10 @@ def test_answers_do_not_depend_on_the_table(monkeypatch):
     questions = _questions()
     cold = _answers(monkeypatch, questions, cold=True)
     warm = _answers(monkeypatch, questions)
-    assert exhaustiveness._diagrams.built  # the warm table was shared
-    monkeypatch.setattr(exhaustiveness, "DIAGRAMS", 16)
+    assert diagram.table.built  # the warm table was shared
+    monkeypatch.setattr(diagram, "DIAGRAMS", 16)
     rotations = 0
-    start = exhaustiveness._Diagrams.start
+    start = diagram.Table.start
 
     def counting(ds):
         nonlocal rotations
@@ -96,7 +96,7 @@ def test_answers_do_not_depend_on_the_table(monkeypatch):
         rotations += len(start(ds).built) + len(ds.applied) < young
         return ds
 
-    monkeypatch.setattr(exhaustiveness._Diagrams, "start", counting)
+    monkeypatch.setattr(diagram.Table, "start", counting)
     rotated = _answers(monkeypatch, questions)
     assert rotations > 100, rotations
     assert cold == warm == rotated
@@ -109,10 +109,10 @@ def test_threads_sharing_the_table_get_the_answers_of_one(monkeypatch):
     patterns = _patterns()
     work = [(a, b) for ps in patterns.values() for a, b in zip(ps[::2], ps[1::2])]
     ask = lambda a, b: (overlaps(a, b), _outcome(useful_witness, [(b,)], (a,), STANDARD_DECLS))  # noqa: E731
-    monkeypatch.setattr(exhaustiveness, "_diagrams", exhaustiveness._Diagrams())
+    monkeypatch.setattr(diagram, "table", diagram.Table())
     want = [ask(a, b) for a, b in work]
-    monkeypatch.setattr(exhaustiveness, "_diagrams", exhaustiveness._Diagrams())
-    monkeypatch.setattr(exhaustiveness, "DIAGRAMS", 4)
+    monkeypatch.setattr(diagram, "table", diagram.Table())
+    monkeypatch.setattr(diagram, "DIAGRAMS", 4)
     got = [None] * 8
 
     def run(k):
@@ -134,25 +134,25 @@ def test_threads_sharing_the_table_get_the_answers_of_one(monkeypatch):
     assert all(answers == want for answers in got)
 
 
-@pytest.mark.parametrize("bound", (0, exhaustiveness.DIAGRAMS))
+@pytest.mark.parametrize("bound", (0, diagram.DIAGRAMS))
 def test_case_notes_find_the_diagrams_that_overlapping_pairs_built(monkeypatch, bound):
     # `check` asks `overlapping_pairs` and then `case_notes` of a case; the
     # second reads each clause's diagram from the table, from the old
     # generation when a rotation (every question, at bound 0) came between.
-    monkeypatch.setattr(exhaustiveness, "_diagrams", exhaustiveness._Diagrams())
-    monkeypatch.setattr(exhaustiveness, "DIAGRAMS", bound)
+    monkeypatch.setattr(diagram, "table", diagram.Table())
+    monkeypatch.setattr(diagram, "DIAGRAMS", bound)
     ps = [c.pattern for c in gen_case(STANDARD_DECLS, _TAUS[3], 5, max_clauses=4).clauses]
     ps = [p for p in ps if type(p) not in (Var, Wild)]  # no table holds a sink's pattern
     assert len(ps) > 1
     overlapping_pairs(ps)
     asked = []
-    pattern = exhaustiveness._Diagrams.pattern
+    pattern = diagram.Table.pattern
 
     def recording(ds, p, occ, positive=True):
         key = (p, (occ, positive))
         asked.append((p, key in ds.built or key in ds.old))
         return pattern(ds, p, occ, positive)
 
-    monkeypatch.setattr(exhaustiveness._Diagrams, "pattern", recording)
+    monkeypatch.setattr(diagram.Table, "pattern", recording)
     case_notes(ps, STANDARD_DECLS)
     assert asked[: len(ps)] == [(p, True) for p in ps]

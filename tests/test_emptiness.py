@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 from helpers import decide_by_pairs, min_value_by_search, useful_by_recursion
 
-from patalg import exhaustiveness, overlap
+from patalg import diagram, overlap
 from patalg.compiler import MatrixRow
 from patalg.exhaustiveness import (
     SignatureError,
@@ -27,7 +27,7 @@ from patalg.exhaustiveness import (
     non_exhaustiveness_witness,
 )
 from patalg.normalize import Ndnf, ndnf_wildcard, to_ndnf
-from patalg.oracle import _gen_pattern, enumerate_values, gen_pattern
+from patalg.oracle import enumerate_values, gen_pattern, random_pattern
 from patalg.pretty import format_value
 from patalg.suites import _TAUS, STANDARD_DECLS
 from patalg.syntax import Absurd, And, Ctor, CtorName, Neg, Or, Wild, match_pos
@@ -64,15 +64,15 @@ def _read_back(d):
             return Wild()
         if type(head) is frozenset:
             return Neg(_any_of(Ctor(c, (Wild(),) * c.arity) for c in sorted(head, key=str)))
-        args = (at(path, exhaustiveness.Occ(occ, head, i)) for i in range(head.arity))
+        args = (at(path, diagram.Occ(occ, head, i)) for i in range(head.arity))
         return Ctor(head, tuple(args))
 
     paths, todo = [], [(d, {})]
     while todo:
         node, path = todo.pop()
-        if type(node) is exhaustiveness.Sink:
+        if type(node) is diagram.Sink:
             if node.matches:
-                paths.append(at(path, exhaustiveness._root()))
+                paths.append(at(path, diagram.ROOT))
             continue
         named = frozenset(c for c, _ in node.edges)
         todo.extend((child, {**path, node.occ: c}) for c, child in node.edges)
@@ -89,8 +89,7 @@ def _any_of(patterns):
 
 def _canonical(a, b):
     """`a & b` as the pattern its diagram reads back as."""
-    ds = exhaustiveness._Diagrams()
-    d = ds.pattern(And(a, b), exhaustiveness._root())
+    d = diagram.Table().pattern(And(a, b), diagram.ROOT)
     return _read_back(d)
 
 
@@ -194,7 +193,7 @@ def test_exhaustiveness_agrees_with_usefulness_and_brute_force():
     for i in range(6_000):
         taus = _COLUMNS[i % len(_COLUMNS)]
         rows = tuple(
-            tuple(_gen_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3)) for tau in taus)
+            tuple(random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 3)) for tau in taus)
             for _ in range(rng.randint(1, 4))
         )
         for col_types in (taus, None):
@@ -237,7 +236,7 @@ def test_witness_is_the_least_value_no_row_matches():
     for i in range(3_000):
         taus = columns[i % len(columns)]
         rows = [
-            tuple(_gen_pattern(rng, STANDARD_DECLS, t, rng.randint(0, 3)) for t in taus)
+            tuple(random_pattern(rng, STANDARD_DECLS, t, rng.randint(0, 3)) for t in taus)
             for _ in range(rng.randint(1, 4))
         ]
         want = _least_uncovered(rows, taus)

@@ -23,7 +23,7 @@ from helpers import (
     wf_matrix_all_pairs,
 )
 
-from patalg import exhaustiveness, oracle, overlap, wellformed
+from patalg import diagram, oracle, overlap, wellformed
 from patalg.compiler import ClauseMatrix, MatrixRow, head_ctors, specialize_each
 from patalg.exhaustiveness import overlapping_pairs, overlaps
 from patalg.normalize import to_ndnf
@@ -296,11 +296,9 @@ def test_wide_enum_decides_few_overlaps(monkeypatch):
     clauses.append(Clause(Ctor(ks[5], ()), Value(ks[0], ())))
     e = ECase(EVar("x"), tuple(clauses), Value(ks[0], ()))
     decided, applied = [], []
-    decide, apply = overlap.decide, exhaustiveness._Diagrams.apply
+    decide, apply = overlap.decide, diagram.Table.apply
     monkeypatch.setattr(overlap, "decide", lambda *a: decided.append(a) or decide(*a))
-    monkeypatch.setattr(
-        exhaustiveness._Diagrams, "apply", lambda *a: applied.append(a) or apply(*a)
-    )
+    monkeypatch.setattr(diagram.Table, "apply", lambda *a: applied.append(a) or apply(*a))
     report = wellformed.wf_expr(e)
     # The one diagram built of two clauses is of the pair that both match K5.
     assert decided == [] and len(applied) == 1

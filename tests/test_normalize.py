@@ -17,7 +17,7 @@ from patalg.normalize import (
     nnf,
     to_ndnf,
 )
-from patalg.oracle import _gen_pattern, enumerate_values
+from patalg.oracle import enumerate_values, random_pattern
 from patalg.pretty import format_dnf, format_ndnf, format_pattern
 from patalg.syntax import (
     Absurd,
@@ -61,7 +61,7 @@ def test_nnf_identity_on_negation_free():
 def test_nnf_output_is_nnf():
     rng = random.Random(7)
     for _ in range(100):
-        p = _gen_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
+        p = random_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
         assert is_nnf(nnf(p))
 
 
@@ -77,7 +77,7 @@ def test_dnf_absurd():
 def test_dnf_members_are_conjuncts():
     rng = random.Random(8)
     for _ in range(100):
-        p = _gen_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
+        p = random_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
         assert all(is_conjunct(k) for k in dnf(nnf(p)))
 
 
@@ -148,7 +148,7 @@ def _universe(tau, depth=3):
 def test_nnf_preserves_free_variables():
     rng = random.Random(9)
     for _ in range(200):
-        p = _gen_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
+        p = random_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
         q = nnf(p)
         assert fv_even(p) == fv_even(q)
         assert fv_odd(p) == fv_odd(q)
@@ -158,7 +158,7 @@ def test_nnf_preserves_positive_linearity():
     rng = random.Random(10)
     found = 0
     while found < 150:
-        p = _gen_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
+        p = random_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
         if not linear_pos(p):
             continue
         found += 1
@@ -170,7 +170,7 @@ def test_nnf_preserves_semantics_for_linear_patterns():
     uni = _universe("List")
     found = 0
     while found < 150:
-        p = _gen_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 4))
+        p = random_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 4))
         if not (linear_pos(p) and linear_neg(p)):
             continue
         found += 1
@@ -200,7 +200,7 @@ def test_ndnf_round_trip_preserves_semantics():
     uni = _universe("List")
     found = 0
     while found < 150:
-        p = _gen_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 4))
+        p = random_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 4))
         if not (linear_pos(p) and linear_neg(p)) or _contains_neg_var(p):
             continue
         found += 1
@@ -222,7 +222,7 @@ def test_double_negation_normalizes_equivalently():
     rng = random.Random(13)
     uni = _universe("B", 2)
     for _ in range(100):
-        p = _gen_pattern(rng, BOOL_LIST, Named("B"), rng.randint(0, 4))
+        p = random_pattern(rng, BOOL_LIST, Named("B"), rng.randint(0, 4))
         a = embed_ndnf(to_ndnf(Neg(Neg(p))))
         b = embed_ndnf(to_ndnf(p))
         assert pattern_equiv_bounded(a, b, uni)
@@ -235,7 +235,7 @@ def test_normalization_keeps_which_values_match():
     for tau in ("List", "B"):
         uni = _universe(tau)
         for _ in range(300):
-            p = _gen_pattern(rng, BOOL_LIST, Named(tau), rng.randint(0, 5))
+            p = random_pattern(rng, BOOL_LIST, Named(tau), rng.randint(0, 5))
             q = embed_ndnf(to_ndnf(p))
             for value in uni:
                 assert bool(match_pos(q, value)) == bool(match_pos(p, value)), (p, value)
@@ -256,7 +256,7 @@ def test_every_conjunct_is_distinct_and_satisfiable():
     rng = random.Random(15)
     for i in range(600):
         tau = Named(("List", "B")[i % 2])
-        p = _gen_pattern(rng, BOOL_LIST, tau, rng.randint(0, 5))
+        p = random_pattern(rng, BOOL_LIST, tau, rng.randint(0, 5))
         if i % 3 == 0:
             p = Neg(p)
         d = to_ndnf(p)

@@ -159,7 +159,7 @@ def test_module_level_dicts_are_the_bounded_memos():
         "patalg.overlap._cache",
         "patalg.syntax._match_memo",
         "patalg.overlap._decided",
-        "patalg.exhaustiveness._diagrams",
+        "patalg.diagram.table",
         "patalg.suites.STANDARD_DECLS",
     }
 
@@ -243,7 +243,7 @@ def _self_recursive(path) -> list:
 # program structure.
 RECURSIVE_ALLOWED = {
     "oracle._enum",  # bounded by program structure: the enumeration depth
-    "oracle._gen_pattern",  # bounded by program structure: the generated size
+    "oracle.random_pattern",  # bounded by program structure: the generated size
     "parser._Parser.parse_case",  # bounded by program structure: case nesting
     "parser._Parser.parse_expr",  # bounded by program structure: case nesting
     "semantics.rename_clause",  # item 10
@@ -327,4 +327,41 @@ def test_check_decides_on_source_patterns():
     assert _normalize_imports(SRC / "compiler.py") >= {"to_ndnf"}  # the scan sees imports
     assert _normalize_imports(SRC / "overlap.py") == set()
     assert _normalize_imports(SRC / "exhaustiveness.py") == set()
+    assert _normalize_imports(SRC / "diagram.py") == set()
     assert _normalize_imports(SRC / "wellformed.py") == {"embed_ndnf"}
+
+
+def _private_reaches(path) -> list:
+    """The `_`-prefixed names, but dunders, that a module imports from
+    another `patalg` module or reads as an attribute of one."""
+    private = lambda name: name.startswith("_") and not name.endswith("__")  # noqa: E731
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    modules, found = set(), []  # names bound to patalg modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("patalg")):
+            if node.module in (None, "patalg"):
+                modules.update(a.asname or a.name for a in node.names)
+            else:
+                found += [f"{node.module}.{a.name}" for a in node.names if private(a.name)]
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name.startswith("patalg.") and a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and private(node.attr):
+                found.append(f"{node.value.id}.{node.attr}")
+    return [f"{path.stem}: {name}" for name in found]
+
+
+def test_no_module_reaches_into_another_modules_private_names(tmp_path):
+    # A module uses another through its public names, so that what a
+    # module keeps to itself can change without a reader elsewhere.  The
+    # scan sees both kinds of reach.
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import diagram\n"
+        "from .syntax import _table, __name__, fold\n"
+        "x = diagram._chain, diagram.table, _table._private\n"
+    )
+    assert _private_reaches(probe) == ["probe: syntax._table", "probe: diagram._chain"]
+    found = [f for path in sorted(SRC.glob("*.py")) for f in _private_reaches(path)]
+    assert found == []

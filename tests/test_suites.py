@@ -39,7 +39,7 @@ def test_suites_are_seed_deterministic():
 _MEMO_BOUNDS = """
 import gc
 
-from patalg import exhaustiveness, overlap, syntax
+from patalg import diagram, overlap, syntax
 from patalg.suites import run_suites
 
 summary = lambda results: [(r.name, r.cases, r.counterexamples) for r in results]
@@ -48,9 +48,9 @@ for seed in range(2, 7):
     run_suites("all", seed=seed, depth=3, cases=100)
     for memo in (syntax._match_memo, overlap._decided):
         assert len(memo.young) + len(memo.old) <= 2 * syntax.GENERATION
-    table = exhaustiveness._diagrams
-    assert len(table.built) + len(table.applied) <= 2 * exhaustiveness.DIAGRAMS
-    assert len(table.old) <= 2 * exhaustiveness.DIAGRAMS
+    table = diagram.table
+    assert len(table.built) + len(table.applied) <= 2 * diagram.DIAGRAMS
+    assert len(table.old) <= 2 * diagram.DIAGRAMS
     gc.collect()
     assert len(syntax._table) < 11_000
 assert summary(run_suites("all", seed=1, depth=3, cases=100)) == first

@@ -7,7 +7,7 @@ import threading
 from helpers import BOOL_LIST, c, fresh_match_memo, match_both_by_recursion, v, var
 
 from patalg import syntax
-from patalg.oracle import _gen_pattern, enumerate_values
+from patalg.oracle import enumerate_values, random_pattern
 from patalg.syntax import (
     Absurd,
     And,
@@ -149,7 +149,7 @@ def _reference_pairs(seed, n):
     universes = {tau: enumerate_values(BOOL_LIST, Named(tau), 3) for tau in ("B", "List")}
 
     def gen(tau):
-        return map_vars(_gen_pattern(rng, BOOL_LIST, Named(tau), rng.randint(0, 4)), two_names)
+        return map_vars(random_pattern(rng, BOOL_LIST, Named(tau), rng.randint(0, 4)), two_names)
 
     pairs = []
     for _ in range(n):

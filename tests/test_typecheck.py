@@ -8,7 +8,7 @@ import pytest
 from helpers import BOOL_LIST, c, cn, var
 
 from patalg.normalize import nnf
-from patalg.oracle import _gen_pattern
+from patalg.oracle import random_pattern
 from patalg.parser import parse
 from patalg.semantics import Clause, ECase, ECtor, EVar
 from patalg.syntax import And, Neg, Or, Wild
@@ -54,7 +54,17 @@ def test_or_requires_matching_branch_contexts():
     good = type_pattern(Or(var("x"), var("x")), B)
     assert isinstance(good, Typed)
     bad = type_pattern(Or(var("x"), var("y")), B)
-    assert isinstance(bad, Ill)
+    assert bad == Ill("disjuncts bind different variables: {x: Bool} vs {y: Bool}")
+
+
+def test_mismatched_contexts_are_named_in_the_message():
+    pair = c("Pair", var("x"), Wild())
+    assert type_pattern(Or(pair, c("Pair", Wild(), Wild())), Named("P"), PAIR_BT) == Ill(
+        "disjuncts bind different variables: {x: Bool} vs {}"
+    )
+    assert type_pattern(And(Neg(pair), Wild()), Named("P"), PAIR_BT) == Ill(
+        "conjuncts bind different negated variables: {x: Bool} vs {}"
+    )
 
 
 def test_sum_patterns():
@@ -204,7 +214,7 @@ def test_nnf_preserves_typing():
     rng = random.Random(21)
     checked = 0
     while checked < 150:
-        p = _gen_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
+        p = random_pattern(rng, BOOL_LIST, Named("List"), rng.randint(0, 5))
         r = type_pattern(p, Named("List"), BOOL_LIST)
         if not isinstance(r, Typed):
             continue
@@ -218,8 +228,8 @@ def test_nnf_preserves_typing():
 def test_de_morgan_preserves_typing():
     rng = random.Random(22)
     for _ in range(150):
-        p1 = _gen_pattern(rng, BOOL_LIST, Named("B"), rng.randint(0, 3))
-        p2 = _gen_pattern(rng, BOOL_LIST, Named("B"), rng.randint(0, 3))
+        p1 = random_pattern(rng, BOOL_LIST, Named("B"), rng.randint(0, 3))
+        p2 = random_pattern(rng, BOOL_LIST, Named("B"), rng.randint(0, 3))
         pairs = (
             (Neg(Or(p1, p2)), And(Neg(p1), Neg(p2))),
             (Neg(And(p1, p2)), Or(Neg(p1), Neg(p2))),
