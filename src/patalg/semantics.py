@@ -33,6 +33,8 @@ from .syntax import (
     Record,
     Value,
     Var,
+    by_binding,
+    in_order,
     is_proper,
     map_vars,
     match_pos,
@@ -215,8 +217,11 @@ def apply_subst(e, s):
 
 def _apply_loose(e, s):
     # Nonlinear patterns can bind one variable to several values; during
-    # stepping the first binding (in canonical order) wins.
-    return substitute(e, subst_to_dict(s))
+    # stepping the first binding in canonical order wins.
+    bindings = subst_to_dict(s)
+    if len(bindings) < len(s):
+        bindings = subst_to_dict(sorted(s, key=by_binding))
+    return substitute(e, bindings)
 
 
 # --- single and multi step -----------------------------------------------------
@@ -239,15 +244,18 @@ StepResult = "Stepped | Stuck | IsValue"
 
 def case_successors(e: ECase) -> tuple:
     """Successors of a case whose scrutinee is a value: one per matching
-    clause and derivable substitution, or the default right-hand side when
+    clause and derivable substitution, in clause order and then in the
+    canonical order of substitutions, or the default right-hand side when
     all clauses fail."""
     v = e.scrutinee
     succ = []
     any_match = False
     for c in e.clauses:
-        for s in match_pos(c.pattern, v):
+        substs = match_pos(c.pattern, v)
+        if substs:
             any_match = True
-            succ.append(_apply_loose(c.rhs, s))
+            for s in in_order(substs):
+                succ.append(_apply_loose(c.rhs, s))
     if not any_match:
         succ.append(e.default_rhs)
     return tuple(dict.fromkeys(succ))

@@ -9,6 +9,7 @@ the acceptance tests.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from types import MappingProxyType
 
@@ -35,8 +36,10 @@ from .syntax import (
     Or,
     Pattern,
     Wild,
+    in_order,
     is_proper,
     map_vars,
+    match_all,
     match_neg,
     match_pos,
     pattern_equiv_bounded,
@@ -367,9 +370,10 @@ def prop_covering_and_properness(seed, depth, cases) -> PropertyResult:
             continue
         checked += 1
         res.cases += 1
-        for v in enumerate_values(STANDARD_DECLS, tau, depth):
+        uni = enumerate_values(STANDARD_DECLS, tau, depth)
+        for v, (pos, neg) in zip(uni, match_all(p, uni)):
             if lp:
-                for s in match_pos(p, v):
+                for s in in_order(pos):
                     if {m.var for m in s} != facts.fv_even:
                         res.fail(
                             f"domain mismatch: {format_pattern(p)} vs {format_value(v)}"
@@ -379,7 +383,7 @@ def prop_covering_and_properness(seed, depth, cases) -> PropertyResult:
                             f"improper substitution: {format_pattern(p)} vs {format_value(v)}"
                         )
             if ln:
-                for s in match_neg(p, v):
+                for s in in_order(neg):
                     if {m.var for m in s} != facts.fv_odd:
                         res.fail(
                             f"negative domain mismatch: {format_pattern(p)} vs {format_value(v)}"
@@ -406,14 +410,15 @@ def prop_deterministic_matching(seed, depth, cases) -> PropertyResult:
             continue
         checked += 1
         res.cases += 1
-        for v in enumerate_values(STANDARD_DECLS, tau, depth):
-            # Canonical substitution sets collapse equivalent members, so
-            # determinism shows up as at most one element.
-            if lp and len(match_pos(p, v)) > 1:
+        uni = enumerate_values(STANDARD_DECLS, tau, depth)
+        for v, (pos, neg) in zip(uni, match_all(p, uni)):
+            # Substitution sets collapse equivalent members, so determinism
+            # shows up as at most one element.
+            if lp and len(pos) > 1:
                 res.fail(
                     f"ambiguous match: {format_pattern(p)} vs {format_value(v)}"
                 )
-            if ln and len(match_neg(p, v)) > 1:
+            if ln and len(neg) > 1:
                 res.fail(
                     f"ambiguous negative match: {format_pattern(p)} vs {format_value(v)}"
                 )
@@ -455,8 +460,9 @@ def prop_overlap_sound(seed, depth, cases) -> PropertyResult:
         res.cases += 1
         if overlap.decide(p, q):
             continue
-        for v in enumerate_values(STANDARD_DECLS, tau, depth):
-            if match_pos(p, v) and match_pos(q, v):
+        uni = enumerate_values(STANDARD_DECLS, tau, depth)
+        for v, (p_pos, _), (q_pos, _) in zip(uni, match_all(p, uni), match_all(q, uni)):
+            if p_pos and q_pos:
                 res.fail(
                     f"declared disjoint but both match {format_value(v)}: "
                     f"{format_pattern(p)} / {format_pattern(q)}"
@@ -558,10 +564,16 @@ def prop_default_clause_not_wildcard() -> PropertyResult:
 
 def _brute_force_exhaustive(P, taus, depth) -> bool:
     pools = [enumerate_values(STANDARD_DECLS, t, depth) for t in taus]
-    for combo in itertools.product(*pools):
-        if not any(all(match_pos(p, v) for p, v in zip(row, combo)) for row in P):
-            return False
-    return True
+    covered = set()
+    for row in P:
+        # The positions of the values each cell matches, from one vector
+        # per column over its pool; the row covers their product.
+        hits = [
+            [k for k, (pos, _) in enumerate(match_all(p, pool)) if pos]
+            for p, pool in zip(row, pools)
+        ]
+        covered.update(itertools.product(*hits))
+    return len(covered) == math.prod(map(len, pools))
 
 
 def prop_exhaustiveness_oracle(seed, depth, cases) -> PropertyResult:

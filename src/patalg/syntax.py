@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from _weakref import _remove_dead_weakref, ref
 from collections import namedtuple
+from itertools import repeat
 
 
 # --- hash-consed nodes ---------------------------------------------------------
@@ -320,42 +321,12 @@ class Value(Node):
 Mapping = namedtuple("Mapping", ("var", "value"))
 
 
-# A substitution is an ordered list of mappings; nonlinear patterns can
-# legitimately produce lists binding the same variable twice.
-Subst = tuple  # tuple[Mapping, ...]
-SubstSet = tuple  # tuple[Subst, ...], canonical and deduplicated
-
-
-def _value_key(v: Value):
-    return (v.ctor.name, v.ctor.arity, tuple(_value_key(a) for a in v.args))
-
-
-def _mapping_key(m: Mapping):
-    return (m.var, _value_key(m.value))
-
-
-def canon_subst(s) -> Subst:
-    """Sort mappings by variable then value; duplicated identical mappings
-    collapse (set reading of substitution equivalence).  The sort key walks
-    whole values, so a single mapping is not sorted."""
-    if len(s) < 2:
-        return tuple(s)
-    items = set(s)
-    if len(items) < 2:
-        return tuple(items)
-    return tuple(sorted(items, key=_mapping_key))
-
-
-def _canon_set(substs) -> SubstSet:
-    if len(substs) < 2:
-        return tuple(canon_subst(s) for s in substs)
-    seen = {}
-    for s in substs:
-        c = canon_subst(s)
-        seen.setdefault(c, None)
-    if len(seen) < 2:
-        return tuple(seen)
-    return tuple(sorted(seen, key=lambda s: tuple(_mapping_key(m) for m in s)))
+# A substitution is a set of mappings, so substitutions that hold the same
+# mappings in another order or multiplicity are one set; nonlinear
+# patterns can legitimately bind the same variable twice.  A derivation
+# set is a set of substitutions.
+Subst = frozenset  # frozenset[Mapping]
+SubstSet = frozenset  # frozenset[Subst]
 
 
 def subst_equiv(s1, s2) -> bool:
@@ -463,6 +434,41 @@ def map_vars(p: Pattern, f) -> Pattern:
     return fold(p, step)
 
 
+# --- the canonical order of substitutions ------------------------------------
+
+
+def _value_kids(v, ctx):
+    return tuple((a, ctx) for a in v.args)
+
+
+def _value_key_step(v, _, results):
+    return (v.ctor.name, v.ctor.arity, tuple(results))
+
+
+def _value_key(v: Value):
+    return fold(v, _value_key_step, None, _value_kids)
+
+
+def by_binding(m: Mapping):
+    """The key of the canonical order on mappings: by variable, then by
+    value, constructor name and arity first, then the arguments."""
+    return (m.var, _value_key(m.value))
+
+
+def _by_bindings(s):
+    """The key of the canonical order on substitutions: the keys of their
+    mappings in canonical order, compared in turn.  Matching builds sets,
+    which have no order; the steps of evaluation follow this one."""
+    return tuple(sorted(map(by_binding, s)))
+
+
+def in_order(substs) -> tuple:
+    """The substitutions of a set in the canonical order."""
+    if len(substs) < 2:
+        return tuple(substs)
+    return tuple(sorted(substs, key=_by_bindings))
+
+
 # --- matching ----------------------------------------------------------------
 
 
@@ -473,8 +479,9 @@ class SoundnessError(RuntimeError):
 
 # The keys a memo's young generation holds before it becomes the old one.
 # On `patc fuzz --suite algebra --depth 4 --cases 400`, 4,096 lowers peak
-# RSS by 0.9 MB against no bound and keeps the extra `match_both` calls
-# under 1%; 2,048 saves 3.4 MB for 2.8% more calls, 1,024 5.1 MB for 6.2%.
+# RSS by 2.0 MB against no bound for 10% more matching steps (`match_both`
+# calls and `match_all` node steps); 2,048 saves 3.7 MB for 18% more
+# steps, 1,024 4.8 MB for 28%.
 GENERATION = 4096
 
 
@@ -514,39 +521,96 @@ class Generations:
 
 
 # The sets of the patterns that match, or fail to match, with no binding.
-_UNIT = ((),)
-_YES = (_UNIT, ())
-_NO = ((), _UNIT)
+_NONE = frozenset()
+_UNIT = frozenset((_NONE,))
+_YES = (_UNIT, _NONE)
+_NO = (_NONE, _UNIT)
+_UNITS = frozenset((_YES, _NO))
 _COMBINING = frozenset((Neg, And, Or, Ctor))
+# The patterns whose results `_match_memo` keeps: a variable's sets cost
+# more to build than to find.
+_MEMOIZED = frozenset((Var, *_COMBINING))
 
-# pattern -> {value -> match_both(pattern, value)}, for the patterns whose
-# results combine sets: the young generation of `_match_memo`, so the small
-# subpatterns that come back across calls and cases stay.  Equal results
-# are one object of `_pairs`, most of them the unit `_YES` or `_NO`.
+# pattern -> {value -> match_both(pattern, value)} for variables and the
+# patterns whose results combine sets, and (node, values) -> match_all(node,
+# values) for every node that `match_all` steps: the young generation of
+# `_match_memo`, so the small subpatterns that come back across calls and
+# cases stay.  A pattern and a tuple are never equal, so one dict holds
+# both kinds of key, and a vector costs its key rather than a dict.
+# `_pairs` rotates with it: equal pairs are one object of it, most of them
+# the unit `_YES` or `_NO`, and it maps (kind of node, its operands' pairs)
+# to the pair `_combine` made of them when every operand's pair is a unit.
+# Those are a few combinations, and six in ten of those made on `patc fuzz
+# --suite algebra`, so they are made and checked once and then read back;
+# without them that command's peak RSS was 1.5 MB higher.
 _match_cache: dict = {}
 _pairs: dict = {_YES: _YES, _NO: _NO}
 _match_memo = Generations(_match_cache, _pairs)
 
 
 def _product(a: SubstSet, b: SubstSet) -> SubstSet:
-    """The canonical set of the concatenations s + t, s from `a` and t from
-    `b`, both canonical and nonempty.  The one substitution of `_UNIT` adds
-    nothing to a concatenation, and a canonical set is its own canonical
-    form."""
-    if a == _UNIT:
+    """The set of the unions s | t, s from `a` and t from `b`, both
+    nonempty.  The one substitution of `_UNIT` adds nothing to a union.
+    A set equal to `_UNIT` that is another object gives the same result
+    the long way."""
+    if a is _UNIT:
         return b
-    if b == _UNIT:
+    if b is _UNIT:
         return a
-    return _canon_set([s + t for s in a for t in b])
+    return frozenset([s | t for s in a for t in b])
 
 
 def _union(a: SubstSet, b: SubstSet) -> SubstSet:
-    """The canonical union of the canonical sets `a` and `b`."""
-    if not a or a == b:
-        return b
-    if not b:
-        return a
-    return _canon_set(a + b)
+    """The union of `a` and `b`, either of them empty."""
+    if a and b and a is not b:
+        return a | b
+    return a or b
+
+
+def _bound(name: str, v: Value):
+    """The pair of the variable `name` against `v`: it matches, binding
+    `name` to `v`, and has no derivation of failure."""
+    return (frozenset((frozenset((Mapping(name, v),)),)), _NONE)
+
+
+def _combine(p: Pattern, v: Value, parts):
+    """The pair of a combining pattern `p` against `v`, from `parts`, the
+    pairs of its operands: `p.sub`, `p.left` and `p.right`, or each
+    argument against `v`'s.  Raises SoundnessError unless exactly one of
+    the two sets is nonempty, which proves the rules sound and complete on
+    it, and returns the one object of `_pairs` equal to the pair."""
+    kind = type(p)
+    if kind is Neg:
+        neg, pos = parts[0]
+    elif kind is Ctor:
+        pos, neg = _UNIT, _NONE
+        for arg_pos, arg_neg in parts:
+            pos = _product(pos, arg_pos) if pos and arg_pos else _NONE
+            neg = _union(neg, arg_neg)
+    else:
+        # `|` is `&` with the two judgments swapped.
+        (lpos, lneg), (rpos, rneg) = parts
+        if kind is Or:
+            lpos, lneg, rpos, rneg = lneg, lpos, rneg, rpos
+        pos = _product(lpos, rpos) if lpos and rpos else _NONE
+        neg = _union(lneg, rneg)
+        if kind is Or:
+            pos, neg = neg, pos
+    if pos and neg:
+        raise SoundnessError(f"matching unsound for {p!r} vs {v!r}")
+    if not (pos or neg):
+        raise SoundnessError(f"matching incomplete for {p!r} vs {v!r}")
+    pair = (pos, neg)
+    return _pairs.setdefault(pair, pair)
+
+
+def _combine_row(p: Pattern, v: Value, row):
+    """`_combine(p, v, row)`, entered in `_pairs` as the combination of
+    `row` for the kind of `p` when every pair in the row is a unit."""
+    pair = _combine(p, v, row)
+    if _UNITS.issuperset(row):
+        _pairs[type(p), row] = pair
+    return pair
 
 
 def match_both(p: Pattern, v: Value):
@@ -554,57 +618,38 @@ def match_both(p: Pattern, v: Value):
 
     Exactly one of the two returned sets is nonempty for every input: the
     rules are sound and complete, which is checked on every result that
-    combines sets.  Both sets are canonical (`_canon_set`); a result that
-    is already canonical is returned as it is.
+    combines sets (`_combine`).  A set is a frozenset of substitutions,
+    each a frozenset of mappings, so equal results are equal sets however
+    they were derived.  A variable's result is memoized too, because its
+    two sets cost more to build than to find.
     """
     kind = type(p)
     if kind is Wild:
         return _YES
     if kind is Absurd:
         return _NO
-    if kind is Var:
-        return (((Mapping(p.name, v),),), ())
     if kind is Ctor and p.ctor is not v.ctor:
         return _NO
     # Most patterns are in the young generation: one probe finds them.
     memo = _match_cache.get(p)
     if memo is None and (memo := _match_memo.get(p)) is None:
-        if kind not in _COMBINING:
+        if kind not in _MEMOIZED:
             raise TypeError(f"not a pattern: {p!r}")
         memo = _match_memo.put(p, {})
     else:
         hit = memo.get(v)
         if hit is not None:
             return hit
-
+    if kind is Var:
+        result = memo[v] = _bound(p.name, v)
+        return result
     if kind is Neg:
-        neg, pos = match_both(p.sub, v)
+        parts = (match_both(p.sub, v),)
     elif kind is Ctor:
-        # Canonicalizing the product and the union argument by argument
-        # gives the canonical form of the whole: it depends only on the set
-        # of mappings of each substitution, and on the set of them.
-        pos, neg = _UNIT, ()
-        for pi, vi in zip(p.args, v.args):
-            arg_pos, arg_neg = match_both(pi, vi)
-            pos = _product(pos, arg_pos) if pos and arg_pos else ()
-            neg = _union(neg, arg_neg)
+        parts = tuple(map(match_both, p.args, v.args))
     else:
-        # `|` is `&` with the two judgments swapped.
-        lpos, lneg = match_both(p.left, v)
-        rpos, rneg = match_both(p.right, v)
-        if kind is Or:
-            lpos, lneg, rpos, rneg = lneg, lpos, rneg, rpos
-        pos = _product(lpos, rpos) if lpos and rpos else ()
-        neg = _union(lneg, rneg)
-        if kind is Or:
-            pos, neg = neg, pos
-
-    if pos and neg:
-        raise SoundnessError(f"matching unsound for {p!r} vs {v!r}")
-    if not (pos or neg):
-        raise SoundnessError(f"matching incomplete for {p!r} vs {v!r}")
-    pair = (pos, neg)
-    result = memo[v] = _pairs.setdefault(pair, pair)
+        parts = (match_both(p.left, v), match_both(p.right, v))
+    result = memo[v] = _combine(p, v, parts)
     return result
 
 
@@ -618,9 +663,93 @@ def match_neg(p: Pattern, v: Value) -> SubstSet:
     return match_both(p, v)[1]
 
 
+def _column_kids(node, values: tuple):
+    """A pattern node's operands, each paired with the values it is
+    matched against: a constructor pattern's arguments get the argument
+    columns of the values it heads, and none when it heads no value."""
+    kind = type(node)
+    if kind is And or kind is Or:
+        return ((node.left, values), (node.right, values))
+    if kind is Neg:
+        return ((node.sub, values),)
+    if kind is Ctor:
+        c = node.ctor
+        return tuple(zip(node.args, zip(*[v.args for v in values if v.ctor is c])))
+    return ()
+
+
+def _column_step(node, values: tuple, results) -> tuple:
+    """The pairs of `node` against each of `values`, from its operands'
+    pairs against their columns, by the rules of `match_both`."""
+    kind = type(node)
+    if kind is Wild:
+        return (_YES,) * len(values)
+    if kind is Absurd:
+        return (_NO,) * len(values)
+    if kind is Var:
+        return tuple([_bound(node.name, v) for v in values])
+    if kind not in _COMBINING:
+        raise TypeError(f"not a pattern: {node!r}")
+    rows, made = zip(*results), _pairs.get
+    if kind is not Ctor:
+        return tuple([made((kind, r)) or _combine_row(node, v, r) for v, r in zip(values, rows)])
+    # The arguments' rows are those of the values the constructor heads:
+    # none when it has no argument or heads no value.
+    c = node.ctor
+    if not results:
+        rows = repeat(())
+    return tuple([
+        (made((kind, r := next(rows))) or _combine_row(node, v, r)) if v.ctor is c else _NO
+        for v in values
+    ])
+
+
+def _vector_step(node, values: tuple, results) -> tuple:
+    """`_column_step`, whose vector is kept in `_match_memo` under (node,
+    values)."""
+    return _match_memo.put((node, values), _column_step(node, values, results))
+
+
+def _known(ks, done: dict) -> bool:
+    """Enter in `done` the vector of each (node, values) pair of `ks` that
+    the memo holds; returns whether it held all of them."""
+    known = 0
+    for k in ks:
+        hit = _match_cache.get(k)
+        if hit is not None or (hit := _match_memo.get(k)) is not None:
+            done[k] = hit
+            known += 1
+    return known == len(ks)
+
+
+def match_all(p: Pattern, values: tuple) -> tuple:
+    """`match_both(p, v)` for each value `v` of the tuple `values`, in
+    order, in one pass per pattern node: a `fold` whose context is the
+    tuple of values a node is matched against.  The vectors are kept in
+    `_match_memo` under the fold's own key, (node, values), so a
+    subpattern that comes back against the same values costs one probe,
+    and its operands are not visited."""
+    hit = _match_cache.get((p, values))
+    if hit is not None or (hit := _match_memo.get((p, values))) is not None:
+        return hit
+    done = {}  # (node, values) -> its vector, for the fold
+    ks = _column_kids(p, values)
+    if _known(ks, done):  # most often: the fold's one step is the root's
+        return _vector_step(p, values, [done[k] for k in ks])
+
+    def kids(node, vals):
+        # An operand whose vector is in the memo enters the fold as done.
+        ks = _column_kids(node, vals)
+        _known(ks, done)
+        return ks
+
+    return fold(p, _vector_step, values, kids, done)
+
+
 def pattern_equiv_bounded(p: Pattern, q: Pattern, universe) -> bool:
     """Bounded approximation of semantic pattern equivalence: over every
     value of the (finite) universe, the positive and negative derivation
     sets must cover each other up to substitution equivalence.  Both are
-    canonical, whichever node built them, so that is plain equality."""
-    return all(match_both(p, v) == match_both(q, v) for v in universe)
+    sets of sets of mappings, so that is plain equality."""
+    values = tuple(universe)
+    return match_all(p, values) == match_all(q, values)

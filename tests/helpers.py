@@ -823,41 +823,12 @@ def _height(v):
     return 1 + max((_height(a) for a in v.args), default=0)
 
 
-# --- reference matching: every derivation, canonicalized at every node ---------
+# --- reference matching: every derivation, as sets at every node ---------------
 
 
-def _value_key(v):
-    return (v.ctor.name, v.ctor.arity, tuple(_value_key(a) for a in v.args))
-
-
-def _mapping_key(m):
-    return (m.var, _value_key(m.value))
-
-
-def _canon_subst(s):
-    items = set(s)
-    if len(items) < 2:
-        return tuple(items)
-    return tuple(sorted(items, key=_mapping_key))
-
-
-def _canon_set(substs):
-    seen = {}
-    for s in substs:
-        seen.setdefault(_canon_subst(s), None)
-    if len(seen) < 2:
-        return tuple(seen)
-    return tuple(sorted(seen, key=lambda s: tuple(_mapping_key(m) for m in s)))
-
-
-def _concatenations(sets):
-    out = []
-    for combo in itertools.product(*sets):
-        merged = ()
-        for s in combo:
-            merged = merged + s
-        out.append(merged)
-    return out
+def _unions(sets):
+    """The union of one substitution of each set, for every choice of them."""
+    return [frozenset().union(*combo) for combo in itertools.product(*sets)]
 
 
 def fresh_match_memo(monkeypatch, generation):
@@ -871,31 +842,32 @@ def fresh_match_memo(monkeypatch, generation):
 
 def match_both_by_recursion(p, v):
     """Reference matching with no memo: both derivation sets of every node
-    are built as lists and canonicalized; `syntax.match_both` must return
-    the identical pair, order included."""
+    are built from its operands' by the rules, read off the inference
+    rules, as sets of substitutions, each a set of mappings;
+    `syntax.match_both` must return the equal pair."""
     if isinstance(p, Var):
-        pos, neg = [(Mapping(p.name, v),)], []
+        pos, neg = [frozenset({Mapping(p.name, v)})], []
     elif isinstance(p, Wild):
-        pos, neg = [()], []
+        pos, neg = [frozenset()], []
     elif isinstance(p, Absurd):
-        pos, neg = [], [()]
+        pos, neg = [], [frozenset()]
     elif isinstance(p, Neg):
         sub_pos, sub_neg = match_both_by_recursion(p.sub, v)
-        pos, neg = list(sub_neg), list(sub_pos)
+        pos, neg = sub_neg, sub_pos
     elif isinstance(p, (And, Or)):
         lpos, lneg = match_both_by_recursion(p.left, v)
         rpos, rneg = match_both_by_recursion(p.right, v)
         if isinstance(p, And):
-            pos = _concatenations([lpos, rpos]) if lpos and rpos else []
+            pos = _unions([lpos, rpos]) if lpos and rpos else []
             neg = list(lneg) + list(rneg)
         else:
             pos = list(lpos) + list(rpos)
-            neg = _concatenations([lneg, rneg]) if lneg and rneg else []
+            neg = _unions([lneg, rneg]) if lneg and rneg else []
     elif p.ctor != v.ctor:
-        pos, neg = [], [()]
+        pos, neg = [], [frozenset()]
     else:
         arg_results = [match_both_by_recursion(pi, vi) for pi, vi in zip(p.args, v.args)]
         arg_pos = [r[0] for r in arg_results]
-        pos = _concatenations(arg_pos) if all(arg_pos) else []
+        pos = _unions(arg_pos) if all(arg_pos) else []
         neg = [s for (_, ns) in arg_results for s in ns]
-    return (_canon_set(pos), _canon_set(neg))
+    return (frozenset(pos), frozenset(neg))

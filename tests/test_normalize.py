@@ -213,8 +213,8 @@ def test_negated_variable_normalizes_to_absurd():
     assert d == Ndnf(())
     # Same values matched (none), though the failure bindings differ.
     for value in _universe("B", 1):
-        assert match_pos(p, value) == ()
-        assert match_pos(embed_ndnf(d), value) == ()
+        assert match_pos(p, value) == frozenset()
+        assert match_pos(embed_ndnf(d), value) == frozenset()
     assert not pattern_equiv_bounded(p, embed_ndnf(d), _universe("B", 1))
 
 

@@ -1,5 +1,10 @@
 """Small-step evaluation of case expressions with default clauses."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from helpers import c, cn, v, var
@@ -229,3 +234,55 @@ def test_value_hash_is_structural():
     # overflow the stack at this depth.
     assert hash(deep) == hash(Value(cn("S", 1), deep.args))
     assert {v("S", v("Z")): 1}[ECtor(cn("S", 1), (v("Z"),))] == 1
+
+
+# Steps and evaluations of cases with several derivations, printed by a
+# fresh interpreter.  With "churn" it builds values in another order first,
+# so they live at other addresses, and each run gets its own string hashes:
+# matching builds sets, whose iteration order follows both.
+_ORDER_PROBE = """
+import sys
+from patalg.parser import parse_expr
+from patalg.semantics import eval, step
+from patalg.syntax import CtorName, Value
+
+if sys.argv[1] == "churn":
+    nil, t = Value(CtorName("Nil", 0), ()), Value(CtorName("T", 0), ())
+    keep = [Value(CtorName("F", 0), ()), Value(CtorName("Cons", 2), (t, nil))]
+for text in sys.argv[2:]:
+    e = parse_expr(text)
+    print(step(e))
+    print(eval(e))
+"""
+
+_SEVERAL = (
+    "case Cons(T, Nil) of { y | Cons(y, _) => y, default => F }",
+    "case Cons(T, Nil) of { Cons(x, x) => x, default => F }",
+    "case Cons(T, Nil) of { Cons(x, x) => Pair(x, x), y | Cons(y, _) => y, default => F }",
+)
+
+# Successors follow clause order and then the canonical order of
+# substitutions (by variable, then by value), and of an improper
+# substitution the first binding in that order wins.
+_SEVERAL_STEPS = """\
+Stepped(successors=(Value(Cons(T, Nil)), Value(T)))
+Nondeterministic()
+Stepped(successors=(Value(Nil),))
+Evaluated(value=Value(Nil))
+Stepped(successors=(Value(Pair(Nil, Nil)), Value(Cons(T, Nil)), Value(T)))
+Nondeterministic()
+"""
+
+
+def test_successors_do_not_depend_on_the_process():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    for mode, seed in (("plain", "1"), ("churn", "2")):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", _ORDER_PROBE, mode, *_SEVERAL],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout == _SEVERAL_STEPS, (mode, out.stdout)

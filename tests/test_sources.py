@@ -248,7 +248,6 @@ RECURSIVE_ALLOWED = {
     "parser._Parser.parse_expr",  # bounded by program structure: case nesting
     "semantics.rename_clause",  # item 10
     "semantics.substitute",  # item 10
-    "syntax._value_key",  # item 10
     "syntax.match_both",  # item 10
 }
 

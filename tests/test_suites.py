@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+from test_case_diagram import _fresh_counts, _within_budget
+
 from patalg.suites import prop_congruence, run_suites
 
 
@@ -66,3 +68,20 @@ def test_memos_stay_bounded_across_seeds():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
     out = subprocess.run([sys.executable, "-c", _MEMO_BOUNDS], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+# Python calls that `patc fuzz --suite algebra --depth 4` makes at three
+# case counts, counted as `test_case_diagram` counts `check`, each in a
+# fresh interpreter of its own, so that no count starts from the memos
+# another left.  Counted 116,525, 192,937 and 345,471 on CPython 3.11;
+# the budgets are about 1.5 times these.  The overlap property draws at
+# least 500 cases whatever `--cases` is, so the counts grow less than
+# linearly.
+FUZZ_ALGEBRA = ((50, 100, 200), (175_000, 290_000, 520_000), 1.0)
+
+
+def test_algebra_fuzz_cost_stays_within_budget():
+    sizes, budgets, most = FUZZ_ALGEBRA
+    argv = ("fuzz", "--suite", "algebra", "--depth", "4", "--cases")
+    counted = [_fresh_counts([(*argv, str(n))])[0] for n in sizes]
+    _within_budget(counted, sizes, budgets, most)

@@ -4,10 +4,13 @@ import random
 import sys
 import threading
 
+import pytest
+
 from helpers import BOOL_LIST, c, fresh_match_memo, match_both_by_recursion, v, var
 
 from patalg import syntax
 from patalg.oracle import enumerate_values, random_pattern
+from patalg.suites import STANDARD_DECLS
 from patalg.syntax import (
     Absurd,
     And,
@@ -16,12 +19,14 @@ from patalg.syntax import (
     Mapping,
     Neg,
     Or,
+    SoundnessError,
     Wild,
     fv_even,
     fv_odd,
     Var,
     is_proper,
     map_vars,
+    match_all,
     match_both,
     match_neg,
     match_pos,
@@ -29,6 +34,11 @@ from patalg.syntax import (
     subst_equiv,
 )
 from patalg.typecheck import Named
+
+
+# The empty set of substitutions, and the set of the one empty substitution.
+NONE = frozenset()
+UNIT = frozenset({frozenset()})
 
 
 def substs(ss):
@@ -74,7 +84,7 @@ def test_match_cons_binds_components():
     assert substs(match_pos(p, value)) == {
         frozenset({m("x", v("2")), m("xs", v("Cons", v("3"), v("Nil")))})
     }
-    assert match_neg(p, value) == ()
+    assert match_neg(p, value) == NONE
 
 
 def test_match_or_left_branch():
@@ -84,7 +94,7 @@ def test_match_or_left_branch():
 
 def test_nonmatch_different_constructor():
     assert substs(match_neg(c("True"), v("False"))) == {frozenset()}
-    assert match_pos(c("True"), v("False")) == ()
+    assert match_pos(c("True"), v("False")) == NONE
 
 
 def test_nonmatch_of_negated_variable_binds():
@@ -101,10 +111,10 @@ def test_double_negation_matches_and_binds():
 
 def test_wildcard_matches_and_absurd_fails_everything():
     for value in (v("True"), v("Cons", v("2"), v("Nil"))):
-        assert match_pos(Wild(), value) == ((),)
-        assert match_neg(Wild(), value) == ()
-        assert match_neg(Absurd(), value) == ((),)
-        assert match_pos(Absurd(), value) == ()
+        assert match_pos(Wild(), value) == UNIT
+        assert match_neg(Wild(), value) == NONE
+        assert match_neg(Absurd(), value) == UNIT
+        assert match_pos(Absurd(), value) == NONE
 
 
 def test_nonlinear_pattern_improper_substitution():
@@ -118,7 +128,7 @@ def test_nonlinear_pattern_improper_substitution():
 def test_ctor_identity_includes_arity():
     cons1 = Ctor(CtorName("Cons", 1), (Wild(),))
     value = v("Cons", v("2"), v("Nil"))  # Cons/2
-    assert match_pos(cons1, value) == ()
+    assert match_pos(cons1, value) == NONE
     assert substs(match_neg(cons1, value)) == {frozenset()}
 
 
@@ -139,14 +149,16 @@ def test_subst_equiv_ignores_multiplicity():
     assert subst_equiv((m("x", v("2")), m("x", v("2"))), (m("x", v("2")),))
 
 
+_REFERENCE_UNIVERSES = {tau: enumerate_values(BOOL_LIST, Named(tau), 3) for tau in ("B", "List")}
+
+
 def _reference_pairs(seed, n):
     """Two variable names, and a conjunction or disjunction of two generated
     patterns, make patterns non-linear and or-patterns bind both ways, so
-    that many sets hold several substitutions, whose order the canonical
-    form fixes."""
+    that many sets hold several substitutions."""
     rng = random.Random(seed)
     two_names = lambda x: Var("x" if x.name in ("x", "z") else "y")
-    universes = {tau: enumerate_values(BOOL_LIST, Named(tau), 3) for tau in ("B", "List")}
+    universes = _REFERENCE_UNIVERSES
 
     def gen(tau):
         return map_vars(random_pattern(rng, BOOL_LIST, Named(tau), rng.randint(0, 4)), two_names)
@@ -161,7 +173,7 @@ def _reference_pairs(seed, n):
     return pairs
 
 
-def test_match_both_agrees_with_the_reference_order_included(monkeypatch):
+def test_match_both_agrees_with_the_reference(monkeypatch):
     # On a fresh memo that never rotates, equal memoized results are one
     # object; with a bound of 8 patterns the memo rotates every few pairs.
     for generation in (10**9, 8):
@@ -185,14 +197,21 @@ def test_match_both_agrees_with_the_reference_order_included(monkeypatch):
 def test_threads_matching_across_rotations_get_the_reference_results(monkeypatch):
     # A short switch interval makes the threads interleave inside the
     # rotations of a memo bounded at 4 patterns; a rotation may lose
-    # entries, but must change no result.
+    # entries, but must change no result.  Half the threads match one value
+    # at a time, and half the whole universe of the value's type at once.
     fresh_match_memo(monkeypatch, 4)
     pairs = _reference_pairs(7, 300)
     expected = [match_both_by_recursion(p, value) for p, value in pairs]
+    universes = [next(u for u in _REFERENCE_UNIVERSES.values() if value in u) for _, value in pairs]
     results = [None] * 8
 
     def match(k):
-        results[k] = [match_both(p, value) for p, value in pairs]
+        if k % 2:
+            results[k] = [
+                match_all(p, u)[u.index(value)] for (p, value), u in zip(pairs, universes)
+            ]
+        else:
+            results[k] = [match_both(p, value) for p, value in pairs]
 
     threads = [threading.Thread(target=match, args=(k,)) for k in range(len(results))]
     old = sys.getswitchinterval()
@@ -206,6 +225,54 @@ def test_threads_matching_across_rotations_get_the_reference_results(monkeypatch
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert all(got == expected for got in results)
+
+
+def _universe_cases(seed):
+    """Generated patterns of size up to 5, variables included, each with
+    the values of its type up to height 4, for every declared type."""
+    rng = random.Random(seed)
+    cases = []
+    for name in sorted(STANDARD_DECLS.types):
+        universe = enumerate_values(STANDARD_DECLS, Named(name), 4)
+        for _ in range(40):
+            p = random_pattern(rng, STANDARD_DECLS, Named(name), rng.randint(0, 5))
+            cases.append((p, universe))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_match_all_is_match_both_on_each_value(monkeypatch, seed):
+    # On a cold memo the vectors are built before any single value is
+    # matched; on a warm one they are read back.  A memo bounded at 8
+    # patterns rotates inside one call.
+    for generation in (10**9, 8):
+        fresh_match_memo(monkeypatch, generation)
+        cases = _universe_cases(seed)
+        cold = [match_all(p, u) for p, u in cases]
+        one_by_one = [tuple(match_both(p, value) for value in u) for p, u in cases]
+        warm = [match_all(p, u) for p, u in cases]
+        assert cold == one_by_one == warm
+        assert any(s for vector in cold for pair in vector for ss in pair for s in ss)
+
+
+@pytest.mark.parametrize("path", ("match_both", "match_all"))
+@pytest.mark.parametrize(
+    "bound, p, message",
+    (
+        # A variable that also fails makes `x & _` both match and fail.
+        (lambda name, value: (syntax._UNIT, syntax._UNIT), And(var("x"), Wild()), "unsound"),
+        # A variable with no derivation leaves `!x` none either.
+        (lambda name, value: (frozenset(), frozenset()), Neg(var("x")), "incomplete"),
+    ),
+)
+def test_a_wrong_rule_is_caught_on_both_paths(monkeypatch, path, bound, p, message):
+    fresh_match_memo(monkeypatch, 10**9)
+    monkeypatch.setattr(syntax, "_bound", bound)
+    with pytest.raises(SoundnessError, match=message):
+        if path == "match_both":
+            match_both(p, v("True"))
+        else:
+            match_all(p, (v("False"), v("True")))
 
 
 # --- bounded pattern equivalence ---
