@@ -242,8 +242,8 @@ def cmd_eval(args) -> int:
     except ParseError as err:
         print(f"error: bad argument value: {err.message}", file=sys.stderr)
         return 2
-    body = semantics.substitute(body, {name: v for (name, _), v in zip(params, values)})
-    result = semantics.eval(body, args.fuel, prog.table())
+    env = {name: v for (name, _), v in zip(params, values)}
+    result = semantics.eval(body, args.fuel, prog.table(), env)
     if isinstance(result, semantics.Evaluated):
         print(format_value(result.value))
         return 0

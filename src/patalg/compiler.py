@@ -271,4 +271,4 @@ def eval_tree(t: DecisionTree, env, fuel: int = semantics.DEFAULT_FUEL):
                 break
         else:
             node = node.default_arm
-    return semantics.eval(substitute(node.rhs, bindings), fuel)
+    return semantics.eval(node.rhs, fuel, env=bindings)

@@ -558,7 +558,7 @@ def _fault(e, st, reason, leaf=None, w=None, want=None) -> Disagree:
         return Disagree(w, detail)
     env = {o.name: v for o, v in values.items() if type(o) is EVar}
     direct = semantics.eval(ECase(w, e.clauses, e.default_rhs))
-    if want is not None and semantics.eval(substitute(want, env)) != direct:
+    if want is not None and semantics.eval(want, env=env) != direct:
         raise SoundnessError(f"validation wants {format_expr(want)} where evaluation gives {direct!r}")
-    via_tree = semantics.eval(substitute(leaf.rhs, env))
+    via_tree = semantics.eval(leaf.rhs, env=env)
     return Disagree(w, f"{detail}; at {format_value(w)} direct evaluation gives {direct!r}, the tree {via_tree!r}")

@@ -10,12 +10,16 @@ leftmost position that is not a value.
 
 `step` is the reference relation: it decomposes an expression into a
 context and a redex, contracts the redex and plugs every contractum back.
-`eval` is the refocused machine derived from it (Danvy & Nielsen,
-"Refocusing in Reduction Semantics", 2004): it keeps the context on an
-explicit stack and moves from one redex to the next without re-descending
-from the root, so evaluation is linear in the number of contractions and
-never recurses on the depth of the data.  Both count one contraction per
-step and reach the same outcomes.
+`eval` is the environment machine derived from it by refocusing (Danvy &
+Nielsen, "Refocusing in Reduction Semantics", 2004) and then by closing
+each term over an environment, as in the CEK machine (Felleisen &
+Friedman, 1986): it keeps the context on an explicit stack and moves from
+one redex to the next without re-descending from the root, and a
+contraction binds the clause's derivation or the call's arguments instead
+of substituting them into the right-hand side or body.  So evaluation is
+linear in the number of contractions, rebuilds no term, and never
+recurses on the depth of the data.  Both count one contraction per step
+and reach the same outcomes.
 
 Values are expressions: ground data is the one `syntax.Value` node, which
 `ECtor` yields when applied to values only, so telling a value from other
@@ -353,28 +357,117 @@ EvalResult = "Evaluated | Diverged | Stuck | Nondeterministic"
 DEFAULT_FUEL = 10_000
 
 
-def eval(e, fuel: int = DEFAULT_FUEL, defs=None) -> EvalResult:
-    """Evaluate e by refocusing: a machine that keeps the redex in focus
-    and the pending context on an explicit stack, so it never re-descends
-    from the root and never recurses on the depth of the data.  Its
-    outcomes are those of iterating `step`: one unit of fuel per
-    contraction, Nondeterministic as soon as a redex has more than one
-    distinct contractum (only possible for inputs that are not
-    wellformed), Stuck where `contract` is stuck, and Diverged when the
-    fuel runs out."""
+def eval(e, fuel: int = DEFAULT_FUEL, defs=None, env=None) -> EvalResult:
+    """Evaluate e under `env`, a mapping of its free variables to values,
+    by an environment machine: a term is closed by the environment it
+    runs under, and the pending context is an explicit stack of frames, so
+    the machine never re-descends from the root, substitutes only to
+    compare the contracta of a redex with two or more derivations, and
+    never recurses on the depth of the data.  A variable is looked up; a
+    case over a value runs the right-hand side of the one matching clause
+    under its environment extended by the derivation, or its default under
+    its own; a call over values runs the definition's body under the
+    parameters bound to them.  Its outcomes are those of iterating `step`
+    on `substitute(e, env)`: one unit of fuel per contraction,
+    Nondeterministic as soon as a redex has more than one distinct
+    contractum (only possible for inputs that are not wellformed), Stuck
+    where `contract` is stuck, and Diverged when the fuel runs out."""
+    # A frame is `(node, env, vals)`: the constructor or call `node` whose
+    # arguments left of len(vals) have the values vals, or, with vals
+    # None, the case `node` waiting for its scrutinee.
     stack: list = []
-    t = e
-    for _ in range(fuel):
-        t = _refocus(t, stack)
-        if isinstance(t, Value):
-            return Evaluated(t)
-        r = contract(t, defs)
-        if isinstance(r, Stuck):
-            return r
-        if len(r.successors) > 1:
-            return Nondeterministic()
-        t = r.successors[0]
-    return Diverged()
+    t, env = e, env or {}
+    while True:
+        # Descend from t to a value v or to the arguments of a frame.
+        kind = type(t)
+        if kind is ECase:
+            stack.append((t, env, None))
+            t = t.scrutinee
+            continue
+        if kind is Value:
+            v = t
+        elif kind is EVar:
+            v = env.get(t.name)
+            if v is None:
+                return Stuck() if fuel else Diverged()
+        elif kind is ECtor or kind is Call:
+            stack.append((t, env, []))
+            v = None
+        else:
+            return Stuck() if fuel else Diverged()
+        # Plug v into the frames on the stack until one of them contracts
+        # or has an argument to evaluate; either sets the next t and env.
+        while True:
+            if not stack:
+                return Evaluated(v) if fuel else Diverged()
+            node, env, vals = stack[-1]
+            if vals is None:
+                stack.pop()
+                if not fuel:
+                    return Diverged()
+                fuel -= 1
+                t, env = _select(node, v, env)
+                if t is None:
+                    return Nondeterministic()
+                break
+            if v is not None:
+                vals.append(v)
+            args = node.args
+            for a in args[len(vals) :]:
+                kind = type(a)
+                if kind is Value:
+                    vals.append(a)
+                elif kind is EVar and (v := env.get(a.name)) is not None:
+                    vals.append(v)
+                else:
+                    break
+            if len(vals) < len(args):
+                t = args[len(vals)]
+                break
+            stack.pop()
+            if type(node) is ECtor:
+                v = Value(node.ctor, tuple(vals))
+                continue
+            if not fuel:
+                return Diverged()
+            d = defs.get(node.name) if defs else None
+            if d is None or len(d[0]) != len(vals):
+                return Stuck()
+            fuel -= 1
+            t, env = d[1], dict(zip(d[0], vals))
+            break
+
+
+def _select(node: ECase, v: Value, env: dict):
+    """The right-hand side a case over the value v contracts to, with the
+    environment it runs under; `(None, None)` when its contracta differ.
+    Every clause is matched, as `case_successors` does.  When a redex has
+    more than one derivation its contracta are built by substitution under
+    the whole environment and compared there, since two right-hand sides
+    can agree only once the outer bindings are in place."""
+    chosen, n = None, 0
+    for c in node.clauses:
+        substs = match_pos(c.pattern, v)
+        if substs:
+            if chosen is None:
+                chosen = c, substs
+            n += len(substs)
+    if chosen is None:
+        return node.default_rhs, env
+    if n > 1:
+        succ = case_successors(substitute(ECase(v, node.clauses, node.default_rhs), env))
+        return (None, None) if len(succ) > 1 else (succ[0], {})
+    c, (s,) = chosen
+    bindings = subst_to_dict(s)
+    if len(bindings) < len(s):
+        bindings = subst_to_dict(sorted(s, key=by_binding))
+    # A positive derivation binds only the pattern's `fv_even`, its
+    # binders; one it leaves unbound still hides the outer name, as in
+    # `substitute`.
+    bound = wellformed.pattern_facts(c.pattern).fv_even
+    if bindings.keys() != bound:
+        env = {x: w for x, w in env.items() if x not in bound}
+    return c.rhs, {**env, **bindings}
 
 
 def expr_equiv_bounded(e1, e2, fuel: int = DEFAULT_FUEL) -> bool:

@@ -414,12 +414,14 @@ def test_compile_cost_stays_within_budget(tmp_path, family):
 
 # `patc eval` of `len` and `last`, the definitions of the benchmark's
 # `listwalk` (`test_machine.WALK`), on a list of n elements, counted as
-# `check` is above.  Counted 10,083 / 18,612 / 36,612 (exponent 0.93) for
-# `len` and 9,997 / 16,755 / 32,955 (0.86) for `last` on CPython 3.11;
-# the budgets are about 1.5 times these.
+# `check` is above.  Counted 5,145 / 8,585 / 16,578 (exponent 0.84) for
+# `len` and 6,691 / 9,785 / 18,963 (0.75) for `last` on CPython 3.11;
+# the budgets are about 1.5 times these, below the counts of a machine
+# that substitutes into each right-hand side and body (10,387 at `len`
+# n=100).
 EVAL_FAMILIES = {
-    "len": ((100, 200, 400), (15_100, 27_900, 54_900), 1.15),
-    "last": ((100, 200, 400), (15_000, 25_100, 49_400), 1.15),
+    "len": ((100, 200, 400), (7_700, 12_900, 24_900), 1.15),
+    "last": ((100, 200, 400), (9_900, 14_700, 28_400), 1.15),
 }
 
 

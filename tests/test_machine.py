@@ -1,8 +1,8 @@
-"""The refocused machine (`semantics.eval`) against the step relation.
+"""The environment machine (`semantics.eval`) against the step relation.
 
 `helpers.eval_by_steps` iterates `semantics.step` from the root; the
-machine must reach the same outcome for every expression, fuel and
-definition table, the exact fuel boundary included.
+machine must reach the same outcome for every expression, fuel,
+definition table and environment, the exact fuel boundary included.
 """
 
 import os
@@ -24,8 +24,9 @@ from patalg.semantics import (
     Nondeterministic,
     Stuck,
     eval as eval_expr,
+    substitute,
 )
-from patalg.syntax import Var, Wild
+from patalg.syntax import And, Or, Var, Wild
 from patalg.typecheck import Named
 
 WALK = (
@@ -39,6 +40,28 @@ WALK = (
     "  default => F\n"
     "};\n"
     "def loop(x) := loop(x);\n"
+)
+
+# Definitions whose bodies the environment machine reads differently from
+# substitution unless it shadows, rebinds and compares as `step` does.
+SCOPES = (
+    "data B = T | F;\n"
+    "data List = Nil | Cons(B, List);\n"
+    "def g(y) := case T of { x => y, z => T, default => F };\n"
+    "def h(x) := case x of { T => Cons(x, w), default => x };\n"
+    "def rev(xs, acc) := case xs of {\n"
+    "  Nil => acc,\n"
+    "  Cons(x, t) => rev(t, case Cons(x, acc) of { acc => acc, default => Nil }),\n"
+    "  default => acc\n"
+    "};\n"
+    "def heads(xs, acc) := case xs of {\n"
+    "  Nil => acc,\n"
+    "  Cons(x, t) => heads(t, case acc of {\n"
+    "    Cons(acc, _) => Cons(x, Cons(acc, Nil)),\n"
+    "    default => Cons(x, acc)\n"
+    "  }),\n"
+    "  default => acc\n"
+    "};\n"
 )
 
 PAIR = cn("Pair", 2)
@@ -61,6 +84,20 @@ def _agree(e, fuels, defs=None):
         assert got == want, (e, fuel)
         out.append(got)
     return out
+
+
+def _agree_to_the_end(e, defs=None, env=None, most=500):
+    """The machine under `env`, and the machine and the step loop on `e`
+    with `env` substituted, agree at every fuel from 0 until the outcome
+    no longer depends on it; returns that outcome."""
+    closed = substitute(e, env or {})
+    for fuel in range(most):
+        got = eval_expr(e, fuel, defs, env)
+        want = eval_by_steps(closed, fuel, defs)
+        assert got == eval_expr(closed, fuel, defs) == want, (e, env, fuel)
+        if got != Diverged():
+            return got
+    raise AssertionError(f"no outcome within {most} contractions: {e!r}")
 
 
 def test_machine_matches_steps_on_recursive_programs():
@@ -140,6 +177,70 @@ def test_machine_matches_steps_when_diverging():
     defs = parse(WALK).table()
     for e in (Call("loop", (v("T"),)), ECtor(PAIR, (v("F"), Call("loop", (_list(2),))))):
         assert set(_agree(e, range(30), defs)) == {Diverged()}
+
+
+def test_contracta_are_compared_under_the_outer_bindings():
+    # Both clauses of `g`'s case match T, with contracta `y` and `T`: equal
+    # once the parameter is bound, so the step is deterministic.
+    defs = parse(SCOPES).table()
+    assert _agree_to_the_end(Call("g", (v("T"),)), defs) == Evaluated(v("T"))
+    assert _agree_to_the_end(Call("g", (v("F"),)), defs) == Nondeterministic()
+    body = defs["g"][1]
+    assert _agree_to_the_end(body, defs, {"y": v("T")}) == Evaluated(v("T"))
+    assert _agree_to_the_end(body, defs, {"y": v("T"), "x": v("F")}) == Evaluated(v("T"))
+
+
+def test_unbound_variable_in_a_body_is_stuck_at_the_same_fuel():
+    defs = parse(SCOPES).table()
+    assert _agree_to_the_end(Call("h", (v("T"),)), defs) == Stuck()
+    assert _agree_to_the_end(Call("h", (v("F"),)), defs) == Evaluated(v("F"))
+    # The caller's bindings do not reach into a definition's body.
+    assert _agree_to_the_end(Call("h", (EVar("x"),)), defs, {"x": v("T"), "w": v("F")}) == Stuck()
+    # `x & F | T` matches T by one derivation that binds nothing: its `x`
+    # still shadows the outer one, and is unbound in the right-hand side.
+    shadowing = ECase(v("T"), (Clause(Or(And(Var("x"), c("F")), c("T")), EVar("x")),), v("F"))
+    assert _agree_to_the_end(shadowing, None, {"x": v("F")}) == Stuck()
+
+
+def _elements(xs) -> list:
+    out = []
+    while xs.args:
+        out.append(xs.args[0])
+        xs = xs.args[1]
+    return out
+
+
+def _from_elements(elems):
+    xs = v("Nil")
+    for x in reversed(elems):
+        xs = v("Cons", x, xs)
+    return xs
+
+
+def test_inner_case_rebinding_a_parameter_inside_a_recursive_call():
+    # `rev` and `heads` pass as their accumulator an inner case whose
+    # clause rebinds `acc`; its default still sees the parameter.
+    defs = parse(SCOPES).table()
+    for n in range(7):
+        xs = _list(n)
+        backwards = _elements(xs)[::-1]
+        got = _agree_to_the_end(Call("rev", (xs, v("Nil"))), defs)
+        assert got == Evaluated(_from_elements(backwards))
+        got = _agree_to_the_end(Call("heads", (xs, v("Nil"))), defs)
+        assert got == Evaluated(_from_elements(backwards[:2]))
+
+
+def test_environment_is_substitution_on_generated_cases():
+    # `eval(e, fuel, env=σ)` is `eval(substitute(e, σ), fuel)` and the step
+    # loop's outcome, with σ binding the scrutinee and the names the
+    # generated right-hand sides rebind.
+    tau = Named("List")
+    values = enumerate_values(BOOL_LIST, tau, 2)
+    for seed in range(1, 13):
+        e = gen_case(BOOL_LIST, tau, seed)
+        for i, s in enumerate(values):
+            sigma = {"s": s, "x": values[(i + seed) % len(values)], "y": v("True")}
+            assert isinstance(_agree_to_the_end(e, env=sigma), Evaluated)
 
 
 def test_value_equality_does_not_trust_the_hash_alone():
