@@ -15,7 +15,7 @@ from functools import reduce
 
 from . import diagram
 from .diagram import ROOT, Occ, Reading, SignatureError, Test, first
-from .syntax import Absurd, Ctor, CtorName, Neg, Or, SoundnessError, Value, Wild, fold, pattern_kids
+from .syntax import Ctor, CtorName, SoundnessError, Value, Wild, fold, match_all, pattern_kids
 from .typecheck import DataDecls, Named, Type
 
 
@@ -138,21 +138,7 @@ def non_exhaustiveness_witness(rows, decls: DataDecls, col_types=None) -> tuple 
 
 
 def _matches(p, v: Value) -> bool:
-    """Does the pattern match the value?  The truth of the matching
-    judgment, `bool(match_pos(p, v))`, as a fold over the pattern read
-    against the value."""
-
-    def kids(node, v):
-        if type(node) is Ctor:
-            return tuple(zip(node.args, v.args)) if node.ctor is v.ctor else ()
-        return tuple((sub, v) for sub, _ in pattern_kids(node, True))
-
-    def step(node, v, results) -> bool:
-        kind = type(node)
-        if kind is Neg:
-            return not results[0]
-        if kind is Or:
-            return results[0] or results[1]
-        return all(results) and kind is not Absurd and (kind is not Ctor or node.ctor is v.ctor)
-
-    return fold(p, step, v, kids)
+    """Does the pattern match the value?  `syntax.match_all` read at the
+    one value, which raises SoundnessError unless the matching rules are
+    sound and complete there."""
+    return bool(match_all(p, (v,))[0][0])

@@ -23,8 +23,9 @@ and reach the same outcomes.
 
 Values are expressions: ground data is the one `syntax.Value` node, which
 `ECtor` yields when applied to values only, so telling a value from other
-expressions is a type test and never walks the tree.  `subterms` walks an
-expression on an explicit stack; the checks that visit every case use it.
+expressions is a type test and never walks the tree.  Substitution and free
+variables are `syntax.fold` steps, and `subterms` walks an expression on an
+explicit stack for the checks that visit every case: none recurses.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .syntax import (
     Value,
     Var,
     by_binding,
+    fold,
     in_order,
     is_proper,
     map_vars,
@@ -136,59 +138,72 @@ def steps(where) -> list:
 # --- substitution ----------------------------------------------------------------
 
 
+def _expr_kids(node, ctx):
+    """An expression node's operands for `syntax.fold`, each with its
+    context, a frozenset of variables: a case's scrutinee, `Clause` nodes
+    and default, a clause's right-hand side with its binders added, and a
+    constructor's or call's arguments.  Values and variables are leaves."""
+    kind = type(node)
+    if kind is ECase:
+        return ((node.scrutinee, ctx), *[(c, ctx) for c in node.clauses], (node.default_rhs, ctx))
+    if kind is Clause:
+        return ((node.rhs, ctx | wellformed.pattern_facts(node.pattern).fv_even),)
+    if kind is ECtor or kind is Call:
+        return tuple([(a, ctx) for a in node.args])
+    if kind is Value or kind is EVar:
+        return ()
+    raise TypeError(f"not an expression: {node!r}")
+
+
+def _free_step(node, bound, results) -> frozenset:
+    if type(node) is EVar:
+        return frozenset() if node.name in bound else frozenset((node.name,))
+    return frozenset().union(*results)
+
+
 def expr_free_vars(e) -> frozenset:
-    """The variables of `e` that no enclosing clause pattern binds, on an
-    explicit stack of (subterm, variables bound around it)."""
-    out: set = set()
-    todo = [(e, frozenset())]
-    while todo:
-        node, bound = todo.pop()
-        kind = type(node)
-        if kind is EVar:
-            if node.name not in bound:
-                out.add(node.name)
-        elif kind is ECase:
-            todo += ((node.scrutinee, bound), (node.default_rhs, bound))
-            facts_of = wellformed.pattern_facts
-            todo.extend((c.rhs, bound | facts_of(c.pattern).fv_even) for c in node.clauses)
-        elif kind is ECtor or kind is Call:
-            todo.extend((a, bound) for a in node.args)
-        elif kind is not Value:
-            raise TypeError(f"not an expression: {node!r}")
-    return frozenset(out)
+    """The variables of `e` that no enclosing clause pattern binds: a fold
+    whose context is the set of variables bound around a subterm."""
+    return fold(e, _free_step, frozenset(), _expr_kids)
 
 
 def substitute(e, mapping: dict):
     """Capture-avoiding simultaneous replacement of free variables by
     expressions.  Clause right-hand sides shadow the variables their
     pattern binds; binders that would capture a substituted variable are
-    alpha-renamed first (ground values can never be captured)."""
-    if not mapping or isinstance(e, Value):
+    alpha-renamed first (ground values can never be captured).  A fold
+    whose context is the set of variables shadowed at a subterm; a renamed
+    clause is kept under (clause, context) from its `kids` to its `step`."""
+    if not mapping:
         return e
-    if isinstance(e, EVar):
-        return mapping.get(e.name, e)
-    if isinstance(e, ECase):
-        new_clauses = []
-        for c in e.clauses:
-            bound = wellformed.pattern_facts(c.pattern).fv_even
-            inner = {x: v for x, v in mapping.items() if x not in bound}
-            if inner:
-                payload = frozenset().union(
-                    *(expr_free_vars(v) for v in inner.values())
-                )
-                clash = bound & payload
-                if clash:
-                    c = rename_clause(c, clash, payload | set(inner))
-            new_clauses.append(Clause(c.pattern, substitute(c.rhs, inner)))
-        return ECase(
-            substitute(e.scrutinee, mapping),
-            tuple(new_clauses),
-            substitute(e.default_rhs, mapping),
-        )
-    if isinstance(e, (ECtor, Call)):
-        args = tuple(substitute(a, mapping) for a in e.args)
-        return ECtor(e.ctor, args) if isinstance(e, ECtor) else Call(e.name, args)
-    raise TypeError(f"not an expression: {e!r}")
+    renamed = {}  # (clause, shadowed) -> the clause with its binders renamed
+
+    def kids(node, shadowed):
+        if type(node) is not Clause:
+            return _expr_kids(node, shadowed)
+        bound = wellformed.pattern_facts(node.pattern).fv_even
+        inner = [x for x in mapping if x not in bound and x not in shadowed]
+        if not inner:
+            return ()
+        payload = frozenset().union(*[expr_free_vars(mapping[x]) for x in inner])
+        clash = bound & payload
+        if clash:
+            renamed[node, shadowed] = node = rename_clause(node, clash, payload | set(inner))
+        return ((node.rhs, shadowed | bound),)
+
+    def step(node, shadowed, results):
+        kind = type(node)
+        if kind is EVar:
+            return node if node.name in shadowed else mapping.get(node.name, node)
+        if kind is ECase:
+            return ECase(results[0], tuple(results[1:-1]), results[-1])
+        if kind is Clause and results:
+            return Clause(renamed.pop((node, shadowed), node).pattern, results[0])
+        if kind is ECtor:
+            return ECtor(node.ctor, tuple(results))
+        return Call(node.name, tuple(results)) if kind is Call else node
+
+    return fold(e, step, frozenset(), kids)
 
 
 def rename_clause(c: Clause, clash, avoid) -> Clause:
@@ -219,13 +234,13 @@ def apply_subst(e, s):
     return substitute(e, {m.var: m.value for m in s})
 
 
-def _apply_loose(e, s):
+def _bindings(s) -> dict:
     # Nonlinear patterns can bind one variable to several values; during
     # stepping the first binding in canonical order wins.
     bindings = subst_to_dict(s)
     if len(bindings) < len(s):
         bindings = subst_to_dict(sorted(s, key=by_binding))
-    return substitute(e, bindings)
+    return bindings
 
 
 # --- single and multi step -----------------------------------------------------
@@ -259,7 +274,7 @@ def case_successors(e: ECase) -> tuple:
         if substs:
             any_match = True
             for s in in_order(substs):
-                succ.append(_apply_loose(c.rhs, s))
+                succ.append(substitute(c.rhs, _bindings(s)))
     if not any_match:
         succ.append(e.default_rhs)
     return tuple(dict.fromkeys(succ))
@@ -458,9 +473,7 @@ def _select(node: ECase, v: Value, env: dict):
         succ = case_successors(substitute(ECase(v, node.clauses, node.default_rhs), env))
         return (None, None) if len(succ) > 1 else (succ[0], {})
     c, (s,) = chosen
-    bindings = subst_to_dict(s)
-    if len(bindings) < len(s):
-        bindings = subst_to_dict(sorted(s, key=by_binding))
+    bindings = _bindings(s)
     # A positive derivation binds only the pattern's `fv_even`, its
     # binders; one it leaves unbound still hides the outer name, as in
     # `substitute`.

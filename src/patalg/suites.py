@@ -40,7 +40,7 @@ from .syntax import (
     is_proper,
     map_vars,
     match_all,
-    match_neg,
+    match_both,
     match_pos,
     pattern_equiv_bounded,
 )
@@ -112,7 +112,7 @@ def prop_matching_sound_complete(seed, depth, cases) -> PropertyResult:
         tau = _TAUS[i % len(_TAUS)]
         p = random_pattern(rng, STANDARD_DECLS, tau, rng.randint(0, 4))
         v = gen_value(rng, STANDARD_DECLS, tau, depth)
-        pos, neg = match_pos(p, v), match_neg(p, v)
+        pos, neg = match_both(p, v)
         res.cases += 1
         if pos and neg:
             res.fail(f"both judgments hold: {format_pattern(p)} vs {format_value(v)}")

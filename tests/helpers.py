@@ -20,6 +20,8 @@ from patalg.parser import KEYWORDS, _Parser
 from patalg.pretty import format_pattern
 from patalg.semantics import (
     DEFAULT_FUEL,
+    Call,
+    Clause,
     Diverged,
     ECase,
     ECtor,
@@ -572,6 +574,51 @@ def expr_free_vars_by_recursion(e):
             out |= expr_free_vars_by_recursion(cl.rhs) - fv_even_by_recursion(cl.pattern)
         return out
     return frozenset().union(*(expr_free_vars_by_recursion(a) for a in e.args))
+
+
+def substitute_by_recursion(e, mapping):
+    """Capture-avoiding simultaneous substitution, one call per level, with
+    the fresh names of `semantics.rename_clause`."""
+    if not mapping or isinstance(e, Value):
+        return e
+    if isinstance(e, EVar):
+        return mapping.get(e.name, e)
+    if isinstance(e, ECase):
+        new_clauses = []
+        for cl in e.clauses:
+            bound = fv_even_by_recursion(cl.pattern)
+            inner = {x: w for x, w in mapping.items() if x not in bound}
+            if inner:
+                payload = frozenset().union(
+                    *(expr_free_vars_by_recursion(w) for w in inner.values())
+                )
+                clash = bound & payload
+                if clash:
+                    cl = _rename_clause_by_recursion(cl, clash, payload | set(inner))
+            new_clauses.append(Clause(cl.pattern, substitute_by_recursion(cl.rhs, inner)))
+        return ECase(
+            substitute_by_recursion(e.scrutinee, mapping),
+            tuple(new_clauses),
+            substitute_by_recursion(e.default_rhs, mapping),
+        )
+    args = tuple(substitute_by_recursion(a, mapping) for a in e.args)
+    return ECtor(e.ctor, args) if isinstance(e, ECtor) else Call(e.name, args)
+
+
+def _rename_clause_by_recursion(cl, clash, avoid):
+    used = set(avoid) | fv_even_by_recursion(cl.pattern) | fv_odd_by_recursion(cl.pattern)
+    used |= expr_free_vars_by_recursion(cl.rhs)
+    renaming = {}
+    for x in sorted(clash):
+        n = 0
+        while f"{x}$r{n}" in used:
+            n += 1
+        renaming[x] = f"{x}$r{n}"
+        used.add(renaming[x])
+    return Clause(
+        map_vars_by_recursion(cl.pattern, lambda x: Var(renaming.get(x.name, x.name))),
+        substitute_by_recursion(cl.rhs, {x: EVar(y) for x, y in renaming.items()}),
+    )
 
 
 def format_pattern_by_recursion(p, _level=_OR):

@@ -89,6 +89,17 @@ PROGRAMS = {
         "data N = Z | S(N);\n"
         f"def f(x: N) := case x of {{ !{_nest(10_000, 'Z')} => Z, default => S(Z) }};\n"
     ),
+    # A 10,000-deep right-hand side, which matching substitutes into.
+    "rhs10k.pat": (
+        "data N = Z | S(N);\n"
+        f"def f(x: N) := case x of {{ y => {_nest(10_000, 'y')}, default => Z }};\n"
+    ),
+    # Two overlapping clauses: `eval` substitutes to compare their contracta.
+    "overlaprhs10k.pat": (
+        "data N = Z | S(N);\n"
+        f"def g(x: N) := case x of {{ y => {_nest(10_000, 'y')}, "
+        f"z => {_nest(10_000, 'z')}, default => Z }};\n"
+    ),
 }
 
 PATTERNS = {
@@ -134,6 +145,11 @@ RUNS = [
     ["check", str(DEMOS / "lists.pat"), "--typed"],
     ["check", "chain3k.pat", "--typed"],
     ["compile", "complement.pat"],
+    *(["check", "rhs10k.pat", *flags] for flags in ([], ["--typed"])),
+    ["compile", "rhs10k.pat"],
+    ["compile", "rhs10k.pat", "--format", "json"],
+    ["eval", "rhs10k.pat", "--entry", "f", "--args", "Z"],
+    ["eval", "overlaprhs10k.pat", "--entry", "g", "--args", "Z"],
     pytest.param(
         ["compile", "deep10k.pat"],
         marks=_xfail("indented tree output is quadratic in depth (ROADMAP item 6)"),
@@ -198,6 +214,8 @@ def test_deep_or_wide_input_exits_cleanly(argv, programs):
         # A recursive definition is skipped by the typing, not unfolded.
         assert "def main: note: recursive definition; typing skipped" in out.stdout
         assert out.stdout.endswith("ok\n")
+    if argv[0] == "eval" and "rhs10k" in argv[1]:
+        assert out.stdout == _nest(10_000, "Z") + "\n"
     if argv[1] == "chain3k.pat":
         # No definition recurses, and each is typed by the `Call` rule.
         assert out.stdout.endswith("ok\n") and "typing skipped" not in out.stdout

@@ -18,6 +18,7 @@ from helpers import (
     map_vars_by_recursion,
     parse_pattern_by_recursion,
     pattern_facts_by_stack,
+    substitute_by_recursion,
     tree_to_obj_by_recursion,
     type_pattern_by_recursion,
 )
@@ -33,9 +34,9 @@ from patalg.pretty import (
     format_tree,
     format_trees_json,
 )
-from patalg.semantics import Clause, ECase, expr_free_vars
+from patalg.semantics import Clause, ECase, EVar, expr_free_vars, substitute, subterms
 from patalg.suites import _TAUS, STANDARD_DECLS
-from patalg.syntax import And, Neg, Or, Var, Wild, fv_even, fv_odd, map_vars
+from patalg.syntax import And, CtorName, Neg, Or, Value, Var, Wild, fv_even, fv_odd, map_vars
 from patalg.typecheck import Named, type_pattern
 from patalg.wellformed import pattern_facts
 
@@ -124,10 +125,29 @@ def test_conjunct_embedding_and_printing(conjuncts):
         assert format_nconjunct(k) == format_nconjunct_by_recursion(k)
 
 
+def _mappings(e):
+    """Three mappings of the case's free variables and clause binders: to
+    values, to `$`-named variables, and each to another of those program
+    variables, which the clauses that bind it must be renamed apart from."""
+    binders = {x for node, _ in subterms(e) if type(node) is Clause for x in fv_even(node.pattern)}
+    names = sorted(expr_free_vars(e) | binders)
+    return (
+        {x: Value(CtorName(f"K{i}", 0), ()) for i, x in enumerate(names)},
+        {x: EVar(f"{x}$0") for x in names},
+        {x: EVar(names[(i + 1) % len(names)]) for i, x in enumerate(names)},
+    )
+
+
 def test_expression_walks(cases):
+    renamed = 0
     for e in cases:
         assert expr_free_vars(e) == expr_free_vars_by_recursion(e)
         assert format_expr(e) == format_expr_by_recursion(e)
+        for mapping in _mappings(e):
+            got = substitute(e, mapping)
+            assert got is substitute_by_recursion(e, mapping)
+            renamed += "$r" in format_expr(got)
+    assert renamed >= 500
 
 
 def test_tree_printing(cases):

@@ -236,18 +236,17 @@ def _self_recursive(path) -> list:
 
 # Functions that recurse on their input, so a deep enough input exhausts
 # the interpreter stack.  The list may only shrink: a new walk must be a
-# step function of `syntax.fold` (as pattern facts, compilation and the
-# tree invariants are) or `pretty._emit`, or use an explicit stack (as
-# `semantics.subterms` does).  Each entry names the ROADMAP item that
-# removes it; ROADMAP item 5 aims at keeping only the walks bounded by
-# program structure.
+# step function of `syntax.fold` (as pattern facts, substitution,
+# compilation and the tree invariants are) or `pretty._emit`, or use an
+# explicit stack (as `semantics.subterms` does).  Four entries are bounded
+# by program structure; the one left, `syntax.match_both`, names the
+# ROADMAP item that removes it.  ROADMAP item 5 aims at keeping only the
+# walks bounded by program structure.
 RECURSIVE_ALLOWED = {
     "oracle._enum",  # bounded by program structure: the enumeration depth
     "oracle.random_pattern",  # bounded by program structure: the generated size
     "parser._Parser.parse_case",  # bounded by program structure: case nesting
     "parser._Parser.parse_expr",  # bounded by program structure: case nesting
-    "semantics.rename_clause",  # item 10
-    "semantics.substitute",  # item 10
     "syntax.match_both",  # item 10
 }
 
