@@ -61,7 +61,6 @@ from .semantics import (
     ECase,
     ECtor,
     EVar,
-    apply_subst,
     contract,
     eval,
     expr_equiv_bounded,

@@ -18,7 +18,7 @@ from .diagram import ROOT, Occ, Sink, children
 from .normalize import Ndnf, NegConj, PosConj, ndnf_wildcard, to_ndnf
 from .semantics import ECase, EVar, Stuck, substitute
 from .syntax import (
-    Absurd, Ctor, Node, Value, Var, by_name, fold, fv_even, pattern_kids, rebuild, subst_to_dict,
+    Absurd, Ctor, Node, Value, Var, by_name, fold, fv_even, pattern_kids, rebuild,
 )
 
 # --- the matrix core ------------------------------------------------------------
@@ -249,10 +249,11 @@ def _binding_choices(p) -> list:
 # --- decision tree evaluation ----------------------------------------------------
 
 
-def eval_tree(t: DecisionTree, env, fuel: int = semantics.DEFAULT_FUEL):
-    """Run a decision tree under an environment binding the scrutinee
-    variables to values, then evaluate the reached leaf."""
-    bindings = subst_to_dict(env)
+def eval_tree(t: DecisionTree, env: dict, fuel: int = semantics.DEFAULT_FUEL):
+    """Run a decision tree under `env`, the environment `semantics.eval`
+    takes, binding the scrutinee variables to values: each arm taken adds
+    its binders, and the leaf reached is evaluated under the result."""
+    bindings = dict(env)
     node = t
     while isinstance(node, Switch):
         s = node.scrutinee

@@ -22,7 +22,6 @@ from .syntax import (
     And,
     Ctor,
     CtorName,
-    Mapping,
     Neg,
     Node,
     Or,
@@ -240,7 +239,9 @@ def differential_check_tree(
     fuel: int = semantics.DEFAULT_FUEL,
 ) -> Agree | Disagree:
     """Compare direct evaluation of a case against a decision tree, over
-    every scrutinee value up to the depth bound."""
+    every scrutinee value v up to the depth bound: both run under the one
+    environment binding the scrutinee variable to v, `semantics.eval` on
+    the case as `patc eval` runs it, and `eval_tree` on the tree."""
     if not isinstance(e.scrutinee, EVar):
         raise ValueError("differential checking needs a variable scrutinee")
     if tau is None:
@@ -249,8 +250,8 @@ def differential_check_tree(
             raise ValueError("cannot infer the scrutinee type from the clause patterns")
     n = 0
     for v in enumerate_values(decls, tau, depth):
-        direct = semantics.eval(ECase(v, e.clauses, e.default_rhs), fuel)
-        via_tree = eval_tree(tree, (Mapping(e.scrutinee.name, v),), fuel)
+        env = {e.scrutinee.name: v}
+        direct, via_tree = semantics.eval(e, fuel, env=env), eval_tree(tree, env, fuel)
         if direct != via_tree:
             return Disagree(
                 v,
@@ -430,19 +431,21 @@ def _switch_fault(n: Switch, st: _State) -> str | None:
 
 
 def validate_tree(e: ECase, tree: Leaf | Switch) -> Agree | Disagree:
-    """Check a decision tree against its case for every scrutinee value.
-    A switch must test an occurrence that the path exposed and did not
-    test, with distinct arms, each binding arity-many unused names.  At a
-    leaf at most one clause may say yes, and one still unknown (such as
-    `Mo | !Mo`) is settled by the open-world emptiness check on the
-    partial value: no if no value of it matches, yes if none fails it and
-    its residual binds each variable at one occurrence (`_settled`).  The
-    leaf must be the right-hand side of the clause saying yes, each
-    variable replaced by its occurrence, or else the default.  A fold
-    over the DAG memoized on the state: `Agree` counts the (node, state)
-    pairs checked, and `Disagree` names the path to a fault and a
-    scrutinee value that takes it."""
+    """Check a decision tree against its case, whose scrutinee must be a
+    variable, for every value of it.  A switch must test an occurrence
+    that the path exposed and did not test, with distinct arms, each
+    binding arity-many unused names.  At a leaf at most one clause may
+    say yes, and one still unknown (such as `Mo | !Mo`) is settled by the
+    open-world emptiness check on the partial value: no if no value of it
+    matches, yes if none fails it and its residual binds each variable at
+    one occurrence (`_settled`).  The leaf must be the right-hand side of
+    the clause saying yes, each variable replaced by its occurrence, or
+    else the default.  A fold over the DAG memoized on the state: `Agree`
+    counts the (node, state) pairs checked, and `Disagree` names the path
+    to a fault and a scrutinee value that takes it."""
     root = e.scrutinee
+    if type(root) is not EVar:
+        raise ValueError("validation needs a variable scrutinee")
     start = _State(frozenset((root,)), tuple(_read(c.pattern, root) for c in e.clauses), None)
     checked = 0
 
@@ -538,8 +541,9 @@ def _witness(root, path, extra=None) -> Value | None:
 
 def _fault(e, st, reason, leaf=None, w=None, want=None) -> Disagree:
     """The `Disagree` of a fault on the path of `st`.  At a leaf both
-    routes are evaluated at the witness, and `semantics.eval` must confirm
-    what the validator wants there."""
+    routes run under the environment binding the scrutinee to the witness
+    and each binder to its part, and `semantics.eval` must confirm what
+    the validator wants there."""
     w = w or _witness(e.scrutinee, st.path)
     links, path = [], st.path
     while path is not None:
@@ -557,7 +561,7 @@ def _fault(e, st, reason, leaf=None, w=None, want=None) -> Disagree:
     if leaf is None:
         return Disagree(w, detail)
     env = {o.name: v for o, v in values.items() if type(o) is EVar}
-    direct = semantics.eval(ECase(w, e.clauses, e.default_rhs))
+    direct = semantics.eval(e, env=env)
     if want is not None and semantics.eval(want, env=env) != direct:
         raise SoundnessError(f"validation wants {format_expr(want)} where evaluation gives {direct!r}")
     via_tree = semantics.eval(leaf.rhs, env=env)

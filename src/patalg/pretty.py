@@ -32,8 +32,12 @@ def _emit(stack: list, parts: list) -> None:
     the precedence level it is printed at; for a decision tree it is the
     indent level as text, or as JSON the newline and indent of the node's
     fields.  Other nodes ignore it.  Runs on the explicit stack alone, so
-    deep terms print without recursion and no string outlives the text of
-    its parent."""
+    deep terms print without recursion.  A tree node printed again at the
+    same ctx, as a shared subtree is, copies its first printing: a list
+    item records the (start, end) span of `parts` that printing took, and
+    the span becomes one string when the pair recurs, so a node printed
+    once is never joined."""
+    printed: dict = {}  # (tree node, ctx) -> its span in parts, or its text
     while stack:
         item = stack.pop()
         if type(item) is str:
@@ -42,8 +46,19 @@ def _emit(stack: list, parts: list) -> None:
         if type(item) is int:
             parts[item:] = [_quote("".join(parts[item:]))]
             continue
+        if type(item) is list:
+            printed[item[0]] = item[1], len(parts)
+            continue
         node, ctx = item
         kind = type(node)
+        if kind is Leaf or kind is Switch:
+            text = printed.get(item)
+            if type(text) is tuple:
+                text = printed[item] = "".join(parts[text[0] : text[1]])
+            if text is not None:
+                parts.append(text)
+                continue
+            stack.append([item, len(parts)])
         if kind is PosConj or kind is NegConj:
             # `{x, y} & ` and the ban set, or the head as a constructor's.
             parts.append("{" + ", ".join(sorted(node.vars)) + "} & ")

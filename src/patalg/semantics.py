@@ -41,7 +41,6 @@ from .syntax import (
     by_binding,
     fold,
     in_order,
-    is_proper,
     map_vars,
     match_pos,
     subst_to_dict,
@@ -225,13 +224,6 @@ def rename_clause(c: Clause, clash, avoid) -> Clause:
         map_vars(c.pattern, lambda x: Var(renaming.get(x.name, x.name))),
         substitute(c.rhs, {x: EVar(y) for x, y in renaming.items()}),
     )
-
-
-def apply_subst(e, s):
-    """Apply a proper substitution to an expression."""
-    if not is_proper(s):
-        raise ValueError(f"improper substitution: {s!r}")
-    return substitute(e, {m.var: m.value for m in s})
 
 
 def _bindings(s) -> dict:
@@ -483,10 +475,10 @@ def _select(node: ECase, v: Value, env: dict):
     return c.rhs, {**env, **bindings}
 
 
-def expr_equiv_bounded(e1, e2, fuel: int = DEFAULT_FUEL) -> bool:
-    """Both expressions reach the same value within the fuel bound, or both
-    exhaust it."""
-    r1, r2 = eval(e1, fuel), eval(e2, fuel)
+def expr_equiv_bounded(e1, e2, fuel: int = DEFAULT_FUEL, env=None) -> bool:
+    """Both expressions reach the same value within the fuel bound under
+    the environment `env`, as `eval` takes it, or both exhaust it."""
+    r1, r2 = eval(e1, fuel, env=env), eval(e2, fuel, env=env)
     if isinstance(r1, Evaluated) and isinstance(r2, Evaluated):
         return r1.value == r2.value
     return isinstance(r1, Diverged) and isinstance(r2, Diverged)

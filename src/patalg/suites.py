@@ -508,9 +508,7 @@ def prop_clause_permutation(seed, depth, cases) -> PropertyResult:
         shuffled = ECase(e.scrutinee, tuple(perm), e.default_rhs)
         res.cases += 1
         for v in enumerate_values(STANDARD_DECLS, tau, depth):
-            a = ECase(v, e.clauses, e.default_rhs)
-            b = ECase(v, shuffled.clauses, shuffled.default_rhs)
-            if not semantics.expr_equiv_bounded(a, b, 500):
+            if not semantics.expr_equiv_bounded(e, shuffled, 500, {e.scrutinee.name: v}):
                 res.fail(f"permutation changed the result at {format_value(v)}")
                 break
     return res

@@ -29,7 +29,7 @@ from patalg.semantics import (
     EVar,
     Evaluated,
 )
-from patalg.syntax import Absurd, And, Mapping, Neg, Or, Wild
+from patalg.syntax import Absurd, And, Neg, Or, Wild
 
 
 SA, SU, FR = cn("Sa"), cn("Su"), cn("Fr")
@@ -237,11 +237,11 @@ def test_compile_nested_patterns_switches_subscrutinees():
     )
     tree = compile_case(case)
     assert isinstance(validate_tree(case, tree), Agree)
-    env = (Mapping("s", v("Cons", v("True"), v("Nil"))),)
+    env = {"s": v("Cons", v("True"), v("Nil"))}
     assert eval_tree(tree, env) == Evaluated(v("A", v("Nil")))
-    env = (Mapping("s", v("Cons", v("False"), v("Nil"))),)
+    env = {"s": v("Cons", v("False"), v("Nil"))}
     assert eval_tree(tree, env) == Evaluated(v("B0"))
-    env = (Mapping("s", v("Mystery")),)
+    env = {"s": v("Mystery")}
     assert eval_tree(tree, env) == Evaluated(v("D0"))
 
 
@@ -269,7 +269,7 @@ def test_variable_bound_at_two_occurrences():
     tree = compile_case(case)
     assert isinstance(validate_tree(case, tree), Agree)
     for second, want in ((v("A"), v("B")), (v("C"), v("C"))):
-        env = (Mapping("s", v("P", v("B"), second)),)
+        env = {"s": v("P", v("B"), second)}
         assert eval_tree(tree, env) == Evaluated(want)
     inner = tree.arms[0].subtree
     assert inner.scrutinee is EVar("$0_1")
@@ -282,13 +282,13 @@ def test_variable_bound_at_two_occurrences():
 
 def test_eval_tree_weekend():
     tree = compile_case(weekend_case())
-    out = eval_tree(tree, (Mapping("x", v("Sa")),))
+    out = eval_tree(tree, {"x": v("Sa")})
     assert out == Evaluated(v("E1", v("Sa")))
-    out = eval_tree(tree, (Mapping("x", v("Mo")),))
+    out = eval_tree(tree, {"x": v("Mo")})
     assert out == Evaluated(v("E2", v("Mo")))
-    out = eval_tree(tree, (Mapping("x", v("Fr")),))
+    out = eval_tree(tree, {"x": v("Fr")})
     assert out == Evaluated(v("D0"))
 
 
 def test_eval_tree_leaf_ignores_env_shape():
-    assert eval_tree(Leaf(ECtor(cn("True"), ())), ()) == Evaluated(v("True"))
+    assert eval_tree(Leaf(ECtor(cn("True"), ())), {}) == Evaluated(v("True"))

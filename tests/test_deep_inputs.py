@@ -24,7 +24,7 @@ from patalg.oracle import Agree, validate_tree
 from patalg.parser import parse, parse_pattern
 from patalg.pretty import format_expr, format_ndnf, format_pattern
 from patalg.semantics import ECtor, EVar, Evaluated
-from patalg.syntax import CtorName, Mapping, Value
+from patalg.syntax import CtorName, Value
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -267,8 +267,8 @@ def test_deep_clauses_compile_to_a_valid_dag(name, depth):
     assert validate_tree(case, tree) == Agree(depth + 3)
     assert time.process_time() - start < 1.0
     z = Value(CtorName("Z", 0), ())
-    assert eval_tree(tree, (Mapping("x", _s_value(depth)),)) == Evaluated(z)
-    assert eval_tree(tree, (Mapping("x", _s_value(depth - 1)),)) != Evaluated(z)
+    assert eval_tree(tree, {"x": _s_value(depth)}) == Evaluated(z)
+    assert eval_tree(tree, {"x": _s_value(depth - 1)}) != Evaluated(z)
 
 
 def test_repr_of_deep_nodes_prints_without_recursion():

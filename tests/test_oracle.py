@@ -5,6 +5,7 @@ import pytest
 
 from helpers import BOOL_LIST, COLOR, DAYS, c, cn, v, var
 
+from patalg import syntax
 from patalg.compiler import Arm, Leaf, Switch, compile_case, eval_tree
 from patalg.oracle import (
     Agree,
@@ -18,7 +19,8 @@ from patalg.oracle import (
 )
 from patalg.parser import parse
 from patalg.semantics import Clause, ECase, ECtor, EVar, eval as eval_expr
-from patalg.syntax import And, Mapping, Neg, Or, Wild
+from patalg.suites import _TAUS, STANDARD_DECLS, run_suites
+from patalg.syntax import And, Neg, Or, Wild, match_pos
 from patalg.typecheck import DataDecls, DeclError, Ill, Named, Ok, type_expr
 from patalg.wellformed import deterministic, linear_neg, linear_pos, wf_expr
 
@@ -255,8 +257,9 @@ def test_validator_rejects_each_mutant():
         assert isinstance(out, Disagree), name
         if name in ("swapped arm", "clause rhs for the default", "leaf for a switch", "wrong binder in a leaf"):
             # The witness takes the faulty leaf, where the two routes differ.
-            direct = eval_expr(ECase(out.witness, case.clauses, case.default_rhs))
-            assert direct != eval_tree(tree, (Mapping("x", out.witness),)), name
+            env = {"x": out.witness}
+            direct = eval_expr(case, env=env)
+            assert direct != eval_tree(tree, env), name
             assert f"direct evaluation gives {direct!r}" in out.detail, name
 
 
@@ -344,3 +347,103 @@ def test_validation_is_linear_in_the_states_of_orprod():
     for n in range(4, 13):
         case = _case(_orprod(n))
         assert validate_tree(case, compile_case(case)) == Agree(2 * n + 3)
+
+
+# --- the scrutinee bound in the environment --------------------------------------
+#
+# Every route evaluates a case at a value as `patc eval` does: the case runs
+# under an environment binding its scrutinee variable to the value, so a
+# right-hand side may name the scrutinee.
+
+NAMES_S = "data B = T | F; def f(s: B) := case s of { T => s, default => F };"
+
+
+def test_differential_check_binds_the_scrutinee():
+    prog = parse(NAMES_S)
+    case = prog.defs[0].body
+    assert differential_compile_check(case, prog.decls, 2, Named("B")) == Agree(2)
+
+
+def test_wrong_leaf_under_a_scrutinee_rhs_is_a_disagreement():
+    prog = parse(NAMES_S)
+    case = prog.defs[0].body
+    tree = compile_case(case)
+    (arm,) = tree.arms
+    assert arm.subtree is Leaf(EVar("s"))
+    wrong = Switch(tree.scrutinee, (Arm(arm.ctor, (), Leaf(v("F"))),), tree.default_arm)
+    out = validate_tree(case, wrong)
+    assert out.witness == v("T")
+    assert out.detail.endswith("direct evaluation gives Evaluated(value=Value(T)), the tree Evaluated(value=Value(F))")
+
+
+def test_validation_needs_a_variable_scrutinee():
+    case = _case("data B = T | F; def f() := case T of { T => T, default => F };")
+    with pytest.raises(ValueError, match="variable scrutinee"):
+        validate_tree(case, compile_case(case))
+
+
+def _naming_the_scrutinee(seed, tau):
+    """`gen_case`'s case at `seed` with its default, and the right-hand
+    side of the first clause that some value matches, rewritten to name
+    the scrutinee `s`."""
+    e = gen_case(STANDARD_DECLS, tau, seed)
+    values = enumerate_values(STANDARD_DECLS, tau, 3)
+    k = next((i for w in values for i, c in enumerate(e.clauses) if match_pos(c.pattern, w)), 0)
+    clauses = list(e.clauses)
+    clauses[k] = Clause(clauses[k].pattern, ECtor(cn("Pair", 2), (EVar("s"), clauses[k].rhs)))
+    return ECase(e.scrutinee, tuple(clauses), EVar("s"))
+
+
+def _leaves(t) -> list:
+    """The distinct leaves of a tree, in pre-order of their first visit."""
+    out, todo = {}, [t]
+    while todo:
+        n = todo.pop()
+        if type(n) is Leaf:
+            out.setdefault(n, None)
+        else:
+            todo += [n.default_arm] + [a.subtree for a in reversed(n.arms)]
+    return list(out)
+
+
+def _replace(t, old, new):
+    if t is old or type(t) is Leaf:
+        return new if t is old else t
+    arms = tuple(Arm(a.ctor, a.binders, _replace(a.subtree, old, new)) for a in t.arms)
+    return Switch(t.scrutinee, arms, _replace(t.default_arm, old, new))
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_cases_naming_the_scrutinee_agree_on_both_routes(seed):
+    for tau in _TAUS:
+        e = _naming_the_scrutinee(seed, tau)
+        tree = compile_case(e)
+        assert isinstance(validate_tree(e, tree), Agree)
+        out = differential_check_tree(e, tree, STANDARD_DECLS, 3, tau)
+        assert out == Agree(len(enumerate_values(STANDARD_DECLS, tau, 3))), out
+        for w in enumerate_values(STANDARD_DECLS, tau, 3):
+            assert eval_expr(e, env={"s": w}) == eval_tree(tree, {"s": w})
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_flipped_leaf_under_a_scrutinee_rhs_is_a_disagreement(seed):
+    # Each leaf in turn becomes one that no value evaluates to.  The
+    # validator reports the fault and evaluates both routes at its witness,
+    # which must agree with what it wants there, so it never raises.
+    flipped = Leaf(v("Flipped"))
+    for tau in _TAUS:
+        e = _naming_the_scrutinee(seed, tau)
+        tree = compile_case(e)
+        for leaf in _leaves(tree):
+            out = validate_tree(e, _replace(tree, leaf, flipped))
+            assert isinstance(out, Disagree), (e, leaf)
+            assert "the tree Evaluated(value=Value(Flipped))" in out.detail
+
+
+def test_compile_suite_builds_few_cases(monkeypatch):
+    # The oracles and the permutation property evaluate a generated case
+    # under an environment, so they build no `ECase(v, ...)` per value.
+    births, enter = [], syntax._enter
+    monkeypatch.setattr(syntax, "_enter", lambda node, key: births.append(type(node)) or enter(node, key))
+    assert all(r.ok for r in run_suites("compile", seed=2, depth=4, cases=400))
+    assert births.count(ECase) < 2_000

@@ -5,8 +5,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 from helpers import c, cn, v, var
 
 from patalg.semantics import (
@@ -20,7 +18,6 @@ from patalg.semantics import (
     Nondeterministic,
     Stepped,
     Stuck,
-    apply_subst,
     eval as eval_expr,
     expr_equiv_bounded,
     is_value,
@@ -28,7 +25,7 @@ from patalg.semantics import (
     substitute,
 )
 from patalg.parser import parse_expr
-from patalg.syntax import Mapping, Neg, Or, Value, Wild
+from patalg.syntax import Neg, Or, Value, Wild
 
 
 TRUE = ECtor(cn("True"), ())
@@ -132,26 +129,20 @@ def test_equivalent_pattern_substitution_preserves_meaning():
 # --- substitution ---
 
 
-def test_apply_subst_variable():
-    assert apply_subst(EVar("x"), (Mapping("x", v("True")),)) == TRUE
+def test_substitute_variable():
+    assert substitute(EVar("x"), {"x": v("True")}) == TRUE
 
 
-def test_apply_subst_under_constructor():
+def test_substitute_under_constructor():
     e = ECtor(cn("Pair", 2), (EVar("x"), EVar("y")))
-    out = apply_subst(e, (Mapping("x", v("A")), Mapping("y", v("B"))))
+    out = substitute(e, {"x": v("A"), "y": v("B")})
     assert out == ECtor(cn("Pair", 2), (v("A"), v("B")))
 
 
-def test_apply_subst_rejects_improper():
-    s = (Mapping("x", v("A")), Mapping("x", v("B")))
-    with pytest.raises(ValueError):
-        apply_subst(EVar("x"), s)
-
-
-def test_apply_subst_respects_shadowing():
+def test_substitute_respects_shadowing():
     # The inner clause binds x, so its right-hand side keeps its own x.
     inner = _case(EVar("s"), [Clause(var("x"), EVar("x"))], EVar("x"))
-    out = apply_subst(inner, (Mapping("x", v("A")),))
+    out = substitute(inner, {"x": v("A")})
     assert out.clauses[0].rhs == EVar("x")
     # Unshadowed positions are substituted: the default is one.
     assert out.default_rhs == v("A")
@@ -165,7 +156,7 @@ def test_shadowing_two_level_nest():
         [Clause(var("x"), EVar("x"))],  # binds x to Red
         EVar("x"),
     )
-    out = apply_subst(outer, (Mapping("x", v("Blue")),))
+    out = substitute(outer, {"x": v("Blue")})
     assert eval_expr(out) == Evaluated(v("Red"))
 
 

@@ -10,11 +10,11 @@ import json
 import pathlib
 
 import pytest
-from helpers import format_tree_by_recursion, tree_to_obj_by_recursion
+from helpers import cn, format_tree_by_recursion, tree_to_obj_by_recursion
 from test_deep_inputs import PROGRAMS
 
 from patalg import compiler
-from patalg.compiler import Leaf, Switch, compile_case
+from patalg.compiler import Arm, Leaf, Switch, compile_case
 from patalg.oracle import gen_case
 from patalg.parser import parse
 from patalg.pretty import format_tree, format_trees_json
@@ -62,6 +62,21 @@ def test_json_of_orprod_and_of_empty_lists():
     _assert_json_matches(named)
     _assert_json_matches([])
     _assert_json_matches([("e", Switch(EVar("x"), (), Leaf(EVar("x"))))])
+
+
+def test_shared_subtrees_print_as_expanded():
+    # The printers print a shared subtree once per (node, indent) and copy
+    # that text where the pair recurs.  `shared` recurs under two arms of
+    # the root, as its default, and one indent deeper under `nested`; as
+    # JSON an arm's tree and a default sit at different indents too.
+    shared = Switch(EVar("$0_0"), (Arm(cn("A"), (), Leaf(EVar("x"))),), Leaf(EVar("$0_0")))
+    nested = Switch(EVar("y"), (Arm(cn("A"), (), shared),), shared)
+    arms = tuple(Arm(cn(k, 1), ("$0_0",), sub) for k, sub in (("P", shared), ("Q", nested), ("R", shared)))
+    named = [("dag", Switch(EVar("x"), arms, shared)), ("orprod12", _trees(_orprod(12))[0][1])]
+    for _, t in named:
+        for indent in (0, 1):
+            assert format_tree(t, indent) == format_tree_by_recursion(t, indent)
+    _assert_json_matches(named)
 
 
 @pytest.mark.parametrize("name", ["deep250.pat", "wide.pat"])
